@@ -10,6 +10,7 @@
 package apichecker
 
 import (
+	"archive/zip"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -23,15 +24,18 @@ import (
 	"testing"
 	"time"
 
+	"apichecker/internal/behavior"
 	"apichecker/internal/cluster"
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
+	"apichecker/internal/dex"
 	"apichecker/internal/emulator"
 	"apichecker/internal/experiments"
 	"apichecker/internal/features"
 	"apichecker/internal/framework"
 	"apichecker/internal/hook"
 	"apichecker/internal/lifecycle"
+	"apichecker/internal/manifest"
 	"apichecker/internal/market"
 	"apichecker/internal/ml"
 	"apichecker/internal/modelstore"
@@ -613,6 +617,79 @@ func BenchmarkAPKBuildParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchArchives is how many corpus archives BenchmarkAPKParse cycles over:
+// one op is one archive, so a -benchtime that is a multiple of it (1600x)
+// reads as the corpus mean, and CI's 1x reads archive 0 every time.
+const benchArchives = 16
+
+// inflateLoadEntries decompresses the three entries apk.Parse decodes, the
+// way it does: one central-directory pass, each entry read to its declared
+// size. It is the zip share of a parse, and the source of the payloads the
+// per-decoder sub-benchmarks run on.
+func inflateLoadEntries(data []byte) (entries [3][]byte, err error) {
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return entries, err
+	}
+	for _, f := range zr.File {
+		for i, name := range [...]string{"AndroidManifest.xml", "classes.dex", "assets/behavior.bin"} {
+			if f.Name != name {
+				continue
+			}
+			rc, err := f.Open()
+			if err != nil {
+				return entries, err
+			}
+			entries[i] = make([]byte, f.UncompressedSize64)
+			_, err = io.ReadFull(rc, entries[i])
+			rc.Close()
+			if err != nil {
+				return entries, err
+			}
+		}
+	}
+	return entries, nil
+}
+
+// BenchmarkAPKParse is the decode budget: a full parse of prebuilt
+// archives, then the same archives split by where the time goes — zip
+// directory + inflate, and each of the three decoders on its own entry.
+// full minus the four parts is the two hashes plus the directory walk.
+func BenchmarkAPKParse(b *testing.B) {
+	e := env(b)
+	archives := make([][]byte, benchArchives)
+	var parts [3][][]byte
+	for i := range archives {
+		data, err := BuildAPK(e.Corpus.Program(i), e.U)
+		if err != nil {
+			b.Fatal(err)
+		}
+		archives[i] = data
+		entries, err := inflateLoadEntries(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range parts {
+			parts[j] = append(parts[j], entries[j])
+		}
+	}
+	run := func(name string, inputs [][]byte, fn func([]byte) error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := fn(inputs[i%len(inputs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("full", archives, func(d []byte) error { _, err := ParseAPK(d); return err })
+	run("inflate", archives, func(d []byte) error { _, err := inflateLoadEntries(d); return err })
+	run("manifest", parts[0], func(d []byte) error { _, err := manifest.Decode(d); return err })
+	run("dex", parts[1], func(d []byte) error { _, err := dex.Decode(d); return err })
+	run("behavior", parts[2], func(d []byte) error { _, err := behavior.Decode(d); return err })
 }
 
 // BenchmarkServiceThroughput measures batch vetting through the always-on

@@ -76,13 +76,6 @@ func Digest(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// DigestOnly is the serving-path fast key: it hashes the raw archive bytes
-// without opening the zip directory or materializing any entry, because
-// the cache-hit path needs only the digest — a byte-identical resubmission
-// is answered before any decode work happens. It is exactly Digest, named
-// so call sites on the hot path document that no parse is implied.
-func DigestOnly(data []byte) string { return Digest(data) }
-
 // PackageName returns the manifest package name.
 func (a *APK) PackageName() string { return a.Manifest.Package }
 
@@ -184,10 +177,19 @@ func signatureFor(entries map[string][]byte) []byte {
 // Parse opens an APK archive and decodes its load-bearing entries. Any
 // malformed archive fails with an error wrapping ErrBadAPK.
 func Parse(data []byte) (*APK, error) {
+	return ParseWithDigest(data, Digest(data))
+}
+
+// ParseWithDigest is Parse for a caller that has already hashed the
+// archive: sha256Hex must be Digest(data), and becomes APK.SHA256 without
+// the bytes being hashed a second time. The serving pipeline computes the
+// digest at admission, as its cache key, before it knows it must parse.
+func ParseWithDigest(data []byte, sha256Hex string) (*APK, error) {
 	out, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadAPK, err)
 	}
+	out.SHA256 = sha256Hex
 	return out, nil
 }
 
@@ -286,7 +288,6 @@ func parse(data []byte) (*APK, error) {
 	}
 	sum := md5.Sum(data)
 	out.MD5 = hex.EncodeToString(sum[:])
-	out.SHA256 = Digest(data)
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"apichecker/internal/behavior"
@@ -128,20 +129,24 @@ func TestParseRejectsSizeLie(t *testing.T) {
 	}
 }
 
-func TestDigestOnlyMatchesDigest(t *testing.T) {
+func TestParseSHA256MatchesDigest(t *testing.T) {
 	p := program(8, behavior.Benign, behavior.FamilyNone)
 	data, err := Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if DigestOnly(data) != Digest(data) {
-		t.Error("DigestOnly and Digest disagree")
-	}
 	parsed, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.SHA256 != DigestOnly(data) {
-		t.Error("parse-time SHA256 differs from DigestOnly")
+	if parsed.SHA256 != Digest(data) {
+		t.Error("parse-time SHA256 differs from Digest")
+	}
+	handed, err := ParseWithDigest(data, Digest(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(handed, parsed) {
+		t.Error("ParseWithDigest(data, Digest(data)) differs from Parse(data)")
 	}
 }

@@ -1,6 +1,7 @@
 package apk
 
 import (
+	"reflect"
 	"testing"
 
 	"apichecker/internal/behavior"
@@ -38,6 +39,11 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(parsed.MD5) != 32 {
 			t.Fatal("accepted APK without identity hash")
+		}
+		// Both entry points decode the manifest through manifest.Decode, scan
+		// or fallback alike: whenever both accept, they read the same one.
+		if m, err := ParseManifestOnly(data); err == nil && !reflect.DeepEqual(m, parsed.Manifest) {
+			t.Fatalf("ParseManifestOnly diverged from Parse:\n%+v\n%+v", m, parsed.Manifest)
 		}
 	})
 }

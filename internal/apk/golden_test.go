@@ -1,0 +1,52 @@
+package apk
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"apichecker/internal/behavior"
+)
+
+// buildBytesGolden is the sha256 over the concatenation of the 32 archives
+// goldenArchives builds, recorded at the commit before the decode diet
+// (d581e77). Build's bytes are the benchmark's inputs and the verdict
+// cache's keys: a decoder change must not move them.
+const buildBytesGolden = "2e2aaf516a4b5f408a3cfe54a5959c2039cb6f41c312dfa91bccedff8492a7c4"
+
+// goldenArchives builds 32 archives from fixed seeds: every malware family
+// and every benign category appears at least once.
+func goldenArchives(tb testing.TB) [][]byte {
+	tb.Helper()
+	out := make([][]byte, 32)
+	for i := range out {
+		spec := behavior.Spec{
+			PackageName: fmt.Sprintf("com.golden.app%02d", i),
+			Version:     1 + i%5,
+			Seed:        int64(1000 + 7*i),
+			Label:       behavior.Benign,
+			Category:    behavior.Category(i % behavior.NumCategories),
+		}
+		if i%2 == 1 {
+			spec.Label = behavior.Malicious
+			spec.Family = behavior.Family(1 + (i/2)%behavior.NumFamilies)
+		}
+		data, err := Build(testGen.Generate(spec), testU)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = data
+	}
+	return out
+}
+
+func TestBuildBytesGolden(t *testing.T) {
+	h := sha256.New()
+	for _, data := range goldenArchives(t) {
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != buildBytesGolden {
+		t.Errorf("Build bytes moved: sha256 over 32 fixed-seed archives = %s, want %s", got, buildBytesGolden)
+	}
+}

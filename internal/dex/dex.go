@@ -14,7 +14,6 @@
 package dex
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -245,118 +244,181 @@ func (f *File) Encode() ([]byte, error) {
 // maxReasonableCount bounds table sizes while decoding untrusted input.
 const maxReasonableCount = 1 << 24
 
-// Decode parses a serialized dex file.
-func Decode(data []byte) (*File, error) {
-	r := &reader{br: bufio.NewReader(bytes.NewReader(data))}
-	var magic [8]byte
-	r.bytes(magic[:])
-	if r.err == nil && magic != Magic {
-		return nil, fmt.Errorf("dex: decode: bad magic %q", magic[:])
-	}
+// Smallest encodings of one table element: a count that needs more bytes
+// than the input has left is rejected before anything is allocated for it.
+const (
+	minStringBytes = 4         // u32 length
+	minLibBytes    = 4         // u32 name index
+	minClassBytes  = 4 + 1 + 4 // name index, isActivity, method count
+	minMethodBytes = 4 + 4     // name index, call count
+	minCallBytes   = 1 + 4     // kind, target index
+)
 
-	nStrings := r.u32()
-	if r.err == nil && nStrings > maxReasonableCount {
-		return nil, fmt.Errorf("dex: decode: string pool count %d too large", nStrings)
+// Decode parses a serialized dex file. It walks the input with a bounds-
+// checked cursor: the blob is copied once into a string and every pooled
+// name in the result is a substring of that copy, and each table is
+// allocated once, at its declared size, only after that size is known to
+// fit in the bytes that remain.
+func Decode(data []byte) (*File, error) {
+	c := cursor{data: data, str: string(data)}
+	if len(data) < len(Magic) {
+		return nil, c.truncated()
 	}
-	strs := make([]string, 0, min(int(nStrings), 4096))
-	for i := uint32(0); i < nStrings && r.err == nil; i++ {
-		n := r.u32()
-		if r.err == nil && n > maxReasonableCount {
+	if [8]byte(data) != Magic {
+		return nil, fmt.Errorf("dex: decode: bad magic %q", data[:len(Magic)])
+	}
+	c.off = len(Magic)
+
+	nStrings, err := c.count("string pool", minStringBytes)
+	if err != nil {
+		return nil, err
+	}
+	c.pool = make([]string, nStrings)
+	for i := range c.pool {
+		n, err := c.u32()
+		if err != nil {
+			return nil, err
+		}
+		if n > maxReasonableCount {
 			return nil, fmt.Errorf("dex: decode: string length %d too large", n)
 		}
-		b := make([]byte, n)
-		r.bytes(b)
-		strs = append(strs, string(b))
-	}
-	str := func(idx uint32) string {
-		if r.err != nil {
-			return ""
+		if int(n) > len(data)-c.off {
+			return nil, c.truncated()
 		}
-		if int(idx) >= len(strs) {
-			r.err = fmt.Errorf("dex: decode: string index %d out of range (%d strings)", idx, len(strs))
-			return ""
-		}
-		return strs[idx]
+		c.pool[i] = c.str[c.off : c.off+int(n)]
+		c.off += int(n)
 	}
 
 	var f File
-	nLibs := r.u32()
-	if r.err == nil && nLibs > maxReasonableCount {
-		return nil, fmt.Errorf("dex: decode: native lib count %d too large", nLibs)
+	nLibs, err := c.count("native lib", minLibBytes)
+	if err != nil {
+		return nil, err
 	}
-	for i := uint32(0); i < nLibs && r.err == nil; i++ {
-		f.NativeLibs = append(f.NativeLibs, str(r.u32()))
+	if nLibs > 0 {
+		f.NativeLibs = make([]string, nLibs)
+	}
+	for i := range f.NativeLibs {
+		if f.NativeLibs[i], err = c.name(); err != nil {
+			return nil, err
+		}
 	}
 
-	nClasses := r.u32()
-	if r.err == nil && nClasses > maxReasonableCount {
-		return nil, fmt.Errorf("dex: decode: class count %d too large", nClasses)
+	nClasses, err := c.count("class", minClassBytes)
+	if err != nil {
+		return nil, err
 	}
-	for i := uint32(0); i < nClasses && r.err == nil; i++ {
-		var c Class
-		c.Name = str(r.u32())
-		c.IsActivity = r.u8() == 1
-		nMethods := r.u32()
-		if r.err == nil && nMethods > maxReasonableCount {
-			return nil, fmt.Errorf("dex: decode: method count %d too large", nMethods)
+	if nClasses > 0 {
+		f.Classes = make([]Class, nClasses)
+	}
+	for i := range f.Classes {
+		cl := &f.Classes[i]
+		if cl.Name, err = c.name(); err != nil {
+			return nil, err
 		}
-		for j := uint32(0); j < nMethods && r.err == nil; j++ {
-			var m Method
-			m.Name = str(r.u32())
-			nCalls := r.u32()
-			if r.err == nil && nCalls > maxReasonableCount {
-				return nil, fmt.Errorf("dex: decode: call count %d too large", nCalls)
+		isActivity, err := c.u8()
+		if err != nil {
+			return nil, err
+		}
+		cl.IsActivity = isActivity == 1
+		nMethods, err := c.count("method", minMethodBytes)
+		if err != nil {
+			return nil, err
+		}
+		if nMethods > 0 {
+			cl.Methods = make([]Method, nMethods)
+		}
+		for j := range cl.Methods {
+			m := &cl.Methods[j]
+			if m.Name, err = c.name(); err != nil {
+				return nil, err
 			}
-			for k := uint32(0); k < nCalls && r.err == nil; k++ {
-				kind := CallKind(r.u8())
-				if r.err == nil && kind > CallLoadDex {
+			nCalls, err := c.count("call", minCallBytes)
+			if err != nil {
+				return nil, err
+			}
+			if nCalls > 0 {
+				m.Calls = make([]CallSite, nCalls)
+			}
+			for k := range m.Calls {
+				kind, err := c.u8()
+				if err != nil {
+					return nil, err
+				}
+				if CallKind(kind) > CallLoadDex {
 					return nil, fmt.Errorf("dex: decode: invalid call kind %d", kind)
 				}
-				m.Calls = append(m.Calls, CallSite{Kind: kind, Target: str(r.u32())})
+				m.Calls[k].Kind = CallKind(kind)
+				if m.Calls[k].Target, err = c.name(); err != nil {
+					return nil, err
+				}
 			}
-			c.Methods = append(c.Methods, m)
 		}
-		f.Classes = append(f.Classes, c)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if _, err := r.br.ReadByte(); err != io.EOF {
+	if c.off != len(data) {
 		return nil, errors.New("dex: decode: trailing data")
 	}
 	return &f, nil
 }
 
-type reader struct {
-	br  *bufio.Reader
-	err error
+// cursor reads the dex wire format off a byte slice it never reads past.
+// str is the same bytes as one string, so names can be handed out as
+// substrings; pool is the decoded string table those names index.
+type cursor struct {
+	data []byte
+	str  string
+	off  int
+	pool []string
 }
 
-func (r *reader) bytes(b []byte) {
-	if r.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		r.err = fmt.Errorf("dex: decode: truncated input: %w", err)
-	}
+func (c *cursor) truncated() error {
+	return fmt.Errorf("dex: decode: truncated input: %w", io.ErrUnexpectedEOF)
 }
 
-func (r *reader) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	if r.err != nil {
-		return 0
+func (c *cursor) u8() (uint8, error) {
+	if c.off >= len(c.data) {
+		return 0, c.truncated()
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	b := c.data[c.off]
+	c.off++
+	return b, nil
 }
 
-func (r *reader) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	if r.err != nil {
-		return 0
+func (c *cursor) u32() (uint32, error) {
+	if len(c.data)-c.off < 4 {
+		return 0, c.truncated()
 	}
-	return b[0]
+	v := binary.LittleEndian.Uint32(c.data[c.off:])
+	c.off += 4
+	return v, nil
+}
+
+// count reads a table's element count and rejects it unless that many
+// elements of at least minBytes each can still follow: the caller may
+// then allocate the table at its declared size.
+func (c *cursor) count(table string, minBytes int) (int, error) {
+	n, err := c.u32()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxReasonableCount {
+		return 0, fmt.Errorf("dex: decode: %s count %d too large", table, n)
+	}
+	if int(n) > (len(c.data)-c.off)/minBytes {
+		return 0, c.truncated()
+	}
+	return int(n), nil
+}
+
+// name reads a string-pool index and resolves it.
+func (c *cursor) name() (string, error) {
+	idx, err := c.u32()
+	if err != nil {
+		return "", err
+	}
+	if idx >= uint32(len(c.pool)) {
+		return "", fmt.Errorf("dex: decode: string index %d out of range (%d strings)", idx, len(c.pool))
+	}
+	return c.pool[idx], nil
 }
 
 type stringPool struct {

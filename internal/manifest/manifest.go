@@ -174,14 +174,19 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return append([]byte(xml.Header), b...), nil
 }
 
-// Decode parses an AndroidManifest.xml document.
+// Decode parses an AndroidManifest.xml document. A document in the shape
+// Encode emits is read by scan without reflection; any other document goes
+// through encoding/xml, which is the only judge of what is well-formed.
 func Decode(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := xml.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("manifest: decode: %w", err)
+	m, ok := scan(data)
+	if !ok {
+		m = new(Manifest)
+		if err := xml.Unmarshal(data, m); err != nil {
+			return nil, fmt.Errorf("manifest: decode: %w", err)
+		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }

@@ -119,28 +119,77 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Distribution is a named sample set in virtual-clock seconds.
-type Distribution struct {
-	mu      sync.Mutex
-	samples []float64
+// maxWindow bounds the samples one distribution or stage keeps: 256 KiB
+// each, whatever the uptime, with 327 samples beyond p99. Below it every
+// digest is exact, as it was when every sample was kept.
+const maxWindow = 1 << 15
+
+// window is a sample set of bounded size: the exact count and sum of
+// everything observed, and the most recent maxWindow samples to take
+// quantiles from. Not safe for concurrent use; owners lock around it.
+type window struct {
+	n      uint64
+	sum    float64
+	recent []float64 // oldest first until full, then a ring written at n%maxWindow
 }
 
-// Observe appends one sample.
+func (w *window) observe(v float64) {
+	if len(w.recent) < maxWindow {
+		w.recent = append(w.recent, v)
+	} else {
+		w.recent[w.n%maxWindow] = v
+	}
+	w.n++
+	w.sum += v
+}
+
+// clone copies the window, so it can be digested outside the owner's lock.
+func (w *window) clone() window {
+	c := *w
+	c.recent = append([]float64(nil), w.recent...)
+	return c
+}
+
+// summary digests the window. It sorts the samples in place: call it on a
+// clone.
+func (w *window) summary() Summary {
+	if w.n == 0 {
+		return Summary{}
+	}
+	s := Summarize(w.recent)
+	s.Count, s.Mean = w.n, w.sum/float64(w.n)
+	return s
+}
+
+// Distribution is a named sample set in virtual-clock seconds. Its count
+// and mean cover every observation; its quantiles the latest maxWindow.
+type Distribution struct {
+	mu sync.Mutex
+	w  window
+}
+
+// Observe records one sample.
 func (d *Distribution) Observe(v float64) {
 	d.mu.Lock()
-	d.samples = append(d.samples, v)
+	d.w.observe(v)
 	d.mu.Unlock()
 }
 
-// Snapshot copies the samples recorded so far.
+// Snapshot copies the retained samples: all of them, in observation order,
+// until maxWindow have been observed; the latest maxWindow, unordered, after.
 func (d *Distribution) Snapshot() []float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]float64(nil), d.samples...)
+	return append([]float64(nil), d.w.recent...)
 }
 
 // Summary summarizes the samples recorded so far.
-func (d *Distribution) Summary() Summary { return Summarize(d.Snapshot()) }
+func (d *Distribution) Summary() Summary {
+	d.mu.Lock()
+	w := d.w.clone()
+	d.mu.Unlock()
+	return w.summary()
+}
 
 // Summary is a deterministic latency digest: mean plus nearest-rank
 // quantiles, in virtual-clock seconds.
@@ -189,9 +238,9 @@ func Quantile(sorted []float64, q float64) float64 {
 
 // stageAgg accumulates one stage's spans.
 type stageAgg struct {
-	count   uint64
-	errors  uint64
-	samples []float64 // virtual seconds
+	count  uint64
+	errors uint64
+	dur    window // virtual seconds of the successful spans
 }
 
 // StageStats is one stage's aggregate view: how many submissions passed
@@ -260,7 +309,7 @@ func (c *Collector) Emit(ev Event) {
 		if ev.Err != nil {
 			agg.errors++
 		} else {
-			agg.samples = append(agg.samples, ev.Dur.Seconds())
+			agg.dur.observe(ev.Dur.Seconds())
 		}
 		c.mu.Unlock()
 	}
@@ -281,13 +330,12 @@ func (c *Collector) StageStats() []StageStats {
 	type raw struct {
 		name          string
 		count, errors uint64
-		samples       []float64
+		dur           window
 	}
 	raws := make([]raw, 0, len(c.order))
 	for _, name := range c.order {
 		agg := c.stages[name]
-		raws = append(raws, raw{name, agg.count, agg.errors,
-			append([]float64(nil), agg.samples...)})
+		raws = append(raws, raw{name, agg.count, agg.errors, agg.dur.clone()})
 	}
 	c.mu.Unlock()
 	for _, r := range raws {
@@ -295,7 +343,7 @@ func (c *Collector) StageStats() []StageStats {
 			Stage:  r.name,
 			Count:  r.count,
 			Errors: r.errors,
-			Dur:    Summarize(r.samples),
+			Dur:    r.dur.summary(),
 		})
 	}
 	return out

@@ -119,3 +119,29 @@ func TestSinkFanOutAndConcurrency(t *testing.T) {
 		t.Fatalf("stage count = %d", st[0].Count)
 	}
 }
+
+// TestSampleMemoryIsBounded: a distribution and a stage keep the exact
+// count and mean of everything observed but at most maxWindow samples, the
+// most recent ones, so a long-lived server's metrics memory does not grow
+// with its uptime.
+func TestSampleMemoryIsBounded(t *testing.T) {
+	c := NewCollector()
+	d := c.Distribution("d")
+	const n = 3*maxWindow + 7
+	for i := 0; i < n; i++ {
+		d.Observe(float64(i))
+		c.Emit(Event{Kind: KindSpan, Name: "s", Dur: time.Duration(i) * time.Second})
+	}
+	if got := len(d.Snapshot()); got != maxWindow {
+		t.Fatalf("distribution retains %d samples, want %d", got, maxWindow)
+	}
+	for name, s := range map[string]Summary{"distribution": d.Summary(), "stage": c.StageStats()[0].Dur} {
+		if s.Count != n || s.Mean != float64(n-1)/2 {
+			t.Errorf("%s: count %d mean %v, want %d and %v", name, s.Count, s.Mean, n, float64(n-1)/2)
+		}
+		// The window is the last maxWindow values, n-maxWindow .. n-1.
+		if want := float64(n - maxWindow/2 - 1); s.P50 != want {
+			t.Errorf("%s: p50 %v, want %v (median of the most recent window)", name, s.P50, want)
+		}
+	}
+}

@@ -354,7 +354,7 @@ func (s Decode) Run(vc *VetContext) error {
 	sub := vc.Sub
 	switch {
 	case sub.Raw != nil:
-		parsed, err := apk.Parse(sub.Raw)
+		parsed, err := apk.ParseWithDigest(sub.Raw, vc.Digest)
 		if err != nil {
 			return err
 		}

@@ -289,7 +289,7 @@ func (s *Service) Metrics() Metrics {
 	m.Replayed = qs.Replayed
 	m.ReplaySkipped = qs.ReplaySkipped
 	m.DeadLettered = qs.DeadLettered
-	m.LeaseAge = newScanStats(c.leaseAges.Snapshot())
+	m.LeaseAge = newScanStats(c.leaseAges)
 
 	cs := s.ck.CacheStats()
 	m.CacheEntries = cs.Entries
@@ -305,21 +305,19 @@ func (s *Service) Metrics() Metrics {
 	m.ModelDigest = gen.Digest
 	m.ModelSwaps = s.ck.Obs().Counter("model.swaps").Load()
 
-	m.MissScan = newScanStats(c.missScans.Snapshot())
-	m.HitScan = newScanStats(c.hitScans.Snapshot())
-	m.Tier1Scan = newScanStats(c.tier1Scans.Snapshot())
-	m.Tier2Scan = newScanStats(c.tier2Scans.Snapshot())
-	if scans := c.scans.Snapshot(); len(scans) > 0 {
-		all := newScanStats(scans)
-		m.ScanMean, m.ScanP50, m.ScanP95, m.ScanP99 = all.Mean, all.P50, all.P95, all.P99
-	}
+	m.MissScan = newScanStats(c.missScans)
+	m.HitScan = newScanStats(c.hitScans)
+	m.Tier1Scan = newScanStats(c.tier1Scans)
+	m.Tier2Scan = newScanStats(c.tier2Scans)
+	all := newScanStats(c.scans)
+	m.ScanMean, m.ScanP50, m.ScanP95, m.ScanP99 = all.Mean, all.P50, all.P95, all.P99
 	return m
 }
 
-// newScanStats summarizes one latency sample set; samples are sorted in
-// place.
-func newScanStats(samples []float64) ScanStats {
-	d := obs.Summarize(samples)
+// newScanStats summarizes one latency distribution: Count and Mean over
+// every sample it has seen, quantiles over the window it retains.
+func newScanStats(dist *obs.Distribution) ScanStats {
+	d := dist.Summary()
 	return ScanStats{Count: d.Count, Mean: d.Mean, P50: d.P50, P95: d.P95, P99: d.P99}
 }
 
