@@ -6,24 +6,30 @@
 // heartbeats making node death just another reclaim (the
 // taskcluster-worker shape).
 //
-// The wire protocol is four POSTs plus one GET, mounted on the
-// coordinator's gateway mux:
+// The wire protocol is three POSTs plus one GET, mounted on the
+// coordinator's gateway mux. Coordinator and workers ship together: the
+// wire is versioned, not negotiated, and a peer of another build is
+// refused with an error that says so.
 //
-//   - POST /v1/cluster/claim — long-poll for the lowest-seq pending
-//     submission this node may take (digest-affinity routing: repeat
-//     submissions land on the node whose verdict cache already holds
-//     them). The response carries the raw archive bytes, the lease
-//     token + TTL, and the coordinator's current model digest.
+//   - POST /v1/cluster/claim — report the lane's last finished vet (if
+//     any) and long-poll for the lowest-seq pending submission this node
+//     may take (digest-affinity routing: repeat submissions land on the
+//     node whose verdict cache already holds them). The request is a
+//     small JSON body; the coordinator settles the ack it carries —
+//     first-wins verdict record, then the lease, exactly like a local
+//     lane: a verdict computed under a lost lease is still correct
+//     (content determinism) and is absorbed by first-wins, never
+//     double-booked — before it starts to poll. The 200 body is a claim
+//     frame (frame.go): a fixed binary header, then the raw archive
+//     bytes. 204 means the poll came back empty. Any 2xx acknowledges
+//     the ack; until a lane has seen one it sends the ack again, and a
+//     repeated ack changes nothing. wait_ms <= 0 claims nothing: it is
+//     how a stopping lane flushes its last ack.
 //   - POST /v1/cluster/heartbeat — extend the lease mid-emulation;
 //     410 means the lease was reclaimed and the node must abandon the
 //     vet (workqueue.ErrLeaseLost semantics, over the wire).
-//   - POST /v1/cluster/ack — report the verdict. The coordinator
-//     settles the first-wins verdict record before settling the lease,
-//     exactly like a local lane: a verdict computed under a lost lease
-//     is still correct (content determinism) and is absorbed by
-//     first-wins, never double-booked.
 //   - POST /v1/cluster/nack — return the claim for another attempt
-//     (node shutting down, model pull failed).
+//     (node shutting down, model pull failed, ack refused).
 //   - GET /v1/model/{digest} — the encoded APKMODEL artifact, content-
 //     addressed, so a stale node hot-swaps to the advertised generation
 //     before vetting. No node ever serves a stale generation.
@@ -38,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"apichecker/internal/core"
 	"apichecker/internal/vcache"
@@ -47,47 +54,25 @@ import (
 const (
 	PathClaim     = "/v1/cluster/claim"
 	PathHeartbeat = "/v1/cluster/heartbeat"
-	PathAck       = "/v1/cluster/ack"
 	PathNack      = "/v1/cluster/nack"
 	PathModel     = "/v1/model/"
 )
 
-// claimRequest asks for one unit of work.
+// claimRequest reports the lane's last vet and asks for one unit of work.
 type claimRequest struct {
+	// V is the sender's wire version; the coordinator refuses any other
+	// than frameVersion (a request from an older build carries none).
+	V int `json:"v"`
 	// Node is the worker node's stable name — its affinity and liveness
 	// identity. Required.
 	Node string `json:"node"`
 	// WaitMS is the long-poll budget in milliseconds; the coordinator
 	// answers 204 when nothing became claimable within it (capped by the
-	// coordinator's MaxPoll).
+	// coordinator's MaxPoll). <= 0 claims nothing: the request only
+	// delivers Ack.
 	WaitMS int64 `json:"wait_ms"`
-}
-
-// claimResponse is one leased submission (or the drained signal).
-type claimResponse struct {
-	// Drained reports that the coordinator's queue has settled everything
-	// and will never hand out work again; lanes exit.
-	Drained bool `json:"drained,omitempty"`
-
-	Seq      int64  `json:"seq"`
-	Key      string `json:"key,omitempty"` // content digest
-	Payload  []byte `json:"payload"`       // raw archive bytes (base64 on the wire)
-	Attempts int    `json:"attempts"`
-
-	// Token is the lease token; every heartbeat/ack/nack must echo it.
-	Token uint64 `json:"token"`
-	// LeaseTTLMS is the lease TTL in milliseconds (0: never expires).
-	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// DeadlineUnixNano is the submission's absolute vet deadline
-	// (0: unbounded).
-	DeadlineUnixNano int64 `json:"deadline_unix_nano,omitempty"`
-
-	// ModelDigest is the coordinator's current serving generation — the
-	// artifact the node must be running before it vets this claim.
-	ModelDigest string `json:"model_digest"`
-	// Generation is the coordinator's generation swap counter (logging
-	// aid; verdict identity rides the digest).
-	Generation uint64 `json:"generation"`
+	// Ack is the lane's finished vet, settled before the poll starts.
+	Ack *ackRequest `json:"ack,omitempty"`
 }
 
 // leaseRequest is the heartbeat/nack body.
@@ -99,15 +84,9 @@ type leaseRequest struct {
 	Cause string `json:"cause,omitempty"`
 }
 
-// heartbeatResponse acknowledges a live lease and rides the current
-// model digest along — a free propagation signal mid-emulation.
-type heartbeatResponse struct {
-	ModelDigest string `json:"model_digest"`
-}
-
-// ackRequest reports one completed vet.
+// ackRequest reports one completed vet; it rides a claimRequest, whose
+// Node names the reporter.
 type ackRequest struct {
-	Node  string `json:"node"`
 	Seq   int64  `json:"seq"`
 	Token uint64 `json:"token"`
 
@@ -130,16 +109,85 @@ type ackRequest struct {
 	ErrorKind string `json:"error_kind,omitempty"`
 }
 
-// ackResponse reports what the coordinator did with the report.
-type ackResponse struct {
-	// Recorded: this report settled the verdict record (first-wins).
-	Recorded bool `json:"recorded"`
-	// LeaseLost: the lease had already been reclaimed; the record (if
-	// Recorded) was settled anyway — the verdict is correct regardless of
-	// who held the lease.
-	LeaseLost bool `json:"lease_lost,omitempty"`
-	// Requeued (nack only): the item went back for another attempt.
-	Requeued bool `json:"requeued,omitempty"`
+// The control bodies have a fixed shape and one goes out per verdict, so
+// the worker appends them by hand; the coordinator reads them with
+// encoding/json, and TestControlBodiesMatchEncodingJSON holds the two to
+// the same document.
+
+// appendClaimRequest appends the claim body; ack is an encoded ackRequest
+// (appendAck) or empty.
+func appendClaimRequest(dst []byte, node string, waitMS int64, ack []byte) []byte {
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, frameVersion, 10)
+	dst = appendJSONString(append(dst, `,"node":`...), node)
+	dst = strconv.AppendInt(append(dst, `,"wait_ms":`...), waitMS, 10)
+	if len(ack) > 0 {
+		dst = append(append(dst, `,"ack":`...), ack...)
+	}
+	return append(dst, '}')
+}
+
+// appendLeaseRequest appends a heartbeat (cause empty) or nack body.
+func appendLeaseRequest(dst []byte, node string, seq int64, token uint64, cause string) []byte {
+	dst = appendJSONString(append(dst, `{"node":`...), node)
+	dst = strconv.AppendInt(append(dst, `,"seq":`...), seq, 10)
+	dst = strconv.AppendUint(append(dst, `,"token":`...), token, 10)
+	if cause != "" {
+		dst = appendJSONString(append(dst, `,"cause":`...), cause)
+	}
+	return append(dst, '}')
+}
+
+// appendAck appends one ackRequest. The score travels in the shortest
+// form that parses back to the same float64; a score JSON cannot carry
+// (NaN, ±Inf) produces a body the coordinator refuses, which the worker
+// turns into a nack.
+func appendAck(dst []byte, a *ackRequest) []byte {
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), a.Seq, 10)
+	dst = strconv.AppendUint(append(dst, `,"token":`...), a.Token, 10)
+	dst = appendJSONString(append(dst, `,"model_digest":`...), a.ModelDigest)
+	dst = appendJSONString(append(dst, `,"outcome":`...), a.Outcome)
+	dst = strconv.AppendInt(append(dst, `,"wall_ns":`...), a.WallNS, 10)
+	if v := a.Verdict; v != nil {
+		dst = appendJSONString(append(dst, `,"verdict":{"Package":`...), v.Package)
+		dst = strconv.AppendInt(append(dst, `,"VersionCode":`...), int64(v.VersionCode), 10)
+		dst = appendJSONString(append(dst, `,"MD5":`...), v.MD5)
+		dst = strconv.AppendUint(append(dst, `,"Generation":`...), v.Generation, 10)
+		dst = strconv.AppendBool(append(dst, `,"Malicious":`...), v.Malicious)
+		dst = strconv.AppendFloat(append(dst, `,"Score":`...), v.Score, 'g', -1, 64)
+		dst = strconv.AppendInt(append(dst, `,"Tier":`...), int64(v.Tier), 10)
+		dst = strconv.AppendInt(append(dst, `,"ScanTime":`...), int64(v.ScanTime), 10)
+		dst = strconv.AppendInt(append(dst, `,"OverallTime":`...), int64(v.OverallTime), 10)
+		dst = strconv.AppendBool(append(dst, `,"FellBack":`...), v.FellBack)
+		dst = strconv.AppendInt(append(dst, `,"Crashes":`...), int64(v.Crashes), 10)
+		dst = appendJSONString(append(dst, `,"Engine":`...), v.Engine)
+		dst = strconv.AppendInt(append(dst, `,"InvokedKeyAPIs":`...), int64(v.InvokedKeyAPIs), 10)
+		dst = append(dst, '}')
+	}
+	if a.Error != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), a.Error)
+		dst = appendJSONString(append(dst, `,"error_kind":`...), a.ErrorKind)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString appends s as a JSON string. Bytes that are not valid
+// UTF-8 pass through; the decoder reads them as U+FFFD, which is what
+// encoding/json would have sent.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c < 0x20:
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
 }
 
 // errorKind classifies a vet error for the wire.

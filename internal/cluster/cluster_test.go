@@ -9,10 +9,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,6 +68,22 @@ func instantiate(t *testing.T, a *modelstore.Artifact, cfg core.Config) *core.Ch
 		t.Fatal(err)
 	}
 	return ck
+}
+
+// serialVerdicts vets subs one after another on a fresh checker under cfg:
+// the oracle every cluster run is held to.
+func serialVerdicts(t *testing.T, base *modelstore.Artifact, cfg core.Config, subs []core.Submission) []*core.Verdict {
+	t.Helper()
+	ck := instantiate(t, base, cfg)
+	out := make([]*core.Verdict, len(subs))
+	for i, sub := range subs {
+		v, err := ck.Vet(context.Background(), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // rawSubs builds n raw-APK submissions (with duplicates when n exceeds
@@ -128,11 +148,16 @@ func startStack(t *testing.T, svc *vetsvc.Service, ccfg cluster.CoordinatorConfi
 }
 
 // stop tears the stack down: workers first (their in-flight polls abort
-// with the worker context), then the service, then the listener.
+// with the worker context), then the service, then the listener. The
+// drain is bounded: a test that failed with submissions still queued has
+// no fleet left to vet them, and must not sit out the test timeout.
 func (st *clusterStack) stop() {
 	for _, w := range st.workers {
 		w.Stop()
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	st.svc.Drain(ctx)
+	cancel()
 	st.svc.Close()
 	st.ts.Close()
 }
@@ -151,6 +176,18 @@ func artifactDigest(t *testing.T, ck *core.Checker) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// eventually polls cond until it holds. A ticket completes when its
+// record settles, a moment before the coordinator's OnVerdict hears of
+// that report — tests that count reports wait for them here.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // TestClusterMatchesSerialVet is the acceptance contract: N remote
@@ -185,15 +222,7 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 			}
 
 			subs := rawSubs(t, corpus, distinct, total)
-			ckSerial := instantiate(t, base, cfg)
-			serial := make([]*core.Verdict, len(subs))
-			for i, sub := range subs {
-				v, err := ckSerial.Vet(context.Background(), sub)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial[i] = v
-			}
+			serial := serialVerdicts(t, base, cfg, subs)
 
 			ckCoord := instantiate(t, base, cfg)
 			svc, err := vetsvc.Open(ckCoord, vetsvc.Config{
@@ -231,7 +260,7 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 // heartbeat, ack, or nack — a worker killed mid-emulation.
 func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"node": "zombie", "wait_ms": 2000})
+	body := cluster.AppendClaimRequest(nil, "zombie", 2000, nil)
 	resp, err := http.Post(baseURL+cluster.PathClaim, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -240,12 +269,15 @@ func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("zombie claim: status %d", resp.StatusCode)
 	}
-	var cl struct {
-		Seq     int64  `json:"seq"`
-		Token   uint64 `json:"token"`
-		Payload []byte `json:"payload"`
+	frame, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
+	if int64(len(frame)) != resp.ContentLength {
+		t.Fatalf("zombie claim: %d-byte body, Content-Length %d", len(frame), resp.ContentLength)
+	}
+	cl, err := cluster.DecodeClaim(frame)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cl.Payload) == 0 {
@@ -265,15 +297,7 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 	cfg := base.Cfg
 	subs := rawSubs(t, corpus, total, total)
 
-	ckSerial := instantiate(t, base, cfg)
-	serial := make([]*core.Verdict, len(subs))
-	for i, sub := range subs {
-		v, err := ckSerial.Vet(context.Background(), sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = v
-	}
+	serial := serialVerdicts(t, base, cfg, subs)
 
 	ckCoord := instantiate(t, base, cfg)
 	svc, err := vetsvc.Open(ckCoord, vetsvc.Config{
@@ -336,6 +360,11 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 	if qs := svc.QueueStats(); qs.Reclaimed == 0 {
 		t.Fatal("dead node's lease was never reclaimed")
 	}
+	eventually(t, "every recorded verdict to be reported", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(recorded) == total
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	if n := recorded[deadSeq]; n != 1 {
@@ -376,6 +405,12 @@ func TestClusterModelPropagation(t *testing.T) {
 	if _, err := svc.VetBatch(context.Background(), subs[:10]); err != nil {
 		t.Fatal(err)
 	}
+	// None of the first wave may be counted into the second.
+	eventually(t, "the first wave's 10 reports", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(reports) >= 10
+	})
 	mu.Lock()
 	firstWave := len(reports)
 	for _, rv := range reports {
@@ -487,5 +522,333 @@ func TestHealthzClusterFields(t *testing.T) {
 	}
 	if got := h["nodes"]; got != float64(1) {
 		t.Fatalf("after claim: nodes = %v, want 1", got)
+	}
+}
+
+// brokenWriter is a client that went away: every body write fails.
+type brokenWriter struct{ h http.Header }
+
+func (w *brokenWriter) Header() http.Header       { return w.h }
+func (w *brokenWriter) WriteHeader(int)           {}
+func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// TestClaimWriteFailureNacksAtOnce: a claim whose frame cannot be written
+// goes back to pending immediately instead of sitting leased until the
+// TTL (a minute here; the test would time out waiting for it).
+func TestClaimWriteFailureNacksAtOnce(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	tk, err := svc.Submit(context.Background(), rawSubs(t, corpus, 1, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mux := http.NewServeMux()
+	st.coord.Mount(mux)
+	req := httptest.NewRequest(http.MethodPost, cluster.PathClaim,
+		bytes.NewReader(cluster.AppendClaimRequest(nil, "gone", 2000, nil)))
+	mux.ServeHTTP(&brokenWriter{h: http.Header{}}, req)
+
+	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Depth != 1 || qs.Nacked != 1 {
+		t.Fatalf("after the failed write: %d leased, %d pending, %d nacked; want 0, 1, 1", qs.Leased, qs.Depth, qs.Nacked)
+	}
+	if got := svc.Obs().Counter("cluster.nacks").Load(); got != 1 {
+		t.Fatalf("cluster.nacks = %d, want 1", got)
+	}
+
+	// The item is claimable again at once, and finishes.
+	w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: st.ts.URL, Node: "live", Lanes: 1, PollWait: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.workers = append(st.workers, w)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := tk.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tapTransport lets a test see, and interfere with, one worker's
+// requests. The response body is read into memory before onResponse runs,
+// so what onResponse does cannot cut the transfer short.
+type tapTransport struct {
+	// onResponse may return an error to drop the response on the floor:
+	// the coordinator has acted on the request, the worker never hears.
+	onResponse func(path string, reqBody []byte, status int) error
+}
+
+func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	var reqBody []byte
+	if req.Body != nil {
+		b, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body.Close()
+		reqBody = b
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(b))
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if err := tt.onResponse(req.URL.Path, reqBody, resp.StatusCode); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestAcksSurviveDroppedResponses drops the answers to the first claims
+// that carried an ack. The coordinator settled each on arrival; the lane,
+// never having heard so, sends it again with its next request. Every
+// verdict is recorded exactly once, the repeats change nothing, and the
+// claims whose frames were lost with the answers come back by lease TTL.
+func TestAcksSurviveDroppedResponses(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	const total, drops = 12, 4
+	subs := rawSubs(t, corpus, total, total)
+	serial := serialVerdicts(t, base, base.Cfg, subs)
+
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+		QueueSize: total, LeaseTTL: 300 * time.Millisecond, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		recorded = map[int64]int{}
+		reports  = map[int64]int{}
+		dropped  int
+	)
+	ccfg := cluster.CoordinatorConfig{OnVerdict: func(rv cluster.RemoteVerdict) {
+		mu.Lock()
+		defer mu.Unlock()
+		reports[rv.Seq]++
+		if rv.Recorded {
+			recorded[rv.Seq]++
+		}
+	}}
+	tap := &tapTransport{onResponse: func(path string, body []byte, status int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if path == cluster.PathClaim && bytes.Contains(body, []byte(`"ack":`)) && dropped < drops {
+			dropped++
+			return errors.New("response lost")
+		}
+		return nil
+	}}
+	st := startStack(t, svc, ccfg, 1, cluster.WorkerConfig{Lanes: 2, Client: &http.Client{Transport: tap}})
+
+	got, err := svc.VetBatch(context.Background(), subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		if *got[i] != *serial[i] {
+			t.Fatalf("submission %d: cluster %+v vs serial %+v", i, *got[i], *serial[i])
+		}
+	}
+	st.workers[0].Stop()
+	eventually(t, "every recorded verdict to be reported", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(recorded) == total
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	if dropped != drops {
+		t.Fatalf("dropped %d responses, want %d", dropped, drops)
+	}
+	repeats := 0
+	for seq, n := range reports {
+		if recorded[seq] != 1 {
+			t.Fatalf("seq %d recorded %d times in %d reports, want exactly once", seq, recorded[seq], n)
+		}
+		repeats += n - 1
+	}
+	if len(recorded) != total {
+		t.Fatalf("%d seqs recorded, want %d", len(recorded), total)
+	}
+	if repeats < drops {
+		t.Fatalf("%d repeated reports for %d dropped answers: an ack was given up, not sent again", repeats, drops)
+	}
+	// A claim is vetted once here (a frame lost with its answer was never
+	// vetted), so every settle is a first report: the repeats must not count.
+	if acks := svc.Obs().Counter("cluster.acks").Load(); acks != total {
+		t.Fatalf("cluster.acks = %d after %d repeats, want %d", acks, repeats, total)
+	}
+	if ws := st.workers[0].Stats(); ws.Verdicts != total {
+		t.Fatalf("worker vetted %d, want %d", ws.Verdicts, total)
+	}
+	if qs := svc.QueueStats(); qs.Reclaimed == 0 {
+		t.Fatal("no lease was reclaimed: the dropped answers carried no claim frame")
+	}
+}
+
+// TestStopSettlesTheLaneClaim stops a node at the two points a lane can
+// be caught holding something: with a claim it has not vetted (nacked, so
+// it is re-issued at once) and with a verdict it has not reported (still
+// reported, with a request that claims nothing). The lease TTL is a
+// minute: anything left to it fails the test by timing out.
+func TestStopSettlesTheLaneClaim(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	subs := rawSubs(t, corpus, 3, 3)
+	serial := serialVerdicts(t, base, base.Cfg, subs)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	submit := func(i int) *vetsvc.Ticket {
+		t.Helper()
+		tk, err := svc.Submit(ctx, subs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	wait := func(i int, tk *vetsvc.Ticket) {
+		t.Helper()
+		v, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		if *v != *serial[i] {
+			t.Fatalf("submission %d: cluster %+v vs serial %+v", i, *v, *serial[i])
+		}
+	}
+
+	// Node a vets submission 0 (cold-starting its model), then is stopped
+	// the moment the frame of submission 1 arrives: the vet starts under a
+	// cancelled context and the claim is nacked.
+	var (
+		a       atomic.Pointer[cluster.Worker]
+		stopped = make(chan struct{})
+		frames  atomic.Int32
+		flushes atomic.Int32
+	)
+	stopA := func() {
+		go func() { a.Load().Stop(); close(stopped) }()
+		time.Sleep(50 * time.Millisecond) // Stop cancels first, then waits for the lane
+	}
+	tap := &tapTransport{onResponse: func(path string, body []byte, status int) error {
+		if path == cluster.PathClaim && status == http.StatusOK && frames.Add(1) == 2 {
+			stopA()
+		}
+		return nil
+	}}
+	w, err := cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: st.ts.URL, Node: "a", Lanes: 1, PollWait: 250 * time.Millisecond,
+		Client: &http.Client{Transport: tap},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Store(w)
+	wait(0, submit(0))
+	tk1 := submit(1)
+	<-stopped
+	if ws := w.Stats(); ws.Claims != 2 || ws.Verdicts != 1 || ws.Nacks != 1 {
+		t.Fatalf("node a: %+v; want 2 claims, 1 verdict, 1 nack", ws)
+	}
+	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Depth != 1 {
+		t.Fatalf("after stopping node a: %d leased, %d pending; want 0, 1", qs.Leased, qs.Depth)
+	}
+
+	// Node b takes submission 1 over, vets submission 2, and is stopped
+	// inside OnVet: the verdict exists only on the node, and Stop delivers
+	// it before it returns.
+	var (
+		b    atomic.Pointer[cluster.Worker]
+		seq2 atomic.Int64
+	)
+	seq2.Store(-1)
+	tapB := &tapTransport{onResponse: func(path string, body []byte, status int) error {
+		if path == cluster.PathClaim && bytes.Contains(body, []byte(`"wait_ms":0,`)) {
+			flushes.Add(1)
+		}
+		return nil
+	}}
+	w, err = cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: st.ts.URL, Node: "b", Lanes: 1, PollWait: 250 * time.Millisecond,
+		Client: &http.Client{Transport: tapB},
+		OnVet: func(seq int64, _ *core.Verdict, _ error) {
+			if seq == seq2.Load() {
+				go b.Load().Stop()
+				time.Sleep(50 * time.Millisecond)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Store(w)
+	st.workers = append(st.workers, w)
+	wait(1, tk1)
+	tk2 := submit(2)
+	seq2.Store(tk2.Seq())
+	<-w.Done()
+	wait(2, tk2)
+	if n := flushes.Load(); n != 1 {
+		t.Fatalf("%d requests that claim nothing, want the one that flushed the last ack", n)
+	}
+	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Depth != 0 || qs.Reclaimed != 0 {
+		t.Fatalf("at the end: %d leased, %d pending, %d reclaimed; want 0, 0, 0", qs.Leased, qs.Depth, qs.Reclaimed)
+	}
+}
+
+// TestControlBodyBound: /v1/cluster/* reads no more than its bound of a
+// request body, and a peer of another build is told so.
+func TestControlBodyBound(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(st.ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	huge := cluster.AppendClaimRequest(nil, strings.Repeat("n", 1<<20), 0, nil)
+	for _, path := range []string{cluster.PathClaim, cluster.PathHeartbeat, cluster.PathNack} {
+		if code, msg := post(path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 1 MiB body: %d %s, want 413", path, code, msg)
+		}
+	}
+	if code, msg := post(cluster.PathClaim, []byte(`{"node":"old","wait_ms":1}`)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
+		t.Errorf("claim from a build without a wire version: %d %s", code, msg)
+	}
+	if code, _ := post(cluster.PathClaim, cluster.AppendClaimRequest(nil, "n", 0, nil)); code != http.StatusNoContent {
+		t.Errorf("claim-nothing request: %d, want 204", code)
+	}
+	if code, _ := post("/v1/cluster/ack", []byte(`{}`)); code != http.StatusNotFound {
+		t.Errorf("the retired ack route: %d, want 404", code)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -77,16 +78,22 @@ type Coordinator struct {
 	cfg CoordinatorConfig
 
 	// nodes is the worker registry, by node name; liveness is lastSeen
-	// within NodeTTL.
-	nodesMu sync.Mutex
-	nodes   map[string]*nodeState
+	// within NodeTTL. live is the sorted live set, recomputed only when it
+	// can have changed: a node joined (live == nil) or the earliest expiry
+	// seen at the last recompute (liveUntil) has passed. A published live
+	// slice is never written again.
+	nodesMu   sync.Mutex
+	nodes     map[string]*nodeState
+	live      []string
+	liveUntil time.Time
 
 	// leases maps seq → the wire-lease view of an outstanding remote
 	// claim. A re-issued claim overwrites by seq; stale entries (node
-	// death) are pruned on the claim path. Never hold leaseMu across
-	// queue calls.
+	// death) are pruned on the claim path, at most once per lease TTL
+	// (pruned is the last sweep). Never hold leaseMu across queue calls.
 	leaseMu sync.Mutex
 	leases  map[int64]*remoteLease
+	pruned  time.Time
 
 	// model memoizes the serving generation's encoded artifact, keyed by
 	// the checker's generation ID: SetTriageBand republishes the same
@@ -160,26 +167,37 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathClaim, c.handleClaim)
 	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
-	mux.HandleFunc("POST "+PathAck, c.handleAck)
 	mux.HandleFunc("POST "+PathNack, c.handleNack)
 	mux.HandleFunc("GET "+PathModel+"{digest}", c.handleModel)
 }
 
 // LiveNodes reports how many worker nodes are within their liveness
 // window right now (the healthz surface).
-func (c *Coordinator) LiveNodes() int { return len(c.liveNodes()) }
+func (c *Coordinator) LiveNodes() int { return len(c.liveNodes(time.Now())) }
 
-// touch books one sighting of node and refreshes the live gauge.
-func (c *Coordinator) touch(node string) {
-	now := time.Now()
+// touch books one sighting of node.
+func (c *Coordinator) touch(node string, now time.Time) {
 	c.nodesMu.Lock()
 	ns := c.nodes[node]
 	if ns == nil {
 		ns = &nodeState{leaseAge: c.svc.Obs().Distribution("cluster.lease_age." + node)}
 		c.nodes[node] = ns
+		c.live = nil
 	}
 	ns.lastSeen = now
-	live := 0
+	c.nodesMu.Unlock()
+}
+
+// liveNodes returns the live node names, sorted for deterministic
+// affinity, and refreshes the live gauge when the set is recomputed.
+func (c *Coordinator) liveNodes(now time.Time) []string {
+	c.nodesMu.Lock()
+	defer c.nodesMu.Unlock()
+	if c.live != nil && now.Before(c.liveUntil) {
+		return c.live
+	}
+	live := make([]string, 0, len(c.nodes))
+	first := now
 	for name, st := range c.nodes {
 		if now.Sub(st.lastSeen) > c.cfg.NodeTTL {
 			// Expired registry entries are dropped; the node's obs
@@ -188,26 +206,15 @@ func (c *Coordinator) touch(node string) {
 			delete(c.nodes, name)
 			continue
 		}
-		live++
-	}
-	c.nodesGauge.Set(int64(live))
-	c.nodesMu.Unlock()
-}
-
-// liveNodes snapshots the live node names, sorted for deterministic
-// affinity.
-func (c *Coordinator) liveNodes() []string {
-	now := time.Now()
-	c.nodesMu.Lock()
-	out := make([]string, 0, len(c.nodes))
-	for name, st := range c.nodes {
-		if now.Sub(st.lastSeen) <= c.cfg.NodeTTL {
-			out = append(out, name)
+		live = append(live, name)
+		if st.lastSeen.Before(first) {
+			first = st.lastSeen
 		}
 	}
-	c.nodesMu.Unlock()
-	sort.Strings(out)
-	return out
+	sort.Strings(live)
+	c.live, c.liveUntil = live, first.Add(c.cfg.NodeTTL)
+	c.nodesGauge.Set(int64(len(live)))
+	return live
 }
 
 // affinityOwner picks the live node whose verdict cache most likely
@@ -239,30 +246,39 @@ func rendezvousHash(key, node string) uint64 {
 	return h
 }
 
-// handleClaim is POST /v1/cluster/claim: long-poll for the lowest-seq
-// pending item this node may take. The poll is sliced so node liveness
-// and affinity are re-evaluated every PollSlice; 204 means nothing
-// became claimable within the budget (the worker just re-polls).
+// handleClaim is POST /v1/cluster/claim: settle the ack the request
+// carries, then long-poll for the lowest-seq pending item this node may
+// take. The poll is sliced so node liveness and affinity are re-evaluated
+// every PollSlice; 204 means nothing became claimable within the budget
+// (the worker just re-polls), or that nothing was asked for.
 func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req claimRequest
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.V != frameVersion {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf(
+			"claim wire version %d, want %d: coordinator and workers must be the same build", req.V, frameVersion))
 		return
 	}
 	if req.Node == "" {
 		httpError(w, http.StatusBadRequest, "claim requires a node name")
 		return
 	}
-	c.touch(req.Node)
-	c.pruneLeases()
-
-	budget := time.Duration(req.WaitMS) * time.Millisecond
-	if budget <= 0 || budget > c.cfg.MaxPoll {
-		budget = c.cfg.MaxPoll
+	now := time.Now()
+	c.touch(req.Node, now)
+	if req.Ack != nil {
+		c.settleAck(req.Node, req.Ack)
 	}
-	deadline := time.Now().Add(budget)
+	if req.WaitMS <= 0 {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	c.pruneLeases(now)
+
+	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, c.cfg.MaxPoll))
 	for {
-		live := c.liveNodes()
-		now := time.Now()
+		live := c.liveNodes(now)
 		accept := func(it workqueue.Item) bool {
 			if it.Payload == nil {
 				// Memory-only submissions cannot ship; local lanes (if
@@ -277,10 +293,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			}
 			return affinityOwner(it.Key, live) == req.Node
 		}
-		slice := c.cfg.PollSlice
-		if rem := time.Until(deadline); rem < slice {
-			slice = rem
-		}
+		slice := min(c.cfg.PollSlice, deadline.Sub(now))
 		if slice <= 0 {
 			w.WriteHeader(http.StatusNoContent)
 			return
@@ -293,7 +306,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			c.respondClaim(w, req.Node, l)
 			return
 		case errors.Is(err, workqueue.ErrDrained):
-			writeJSON(w, http.StatusOK, claimResponse{Drained: true})
+			c.writeFrame(w, &claim{Drained: true}, nil)
 			return
 		case errors.Is(err, workqueue.ErrClosed):
 			httpError(w, http.StatusServiceUnavailable, err.Error())
@@ -303,16 +316,18 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Slice expired: refresh liveness and try again within the budget.
+		now = time.Now()
 	}
 }
 
-// respondClaim registers the wire lease and writes the claim response.
+// respondClaim registers the wire lease and writes the claim frame. A
+// frame that cannot be built or written returns the item at once rather
+// than stranding it until the lease TTL: if the bytes did reach the node,
+// the duplicate vet is absorbed by first-wins like any other.
 func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease) {
 	it := l.Item()
 	digest, gen, err := c.currentModel()
 	if err != nil {
-		// Without an advertisable model the claim cannot proceed; return
-		// the item for another attempt rather than stranding the lease.
 		l.Nack(fmt.Errorf("cluster: model snapshot: %w", err))
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -328,20 +343,41 @@ func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqu
 	c.nodesMu.Unlock()
 	c.claims.Inc()
 
-	resp := claimResponse{
+	cl := claim{
 		Seq:         it.Seq,
 		Key:         it.Key,
-		Payload:     it.Payload,
-		Attempts:    it.Attempts,
+		Attempts:    uint32(it.Attempts),
 		Token:       l.Token(),
 		LeaseTTLMS:  c.q.LeaseTTL().Milliseconds(),
 		ModelDigest: digest,
 		Generation:  gen,
 	}
 	if dl := c.svc.ClaimDeadline(it); !dl.IsZero() {
-		resp.DeadlineUnixNano = dl.UnixNano()
+		cl.DeadlineUnixNano = dl.UnixNano()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if err := c.writeFrame(w, &cl, it.Payload); err != nil {
+		if rl := c.takeLease(it.Seq, l.Token()); rl != nil {
+			rl.l.Nack(fmt.Errorf("cluster: claim frame to node %s: %w", node, err))
+			c.nacks.Inc()
+		}
+	}
+}
+
+// writeFrame writes one claim frame: the header, then payload as it lies
+// in the queue.
+func (c *Coordinator) writeFrame(w http.ResponseWriter, cl *claim, payload []byte) error {
+	hdr, err := appendClaimHeader(make([]byte, 0, frameFixed+4+len(cl.Key)+len(cl.ModelDigest)), cl)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return err
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+len(payload)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
+	return err
 }
 
 // takeLease resolves and removes the wire lease for (seq, token); nil
@@ -360,10 +396,17 @@ func (c *Coordinator) takeLease(seq int64, token uint64) *remoteLease {
 // pruneLeases drops wire-lease entries whose queue lease has been
 // reclaimed out from under the node (death mid-emulation). A re-issued
 // claim overwrites its seq's entry anyway; pruning catches the tail —
-// items dead-lettered or still pending — so the registry cannot leak.
-func (c *Coordinator) pruneLeases() {
+// items dead-lettered or still pending — so the registry cannot leak. A
+// lease is lost only by outliving the TTL, so one sweep per TTL finds
+// every loss within two.
+func (c *Coordinator) pruneLeases(now time.Time) {
+	ttl := c.q.LeaseTTL()
 	c.leaseMu.Lock()
 	defer c.leaseMu.Unlock()
+	if ttl <= 0 || now.Sub(c.pruned) < ttl {
+		return
+	}
+	c.pruned = now
 	for seq, rl := range c.leases {
 		if !rl.l.Valid() {
 			delete(c.leases, seq)
@@ -374,14 +417,13 @@ func (c *Coordinator) pruneLeases() {
 
 // handleHeartbeat is POST /v1/cluster/heartbeat: extend the lease one
 // TTL. 410 tells the node its lease is gone and the vet must be
-// abandoned. The 200 body carries the current model digest — a free
-// generation-propagation signal mid-emulation.
+// abandoned.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	c.touch(req.Node)
+	c.touch(req.Node, time.Now())
 	c.leaseMu.Lock()
 	rl := c.leases[req.Seq]
 	ok := rl != nil && rl.l.Token() == req.Token && rl.node == req.Node
@@ -396,42 +438,36 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		c.leaseMu.Unlock()
 		c.lost.Inc()
 		httpError(w, http.StatusGone, err.Error())
-		return
 	}
-	digest, _, _ := c.currentModel()
-	writeJSON(w, http.StatusOK, heartbeatResponse{ModelDigest: digest})
 }
 
-// handleAck is POST /v1/cluster/ack: record the verdict (first-wins),
-// then settle the lease. Record-before-ack mirrors the local lanes,
-// where settleRecord runs in the claim body and the pool's Ack may fail
+// settleAck books one verdict report: record the verdict (first-wins),
+// then settle the lease. Record-before-ack mirrors the local lanes, where
+// settleRecord runs in the claim body and the pool's Ack may fail
 // afterwards: a verdict computed under a lost lease is still the right
-// verdict for those bytes.
-func (c *Coordinator) handleAck(w http.ResponseWriter, r *http.Request) {
-	var req ackRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	c.touch(req.Node)
+// verdict for those bytes. A report that arrives twice (the node never saw
+// the first answer) finds the record settled and the lease taken, and
+// changes nothing; cluster.acks counts reports that settled something.
+func (c *Coordinator) settleAck(node string, req *ackRequest) {
 	vetErr := remoteError(req.Error, req.ErrorKind)
 	recorded := c.svc.ReportRemote(req.Seq, req.Verdict, parseOutcome(req.Outcome), vetErr, time.Duration(req.WallNS))
 
 	// A missing wire lease means the queue reclaimed it (and the prune or
 	// reclaim path already counted the loss); only a loss discovered here
 	// — the lease looked live but Ack found it gone — bumps the counter.
-	leaseLost := true
-	if rl := c.takeLease(req.Seq, req.Token); rl != nil {
-		err := rl.l.Ack()
-		leaseLost = errors.Is(err, workqueue.ErrLeaseLost)
-		if leaseLost {
+	rl := c.takeLease(req.Seq, req.Token)
+	if rl != nil {
+		if errors.Is(rl.l.Ack(), workqueue.ErrLeaseLost) {
 			c.lost.Inc()
 		}
 		c.observeLease(rl)
 	}
-	c.acks.Inc()
+	if recorded || rl != nil {
+		c.acks.Inc()
+	}
 	if c.cfg.OnVerdict != nil {
 		c.cfg.OnVerdict(RemoteVerdict{
-			Node:        req.Node,
+			Node:        node,
 			Seq:         req.Seq,
 			ModelDigest: req.ModelDigest,
 			Verdict:     req.Verdict,
@@ -439,7 +475,6 @@ func (c *Coordinator) handleAck(w http.ResponseWriter, r *http.Request) {
 			Recorded:    recorded,
 		})
 	}
-	writeJSON(w, http.StatusOK, ackResponse{Recorded: recorded, LeaseLost: leaseLost})
 }
 
 // handleNack is POST /v1/cluster/nack: return the claim for another
@@ -449,22 +484,20 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	c.touch(req.Node)
+	c.touch(req.Node, time.Now())
 	rl := c.takeLease(req.Seq, req.Token)
 	if rl == nil {
 		httpError(w, http.StatusGone, workqueue.ErrLeaseLost.Error())
 		return
 	}
 	cause := fmt.Errorf("cluster: node %s: %s", req.Node, req.Cause)
-	requeued, err := rl.l.Nack(cause)
+	_, err := rl.l.Nack(cause)
 	c.observeLease(rl)
 	c.nacks.Inc()
 	if errors.Is(err, workqueue.ErrLeaseLost) {
 		c.lost.Inc()
 		httpError(w, http.StatusGone, err.Error())
-		return
 	}
-	writeJSON(w, http.StatusOK, ackResponse{Requeued: requeued})
 }
 
 // observeLease books the settled lease's age into the node's
@@ -535,13 +568,26 @@ func (c *Coordinator) currentModel() (digest string, gen uint64, err error) {
 	return dig, g.ID, nil
 }
 
-// decodeBody decodes a JSON request body, answering 400 on failure.
+// maxControlBytes bounds a control body (claim, heartbeat, nack). They
+// run to a few hundred bytes; the bound leaves room for what has no bound
+// of its own — the package name a verdict carries comes from the
+// submitted manifest.
+const maxControlBytes = 64 << 10
+
+// decodeBody decodes a JSON request body, answering 413 beyond
+// maxControlBytes and 400 on any other failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes)).Decode(into)
+	if err == nil {
+		return true
 	}
-	return true
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "decoding request body: "+err.Error())
+	return false
 }
 
 // httpError writes a JSON error envelope.

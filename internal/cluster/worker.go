@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -117,7 +116,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.wg.Add(cfg.Lanes)
 	for i := 0; i < cfg.Lanes; i++ {
-		go w.lane()
+		go (&lane{w: w}).run()
 	}
 	go func() {
 		w.wg.Wait()
@@ -128,8 +127,8 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 
 // Stop cancels the lanes and waits for them to exit. In-flight vets are
 // cancelled at the next emulation boundary and their claims nacked back
-// to the coordinator for prompt re-issue (a SIGKILL skips the nack; the
-// lease TTL reclaims instead).
+// to the coordinator for prompt re-issue; a vet that had finished is
+// still reported (a SIGKILL skips both; the lease TTL reclaims instead).
 func (w *Worker) Stop() {
 	w.cancel()
 	w.wg.Wait()
@@ -170,11 +169,39 @@ func (w *Worker) ModelDigest() string {
 	return w.digest
 }
 
-// lane is one claim loop: claim → ensure model → vet → report.
-func (w *Worker) lane() {
+// lane is one claim loop's state. Only its own goroutine touches it,
+// except the heartbeat fields, which the timer's goroutine shares under
+// hbMu.
+type lane struct {
+	w *Worker
+
+	// ack is the encoded report (appendAck) of the last finished vet, kept
+	// until a 2xx has answered a request that carried it; ackSeq and
+	// ackToken name its claim for the nack that follows a refusal.
+	ack      []byte
+	ackSeq   int64
+	ackToken uint64
+
+	// One timer per lane, re-armed per claim, beats while a vet runs.
+	// hbClaim is that vet's claim (nil between vets): a beat that finds
+	// another claim there was overtaken and does nothing.
+	hbMu     sync.Mutex
+	hbTimer  *time.Timer
+	hbClaim  *claim
+	hbCancel context.CancelCauseFunc
+	hbEvery  time.Duration
+}
+
+// run is the claim loop: claim (reporting the last vet) → ensure model →
+// vet. However it ends, a report still pending is flushed.
+func (ln *lane) run() {
+	w := ln.w
 	defer w.wg.Done()
+	defer ln.flush()
 	for w.ctx.Err() == nil {
-		cl, err := w.claim()
+		// The request context allows one extra PollWait beyond the server's
+		// budget so a healthy long-poll is never cut off by the client side.
+		cl, err := ln.claim(w.ctx, 2*w.cfg.PollWait+5*time.Second, w.cfg.PollWait)
 		if err != nil {
 			if w.ctx.Err() != nil {
 				return
@@ -197,17 +224,19 @@ func (w *Worker) lane() {
 		w.claims.Add(1)
 		ck, err := w.ensureModel(cl.ModelDigest)
 		if err != nil {
-			w.nack(cl, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
+			w.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
 		}
-		w.execute(ck, cl)
+		ln.execute(ck, cl)
 	}
 }
 
 // execute runs one claimed submission through the local vet pipeline,
 // heartbeating during emulation; lease loss cancels the vet context with
-// cause workqueue.ErrLeaseLost, mirroring the in-process worker pool.
-func (w *Worker) execute(ck *core.Checker, cl *claimResponse) {
+// cause workqueue.ErrLeaseLost, mirroring the in-process worker pool. The
+// result becomes the lane's pending ack and rides the next claim.
+func (ln *lane) execute(ck *core.Checker, cl *claim) {
+	w := ln.w
 	vctx, vcancel := context.WithCancelCause(w.ctx)
 	defer vcancel(nil)
 	jctx := context.Context(vctx)
@@ -217,19 +246,20 @@ func (w *Worker) execute(ck *core.Checker, cl *claimResponse) {
 		jctx = dctx
 	}
 	hb := w.cfg.HeartbeatEvery
-	if hb == 0 && cl.LeaseTTLMS > 0 {
+	if hb == 0 {
 		hb = time.Duration(cl.LeaseTTLMS) * time.Millisecond / 3
 	}
-	stopHB := func() {}
 	if hb > 0 {
-		stopHB = w.startHeartbeat(cl, vcancel, hb)
+		ln.startBeats(cl, vcancel, hb)
 	}
 
 	sub := core.Submission{Raw: cl.Payload, Seq: cl.Seq, Digest: cl.Key}
 	t0 := time.Now()
 	v, out, err := ck.VetOutcome(jctx, sub)
 	wall := time.Since(t0)
-	stopHB()
+	if hb > 0 {
+		ln.stopBeats()
+	}
 
 	if err != nil && errors.Is(err, context.Canceled) {
 		if errors.Is(context.Cause(vctx), workqueue.ErrLeaseLost) {
@@ -240,7 +270,7 @@ func (w *Worker) execute(ck *core.Checker, cl *claimResponse) {
 		}
 		if w.ctx.Err() != nil {
 			// Node shutdown: hand the claim back for prompt re-issue.
-			w.nack(cl, "worker stopping")
+			w.nack(cl.Seq, cl.Token, "worker stopping")
 			return
 		}
 	}
@@ -248,69 +278,133 @@ func (w *Worker) execute(ck *core.Checker, cl *claimResponse) {
 	if w.cfg.OnVet != nil {
 		w.cfg.OnVet(cl.Seq, v, err)
 	}
-	w.ack(cl, v, out.String(), err, wall)
+	req := ackRequest{
+		Seq:         cl.Seq,
+		Token:       cl.Token,
+		ModelDigest: cl.ModelDigest,
+		Outcome:     out.String(),
+		WallNS:      wall.Nanoseconds(),
+		Verdict:     v,
+	}
+	if err != nil {
+		req.Error, req.ErrorKind = err.Error(), errorKind(err)
+	}
+	ln.ack, ln.ackSeq, ln.ackToken = appendAck(ln.ack[:0], &req), cl.Seq, cl.Token
 }
 
-// startHeartbeat extends the lease every period until stopped; a 410
-// from the coordinator cancels the vet with cause ErrLeaseLost.
-// Transport errors do not cancel — a transient partition must not kill a
-// healthy emulation; if the lease really expired, the next beat's 410 or
-// the ack's first-wins absorption handles it.
-func (w *Worker) startHeartbeat(cl *claimResponse, cancel context.CancelCauseFunc, every time.Duration) func() {
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-w.ctx.Done():
-				return
-			case <-t.C:
-				lost, err := w.heartbeat(cl)
-				if err == nil && lost {
-					cancel(workqueue.ErrLeaseLost)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(stop) }
+// startBeats arms the lane's timer to extend cl's lease every period
+// until stopBeats.
+func (ln *lane) startBeats(cl *claim, cancel context.CancelCauseFunc, every time.Duration) {
+	ln.hbMu.Lock()
+	defer ln.hbMu.Unlock()
+	ln.hbClaim, ln.hbCancel, ln.hbEvery = cl, cancel, every
+	if ln.hbTimer == nil {
+		ln.hbTimer = time.AfterFunc(every, ln.beat)
+	} else {
+		ln.hbTimer.Reset(every)
+	}
 }
 
-// claim long-polls the coordinator for work; (nil, nil) means the poll
-// came back empty (204).
-func (w *Worker) claim() (*claimResponse, error) {
-	body := claimRequest{Node: w.cfg.Node, WaitMS: w.cfg.PollWait.Milliseconds()}
-	// The request context allows one extra PollWait beyond the server's
-	// budget so a healthy long-poll is never cut off by the client side.
-	ctx, cancel := context.WithTimeout(w.ctx, 2*w.cfg.PollWait+5*time.Second)
+// stopBeats disarms the timer; a beat already on the wire finds hbClaim
+// changed and does nothing.
+func (ln *lane) stopBeats() {
+	ln.hbMu.Lock()
+	defer ln.hbMu.Unlock()
+	ln.hbClaim = nil
+	ln.hbTimer.Stop()
+}
+
+// beat is the timer's function: one heartbeat, then re-arm. A 410 from
+// the coordinator cancels the vet with cause ErrLeaseLost. Transport
+// errors do not cancel — a transient partition must not kill a healthy
+// emulation; if the lease really expired, the next beat's 410 or the
+// ack's first-wins absorption handles it.
+func (ln *lane) beat() {
+	ln.hbMu.Lock()
+	cl := ln.hbClaim
+	ln.hbMu.Unlock()
+	if cl == nil {
+		return
+	}
+	lost, err := ln.w.heartbeat(cl)
+	ln.hbMu.Lock()
+	defer ln.hbMu.Unlock()
+	switch {
+	case ln.hbClaim != cl:
+		// The vet finished while the beat was on the wire.
+	case err == nil && lost:
+		ln.hbCancel(workqueue.ErrLeaseLost)
+	default:
+		ln.hbTimer.Reset(ln.hbEvery)
+	}
+}
+
+// claim sends the pending ack, if any, and long-polls the coordinator for
+// work for up to wait (<= 0: claim nothing, only deliver the ack);
+// (nil, nil) means the poll came back empty (204). A frame or a 204
+// acknowledges the ack. A 4xx to a request that carried one means the
+// coordinator will never take it (a body past its bound, a score JSON
+// cannot carry): the claim is nacked instead, so the item is re-issued at
+// once and dead-lettered with that cause if every attempt ends the same
+// way.
+func (ln *lane) claim(parent context.Context, timeout, wait time.Duration) (*claim, error) {
+	w := ln.w
+	carried := len(ln.ack) > 0
+	body := appendClaimRequest(make([]byte, 0, 64+len(w.cfg.Node)+len(ln.ack)),
+		w.cfg.Node, wait.Milliseconds(), ln.ack)
+	ctx, cancel := context.WithTimeout(parent, timeout)
 	defer cancel()
 	resp, err := w.post(ctx, PathClaim, body)
 	if err != nil {
 		return nil, err
 	}
 	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var cl claimResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
-			return nil, fmt.Errorf("cluster: decoding claim: %w", err)
-		}
-		return &cl, nil
-	case http.StatusNoContent:
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		ln.ack = ln.ack[:0]
+		return readClaim(resp)
+	case resp.StatusCode == http.StatusNoContent:
+		ln.ack = ln.ack[:0]
 		return nil, nil
+	case carried && resp.StatusCode >= 400 && resp.StatusCode < 500:
+		err := httpStatusError("ack refused", resp)
+		ln.ack = ln.ack[:0]
+		w.nack(ln.ackSeq, ln.ackToken, err.Error())
+		return nil, err
 	default:
 		return nil, httpStatusError("claim", resp)
 	}
 }
 
+// readClaim reads one claim frame into a buffer of exactly the declared
+// size — the archive in it becomes Submission.Raw as it lies — after
+// checking that a size was declared and is one a frame can have.
+func readClaim(resp *http.Response) (*claim, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxFrameBytes {
+		return nil, fmt.Errorf("%w: declared length %d, want 0..%d", errBadFrame, n, int64(maxFrameBytes))
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, fmt.Errorf("cluster: reading claim frame: %w", err)
+	}
+	return decodeClaim(b)
+}
+
+// flush delivers a pending ack with a request that claims nothing; a
+// stopping lane's last act. One attempt: if it fails the lease TTL
+// reclaims the item, as for a node that was killed.
+func (ln *lane) flush() {
+	if len(ln.ack) > 0 {
+		_, _ = ln.claim(context.Background(), 10*time.Second, 0)
+	}
+}
+
 // heartbeat reports (lost, transport error).
-func (w *Worker) heartbeat(cl *claimResponse) (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+func (w *Worker) heartbeat(cl *claim) (bool, error) {
+	ctx, cancel := context.WithTimeout(w.ctx, 10*time.Second)
 	defer cancel()
-	resp, err := w.post(ctx, PathHeartbeat, leaseRequest{Node: w.cfg.Node, Seq: cl.Seq, Token: cl.Token})
+	resp, err := w.post(ctx, PathHeartbeat, appendLeaseRequest(nil, w.cfg.Node, cl.Seq, cl.Token, ""))
 	if err != nil {
 		return false, err
 	}
@@ -325,35 +419,13 @@ func (w *Worker) heartbeat(cl *claimResponse) (bool, error) {
 	}
 }
 
-// ack reports one vet result. Failures are logged into the nack counter
-// only implicitly: a lost ack is absorbed upstream by the lease TTL and
-// first-wins recording, so there is nothing useful to retry here.
-func (w *Worker) ack(cl *claimResponse, v *core.Verdict, outcome string, vetErr error, wall time.Duration) {
-	req := ackRequest{
-		Node:        w.cfg.Node,
-		Seq:         cl.Seq,
-		Token:       cl.Token,
-		ModelDigest: cl.ModelDigest,
-		Outcome:     outcome,
-		WallNS:      wall.Nanoseconds(),
-		Verdict:     v,
-	}
-	if vetErr != nil {
-		req.Error, req.ErrorKind = vetErr.Error(), errorKind(vetErr)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if resp, err := w.post(ctx, PathAck, req); err == nil {
-		drainClose(resp)
-	}
-}
-
-// nack returns a claim for another attempt.
-func (w *Worker) nack(cl *claimResponse, cause string) {
+// nack returns a claim for another attempt. Best effort: a nack that does
+// not arrive leaves the item to the lease TTL.
+func (w *Worker) nack(seq int64, token uint64, cause string) {
 	w.nacks.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if resp, err := w.post(ctx, PathNack, leaseRequest{Node: w.cfg.Node, Seq: cl.Seq, Token: cl.Token, Cause: cause}); err == nil {
+	if resp, err := w.post(ctx, PathNack, appendLeaseRequest(nil, w.cfg.Node, seq, token, cause)); err == nil {
 		drainClose(resp)
 	}
 }
@@ -425,13 +497,11 @@ func (w *Worker) fetchModel(digest string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// post sends one JSON request.
-func (w *Worker) post(ctx context.Context, path string, body any) (*http.Response, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(data))
+// post sends one control body. The transport may still read body after
+// post returns (an answer can overtake the request), so callers hand over
+// a slice they do not write again.
+func (w *Worker) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

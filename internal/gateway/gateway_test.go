@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -461,5 +462,78 @@ func TestMetricsExposesEverything(t *testing.T) {
 	// Stage aggregates ride along with stage labels.
 	if !strings.Contains(text, `apichecker_stage_spans_total{stage="emulate"}`) {
 		t.Error("stage span counters missing from /metrics")
+	}
+}
+
+// TestGatewayUploadLengths: the upload buffer is sized from the declared
+// Content-Length, so the declared length is put against the bytes that
+// arrive — equal, absent (chunked), fewer and more — and the answer is in
+// each case the one io.ReadAll gave.
+func TestGatewayUploadLengths(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	fx := newFixtureWith(t, ck, vetsvc.Config{Workers: 2, QueueSize: 8}, Config{})
+	data := buildAPK(t, corpus, 0)
+	honest, resp := postAPK(t, fx.ts.URL, "?wait=30s", data)
+	if resp.StatusCode != http.StatusOK || honest.Verdict == nil || honest.ID != apk.Digest(data) {
+		t.Fatalf("declared upload: status %d, %+v", resp.StatusCode, honest)
+	}
+
+	// No declared length: a reader net/http cannot size goes out chunked.
+	req, err := http.NewRequest(http.MethodPost, fx.ts.URL+"/v1/submissions?wait=30s", struct{ io.Reader }{bytes.NewReader(data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunked SubmissionStatus
+	err = json.NewDecoder(cresp.Body).Decode(&chunked)
+	cresp.Body.Close()
+	if err != nil || cresp.StatusCode != http.StatusOK || chunked.ID != honest.ID || *chunked.Verdict != *honest.Verdict {
+		t.Fatalf("chunked upload: status %d, %+v (%v); want the declared upload's %+v", cresp.StatusCode, chunked, err, honest)
+	}
+
+	// raw sends declared as the Content-Length and body as what follows,
+	// and reads one response. A body that stops short is ended by closing
+	// the sending half; a complete one is not, because the server takes a
+	// client that hangs up mid-wait to have lost interest.
+	raw := func(declared int, body []byte) (int, SubmissionStatus) {
+		t.Helper()
+		conn, err := net.Dial("tcp", fx.ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/submissions?wait=30s HTTP/1.1\r\nHost: gateway\r\nContent-Length: %d\r\n\r\n", declared)
+		conn.Write(body)
+		if len(body) < declared {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st SubmissionStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("decode response (status %d): %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, st
+	}
+	fresh := buildAPK(t, corpus, 1)
+	if code, st := raw(len(fresh), fresh[:len(fresh)/2]); code != http.StatusBadRequest || !strings.Contains(st.Error, "reading request body") {
+		t.Errorf("body shorter than declared: status %d, %+v; want 400", code, st)
+	}
+	// Bytes past the declared length are not the submission's: the archive
+	// is vetted as if they had not been sent.
+	if code, st := raw(len(fresh), append(append([]byte{}, fresh...), "trailing garbage"...)); code != http.StatusOK || st.ID != apk.Digest(fresh) {
+		t.Errorf("body longer than declared: status %d, %+v; want 200 for %s", code, st, apk.Digest(fresh))
+	}
+	// Declaring half an archive submits half an archive.
+	half := buildAPK(t, corpus, 2)
+	half = half[:len(half)/2]
+	if code, st := raw(len(half), append(append([]byte{}, half...), "the other half"...)); code != http.StatusUnprocessableEntity || st.ID != apk.Digest(half) {
+		t.Errorf("declared half an archive: status %d, %+v; want 422 for %s", code, st, apk.Digest(half))
 	}
 }
