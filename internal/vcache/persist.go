@@ -1,61 +1,34 @@
-// Persistent verdict-cache tier: an append-log of flat cache entries so a
+// Persistent verdict-cache tier: flat cache entries in a framelog, so a
 // restarted serving node warm-starts its hit rate instead of re-emulating
-// everything it had already memoized.
+// everything it had already memoized. framelog owns the file (header,
+// frames, CRC, torn-tail repair, compaction); this file owns what is
+// specific to a cache of verdicts.
 //
-// The file discipline matches modelstore: a header written via temp-file +
-// rename (never partially visible), records appended with O_APPEND (the
-// kernel's atomic append contract for single-writer logs), and a CRC per
-// record so a torn final write degrades to "skip the tail", never to a
-// corrupt verdict. The log is keyed by a generation key (the serving model
-// identity): a snapshot recorded under one model is worthless — actively
-// wrong — under another, so Open discards the file wholesale on key
-// mismatch and lifecycle swaps Reset it exactly like the in-memory epoch
-// bump drops the live entries.
+// The log is keyed by a generation key (the serving model identity) carried
+// in its header line: a snapshot recorded under one model is worthless —
+// actively wrong — under another, so Open discards the file wholesale on
+// key mismatch and lifecycle swaps Reset it exactly like the in-memory
+// epoch bump drops the live entries.
 //
-// Record layout (little-endian), after the header line:
+// Frame body (little-endian); the value is the rest of the frame:
 //
-//	u32 keyLen | key bytes | u32 valLen | val bytes | u32 crc32(IEEE, key+val)
+//	u32 keyLen | key | val
 package vcache
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
+
+	"apichecker/internal/framelog"
 )
 
 // persistFile is the log's name inside the persist directory.
 const persistFile = "vcache.log"
 
-// persistMagic versions the header; bump on layout changes.
-const persistMagic = "vcachelog/1 "
-
-// maxPersistRecord bounds one record's key+value size — corrupt length
-// prefixes must not drive a multi-gigabyte allocation during replay.
-const maxPersistRecord = 64 << 20
-
-// Compaction bounds the log within one model generation. Every store
-// appends — including re-stores of keys the LRU evicted and re-computed —
-// so a long-lived epoch would otherwise accrete unbounded disk and
-// ever-slower replay. Once the file grows past compactFactor times the
-// size of the last compacted image (with compactFloor so tiny caches never
-// churn), the log is rewritten to exactly the live entries the snapshot
-// callback emits, via the same temp-file + rename discipline as Reset.
-const (
-	compactFactor = 4
-	compactFloor  = 1 << 20
-)
-
-// ErrPersistCorrupt marks a persist log whose header does not parse. Torn
-// or corrupt records are not errors — replay stops at the first bad record
-// and keeps everything before it.
-var ErrPersistCorrupt = errors.New("vcache: corrupt persist log header")
+// persistMagic versions the header line (the generation key follows it);
+// bump on layout changes.
+const persistMagic = "vcachelog/2 "
 
 // PersistLog is the file-backed warm-start tier for a Cache[[]byte].
 // One writer (the serving process) appends entries as they are stored;
@@ -63,22 +36,17 @@ var ErrPersistCorrupt = errors.New("vcache: corrupt persist log header")
 // matches. Safe for concurrent use.
 type PersistLog struct {
 	mu     sync.Mutex
-	dir    string
 	genKey string
 	epoch  uint64 // cache epoch appends must match (see AppendCurrent)
-	f      *os.File
+	log    *framelog.Log
 	closed bool
 
-	// size is the current file length; lastCompact the length of the last
-	// compacted (or freshly opened) image — together they drive the
-	// grow-past-a-multiple compaction trigger.
-	size, lastCompact int64
 	// snapshot (EnableCompaction) emits the live entries a compaction
 	// rewrites the log to; nil disables compaction and the log grows
 	// unbounded within a generation.
 	snapshot func(emit func(key string, val []byte))
 
-	appends, resets, compactions, compactErrors uint64
+	appends, resets uint64
 }
 
 // OpenPersist opens (or creates) the persist log in dir. genKey is the
@@ -86,46 +54,32 @@ type PersistLog struct {
 // epoch is the live cache's current epoch, which appends are gated on.
 //
 // When the existing log carries the same genKey, its records are replayed
-// through restore (good records only, in append order) and appending
-// continues where the log left off. Any mismatch — different key, missing
-// file, unparseable header — starts a fresh log; restored reports how many
-// entries were replayed and skipped reports records dropped as torn or
-// corrupt.
+// through restore (good records only, in append order; restore may keep
+// val) and appending continues where the log left off. A different key, a
+// missing file or an unrecognised header starts a fresh log: the old
+// snapshot is worthless under this model, and keeping it would only
+// resurrect stale verdicts on some future restart. A file that cannot be
+// opened or read is an error, not a reason to start over. restored reports
+// how many entries were replayed and skipped reports records dropped as
+// torn or corrupt.
 func OpenPersist(dir, genKey string, epoch uint64, restore func(key string, val []byte)) (p *PersistLog, restored, skipped int, err error) {
 	if genKey == "" {
 		return nil, 0, 0, fmt.Errorf("vcache: persist requires a non-empty generation key")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, 0, 0, fmt.Errorf("vcache: persist dir: %w", err)
-	}
-	p = &PersistLog{dir: dir, genKey: genKey, epoch: epoch}
-	path := filepath.Join(dir, persistFile)
-
-	restored, skipped, goodBytes, replayErr := replayLog(path, genKey, restore)
-	switch {
-	case replayErr != nil:
-		// Stale key or unusable file: truncate to a fresh header. The old
-		// snapshot is worthless under this model, keeping it would only
-		// resurrect stale verdicts on some future restart.
-		if err := p.writeHeader(); err != nil {
-			return nil, 0, 0, err
+	log, skipped, err := framelog.Open(dir, persistFile, persistMagic+genKey, func(body []byte) bool {
+		key, val, ok := decodeRecord(body)
+		if ok {
+			if restore != nil {
+				restore(key, val)
+			}
+			restored++
 		}
-	case skipped > 0:
-		// Torn tail: cut the file back to the good prefix so new appends
-		// land on a record boundary instead of extending the torn record.
-		if err := os.Truncate(path, goodBytes); err != nil {
-			return nil, 0, 0, fmt.Errorf("vcache: persist truncate torn tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		return ok
+	})
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("vcache: persist open: %w", err)
+		return nil, 0, 0, fmt.Errorf("vcache: persist: %w", err)
 	}
-	p.f = f
-	if st, serr := f.Stat(); serr == nil {
-		p.size, p.lastCompact = st.Size(), st.Size()
-	}
-	return p, restored, skipped, nil
+	return &PersistLog{genKey: genKey, epoch: epoch, log: log}, restored, skipped, nil
 }
 
 // EnableCompaction installs the live-snapshot source compaction rewrites
@@ -138,111 +92,26 @@ func (p *PersistLog) EnableCompaction(snapshot func(emit func(key string, val []
 	p.snapshot = snapshot
 }
 
-// writeHeader atomically replaces the log with a fresh header-only file
-// (temp file + rename, the modelstore discipline: readers and crashed
-// writers never observe a half-written header).
-func (p *PersistLog) writeHeader() error {
-	path := filepath.Join(p.dir, persistFile)
-	tmp, err := os.CreateTemp(p.dir, ".vcache-*")
-	if err != nil {
-		return fmt.Errorf("vcache: persist reset: %w", err)
+// decodeRecord parses one frame body; ok is false when the key length is
+// missing or longer than the body can back. val aliases body.
+func decodeRecord(body []byte) (key string, val []byte, ok bool) {
+	if len(body) < 4 {
+		return "", nil, false
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(persistMagic + p.genKey + "\n"); err != nil {
-		tmp.Close()
-		return fmt.Errorf("vcache: persist reset: %w", err)
+	keyLen := binary.LittleEndian.Uint32(body)
+	rest := body[4:]
+	if uint64(keyLen) > uint64(len(rest)) {
+		return "", nil, false
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("vcache: persist reset: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("vcache: persist reset: %w", err)
-	}
-	return nil
+	return string(rest[:keyLen]), rest[keyLen:], true
 }
 
-// replayLog streams good records out of an existing log, tracking the
-// byte length of the good prefix (header + intact records). A header key
-// mismatch (or no/garbled header) returns an error — the caller starts
-// fresh; bad records mid-file stop the replay, keeping the good prefix.
-func replayLog(path, genKey string, restore func(key string, val []byte)) (restored, skipped int, goodBytes int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("vcache: no persist log: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	header, err := r.ReadString('\n')
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: unreadable header", ErrPersistCorrupt)
-	}
-	key, ok := strings.CutPrefix(strings.TrimSuffix(header, "\n"), persistMagic)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrPersistCorrupt)
-	}
-	if key != genKey {
-		return 0, 0, 0, fmt.Errorf("vcache: persist log recorded under a different model (%.12s… vs %.12s…)", key, genKey)
-	}
-	goodBytes = int64(len(header))
-	for {
-		k, v, rerr := readRecord(r)
-		if rerr == io.EOF {
-			return restored, skipped, goodBytes, nil
-		}
-		if rerr != nil {
-			// Torn or corrupt record: drop it and everything after — a
-			// record boundary cannot be trusted past a bad CRC.
-			skipped++
-			return restored, skipped, goodBytes, nil
-		}
-		if restore != nil {
-			restore(k, v)
-		}
-		restored++
-		goodBytes += int64(12 + len(k) + len(v))
-	}
-}
-
-// readRecord decodes one record. io.EOF means a clean end of log; any
-// other error marks the first torn or corrupt record (bad length, short
-// read, CRC mismatch).
-func readRecord(r *bufio.Reader) (key string, val []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return "", nil, io.EOF
-		}
-		return "", nil, fmt.Errorf("torn record: %w", err)
-	}
-	keyLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if keyLen > maxPersistRecord {
-		return "", nil, fmt.Errorf("absurd key length %d", keyLen)
-	}
-	keyBytes := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, keyBytes); err != nil {
-		return "", nil, fmt.Errorf("torn record: %w", err)
-	}
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", nil, fmt.Errorf("torn record: %w", err)
-	}
-	valLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if valLen > maxPersistRecord {
-		return "", nil, fmt.Errorf("absurd value length %d", valLen)
-	}
-	val = make([]byte, valLen)
-	if _, err := io.ReadFull(r, val); err != nil {
-		return "", nil, fmt.Errorf("torn record: %w", err)
-	}
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", nil, fmt.Errorf("torn record: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(keyBytes)
-	crc.Write(val)
-	if binary.LittleEndian.Uint32(lenBuf[:]) != crc.Sum32() {
-		return "", nil, fmt.Errorf("record CRC mismatch")
-	}
-	return string(keyBytes), val, nil
+// encodeRecord builds the frame that persists one key/value.
+func encodeRecord(key string, val []byte) []byte {
+	buf := framelog.NewFrame(4 + len(key) + len(val))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
+	return append(buf, val...)
 }
 
 // AppendCurrent appends one entry if epoch still matches the log's —
@@ -256,86 +125,15 @@ func (p *PersistLog) AppendCurrent(key string, val []byte, epoch uint64) error {
 	if p.closed || epoch != p.epoch {
 		return nil
 	}
-	buf := encodeRecord(key, val)
-	// One write syscall per record on an O_APPEND descriptor: records from
-	// this process never interleave, and a crash tears at most the last one
-	// (which the CRC catches on replay).
-	if _, err := p.f.Write(buf); err != nil {
+	if err := p.log.Append(encodeRecord(key, val)); err != nil {
 		return fmt.Errorf("vcache: persist append: %w", err)
 	}
 	p.appends++
-	p.size += int64(len(buf))
-	if p.snapshot != nil && p.size > max(compactFloor, compactFactor*p.lastCompact) {
-		if err := p.compactLocked(); err != nil {
-			p.compactErrors++
-			// Back the threshold off to the current size so a persistently
-			// failing rewrite (read-only dir, full disk) does not retry on
-			// every subsequent append.
-			p.lastCompact = p.size
-		}
-	}
-	return nil
-}
-
-// encodeRecord flattens one key/value into the on-disk record layout.
-func encodeRecord(key string, val []byte) []byte {
-	buf := make([]byte, 0, 12+len(key)+len(val))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
-	buf = append(buf, val...)
-	crc := crc32.NewIEEE()
-	crc.Write(buf[4 : 4+len(key)])
-	crc.Write(val)
-	return binary.LittleEndian.AppendUint32(buf, crc.Sum32())
-}
-
-// compactLocked rewrites the log to the snapshot's live entries under the
-// current generation key: temp file + rename (a crash leaves either the
-// old log or the complete new one), then the append descriptor swaps to
-// the compacted file. Called with p.mu held.
-func (p *PersistLog) compactLocked() error {
-	tmp, err := os.CreateTemp(p.dir, ".vcache-*")
-	if err != nil {
-		return fmt.Errorf("vcache: persist compact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	written := int64(0)
-	n, err := w.WriteString(persistMagic + p.genKey + "\n")
-	written += int64(n)
-	if err == nil {
-		p.snapshot(func(key string, val []byte) {
-			if err != nil {
-				return
-			}
-			var wn int
-			wn, err = w.Write(encodeRecord(key, val))
-			written += int64(wn)
+	if p.snapshot != nil {
+		p.log.Compact(func(add func(frame []byte)) {
+			p.snapshot(func(key string, val []byte) { add(encodeRecord(key, val)) })
 		})
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("vcache: persist compact: %w", err)
-	}
-	path := filepath.Join(p.dir, persistFile)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("vcache: persist compact: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("vcache: persist compact reopen: %w", err)
-	}
-	old := p.f
-	p.f = f
-	old.Close()
-	p.size, p.lastCompact = written, written
-	p.compactions++
 	return nil
 }
 
@@ -350,20 +148,9 @@ func (p *PersistLog) Reset(genKey string, epoch uint64) error {
 	}
 	p.genKey, p.epoch = genKey, epoch
 	p.resets++
-	if err := p.writeHeader(); err != nil {
-		return err
+	if err := p.log.Reset(persistMagic + genKey); err != nil {
+		return fmt.Errorf("vcache: persist reset: %w", err)
 	}
-	// Swap the append descriptor to the fresh file; the old one keeps
-	// working for any in-flight append but its file is already unlinked.
-	old := p.f
-	f, err := os.OpenFile(filepath.Join(p.dir, persistFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("vcache: persist reopen: %w", err)
-	}
-	p.f = f
-	old.Close()
-	p.size = int64(len(persistMagic) + len(p.genKey) + 1)
-	p.lastCompact = p.size
 	return nil
 }
 
@@ -390,16 +177,13 @@ type PersistCounters struct {
 func (p *PersistLog) Counters() PersistCounters {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return PersistCounters{
-		Appends:       p.appends,
-		Resets:        p.resets,
-		Compactions:   p.compactions,
-		CompactErrors: p.compactErrors,
-	}
+	c := PersistCounters{Appends: p.appends, Resets: p.resets}
+	c.Compactions, c.CompactErrors = p.log.Counters()
+	return c
 }
 
-// Close flushes and closes the log; further appends are silently dropped
-// (the in-memory cache remains authoritative).
+// Close closes the log; further appends are silently dropped (the
+// in-memory cache remains authoritative).
 func (p *PersistLog) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -407,5 +191,5 @@ func (p *PersistLog) Close() error {
 		return nil
 	}
 	p.closed = true
-	return p.f.Close()
+	return p.log.Close()
 }

@@ -2,6 +2,7 @@ package vcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -261,5 +262,31 @@ func TestPersistCorruptHeaderStartsFresh(t *testing.T) {
 	_, got, restored, _ = openCollect(t, dir, "model:abc", 0)
 	if restored != 1 || string(got["k"]) != "v" {
 		t.Fatalf("fresh log after garbage unusable: %v", got)
+	}
+}
+
+// TestDecodeRecordChecksTheBodyInHand: the key length a frame body declares
+// is checked against the bytes present before anything is cut from it.
+func TestDecodeRecordChecksTheBodyInHand(t *testing.T) {
+	good := encodeRecord("digest", []byte("verdict"))[4:]
+	lying := append([]byte{}, good...)
+	binary.LittleEndian.PutUint32(lying, 0xFFFFFFFF)
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		ok       bool
+		key, val string
+	}{
+		{"entry", good, true, "digest", "verdict"},
+		{"entry with an empty value", good[:4+len("digest")], true, "digest", ""},
+		{"empty", nil, false, "", ""},
+		{"key length cut short", good[:3], false, "", ""},
+		{"key cut short", good[:4+2], false, "", ""},
+		{"key length past the body", lying, false, "", ""},
+	} {
+		key, val, ok := decodeRecord(tc.body)
+		if ok != tc.ok || key != tc.key || string(val) != tc.val {
+			t.Errorf("%s: key=%q val=%q ok=%v, want %q %q %v", tc.name, key, val, ok, tc.key, tc.val, tc.ok)
+		}
 	}
 }

@@ -1,62 +1,32 @@
-// Durable intake journal: an append-log of enqueue/settle records so a
+// Durable intake journal: enqueue and settle records in a framelog, so a
 // killed serving node replays every submission it accepted but never
-// acknowledged. The file discipline matches vcache.PersistLog (itself the
-// modelstore discipline): a header written via temp-file + rename (never
-// partially visible), records appended with O_APPEND (the kernel's atomic
-// append contract for single-writer logs), and a CRC per record so a torn
-// final write degrades to "skip the tail", never to a resurrected corrupt
-// submission.
+// acknowledged. framelog owns the file (header, frames, CRC, torn-tail
+// repair, compaction); this file owns what a frame's body means and how a
+// log folds into the items a restart must re-vet.
 //
-// Two record kinds (little-endian), after the header line:
+// Two bodies (little-endian); the payload is the rest of the frame:
 //
-//	enqueue: u8 1 | u64 seq | u32 keyLen | key | u32 payLen | payload | u32 crc
-//	settle:  u8 2 | u64 seq | u32 crc
+//	enqueue: u8 1 | u64 seq | u32 keyLen | key | payload
+//	settle:  u8 2 | u64 seq
 //
-// The CRC (IEEE) covers everything before it in the record. Replay folds
-// the log into the set of enqueued-but-never-settled items: exactly the
-// submissions a restart must re-vet. A settle for an unknown seq is
-// ignored (its enqueue record was dropped by a compaction).
+// A settle for an unknown seq is ignored (its enqueue record was dropped
+// by a compaction).
 package workqueue
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
+
+	"apichecker/internal/framelog"
 )
 
 // logFile is the journal's name inside the queue directory.
 const logFile = "workqueue.log"
 
-// logMagic versions the header; bump on layout changes.
-const logMagic = "workqueuelog/1"
-
-// maxLogRecord bounds one record's key+payload size — corrupt length
-// prefixes must not drive a multi-gigabyte allocation during replay.
-const maxLogRecord = 256 << 20
-
-// Compaction bounds the journal: every settle appends rather than erasing
-// its enqueue record, so a long-lived queue would otherwise accrete
-// unbounded disk and ever-slower replay. Once the file grows past
-// compactFactor times the size of the last compacted image (with
-// compactFloor so small queues never churn), the log is rewritten to
-// exactly the live (unsettled) items, via the same temp-file + rename
-// discipline.
-const (
-	compactFactor = 4
-	compactFloor  = 1 << 20
-)
-
-// ErrLogCorrupt marks a journal whose header does not parse. Torn or
-// corrupt records are not errors — replay stops at the first bad record
-// and keeps everything before it.
-var ErrLogCorrupt = errors.New("workqueue: corrupt journal header")
+// logMagic is the journal's header line; bump on layout changes. A file
+// under any other header is replaced by an empty journal, so drain a node
+// before upgrading it across a bump.
+const logMagic = "workqueuelog/2"
 
 // Record type tags.
 const (
@@ -64,57 +34,30 @@ const (
 	recSettle  = 2
 )
 
-// qlog is the journal handle. It has no lock of its own: the owning
-// Queue serializes every call under its mutex (single writer).
-type qlog struct {
-	dir    string
-	f      *os.File
-	closed bool
-
-	// size is the current file length; lastCompact the length of the last
-	// compacted (or freshly opened) image — together they drive the
-	// grow-past-a-multiple compaction trigger.
-	size, lastCompact int64
-
-	compactions, compactErrors uint64
-}
-
 // openLog opens (or creates) the journal in dir and replays it: items
 // returns every enqueued-but-unsettled submission in seq order, maxSeq the
 // highest seq the log has ever recorded (settled or not, so the caller can
 // advance its seq source past numbers a previous life consumed), and
-// skipped the records dropped as torn or corrupt. An unparseable header
-// starts a fresh log.
-func openLog(dir string) (l *qlog, items []Item, maxSeq int64, skipped int, err error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("workqueue: journal dir: %w", err)
-	}
-	l = &qlog{dir: dir}
-	path := filepath.Join(dir, logFile)
-
-	live, maxSeq, skipped, goodBytes, replayErr := replayQueueLog(path)
-	switch {
-	case replayErr != nil:
-		// Missing or unusable file: start from a fresh header.
-		if err := l.writeHeader(); err != nil {
-			return nil, nil, 0, 0, err
+// skipped the records dropped as torn or corrupt.
+func openLog(dir string) (l *framelog.Log, items []Item, maxSeq int64, skipped int, err error) {
+	live := make(map[int64]Item)
+	l, skipped, err = framelog.Open(dir, logFile, logMagic, func(body []byte) bool {
+		it, settled, ok := decodeRecord(body)
+		if !ok {
+			return false
 		}
-	case skipped > 0:
-		// Torn tail: cut the file back to the good prefix so new appends
-		// land on a record boundary instead of extending the torn record.
-		if err := os.Truncate(path, goodBytes); err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("workqueue: truncate torn tail: %w", err)
+		maxSeq = max(maxSeq, it.Seq)
+		if settled {
+			delete(live, it.Seq)
+		} else {
+			it.Replayed = true
+			live[it.Seq] = it
 		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		return true
+	})
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("workqueue: journal open: %w", err)
+		return nil, nil, 0, 0, err
 	}
-	l.f = f
-	if st, serr := f.Stat(); serr == nil {
-		l.size, l.lastCompact = st.Size(), st.Size()
-	}
-
 	items = make([]Item, 0, len(live))
 	for _, it := range live {
 		items = append(items, it)
@@ -123,254 +66,46 @@ func openLog(dir string) (l *qlog, items []Item, maxSeq int64, skipped int, err 
 	return l, items, maxSeq, skipped, nil
 }
 
-// writeHeader atomically replaces the journal with a fresh header-only
-// file.
-func (l *qlog) writeHeader() error {
-	path := filepath.Join(l.dir, logFile)
-	tmp, err := os.CreateTemp(l.dir, ".workqueue-*")
-	if err != nil {
-		return fmt.Errorf("workqueue: journal reset: %w", err)
+// decodeRecord parses one frame body. ok is false for a body no encoder
+// here wrote: an unknown kind, a settle of the wrong size, a key length the
+// body cannot back. The payload aliases body.
+func decodeRecord(body []byte) (it Item, settled, ok bool) {
+	if len(body) < 9 {
+		return Item{}, false, false
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(logMagic + "\n"); err != nil {
-		tmp.Close()
-		return fmt.Errorf("workqueue: journal reset: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("workqueue: journal reset: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("workqueue: journal reset: %w", err)
-	}
-	return nil
-}
-
-// replayQueueLog folds an existing journal into its live items. A header
-// problem returns an error — the caller starts fresh; a bad record
-// mid-file stops the replay, keeping the good prefix (goodBytes).
-func replayQueueLog(path string) (live map[int64]Item, maxSeq int64, skipped int, goodBytes int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("workqueue: no journal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	header, err := r.ReadString('\n')
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("%w: unreadable header", ErrLogCorrupt)
-	}
-	if strings.TrimSuffix(header, "\n") != logMagic {
-		return nil, 0, 0, 0, fmt.Errorf("%w: bad magic", ErrLogCorrupt)
-	}
-	goodBytes = int64(len(header))
-	live = make(map[int64]Item)
-	for {
-		it, settled, n, rerr := readQueueRecord(r)
-		if rerr == io.EOF {
-			return live, maxSeq, skipped, goodBytes, nil
-		}
-		if rerr != nil {
-			// Torn or corrupt record: drop it and everything after — a
-			// record boundary cannot be trusted past a bad CRC.
-			skipped++
-			return live, maxSeq, skipped, goodBytes, nil
-		}
-		if it.Seq > maxSeq {
-			maxSeq = it.Seq
-		}
-		if settled {
-			delete(live, it.Seq)
-		} else {
-			it.Replayed = true
-			live[it.Seq] = it
-		}
-		goodBytes += n
-	}
-}
-
-// readQueueRecord decodes one record. io.EOF means a clean end of log;
-// any other error marks the first torn or corrupt record.
-func readQueueRecord(r *bufio.Reader) (it Item, settled bool, n int64, err error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return Item{}, false, 0, io.EOF
-		}
-		return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-	}
-	var seqBuf [8]byte
-	if _, err := io.ReadFull(r, seqBuf[:]); err != nil {
-		return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-	}
-	seq := int64(binary.LittleEndian.Uint64(seqBuf[:]))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{kind})
-	crc.Write(seqBuf[:])
-	var lenBuf [4]byte
-	switch kind {
+	it.Seq = int64(binary.LittleEndian.Uint64(body[1:]))
+	switch body[0] {
 	case recSettle:
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-		}
-		if binary.LittleEndian.Uint32(lenBuf[:]) != crc.Sum32() {
-			return Item{}, false, 0, fmt.Errorf("settle record CRC mismatch")
-		}
-		return Item{Seq: seq}, true, 13, nil
+		return it, true, len(body) == 9
 	case recEnqueue:
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
+		if len(body) < 13 {
+			return Item{}, false, false
 		}
-		keyLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if keyLen > maxLogRecord {
-			return Item{}, false, 0, fmt.Errorf("absurd key length %d", keyLen)
+		keyLen := binary.LittleEndian.Uint32(body[9:])
+		rest := body[13:]
+		if uint64(keyLen) > uint64(len(rest)) {
+			return Item{}, false, false
 		}
-		crc.Write(lenBuf[:])
-		key := make([]byte, keyLen)
-		if _, err := io.ReadFull(r, key); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-		}
-		crc.Write(key)
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-		}
-		payLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if payLen > maxLogRecord {
-			return Item{}, false, 0, fmt.Errorf("absurd payload length %d", payLen)
-		}
-		crc.Write(lenBuf[:])
-		payload := make([]byte, payLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-		}
-		crc.Write(payload)
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return Item{}, false, 0, fmt.Errorf("torn record: %w", err)
-		}
-		if binary.LittleEndian.Uint32(lenBuf[:]) != crc.Sum32() {
-			return Item{}, false, 0, fmt.Errorf("enqueue record CRC mismatch")
-		}
-		n = int64(1 + 8 + 4 + len(key) + 4 + len(payload) + 4)
-		return Item{Seq: seq, Key: string(key), Payload: payload}, false, n, nil
-	default:
-		return Item{}, false, 0, fmt.Errorf("unknown record type %d", kind)
+		it.Key, it.Payload = string(rest[:keyLen]), rest[keyLen:]
+		return it, false, true
 	}
+	return Item{}, false, false
 }
 
-// encodeEnqueue flattens one item into the on-disk enqueue record.
+// encodeEnqueue builds the frame that journals one accepted item.
 func encodeEnqueue(it Item) []byte {
-	buf := make([]byte, 0, 21+len(it.Key)+len(it.Payload))
+	buf := framelog.NewFrame(13 + len(it.Key) + len(it.Payload))
 	buf = append(buf, recEnqueue)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(it.Seq))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Key)))
 	buf = append(buf, it.Key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Payload)))
-	buf = append(buf, it.Payload...)
-	crc := crc32.ChecksumIEEE(buf)
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	return append(buf, it.Payload...)
 }
 
-// encodeSettle flattens one settle into the on-disk record.
+// encodeSettle builds the frame that journals one settled (acked or
+// dead-lettered) seq.
 func encodeSettle(seq int64) []byte {
-	buf := make([]byte, 0, 13)
+	buf := framelog.NewFrame(9)
 	buf = append(buf, recSettle)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seq))
-	crc := crc32.ChecksumIEEE(buf)
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
-// appendEnqueue journals one accepted item. One write syscall per record
-// on an O_APPEND descriptor: records never interleave, and a crash tears
-// at most the last one (which the CRC catches on replay).
-func (l *qlog) appendEnqueue(it Item) error {
-	if l.closed {
-		return nil
-	}
-	buf := encodeEnqueue(it)
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("workqueue: journal append: %w", err)
-	}
-	l.size += int64(len(buf))
-	return nil
-}
-
-// appendSettle journals one settled (acked or dead-lettered) seq, then
-// compacts if the log has outgrown its live set. live() is consulted only
-// when a compaction actually triggers.
-func (l *qlog) appendSettle(seq int64, live func() []Item) error {
-	if l.closed {
-		return nil
-	}
-	buf := encodeSettle(seq)
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("workqueue: journal settle: %w", err)
-	}
-	l.size += int64(len(buf))
-	if l.size > max(compactFloor, compactFactor*l.lastCompact) {
-		if err := l.compact(live()); err != nil {
-			l.compactErrors++
-			// Back the threshold off to the current size so a persistently
-			// failing rewrite does not retry on every subsequent settle.
-			l.lastCompact = l.size
-		}
-	}
-	return nil
-}
-
-// compact rewrites the journal to exactly the live items: temp file +
-// rename (a crash leaves either the old log or the complete new one),
-// then the append descriptor swaps to the compacted file.
-func (l *qlog) compact(live []Item) error {
-	tmp, err := os.CreateTemp(l.dir, ".workqueue-*")
-	if err != nil {
-		return fmt.Errorf("workqueue: compact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	written := int64(0)
-	n, err := w.WriteString(logMagic + "\n")
-	written += int64(n)
-	for _, it := range live {
-		if err != nil {
-			break
-		}
-		if it.Payload == nil {
-			continue // memory-only item; never journaled
-		}
-		var wn int
-		wn, err = w.Write(encodeEnqueue(it))
-		written += int64(wn)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("workqueue: compact: %w", err)
-	}
-	path := filepath.Join(l.dir, logFile)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("workqueue: compact: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("workqueue: compact reopen: %w", err)
-	}
-	old := l.f
-	l.f = f
-	old.Close()
-	l.size, l.lastCompact = written, written
-	l.compactions++
-	return nil
-}
-
-// close releases the file descriptor; further appends are silently
-// dropped (the in-memory queue remains authoritative for this life).
-func (l *qlog) close() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	return l.f.Close()
+	return binary.LittleEndian.AppendUint64(buf, uint64(seq))
 }

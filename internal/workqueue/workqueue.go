@@ -7,8 +7,8 @@
 // The contract:
 //
 //   - Enqueue assigns a vet sequence number (or honors a pinned one) and,
-//     when the queue has a journal directory, appends the submission to a
-//     CRC-framed log before admitting it — a kill-and-restart replays every
+//     when the queue has a journal directory, appends the submission to
+//     the journal before admitting it — a kill-and-restart replays every
 //     enqueued-but-unacked submission.
 //   - Claim hands the lowest-seq pending item to a worker under a lease.
 //     With a LeaseTTL configured, a lease that is neither acked, nacked,
@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"apichecker/internal/framelog"
 	"apichecker/internal/obs"
 )
 
@@ -140,6 +141,12 @@ type Stats struct {
 	// they were torn or corrupt (a crash mid-append) — the post-crash
 	// signal an operator checks before trusting a replayed backlog.
 	ReplaySkipped uint64
+
+	// JournalErrors counts settle records the journal failed to write. The
+	// ack or dead-letter still stands in memory; the item re-vets after a
+	// restart (first-wins absorbs it), so like ReplaySkipped this is a
+	// number to read before trusting a replayed backlog.
+	JournalErrors uint64
 }
 
 // seqHeap orders pending items by seq — FIFO order equals seq order, and
@@ -284,13 +291,13 @@ type Queue struct {
 	released bool   // Close called: journal shut, claims report ErrClosed
 	waiters  int    // Claims blocked on wake (pulses are skipped at zero)
 	wake     chan struct{}
-	log      *qlog
+	log      *framelog.Log
 	nextSeq  int64 // internal counter when cfg.NextSeq == nil
 	maxSeq   int64 // highest seq the journal had recorded at Open
 
 	depth, leased                                      *obs.Gauge
 	enqueued, acked, nacked, reclaimed, replayed, dead *obs.Counter
-	replaySkipped                                      *obs.Counter
+	replaySkipped, journalErrors                       *obs.Counter
 	leaseAge                                           *obs.Distribution
 }
 
@@ -331,6 +338,7 @@ func Open(cfg Config) (*Queue, []Item, error) {
 		// Torn/corrupt journal records dropped at replay: previously only
 		// returned from openLog (and dropped), now a first-class counter.
 		replaySkipped: col.Counter("workqueue.replay_skipped"),
+		journalErrors: col.Counter("workqueue.journal_errors"),
 	}
 	for i := 0; i < cfg.Capacity; i++ {
 		q.slots <- struct{}{}
@@ -420,10 +428,10 @@ func (q *Queue) Enqueue(it Item) (int64, error) {
 	it.Attempts = 0
 	it.EnqueuedAt = q.now()
 	if q.log != nil && it.Payload != nil {
-		if err := q.log.appendEnqueue(it); err != nil {
+		if err := q.log.Append(encodeEnqueue(it)); err != nil {
 			q.mu.Unlock()
 			q.Release()
-			return 0, err
+			return 0, fmt.Errorf("workqueue: journal enqueue: %w", err)
 		}
 	}
 	q.insertLocked(it)
@@ -647,21 +655,38 @@ type deadItem struct {
 // item was leased, and the lease's slot was already released at claim.
 func (q *Queue) settleDeadLocked(it Item, cause error) deadItem {
 	q.dead.Inc()
-	if q.log != nil && it.Payload != nil {
-		q.log.appendSettle(it.Seq, q.liveLocked)
-	}
+	q.journalSettleLocked(it)
 	return deadItem{item: it, cause: cause}
 }
 
-// liveLocked snapshots every unsettled durable item (pending + leased)
-// for journal compaction.
-func (q *Queue) liveLocked() []Item {
-	live := make([]Item, 0, len(q.pending)+len(q.leases))
-	live = append(live, q.pending...)
-	for _, ls := range q.leases {
-		live = append(live, ls.item)
+// journalSettleLocked records that a durable item is settled (acked or
+// dead-lettered) and will not replay, then lets the journal compact to the
+// unsettled durable items, pending and leased, if it has outgrown them.
+// Best effort: a failed write is counted, not returned — the item then
+// re-vets after a restart and first-wins absorbs the duplicate. After
+// Close nothing is written; the in-memory queue stays authoritative for
+// this life.
+func (q *Queue) journalSettleLocked(it Item) {
+	if q.log == nil || it.Payload == nil || q.released {
+		return
 	}
-	return live
+	if err := q.log.Append(encodeSettle(it.Seq)); err != nil {
+		q.journalErrors.Inc()
+		return
+	}
+	q.log.Compact(func(add func(frame []byte)) {
+		keep := func(it Item) {
+			if it.Payload != nil { // memory-only items were never journaled
+				add(encodeEnqueue(it))
+			}
+		}
+		for _, it := range q.pending {
+			keep(it)
+		}
+		for _, ls := range q.leases {
+			keep(ls.item)
+		}
+	})
 }
 
 // fireDead delivers dead-letter callbacks outside the queue lock.
@@ -690,6 +715,7 @@ func (q *Queue) Stats() Stats {
 		Replayed:      q.replayed.Load(),
 		DeadLettered:  q.dead.Load(),
 		ReplaySkipped: q.replaySkipped.Load(),
+		JournalErrors: q.journalErrors.Load(),
 	}
 }
 
@@ -716,7 +742,7 @@ func (q *Queue) Close() error {
 	q.closed, q.released = true, true
 	var err error
 	if q.log != nil {
-		err = q.log.close()
+		err = q.log.Close()
 	}
 	q.pulseLocked()
 	q.mu.Unlock()
@@ -781,9 +807,7 @@ func (l *Lease) Ack() error {
 	q.leased.Set(int64(len(q.leases)))
 	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
 	q.acked.Inc()
-	if q.log != nil && l.item.Payload != nil {
-		q.log.appendSettle(l.item.Seq, q.liveLocked)
-	}
+	q.journalSettleLocked(l.item)
 	q.pulseLocked()
 	q.mu.Unlock()
 	return nil
