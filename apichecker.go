@@ -334,7 +334,8 @@ var (
 	// ErrBadAPK: the submitted archive failed to parse.
 	ErrBadAPK = apk.ErrBadAPK
 	// ErrBadSubmission: the Submission payload is not exactly one of
-	// Raw/Parsed/Program.
+	// Raw/Parsed/Program, or its decoded program names ids the
+	// deployment's universe does not have.
 	ErrBadSubmission = core.ErrBadSubmission
 	// ErrUniverseMismatch: an imported model was trained over a different
 	// framework universe.

@@ -2,6 +2,9 @@ package apk
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"apichecker/internal/behavior"
@@ -133,5 +136,35 @@ func TestSignaturePresent(t *testing.T) {
 	}
 	if !zipHasEntry(t, data, "META-INF/MANIFEST.MF") {
 		t.Error("signature manifest missing")
+	}
+}
+
+// withV1Blob returns the archive with its assets/behavior.bin replaced by
+// a version 1 (gob) behaviour blob: testdata/behavior_v1.bin is the blob
+// of goldenArchives' first archive as the last gob-writing commit
+// (b58f962) built it.
+func withV1Blob(tb testing.TB, archive []byte) []byte {
+	tb.Helper()
+	v1, err := os.ReadFile("testdata/behavior_v1.bin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rezip(tb, archive, "assets/behavior.bin", v1)
+}
+
+// TestParseRejectsGobBlob: there is one behaviour-blob reader. An archive
+// from before blob v2 is a bad APK whose error names the version wanted,
+// not a fallback to a second decoder.
+func TestParseRejectsGobBlob(t *testing.T) {
+	archive := goldenArchives(t)[0]
+	if _, err := Parse(rezip(t, archive, "resources.arsc", []byte("re-zipped"))); err != nil {
+		t.Fatalf("a re-zipped archive with its v2 blob no longer parses: %v", err)
+	}
+	_, err := Parse(withV1Blob(t, archive))
+	if !errors.Is(err, ErrBadAPK) {
+		t.Fatalf("Parse of an archive with a v1 blob = %v, want ErrBadAPK", err)
+	}
+	if !strings.Contains(err.Error(), "version 2 behaviour blob") {
+		t.Errorf("error %q does not name the blob version", err)
 	}
 }

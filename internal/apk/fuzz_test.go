@@ -25,6 +25,7 @@ func FuzzParse(f *testing.F) {
 	if len(good) > 64 {
 		f.Add(good[:64])
 	}
+	f.Add(withV1Blob(f, good))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)

@@ -8,7 +8,14 @@ import (
 )
 
 // rezipWithout copies the archive, dropping one entry.
-func rezipWithout(t *testing.T, data []byte, drop string) []byte {
+func rezipWithout(t testing.TB, data []byte, drop string) []byte {
+	t.Helper()
+	return rezip(t, data, drop, nil)
+}
+
+// rezip copies the archive with one entry's content replaced, or the entry
+// dropped when content is nil.
+func rezip(t testing.TB, data []byte, name string, content []byte) []byte {
 	t.Helper()
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
@@ -17,14 +24,20 @@ func rezipWithout(t *testing.T, data []byte, drop string) []byte {
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
 	for _, f := range zr.File {
-		if f.Name == drop {
+		if f.Name == name && content == nil {
 			continue
 		}
-		rc, err := f.Open()
+		w, err := zw.Create(f.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := zw.Create(f.Name)
+		if f.Name == name {
+			if _, err := w.Write(content); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		rc, err := f.Open()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package behavior
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,12 +83,61 @@ func TestValidateCatchesBrokenPrograms(t *testing.T) {
 			p.Activities[0].Direct = append(p.Activities[0].Direct, APIRate{API: 1, Rate: -1})
 		}},
 		{"crash bias", func(p *Program) { p.CrashBias = 1.5 }},
+		{"negative send-intent", func(p *Program) {
+			p.Activities[0].SendIntents = append(p.Activities[0].SendIntents, -1)
+		}},
+		{"negative receiver intent", func(p *Program) { p.ReceiverIntents = append(p.ReceiverIntents, -1) }},
+		{"negative permission", func(p *Program) {
+			p.Permissions = append(p.Permissions, framework.NoPermission)
+		}},
 	}
 	for _, tc := range cases {
 		p := g.Generate(benignSpec(1))
 		tc.mutate(p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted broken program", tc.name)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: every numeric check in Validate used to be
+// a comparison that is false for NaN ("rate < 0", "bias > 1"), so a blob
+// carrying NaN or ±Inf was accepted and the emulator's Poisson draw turned
+// it into ~9.2e18 invocations. Each float field, each bad value.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	g := testGen()
+	fields := []struct {
+		name string
+		set  func(*Program, float64)
+	}{
+		{"CrashBias", func(p *Program, v float64) { p.CrashBias = v }},
+		{"launcher ReachRate", func(p *Program, v float64) { p.Activities[0].ReachRate = v }},
+		{"ReachRate", func(p *Program, v float64) { p.Activities[1].ReachRate = v }},
+		{"direct Rate", func(p *Program, v float64) {
+			p.Activities[0].Direct = append(p.Activities[0].Direct, APIRate{API: 1, Rate: v})
+		}},
+		{"reflection Rate", func(p *Program, v float64) {
+			p.Activities[0].Reflection = append(p.Activities[0].Reflection, APIRate{API: 1, Rate: v})
+		}},
+		{"payload ReachRate", func(p *Program, v float64) { p.Payload.Activities[0].ReachRate = v }},
+		{"payload direct Rate", func(p *Program, v float64) {
+			a := &p.Payload.Activities[0]
+			a.Direct = append(a.Direct, APIRate{API: 1, Rate: v})
+		}},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := g.Generate(maliciousSpec(1, FamilyUpdateAttack))
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			f.set(p, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", f.name, v)
+			}
+			if _, err := p.Encode(); err == nil {
+				t.Errorf("%s = %v: Encode accepted it", f.name, v)
+			}
 		}
 	}
 }
@@ -373,4 +425,75 @@ func TestEmulatorCheckPrevalence(t *testing.T) {
 	if frac := float64(malChecks) / n; frac < 0.4 {
 		t.Errorf("malware check prevalence %.3f too low", frac)
 	}
+}
+
+// programWire, encodeReference and decodeReference are the behaviour-blob
+// codec as it stood before the cursor rewrite (blob version 1: a gob
+// stream of programWire), kept verbatim as the oracle
+// TestDecodeMatchesReference and FuzzBehaviorMatchesReference hold the
+// version 2 codec to: whatever Decode accepts must survive a trip through
+// the old codec as a DeepEqual Program.
+type programWire struct {
+	PackageName         string
+	Version             int
+	Seed                int64
+	Activities          []ActivityBehavior
+	ReceiverIntents     []framework.IntentID
+	Permissions         []framework.PermissionID
+	EmulatorChecks      uint8
+	SuppressOnEmulator  bool
+	CrashBias           float64
+	RequiresRealSensors bool
+	NativeLibs          []string
+	Payload             *Payload
+}
+
+func encodeReference(p *Program) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	w := programWire{
+		PackageName:         p.PackageName,
+		Version:             p.Version,
+		Seed:                p.Seed,
+		Activities:          p.Activities,
+		ReceiverIntents:     p.ReceiverIntents,
+		Permissions:         p.Permissions,
+		EmulatorChecks:      p.EmulatorChecks,
+		SuppressOnEmulator:  p.SuppressOnEmulator,
+		CrashBias:           p.CrashBias,
+		RequiresRealSensors: p.RequiresRealSensors,
+		NativeLibs:          p.NativeLibs,
+		Payload:             p.Payload,
+	}
+	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		return nil, fmt.Errorf("behavior: encode %s: %w", p.PackageName, err)
+	}
+	return buf.Bytes(), nil
+}
+
+func decodeReference(data []byte) (*Program, error) {
+	var w programWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return nil, fmt.Errorf("behavior: decode: %w", err)
+	}
+	p := &Program{
+		PackageName:         w.PackageName,
+		Version:             w.Version,
+		Seed:                w.Seed,
+		Activities:          w.Activities,
+		ReceiverIntents:     w.ReceiverIntents,
+		Permissions:         w.Permissions,
+		EmulatorChecks:      w.EmulatorChecks,
+		SuppressOnEmulator:  w.SuppressOnEmulator,
+		CrashBias:           w.CrashBias,
+		RequiresRealSensors: w.RequiresRealSensors,
+		NativeLibs:          w.NativeLibs,
+		Payload:             w.Payload,
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

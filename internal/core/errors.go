@@ -11,8 +11,9 @@ import (
 // aliased here; the public facade re-exports all of them, so downstream
 // callers branch with errors.Is instead of matching error strings.
 var (
-	// ErrBadSubmission marks a Submission that does not carry exactly one
-	// payload (raw bytes, parsed APK, or behaviour program).
+	// ErrBadSubmission marks a Submission refused at admission: not exactly
+	// one payload (raw bytes, parsed APK, or behaviour program), or a
+	// decoded program naming ids outside the deployment's universe.
 	ErrBadSubmission = pipeline.ErrBadSubmission
 
 	// ErrUniverseMismatch marks a model import against a framework

@@ -3,10 +3,12 @@ package pipeline
 import (
 	"crypto/md5"
 	"encoding/hex"
+	"fmt"
 	"time"
 
 	"apichecker/internal/adb"
 	"apichecker/internal/apk"
+	"apichecker/internal/behavior"
 	"apichecker/internal/emulator"
 	"apichecker/internal/features"
 	"apichecker/internal/framework"
@@ -151,9 +153,10 @@ func (d *Deps) MonkeyFor(dig string, seq int64) monkey.Config {
 	return mk
 }
 
-// Admit validates the exactly-one-payload invariant and resolves the
-// content digest. It consumes no vet sequence number, so an invalid
-// submission leaves no trace in the accounting.
+// Admit validates the exactly-one-payload invariant, bounds the ids of a
+// program that arrived already decoded, and resolves the content digest.
+// It consumes no vet sequence number, so an invalid submission leaves no
+// trace in the accounting.
 type Admit struct{ D *Deps }
 
 func (Admit) Name() string { return StageAdmit }
@@ -162,8 +165,63 @@ func (s Admit) Run(vc *VetContext) error {
 	if err := vc.Sub.Validate(); err != nil {
 		return err
 	}
+	// The generation is read here only for its universe's sizes; the vet
+	// pins the one it runs on later, inside the cache bracket. A
+	// deployment's universe only ever grows (framework.Evolve appends), so
+	// ids in range now are in range for that one too.
+	p := vc.Sub.Program
+	if vc.Sub.Parsed != nil {
+		p = vc.Sub.Parsed.Program
+	}
+	if p != nil {
+		if err := checkIDs(p, s.D.Gen().Universe); err != nil {
+			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
+		}
+	}
 	vc.Digest = vc.Sub.ContentDigest()
 	vc.Seq = vc.Sub.Seq
+	return nil
+}
+
+// checkIDs bounds every API, intent and permission id the program names
+// against the universe the vet is about to index with them. A behaviour
+// blob is well-formed with any non-negative id (behavior.Validate cannot
+// know the deployment); which ids exist is the universe's to say, and an
+// id past its tables is a bad submission, not an index-out-of-range panic
+// in the emulator.
+func checkIDs(p *behavior.Program, u *framework.Universe) error {
+	nAPIs, nIntents, nPerms := uint(u.NumAPIs()), uint(len(u.Intents())), uint(len(u.Permissions()))
+	groups := [2][]behavior.ActivityBehavior{p.Activities}
+	if p.Payload != nil {
+		groups[1] = p.Payload.Activities
+	}
+	for _, acts := range groups {
+		for i := range acts {
+			a := &acts[i]
+			for _, rates := range [2][]behavior.APIRate{a.Direct, a.Reflection} {
+				for _, r := range rates {
+					if uint(r.API) >= nAPIs {
+						return fmt.Errorf("%s: activity %s names API %d, universe has %d", p.PackageName, a.Name, r.API, nAPIs)
+					}
+				}
+			}
+			for _, id := range a.SendIntents {
+				if uint(id) >= nIntents {
+					return fmt.Errorf("%s: activity %s sends intent %d, universe has %d", p.PackageName, a.Name, id, nIntents)
+				}
+			}
+		}
+	}
+	for _, id := range p.ReceiverIntents {
+		if uint(id) >= nIntents {
+			return fmt.Errorf("%s: receives intent %d, universe has %d", p.PackageName, id, nIntents)
+		}
+	}
+	for _, id := range p.Permissions {
+		if uint(id) >= nPerms {
+			return fmt.Errorf("%s: requests permission %d, universe has %d", p.PackageName, id, nPerms)
+		}
+	}
 	return nil
 }
 
@@ -357,6 +415,9 @@ func (s Decode) Run(vc *VetContext) error {
 		parsed, err := apk.ParseWithDigest(sub.Raw, vc.Digest)
 		if err != nil {
 			return err
+		}
+		if err := checkIDs(parsed.Program, vc.Gen.Universe); err != nil {
+			return fmt.Errorf("%w: %w", apk.ErrBadAPK, err)
 		}
 		vc.Parsed = parsed
 		vc.Program = parsed.Program

@@ -35,9 +35,11 @@ import (
 // the public facade re-exports them), so downstream callers branch with
 // errors.Is instead of matching error strings.
 var (
-	// ErrBadSubmission marks a Submission that does not carry exactly one
-	// payload (raw bytes, parsed APK, or behaviour program).
-	ErrBadSubmission = errors.New("submission must carry exactly one of raw bytes, parsed APK, or program")
+	// ErrBadSubmission marks a Submission refused at admission: it does not
+	// carry exactly one payload (raw bytes, parsed APK, or behaviour
+	// program), or its already-decoded program names an API, intent or
+	// permission id the deployment's universe does not have.
+	ErrBadSubmission = errors.New("bad submission")
 
 	// ErrDeadlineExceeded marks a vet abandoned because its per-submission
 	// deadline expired. It wraps context.DeadlineExceeded, so both
@@ -88,7 +90,7 @@ func (s Submission) Validate() error {
 		n++
 	}
 	if n != 1 {
-		return fmt.Errorf("core: %w (got %d)", ErrBadSubmission, n)
+		return fmt.Errorf("core: %w: must carry exactly one of raw bytes, parsed APK, or program (got %d)", ErrBadSubmission, n)
 	}
 	return nil
 }
@@ -110,8 +112,8 @@ func (s *Submission) ContentDigest() string {
 		s.Digest = s.Parsed.SHA256
 	case s.Program != nil:
 		// Program.ContentDigest memoizes on the shared Program, so a
-		// duplicate-heavy stream pays the gob encode once per unique app
-		// rather than once per submission.
+		// duplicate-heavy stream pays the encode once per unique app rather
+		// than once per submission.
 		if d, err := s.Program.ContentDigest(); err == nil {
 			s.Digest = d
 		}
