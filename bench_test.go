@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
 	"apichecker/internal/cluster"
 	"apichecker/internal/core"
@@ -654,9 +655,11 @@ func inflateLoadEntries(data []byte) (entries [3][]byte, err error) {
 }
 
 // BenchmarkAPKParse is the decode budget: a full parse of prebuilt
-// archives, then the same archives split by where the time goes — zip
-// directory + inflate, and each of the three decoders on its own entry.
-// full minus the four parts is the two hashes plus the directory walk.
+// archives, the vet path's view of them (one handle, manifest + behaviour
+// program, the dex never inflated), then the same archives split by where
+// the time goes — zip directory + inflate, and each of the three decoders
+// on its own entry. full minus the four parts is the two hashes plus the
+// directory walk.
 func BenchmarkAPKParse(b *testing.B) {
 	e := env(b)
 	archives := make([][]byte, benchArchives)
@@ -686,6 +689,17 @@ func BenchmarkAPKParse(b *testing.B) {
 		})
 	}
 	run("full", archives, func(d []byte) error { _, err := ParseAPK(d); return err })
+	run("vet", archives, func(d []byte) error {
+		a, err := apk.Open(d)
+		if err != nil {
+			return err
+		}
+		if _, err := a.Manifest(); err != nil {
+			return err
+		}
+		_, err = a.Program()
+		return err
+	})
 	run("inflate", archives, func(d []byte) error { _, err := inflateLoadEntries(d); return err })
 	run("manifest", parts[0], func(d []byte) error { _, err := manifest.Decode(d); return err })
 	run("dex", parts[1], func(d []byte) error { _, err := dex.Decode(d); return err })

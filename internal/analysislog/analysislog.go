@@ -69,11 +69,13 @@ func FromResult(pkg string, versionCode int, md5 string, res *emulator.Result, u
 		Intercepted:      res.Log.Intercepted,
 		Activities:       append([]string(nil), res.Log.ReachedActivities...),
 	}
-	for _, inv := range res.Log.Invocations() {
+	invs := res.Log.Invocations()
+	for i := range invs {
+		inv := &invs[i]
 		rec.Invocations = append(rec.Invocations, Invocation{
 			API:    u.API(inv.API).Name,
 			Count:  inv.Count,
-			Params: append([]string(nil), inv.Params...),
+			Params: res.Log.Params(inv),
 		})
 	}
 	for _, id := range res.Log.SentIntents() {

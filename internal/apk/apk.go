@@ -177,27 +177,153 @@ func signatureFor(entries map[string][]byte) []byte {
 // Parse opens an APK archive and decodes its load-bearing entries. Any
 // malformed archive fails with an error wrapping ErrBadAPK.
 func Parse(data []byte) (*APK, error) {
-	return ParseWithDigest(data, Digest(data))
-}
-
-// ParseWithDigest is Parse for a caller that has already hashed the
-// archive: sha256Hex must be Digest(data), and becomes APK.SHA256 without
-// the bytes being hashed a second time. The serving pipeline computes the
-// digest at admission, as its cache key, before it knows it must parse.
-func ParseWithDigest(data []byte, sha256Hex string) (*APK, error) {
-	out, err := parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadAPK, err)
+	var a Archive
+	if err := a.open(data); err != nil {
+		return nil, err
 	}
-	out.SHA256 = sha256Hex
+	// All three payloads inflate into one arena before any decoder runs.
+	if err := a.inflate(entryManifest, entryDex, entryProgram); err != nil {
+		return nil, err
+	}
+	out := &APK{Size: int64(len(data))}
+	var err error
+	if out.Manifest, err = a.Manifest(); err != nil {
+		return nil, err
+	}
+	if out.Dex, err = a.Dex(); err != nil {
+		return nil, err
+	}
+	if out.Program, err = a.Program(); err != nil {
+		return nil, err
+	}
+	out.MD5, out.SHA256 = a.MD5(), Digest(data)
 	return out, nil
 }
 
-// loadEntries are the archive members Parse materializes, in arena layout
-// order. Everything else (resources, native-lib markers, the signature
-// manifest) is validated structurally by the zip reader but never copied
-// out.
-var loadEntries = [...]string{"AndroidManifest.xml", "classes.dex", "assets/behavior.bin"}
+// ParseManifestOnly decodes just AndroidManifest.xml from an APK archive:
+// one central-directory pass to locate the entry, one sized decompression,
+// one XML decode. No dex, no behaviour blob, no arena — for callers that
+// need only permissions and component metadata. The zip-bomb bound applies
+// to the one entry it inflates, and any malformed archive fails with an
+// error wrapping ErrBadAPK.
+func ParseManifestOnly(data []byte) (*manifest.Manifest, error) {
+	var a Archive
+	if err := a.open(data); err != nil {
+		return nil, err
+	}
+	return a.Manifest()
+}
+
+// The archive members an Archive materializes, in arena layout order.
+// Everything else (resources, native-lib markers, the signature manifest)
+// is validated structurally by the zip reader but never copied out.
+const (
+	entryManifest = iota
+	entryDex
+	entryProgram
+)
+
+var loadEntries = [...]string{
+	entryManifest: "AndroidManifest.xml",
+	entryDex:      "classes.dex",
+	entryProgram:  "assets/behavior.bin",
+}
+
+// Archive is one opened APK: the central directory walked once, the
+// load-bearing entries located and their declared sizes judged, nothing
+// inflated yet. Manifest, Program and Dex inflate and decode on demand and
+// memoize, so a caller pays only for the views it reads — the serving
+// pipeline never asks for the dex. Every error wraps ErrBadAPK. Not safe
+// for concurrent use.
+type Archive struct {
+	data  []byte
+	files [len(loadEntries)]*zip.File
+
+	// setErr is what the load-bearing set as a whole fails on — an entry
+	// declaring more than MaxDecodedBytes, the three together exceeding it,
+	// or one missing. Program and Dex refuse on it; Manifest needs only its
+	// own entry sound.
+	setErr error
+
+	payloads [len(loadEntries)][]byte
+
+	manifest    *manifest.Manifest
+	manifestErr error
+	dex         *dex.File
+	dexErr      error
+	program     *behavior.Program
+	programErr  error
+	md5         string
+}
+
+// Open walks the archive's central directory. It fails only on bytes that
+// are not a zip archive; what the directory declares is judged here and
+// reported by the accessors that depend on it.
+func Open(data []byte) (*Archive, error) {
+	a := new(Archive)
+	if err := a.open(data); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+func badAPK(err error) error { return fmt.Errorf("%w: %w", ErrBadAPK, err) }
+
+func oversized(f *zip.File) error {
+	return badAPK(fmt.Errorf("%w: %s declares %d bytes (> %d)",
+		ErrOversized, f.Name, f.UncompressedSize64, MaxDecodedBytes))
+}
+
+func missing(i int) error {
+	return badAPK(fmt.Errorf("apk: parse: entry %s missing", loadEntries[i]))
+}
+
+func (a *Archive) open(data []byte) error {
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return badAPK(fmt.Errorf("apk: parse: not a zip archive: %w", err))
+	}
+	a.data = data
+
+	// One pass over the central directory: locate the load-bearing entries
+	// (first of a name wins) and bound the total decode size before
+	// anything is allocated for them.
+	var total uint64
+	for _, f := range zr.File {
+		for i, name := range loadEntries {
+			if f.Name != name || a.files[i] != nil {
+				continue
+			}
+			a.files[i] = f
+			// Per-entry bound before summing: the declared sizes are
+			// attacker-controlled zip64 fields, and two ~2^63 declarations
+			// would wrap the uint64 total right past the aggregate check
+			// below (and then panic slicing the arena).
+			if f.UncompressedSize64 > MaxDecodedBytes {
+				if a.setErr == nil {
+					a.setErr = oversized(f)
+				}
+				continue
+			}
+			total += f.UncompressedSize64
+		}
+	}
+	if a.setErr != nil {
+		return nil
+	}
+	// total cannot overflow: each addend was individually bounded above.
+	if total > MaxDecodedBytes {
+		a.setErr = badAPK(fmt.Errorf("%w (%d > %d)", ErrOversized, total, MaxDecodedBytes))
+		return nil
+	}
+	for i, f := range a.files {
+		if f == nil {
+			a.setErr = missing(i)
+			break
+		}
+	}
+	return nil
+}
 
 // readEntrySized decompresses one zip entry into dst, which the caller
 // pre-sized from the entry's declared UncompressedSize64. A decompressed
@@ -220,120 +346,144 @@ func readEntrySized(f *zip.File, dst []byte) error {
 	return nil
 }
 
-func parse(data []byte) (*APK, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, fmt.Errorf("apk: parse: not a zip archive: %w", err)
+// inflate decompresses the given entries into one arena allocated at its
+// final size (the directory's, so no io.ReadAll growth copies) and
+// sub-slices their payloads out of it. Several entries at once need the
+// whole set sound — the aggregate bound caps the arena; one needs only
+// itself present and bounded.
+func (a *Archive) inflate(entries ...int) error {
+	if len(entries) > 1 && a.setErr != nil {
+		return a.setErr
 	}
-
-	// One pass over the central directory: locate the load-bearing entries
-	// and bound the total decode size before allocating anything. Sizes
-	// come from the directory, so the arena is allocated exactly once at
-	// its final size — no per-entry io.ReadAll growth copies.
-	var files [len(loadEntries)]*zip.File
-	var total uint64
-	for _, f := range zr.File {
-		for i, name := range loadEntries {
-			if f.Name == name && files[i] == nil {
-				// Per-entry bound before summing: the declared sizes are
-				// attacker-controlled zip64 fields, and two ~2^63
-				// declarations would wrap the uint64 total right past the
-				// aggregate check below (and then panic slicing the arena).
-				if f.UncompressedSize64 > MaxDecodedBytes {
-					return nil, fmt.Errorf("%w: %s declares %d bytes (> %d)",
-						ErrOversized, f.Name, f.UncompressedSize64, MaxDecodedBytes)
-				}
-				files[i] = f
-				total += f.UncompressedSize64
-			}
-		}
-	}
-	// total cannot overflow: each addend was individually bounded above.
-	if total > MaxDecodedBytes {
-		return nil, fmt.Errorf("%w (%d > %d)", ErrOversized, total, MaxDecodedBytes)
-	}
-	for i, f := range files {
+	total := 0
+	for _, i := range entries {
+		f := a.files[i]
 		if f == nil {
-			return nil, fmt.Errorf("apk: parse: entry %s missing", loadEntries[i])
+			return missing(i)
 		}
+		if f.UncompressedSize64 > MaxDecodedBytes {
+			return oversized(f)
+		}
+		total += int(f.UncompressedSize64)
 	}
-
-	// Arena decode: one sized buffer, entry payloads sub-sliced out of it.
 	arena := make([]byte, total)
-	var payloads [len(loadEntries)][]byte
 	off := 0
-	for i, f := range files {
-		n := int(f.UncompressedSize64)
-		payloads[i] = arena[off : off+n : off+n]
+	for _, i := range entries {
+		n := int(a.files[i].UncompressedSize64)
+		dst := arena[off : off+n : off+n]
 		off += n
-		if err := readEntrySized(f, payloads[i]); err != nil {
-			return nil, fmt.Errorf("apk: parse: %w", err)
+		if err := readEntrySized(a.files[i], dst); err != nil {
+			return badAPK(fmt.Errorf("apk: parse: %w", err))
 		}
+		a.payloads[i] = dst
 	}
-	manifestXML, dexBytes, progBytes := payloads[0], payloads[1], payloads[2]
-
-	out := &APK{Size: int64(len(data))}
-	if out.Manifest, err = manifest.Decode(manifestXML); err != nil {
-		return nil, fmt.Errorf("apk: parse: %w", err)
-	}
-	if out.Dex, err = dex.Decode(dexBytes); err != nil {
-		return nil, fmt.Errorf("apk: parse %s: %w", out.Manifest.Package, err)
-	}
-	if out.Program, err = behavior.Decode(progBytes); err != nil {
-		return nil, fmt.Errorf("apk: parse %s: %w", out.Manifest.Package, err)
-	}
-	if out.Program.PackageName != out.Manifest.Package {
-		return nil, fmt.Errorf("apk: parse: manifest package %s != program package %s",
-			out.Manifest.Package, out.Program.PackageName)
-	}
-	sum := md5.Sum(data)
-	out.MD5 = hex.EncodeToString(sum[:])
-	return out, nil
+	return nil
 }
 
-// ParseManifestOnly decodes just AndroidManifest.xml from an APK archive:
-// one central-directory pass to locate the entry, one sized decompression,
-// one XML decode. No dex, no behaviour blob, no arena — the triage tier's
-// microsecond pre-screen path, which needs only permissions and component
-// metadata. The same per-entry zip-bomb bound applies as in Parse, and any
-// malformed archive fails with an error wrapping ErrBadAPK.
-func ParseManifestOnly(data []byte) (*manifest.Manifest, error) {
-	m, err := parseManifestOnly(data)
+// payload returns entry i's decompressed bytes, inflating it alone unless
+// an arena inflate already holds it.
+func (a *Archive) payload(i int) ([]byte, error) {
+	if a.payloads[i] == nil {
+		if err := a.inflate(i); err != nil {
+			return nil, err
+		}
+	}
+	return a.payloads[i], nil
+}
+
+// Manifest decodes AndroidManifest.xml. It depends on that entry alone:
+// the manifest-only pre-screen never touches the others.
+func (a *Archive) Manifest() (*manifest.Manifest, error) {
+	if a.manifest == nil && a.manifestErr == nil {
+		a.manifest, a.manifestErr = a.decodeManifest()
+	}
+	return a.manifest, a.manifestErr
+}
+
+func (a *Archive) decodeManifest() (*manifest.Manifest, error) {
+	xml, err := a.payload(entryManifest)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadAPK, err)
+		return nil, err
+	}
+	m, err := manifest.Decode(xml)
+	if err != nil {
+		return nil, badAPK(fmt.Errorf("apk: parse: %w", err))
 	}
 	return m, nil
 }
 
-func parseManifestOnly(data []byte) (*manifest.Manifest, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+// Dex decodes classes.dex. Only the tools that analyse code ask for it;
+// the vet path holds the entry's directory record to setErr and never
+// reads its bytes.
+func (a *Archive) Dex() (*dex.File, error) {
+	if a.dex == nil && a.dexErr == nil {
+		a.dex, a.dexErr = a.decodeDex()
+	}
+	return a.dex, a.dexErr
+}
+
+func (a *Archive) decodeDex() (*dex.File, error) {
+	m, err := a.sound()
 	if err != nil {
-		return nil, fmt.Errorf("apk: parse: not a zip archive: %w", err)
+		return nil, err
 	}
-	var mf *zip.File
-	for _, f := range zr.File {
-		if f.Name == loadEntries[0] && mf == nil {
-			// Same attacker-controlled-size discipline as parse: bound the
-			// declared size before allocating for it.
-			if f.UncompressedSize64 > MaxDecodedBytes {
-				return nil, fmt.Errorf("%w: %s declares %d bytes (> %d)",
-					ErrOversized, f.Name, f.UncompressedSize64, MaxDecodedBytes)
-			}
-			mf = f
-		}
-	}
-	if mf == nil {
-		return nil, fmt.Errorf("apk: parse: entry %s missing", loadEntries[0])
-	}
-	buf := make([]byte, mf.UncompressedSize64)
-	if err := readEntrySized(mf, buf); err != nil {
-		return nil, fmt.Errorf("apk: parse: %w", err)
-	}
-	m, err := manifest.Decode(buf)
+	raw, err := a.payload(entryDex)
 	if err != nil {
-		return nil, fmt.Errorf("apk: parse: %w", err)
+		return nil, err
 	}
-	return m, nil
+	d, err := dex.Decode(raw)
+	if err != nil {
+		return nil, badAPK(fmt.Errorf("apk: parse %s: %w", m.Package, err))
+	}
+	return d, nil
+}
+
+// Program decodes assets/behavior.bin — what the emulator runs — and holds
+// it to the manifest's package identity.
+func (a *Archive) Program() (*behavior.Program, error) {
+	if a.program == nil && a.programErr == nil {
+		a.program, a.programErr = a.decodeProgram()
+	}
+	return a.program, a.programErr
+}
+
+func (a *Archive) decodeProgram() (*behavior.Program, error) {
+	m, err := a.sound()
+	if err != nil {
+		return nil, err
+	}
+	raw, err := a.payload(entryProgram)
+	if err != nil {
+		return nil, err
+	}
+	p, err := behavior.Decode(raw)
+	if err != nil {
+		return nil, badAPK(fmt.Errorf("apk: parse %s: %w", m.Package, err))
+	}
+	if p.PackageName != m.Package {
+		return nil, badAPK(fmt.Errorf("apk: parse: manifest package %s != program package %s",
+			m.Package, p.PackageName))
+	}
+	return p, nil
+}
+
+// sound is the precondition Program and Dex share: the load-bearing set is
+// complete and bounded, and the manifest, which names the app, decodes.
+func (a *Archive) sound() (*manifest.Manifest, error) {
+	if a.setErr != nil {
+		return nil, a.setErr
+	}
+	return a.Manifest()
+}
+
+// MD5 returns the hex MD5 of the archive bytes, the app's identity key in
+// the market database, hashed on first use.
+func (a *Archive) MD5() string {
+	if a.md5 == "" {
+		sum := md5.Sum(a.data)
+		a.md5 = hex.EncodeToString(sum[:])
+	}
+	return a.md5
 }
 
 // BuildAndParse is a convenience composing Build and Parse; it returns the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"apichecker/internal/apk/apktest"
 	"apichecker/internal/behavior"
 	"apichecker/internal/framework"
 )
@@ -98,11 +99,11 @@ func TestParseRejectsMissingEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild the zip without classes.dex.
-	stripped := rezipWithout(t, data, "classes.dex")
+	stripped := apktest.Drop(t, data, "classes.dex")
 	if _, err := Parse(stripped); err == nil {
 		t.Error("Parse accepted APK without classes.dex")
 	}
-	stripped = rezipWithout(t, data, "assets/behavior.bin")
+	stripped = apktest.Drop(t, data, "assets/behavior.bin")
 	if _, err := Parse(stripped); err == nil {
 		t.Error("Parse accepted APK without behavior.bin")
 	}

@@ -4,13 +4,15 @@ import (
 	"reflect"
 	"testing"
 
+	"apichecker/internal/apk/apktest"
 	"apichecker/internal/behavior"
 )
 
-// FuzzParse hardens APK parsing against corrupt archives: it must reject
-// or accept, never panic, and accepted archives must be internally
-// consistent.
-func FuzzParse(f *testing.F) {
+// addArchiveSeeds seeds an archive fuzzer: a generated archive whole,
+// truncated and carrying a v1 blob, non-archives, the first golden
+// archives, and one of them under each dex-payload corruption and with
+// its dex dropped or declared oversized.
+func addArchiveSeeds(f *testing.F) {
 	p := testGen.Generate(behavior.Spec{
 		PackageName: "com.fuzz.seed", Version: 1, Seed: 99,
 		Label: behavior.Benign, Category: behavior.CategoryTool,
@@ -26,6 +28,22 @@ func FuzzParse(f *testing.F) {
 		f.Add(good[:64])
 	}
 	f.Add(withV1Blob(f, good))
+	golden := goldenArchives(f)
+	for _, data := range golden[:4] {
+		f.Add(data)
+	}
+	for _, kind := range corruptionKinds() {
+		f.Add(apktest.Corrupt(f, golden[0], "classes.dex", kind))
+	}
+	f.Add(apktest.Drop(f, golden[0], "classes.dex"))
+	f.Add(apktest.Declare(f, golden[0], map[string]uint64{"classes.dex": MaxDecodedBytes + 1}))
+}
+
+// FuzzParse hardens APK parsing against corrupt archives: it must reject
+// or accept, never panic, and accepted archives must be internally
+// consistent.
+func FuzzParse(f *testing.F) {
+	addArchiveSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)
@@ -45,6 +63,45 @@ func FuzzParse(f *testing.F) {
 		// or fallback alike: whenever both accept, they read the same one.
 		if m, err := ParseManifestOnly(data); err == nil && !reflect.DeepEqual(m, parsed.Manifest) {
 			t.Fatalf("ParseManifestOnly diverged from Parse:\n%+v\n%+v", m, parsed.Manifest)
+		}
+	})
+}
+
+// FuzzOpenMatchesParse pins the vet path's accept set against Parse's for
+// arbitrary bytes: everything Parse accepts the vet view accepts, reading
+// a deeply equal manifest and program; and whatever only the vet view
+// accepts, Parse refuses for the dex payload (its inflate or dex.Decode) —
+// the handle's own Dex fails with the very error Parse returns — and for
+// nothing else.
+func FuzzOpenMatchesParse(f *testing.F) {
+	addArchiveSeeds(f)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parsed, parseErr := Parse(data)
+		a, vetErr := vetView(data)
+		if vetErr != nil {
+			if parseErr == nil {
+				t.Fatalf("Parse accepts what the vet view refuses: %v", vetErr)
+			}
+			return
+		}
+		m, _ := a.Manifest()
+		prog, _ := a.Program()
+		if parseErr == nil {
+			if !reflect.DeepEqual(m, parsed.Manifest) || !reflect.DeepEqual(prog, parsed.Program) {
+				t.Fatalf("vet view diverged from Parse:\n%+v\n%+v\n%+v\n%+v", m, parsed.Manifest, prog, parsed.Program)
+			}
+			if a.MD5() != parsed.MD5 {
+				t.Fatalf("handle MD5 %s != Parse MD5 %s", a.MD5(), parsed.MD5)
+			}
+			if d, err := a.Dex(); err != nil || !reflect.DeepEqual(d, parsed.Dex) {
+				t.Fatalf("Parse accepted the dex, the handle did not read the same one: %v", err)
+			}
+			return
+		}
+		_, dexErr := a.Dex()
+		if dexErr == nil || dexErr.Error() != parseErr.Error() {
+			t.Fatalf("only the vet view accepts, and not because of the dex payload:\nParse: %v\nDex:   %v", parseErr, dexErr)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"apichecker/internal/apk/apktest"
 	"apichecker/internal/behavior"
 )
 
@@ -37,7 +38,7 @@ func TestParseManifestOnlyRejectsMissingManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := rezipWithout(t, data, "AndroidManifest.xml")
+	stripped := apktest.Drop(t, data, "AndroidManifest.xml")
 	if _, err := ParseManifestOnly(stripped); !errors.Is(err, ErrBadAPK) {
 		t.Errorf("ParseManifestOnly(no manifest) = %v, want ErrBadAPK", err)
 	}
@@ -52,14 +53,14 @@ func TestParseManifestOnlyRejectsOversizedDeclaration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bomb := rezipLying(t, data, "AndroidManifest.xml", MaxDecodedBytes+1)
+	bomb := apktest.Declare(t, data, map[string]uint64{"AndroidManifest.xml": MaxDecodedBytes + 1})
 	_, err = ParseManifestOnly(bomb)
 	if !errors.Is(err, ErrOversized) || !errors.Is(err, ErrBadAPK) {
 		t.Errorf("ParseManifestOnly(bomb) = %v, want ErrOversized wrapped in ErrBadAPK", err)
 	}
 	// A dex bomb is invisible to the manifest-only path — it never touches
 	// that entry.
-	dexBomb := rezipLying(t, data, "classes.dex", MaxDecodedBytes+1)
+	dexBomb := apktest.Declare(t, data, map[string]uint64{"classes.dex": MaxDecodedBytes + 1})
 	if _, err := ParseManifestOnly(dexBomb); err != nil {
 		t.Errorf("ParseManifestOnly ignored-entry bomb: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestParseManifestOnlyRejectsSizeLie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := rezipLying(t, data, "AndroidManifest.xml", 1)
+	short := apktest.Declare(t, data, map[string]uint64{"AndroidManifest.xml": 1})
 	if _, err := ParseManifestOnly(short); !errors.Is(err, ErrBadAPK) {
 		t.Errorf("ParseManifestOnly(size lie) = %v, want ErrBadAPK", err)
 	}

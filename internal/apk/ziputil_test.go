@@ -7,14 +7,7 @@ import (
 	"testing"
 )
 
-// rezipWithout copies the archive, dropping one entry.
-func rezipWithout(t testing.TB, data []byte, drop string) []byte {
-	t.Helper()
-	return rezip(t, data, drop, nil)
-}
-
-// rezip copies the archive with one entry's content replaced, or the entry
-// dropped when content is nil.
+// rezip copies the archive with one entry's content replaced.
 func rezip(t testing.TB, data []byte, name string, content []byte) []byte {
 	t.Helper()
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
@@ -24,9 +17,6 @@ func rezip(t testing.TB, data []byte, name string, content []byte) []byte {
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
 	for _, f := range zr.File {
-		if f.Name == name && content == nil {
-			continue
-		}
 		w, err := zw.Create(f.Name)
 		if err != nil {
 			t.Fatal(err)

@@ -4,13 +4,19 @@ import (
 	"archive/zip"
 	"bytes"
 	"context"
+	"crypto/md5"
+	"encoding/hex"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"apichecker/internal/apk"
+	"apichecker/internal/apk/apktest"
 	"apichecker/internal/behavior"
 	"apichecker/internal/framework"
+	"apichecker/internal/pipeline"
+	"apichecker/internal/staticanalysis"
 )
 
 // swapBehaviorBlob re-zips the archive around a different assets/behavior.bin.
@@ -125,4 +131,140 @@ func TestVetRejectsIDsOutsideTheUniverse(t *testing.T) {
 			t.Errorf("%s: Vet(Program) = %v, want ErrBadSubmission", name, err)
 		}
 	}
+}
+
+// TestHostileCorruptDexIsVetted: an archive whose dex payload is damaged —
+// its directory record sound — is vetted on its manifest and behaviour
+// blob, which is what the emulator runs: package and version from the
+// manifest, tier 2, and the same verdict from a second fresh checker. The
+// digest differs from the intact archive's, so its Monkey stream (and
+// possibly its verdict) legitimately does too. Everything that analyses
+// code still refuses the bytes.
+func TestHostileCorruptDexIsVetted(t *testing.T) {
+	ck, corpus := trainedChecker(t, 120)
+	again, _ := trainedChecker(t, 120)
+	p := corpus.Program(5)
+	archive, err := apk.Build(p, testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind := range apktest.Corruptions {
+		raw := apktest.Corrupt(t, archive, "classes.dex", kind)
+		if _, err := apk.Parse(raw); !errors.Is(err, apk.ErrBadAPK) {
+			t.Fatalf("%s: apk.Parse = %v, want ErrBadAPK", kind, err)
+		}
+		v, err := ck.Vet(context.Background(), Submission{Raw: raw})
+		if err != nil {
+			t.Errorf("%s: Vet = %v, want a verdict", kind, err)
+			continue
+		}
+		if v.Package != p.PackageName || v.VersionCode != p.Version || v.Tier != 2 {
+			t.Errorf("%s: verdict %+v, want %s v%d at tier 2", kind, v, p.PackageName, p.Version)
+		}
+		sum := md5.Sum(raw)
+		if v.MD5 != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: verdict MD5 %s is not the submitted bytes'", kind, v.MD5)
+		}
+		w, err := again.Vet(context.Background(), Submission{Raw: raw})
+		if err != nil || !reflect.DeepEqual(v, w) {
+			t.Errorf("%s: a second fresh checker disagrees: %+v (%v), want %+v", kind, w, err, v)
+		}
+		if _, _, err := ck.VetRun(context.Background(), Submission{Raw: raw}); err != nil {
+			t.Errorf("%s: VetRun = %v", kind, err)
+		}
+	}
+}
+
+// TestHostileDexDirectoryRecordOnVetPath: the vet path never inflates the
+// dex but still holds its directory record to account — missing, declaring
+// more than apk.MaxDecodedBytes, over the bound only together with the
+// entries that are inflated, or wrapping a summed uint64 — with triage off
+// and with an archive the triage tier passes down.
+func TestHostileDexDirectoryRecordOnVetPath(t *testing.T) {
+	tiered, flat, corpus := tieredAndFlat(t, 120)
+	archive, parsed, err := apk.BuildAndParse(corpus.Program(6), testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := parsed.Program.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		raw       []byte
+		oversized bool
+	}{
+		{"missing", apktest.Drop(t, archive, "classes.dex"), false},
+		{"oversized", apktest.Declare(t, archive, map[string]uint64{"classes.dex": apk.MaxDecodedBytes + 1}), true},
+		{"oversized together", apktest.Declare(t, archive, map[string]uint64{
+			"classes.dex": apk.MaxDecodedBytes - uint64(len(blob))}), true},
+		{"wrapping", apktest.Declare(t, archive, map[string]uint64{
+			"classes.dex": 1 << 63, "assets/behavior.bin": 1 << 63}), true},
+	}
+	for _, tc := range cases {
+		_, err := flat.Vet(context.Background(), Submission{Raw: tc.raw})
+		if !errors.Is(err, apk.ErrBadAPK) || errors.Is(err, apk.ErrOversized) != tc.oversized {
+			t.Errorf("%s: Vet = %v, want ErrBadAPK (ErrOversized %v)", tc.name, err, tc.oversized)
+		}
+		if stage, _ := pipeline.FailedStage(err); stage != pipeline.StageDecode {
+			t.Errorf("%s: died in stage %q, want decode", tc.name, stage)
+		}
+		// The tier-1 pre-screen reads the manifest alone, as it always has;
+		// whatever it does not answer itself dies in decode all the same.
+		v, err := tiered.Vet(context.Background(), Submission{Raw: tc.raw})
+		if err == nil && v.Tier != 1 {
+			t.Errorf("%s: tiered checker answered at tier %d", tc.name, v.Tier)
+		}
+		if err != nil && !errors.Is(err, apk.ErrBadAPK) {
+			t.Errorf("%s: tiered Vet = %v, want ErrBadAPK", tc.name, err)
+		}
+	}
+}
+
+// TestHostileVetPathNeverDecodesTheDex: Decode assembles the vet-path view
+// — the manifest triage decoded, the behaviour blob, no dex — from the one
+// handle on the context, and a static analyser handed that view refuses it
+// with an error rather than dereferencing the missing dex.
+func TestHostileVetPathNeverDecodesTheDex(t *testing.T) {
+	tiered, _, corpus := tieredAndFlat(t, 120)
+	for i := 0; i < 40; i++ {
+		raw, err := apk.Build(corpus.Program(i), testU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := Submission{Raw: raw}
+		vc := pipeline.AcquireContext(context.Background(), &sub)
+		if err := tiered.vetPipe.Run(vc); err != nil {
+			t.Fatal(err)
+		}
+		if vc.Verdict.Tier != 2 {
+			if vc.Parsed != nil {
+				t.Errorf("app %d: a tier-1 answer decoded the archive", i)
+			}
+			pipeline.ReleaseContext(vc)
+			continue
+		}
+		// An in-band submission: triage opened the handle, decode reused it.
+		if vc.Parsed == nil || vc.Parsed.Dex != nil {
+			t.Fatalf("app %d: vet-path view %+v, want a parsed APK without a dex", i, vc.Parsed)
+		}
+		if m, err := vc.Archive.Manifest(); err != nil || m != vc.Parsed.Manifest || m != vc.Manifest {
+			t.Errorf("app %d: decode did not take the manifest triage decoded", i)
+		}
+		full, err := apk.Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.Dex = nil
+		if !reflect.DeepEqual(vc.Parsed, full) {
+			t.Errorf("app %d: vet-path view differs from Parse beyond the dex:\n%+v\n%+v", i, vc.Parsed, full)
+		}
+		if _, err := staticanalysis.Analyze(vc.Parsed, testU); err == nil {
+			t.Errorf("app %d: staticanalysis.Analyze accepted an APK without a dex", i)
+		}
+		pipeline.ReleaseContext(vc)
+		return
+	}
+	t.Fatal("no in-band submission among 40 apps; widen the test band")
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"apichecker/internal/behavior"
-	"apichecker/internal/framework"
 	"apichecker/internal/hook"
 	"apichecker/internal/monkey"
 )
@@ -232,7 +230,6 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 	// Execute: each active activity emits its behaviour over its active
 	// window. One activity's emission is one batch of Monkey events, so
 	// the boundary between activities is where an aborted run stops.
-	u := e.reg.Universe()
 	for _, ac := range actives {
 		if err := ctx.Err(); err != nil {
 			return nil, e.aborted(p, err)
@@ -250,8 +247,7 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 			if count == 0 {
 				continue
 			}
-			api := u.API(r.API)
-			log.Observe(r.API, count, sampleParam(rng, api))
+			log.Observe(r.API, count, sampleParam(rng))
 		}
 		for _, r := range ab.Reflection {
 			// Reflection bypasses method hooks: invocations run,
@@ -320,20 +316,19 @@ func sensorGated(name string) bool {
 	return h%100 < 30
 }
 
-// sampleParam fabricates a plausible recorded parameter for an invocation.
-func sampleParam(rng *rand.Rand, api *framework.API) string {
+// sampleParam fabricates a plausible recorded parameter for an
+// invocation: the draws only — hook.Log.Params renders the text for the
+// readers that print it.
+func sampleParam(rng *rand.Rand) hook.Param {
 	switch rng.Intn(4) {
 	case 0:
-		return "arg=" + api.Name[max(0, len(api.Name)-12):]
+		return hook.Param{Kind: hook.ParamArg}
 	case 1:
-		// strconv, not Sprintf: this runs per recorded invocation and the
-		// Sprintf boxing dominated the emulation-path allocation profile.
-		// Output stays byte-identical ("%x" == FormatInt base 16).
-		return "flags=0x" + strconv.FormatInt(int64(rng.Intn(1<<12)), 16)
+		return hook.Param{Kind: hook.ParamFlags, Value: int32(rng.Intn(1 << 12))}
 	case 2:
-		return "uid=" + strconv.Itoa(10000+rng.Intn(500))
+		return hook.Param{Kind: hook.ParamUID, Value: int32(10000 + rng.Intn(500))}
 	default:
-		return "ctx=app"
+		return hook.Param{Kind: hook.ParamCtx}
 	}
 }
 

@@ -19,6 +19,7 @@ package hook
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -111,14 +112,42 @@ func (r *Registry) OnInvoke(id framework.APIID, cb Callback) error {
 	return nil
 }
 
+// ParamKind says which shape of parameter an interception sampled.
+type ParamKind uint8
+
+const (
+	ParamArg   ParamKind = iota // "arg=" + the last 12 bytes of the API's name
+	ParamFlags                  // "flags=0x" + Value in hex
+	ParamUID                    // "uid=" + Value
+	ParamCtx                    // "ctx=app"
+)
+
+// Param is one sampled parameter as the run records it: the kind and the
+// number drawn for it, not the text. The vet path reads counts, never
+// parameters, so the string is built by Log.Params for the readers that
+// print it.
+type Param struct {
+	Kind  ParamKind
+	Value int32
+}
+
+// maxParams caps the samples an Invocation retains (the first few
+// observed): logs survive whole corpus passes in the run cache.
+const maxParams = 4
+
 // Invocation is the aggregated record of one API over one emulation run.
+// It holds no pointers, so a log's arena is one allocation the garbage
+// collector never scans.
 type Invocation struct {
-	API    framework.APIID
-	Count  uint64
-	Params []string // sampled parameter values (first few observed)
+	Count uint64
+	API   framework.APIID
+
+	nparams uint8
 
 	// Tampered marks invocations whose results a callback rewrote.
 	Tampered bool
+
+	params [maxParams]Param
 }
 
 // Log collects everything one emulation run observes.
@@ -133,13 +162,6 @@ type Log struct {
 	lookup map[framework.APIID]int32
 
 	sentIntents map[framework.IntentID]uint64
-
-	// paramSlab hands out fixed 4-slot Params windows so a full-tracking
-	// run allocates one header chunk per ~128 recording invocations
-	// instead of one slice per invocation. Windows stay valid when the
-	// slab moves on to a fresh chunk: the old chunk lives on through the
-	// windows that reference it.
-	paramSlab []string
 
 	// Sealed logs trade the live intent map for sorted parallel slices:
 	// pointer-free, smaller, and cheap for the garbage collector to skip
@@ -203,41 +225,8 @@ func (l *Log) Seal() {
 	}
 	indexPool.Put(l.index)
 	l.index = nil
-	l.compactParams()
 	l.compactIntents()
 	l.compactActivities()
-}
-
-// compactParams rewrites every sampled param string in place as a slice
-// of one shared backing string, collapsing hundreds of tiny GC-tracked
-// string objects per log into one.
-func (l *Log) compactParams() {
-	total, count := 0, 0
-	for i := range l.invs {
-		for _, p := range l.invs[i].Params {
-			total += len(p)
-		}
-		count += len(l.invs[i].Params)
-	}
-	if count == 0 {
-		return
-	}
-	var sb strings.Builder
-	sb.Grow(total)
-	for i := range l.invs {
-		for _, p := range l.invs[i].Params {
-			sb.WriteString(p)
-		}
-	}
-	blob := sb.String()
-	off := 0
-	for i := range l.invs {
-		ps := l.invs[i].Params
-		for j, p := range ps {
-			ps[j] = blob[off : off+len(p)]
-			off += len(p)
-		}
-	}
 }
 
 // compactActivities rewrites the reached-activity names as slices of one
@@ -312,7 +301,7 @@ func (l *Log) slot(id framework.APIID) int32 {
 // Observe records count invocations of the API. Only tracked APIs are
 // intercepted and recorded; untracked ones still count toward
 // TotalInvocations (they happen, the hook just does not see them).
-func (l *Log) Observe(id framework.APIID, count uint64, params ...string) {
+func (l *Log) Observe(id framework.APIID, count uint64, params ...Param) {
 	if count == 0 {
 		return
 	}
@@ -337,19 +326,9 @@ func (l *Log) Observe(id framework.APIID, count uint64, params ...string) {
 	}
 	inv.Count += count
 	for _, p := range params {
-		// Cap retained samples: logs survive whole corpus passes in the
-		// run cache, and every retained string is GC-traced for as long
-		// as the pass stays cached.
-		if len(inv.Params) < 4 {
-			if inv.Params == nil {
-				if cap(l.paramSlab)-len(l.paramSlab) < 4 {
-					l.paramSlab = make([]string, 0, 512)
-				}
-				off := len(l.paramSlab)
-				l.paramSlab = l.paramSlab[: off+4 : cap(l.paramSlab)]
-				inv.Params = l.paramSlab[off : off : off+4]
-			}
-			inv.Params = append(inv.Params, p)
+		if inv.nparams < maxParams {
+			inv.params[inv.nparams] = p
+			inv.nparams++
 		}
 	}
 	if state[id]&callbackBit != 0 {
@@ -384,6 +363,29 @@ func (l *Log) ObserveActivity(name string) {
 // Invocations returns the invocation records in first-observation order.
 // Callers must not modify or retain the slice; it is the log's own arena.
 func (l *Log) Invocations() []Invocation { return l.invs }
+
+// Params formats the parameters sampled for one of this log's invocation
+// records, in observation order; nil when none were.
+func (l *Log) Params(inv *Invocation) []string {
+	if inv.nparams == 0 {
+		return nil
+	}
+	out := make([]string, inv.nparams)
+	for i, p := range inv.params[:inv.nparams] {
+		switch p.Kind {
+		case ParamArg:
+			name := l.registry.universe.API(inv.API).Name
+			out[i] = "arg=" + name[max(0, len(name)-12):]
+		case ParamFlags:
+			out[i] = "flags=0x" + strconv.FormatInt(int64(p.Value), 16)
+		case ParamUID:
+			out[i] = "uid=" + strconv.Itoa(int(p.Value))
+		default:
+			out[i] = "ctx=app"
+		}
+	}
+	return out
+}
 
 // InvokedAPIs returns the tracked APIs observed at least once, in first-
 // observation order.

@@ -1,6 +1,7 @@
 package hook
 
 import (
+	"reflect"
 	"testing"
 
 	"apichecker/internal/framework"
@@ -76,8 +77,8 @@ func TestLogObserve(t *testing.T) {
 	r := MustNewRegistry(testU, ids[:3])
 	l := NewLog(r)
 
-	l.Observe(ids[0], 10, "p1")
-	l.Observe(ids[0], 5, "p2")
+	l.Observe(ids[0], 10, Param{Kind: ParamFlags, Value: 0xabc})
+	l.Observe(ids[0], 5, Param{Kind: ParamUID, Value: 10042}, Param{Kind: ParamCtx})
 	l.Observe(ids[1], 1)
 	l.Observe(ids[4], 100) // untracked
 	l.Observe(ids[2], 0)   // zero count: ignored
@@ -92,8 +93,14 @@ func TestLogObserve(t *testing.T) {
 		t.Errorf("DistinctInvoked = %d, want 2", l.DistinctInvoked())
 	}
 	inv := l.Invocation(ids[0])
-	if inv == nil || inv.Count != 15 || len(inv.Params) != 2 {
-		t.Errorf("Invocation(%d) = %+v", ids[0], inv)
+	if inv == nil || inv.Count != 15 {
+		t.Fatalf("Invocation(%d) = %+v", ids[0], inv)
+	}
+	if got, want := l.Params(inv), []string{"flags=0xabc", "uid=10042", "ctx=app"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Params = %q, want %q", got, want)
+	}
+	if got := l.Params(l.Invocation(ids[1])); got != nil {
+		t.Errorf("Params of an unsampled invocation = %q, want nil", got)
 	}
 	if l.Invocation(ids[4]) != nil {
 		t.Error("untracked API has an invocation record")
@@ -109,10 +116,45 @@ func TestParamSamplingCap(t *testing.T) {
 	r := MustNewRegistry(testU, ids)
 	l := NewLog(r)
 	for i := 0; i < 50; i++ {
-		l.Observe(ids[0], 1, "p")
+		l.Observe(ids[0], 1, Param{Kind: ParamUID, Value: int32(10000 + i)})
 	}
-	if n := len(l.Invocation(ids[0]).Params); n > 8 {
-		t.Errorf("params grew unbounded: %d", n)
+	// The first four observed are the ones kept, and sealing keeps them.
+	l.Seal()
+	want := []string{"uid=10000", "uid=10001", "uid=10002", "uid=10003"}
+	if got := l.Params(l.Invocation(ids[0])); !reflect.DeepEqual(got, want) {
+		t.Errorf("Params = %q, want %q", got, want)
+	}
+}
+
+// TestParamArgNamesTheAPI: an arg sample is formatted from the tail of the
+// invoked API's own name, resolved when read.
+func TestParamArgNamesTheAPI(t *testing.T) {
+	ids := someVisible(1)
+	l := NewLog(MustNewRegistry(testU, ids))
+	l.Observe(ids[0], 1, Param{Kind: ParamArg})
+	name := testU.API(ids[0]).Name
+	want := "arg=" + name[max(0, len(name)-12):]
+	if got := l.Params(l.Invocation(ids[0])); len(got) != 1 || got[0] != want {
+		t.Errorf("Params = %q, want [%q]", got, want)
+	}
+}
+
+// TestObserveAllocatesNothingWarm: recording an invocation with a sampled
+// parameter writes into the arena slot — no string, no slice, no boxing —
+// once the arena holds a record for the API.
+func TestObserveAllocatesNothingWarm(t *testing.T) {
+	ids := someVisible(8)
+	l := NewLog(MustNewRegistry(testU, ids))
+	for _, id := range ids {
+		l.Observe(id, 1, Param{Kind: ParamCtx})
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Observe(ids[i%len(ids)], 3, Param{Kind: ParamFlags, Value: int32(i)})
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Observe with a sample allocates %.1f times per call on a warm arena, want 0", allocs)
 	}
 }
 

@@ -43,7 +43,12 @@ type VetContext struct {
 	// the content digest by the Decode stage.
 	Monkey monkey.Config
 
-	// Stage products, populated left to right.
+	// Stage products, populated left to right. Archive is a raw
+	// submission's opened handle: Triage and Decode share one directory
+	// walk, one decoded manifest and one MD5 through it. Parsed, for a raw
+	// submission, is the view Decode assembles from it — Dex stays nil,
+	// nothing on the vet path reads code.
+	Archive  *apk.Archive
 	Program  *behavior.Program
 	Parsed   *apk.APK
 	Manifest *manifest.Manifest
@@ -70,6 +75,20 @@ type VetContext struct {
 // optional outcome note for the span the engine is about to record.
 func (vc *VetContext) Span(dur time.Duration, note string) {
 	vc.spanDur, vc.spanNote = dur, note
+}
+
+// archive opens the raw submission's archive handle, once: the triage
+// pre-screen takes the manifest from it and a fall-through Decode the
+// behaviour blob, over one directory walk and one MD5.
+func (vc *VetContext) archive() (*apk.Archive, error) {
+	if vc.Archive == nil {
+		a, err := apk.Open(vc.Sub.Raw)
+		if err != nil {
+			return nil, err
+		}
+		vc.Archive = a
+	}
+	return vc.Archive, nil
 }
 
 // PackageLabel names the submission for spans and error messages, best
@@ -217,8 +236,10 @@ func (p *Pipeline) record(vc *VetContext, st Stage, body func(*VetContext) error
 	}
 	// A wrapper's span must not count the inner stages' failure twice:
 	// only the stage the error is attributed to books it.
-	if stage, ok := FailedStage(err); ok && stage != st.Name() {
-		ev.Err = nil
+	if err != nil {
+		if stage, ok := FailedStage(err); ok && stage != st.Name() {
+			ev.Err = nil
+		}
 	}
 	if p.col != nil {
 		p.col.Emit(ev)

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -334,8 +332,7 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 	var sum string
 	switch {
 	case vc.Sub.Raw != nil:
-		h := md5.Sum(vc.Sub.Raw)
-		sum = hex.EncodeToString(h[:])
+		sum = vc.Archive.MD5()
 		pkg, version = man.Package, man.VersionCode
 	case vc.Sub.Parsed != nil:
 		sum = vc.Sub.Parsed.MD5
@@ -361,14 +358,19 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 }
 
 // manifestOnly resolves the manifest view without paying the full decode:
-// raw archives go through the manifest-only zip fast path, parsed APKs
-// already carry theirs, and behaviour programs derive it (stashed on the
-// context so a fall-through Decode does not derive it twice).
+// raw archives open their handle and inflate the manifest entry alone,
+// parsed APKs already carry theirs, and behaviour programs derive it. The
+// handle and a derived manifest stay on the context, so a fall-through
+// Decode neither walks the directory nor decodes the manifest twice.
 func (s Triage) manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	sub := vc.Sub
 	switch {
 	case sub.Raw != nil:
-		return apk.ParseManifestOnly(sub.Raw)
+		a, err := vc.archive()
+		if err != nil {
+			return nil, err
+		}
+		return a.Manifest()
 	case sub.Parsed != nil:
 		return sub.Parsed.Manifest, nil
 	default:
@@ -412,17 +414,29 @@ func (s Decode) Run(vc *VetContext) error {
 	sub := vc.Sub
 	switch {
 	case sub.Raw != nil:
-		parsed, err := apk.ParseWithDigest(sub.Raw, vc.Digest)
+		// The vet-path view of the archive: the manifest triage may already
+		// have decoded, and the behaviour blob the emulator runs. The dex
+		// was located and bounded by the directory walk and is never
+		// inflated — nothing downstream reads it — so Parsed.Dex stays nil.
+		a, err := vc.archive()
 		if err != nil {
 			return err
 		}
-		if err := checkIDs(parsed.Program, vc.Gen.Universe); err != nil {
+		prog, err := a.Program()
+		if err != nil {
+			return err
+		}
+		man, err := a.Manifest() // memoized: triage or Program decoded it
+		if err != nil {
+			return err
+		}
+		if err := checkIDs(prog, vc.Gen.Universe); err != nil {
 			return fmt.Errorf("%w: %w", apk.ErrBadAPK, err)
 		}
-		vc.Parsed = parsed
-		vc.Program = parsed.Program
-		vc.Manifest = parsed.Manifest
-		vc.MD5 = parsed.MD5
+		vc.Program = prog
+		vc.Manifest = man
+		vc.MD5 = a.MD5()
+		vc.Parsed = &apk.APK{Manifest: man, Program: prog, MD5: vc.MD5, SHA256: vc.Digest, Size: int64(len(sub.Raw))}
 		vc.Span(decodeBase+time.Duration(len(sub.Raw)/1024)*decodePerKiB, "raw")
 	case sub.Parsed != nil:
 		vc.Parsed = sub.Parsed
