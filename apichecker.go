@@ -46,6 +46,7 @@
 package apichecker
 
 import (
+	"fmt"
 	"io"
 
 	"apichecker/internal/apk"
@@ -337,9 +338,6 @@ var (
 	// Raw/Parsed/Program, or its decoded program names ids the
 	// deployment's universe does not have.
 	ErrBadSubmission = core.ErrBadSubmission
-	// ErrUniverseMismatch: an imported model was trained over a different
-	// framework universe.
-	ErrUniverseMismatch = core.ErrUniverseMismatch
 	// ErrQueueFull: the vetting service's bounded queue rejected the
 	// submission (explicit backpressure).
 	ErrQueueFull = vetsvc.ErrQueueFull
@@ -486,10 +484,39 @@ func WriteObsMetrics(w io.Writer, namespace string, cols ...*ObsCollector) error
 	return gateway.WriteMetrics(w, namespace, cols...)
 }
 
-// ImportModel loads a model exported with Checker.Export into a Checker
-// bound to the (matching) universe — the §5.4 distribution path by which
-// large markets share trained models with smaller ones.
-func ImportModel(r io.Reader, u *Universe) (*Checker, error) { return core.Import(r, u) }
+// ExportModel writes the checker's serving generation as one APKMODEL
+// artifact — the §5.4 distribution path by which large markets share
+// trained models with smaller ones, in the same bytes the model registry
+// stores: universe identity, deployment config, key-API selection, forest
+// and (when trained) the tier-1 triage model with its band.
+func ExportModel(ck *Checker, w io.Writer) error {
+	a, err := modelstore.Snapshot(ck)
+	if err != nil {
+		return err
+	}
+	data, err := a.Encode()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
+}
+
+// ImportModel cold-starts a checker from an artifact written by
+// ExportModel. The framework universe is rebuilt from the artifact itself,
+// so the importer needs nothing but the bytes, and its verdicts are
+// bit-identical to the exporter's.
+func ImportModel(r io.Reader) (*Checker, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("apichecker: import model: %w", err)
+	}
+	a, err := modelstore.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return a.Instantiate()
+}
 
 // OpenModelRegistry opens (or creates) a versioned model registry rooted
 // at dir.

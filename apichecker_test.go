@@ -76,10 +76,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Model distribution.
 	var blob bytes.Buffer
-	if err := checker.Export(&blob); err != nil {
+	if err := ExportModel(checker, &blob); err != nil {
 		t.Fatal(err)
 	}
-	imported, err := ImportModel(&blob, u)
+	imported, err := ImportModel(&blob)
 	if err != nil {
 		t.Fatal(err)
 	}

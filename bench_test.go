@@ -582,7 +582,9 @@ func BenchmarkRunYearMonthSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkModelExportImport measures the §5.4 model-distribution path.
+// BenchmarkModelExportImport measures the §5.4 model-distribution path:
+// APKMODEL encode → decode → instantiate (universe rebuild included — the
+// importer starts from the bytes alone).
 func BenchmarkModelExportImport(b *testing.B) {
 	e := env(b)
 	sub := dataset.FromApps(e.U, 3, e.Corpus.Apps[:min(600, e.Corpus.Len())])
@@ -592,14 +594,14 @@ func BenchmarkModelExportImport(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := ck.ExportBytes()
-		if err != nil {
+		var buf bytes.Buffer
+		if err := ExportModel(ck, &buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.ImportBytes(data, e.U); err != nil {
+		b.ReportMetric(float64(buf.Len())/1024, "model-KiB")
+		if _, err := ImportModel(&buf); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(data))/1024, "model-KiB")
 	}
 }
 

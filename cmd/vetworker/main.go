@@ -85,6 +85,6 @@ func main() {
 	}
 
 	st := w.Stats()
-	fmt.Printf("node %s: %d claims, %d verdicts, %d nacks, %d lease-lost, %d model pulls, %d swaps\n",
-		*node, st.Claims, st.Verdicts, st.Nacks, st.LeaseLost, st.ModelPulls, st.ModelSwaps)
+	fmt.Printf("node %s: %d claims, %d verdicts, %d nacks, %d panics, %d lease-lost, %d model pulls, %d swaps\n",
+		*node, st.Claims, st.Verdicts, st.Nacks, st.Panics, st.LeaseLost, st.ModelPulls, st.ModelSwaps)
 }

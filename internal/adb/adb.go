@@ -72,9 +72,6 @@ func NewDevice(serial string, profile emulator.Profile, reg *hook.Registry) *Dev
 	}
 }
 
-// Serial returns the device identifier.
-func (d *Device) Serial() string { return d.serial }
-
 // State returns the device lifecycle state.
 func (d *Device) State() DeviceState { return d.state }
 
@@ -139,15 +136,10 @@ func (d *Device) installParsed(parsed *apk.APK) error {
 	return nil
 }
 
-// RunMonkey exercises an installed package and records the run into the
-// logcat buffer (activity starts, crash reports, fallback notices).
-func (d *Device) RunMonkey(pkg string, mk monkey.Config) (*emulator.Result, error) {
-	return d.RunMonkeyContext(context.Background(), pkg, mk)
-}
-
-// RunMonkeyContext is RunMonkey under a context: a cancelled or expired
-// context aborts the emulation at the next crash-restart or event-batch
-// boundary. The device is left dirty (exactly as a real aborted run would),
+// RunMonkeyContext exercises an installed package and records the run into
+// the logcat buffer (activity starts, crash reports, fallback notices). A
+// cancelled or expired context aborts the emulation at the next
+// crash-restart or event-batch boundary. The device is left dirty (exactly as a real aborted run would),
 // so the session cleanup path still applies.
 func (d *Device) RunMonkeyContext(ctx context.Context, pkg string, mk monkey.Config) (*emulator.Result, error) {
 	parsed, ok := d.installed[pkg]
@@ -217,9 +209,6 @@ type Session struct {
 // NewSession wraps a device.
 func NewSession(dev *Device) *Session { return &Session{dev: dev} }
 
-// Device returns the underlying device.
-func (s *Session) Device() *Device { return s.dev }
-
 // VetResult is the outcome of one full device session.
 type VetResult struct {
 	APK      *apk.APK
@@ -246,14 +235,9 @@ func (s *Session) VetContext(ctx context.Context, data []byte, mk monkey.Config)
 	return s.finish(ctx, parsed, mk)
 }
 
-// VetParsed is Vet for an already-parsed APK.
-func (s *Session) VetParsed(parsed *apk.APK, mk monkey.Config) (*VetResult, error) {
-	return s.VetParsedContext(context.Background(), parsed, mk)
-}
-
-// VetParsedContext is VetParsed under a context: the pipeline's decode
-// stage has already unpacked the archive, so the device sequence starts
-// at install. Run results are bit-identical to VetContext over the same
+// VetParsedContext is VetContext for an already-parsed APK: the pipeline's
+// decode stage has already unpacked the archive, so the device sequence
+// starts at install. Run results are bit-identical to VetContext over the same
 // serialized bytes.
 func (s *Session) VetParsedContext(ctx context.Context, parsed *apk.APK, mk monkey.Config) (*VetResult, error) {
 	if err := s.dev.InstallParsed(parsed); err != nil {
@@ -288,40 +272,4 @@ func (s *Session) finish(ctx context.Context, parsed *apk.APK, mk monkey.Config)
 		Logcat:   s.dev.Logcat(),
 		Duration: res.VirtualTime,
 	}, nil
-}
-
-// Pool is a set of devices with FIFO checkout — the per-server 16-emulator
-// deployment unit's control plane.
-type Pool struct {
-	devices []*Device
-	free    chan *Device
-}
-
-// NewPool creates n devices sharing a profile and registry.
-func NewPool(n int, profile emulator.Profile, reg *hook.Registry) (*Pool, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("adb: pool size %d", n)
-	}
-	p := &Pool{free: make(chan *Device, n)}
-	for i := 0; i < n; i++ {
-		dev := NewDevice(fmt.Sprintf("emulator-%04d", 5554+2*i), profile, reg)
-		p.devices = append(p.devices, dev)
-		p.free <- dev
-	}
-	return p, nil
-}
-
-// Size returns the device count.
-func (p *Pool) Size() int { return len(p.devices) }
-
-// Checkout blocks until a device is free.
-func (p *Pool) Checkout() *Device { return <-p.free }
-
-// Release returns a device to the pool; it must be clean.
-func (p *Pool) Release(dev *Device) error {
-	if !dev.Clean() {
-		return fmt.Errorf("adb: release of unclean device %s", dev.serial)
-	}
-	p.free <- dev
-	return nil
 }

@@ -1,7 +1,7 @@
 package adb
 
 import (
-	"sync"
+	"context"
 	"testing"
 
 	"apichecker/internal/apk"
@@ -46,7 +46,7 @@ func TestInstallRunUninstallClear(t *testing.T) {
 	if got := dev.InstalledPackages(); len(got) != 1 || got[0] != "com.adb.app" {
 		t.Fatalf("installed = %v", got)
 	}
-	res, err := dev.RunMonkey(parsed.PackageName(), monkey.ProductionConfig(1))
+	res, err := dev.RunMonkeyContext(context.Background(), parsed.PackageName(), monkey.ProductionConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestInstallRefusals(t *testing.T) {
 		t.Errorf("upgrade refused: %v", err)
 	}
 	// Dirty devices refuse installs.
-	if _, err := dev.RunMonkey("com.adb.dup", monkey.ProductionConfig(1)); err != nil {
+	if _, err := dev.RunMonkeyContext(context.Background(), "com.adb.dup", monkey.ProductionConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dev.Install(buildAPK(t, "com.adb.other", 1, 4)); err == nil {
@@ -107,7 +107,7 @@ func TestInstallRefusals(t *testing.T) {
 
 func TestRunMonkeyRequiresInstall(t *testing.T) {
 	dev := NewDevice("emulator-5554", emulator.GoogleEmulator, testRegistry(t))
-	if _, err := dev.RunMonkey("com.not.there", monkey.ProductionConfig(1)); err == nil {
+	if _, err := dev.RunMonkeyContext(context.Background(), "com.not.there", monkey.ProductionConfig(1)); err == nil {
 		t.Error("monkey ran on missing package")
 	}
 	if err := dev.Uninstall("com.not.there"); err == nil {
@@ -153,80 +153,5 @@ func TestSessionVetCleansUpOnFailure(t *testing.T) {
 	if !dev.Clean() || dev.State() != StateIdle {
 		t.Errorf("device dirty after mid-sequence failure: state=%v installed=%v",
 			dev.State(), dev.InstalledPackages())
-	}
-}
-
-func TestPoolCheckoutRelease(t *testing.T) {
-	reg := testRegistry(t)
-	pool, err := NewPool(4, emulator.LightweightEmulator, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Size() != 4 {
-		t.Fatalf("size = %d", pool.Size())
-	}
-	if _, err := NewPool(0, emulator.LightweightEmulator, reg); err == nil {
-		t.Error("zero-size pool accepted")
-	}
-
-	// Concurrent vetting across the pool: every device must come back
-	// clean and serials must stay distinct.
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dev := pool.Checkout()
-			defer func() {
-				if err := pool.Release(dev); err != nil {
-					errs <- err
-				}
-			}()
-			s := NewSession(dev)
-			p := testGen.Generate(behavior.Spec{
-				PackageName: "com.pool.app", Version: w + 1, Seed: int64(w) * 31,
-				Label: behavior.Benign, Category: behavior.CategoryGame,
-			})
-			data, err := apk.Build(p, testU)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := s.Vet(data, monkey.ProductionConfig(int64(w))); err != nil {
-				errs <- err
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	serials := map[string]bool{}
-	for i := 0; i < pool.Size(); i++ {
-		dev := pool.Checkout()
-		if serials[dev.Serial()] {
-			t.Errorf("duplicate serial %s", dev.Serial())
-		}
-		serials[dev.Serial()] = true
-		if !dev.Clean() {
-			t.Errorf("device %s returned unclean", dev.Serial())
-		}
-	}
-}
-
-func TestPoolRefusesUncleanRelease(t *testing.T) {
-	pool, err := NewPool(1, emulator.GoogleEmulator, testRegistry(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := pool.Checkout()
-	if _, err := dev.Install(buildAPK(t, "com.pool.dirty", 1, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Release(dev); err == nil {
-		t.Error("unclean device released")
 	}
 }

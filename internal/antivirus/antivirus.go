@@ -91,11 +91,6 @@ type Consensus struct {
 // DefaultVendors are the scanner names the paper lists.
 var DefaultVendors = []string{"symantec", "kaspersky", "norton", "mcafee"}
 
-// NewConsensus builds the default four-engine consensus.
-func NewConsensus(seed int64, fpRate, coverage float64) *Consensus {
-	return NewConsensusN(seed, fpRate, coverage, len(DefaultVendors))
-}
-
 // NewConsensusN builds an n-engine consensus ("at least four" in §4.1;
 // extra engines get generic vendor names).
 func NewConsensusN(seed int64, fpRate, coverage float64, n int) *Consensus {

@@ -61,7 +61,7 @@ func TestEngineFPRate(t *testing.T) {
 }
 
 func TestConsensusUnanimity(t *testing.T) {
-	c := NewConsensus(1, 0.04, 0.9)
+	c := NewConsensusN(1, 0.04, 0.9, len(DefaultVendors))
 	// A widely fingerprinted malware sample: find one all vendors know.
 	for id := int64(0); id < 200; id++ {
 		all := true
@@ -84,7 +84,7 @@ func TestConsensusUnanimity(t *testing.T) {
 // The §4.1 bound: four independent sub-5% FP engines mislabel essentially
 // nothing under unanimity.
 func TestConsensusFalseLabelBound(t *testing.T) {
-	c := NewConsensus(2, 0.05, 0.35)
+	c := NewConsensusN(2, 0.05, 0.35, len(DefaultVendors))
 	rejected := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -127,7 +127,7 @@ func TestConsensusNVendorNames(t *testing.T) {
 // Vendor feeds must be decorrelated: the union of four 35%-coverage feeds
 // should know clearly more malware than any single feed.
 func TestVendorFeedsDecorrelated(t *testing.T) {
-	c := NewConsensus(3, 0.04, 0.35)
+	c := NewConsensusN(3, 0.04, 0.35, len(DefaultVendors))
 	single, union := 0, 0
 	const n = 4000
 	for id := int64(0); id < n; id++ {

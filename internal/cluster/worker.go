@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +59,8 @@ type WorkerConfig struct {
 type WorkerStats struct {
 	Claims     uint64 // claims taken
 	Verdicts   uint64 // vets completed and reported
-	Nacks      uint64 // claims returned (model failure, shutdown)
+	Nacks      uint64 // claims returned (model failure, panic, shutdown)
+	Panics     uint64 // vets that panicked (recovered, their claims nacked)
 	LeaseLost  uint64 // vets abandoned mid-emulation (heartbeat got 410)
 	ModelPulls uint64 // artifacts fetched over the wire
 	ModelSwaps uint64 // hot-swaps adopted after cold-start
@@ -85,7 +88,7 @@ type Worker struct {
 	ck      *core.Checker
 	digest  string
 
-	claims, verdicts, nacks, leaseLost, pulls, swaps atomic.Uint64
+	claims, verdicts, nacks, panics, leaseLost, pulls, swaps atomic.Uint64
 }
 
 // StartWorker launches a worker node and returns immediately; lanes run
@@ -147,6 +150,7 @@ func (w *Worker) Stats() WorkerStats {
 		Claims:     w.claims.Load(),
 		Verdicts:   w.verdicts.Load(),
 		Nacks:      w.nacks.Load(),
+		Panics:     w.panics.Load(),
 		LeaseLost:  w.leaseLost.Load(),
 		ModelPulls: w.pulls.Load(),
 		ModelSwaps: w.swaps.Load(),
@@ -234,7 +238,11 @@ func (ln *lane) run() {
 // execute runs one claimed submission through the local vet pipeline,
 // heartbeating during emulation; lease loss cancels the vet context with
 // cause workqueue.ErrLeaseLost, mirroring the in-process worker pool. The
-// result becomes the lane's pending ack and rides the next claim.
+// result becomes the lane's pending ack and rides the next claim. A vet (or
+// OnVet) that panics is isolated as the pool isolates it: the claim is
+// nacked with the panic text and the lane goes on claiming, so an archive
+// that panics on every attempt is dead-lettered by the attempt limit
+// instead of killing a node per attempt.
 func (ln *lane) execute(ck *core.Checker, cl *claim) {
 	w := ln.w
 	vctx, vcancel := context.WithCancelCause(w.ctx)
@@ -249,6 +257,17 @@ func (ln *lane) execute(ck *core.Checker, cl *claim) {
 	if hb == 0 {
 		hb = time.Duration(cl.LeaseTTLMS) * time.Millisecond / 3
 	}
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if hb > 0 {
+			ln.stopBeats()
+		}
+		w.panics.Add(1)
+		w.nack(cl.Seq, cl.Token, fmt.Sprintf("vet for seq %d panicked: %v", cl.Seq, p))
+	}()
 	if hb > 0 {
 		ln.startBeats(cl, vcancel, hb)
 	}
@@ -274,10 +293,10 @@ func (ln *lane) execute(ck *core.Checker, cl *claim) {
 			return
 		}
 	}
-	w.verdicts.Add(1)
 	if w.cfg.OnVet != nil {
 		w.cfg.OnVet(cl.Seq, v, err)
 	}
+	w.verdicts.Add(1)
 	req := ackRequest{
 		Seq:         cl.Seq,
 		Token:       cl.Token,
@@ -444,14 +463,18 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Hash before decode: the digest is the content address of the bytes,
+	// so anything that is not the advertised artifact is refused here and
+	// never reaches the decoder. (Decoding is canonical — what decodes
+	// re-encodes to the same bytes — so the decoded artifact's own digest
+	// is this one.)
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != digest {
+		return nil, fmt.Errorf("cluster: model integrity: got %.12s want %.12s", got, digest)
+	}
 	a, err := modelstore.Decode(data)
 	if err != nil {
 		return nil, err
-	}
-	if got, err := a.Digest(); err != nil {
-		return nil, err
-	} else if got != digest {
-		return nil, fmt.Errorf("cluster: model integrity: got %.12s want %.12s", got, digest)
 	}
 	if w.ck == nil {
 		cfg := a.Cfg
@@ -477,7 +500,12 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 	return w.ck, nil
 }
 
-// fetchModel pulls an artifact's bytes by digest.
+// maxModelBytes bounds a fetched artifact. A paper-scale generation (426
+// keys, 120 trees, a 50 K-entry SRC table) encodes to a few MiB; 64 MiB
+// is an order of magnitude of headroom, not an expected size.
+const maxModelBytes = 64 << 20
+
+// fetchModel pulls an artifact's bytes by digest, at most maxModelBytes.
 func (w *Worker) fetchModel(digest string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(w.ctx, time.Minute)
 	defer cancel()
@@ -494,7 +522,14 @@ func (w *Worker) fetchModel(digest string) ([]byte, error) {
 		return nil, httpStatusError("model fetch", resp)
 	}
 	w.pulls.Add(1)
-	return io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxModelBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: fetching model: %w", err)
+	}
+	if len(data) > maxModelBytes {
+		return nil, fmt.Errorf("cluster: fetching model: body exceeds %d bytes", maxModelBytes)
+	}
+	return data, nil
 }
 
 // post sends one control body. The transport may still read body after

@@ -163,18 +163,13 @@ type Checker struct {
 	vetPipe *pipeline.Pipeline
 	runPipe *pipeline.Pipeline
 
-	// Cumulative forest-inference block accounting across generations
-	// (each generation's batcher books into these).
-	scoreBlocks atomic.Uint64
-	scoreRows   atomic.Uint64
-
 	vetCount int64
 }
 
 // generation is one immutable trained assembly: everything a vet touches
 // after pinning. Nothing here is mutated once the generation is published;
-// the only internal state is the session mutex and the score batcher's
-// queue, both owned by this generation alone.
+// the only internal state is the session mutex, owned by this generation
+// alone.
 type generation struct {
 	id     uint64
 	digest string
@@ -197,11 +192,6 @@ type generation struct {
 	// program/parsed vets bypass the device and fan out over farm lanes.
 	session   *adb.Session
 	sessionMu sync.Mutex
-
-	// scores coalesces concurrent classify steps into blocks for this
-	// generation's forest (batch composition cannot change any verdict, so
-	// the batcher must never mix models).
-	scores scoreBatcher
 
 	// mg is the stage-facing view the pipeline pins.
 	mg *pipeline.ModelGen
@@ -372,28 +362,13 @@ func trainTriage(c *dataset.Corpus, cfg Config) (*ml.Linear, error) {
 	return triage, nil
 }
 
-// New assembles a Checker from trained parts (used by TrainFromCorpus and
-// by markets loading a distributed model, §5.4): it builds the hook
-// registry, the emulation engine and its lane farm, the adb session, the
-// verdict cache, the obs collector, and wires them into the vet and run
-// stage chains.
-func New(u *framework.Universe, sel *features.Selection, ex *features.Extractor,
-	model *ml.RandomForest, cfg Config) (*Checker, error) {
-	return NewWithDigest(u, sel, ex, model, cfg, "")
-}
-
-// NewWithDigest is New additionally recording the artifact digest the
-// parts were loaded from (the modelstore cold-start path), so the serving
-// generation is attributable to its on-disk artifact.
-func NewWithDigest(u *framework.Universe, sel *features.Selection, ex *features.Extractor,
-	model *ml.RandomForest, cfg Config, digest string) (*Checker, error) {
-	return NewFromParts(ModelParts{Universe: u, Selection: sel, Extractor: ex, Model: model, Digest: digest}, cfg)
-}
-
 // NewFromParts assembles a Checker from one complete set of trained parts
-// — the constructor that preserves everything a ModelParts carries,
-// including the optional triage model. New and NewWithDigest are part-wise
-// wrappers that assemble triage-less checkers.
+// (TrainFromCorpus, and every path that loads a model artifact): it builds
+// the hook registry, the emulation engine and its lane farm, the adb
+// session, the verdict cache and the obs collector, and wires them into
+// the vet and run stage chains. parts.Digest, when set, records the
+// artifact the parts were loaded from, so the serving generation is
+// attributable to it; parts.Triage is optional.
 func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	ck := &Checker{cfg: cfg, obs: obs.NewCollector()}
 	if cfg.VerdictCache >= 0 {
@@ -417,7 +392,7 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 
 // newGeneration assembles an immutable generation from trained parts: hook
 // registry over the selected keys, emulation engine, lane farm, adb
-// session, batch scorer, and the stage-facing ModelGen view. epoch is the
+// session, and the stage-facing ModelGen view. epoch is the
 // verdict-cache epoch the generation will serve under (for a swap, the
 // epoch after the pending bump).
 func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generation, error) {
@@ -451,7 +426,6 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 		session:   adb.NewSession(adb.NewDevice("emulator-5554", ck.cfg.Profile, reg)),
 		swappedAt: time.Now(),
 	}
-	g.scores = scoreBatcher{model: parts.Model, blocks: &ck.scoreBlocks, rows: &ck.scoreRows}
 	trees := ck.cfg.Forest.Trees
 	if trees <= 0 {
 		trees = ml.DefaultForestConfig(ck.cfg.Seed).Trees
@@ -467,7 +441,7 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 		Extractor: parts.Extractor,
 		Farm:      farm,
 		RunRaw:    g.runRaw,
-		Score:     g.scores.score,
+		Score:     parts.Model.Score,
 		Trees:     trees,
 		Epoch:     epoch,
 		TriageLo:  lo,
@@ -630,9 +604,6 @@ func (ck *Checker) Obs() *obs.Collector { return ck.obs }
 // virtual-latency quantiles) in first-seen stage order.
 func (ck *Checker) StageStats() []obs.StageStats { return ck.obs.StageStats() }
 
-// PipelineStages returns the canonical vet chain's stage names in order.
-func (ck *Checker) PipelineStages() []string { return ck.vetPipe.Stages() }
-
 // Vet is the single canonical vetting entrypoint: every other Vet* method
 // is a thin wrapper over it. The context bounds the emulation — a deadline
 // or cancellation aborts the run at the next crash-restart or event-batch
@@ -667,29 +638,6 @@ func (ck *Checker) VetOutcome(ctx context.Context, sub Submission) (*Verdict, vc
 	// so returning it past the release is safe; everything else on vc is
 	// recycled.
 	return vc.Verdict, vc.Outcome, nil
-}
-
-// VetTrace is VetOutcome, additionally returning the per-stage span log
-// for this submission (one obs event per completed stage, in execution
-// order) — the cmd/tmarket -trace feed.
-func (ck *Checker) VetTrace(ctx context.Context, sub Submission) (*Verdict, vcache.Outcome, []obs.Event, error) {
-	vc := pipeline.AcquireContext(ctx, &sub)
-	defer pipeline.ReleaseContext(vc)
-	if err := ck.vetPipe.Run(vc); err != nil {
-		return nil, vc.Outcome, copySpans(vc), ck.vetError(vc, err)
-	}
-	return vc.Verdict, vc.Outcome, copySpans(vc), nil
-}
-
-// copySpans detaches the span log from the pooled context — its backing
-// array is recycled the moment the driver releases vc.
-func copySpans(vc *pipeline.VetContext) []obs.Event {
-	if len(vc.Spans) == 0 {
-		return nil
-	}
-	out := make([]obs.Event, len(vc.Spans))
-	copy(out, vc.Spans)
-	return out
 }
 
 // VetRun is Vet, additionally returning the raw emulation result (the

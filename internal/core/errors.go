@@ -1,26 +1,16 @@
 package core
 
-import (
-	"errors"
+import "apichecker/internal/pipeline"
 
-	"apichecker/internal/pipeline"
-)
-
-// Typed failure modes of the vetting and model-import paths. The vet-path
-// sentinels are defined by internal/pipeline (the stages raise them) and
-// aliased here; the public facade re-exports all of them, so downstream
-// callers branch with errors.Is instead of matching error strings.
+// Typed failure modes of the vetting path. The sentinels are defined by
+// internal/pipeline (the stages raise them) and aliased here; the public
+// facade re-exports all of them, so downstream callers branch with
+// errors.Is instead of matching error strings.
 var (
 	// ErrBadSubmission marks a Submission refused at admission: not exactly
 	// one payload (raw bytes, parsed APK, or behaviour program), or a
 	// decoded program naming ids outside the deployment's universe.
 	ErrBadSubmission = pipeline.ErrBadSubmission
-
-	// ErrUniverseMismatch marks a model import against a framework
-	// universe that differs from the exporter's. API ids are
-	// universe-relative; importing across universes would silently
-	// mis-map every feature.
-	ErrUniverseMismatch = errors.New("model universe mismatch")
 
 	// ErrDeadlineExceeded marks a vet abandoned because its per-submission
 	// deadline expired. It wraps context.DeadlineExceeded, so both

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"apichecker/internal/emulator"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
 )
@@ -18,14 +19,14 @@ import (
 //
 // The tier is keyed by the serving model's identity: the generation's
 // artifact digest when it has one (the modelstore/lifecycle paths always
-// set it), otherwise a fingerprint of the deterministic model export. A
+// set it), otherwise a fingerprint of the trained parts themselves. A
 // snapshot recorded under any other model is discarded wholesale at open,
 // and SwapModel resets the log exactly like it bumps the in-memory epoch —
 // a persisted verdict can no more outlive its model than a cached one.
 
 // attachPersist opens (or creates) the persist log, replays a matching
 // snapshot into the live cache, and taps the cache's store hook for
-// write-through appends. Called once from NewWithDigest, before the
+// write-through appends. Called once from NewFromParts, before the
 // checker is published.
 func (ck *Checker) attachPersist(dir string) error {
 	if ck.cache == nil {
@@ -89,19 +90,53 @@ func (ck *Checker) AttachPersist(dir string) error {
 
 // persistGenKey derives the identity the persisted tier is keyed by. The
 // generation digest is preferred (content address of the persisted
-// artifact); a generation trained in-process and never snapshotted falls
-// back to hashing its deterministic export, which identifies the trained
-// parts just as stably.
+// artifact). A generation trained in-process and never snapshotted falls
+// back to a hash of everything that shapes a verdict: the model's parts,
+// each in its own deterministic encoding — the universe (config, SDK
+// level, evolve history), the selected keys, the forest, the triage model
+// with its band while the tier is on — and the whole Config, less only the
+// fields named below as shaping none. A field added to Config is therefore
+// in the key until someone excludes it: the worst a new field can do is
+// discard a log, never serve a stale one. Two checkers trained from the
+// same corpus and config share a key.
 func (ck *Checker) persistGenKey() (string, error) {
-	if d := ck.gen.Load().digest; d != "" {
-		return "model:" + d, nil
+	g := ck.gen.Load()
+	if g.digest != "" {
+		return "model:" + g.digest, nil
 	}
-	data, err := ck.ExportBytes()
+	forest, err := g.model.AppendBinary(nil)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return "export:" + hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.u.Config(), g.u.Level(), g.u.EvolveHistory())
+	fmt.Fprintf(h, "keys=%v\n", g.selection.Keys)
+	cfg := ck.cfg
+	// Where verdicts are kept and how many lanes serve them, not what
+	// they are.
+	cfg.VerdictCache, cfg.VerdictPersistDir, cfg.Lanes = 0, "", 0
+	// The band is hashed with the triage model, below.
+	cfg.TriageLo, cfg.TriageHi = 0, 0
+	// Fallback is a pointer, which %v would print as an address: walk the
+	// chain and print each engine by value.
+	for p := &cfg.Profile; p != nil; p = p.Fallback {
+		q := *p
+		q.Fallback = nil
+		fmt.Fprintf(h, "profile=%+v\n", q)
+	}
+	cfg.Profile = emulator.Profile{}
+	fmt.Fprintf(h, "config=%+v\n", cfg)
+	fmt.Fprintf(h, "forest=%d\n", len(forest))
+	h.Write(forest)
+	// The triage model shapes verdicts only while the tier is on (the
+	// condition pipeline.Triage falls through on): under the trivial band
+	// a checker with the model and one without answer bit-identically, and
+	// share a key.
+	if lo, hi := g.mg.TriageLo, g.mg.TriageHi; g.triage != nil && (lo > 0 || hi < 1) {
+		fmt.Fprintf(h, "\ntriage=[%v, %v]\n", lo, hi)
+		h.Write(g.triage.AppendBinary(nil))
+	}
+	return "export:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // resetPersist re-keys the persist log for the newly swapped-in

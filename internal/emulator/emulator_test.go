@@ -276,49 +276,9 @@ func TestHardenedTampersIdentityAPIs(t *testing.T) {
 	t.Skip("no program invoked the anchor API")
 }
 
-func TestFarmRunAll(t *testing.T) {
-	reg := registryNone(t)
-	e := New(GoogleEmulator, reg)
-	farm, err := NewFarm(e, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var programs []*behavior.Program
-	for seed := int64(0); seed < 12; seed++ {
-		programs = append(programs, prog(seed, behavior.Benign, behavior.FamilyNone))
-	}
-	fr, err := farm.RunAll(programs, mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Results) != len(programs) {
-		t.Fatalf("results = %d, want %d", len(fr.Results), len(programs))
-	}
-	if fr.Makespan <= 0 || fr.TotalCPU < fr.Makespan {
-		t.Errorf("makespan %v, total %v inconsistent", fr.Makespan, fr.TotalCPU)
-	}
-	if fr.Makespan > fr.TotalCPU/2 {
-		t.Errorf("4-lane makespan %v barely parallel vs total %v", fr.Makespan, fr.TotalCPU)
-	}
-	if fr.MeanPerApp() <= 0 {
-		t.Error("MeanPerApp not positive")
-	}
-}
-
 func TestFarmRejectsBadLanes(t *testing.T) {
 	if _, err := NewFarm(New(GoogleEmulator, registryNone(t)), 0); err == nil {
 		t.Error("NewFarm accepted 0 lanes")
-	}
-}
-
-func TestDailyCapacity(t *testing.T) {
-	// 1.3 min/app on 16 lanes ≈ 17.7K/day; the paper vets ~10K/day.
-	got := DailyCapacity(78*time.Second, 16)
-	if got < 10000 || got > 20000 {
-		t.Errorf("DailyCapacity = %d, want 10K-20K band", got)
-	}
-	if DailyCapacity(0, 16) != 0 || DailyCapacity(time.Minute, 0) != 0 {
-		t.Error("degenerate inputs should yield 0")
 	}
 }
 

@@ -3,11 +3,9 @@ package emulator
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"apichecker/internal/behavior"
 	"apichecker/internal/monkey"
-	"apichecker/internal/parallel"
 )
 
 // Farm models the production deployment unit (§4.2, §5.1): one commodity
@@ -70,75 +68,4 @@ func (f *Farm) RunContext(ctx context.Context, p *behavior.Program, mk monkey.Co
 	}
 	defer func() { f.slots <- struct{}{} }()
 	return f.emu.RunContext(ctx, p, mk)
-}
-
-// FarmResult aggregates a batch run.
-type FarmResult struct {
-	Results []*Result
-
-	// Makespan is the virtual wall time to drain the queue with Lanes
-	// parallel emulators (FIFO dispatch to the first free lane).
-	Makespan time.Duration
-
-	// TotalCPU is the summed per-app virtual analysis time.
-	TotalCPU time.Duration
-}
-
-// MeanPerApp returns the mean virtual analysis time per app.
-func (fr *FarmResult) MeanPerApp() time.Duration {
-	if len(fr.Results) == 0 {
-		return 0
-	}
-	return fr.TotalCPU / time.Duration(len(fr.Results))
-}
-
-// RunAll vets a queue of programs. Per-app Monkey seeds derive from the
-// base config's seed and the queue position, so results are independent of
-// host scheduling.
-func (f *Farm) RunAll(programs []*behavior.Program, mkBase monkey.Config) (*FarmResult, error) {
-	results := make([]*Result, len(programs))
-	errs := make([]error, len(programs))
-
-	parallel.Run(len(programs), 0, func(i int) {
-		mk := mkBase
-		mk.Seed = mkBase.Seed + int64(i)*0x9e37
-		results[i], errs[i] = f.emu.Run(programs[i], mk)
-	})
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("emulator: farm app %d (%s): %w", i, programs[i].PackageName, err)
-		}
-	}
-
-	// FIFO lane simulation for the virtual makespan.
-	lanes := make([]time.Duration, f.lanes)
-	var total time.Duration
-	for _, res := range results {
-		li := 0
-		for j := 1; j < len(lanes); j++ {
-			if lanes[j] < lanes[li] {
-				li = j
-			}
-		}
-		lanes[li] += res.VirtualTime
-		total += res.VirtualTime
-	}
-	makespan := time.Duration(0)
-	for _, t := range lanes {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	return &FarmResult{Results: results, Makespan: makespan, TotalCPU: total}, nil
-}
-
-// DailyCapacity estimates how many apps one server can vet per day given a
-// mean per-app time (the paper's headline: ~10K/day at 1.3 min/app on 16
-// lanes).
-func DailyCapacity(meanPerApp time.Duration, lanes int) int {
-	if meanPerApp <= 0 || lanes <= 0 {
-		return 0
-	}
-	return int(int64(24*time.Hour)/int64(meanPerApp)) * lanes
 }

@@ -402,30 +402,14 @@ func (e *Extractor) ManifestVectorInto(man *manifest.Manifest, dst ml.Vector) (m
 	return v, nil
 }
 
-// VectorFromFullLog projects the feature vector from a log recorded under
-// a *wider* tracked set than the extractor's — typically the §4.3
-// measurement pass, which tracks every hookable API. Because the emulation
-// itself is registry-independent (the registry only filters what the hook
-// layer records), a full-tracking log is an exact superset of any key-API
-// log under the same profile and Monkey seed, so projecting it yields the
-// same vector a dedicated re-emulation would — without paying for one.
-//
-// The log's registry must track every API the extractor tracks; otherwise
-// API bits could be silently missing and an error is returned.
-func (e *Extractor) VectorFromFullLog(log *hook.Log, man *manifest.Manifest) (ml.Vector, error) {
-	if log == nil || man == nil {
-		return nil, fmt.Errorf("features: nil log or manifest")
-	}
-	if err := e.CanProjectFrom(log.Registry()); err != nil {
-		return nil, err
-	}
-	return e.fill(log, man, nil), nil
-}
-
 // CanProjectFrom reports whether logs recorded under reg cover every API
-// this extractor tracks, i.e. VectorFromFullLog projection is exact. Corpus
-// passes share one registry across all apps, so callers validating up front
-// can project each log with plain Vector.
+// this extractor tracks, i.e. whether projecting them with Vector is exact.
+// The emulation itself is registry-independent (the registry only filters
+// what the hook layer records), so a log recorded under a wider tracked
+// set — typically the §4.3 measurement pass, which tracks every hookable
+// API — is an exact superset of a key-API log under the same profile and
+// Monkey seed. Corpus passes share one registry across all apps, so callers
+// validate once up front and project each log with plain Vector.
 func (e *Extractor) CanProjectFrom(reg *hook.Registry) error {
 	for _, id := range e.tracked {
 		if !reg.Tracks(id) {

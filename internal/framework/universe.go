@@ -648,10 +648,6 @@ func (u *Universe) DesignedKeyAPIs() []APIID {
 	return out
 }
 
-// ImplementedVia returns the designed-key APIs the given API's internal
-// implementation calls, or nil.
-func (u *Universe) ImplementedVia(id APIID) []APIID { return u.implementedVia[id] }
-
 // CoverageClosure returns every API that is one of keys or whose internal
 // implementation depends on one of keys (§5.4's 426 → 5,242 expansion).
 func (u *Universe) CoverageClosure(keys []APIID) []APIID {

@@ -187,7 +187,7 @@ func TestCoverageClosure(t *testing.T) {
 			continue
 		}
 		hit := false
-		for _, d := range u.ImplementedVia(id) {
+		for _, d := range u.implementedVia[id] {
 			if inKeys[d] {
 				hit = true
 				break

@@ -96,9 +96,6 @@ func New(u *framework.Universe, rules []Rule) (*Inspector, error) {
 	return &Inspector{u: u, rules: rules}, nil
 }
 
-// Rules returns the rule set.
-func (ins *Inspector) Rules() []Rule { return ins.rules }
-
 // Inspect evaluates every rule against one app's hook log and manifest.
 func (ins *Inspector) Inspect(log *hook.Log, man *manifest.Manifest) []Finding {
 	var out []Finding

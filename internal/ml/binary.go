@@ -10,10 +10,9 @@ import (
 // Deterministic binary serialization for trained forests — the model-
 // artifact path (monthly evolution persists every promoted generation,
 // content-addressed by digest, so the encoding must be byte-stable for
-// identical models). Unlike the gob form used for peer-market
-// distribution, this format is hand-laid-out little-endian with no type
-// descriptors: encoding the same forest twice yields identical bytes, and
-// decode→encode round-trips to the same bytes.
+// identical models). The format is hand-laid-out little-endian with no
+// type descriptors: encoding the same forest twice yields identical bytes,
+// and decode→encode round-trips to the same bytes.
 //
 // Layout (all integers little-endian):
 //
@@ -24,16 +23,25 @@ import (
 //	          i32 right, f64 prob bits
 //
 // Decoding is strictly bounds-checked: corrupt or truncated payloads
-// return an error wrapping ErrCorruptForest — never a panic — and child
-// indexes are validated exactly as the gob path validates them.
+// return an error wrapping ErrCorruptForest — never a panic — every
+// declared count is checked against the bytes that remain before anything
+// is allocated at that size, and child indexes must point inside their
+// tree.
 
 // ErrCorruptForest marks a binary forest payload that fails structural
 // validation (truncation, impossible counts, invalid child links).
 var ErrCorruptForest = errors.New("ml: corrupt forest encoding")
 
-// maxReasonableCount bounds decoded element counts so a corrupt length
-// prefix cannot trigger a huge allocation before the bounds check fails.
+// maxReasonableCount bounds decoded element counts whatever the payload
+// size.
 const maxReasonableCount = 1 << 26
+
+// Minimum encoded sizes the count checks divide by: a tree is at least its
+// node count and one node.
+const (
+	nodeBytes    = 4 + 4 + 4 + 8
+	minTreeBytes = 4 + nodeBytes
+)
 
 // AppendBinary appends the forest's deterministic binary encoding to buf
 // and returns the extended slice.
@@ -74,6 +82,9 @@ func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
 	if nTrees == 0 || nTrees > maxReasonableCount {
 		return nil, 0, fmt.Errorf("%w: %d trees", ErrCorruptForest, nTrees)
 	}
+	if err := r.fits(nTrees, minTreeBytes, "trees"); err != nil {
+		return nil, 0, err
+	}
 	rf := &RandomForest{}
 	var cfg [5]int64
 	for i := range cfg {
@@ -92,6 +103,9 @@ func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
 	if nImp > maxReasonableCount {
 		return nil, 0, fmt.Errorf("%w: %d importance entries", ErrCorruptForest, nImp)
 	}
+	if err := r.fits(nImp, 8, "importance entries"); err != nil {
+		return nil, 0, err
+	}
 	rf.importance = make([]float64, nImp)
 	for i := range rf.importance {
 		bits, err := r.u64()
@@ -109,6 +123,9 @@ func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
 		if nNodes == 0 || nNodes > maxReasonableCount {
 			return nil, 0, fmt.Errorf("%w: tree %d has %d nodes", ErrCorruptForest, ti, nNodes)
 		}
+		if err := r.fits(nNodes, nodeBytes, "nodes"); err != nil {
+			return nil, 0, err
+		}
 		nodes := make([]treeNode, nNodes)
 		for i := range nodes {
 			f, err1 := r.u32()
@@ -118,16 +135,22 @@ func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
 			if err := errors.Join(err1, err2, err3, err4); err != nil {
 				return nil, 0, err
 			}
-			n := treeNode{feature: int32(f), left: -1, right: -1, prob: math.Float64frombits(pb)}
+			n := treeNode{feature: int32(f), left: int32(l), right: int32(rt), prob: math.Float64frombits(pb)}
 			if n.feature >= 0 {
-				left, right := int32(l), int32(rt)
-				if left < 0 || int(left) >= len(nodes) || right < 0 || int(right) >= len(nodes) {
+				if n.left < 0 || int(n.left) >= len(nodes) || n.right < 0 || int(n.right) >= len(nodes) {
 					return nil, 0, fmt.Errorf("%w: tree %d node %d has invalid children",
 						ErrCorruptForest, ti, i)
 				}
-				n.left, n.right = left, right
+			} else if n.left != -1 || n.right != -1 {
+				// One encoding per forest: a leaf that names children
+				// would decode to the same model under different bytes.
+				return nil, 0, fmt.Errorf("%w: tree %d leaf %d names children",
+					ErrCorruptForest, ti, i)
 			}
 			nodes[i] = n
+		}
+		if !isPreorderTree(nodes) {
+			return nil, 0, fmt.Errorf("%w: tree %d is not one tree in preorder", ErrCorruptForest, ti)
 		}
 		t := &CART{cfg: CARTConfig{}, trained: true, nodes: nodes}
 		t.buildBatch()
@@ -135,6 +158,32 @@ func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
 	}
 	rf.trained = true
 	return rf, r.off, nil
+}
+
+// isPreorderTree reports whether nodes is exactly the arena grow lays out:
+// one binary tree in preorder, each split's left child right behind it and
+// its right child right behind the left subtree. In-range child indexes
+// alone admit cycles (a walk that never reaches a leaf) and shared
+// subtrees (a depth computation exponential in the node count).
+func isPreorderTree(nodes []treeNode) bool {
+	var open []int32 // right children the splits walked so far still await
+	for i, n := range nodes {
+		switch next := int32(i + 1); {
+		case n.feature >= 0:
+			if n.left != next || n.right <= next {
+				return false
+			}
+			open = append(open, n.right)
+		case len(open) > 0:
+			if open[len(open)-1] != next {
+				return false
+			}
+			open = open[:len(open)-1]
+		default:
+			return i == len(nodes)-1
+		}
+	}
+	return false
 }
 
 func appendU32(buf []byte, v uint32) []byte {
@@ -146,6 +195,15 @@ func appendU32(buf []byte, v uint32) []byte {
 type binReader struct {
 	data []byte
 	off  int
+}
+
+// fits rejects a declared count unless n elements of at least minBytes
+// each can still follow, so the caller may allocate at the declared size.
+func (r *binReader) fits(n uint32, minBytes int, what string) error {
+	if remain := len(r.data) - r.off; int(n) > remain/minBytes {
+		return fmt.Errorf("%w: %d %s declared, %d bytes remain", ErrCorruptForest, n, what, remain)
+	}
+	return nil
 }
 
 func (r *binReader) u32() (uint32, error) {

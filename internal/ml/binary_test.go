@@ -2,8 +2,10 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -117,5 +119,83 @@ func TestAUCScoresMatchesCurveAUC(t *testing.T) {
 	got := AUCScores(scores, labels)
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("AUCScores = %v, curve AUC = %v", got, want)
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates (cumulative, so a
+// buffer that is freed again still counts).
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLyingCountAllocatesNothing: a declared count is checked against the
+// bytes that remain before anything is sized by it, so a few dozen hostile
+// bytes cannot make the decoder allocate hundreds of MiB on its way to
+// reporting truncation. One payload per declared count in the two model
+// codecs, each lying with the largest count the constant cap lets through.
+func TestLyingCountAllocatesNothing(t *testing.T) {
+	const lie = maxReasonableCount
+	u32 := func(buf []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(buf, v) }
+	header := func(trees, importance uint32) []byte {
+		buf := u32(nil, trees)
+		buf = append(buf, make([]byte, 5*8)...) // ForestConfig
+		return u32(buf, importance)
+	}
+	forest := func(data []byte) error { _, _, err := DecodeForestBinary(data); return err }
+	linear := func(data []byte) error { _, _, err := DecodeLinearBinary(data); return err }
+
+	cases := []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+		wrap    error
+	}{
+		{"trees", u32(header(lie, 0), 1), forest, ErrCorruptForest},
+		{"importance entries", u32(header(1, lie), 1), forest, ErrCorruptForest},
+		{"nodes per tree", u32(header(1, 0), lie), forest, ErrCorruptForest},
+		{"weights", append(u32(nil, lie), make([]byte, 8)...), linear, ErrCorruptLinear},
+	}
+	for _, tc := range cases {
+		var err error
+		got := allocatedBytes(func() { err = tc.decode(tc.payload) })
+		if !errors.Is(err, tc.wrap) {
+			t.Errorf("%s: error %v does not wrap %v", tc.name, err, tc.wrap)
+		}
+		if got >= 1<<20 {
+			t.Errorf("%s: a %d-byte payload made the decoder allocate %d bytes", tc.name, len(tc.payload), got)
+		}
+	}
+}
+
+// TestForestBinaryRejectsNonTrees: child indexes that are in range but do
+// not spell one preorder tree — a cycle, which would never reach a leaf,
+// or a shared subtree, whose depth walk doubles per level — are refused at
+// decode, before anything walks them.
+func TestForestBinaryRejectsNonTrees(t *testing.T) {
+	encode := func(nodes ...treeNode) []byte {
+		rf := &RandomForest{trained: true, trees: []*CART{{nodes: nodes}}}
+		enc, err := rf.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	leaf := treeNode{feature: -1, left: -1, right: -1}
+	if _, _, err := DecodeForestBinary(encode(treeNode{feature: 0, left: 1, right: 2}, leaf, leaf)); err != nil {
+		t.Fatalf("a well-formed tree was refused: %v", err)
+	}
+	for name, enc := range map[string][]byte{
+		"cycle":          encode(treeNode{feature: 0, left: 1, right: 2}, treeNode{feature: 1, left: 0, right: 2}, leaf),
+		"shared subtree": encode(treeNode{feature: 0, left: 1, right: 1}, leaf),
+		"orphan node":    encode(leaf, leaf),
+		"leaf children":  encode(treeNode{feature: -1, left: 0, right: 0}),
+	} {
+		if _, _, err := DecodeForestBinary(enc); !errors.Is(err, ErrCorruptForest) {
+			t.Errorf("%s: decoded with error %v, want ErrCorruptForest", name, err)
+		}
 	}
 }

@@ -81,17 +81,9 @@ func (t *CART) Train(d *Dataset) error {
 	return t.train(d, transposeDataset(d), rand.New(rand.NewSource(t.cfg.Seed)), false)
 }
 
-// TrainBootstrap trains on a bootstrap sample drawn with rng (random
-// forest bagging).
-func (t *CART) TrainBootstrap(d *Dataset, rng *rand.Rand) error {
-	if err := checkTrainable(d); err != nil {
-		return err
-	}
-	return t.train(d, transposeDataset(d), rng, true)
-}
-
-// trainCols is TrainBootstrap against a prebuilt column view; the forest
-// transposes the dataset once and shares it across all trees.
+// trainCols trains on a bootstrap sample drawn with rng (random forest
+// bagging) against a prebuilt column view; the forest transposes the
+// dataset once and shares it across all trees.
 func (t *CART) trainCols(d *Dataset, fc *featureColumns, rng *rand.Rand) error {
 	if err := checkTrainable(d); err != nil {
 		return err

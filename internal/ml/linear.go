@@ -131,6 +131,9 @@ func DecodeLinearBinary(data []byte) (*Linear, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
 	}
+	if err := r.fits(n, 8, "weights"); err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
+	}
 	l := &Linear{W: make([]float64, n), B: math.Float64frombits(bias)}
 	for i := range l.W {
 		bits, err := r.u64()

@@ -58,8 +58,9 @@ const (
 	triageMagic     = "TRI1"
 )
 
-// maxCount bounds decoded element counts so a corrupt length prefix
-// cannot trigger a huge allocation before its bounds check fails.
+// maxCount bounds decoded element counts whatever the payload size. Every
+// declared count is additionally checked against the bytes that remain
+// (reader.fits) before anything is allocated at that size.
 const maxCount = 1 << 26
 
 // Artifact is one complete, self-contained model generation.
@@ -203,6 +204,9 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 	if nSeeds > maxCount {
 		return nil, fmt.Errorf("%w: %d evolve seeds", ErrCorruptArtifact, nSeeds)
+	}
+	if err := r.fits(nSeeds, 8, "evolve seeds"); err != nil {
+		return nil, err
 	}
 	a.EvolveSeeds = make([]int64, nSeeds)
 	for i := range a.EvolveSeeds {
@@ -433,6 +437,9 @@ func readValue(r *reader, v reflect.Value) error {
 		if n > maxCount {
 			return fmt.Errorf("%w: slice of %d elements", ErrCorruptArtifact, n)
 		}
+		if err := r.fits(n, minEncodedSize(v.Type().Elem()), "slice elements"); err != nil {
+			return err
+		}
 		s := reflect.MakeSlice(v.Type(), int(n), int(n))
 		for i := 0; i < int(n); i++ {
 			if err := readValue(r, s.Index(i)); err != nil {
@@ -475,11 +482,45 @@ func readValue(r *reader, v reflect.Value) error {
 	}
 }
 
+// minEncodedSize is the fewest bytes appendValue can write for a value of
+// type t — what a declared slice count is divided into. It never returns
+// zero: a type the codec cannot encode sizes as one byte (readValue refuses
+// it on the first element), and so does a struct with no encoded fields.
+func minEncodedSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return 8
+	case reflect.String, reflect.Slice:
+		return 4
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Tag.Get("artifact") != "-" {
+				n += minEncodedSize(t.Field(i).Type)
+			}
+		}
+		return max(n, 1)
+	default: // bool, pointer presence byte
+		return 1
+	}
+}
+
 // reader is a bounds-checked little-endian cursor; reads past the end
 // report ErrTruncated.
 type reader struct {
 	data []byte
 	off  int
+}
+
+// fits rejects a declared count unless n elements of at least minBytes
+// each can still follow, so the caller may allocate at the declared size.
+func (r *reader) fits(n uint32, minBytes int, what string) error {
+	if remain := len(r.data) - r.off; int(n) > remain/minBytes {
+		return fmt.Errorf("%w: %d %s declared, %d bytes remain", ErrTruncated, n, what, remain)
+	}
+	return nil
 }
 
 func (r *reader) bytes(n int) ([]byte, error) {

@@ -16,7 +16,7 @@ import (
 // randomArtifact builds a structurally rich artifact with randomized
 // contents: the codec must round-trip whatever the fields hold, not just
 // the defaults.
-func randomArtifact(t *testing.T, seed int64) *Artifact {
+func randomArtifact(t testing.TB, seed int64) *Artifact {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 

@@ -11,7 +11,7 @@ import (
 
 // withTriage attaches a trained tier-1 linear model and a non-trivial
 // uncertainty band to an artifact.
-func withTriage(t *testing.T, a *Artifact, seed int64) *Artifact {
+func withTriage(t testing.TB, a *Artifact, seed int64) *Artifact {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nf := 16 + rng.Intn(24)

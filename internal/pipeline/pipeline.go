@@ -184,15 +184,6 @@ func New(col *obs.Collector, stages ...Stage) *Pipeline {
 	return &Pipeline{stages: stages, col: col}
 }
 
-// Stages returns the chain's stage names in order.
-func (p *Pipeline) Stages() []string {
-	out := make([]string, len(p.stages))
-	for i, st := range p.stages {
-		out[i] = st.Name()
-	}
-	return out
-}
-
 // Run drives one submission through the chain. The returned error is
 // attributed to the stage it died in (see FailedStage) and, for deadline
 // expiries, wraps ErrDeadlineExceeded.

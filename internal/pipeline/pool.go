@@ -24,8 +24,8 @@ import (
 //     into the pooled context, so callers keep it after release;
 //   - cache entries are flat []byte copies (EncodeEntry), so nothing the
 //     cache retains aliases the pooled Vector scratch;
-//   - VetTrace copies the span log before release (Spans' backing array is
-//     recycled).
+//   - no driver returns Spans: their backing array is recycled, so a
+//     caller wanting a submission's span log attaches an obs sink.
 //
 // PoisonReleased flips released storage to garbage before reuse; the
 // pool-aliasing tests run the full serving path under -race with poisoning

@@ -82,8 +82,7 @@ type ModelGen struct {
 	// device serialization.
 	RunRaw func(vc *VetContext) (*adb.VetResult, error)
 
-	// Score classifies one feature vector (the generation's coalescing
-	// batch scorer over its forest).
+	// Score classifies one feature vector on the generation's forest.
 	Score func(ml.Vector) float64
 
 	// Trees sizes the infer span's virtual cost.
@@ -521,8 +520,8 @@ func (s ExtractFeatures) Run(vc *VetContext) error {
 	return nil
 }
 
-// Infer classifies the feature vector through the forest's coalescing
-// batch scorer and assembles the Verdict. It honours the submission
+// Infer classifies the feature vector on the pinned generation's forest
+// and assembles the Verdict. It honours the submission
 // context: a deadline that survived emulation but expired before
 // classification surfaces here, attributed to this stage.
 type Infer struct{ D *Deps }

@@ -36,7 +36,6 @@ const persistMagic = "vcachelog/2 "
 // matches. Safe for concurrent use.
 type PersistLog struct {
 	mu     sync.Mutex
-	genKey string
 	epoch  uint64 // cache epoch appends must match (see AppendCurrent)
 	log    *framelog.Log
 	closed bool
@@ -79,7 +78,7 @@ func OpenPersist(dir, genKey string, epoch uint64, restore func(key string, val 
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("vcache: persist: %w", err)
 	}
-	return &PersistLog{genKey: genKey, epoch: epoch, log: log}, restored, skipped, nil
+	return &PersistLog{epoch: epoch, log: log}, restored, skipped, nil
 }
 
 // EnableCompaction installs the live-snapshot source compaction rewrites
@@ -146,19 +145,12 @@ func (p *PersistLog) Reset(genKey string, epoch uint64) error {
 	if p.closed {
 		return nil
 	}
-	p.genKey, p.epoch = genKey, epoch
+	p.epoch = epoch
 	p.resets++
 	if err := p.log.Reset(persistMagic + genKey); err != nil {
 		return fmt.Errorf("vcache: persist reset: %w", err)
 	}
 	return nil
-}
-
-// GenKey returns the generation key the log is currently recording under.
-func (p *PersistLog) GenKey() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.genKey
 }
 
 // PersistCounters is the persist-tier activity snapshot Counters returns

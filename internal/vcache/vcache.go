@@ -206,7 +206,9 @@ func fnv64(s string) uint64 {
 // concurrent wave of identical keys and caches its result. An empty key
 // bypasses the cache entirely. Followers blocked on a leader honour ctx;
 // the leader's computation runs under whatever context compute captured.
-// Errors are returned but never cached.
+// Errors are returned but never cached. A compute that panics finishes its
+// flight first — followers get an error, the key is free again — and then
+// panics on into Do's caller.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, Outcome, error) {
 	if key == "" {
 		v, err := compute()
@@ -249,7 +251,30 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 	sh.inflight[key] = cl
 	sh.mu.Unlock()
 
+	// A compute that panics must still finish its flight: otherwise the
+	// registration outlives it, and every later Do of this key — the
+	// re-issued attempt after a worker recovered the panic — blocks on a
+	// leader that will never close done. Followers get the panic as an
+	// error; the panic itself goes on to the leader's caller.
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		p := recover()
+		cl.err = fmt.Errorf("vcache: computation for %.12s panicked: %v", key, p)
+		close(cl.done)
+		sh.mu.Lock()
+		if sh.inflight[key] == cl {
+			delete(sh.inflight, key)
+		}
+		sh.mu.Unlock()
+		if p != nil { // nil: compute left through runtime.Goexit
+			panic(p)
+		}
+	}()
 	cl.val, cl.err = compute()
+	finished = true
 	close(cl.done)
 
 	sh.mu.Lock()

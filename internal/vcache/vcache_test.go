@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestDoMissThenHit(t *testing.T) {
@@ -158,6 +160,57 @@ func TestFollowerHonoursContext(t *testing.T) {
 	}
 	if out != OutcomeCoalesced {
 		t.Fatalf("outcome = %v, want coalesced", out)
+	}
+}
+
+// TestPanickingLeaderFinishesFlight: a compute that panics releases its
+// followers with an error and frees the key before the panic reaches its
+// own caller, so the next Do of that key — the re-issued attempt, once a
+// worker has recovered the panic — computes again instead of waiting on a
+// leader that will never finish.
+func TestPanickingLeaderFinishesFlight(t *testing.T) {
+	c := New[int](8)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Do(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			panic("poisoned archive")
+		})
+	}()
+	<-started
+	// What a follower parked on this leader holds: the in-flight call.
+	sh := c.shard("k")
+	sh.mu.Lock()
+	cl := sh.inflight["k"]
+	sh.mu.Unlock()
+	close(release)
+	if p := <-leader; p != "poisoned archive" {
+		t.Fatalf("the leader's caller recovered %v, want the compute's own panic value", p)
+	}
+	select {
+	case <-cl.done:
+		if cl.err == nil || !strings.Contains(cl.err.Error(), "panicked: poisoned archive") {
+			t.Fatalf("a follower would get error %v, want one naming the panic", cl.err)
+		}
+	default:
+		t.Fatal("the panicked leader left its followers parked")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, out, err := c.Do(context.Background(), "k", func() (int, error) { return 3, nil })
+		if v != 3 || out != OutcomeMiss || err != nil {
+			t.Errorf("Do after the panic = (%d, %v, %v), want (3, miss, nil)", v, out, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do after a panicked leader blocked: its flight was never finished")
 	}
 }
 
