@@ -96,7 +96,7 @@ func vetOne(checker *apichecker.Checker, name string, data []byte) {
 		fail(fmt.Errorf("%s: %w", name, err))
 	}
 	if logWriter != nil {
-		rec := analysislog.FromResult(v.Package, v.VersionCode, v.MD5, run, checker.Universe())
+		rec := analysislog.FromResult(v.Package, v.VersionCode, v.Digest, run, checker.Universe())
 		if err := logWriter.Write(rec); err != nil {
 			fail(err)
 		}
@@ -109,15 +109,15 @@ func vetOne(checker *apichecker.Checker, name string, data []byte) {
 	if v.FellBack {
 		note = " [fell back to stock emulator]"
 	}
-	fmt.Printf("%-50s %-9s score=%+.3f scan=%s keyAPIs=%d md5=%s%s\n",
-		name, verdict, v.Score, v.ScanTime.Round(time.Second), v.InvokedKeyAPIs, shortMD5(v.MD5), note)
+	fmt.Printf("%-50s %-9s score=%+.3f scan=%s keyAPIs=%d sha256=%s%s\n",
+		name, verdict, v.Score, v.ScanTime.Round(time.Second), v.InvokedKeyAPIs, shortDigest(v.Digest), note)
 }
 
-func shortMD5(md5 string) string {
-	if len(md5) > 12 {
-		return md5[:12]
+func shortDigest(dig string) string {
+	if len(dig) > 12 {
+		return dig[:12]
 	}
-	return md5
+	return dig
 }
 
 func fail(err error) {

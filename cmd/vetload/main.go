@@ -136,7 +136,7 @@ type result struct {
 	Tier2       int64   `json:"tier2"`
 
 	// VerdictFingerprint is an order-independent digest of the verdict
-	// set: sha256 over the sorted unique "md5:sha256(verdictJSON)" lines.
+	// set: sha256 over the sorted unique "digest:sha256(verdictJSON)" lines.
 	// Two runs over the same workload and model — serial, concurrent, or
 	// spread across a vet cluster — must produce the same fingerprint;
 	// CI compares it against a serial baseline to prove bit-identity.
@@ -205,10 +205,10 @@ func drive(addr string, payloads [][]byte, n, clients int, wait time.Duration) r
 				if st.Verdict != nil {
 					vj, _ := json.Marshal(st.Verdict)
 					h := fmt.Sprintf("%x", sha256.Sum256(vj))
-					if prev, seen := fps[st.Verdict.MD5]; seen && prev != h {
+					if prev, seen := fps[st.Verdict.Digest]; seen && prev != h {
 						conflicts++
 					} else {
-						fps[st.Verdict.MD5] = h
+						fps[st.Verdict.Digest] = h
 					}
 				}
 				mu.Unlock()
@@ -221,8 +221,8 @@ func drive(addr string, payloads [][]byte, n, clients int, wait time.Duration) r
 	// Fold the per-content verdict hashes into one order-independent
 	// fingerprint.
 	lines := make([]string, 0, len(fps))
-	for md5, h := range fps {
-		lines = append(lines, md5+":"+h)
+	for dig, h := range fps {
+		lines = append(lines, dig+":"+h)
 	}
 	sort.Strings(lines)
 	fph := sha256.New()

@@ -59,7 +59,56 @@ type Device struct {
 	// created during emulation; uninstalling does NOT remove them —
 	// that is what "clear up the residual data" is for.
 	residual map[string][]string
-	logcat   []string
+	log      []logEntry
+}
+
+// logKind names one logcat line's shape.
+type logKind uint8
+
+const (
+	logInstalled logKind = iota // n is the version code
+	logMonkey                   // n is the event count
+	logActivity                 // arg is the activity started
+	logCrashed
+	logFellBack // arg is the engine fallen back to
+	logUninstalled
+	logCleared
+)
+
+// logEntry is one recorded logcat line. The device keeps what a line says,
+// not the line: a vet records a dozen of these and nobody reads them, so
+// the text is made by Logcat, for the reader that drains it.
+type logEntry struct {
+	kind     logKind
+	pkg, arg string
+	n        int
+}
+
+func (e logEntry) String() string {
+	switch e.kind {
+	case logInstalled:
+		return fmt.Sprintf("PackageManager: installed %s versionCode=%d", e.pkg, e.n)
+	case logMonkey:
+		return fmt.Sprintf("Monkey: injected %d events into %s", e.n, e.pkg)
+	case logActivity:
+		return fmt.Sprintf("ActivityManager: START u0 {cmp=%s}", e.arg)
+	case logCrashed:
+		return fmt.Sprintf("SystemServer: process %s crashed, restarting emulation", e.pkg)
+	case logFellBack:
+		return fmt.Sprintf("SystemServer: %s incompatible with x86 engine, fell back to %s", e.pkg, e.arg)
+	case logUninstalled:
+		return fmt.Sprintf("PackageManager: uninstalled %s", e.pkg)
+	default:
+		return fmt.Sprintf("pm clear %s: OK", e.pkg)
+	}
+}
+
+func formatLog(entries []logEntry) []string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.String()
+	}
+	return out
 }
 
 // NewDevice creates a device over an emulation profile and hook registry.
@@ -91,16 +140,18 @@ func (d *Device) InstalledPackages() []string {
 // ResidualFiles returns leftover files for a package.
 func (d *Device) ResidualFiles(pkg string) []string { return d.residual[pkg] }
 
-// Logcat drains the device log buffer.
-func (d *Device) Logcat() []string {
-	out := d.logcat
-	d.logcat = nil
+// Logcat drains the device log buffer, formatting its lines.
+func (d *Device) Logcat() []string { return formatLog(d.drain()) }
+
+// drain empties the log buffer into an exactly-sized copy; the buffer's
+// storage stays with the device for the next app.
+func (d *Device) drain() []logEntry {
+	out := append([]logEntry(nil), d.log...)
+	d.log = d.log[:0]
 	return out
 }
 
-func (d *Device) logf(format string, args ...any) {
-	d.logcat = append(d.logcat, fmt.Sprintf(format, args...))
-}
+func (d *Device) record(e logEntry) { d.log = append(d.log, e) }
 
 // Install parses and installs an APK. It refuses on a busy/dirty device,
 // on corrupt archives, and on duplicate installs.
@@ -132,7 +183,7 @@ func (d *Device) installParsed(parsed *apk.APK) error {
 		}
 	}
 	d.installed[pkg] = parsed
-	d.logf("PackageManager: installed %s versionCode=%d", pkg, parsed.VersionCode())
+	d.record(logEntry{kind: logInstalled, pkg: pkg, n: parsed.VersionCode()})
 	return nil
 }
 
@@ -156,15 +207,15 @@ func (d *Device) RunMonkeyContext(ctx context.Context, pkg string, mk monkey.Con
 	if err != nil {
 		return nil, fmt.Errorf("adb: %s: monkey %s: %w", d.serial, pkg, err)
 	}
-	d.logf("Monkey: injected %d events into %s", res.Events, pkg)
+	d.record(logEntry{kind: logMonkey, pkg: pkg, n: res.Events})
 	for _, act := range res.Log.ReachedActivities {
-		d.logf("ActivityManager: START u0 {cmp=%s}", act)
+		d.record(logEntry{kind: logActivity, arg: act})
 	}
 	for i := 0; i < res.Crashed; i++ {
-		d.logf("SystemServer: process %s crashed, restarting emulation", pkg)
+		d.record(logEntry{kind: logCrashed, pkg: pkg})
 	}
 	if res.FellBack {
-		d.logf("SystemServer: %s incompatible with x86 engine, fell back to %s", pkg, res.Profile)
+		d.record(logEntry{kind: logFellBack, pkg: pkg, arg: res.Profile})
 	}
 	// Emulation leaves app data behind.
 	d.residual[pkg] = []string{
@@ -182,7 +233,7 @@ func (d *Device) Uninstall(pkg string) error {
 		return fmt.Errorf("adb: %s: uninstall: package %s not installed", d.serial, pkg)
 	}
 	delete(d.installed, pkg)
-	d.logf("PackageManager: uninstalled %s", pkg)
+	d.record(logEntry{kind: logUninstalled, pkg: pkg})
 	return nil
 }
 
@@ -193,7 +244,7 @@ func (d *Device) ClearData(pkg string) {
 	if len(d.residual) == 0 && len(d.installed) == 0 && d.state == StateDirty {
 		d.state = StateIdle
 	}
-	d.logf("pm clear %s: OK", pkg)
+	d.record(logEntry{kind: logCleared, pkg: pkg})
 }
 
 // Clean reports whether the device carries no apps and no residual data.
@@ -213,12 +264,16 @@ func NewSession(dev *Device) *Session { return &Session{dev: dev} }
 type VetResult struct {
 	APK      *apk.APK
 	Run      *emulator.Result
-	Logcat   []string
 	Duration time.Duration // virtual time incl. the run
+
+	log []logEntry
 }
 
+// Logcat formats the session's device log.
+func (r *VetResult) Logcat() []string { return formatLog(r.log) }
+
 // Vet installs, exercises, uninstalls and cleans in order, returning the
-// run result and the session's logcat. The device is guaranteed idle and
+// run result and the session's device log. The device is guaranteed idle and
 // clean afterwards, whatever happened in between.
 func (s *Session) Vet(data []byte, mk monkey.Config) (*VetResult, error) {
 	return s.VetContext(context.Background(), data, mk)
@@ -269,7 +324,7 @@ func (s *Session) finish(ctx context.Context, parsed *apk.APK, mk monkey.Config)
 	return &VetResult{
 		APK:      parsed,
 		Run:      res,
-		Logcat:   s.dev.Logcat(),
 		Duration: res.VirtualTime,
+		log:      s.dev.drain(),
 	}, nil
 }

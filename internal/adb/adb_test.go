@@ -2,6 +2,7 @@ package adb
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"apichecker/internal/apk"
@@ -130,7 +131,7 @@ func TestSessionVetLeavesDeviceClean(t *testing.T) {
 		if !dev.Clean() || dev.State() != StateIdle {
 			t.Fatalf("device dirty after vet %d", i)
 		}
-		if len(vr.Logcat) == 0 {
+		if len(vr.Logcat()) == 0 {
 			t.Error("session lost the logcat")
 		}
 	}
@@ -153,5 +154,54 @@ func TestSessionVetCleansUpOnFailure(t *testing.T) {
 	if !dev.Clean() || dev.State() != StateIdle {
 		t.Errorf("device dirty after mid-sequence failure: state=%v installed=%v",
 			dev.State(), dev.InstalledPackages())
+	}
+}
+
+// TestLogcatMatchesRecordedTranscript: the device records what each logcat
+// line says and formats on drain. The transcripts below were printed by the
+// fmt.Sprintf calls the device made per line before that (4d11e0c's adb.go
+// over this emulator), for one clean run, one crash-restart and one
+// fallback; the drained log must be those lines, in that order.
+func TestLogcatMatchesRecordedTranscript(t *testing.T) {
+	activities := func(ids ...string) []string {
+		out := []string{"ActivityManager: START u0 {cmp=com.adb.log.MainActivity}"}
+		for _, id := range ids {
+			out = append(out, "ActivityManager: START u0 {cmp=com.adb.log.Activity"+id+"}")
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name       string
+		seed       int64
+		activities []string
+		after      []string // between the activity starts and the uninstall
+	}{
+		{"clean", 0, activities("2", "3", "5", "7", "8", "10"), nil},
+		{"crash-restart", 13, activities("1", "3", "4", "5", "7", "8"),
+			[]string{"SystemServer: process com.adb.log crashed, restarting emulation"}},
+		{"fallback", 84, activities("2", "3", "4", "5", "6", "7", "8", "10", "12"),
+			[]string{"SystemServer: com.adb.log incompatible with x86 engine, fell back to google-emulator"}},
+	} {
+		want := []string{
+			"PackageManager: installed com.adb.log versionCode=2",
+			"Monkey: injected 5000 events into com.adb.log",
+		}
+		want = append(want, tc.activities...)
+		want = append(want, tc.after...)
+		want = append(want, "PackageManager: uninstalled com.adb.log", "pm clear com.adb.log: OK")
+
+		dev := NewDevice("emulator-5554", emulator.LightweightEmulator, testRegistry(t))
+		vr, err := NewSession(dev).Vet(buildAPK(t, "com.adb.log", 2, tc.seed), monkey.ProductionConfig(tc.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vr.Logcat(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: logcat\n%q\nwant\n%q", tc.name, got, want)
+		}
+		// The cleanup that runs after the session's drain stays with the
+		// device, as it always has.
+		if got := dev.Logcat(); !reflect.DeepEqual(got, []string{"pm clear com.adb.log: OK"}) {
+			t.Errorf("%s: device log after the session: %q", tc.name, got)
+		}
 	}
 }

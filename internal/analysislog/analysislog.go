@@ -19,8 +19,9 @@ import (
 	"apichecker/internal/framework"
 )
 
-// FormatVersion guards record compatibility.
-const FormatVersion = 1
+// FormatVersion guards record compatibility. Version 1 identified the app
+// by "md5"; version 2 carries the content digest as "sha256".
+const FormatVersion = 2
 
 // Invocation is one tracked API's aggregate.
 type Invocation struct {
@@ -35,7 +36,7 @@ type Record struct {
 
 	Package     string `json:"package"`
 	VersionCode int    `json:"version_code"`
-	MD5         string `json:"md5,omitempty"`
+	SHA256      string `json:"sha256,omitempty"`
 
 	Engine   string  `json:"engine"`
 	Events   int     `json:"events"`
@@ -53,12 +54,12 @@ type Record struct {
 }
 
 // FromResult builds a record from one emulation result.
-func FromResult(pkg string, versionCode int, md5 string, res *emulator.Result, u *framework.Universe) *Record {
+func FromResult(pkg string, versionCode int, digest string, res *emulator.Result, u *framework.Universe) *Record {
 	rec := &Record{
 		Version:          FormatVersion,
 		Package:          pkg,
 		VersionCode:      versionCode,
-		MD5:              md5,
+		SHA256:           digest,
 		Engine:           res.Profile,
 		Events:           res.Events,
 		RAC:              res.RAC,

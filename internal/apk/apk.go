@@ -12,8 +12,10 @@
 //	META-INF/MANIFEST.MF — digest manifest standing in for the signature
 //
 // App identity follows the paper (§4.1): APKs with the same package name
-// but different MD5 hashes are different apps; same package name with a
-// higher versionCode is an update.
+// but different content hashes are different apps; same package name with a
+// higher versionCode is an update. The paper's market keys on MD5; here the
+// SHA-256 content digest is the one identity — submission id, cache key,
+// journal key and the verdict's Digest — so an archive is hashed once.
 package apk
 
 import (
@@ -56,12 +58,8 @@ type APK struct {
 	Dex      *dex.File
 	Program  *behavior.Program
 
-	// MD5 is the hex digest of the serialized archive, the app's
-	// identity key in the market database.
-	MD5 string
-
-	// SHA256 is the content digest of the serialized archive — the
-	// verdict-cache key on the serving path. Computed once at parse time;
+	// SHA256 is the content digest of the serialized archive — the app's
+	// identity and the verdict-cache key. Computed once at parse time;
 	// empty for an APK assembled by hand rather than parsed from bytes.
 	SHA256 string
 
@@ -196,7 +194,7 @@ func Parse(data []byte) (*APK, error) {
 	if out.Program, err = a.Program(); err != nil {
 		return nil, err
 	}
-	out.MD5, out.SHA256 = a.MD5(), Digest(data)
+	out.SHA256 = Digest(data)
 	return out, nil
 }
 
@@ -236,7 +234,6 @@ var loadEntries = [...]string{
 // pipeline never asks for the dex. Every error wraps ErrBadAPK. Not safe
 // for concurrent use.
 type Archive struct {
-	data  []byte
 	files [len(loadEntries)]*zip.File
 
 	// setErr is what the load-bearing set as a whole fails on — an entry
@@ -253,7 +250,6 @@ type Archive struct {
 	dexErr      error
 	program     *behavior.Program
 	programErr  error
-	md5         string
 }
 
 // Open walks the archive's central directory. It fails only on bytes that
@@ -283,7 +279,6 @@ func (a *Archive) open(data []byte) error {
 	if err != nil {
 		return badAPK(fmt.Errorf("apk: parse: not a zip archive: %w", err))
 	}
-	a.data = data
 
 	// One pass over the central directory: locate the load-bearing entries
 	// (first of a name wins) and bound the total decode size before
@@ -474,16 +469,6 @@ func (a *Archive) sound() (*manifest.Manifest, error) {
 		return nil, a.setErr
 	}
 	return a.Manifest()
-}
-
-// MD5 returns the hex MD5 of the archive bytes, the app's identity key in
-// the market database, hashed on first use.
-func (a *Archive) MD5() string {
-	if a.md5 == "" {
-		sum := md5.Sum(a.data)
-		a.md5 = hex.EncodeToString(sum[:])
-	}
-	return a.md5
 }
 
 // BuildAndParse is a convenience composing Build and Parse; it returns the

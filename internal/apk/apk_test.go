@@ -40,8 +40,8 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if parsed.Size != int64(len(data)) {
 		t.Errorf("Size = %d, want %d", parsed.Size, len(data))
 	}
-	if len(parsed.MD5) != 32 {
-		t.Errorf("MD5 = %q", parsed.MD5)
+	if parsed.SHA256 != Digest(data) || len(parsed.SHA256) != 64 {
+		t.Errorf("SHA256 = %q", parsed.SHA256)
 	}
 	if len(parsed.Program.Activities) != len(p.Activities) {
 		t.Errorf("activities = %d, want %d", len(parsed.Program.Activities), len(p.Activities))
@@ -66,7 +66,7 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-func TestMD5DistinguishesApps(t *testing.T) {
+func TestDigestDistinguishesApps(t *testing.T) {
 	p1 := program(1, behavior.Benign, behavior.FamilyNone)
 	p2 := program(2, behavior.Benign, behavior.FamilyNone)
 	_, a1, err := BuildAndParse(p1, testU)
@@ -81,8 +81,8 @@ func TestMD5DistinguishesApps(t *testing.T) {
 	if a1.PackageName() != a2.PackageName() {
 		t.Fatal("test setup: packages differ")
 	}
-	if a1.MD5 == a2.MD5 {
-		t.Error("different content produced identical MD5 identity")
+	if a1.SHA256 == a2.SHA256 {
+		t.Error("different content produced identical content-digest identity")
 	}
 }
 

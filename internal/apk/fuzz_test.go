@@ -56,8 +56,8 @@ func FuzzParse(f *testing.F) {
 		if parsed.PackageName() != parsed.Program.PackageName {
 			t.Fatal("accepted APK with inconsistent identity")
 		}
-		if len(parsed.MD5) != 32 {
-			t.Fatal("accepted APK without identity hash")
+		if parsed.SHA256 != Digest(data) {
+			t.Fatal("accepted APK without its content digest")
 		}
 		// Both entry points decode the manifest through manifest.Decode, scan
 		// or fallback alike: whenever both accept, they read the same one.
@@ -90,9 +90,6 @@ func FuzzOpenMatchesParse(f *testing.F) {
 		if parseErr == nil {
 			if !reflect.DeepEqual(m, parsed.Manifest) || !reflect.DeepEqual(prog, parsed.Program) {
 				t.Fatalf("vet view diverged from Parse:\n%+v\n%+v\n%+v\n%+v", m, parsed.Manifest, prog, parsed.Program)
-			}
-			if a.MD5() != parsed.MD5 {
-				t.Fatalf("handle MD5 %s != Parse MD5 %s", a.MD5(), parsed.MD5)
 			}
 			if d, err := a.Dex(); err != nil || !reflect.DeepEqual(d, parsed.Dex) {
 				t.Fatalf("Parse accepted the dex, the handle did not read the same one: %v", err)

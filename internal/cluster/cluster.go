@@ -100,7 +100,10 @@ type ackRequest struct {
 	// WallNS is the node-side wall-clock vet cost in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
 
-	// Verdict is the result (nil when the vet failed).
+	// Verdict is the result (nil when the vet failed). Its Digest does not
+	// travel: the coordinator keyed the claim by it and sets it from its
+	// own record (vetsvc.ReportRemote), so a node cannot report a verdict
+	// under another archive's identity.
 	Verdict *core.Verdict `json:"verdict,omitempty"`
 	// Error and ErrorKind report a failed vet; ErrorKind "deadline" maps
 	// back to core.ErrDeadlineExceeded so coordinator-side accounting and
@@ -151,7 +154,6 @@ func appendAck(dst []byte, a *ackRequest) []byte {
 	if v := a.Verdict; v != nil {
 		dst = appendJSONString(append(dst, `,"verdict":{"Package":`...), v.Package)
 		dst = strconv.AppendInt(append(dst, `,"VersionCode":`...), int64(v.VersionCode), 10)
-		dst = appendJSONString(append(dst, `,"MD5":`...), v.MD5)
 		dst = strconv.AppendUint(append(dst, `,"Generation":`...), v.Generation, 10)
 		dst = strconv.AppendBool(append(dst, `,"Malicious":`...), v.Malicious)
 		dst = strconv.AppendFloat(append(dst, `,"Score":`...), v.Score, 'g', -1, 64)

@@ -251,6 +251,11 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 					t.Fatalf("%s: submission %d: cluster %+v vs serial %+v",
 						tc.name, i, *got[i], *serial[i])
 				}
+				// The ack does not carry the digest; the coordinator's
+				// record does.
+				if got[i].Digest != apk.Digest(subs[i].Raw) {
+					t.Fatalf("%s: submission %d: acked verdict carries digest %q", tc.name, i, got[i].Digest)
+				}
 			}
 		})
 	}

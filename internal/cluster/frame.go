@@ -28,7 +28,7 @@ import (
 // runs past the bytes present, or anything after a drained header is an
 // error — so every accepted frame re-encodes to the bytes it came from.
 const (
-	frameVersion = 2
+	frameVersion = 3
 	frameDrained = 1 << 0
 	frameFixed   = 46
 

@@ -73,7 +73,7 @@ func TestVetRawAPKRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Package != p.PackageName || v.MD5 == "" {
+	if v.Package != p.PackageName || v.Digest != apk.Digest(data) {
 		t.Errorf("verdict identity: %+v", v)
 	}
 	if _, err := ck.Vet(context.Background(), Submission{Raw: []byte("garbage")}); err == nil {

@@ -4,7 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"context"
-	"crypto/md5"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -161,9 +161,9 @@ func TestHostileCorruptDexIsVetted(t *testing.T) {
 		if v.Package != p.PackageName || v.VersionCode != p.Version || v.Tier != 2 {
 			t.Errorf("%s: verdict %+v, want %s v%d at tier 2", kind, v, p.PackageName, p.Version)
 		}
-		sum := md5.Sum(raw)
-		if v.MD5 != hex.EncodeToString(sum[:]) {
-			t.Errorf("%s: verdict MD5 %s is not the submitted bytes'", kind, v.MD5)
+		sum := sha256.Sum256(raw)
+		if v.Digest != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: verdict Digest %s is not the submitted bytes'", kind, v.Digest)
 		}
 		w, err := again.Vet(context.Background(), Submission{Raw: raw})
 		if err != nil || !reflect.DeepEqual(v, w) {

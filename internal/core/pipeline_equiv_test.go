@@ -66,16 +66,14 @@ func legacyVet(t *testing.T, ck *Checker, sub Submission) *Verdict {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return legacyVerdict(ck, vr.APK.PackageName(), vr.APK.VersionCode(), vr.APK.MD5, vr.Run, x)
+		return legacyVerdict(ck, vr.APK.PackageName(), vr.APK.VersionCode(), dig, vr.Run, x)
 	}
 
 	p := sub.Program
 	var man *manifest.Manifest
-	md5 := ""
 	if sub.Parsed != nil {
 		p = sub.Parsed.Program
 		man = sub.Parsed.Manifest
-		md5 = sub.Parsed.MD5
 	}
 	res, err := emulator.New(cfg.Profile, reg).Run(p, mkc)
 	if err != nil {
@@ -91,15 +89,15 @@ func legacyVet(t *testing.T, ck *Checker, sub Submission) *Verdict {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return legacyVerdict(ck, p.PackageName, p.Version, md5, res, x)
+	return legacyVerdict(ck, p.PackageName, p.Version, dig, res, x)
 }
 
-func legacyVerdict(ck *Checker, pkg string, version int, md5 string, res *emulator.Result, x ml.Vector) *Verdict {
+func legacyVerdict(ck *Checker, pkg string, version int, dig string, res *emulator.Result, x ml.Vector) *Verdict {
 	score := ck.Model().Score(x)
 	return &Verdict{
 		Package:        pkg,
 		VersionCode:    version,
-		MD5:            md5,
+		Digest:         dig,
 		Generation:     ck.Generation().ID,
 		Malicious:      score > 0,
 		Score:          score,

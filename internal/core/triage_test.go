@@ -126,8 +126,8 @@ func TestTriageShortCircuitAndBandEquivalence(t *testing.T) {
 			if got.OverallTime != got.ScanTime+pipeline.FixedOverhead {
 				t.Fatalf("app %d: tier-1 overall time = %v", i, got.OverallTime)
 			}
-			if got.Package != corpus.Program(i).PackageName {
-				t.Fatalf("app %d: tier-1 package = %q", i, got.Package)
+			if got.Package != corpus.Program(i).PackageName || got.Digest != sub.ContentDigest() || got.Digest == "" {
+				t.Fatalf("app %d: tier-1 identity = %q / %q", i, got.Package, got.Digest)
 			}
 			// The band straddles 0.5, so the malicious call and the logit
 			// sign must agree, exactly as they do for forest margins.
@@ -178,7 +178,7 @@ func TestTriageShortCircuitAndBandEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rawV.Tier != 1 || rawV.MD5 != parsed.MD5 || rawV.Package != p.PackageName {
+	if rawV.Tier != 1 || rawV.Digest != parsed.SHA256 || rawV.Package != p.PackageName {
 		t.Errorf("raw tier-1 verdict: %+v", rawV)
 	}
 	parsedV, out, err := tiered.VetOutcome(context.Background(), Submission{Parsed: parsed})

@@ -101,15 +101,15 @@ func TestSubmissionPayloadsMatchVet(t *testing.T) {
 	if !reflect.DeepEqual(vr, vp) {
 		t.Errorf("Raw-payload Vet diverged across fresh checkers")
 	}
-	// A parsed submission carries the archive metadata (MD5, version)
+	// A parsed submission carries the archive metadata (digest, version)
 	// without paying the unpack again.
 	vd, err := ckA.Vet(context.Background(), Submission{Parsed: parsed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vd.MD5 != vr.MD5 || vd.Package != vr.Package {
+	if vd.Digest != vr.Digest || vd.Package != vr.Package {
 		t.Errorf("parsed vet identity = %q/%q, want %q/%q",
-			vd.Package, vd.MD5, vr.Package, vr.MD5)
+			vd.Package, vd.Digest, vr.Package, vr.Digest)
 	}
 }
 

@@ -237,6 +237,19 @@ func TestDigestAgreesAcrossPayloadForms(t *testing.T) {
 	if runs := emulator.RunCount() - runs0; runs != 1 {
 		t.Fatalf("emulation runs = %d, want 1", runs)
 	}
+
+	// The verdict names the submission by that digest — the emulated answer
+	// and the cached one (which takes it from the key it looked up), for
+	// archives and for a bare program alike.
+	if v1.Digest != raw.ContentDigest() || v2.Digest != raw.ContentDigest() {
+		t.Fatalf("archive verdicts carry digests %q (miss) and %q (hit), want %q", v1.Digest, v2.Digest, raw.ContentDigest())
+	}
+	for _, wantOut := range []vcache.Outcome{vcache.OutcomeMiss, vcache.OutcomeHit} {
+		v, out, err := ck.VetOutcome(context.Background(), prog)
+		if err != nil || out != wantOut || v.Digest != prog.ContentDigest() {
+			t.Fatalf("program verdict: digest %q, outcome %v, %v; want %q on a %v", v.Digest, out, err, prog.ContentDigest(), wantOut)
+		}
+	}
 }
 
 // TestConcurrentDuplicateVets: N goroutines vetting the same program pay

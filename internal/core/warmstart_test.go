@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"apichecker/internal/emulator"
 	"apichecker/internal/framework"
 	"apichecker/internal/ml"
+	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
 )
 
@@ -66,6 +68,9 @@ func TestPersistWarmStart(t *testing.T) {
 		}
 		if *v != *baseline[i] {
 			t.Fatalf("sub %d: restored verdict differs:\n  first run %+v\n  restart   %+v", i, *baseline[i], *v)
+		}
+		if d, _ := corpus.Program(i).ContentDigest(); v.Digest != d {
+			t.Fatalf("sub %d: restored verdict carries digest %q, want the key it was stored under, %q", i, v.Digest, d)
 		}
 	}
 	if runs := emulator.RunCount() - runs0; runs != 0 {
@@ -261,5 +266,52 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 	// the form registry-backed deployments have always had on disk.
 	if got := keyOf(withParts(func(p *ModelParts) { p.Digest = "abc123" })); got != "model:abc123" {
 		t.Errorf("digest-carrying key = %q, want model:abc123", got)
+	}
+}
+
+// TestPersistSkipsVersion1Entries: a persist log that holds an entry in the
+// version-1 layout — what a binary from before the stream move wrote, its
+// verdict drawn from streams this one no longer has — restores the entries
+// it can read, skips and counts the one it cannot, and answers that
+// submission by emulating it.
+func TestPersistSkipsVersion1Entries(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.VerdictPersistDir = dir
+	ck1, corpus := trainedCheckerCfg(t, 300, cfg)
+
+	kept, stale := Submission{Program: corpus.Program(0)}, Submission{Program: corpus.Program(1)}
+	want, err := ck1.Vet(context.Background(), kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v1 layout: version byte 1, then package, version code, a
+	// length-prefixed MD5, and the fields version 2 still has. The rest of
+	// the entry is beside the point — the version byte alone refuses it.
+	v1 := []byte{1, 7, 0, 0, 0, 'c', 'o', 'm', '.', 'o', 'l', 'd'}
+	if _, err := pipeline.DecodeCachedVerdict(v1); !errors.Is(err, pipeline.ErrBadEntry) {
+		t.Fatalf("v1 entry decodes: %v", err)
+	}
+	if err := ck1.persist.AppendCurrent(stale.ContentDigest(), v1, ck1.cache.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck1.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	ck2, err := NewFromParts(ck1.Parts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck2.ClosePersist()
+	if ps := ck2.PersistStats(); ps.Restored != 1 || ps.Skipped != 1 {
+		t.Fatalf("restart persist stats = %+v, want 1 restored and 1 skipped", ps)
+	}
+	v, out, err := ck2.VetOutcome(context.Background(), kept)
+	if err != nil || out != vcache.OutcomeHit || *v != *want {
+		t.Fatalf("readable entry: %+v, %v, %v; want a hit equal to %+v", v, out, err, want)
+	}
+	if _, out, err = ck2.VetOutcome(context.Background(), stale); err != nil || out != vcache.OutcomeMiss {
+		t.Fatalf("submission under the v1 entry: outcome %v, %v; want a miss", out, err)
 	}
 }

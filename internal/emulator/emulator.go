@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -17,6 +17,11 @@ import (
 // this are deterministically incompatible with the x86 port (< 1% of apps)
 // and fall back to the Google engine (§5.1).
 const incompatibleThreshold = 0.0195
+
+// speedStream is the PCG stream the app-speed draw is taken from (the
+// 64-bit golden-ratio constant). A run's own stream is selected by the
+// Monkey seed; this one by nothing but the app.
+const speedStream = 0x9e3779b97f4a7c15
 
 // Emulator runs programs under one profile with one hook registry.
 type Emulator struct {
@@ -148,7 +153,9 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 		return res, nil
 	}
 
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(mk.Seed)<<1 ^ 0x5ca1ab1e))
+	// The run stream: the app seed picks the generator's state, the Monkey
+	// seed its stream, so distinct (app, Monkey) pairs never share a run.
+	rng := rand.New(rand.NewPCG(uint64(p.Seed), uint64(mk.Seed)))
 	log := hook.NewLog(e.reg)
 	res := &Result{Log: log, Events: mk.Events, Profile: e.profile.Name}
 
@@ -293,9 +300,10 @@ func (e *Emulator) failedProbes(mk monkey.Config) uint8 {
 	return failed
 }
 
-// appSpeed derives the app's stable speed multiplier on a profile.
+// appSpeed derives the app's stable speed multiplier on a profile: one
+// draw from the app's own stream, whatever Monkey exercises it.
 func appSpeed(p *behavior.Program, prof Profile) float64 {
-	rng := rand.New(rand.NewSource(p.Seed * 0x9e3779b9))
+	rng := rand.New(rand.NewPCG(uint64(p.Seed), speedStream))
 	s := math.Exp(rng.NormFloat64() * prof.SpeedSigma)
 	if s < prof.SpeedMin {
 		s = prof.SpeedMin
@@ -320,13 +328,13 @@ func sensorGated(name string) bool {
 // invocation: the draws only — hook.Log.Params renders the text for the
 // readers that print it.
 func sampleParam(rng *rand.Rand) hook.Param {
-	switch rng.Intn(4) {
+	switch rng.IntN(4) {
 	case 0:
 		return hook.Param{Kind: hook.ParamArg}
 	case 1:
-		return hook.Param{Kind: hook.ParamFlags, Value: int32(rng.Intn(1 << 12))}
+		return hook.Param{Kind: hook.ParamFlags, Value: int32(rng.IntN(1 << 12))}
 	case 2:
-		return hook.Param{Kind: hook.ParamUID, Value: int32(10000 + rng.Intn(500))}
+		return hook.Param{Kind: hook.ParamUID, Value: int32(10000 + rng.IntN(500))}
 	default:
 		return hook.Param{Kind: hook.ParamCtx}
 	}

@@ -1,7 +1,7 @@
 package emulator
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"reflect"
 	"strconv"
 	"testing"
@@ -15,13 +15,13 @@ import (
 // the parameter text itself, kept as the reference: same draws in the same
 // order, the string made on the spot.
 func sampleParamStrings(rng *rand.Rand, api *framework.API) string {
-	switch rng.Intn(4) {
+	switch rng.IntN(4) {
 	case 0:
 		return "arg=" + api.Name[max(0, len(api.Name)-12):]
 	case 1:
-		return "flags=0x" + strconv.FormatInt(int64(rng.Intn(1<<12)), 16)
+		return "flags=0x" + strconv.FormatInt(int64(rng.IntN(1<<12)), 16)
 	case 2:
-		return "uid=" + strconv.Itoa(10000+rng.Intn(500))
+		return "uid=" + strconv.Itoa(10000+rng.IntN(500))
 	default:
 		return "ctx=app"
 	}
@@ -43,8 +43,7 @@ func TestSampleParamMatchesStringReference(t *testing.T) {
 			label, fam = behavior.Malicious, behavior.Family(1+(i/2)%behavior.NumFamilies)
 		}
 		p := prog(int64(900+i), label, fam)
-		seed := p.Seed ^ 0x5ca1ab1e
-		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		rng, ref := rand.New(rand.NewPCG(uint64(p.Seed), 1)), rand.New(rand.NewPCG(uint64(p.Seed), 1))
 		log := hook.NewLog(reg)
 		want := map[framework.APIID][]string{}
 		for a := range p.Activities {
@@ -56,7 +55,7 @@ func TestSampleParamMatchesStringReference(t *testing.T) {
 				}
 			}
 		}
-		if rng.Int63() != ref.Int63() {
+		if rng.Uint64() != ref.Uint64() {
 			t.Fatalf("app %d: sampleParam drew differently from the reference", i)
 		}
 		log.Seal()

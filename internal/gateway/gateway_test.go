@@ -347,25 +347,27 @@ func TestGatewayDrainDuringInflight(t *testing.T) {
 		shutdownDone <- gw.Shutdown(ctx)
 	}()
 
-	// Admissions stop immediately, before the drain resolves.
+	// Admissions stop immediately, before the drain resolves. The gate is
+	// watched through /healthz, which admits nothing: an archive posted in
+	// the moment before Shutdown flips the gate would be admitted, drained
+	// and counted beside the one this test is about.
 	drainDeadline := time.Now().Add(10 * time.Second)
 	for {
-		_, resp := postAPK(t, ts.URL, "", buildAPK(t, corpus, 1))
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			break
 		}
 		if time.Now().After(drainDeadline) {
-			t.Fatalf("draining gateway still admits (status %d)", resp.StatusCode)
+			t.Fatalf("draining /healthz status %d, want 503", resp.StatusCode)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if resp, err := http.Get(ts.URL + "/healthz"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("draining /healthz status %d, want 503", resp.StatusCode)
-		}
+	if _, resp := postAPK(t, ts.URL, "", buildAPK(t, corpus, 1)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining gateway still admits (status %d)", resp.StatusCode)
 	}
 
 	// Let the hard-cancel fire (timer-driven), then release the lane so
@@ -376,7 +378,14 @@ func TestGatewayDrainDuringInflight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
+	// The gateway completes its record from a goroutine waiting on the
+	// ticket, so a poll right behind Shutdown may still read "claimed"
+	// (202) for a moment; wait for the record, not for luck.
 	got, resp := getStatus(t, ts.URL, st.ID, "")
+	for settleDeadline := time.Now().Add(10 * time.Second); resp.StatusCode == http.StatusAccepted && time.Now().Before(settleDeadline); {
+		time.Sleep(time.Millisecond)
+		got, resp = getStatus(t, ts.URL, st.ID, "")
+	}
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drained submission poll status %d (%+v), want 503", resp.StatusCode, got)
 	}

@@ -21,7 +21,6 @@ import (
 //	[0]      version byte (entryVersion)
 //	package  uint32 len + bytes
 //	version  uint64 (two's complement of the int)
-//	md5      uint32 len + bytes
 //	gen      uint64
 //	flags    byte (bit0 Malicious, bit1 FellBack, bit2 Tier == 1)
 //	score    uint64 (IEEE 754 bits)
@@ -32,11 +31,19 @@ import (
 //	invoked  uint64
 //	vector   uint32 word count + 8 bytes per word
 //
+// The verdict's Digest is not in the entry: it is the key the entry is
+// stored under, and whoever looks the entry up sets it from that key.
+//
 // Encoding copies out of the VetContext, decoding copies into caller-owned
 // storage, so an entry never aliases pooled or per-submission memory: the
 // []byte itself is immutable from the moment it is stored, which is also
 // what lets the persistent tier write it to disk verbatim.
-const entryVersion = 1
+//
+// Version 1 carried an MD5 identity after the version code and memoized
+// emulations drawn from the math/rand streams; a v1 entry is ErrBadEntry,
+// which is what keeps a persisted log from before the stream move from
+// ever being served.
+const entryVersion = 2
 
 // ErrBadEntry marks a cache entry (typically read back from the persistent
 // tier) that does not decode: wrong version, truncated, or inconsistent
@@ -48,9 +55,6 @@ const (
 	entryFlagMalicious = 1 << 0
 	entryFlagFellBack  = 1 << 1
 	// entryFlagTier1 marks a verdict answered by the static triage tier.
-	// Entries written before the flag existed never set it and decode with
-	// Tier = 2 — exactly right, since everything they memoized was fully
-	// emulated — so the layout version does not bump.
 	entryFlagTier1 = 1 << 2
 )
 
@@ -60,7 +64,6 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 	n := 1 + // version
 		4 + len(v.Package) +
 		8 + // VersionCode
-		4 + len(v.MD5) +
 		8 + // Generation
 		1 + // flags
 		8 + 8 + 8 + // Score, ScanTime, OverallTime
@@ -72,7 +75,6 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 	dst = append(dst, entryVersion)
 	dst = appendLenPrefixed(dst, v.Package)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.VersionCode)))
-	dst = appendLenPrefixed(dst, v.MD5)
 	dst = binary.LittleEndian.AppendUint64(dst, v.Generation)
 	var flags byte
 	if v.Malicious {
@@ -147,8 +149,9 @@ func (r *entryReader) str() string {
 	return string(b)
 }
 
-// DecodeEntry unpacks an encoded entry into v (fully overwritten) and a
-// vector that reuses vec's storage when it is wide enough — the
+// DecodeEntry unpacks an encoded entry into v (fully overwritten; Digest
+// is left empty for the caller to set from the entry's key) and a vector
+// that reuses vec's storage when it is wide enough — the
 // caller-owned-storage discipline: nothing in the result aliases e. It
 // never panics on corrupt input; any structural problem returns
 // ErrBadEntry.
@@ -161,7 +164,6 @@ func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
 	*v = Verdict{}
 	v.Package = r.str()
 	v.VersionCode = int(int64(r.u64()))
-	v.MD5 = r.str()
 	v.Generation = r.u64()
 	flags := r.take(1)
 	if !r.bad {

@@ -12,13 +12,13 @@ import (
 )
 
 // randVerdict fabricates an arbitrary verdict; strings include empty and
-// non-ASCII cases, numerics include negatives and extreme values.
+// non-ASCII cases, numerics include negatives and extreme values. Digest
+// stays empty: it is the entry's key, not part of the entry.
 func randVerdict(rng *rand.Rand) Verdict {
 	strs := []string{"", "a", "com.example.app", "емулятор", "x/y\x00z", "stock-google"}
 	return Verdict{
 		Package:        strs[rng.Intn(len(strs))],
 		VersionCode:    rng.Intn(1<<20) - 1<<10,
-		MD5:            strs[rng.Intn(len(strs))],
 		Generation:     rng.Uint64(),
 		Malicious:      rng.Intn(2) == 0,
 		Score:          rng.NormFloat64() * float64(rng.Intn(100)+1),
@@ -87,10 +87,49 @@ func TestEntryRoundTripNaN(t *testing.T) {
 	}
 }
 
+// TestEntryLeavesDigestToTheKey: the digest a verdict carries is not in its
+// entry — two verdicts that differ only by it encode to the same bytes, and
+// a decode leaves it for the caller to set from the key it looked up.
+func TestEntryLeavesDigestToTheKey(t *testing.T) {
+	v := Verdict{Package: "com.keyed", Digest: "ab12", Engine: "lightweight", Tier: 2}
+	bare := v
+	bare.Digest = ""
+	e := EncodeEntry(&v, ml.Vector{9})
+	if !bytes.Equal(e, EncodeEntry(&bare, ml.Vector{9})) {
+		t.Fatal("the entry encodes the digest it is keyed by")
+	}
+	var got Verdict
+	if _, err := DecodeEntry(e, &got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got != bare {
+		t.Fatalf("decoded %+v, want %+v", got, bare)
+	}
+}
+
+// TestDecodeEntryRefusesV1: an entry in the version-1 layout (an MD5
+// identity after the version code), as a persisted log from before the
+// stream move holds them, is ErrBadEntry whatever else it says.
+func TestDecodeEntryRefusesV1(t *testing.T) {
+	v := Verdict{Package: "com.old", VersionCode: 3, Generation: 1, Tier: 2, Engine: "lightweight"}
+	v2 := EncodeEntry(&v, ml.Vector{1, 2})
+	// Splice the old layout out of the new one: version byte 1, and the
+	// length-prefixed MD5 between VersionCode and Generation.
+	cut := 1 + 4 + len(v.Package) + 8
+	md5 := "0123456789abcdef0123456789abcdef"
+	v1 := append([]byte{1}, v2[1:cut]...)
+	v1 = appendLenPrefixed(v1, md5)
+	v1 = append(v1, v2[cut:]...)
+	var got Verdict
+	if _, err := DecodeEntry(v1, &got, nil); !errors.Is(err, ErrBadEntry) {
+		t.Fatalf("v1 entry: err = %v, want ErrBadEntry", err)
+	}
+}
+
 // TestDecodeEntryDoesNotAlias: mutating the encoded buffer after decode
 // must not change the decoded result — the caller-owned-storage contract.
 func TestDecodeEntryDoesNotAlias(t *testing.T) {
-	v := Verdict{Package: "com.alias.check", MD5: "abc123", Engine: "lightweight"}
+	v := Verdict{Package: "com.alias.check", Engine: "lightweight"}
 	x := ml.Vector{1, 2, 3}
 	e := EncodeEntry(&v, x)
 	var got Verdict
@@ -101,7 +140,7 @@ func TestDecodeEntryDoesNotAlias(t *testing.T) {
 	for i := range e {
 		e[i] = 0xFF
 	}
-	if got.Package != "com.alias.check" || got.MD5 != "abc123" || got.Engine != "lightweight" {
+	if got.Package != "com.alias.check" || got.Engine != "lightweight" {
 		t.Fatalf("decoded strings alias the entry buffer: %+v", got)
 	}
 	if vec[0] != 1 || vec[1] != 2 || vec[2] != 3 {

@@ -45,14 +45,13 @@ type VetContext struct {
 
 	// Stage products, populated left to right. Archive is a raw
 	// submission's opened handle: Triage and Decode share one directory
-	// walk, one decoded manifest and one MD5 through it. Parsed, for a raw
+	// walk and one decoded manifest through it. Parsed, for a raw
 	// submission, is the view Decode assembles from it — Dex stays nil,
 	// nothing on the vet path reads code.
 	Archive  *apk.Archive
 	Program  *behavior.Program
 	Parsed   *apk.APK
 	Manifest *manifest.Manifest
-	MD5      string
 	Run      *emulator.Result
 	Vector   ml.Vector
 	Verdict  *Verdict
@@ -79,7 +78,7 @@ func (vc *VetContext) Span(dur time.Duration, note string) {
 
 // archive opens the raw submission's archive handle, once: the triage
 // pre-screen takes the manifest from it and a fall-through Decode the
-// behaviour blob, over one directory walk and one MD5.
+// behaviour blob, over one directory walk.
 func (vc *VetContext) archive() (*apk.Archive, error) {
 	if vc.Archive == nil {
 		a, err := apk.Open(vc.Sub.Raw)

@@ -270,6 +270,7 @@ func (s CacheLookup) Wrap(vc *VetContext, next func() error) error {
 	if derr != nil {
 		return derr
 	}
+	v.Digest = vc.Digest // the key looked up; the entry does not repeat it
 	vc.Verdict = v
 	vc.Vector = vec
 	return nil
@@ -326,23 +327,14 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 	if vc.Seq == 0 {
 		vc.Seq = s.D.NextSeq()
 	}
-	var pkg string
-	var version int
-	var sum string
-	switch {
-	case vc.Sub.Raw != nil:
-		sum = vc.Archive.MD5()
-		pkg, version = man.Package, man.VersionCode
-	case vc.Sub.Parsed != nil:
-		sum = vc.Sub.Parsed.MD5
-		pkg, version = man.Package, man.VersionCode
-	default:
-		pkg, version = vc.Sub.Program.PackageName, vc.Sub.Program.Version
+	pkg, version := man.Package, man.VersionCode
+	if prog := vc.Sub.Program; prog != nil {
+		pkg, version = prog.PackageName, prog.Version
 	}
 	vc.Verdict = &Verdict{
 		Package:     pkg,
 		VersionCode: version,
-		MD5:         sum,
+		Digest:      vc.Digest,
 		Generation:  gen.ID,
 		Malicious:   p > gen.TriageHi,
 		Score:       gen.Triage.Score(x),
@@ -434,14 +426,12 @@ func (s Decode) Run(vc *VetContext) error {
 		}
 		vc.Program = prog
 		vc.Manifest = man
-		vc.MD5 = a.MD5()
-		vc.Parsed = &apk.APK{Manifest: man, Program: prog, MD5: vc.MD5, SHA256: vc.Digest, Size: int64(len(sub.Raw))}
+		vc.Parsed = &apk.APK{Manifest: man, Program: prog, SHA256: vc.Digest, Size: int64(len(sub.Raw))}
 		vc.Span(decodeBase+time.Duration(len(sub.Raw)/1024)*decodePerKiB, "raw")
 	case sub.Parsed != nil:
 		vc.Parsed = sub.Parsed
 		vc.Program = sub.Parsed.Program
 		vc.Manifest = sub.Parsed.Manifest
-		vc.MD5 = sub.Parsed.MD5
 		vc.Span(0, "parsed")
 	default:
 		vc.Program = sub.Program
@@ -544,7 +534,7 @@ func (s Infer) Run(vc *VetContext) error {
 	vc.Verdict = &Verdict{
 		Package:        pkg,
 		VersionCode:    version,
-		MD5:            vc.MD5,
+		Digest:         vc.Digest,
 		Generation:     vc.Gen.ID,
 		Malicious:      score > 0,
 		Score:          score,

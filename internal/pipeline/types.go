@@ -138,7 +138,12 @@ func (s Submission) PackageName() string {
 type Verdict struct {
 	Package     string
 	VersionCode int
-	MD5         string
+
+	// Digest is the submission's content digest (hex SHA-256 of a raw or
+	// parsed archive's bytes, of the canonical encoding for a behaviour
+	// program): the app's identity, and the key the verdict is cached and
+	// journaled under. Empty only for a payload that cannot be digested.
+	Digest string
 
 	// Generation identifies the model generation that produced this
 	// verdict (1 for a freshly assembled checker, incremented by every

@@ -45,9 +45,11 @@ func newRecord(seq int64, pkg, digest string) *record {
 }
 
 // settle resolves the record exactly once; later calls report false and
-// change nothing (duplicate suppression). The submission payload is
-// released here so long-lived tickets don't pin archive bytes.
-func (r *record) settle(v *core.Verdict, err error) bool {
+// change nothing (duplicate suppression). book counts the completion; it
+// runs under the record lock, before any waiter is released, so whoever has
+// seen the verdict finds it in the service's metrics. The submission
+// payload is released here so long-lived tickets don't pin archive bytes.
+func (r *record) settle(v *core.Verdict, err error, book func()) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.settled {
@@ -56,6 +58,7 @@ func (r *record) settle(v *core.Verdict, err error) bool {
 	r.settled = true
 	r.verdict, r.err = v, err
 	r.sub = core.Submission{}
+	book()
 	if r.done != nil {
 		close(r.done)
 	}

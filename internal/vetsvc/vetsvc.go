@@ -376,9 +376,13 @@ func (s *Service) admit(ctx context.Context, sub core.Submission) (*Ticket, erro
 		s.q.Release()
 		return nil, err
 	}
-	if s.cfg.DisableLocalLanes && sub.Raw == nil {
-		s.q.Release()
-		return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrRawOnly)
+	if s.cfg.DisableLocalLanes {
+		if sub.Raw == nil {
+			s.q.Release()
+			return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrRawOnly)
+		}
+		// The record's key is where a remote verdict's Digest comes from.
+		sub.ContentDigest()
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -505,10 +509,9 @@ func (s *Service) claimContext(claimCtx context.Context, it workqueue.Item) (cor
 // once (first report wins; a reclaim-raced duplicate changes nothing and
 // reports false), and emits the done event.
 func (s *Service) settleRecord(r *record, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) bool {
-	if !r.settle(v, err) {
+	if !r.settle(v, err, func() { s.m.finishJob(v, err, out) }) {
 		return false
 	}
-	s.m.finishJob(v, err, out)
 	s.noteWall(wall)
 	s.dropRecord(r.seq)
 	ev := Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err}
@@ -543,13 +546,18 @@ func (s *Service) MarkStarted(seq int64) {
 
 // ReportRemote settles seq's verdict record with a result a remote worker
 // node produced, booking completion metrics exactly as a local lane
-// would. First report wins — false means the record was unknown or
+// would. The verdict's Digest is set from the record's key — the wire does
+// not carry it, and the key the submission was admitted under is the one
+// to trust. First report wins — false means the record was unknown or
 // already settled (a reclaim-raced duplicate, or an ack after a
 // dead-letter), and the report changed nothing.
 func (s *Service) ReportRemote(seq int64, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) bool {
 	r := s.recordFor(seq)
 	if r == nil {
 		return false
+	}
+	if v != nil {
+		v.Digest = r.digest
 	}
 	return s.settleRecord(r, v, out, err, wall)
 }
@@ -578,10 +586,9 @@ func (s *Service) deadLetter(it workqueue.Item, cause error) {
 		return
 	}
 	err := fmt.Errorf("vet %s: %w: %w", r.pkg, ErrPoisoned, cause)
-	if !r.settle(nil, err) {
+	if !r.settle(nil, err, func() { s.m.finishJob(nil, err, vcache.OutcomeBypass) }) {
 		return
 	}
-	s.m.finishJob(nil, err, vcache.OutcomeBypass)
 	s.dropRecord(r.seq)
 	s.emit(Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err})
 }
