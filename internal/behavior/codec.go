@@ -2,12 +2,11 @@ package behavior
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"apichecker/internal/framework"
+	"apichecker/internal/wire"
 )
 
 // blobMagic opens every assets/behavior.bin: "BHV" and the format version.
@@ -106,10 +105,10 @@ func (p *Program) Encode() ([]byte, error) {
 		flags |= flagPayload
 	}
 	b = append(b, flags, p.EmulatorChecks)
-	b = appendString(b, p.PackageName)
+	b = wire.AppendStringUvarint(b, p.PackageName)
 	b = binary.AppendUvarint(b, uint64(p.Version))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.Seed))
-	b = appendFloat(b, p.CrashBias)
+	b = wire.AppendF64(b, p.CrashBias)
 	b = appendActivities(b, p.Activities)
 	b = binary.AppendUvarint(b, uint64(len(p.ReceiverIntents)))
 	for _, id := range p.ReceiverIntents {
@@ -121,7 +120,7 @@ func (p *Program) Encode() ([]byte, error) {
 	}
 	b = binary.AppendUvarint(b, uint64(len(p.NativeLibs)))
 	for _, lib := range p.NativeLibs {
-		b = appendString(b, lib)
+		b = wire.AppendStringUvarint(b, lib)
 	}
 	if p.Payload != nil {
 		b = appendActivities(b, payload)
@@ -129,19 +128,11 @@ func (p *Program) Encode() ([]byte, error) {
 	return b, nil
 }
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
 func appendActivities(b []byte, acts []ActivityBehavior) []byte {
 	b = binary.AppendUvarint(b, uint64(len(acts)))
 	for i := range acts {
 		a := &acts[i]
-		b = appendString(b, a.Name)
+		b = wire.AppendStringUvarint(b, a.Name)
 		var flags byte
 		if a.Referenced {
 			flags |= flagReferenced
@@ -150,12 +141,12 @@ func appendActivities(b []byte, acts []ActivityBehavior) []byte {
 			flags |= flagMaliciousPayload
 		}
 		b = append(b, flags)
-		b = appendFloat(b, a.ReachRate)
+		b = wire.AppendF64(b, a.ReachRate)
 		for _, rates := range [2][]APIRate{a.Direct, a.Reflection} {
 			b = binary.AppendUvarint(b, uint64(len(rates)))
 			for _, r := range rates {
 				b = binary.AppendUvarint(b, uint64(r.API))
-				b = appendFloat(b, r.Rate)
+				b = wire.AppendF64(b, r.Rate)
 			}
 		}
 		b = binary.AppendUvarint(b, uint64(len(a.SendIntents)))
@@ -169,100 +160,60 @@ func appendActivities(b []byte, acts []ActivityBehavior) []byte {
 // Decode parses a serialized program. The returned program has zero-valued
 // ground-truth fields.
 //
-// It walks the blob with a bounds-checked cursor: the blob is copied once
-// into a string and every name in the result is a substring of that copy;
-// the activities, APIRates and send-intents of the whole program live in
-// three backing arrays, each allocated once at the total the header
-// declares — only after that total is known to fit in the bytes that
-// remain — and handed out as capped sub-slices. Empty slices decode to
-// nil. Anything Encode would not have written (an overlong uvarint, a
-// reserved flag bit, a total the body does not use up, trailing bytes) is
-// an error, so an accepted blob re-encodes to the same bytes.
+// The blob is copied once into a string and every name in the result is a
+// substring of that copy (wire.NewSubstringReader); the activities,
+// APIRates and send-intents of the whole program live in three backing
+// arrays, each allocated once at the total the header declares — only after
+// wire's Count has checked that total against the bytes that remain — and
+// handed out as capped sub-slices. Empty slices decode to nil. Anything
+// Encode would not have written (an overlong uvarint, a reserved flag bit,
+// a total the body does not use up, trailing bytes) is an error, so an
+// accepted blob re-encodes to the same bytes.
 func Decode(data []byte) (*Program, error) {
 	if len(data) < len(blobMagic) || string(data[:len(blobMagic)]) != blobMagic {
 		return nil, fmt.Errorf("behavior: decode: not a version 2 behaviour blob: starts %q, want %q",
 			data[:min(len(data), len(blobMagic))], blobMagic)
 	}
-	c := cursor{data: data, str: string(data), off: len(blobMagic)}
-
-	nActs, err := c.count("activity total", minActivityBytes)
-	if err != nil {
-		return nil, err
+	r := wire.NewSubstringReader(data)
+	r.Bytes(len(blobMagic))
+	ar := arenas{
+		acts:    make([]ActivityBehavior, r.Count(r.Uvarint(), "activity total", minActivityBytes)),
+		rates:   make([]APIRate, r.Count(r.Uvarint(), "rate total", minRateBytes)),
+		intents: make([]framework.IntentID, r.Count(r.Uvarint(), "send-intent total", minIDBytes)),
 	}
-	nRates, err := c.count("rate total", minRateBytes)
-	if err != nil {
-		return nil, err
-	}
-	nIntents, err := c.count("send-intent total", minIDBytes)
-	if err != nil {
-		return nil, err
-	}
-	c.acts = make([]ActivityBehavior, nActs)
-	c.rates = make([]APIRate, nRates)
-	c.intents = make([]framework.IntentID, nIntents)
 
 	p := new(Program)
-	flags, err := c.flags(programFlagsMask)
-	if err != nil {
-		return nil, err
-	}
+	flags := r.Flags(programFlagsMask)
 	p.SuppressOnEmulator = flags&flagSuppressOnEmulator != 0
 	p.RequiresRealSensors = flags&flagRequiresRealSensors != 0
-	if p.EmulatorChecks, err = c.u8(); err != nil {
-		return nil, err
-	}
-	if p.PackageName, err = c.string(); err != nil {
-		return nil, err
-	}
-	version, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	p.EmulatorChecks = r.U8()
+	p.PackageName = r.String(int(r.Uvarint()))
+	version := r.Uvarint()
 	if version > math.MaxInt {
-		return nil, fmt.Errorf("behavior: decode: version %d out of range", version)
+		r.Fail(fmt.Errorf("version %d out of range", version))
 	}
 	p.Version = int(version)
-	seed, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	p.Seed = int64(seed)
-	if p.CrashBias, err = c.float(); err != nil {
-		return nil, err
-	}
-	if p.Activities, err = c.activities(); err != nil {
-		return nil, err
-	}
-	if p.ReceiverIntents, err = ids[framework.IntentID](&c, "receiver intent"); err != nil {
-		return nil, err
-	}
-	if p.Permissions, err = ids[framework.PermissionID](&c, "permission"); err != nil {
-		return nil, err
-	}
-	nLibs, err := c.count("native lib", minStringBytes)
-	if err != nil {
-		return nil, err
-	}
-	if nLibs > 0 {
-		p.NativeLibs = make([]string, nLibs)
-	}
-	for i := range p.NativeLibs {
-		if p.NativeLibs[i], err = c.string(); err != nil {
-			return nil, err
+	p.Seed = int64(r.U64())
+	p.CrashBias = r.F64()
+	p.Activities = ar.activities(&r)
+	p.ReceiverIntents = ids[framework.IntentID](&r, "receiver intent")
+	p.Permissions = ids[framework.PermissionID](&r, "permission")
+	if n := r.Count(r.Uvarint(), "native lib", minStringBytes); n > 0 {
+		p.NativeLibs = make([]string, n)
+		for i := range p.NativeLibs {
+			p.NativeLibs[i] = r.String(int(r.Uvarint()))
 		}
 	}
 	if flags&flagPayload != 0 {
-		p.Payload = new(Payload)
-		if p.Payload.Activities, err = c.activities(); err != nil {
-			return nil, err
-		}
+		p.Payload = &Payload{Activities: ar.activities(&r)}
 	}
-	if len(c.acts) != 0 || len(c.rates) != 0 || len(c.intents) != 0 {
-		return nil, fmt.Errorf("behavior: decode: header totals exceed the body by %d activities, %d rates, %d send-intents",
-			len(c.acts), len(c.rates), len(c.intents))
+	if len(ar.acts) != 0 || len(ar.rates) != 0 || len(ar.intents) != 0 {
+		r.Fail(fmt.Errorf("header totals exceed the body by %d activities, %d rates, %d send-intents",
+			len(ar.acts), len(ar.rates), len(ar.intents)))
 	}
-	if c.off != len(data) {
-		return nil, errors.New("behavior: decode: trailing data")
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("behavior: decode: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -270,199 +221,75 @@ func Decode(data []byte) (*Program, error) {
 	return p, nil
 }
 
-// cursor reads the blob off a byte slice it never reads past. str is the
-// same bytes as one string, so names can be handed out as substrings;
-// acts, rates and intents are what is left of the three arenas.
-type cursor struct {
-	data []byte
-	str  string
-	off  int
+// id reads one API, intent or permission id.
+func id(r *wire.Reader) int32 {
+	v := r.Uvarint()
+	if v > math.MaxInt32 {
+		r.Fail(fmt.Errorf("id %d out of range", v))
+	}
+	return int32(v)
+}
 
+// ids reads a counted id list into its own slice (nil when empty).
+func ids[T ~int32](r *wire.Reader, what string) []T {
+	n := r.Count(r.Uvarint(), what, minIDBytes)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(id(r))
+	}
+	return out
+}
+
+// arenas is what is left of the three backing arrays Decode allocates at
+// the header totals.
+type arenas struct {
 	acts    []ActivityBehavior
 	rates   []APIRate
 	intents []framework.IntentID
 }
 
-func (c *cursor) truncated() error {
-	return fmt.Errorf("behavior: decode: truncated input: %w", io.ErrUnexpectedEOF)
-}
-
-func (c *cursor) u8() (uint8, error) {
-	if c.off >= len(c.data) {
-		return 0, c.truncated()
-	}
-	b := c.data[c.off]
-	c.off++
-	return b, nil
-}
-
-// flags reads a flag byte and rejects bits outside mask.
-func (c *cursor) flags(mask uint8) (uint8, error) {
-	b, err := c.u8()
-	if err == nil && b&^mask != 0 {
-		err = fmt.Errorf("behavior: decode: reserved flag bits %#02x", b&^mask)
-	}
-	return b, err
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if len(c.data)-c.off < 8 {
-		return 0, c.truncated()
-	}
-	v := binary.LittleEndian.Uint64(c.data[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *cursor) float() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// uvarint reads one minimally encoded uvarint: a final zero group is a
-// second spelling of a shorter encoding and is rejected.
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n == 0 {
-		return 0, c.truncated()
-	}
-	if n < 0 || (n > 1 && c.data[c.off+n-1] == 0) {
-		return 0, errors.New("behavior: decode: malformed uvarint")
-	}
-	c.off += n
-	return v, nil
-}
-
-// count reads an element count and rejects it unless that many elements
-// of at least minBytes each can still follow: the caller may then allocate
-// at the declared size.
-func (c *cursor) count(what string, minBytes int) (int, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(c.data)-c.off)/uint64(minBytes) {
-		return 0, fmt.Errorf("behavior: decode: %s count %d exceeds the bytes that remain: %w", what, n, io.ErrUnexpectedEOF)
-	}
-	return int(n), nil
-}
-
-func (c *cursor) string() (string, error) {
-	n, err := c.count("string byte", 1)
-	if err != nil {
-		return "", err
-	}
-	s := c.str[c.off : c.off+n]
-	c.off += n
-	return s, nil
-}
-
-// id reads one API, intent or permission id.
-func (c *cursor) id() (int32, error) {
-	v, err := c.uvarint()
-	if err == nil && v > math.MaxInt32 {
-		err = fmt.Errorf("behavior: decode: id %d out of range", v)
-	}
-	return int32(v), err
-}
-
-// ids reads a counted id list into its own slice (nil when empty).
-func ids[T ~int32](c *cursor, what string) ([]T, error) {
-	n, err := c.count(what, minIDBytes)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]T, n)
-	for i := range out {
-		v, err := c.id()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = T(v)
-	}
-	return out, nil
-}
-
 // take cuts the next n elements off an arena, capped so an append by the
 // caller cannot reach the neighbouring slice; nil when n is zero.
-func take[T any](arena *[]T, n int, what string) ([]T, error) {
+func take[T any](r *wire.Reader, arena *[]T, n int, what string) []T {
 	if n > len(*arena) {
-		return nil, fmt.Errorf("behavior: decode: more %s than the header total", what)
+		r.Fail(fmt.Errorf("more %s than the header total", what))
+		return nil
 	}
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := (*arena)[:n:n]
 	*arena = (*arena)[n:]
-	return out, nil
+	return out
 }
 
 // activities reads one counted activity list out of the arenas.
-func (c *cursor) activities() ([]ActivityBehavior, error) {
-	n, err := c.count("activity", minActivityBytes)
-	if err != nil {
-		return nil, err
-	}
-	acts, err := take(&c.acts, n, "activities")
-	if err != nil {
-		return nil, err
-	}
+func (ar *arenas) activities(r *wire.Reader) []ActivityBehavior {
+	acts := take(r, &ar.acts, r.Count(r.Uvarint(), "activity", minActivityBytes), "activities")
 	for i := range acts {
 		a := &acts[i]
-		if a.Name, err = c.string(); err != nil {
-			return nil, err
-		}
-		flags, err := c.flags(activityFlagsMask)
-		if err != nil {
-			return nil, err
-		}
+		a.Name = r.String(int(r.Uvarint()))
+		flags := r.Flags(activityFlagsMask)
 		a.Referenced = flags&flagReferenced != 0
 		a.MaliciousPayload = flags&flagMaliciousPayload != 0
-		if a.ReachRate, err = c.float(); err != nil {
-			return nil, err
-		}
-		if a.Direct, err = c.apiRates(); err != nil {
-			return nil, err
-		}
-		if a.Reflection, err = c.apiRates(); err != nil {
-			return nil, err
-		}
-		nIntents, err := c.count("send-intent", minIDBytes)
-		if err != nil {
-			return nil, err
-		}
-		if a.SendIntents, err = take(&c.intents, nIntents, "send-intents"); err != nil {
-			return nil, err
-		}
+		a.ReachRate = r.F64()
+		a.Direct = ar.apiRates(r)
+		a.Reflection = ar.apiRates(r)
+		a.SendIntents = take(r, &ar.intents, r.Count(r.Uvarint(), "send-intent", minIDBytes), "send-intents")
 		for j := range a.SendIntents {
-			id, err := c.id()
-			if err != nil {
-				return nil, err
-			}
-			a.SendIntents[j] = framework.IntentID(id)
+			a.SendIntents[j] = framework.IntentID(id(r))
 		}
 	}
-	return acts, nil
+	return acts
 }
 
-func (c *cursor) apiRates() ([]APIRate, error) {
-	n, err := c.count("rate", minRateBytes)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := take(&c.rates, n, "rates")
-	if err != nil {
-		return nil, err
-	}
+func (ar *arenas) apiRates(r *wire.Reader) []APIRate {
+	rates := take(r, &ar.rates, r.Count(r.Uvarint(), "rate", minRateBytes), "rates")
 	for i := range rates {
-		id, err := c.id()
-		if err != nil {
-			return nil, err
-		}
-		rates[i].API = framework.APIID(id)
-		if rates[i].Rate, err = c.float(); err != nil {
-			return nil, err
-		}
+		rates[i] = APIRate{API: framework.APIID(id(r)), Rate: r.F64()}
 	}
-	return rates, nil
+	return rates
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"apichecker/internal/apk"
+	"apichecker/internal/wire"
 )
 
 // The claim frame: the 200 body of POST /v1/cluster/claim. Little-endian,
@@ -85,38 +86,32 @@ func appendClaimHeader(dst []byte, cl *claim) ([]byte, error) {
 // each after its declared length has been checked against the bytes
 // present; cl.Payload is the tail of b.
 func decodeClaim(b []byte) (*claim, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: %d bytes", errBadFrame, len(b))
-	}
-	if b[0] != frameVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d (coordinator and workers must be the same build)",
-			errBadFrame, b[0], frameVersion)
-	}
+	r := wire.NewReader(b)
+	version, flags := r.U8(), r.U8()
 	switch {
-	case b[1] == frameDrained && len(b) == 2:
+	case r.Err() != nil:
+		return nil, fmt.Errorf("%w: %d bytes", errBadFrame, len(b))
+	case version != frameVersion:
+		return nil, fmt.Errorf("%w: version %d, want %d (coordinator and workers must be the same build)",
+			errBadFrame, version, frameVersion)
+	case flags == frameDrained && r.Len() == 0:
 		return &claim{Drained: true}, nil
-	case b[1] != 0:
-		return nil, fmt.Errorf("%w: flags 0x%02x in a %d-byte frame", errBadFrame, b[1], len(b))
-	case len(b) < frameFixed:
-		return nil, fmt.Errorf("%w: %d bytes, the fixed header is %d", errBadFrame, len(b), frameFixed)
+	case flags != 0:
+		return nil, fmt.Errorf("%w: flags 0x%02x in a %d-byte frame", errBadFrame, flags, len(b))
 	}
-	le := binary.LittleEndian
 	cl := &claim{
-		Seq:              int64(le.Uint64(b[2:])),
-		Token:            le.Uint64(b[10:]),
-		Attempts:         le.Uint32(b[18:]),
-		LeaseTTLMS:       int64(le.Uint64(b[22:])),
-		DeadlineUnixNano: int64(le.Uint64(b[30:])),
-		Generation:       le.Uint64(b[38:]),
+		Seq:              int64(r.U64()),
+		Token:            r.U64(),
+		Attempts:         r.U32(),
+		LeaseTTLMS:       int64(r.U64()),
+		DeadlineUnixNano: int64(r.U64()),
+		Generation:       r.U64(),
+		Key:              r.String(int(r.U16())),
+		ModelDigest:      r.String(int(r.U16())),
+		Payload:          r.Rest(),
 	}
-	rest := b[frameFixed:]
-	for _, s := range []*string{&cl.Key, &cl.ModelDigest} {
-		if len(rest) < 2 || len(rest)-2 < int(le.Uint16(rest)) {
-			return nil, fmt.Errorf("%w: a digest length runs past the %d bytes present", errBadFrame, len(b))
-		}
-		n := int(le.Uint16(rest))
-		*s, rest = string(rest[2:2+n]), rest[2+n:]
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", errBadFrame, err)
 	}
-	cl.Payload = rest
 	return cl, nil
 }

@@ -10,7 +10,7 @@
 // analysis.
 //
 // The binary codec is a simple length-prefixed format with a string pool,
-// in the spirit of the real DEX layout, built on encoding/binary.
+// in the spirit of the real DEX layout.
 package dex
 
 import (
@@ -18,8 +18,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"apichecker/internal/wire"
 )
 
 // Magic identifies the serialized form ("godex" + version).
@@ -254,171 +255,84 @@ const (
 	minCallBytes   = 1 + 4     // kind, target index
 )
 
-// Decode parses a serialized dex file. It walks the input with a bounds-
-// checked cursor: the blob is copied once into a string and every pooled
-// name in the result is a substring of that copy, and each table is
-// allocated once, at its declared size, only after that size is known to
-// fit in the bytes that remain.
+// Decode parses a serialized dex file. The blob is copied once into a
+// string and every pooled name in the result is a substring of that copy
+// (wire.NewSubstringReader), and each table is allocated once, at its
+// declared size, only after wire's Count has checked that size against the
+// bytes that remain.
 func Decode(data []byte) (*File, error) {
-	c := cursor{data: data, str: string(data)}
-	if len(data) < len(Magic) {
-		return nil, c.truncated()
-	}
-	if [8]byte(data) != Magic {
+	if len(data) >= len(Magic) && [8]byte(data) != Magic {
 		return nil, fmt.Errorf("dex: decode: bad magic %q", data[:len(Magic)])
 	}
-	c.off = len(Magic)
+	r := wire.NewSubstringReader(data)
+	r.Bytes(len(Magic))
 
-	nStrings, err := c.count("string pool", minStringBytes)
-	if err != nil {
-		return nil, err
-	}
-	c.pool = make([]string, nStrings)
-	for i := range c.pool {
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
+	pool := make([]string, count(&r, "string pool", minStringBytes))
+	for i := range pool {
+		n := r.U32()
 		if n > maxReasonableCount {
-			return nil, fmt.Errorf("dex: decode: string length %d too large", n)
+			r.Fail(fmt.Errorf("string length %d too large", n))
 		}
-		if int(n) > len(data)-c.off {
-			return nil, c.truncated()
-		}
-		c.pool[i] = c.str[c.off : c.off+int(n)]
-		c.off += int(n)
+		pool[i] = r.String(int(n))
 	}
 
 	var f File
-	nLibs, err := c.count("native lib", minLibBytes)
-	if err != nil {
-		return nil, err
-	}
-	if nLibs > 0 {
-		f.NativeLibs = make([]string, nLibs)
-	}
-	for i := range f.NativeLibs {
-		if f.NativeLibs[i], err = c.name(); err != nil {
-			return nil, err
+	if n := count(&r, "native lib", minLibBytes); n > 0 {
+		f.NativeLibs = make([]string, n)
+		for i := range f.NativeLibs {
+			f.NativeLibs[i] = name(&r, pool)
 		}
 	}
-
-	nClasses, err := c.count("class", minClassBytes)
-	if err != nil {
-		return nil, err
-	}
-	if nClasses > 0 {
-		f.Classes = make([]Class, nClasses)
+	if n := count(&r, "class", minClassBytes); n > 0 {
+		f.Classes = make([]Class, n)
 	}
 	for i := range f.Classes {
 		cl := &f.Classes[i]
-		if cl.Name, err = c.name(); err != nil {
-			return nil, err
-		}
-		isActivity, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		cl.IsActivity = isActivity == 1
-		nMethods, err := c.count("method", minMethodBytes)
-		if err != nil {
-			return nil, err
-		}
-		if nMethods > 0 {
-			cl.Methods = make([]Method, nMethods)
+		cl.Name = name(&r, pool)
+		cl.IsActivity = r.U8() == 1
+		if n := count(&r, "method", minMethodBytes); n > 0 {
+			cl.Methods = make([]Method, n)
 		}
 		for j := range cl.Methods {
 			m := &cl.Methods[j]
-			if m.Name, err = c.name(); err != nil {
-				return nil, err
-			}
-			nCalls, err := c.count("call", minCallBytes)
-			if err != nil {
-				return nil, err
-			}
-			if nCalls > 0 {
-				m.Calls = make([]CallSite, nCalls)
+			m.Name = name(&r, pool)
+			if n := count(&r, "call", minCallBytes); n > 0 {
+				m.Calls = make([]CallSite, n)
 			}
 			for k := range m.Calls {
-				kind, err := c.u8()
-				if err != nil {
-					return nil, err
+				kind := CallKind(r.U8())
+				if kind > CallLoadDex {
+					r.Fail(fmt.Errorf("invalid call kind %d", kind))
 				}
-				if CallKind(kind) > CallLoadDex {
-					return nil, fmt.Errorf("dex: decode: invalid call kind %d", kind)
-				}
-				m.Calls[k].Kind = CallKind(kind)
-				if m.Calls[k].Target, err = c.name(); err != nil {
-					return nil, err
-				}
+				m.Calls[k] = CallSite{Kind: kind, Target: name(&r, pool)}
 			}
 		}
 	}
-	if c.off != len(data) {
-		return nil, errors.New("dex: decode: trailing data")
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dex: decode: %w", err)
 	}
 	return &f, nil
 }
 
-// cursor reads the dex wire format off a byte slice it never reads past.
-// str is the same bytes as one string, so names can be handed out as
-// substrings; pool is the decoded string table those names index.
-type cursor struct {
-	data []byte
-	str  string
-	off  int
-	pool []string
-}
-
-func (c *cursor) truncated() error {
-	return fmt.Errorf("dex: decode: truncated input: %w", io.ErrUnexpectedEOF)
-}
-
-func (c *cursor) u8() (uint8, error) {
-	if c.off >= len(c.data) {
-		return 0, c.truncated()
-	}
-	b := c.data[c.off]
-	c.off++
-	return b, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	if len(c.data)-c.off < 4 {
-		return 0, c.truncated()
-	}
-	v := binary.LittleEndian.Uint32(c.data[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-// count reads a table's element count and rejects it unless that many
-// elements of at least minBytes each can still follow: the caller may
-// then allocate the table at its declared size.
-func (c *cursor) count(table string, minBytes int) (int, error) {
-	n, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
+// count reads a table's element count: over maxReasonableCount is a
+// failure, and wire's Count checks the rest.
+func count(r *wire.Reader, table string, minBytes int) int {
+	n := r.U32()
 	if n > maxReasonableCount {
-		return 0, fmt.Errorf("dex: decode: %s count %d too large", table, n)
+		r.Fail(fmt.Errorf("%s count %d too large", table, n))
 	}
-	if int(n) > (len(c.data)-c.off)/minBytes {
-		return 0, c.truncated()
-	}
-	return int(n), nil
+	return r.Count(uint64(n), table, minBytes)
 }
 
 // name reads a string-pool index and resolves it.
-func (c *cursor) name() (string, error) {
-	idx, err := c.u32()
-	if err != nil {
-		return "", err
+func name(r *wire.Reader, pool []string) string {
+	idx := r.U32()
+	if idx >= uint32(len(pool)) {
+		r.Fail(fmt.Errorf("string index %d out of range (%d strings)", idx, len(pool)))
+		return ""
 	}
-	if idx >= uint32(len(c.pool)) {
-		return "", fmt.Errorf("dex: decode: string index %d out of range (%d strings)", idx, len(c.pool))
-	}
-	return c.pool[idx], nil
+	return pool[idx]
 }
 
 type stringPool struct {

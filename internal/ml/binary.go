@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+
+	"apichecker/internal/wire"
 )
 
 // Deterministic binary serialization for trained forests — the model-
@@ -22,11 +23,11 @@ import (
 //	per tree: u32 node count, then per node i32 feature, i32 left,
 //	          i32 right, f64 prob bits
 //
-// Decoding is strictly bounds-checked: corrupt or truncated payloads
-// return an error wrapping ErrCorruptForest — never a panic — every
-// declared count is checked against the bytes that remain before anything
-// is allocated at that size, and child indexes must point inside their
-// tree.
+// Decoding is strictly bounds-checked (internal/wire): corrupt or truncated
+// payloads return an error wrapping ErrCorruptForest — never a panic —
+// every declared count is checked against the bytes that remain before
+// anything is allocated at that size, and child indexes must point inside
+// their tree.
 
 // ErrCorruptForest marks a binary forest payload that fails structural
 // validation (truncation, impossible counts, invalid child links).
@@ -49,22 +50,23 @@ func (rf *RandomForest) AppendBinary(buf []byte) ([]byte, error) {
 	if !rf.trained {
 		return nil, fmt.Errorf("ml: cannot encode untrained forest")
 	}
-	buf = appendU32(buf, uint32(len(rf.trees)))
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(len(rf.trees)))
 	for _, v := range []int64{int64(rf.cfg.Trees), int64(rf.cfg.MaxDepth),
 		int64(rf.cfg.MinLeaf), int64(rf.cfg.MTry), rf.cfg.Seed} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		buf = le.AppendUint64(buf, uint64(v))
 	}
-	buf = appendU32(buf, uint32(len(rf.importance)))
+	buf = le.AppendUint32(buf, uint32(len(rf.importance)))
 	for _, v := range rf.importance {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		buf = wire.AppendF64(buf, v)
 	}
 	for _, t := range rf.trees {
-		buf = appendU32(buf, uint32(len(t.nodes)))
+		buf = le.AppendUint32(buf, uint32(len(t.nodes)))
 		for _, n := range t.nodes {
-			buf = appendU32(buf, uint32(n.feature))
-			buf = appendU32(buf, uint32(n.left))
-			buf = appendU32(buf, uint32(n.right))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.prob))
+			buf = le.AppendUint32(buf, uint32(n.feature))
+			buf = le.AppendUint32(buf, uint32(n.left))
+			buf = le.AppendUint32(buf, uint32(n.right))
+			buf = wire.AppendF64(buf, n.prob)
 		}
 	}
 	return buf, nil
@@ -74,90 +76,57 @@ func (rf *RandomForest) AppendBinary(buf []byte) ([]byte, error) {
 // front of data, returning the forest and the number of bytes consumed.
 // Failures wrap ErrCorruptForest and never panic.
 func DecodeForestBinary(data []byte) (*RandomForest, int, error) {
-	r := binReader{data: data}
-	nTrees, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
+	r := wire.NewReader(data)
+	nTrees := r.U32()
 	if nTrees == 0 || nTrees > maxReasonableCount {
-		return nil, 0, fmt.Errorf("%w: %d trees", ErrCorruptForest, nTrees)
+		r.Fail(fmt.Errorf("%d trees", nTrees))
 	}
-	if err := r.fits(nTrees, minTreeBytes, "trees"); err != nil {
-		return nil, 0, err
-	}
-	rf := &RandomForest{}
-	var cfg [5]int64
-	for i := range cfg {
-		v, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg[i] = int64(v)
-	}
-	rf.cfg = ForestConfig{Trees: int(cfg[0]), MaxDepth: int(cfg[1]),
-		MinLeaf: int(cfg[2]), MTry: int(cfg[3]), Seed: cfg[4]}
-	nImp, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
+	trees := r.Count(uint64(nTrees), "tree", minTreeBytes)
+	rf := &RandomForest{cfg: ForestConfig{Trees: int(r.U64()), MaxDepth: int(r.U64()),
+		MinLeaf: int(r.U64()), MTry: int(r.U64()), Seed: int64(r.U64())}}
+	nImp := r.U32()
 	if nImp > maxReasonableCount {
-		return nil, 0, fmt.Errorf("%w: %d importance entries", ErrCorruptForest, nImp)
+		r.Fail(fmt.Errorf("%d importance entries", nImp))
 	}
-	if err := r.fits(nImp, 8, "importance entries"); err != nil {
-		return nil, 0, err
-	}
-	rf.importance = make([]float64, nImp)
+	rf.importance = make([]float64, r.Count(uint64(nImp), "importance entry", 8))
 	for i := range rf.importance {
-		bits, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		rf.importance[i] = math.Float64frombits(bits)
+		rf.importance[i] = r.F64()
 	}
-	rf.trees = make([]*CART, 0, nTrees)
-	for ti := uint32(0); ti < nTrees; ti++ {
-		nNodes, err := r.u32()
-		if err != nil {
-			return nil, 0, err
-		}
+	rf.trees = make([]*CART, 0, trees)
+	for ti := range trees {
+		nNodes := r.U32()
 		if nNodes == 0 || nNodes > maxReasonableCount {
-			return nil, 0, fmt.Errorf("%w: tree %d has %d nodes", ErrCorruptForest, ti, nNodes)
+			r.Fail(fmt.Errorf("tree %d has %d nodes", ti, nNodes))
 		}
-		if err := r.fits(nNodes, nodeBytes, "nodes"); err != nil {
-			return nil, 0, err
-		}
-		nodes := make([]treeNode, nNodes)
+		nodes := make([]treeNode, r.Count(uint64(nNodes), "node", nodeBytes))
 		for i := range nodes {
-			f, err1 := r.u32()
-			l, err2 := r.u32()
-			rt, err3 := r.u32()
-			pb, err4 := r.u64()
-			if err := errors.Join(err1, err2, err3, err4); err != nil {
-				return nil, 0, err
-			}
-			n := treeNode{feature: int32(f), left: int32(l), right: int32(rt), prob: math.Float64frombits(pb)}
+			n := treeNode{feature: int32(r.U32()), left: int32(r.U32()), right: int32(r.U32()), prob: r.F64()}
 			if n.feature >= 0 {
 				if n.left < 0 || int(n.left) >= len(nodes) || n.right < 0 || int(n.right) >= len(nodes) {
-					return nil, 0, fmt.Errorf("%w: tree %d node %d has invalid children",
-						ErrCorruptForest, ti, i)
+					r.Fail(fmt.Errorf("tree %d node %d has invalid children", ti, i))
 				}
 			} else if n.left != -1 || n.right != -1 {
 				// One encoding per forest: a leaf that names children
 				// would decode to the same model under different bytes.
-				return nil, 0, fmt.Errorf("%w: tree %d leaf %d names children",
-					ErrCorruptForest, ti, i)
+				r.Fail(fmt.Errorf("tree %d leaf %d names children", ti, i))
 			}
 			nodes[i] = n
 		}
 		if !isPreorderTree(nodes) {
-			return nil, 0, fmt.Errorf("%w: tree %d is not one tree in preorder", ErrCorruptForest, ti)
+			r.Fail(fmt.Errorf("tree %d is not one tree in preorder", ti))
+		}
+		if r.Err() != nil {
+			break
 		}
 		t := &CART{cfg: CARTConfig{}, trained: true, nodes: nodes}
 		t.buildBatch()
 		rf.trees = append(rf.trees, t)
 	}
+	if err := r.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptForest, err)
+	}
 	rf.trained = true
-	return rf, r.off, nil
+	return rf, r.Off(), nil
 }
 
 // isPreorderTree reports whether nodes is exactly the arena grow lays out:
@@ -184,42 +153,4 @@ func isPreorderTree(nodes []treeNode) bool {
 		}
 	}
 	return false
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, v)
-}
-
-// binReader is a bounds-checked little-endian cursor; every read past the
-// end reports truncation through ErrCorruptForest.
-type binReader struct {
-	data []byte
-	off  int
-}
-
-// fits rejects a declared count unless n elements of at least minBytes
-// each can still follow, so the caller may allocate at the declared size.
-func (r *binReader) fits(n uint32, minBytes int, what string) error {
-	if remain := len(r.data) - r.off; int(n) > remain/minBytes {
-		return fmt.Errorf("%w: %d %s declared, %d bytes remain", ErrCorruptForest, n, what, remain)
-	}
-	return nil
-}
-
-func (r *binReader) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCorruptForest, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *binReader) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCorruptForest, r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
 }

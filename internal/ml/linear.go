@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"math/rand"
+
+	"apichecker/internal/wire"
 )
 
 // Linear is the tier-1 triage scorer: a plain linear model over the
@@ -108,43 +110,34 @@ var ErrCorruptLinear = errors.New("ml: corrupt linear-model encoding")
 // u32 weight count, f64 bias bits, then the weight bit patterns, all
 // little-endian. Identical models encode to identical bytes.
 func (l *Linear) AppendBinary(buf []byte) []byte {
-	buf = appendU32(buf, uint32(len(l.W)))
-	buf = appendF64(buf, l.B)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.W)))
+	buf = wire.AppendF64(buf, l.B)
 	for _, w := range l.W {
-		buf = appendF64(buf, w)
+		buf = wire.AppendF64(buf, w)
 	}
 	return buf
 }
 
 // DecodeLinearBinary decodes a model encoded by AppendBinary from the
 // front of data, returning the model and the number of bytes consumed.
+// Failures wrap ErrCorruptLinear; a truncation also wraps ErrCorruptForest,
+// as it did when the two codecs shared the forest's reader.
 func DecodeLinearBinary(data []byte) (*Linear, int, error) {
-	r := binReader{data: data}
-	n, err := r.u32()
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
-	}
+	r := wire.NewReader(data)
+	n := r.U32()
 	if n > maxReasonableCount {
-		return nil, 0, fmt.Errorf("%w: %d weights", ErrCorruptLinear, n)
+		r.Fail(fmt.Errorf("%d weights", n))
 	}
-	bias, err := r.u64()
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
-	}
-	if err := r.fits(n, 8, "weights"); err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
-	}
-	l := &Linear{W: make([]float64, n), B: math.Float64frombits(bias)}
+	l := &Linear{B: r.F64()}
+	l.W = make([]float64, r.Count(uint64(n), "weight", 8))
 	for i := range l.W {
-		bits, err := r.u64()
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
-		}
-		l.W[i] = math.Float64frombits(bits)
+		l.W[i] = r.F64()
 	}
-	return l, r.off, nil
-}
-
-func appendF64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	if err := r.Err(); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("%w: %w", ErrCorruptForest, err)
+		}
+		return nil, 0, fmt.Errorf("%w: %w", ErrCorruptLinear, err)
+	}
+	return l, r.Off(), nil
 }

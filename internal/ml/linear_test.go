@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -112,7 +113,7 @@ func TestLinearBinaryCorrupt(t *testing.T) {
 		}
 	}
 	// A huge weight count must be rejected before allocation.
-	huge := appendU32(nil, 1<<30)
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<30)
 	if _, _, err := DecodeLinearBinary(huge); !errors.Is(err, ErrCorruptLinear) {
 		t.Errorf("huge count: %v, want ErrCorruptLinear", err)
 	}

@@ -26,13 +26,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"reflect"
 
 	"apichecker/internal/core"
 	"apichecker/internal/features"
 	"apichecker/internal/framework"
 	"apichecker/internal/ml"
+	"apichecker/internal/wire"
 )
 
 // Typed decode failures. Decoding never panics: corrupt or truncated
@@ -60,7 +61,7 @@ const (
 
 // maxCount bounds decoded element counts whatever the payload size. Every
 // declared count is additionally checked against the bytes that remain
-// (reader.fits) before anything is allocated at that size.
+// (wire's Count) before anything is allocated at that size.
 const maxCount = 1 << 26
 
 // Artifact is one complete, self-contained model generation.
@@ -158,8 +159,8 @@ func (a *Artifact) Encode() ([]byte, error) {
 		// uncertainty band (which is excluded from the Cfg walk), then the
 		// linear model. Written only when a triage model exists, so
 		// triage-less artifacts are byte-identical to the pre-tier format.
-		sec := binary.LittleEndian.AppendUint64(nil, math.Float64bits(a.Cfg.TriageLo))
-		sec = binary.LittleEndian.AppendUint64(sec, math.Float64bits(a.Cfg.TriageHi))
+		sec := wire.AppendF64(nil, a.Cfg.TriageLo)
+		sec = wire.AppendF64(sec, a.Cfg.TriageHi)
 		sec = a.Triage.AppendBinary(sec)
 		buf = append(buf, triageMagic...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sec)))
@@ -186,95 +187,81 @@ func Decode(data []byte) (*Artifact, error) {
 	if len(data) < len(artifactMagic)+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
-	if string(data[:len(artifactMagic)]) != artifactMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(len(artifactMagic))) != artifactMagic {
 		return nil, ErrFormat
 	}
-	if v := binary.LittleEndian.Uint32(data[len(artifactMagic):]); v != artifactVersion {
+	if v := r.U32(); v != artifactVersion {
 		return nil, fmt.Errorf("%w: format version %d, want %d", ErrFormat, v, artifactVersion)
 	}
-	r := &reader{data: data, off: len(artifactMagic) + 4}
 
 	a := &Artifact{}
-	if err := readValue(r, reflect.ValueOf(&a.UniverseCfg).Elem()); err != nil {
-		return nil, err
-	}
-	nSeeds, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	readValue(&r, reflect.ValueOf(&a.UniverseCfg).Elem())
+	nSeeds := r.U32()
 	if nSeeds > maxCount {
-		return nil, fmt.Errorf("%w: %d evolve seeds", ErrCorruptArtifact, nSeeds)
+		r.Fail(fmt.Errorf("%d evolve seeds", nSeeds))
 	}
-	if err := r.fits(nSeeds, 8, "evolve seeds"); err != nil {
-		return nil, err
-	}
-	a.EvolveSeeds = make([]int64, nSeeds)
+	a.EvolveSeeds = make([]int64, r.Count(uint64(nSeeds), "evolve seed", 8))
 	for i := range a.EvolveSeeds {
-		v, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		a.EvolveSeeds[i] = int64(v)
+		a.EvolveSeeds[i] = int64(r.U64())
 	}
-	if err := readValue(r, reflect.ValueOf(&a.Cfg).Elem()); err != nil {
+	readValue(&r, reflect.ValueOf(&a.Cfg).Elem())
+	readValue(&r, reflect.ValueOf(&a.Selection).Elem())
+	// A section length past the end is a lie (ErrCorruptArtifact), where
+	// running out of bytes inside a field is ErrTruncated.
+	fLen := int(r.U32())
+	if fLen > r.Len() {
+		r.Fail(fmt.Errorf("forest section claims %d bytes, %d remain", fLen, r.Len()))
+	}
+	forest := r.Bytes(fLen)
+	if err := r.Err(); err != nil {
+		return nil, artifactError(err)
+	}
+	var err error
+	if a.Forest, err = decodeSection(forest, ml.DecodeForestBinary); err != nil {
 		return nil, err
 	}
-	if err := readValue(r, reflect.ValueOf(&a.Selection).Elem()); err != nil {
-		return nil, err
-	}
-	fLen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(fLen) > len(r.data)-r.off {
-		return nil, fmt.Errorf("%w: forest section claims %d bytes, %d remain",
-			ErrCorruptArtifact, fLen, len(r.data)-r.off)
-	}
-	forest, n, err := ml.DecodeForestBinary(r.data[r.off : r.off+int(fLen)])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptArtifact, err)
-	}
-	if n != int(fLen) {
-		return nil, fmt.Errorf("%w: forest decoded %d of %d bytes", ErrCorruptArtifact, n, fLen)
-	}
-	a.Forest = forest
-	r.off += n
-	if r.off == len(r.data) {
+	if r.Len() == 0 {
 		return a, nil // pre-triage artifact: nothing follows the forest
 	}
 	// Whatever follows the forest must be exactly one triage section;
 	// trailing bytes are still corruption, not slack.
-	magic, err := r.bytes(len(triageMagic))
-	if err != nil || string(magic) != triageMagic {
+	if string(r.Bytes(len(triageMagic))) != triageMagic {
 		return nil, fmt.Errorf("%w: trailing bytes are not a triage section", ErrCorruptArtifact)
 	}
-	tLen, err := r.u32()
-	if err != nil {
+	if tLen := r.U32(); int(tLen) != r.Len() {
+		return nil, fmt.Errorf("%w: triage section claims %d bytes, %d remain", ErrCorruptArtifact, tLen, r.Len())
+	}
+	a.Cfg.TriageLo, a.Cfg.TriageHi = r.F64(), r.F64()
+	if err := r.Err(); err != nil {
+		return nil, artifactError(err)
+	}
+	if a.Triage, err = decodeSection(r.Rest(), ml.DecodeLinearBinary); err != nil {
 		return nil, err
 	}
-	if int(tLen) != len(r.data)-r.off {
-		return nil, fmt.Errorf("%w: triage section claims %d bytes, %d remain",
-			ErrCorruptArtifact, tLen, len(r.data)-r.off)
-	}
-	loBits, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	hiBits, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	a.Cfg.TriageLo = math.Float64frombits(loBits)
-	a.Cfg.TriageHi = math.Float64frombits(hiBits)
-	triage, n, err := ml.DecodeLinearBinary(r.data[r.off:])
+	return a, nil
+}
+
+// decodeSection decodes a forest or triage section, which must use up
+// every byte of it.
+func decodeSection[T any](sec []byte, decode func([]byte) (*T, int, error)) (*T, error) {
+	v, n, err := decode(sec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptArtifact, err)
 	}
-	if r.off+n != len(r.data) {
-		return nil, fmt.Errorf("%w: triage model decoded %d of %d bytes", ErrCorruptArtifact, n, len(r.data)-r.off)
+	if n != len(sec) {
+		return nil, fmt.Errorf("%w: section decoded %d of %d bytes", ErrCorruptArtifact, n, len(sec))
 	}
-	a.Triage = triage
-	return a, nil
+	return v, nil
+}
+
+// artifactError types a reader failure: running out of bytes is
+// ErrTruncated, anything else the bytes say is ErrCorruptArtifact.
+func artifactError(err error) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %w", ErrTruncated, err)
+	}
+	return fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
 }
 
 // Parts reconstructs the trained parts: the universe is rebuilt by
@@ -337,11 +324,9 @@ func appendValue(buf []byte, v reflect.Value) ([]byte, error) {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return binary.LittleEndian.AppendUint64(buf, v.Uint()), nil
 	case reflect.Float32, reflect.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float())), nil
+		return wire.AppendF64(buf, v.Float()), nil
 	case reflect.String:
-		s := v.String()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		return append(buf, s...), nil
+		return wire.AppendString32(buf, v.String()), nil
 	case reflect.Slice:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Len()))
 		var err error
@@ -375,110 +360,59 @@ func appendValue(buf []byte, v reflect.Value) ([]byte, error) {
 	}
 }
 
-// readValue decodes into a settable value, mirroring appendValue exactly.
-func readValue(r *reader, v reflect.Value) error {
+// readValue decodes into a settable value, mirroring appendValue exactly;
+// a failure is left on r.
+func readValue(r *wire.Reader, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
-		b, err := r.byte()
-		if err != nil {
-			return err
-		}
-		if b > 1 {
-			return fmt.Errorf("%w: bool byte %d", ErrCorruptArtifact, b)
-		}
-		v.SetBool(b == 1)
-		return nil
+		v.SetBool(r.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n, err := r.u64()
-		if err != nil {
-			return err
+		n := int64(r.U64())
+		if v.OverflowInt(n) {
+			r.Fail(fmt.Errorf("%d overflows %s", n, v.Type()))
 		}
-		if v.OverflowInt(int64(n)) {
-			return fmt.Errorf("%w: %d overflows %s", ErrCorruptArtifact, int64(n), v.Type())
-		}
-		v.SetInt(int64(n))
-		return nil
+		v.SetInt(n)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		n, err := r.u64()
-		if err != nil {
-			return err
-		}
+		n := r.U64()
 		if v.OverflowUint(n) {
-			return fmt.Errorf("%w: %d overflows %s", ErrCorruptArtifact, n, v.Type())
+			r.Fail(fmt.Errorf("%d overflows %s", n, v.Type()))
 		}
 		v.SetUint(n)
-		return nil
 	case reflect.Float32, reflect.Float64:
-		bits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		v.SetFloat(math.Float64frombits(bits))
-		return nil
+		v.SetFloat(r.F64())
 	case reflect.String:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
+		n := r.U32()
 		if n > maxCount {
-			return fmt.Errorf("%w: string of %d bytes", ErrCorruptArtifact, n)
+			r.Fail(fmt.Errorf("string of %d bytes", n))
 		}
-		b, err := r.bytes(int(n))
-		if err != nil {
-			return err
-		}
-		v.SetString(string(b))
-		return nil
+		v.SetString(r.String(int(n)))
 	case reflect.Slice:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
+		n := r.U32()
 		if n > maxCount {
-			return fmt.Errorf("%w: slice of %d elements", ErrCorruptArtifact, n)
+			r.Fail(fmt.Errorf("slice of %d elements", n))
 		}
-		if err := r.fits(n, minEncodedSize(v.Type().Elem()), "slice elements"); err != nil {
-			return err
-		}
-		s := reflect.MakeSlice(v.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
-			if err := readValue(r, s.Index(i)); err != nil {
-				return err
-			}
+		k := r.Count(uint64(n), "slice element", minEncodedSize(v.Type().Elem()))
+		s := reflect.MakeSlice(v.Type(), k, k)
+		for i := range k {
+			readValue(r, s.Index(i))
 		}
 		v.Set(s)
-		return nil
 	case reflect.Pointer:
-		b, err := r.byte()
-		if err != nil {
-			return err
-		}
-		switch b {
-		case 0:
-			v.SetZero()
-			return nil
-		case 1:
+		if r.Bool() {
 			p := reflect.New(v.Type().Elem())
-			if err := readValue(r, p.Elem()); err != nil {
-				return err
-			}
+			readValue(r, p.Elem())
 			v.Set(p)
-			return nil
-		default:
-			return fmt.Errorf("%w: pointer presence byte %d", ErrCorruptArtifact, b)
+		} else {
+			v.SetZero()
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).Tag.Get("artifact") == "-" {
-				continue
-			}
-			if err := readValue(r, v.Field(i)); err != nil {
-				return err
+			if v.Type().Field(i).Tag.Get("artifact") != "-" {
+				readValue(r, v.Field(i))
 			}
 		}
-		return nil
 	default:
-		return fmt.Errorf("modelstore: cannot decode %s", v.Type())
+		r.Fail(fmt.Errorf("cannot decode %s", v.Type()))
 	}
 }
 
@@ -505,53 +439,4 @@ func minEncodedSize(t reflect.Type) int {
 	default: // bool, pointer presence byte
 		return 1
 	}
-}
-
-// reader is a bounds-checked little-endian cursor; reads past the end
-// report ErrTruncated.
-type reader struct {
-	data []byte
-	off  int
-}
-
-// fits rejects a declared count unless n elements of at least minBytes
-// each can still follow, so the caller may allocate at the declared size.
-func (r *reader) fits(n uint32, minBytes int, what string) error {
-	if remain := len(r.data) - r.off; int(n) > remain/minBytes {
-		return fmt.Errorf("%w: %d %s declared, %d bytes remain", ErrTruncated, n, what, remain)
-	}
-	return nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if r.off+n > len(r.data) {
-		return nil, fmt.Errorf("%w: at byte %d", ErrTruncated, r.off)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"apichecker/internal/features"
 	"apichecker/internal/framework"
+	"apichecker/internal/wire"
 )
 
 // allocatedBytes reports the heap bytes f allocates (cumulative, so a
@@ -41,7 +42,12 @@ func TestLyingCountAllocatesNothing(t *testing.T) {
 
 	value := func(target any) func() error {
 		return func() error {
-			return readValue(&reader{data: lying}, reflect.ValueOf(target).Elem())
+			r := wire.NewReader(lying)
+			readValue(&r, reflect.ValueOf(target).Elem())
+			if err := r.Err(); err != nil {
+				return artifactError(err)
+			}
+			return nil
 		}
 	}
 	cases := []struct {

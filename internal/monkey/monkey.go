@@ -1,8 +1,9 @@
-// Package monkey is the UI exerciser (the paper drives apps with Android's
-// Monkey, §4.2): it generates pseudo-random UI event streams at a
-// configured pace and touch ratio.
+// Package monkey is the configuration of the UI exerciser (the paper drives
+// apps with Android's Monkey, §4.2): how many events, at what pace and
+// touch ratio, and which exploration strategy. The emulator turns it into a
+// run, drawing from its own stream seeded by Config.Seed.
 //
-// Two properties of the exerciser matter to the detection system:
+// Two properties of the configuration matter to the detection system:
 //
 //   - Volume: more events reach more activities (higher RAC) but cost more
 //     emulation time. The production configuration is 5,000 events,
@@ -13,40 +14,7 @@
 //     (50-80%), defeating input-timing probes.
 package monkey
 
-import (
-	"fmt"
-	"math/rand"
-)
-
-// EventKind classifies generated UI events.
-type EventKind uint8
-
-const (
-	// EventTouch is a tap.
-	EventTouch EventKind = iota
-	// EventMotion is a drag/fling gesture.
-	EventMotion
-	// EventKey is a hardware/soft key press.
-	EventKey
-	// EventNav is back/home navigation.
-	EventNav
-	// EventSystem is a system-level event (rotation, trackball, ...).
-	EventSystem
-)
-
-func (k EventKind) String() string {
-	names := [...]string{"touch", "motion", "key", "nav", "system"}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", uint8(k))
-}
-
-// Event is one generated UI event.
-type Event struct {
-	Seq  int
-	Kind EventKind
-}
+import "fmt"
 
 // Strategy selects how the exerciser explores the UI.
 type Strategy uint8
@@ -89,7 +57,7 @@ type Config struct {
 	// Strategy selects random (deployed) or coverage-guided (§6)
 	// exploration.
 	Strategy Strategy
-	// Seed drives event generation.
+	// Seed seeds the emulator's run stream together with the app's.
 	Seed int64
 }
 
@@ -117,78 +85,4 @@ func (c Config) Validate() error {
 // human-paced throttle and a natural touch-dominant mix.
 func (c Config) Realistic() bool {
 	return c.ThrottleMs >= 400 && c.PctTouch >= 0.5 && c.PctTouch <= 0.8
-}
-
-// Exerciser generates the event stream for one run.
-type Exerciser struct {
-	cfg Config
-	rng *rand.Rand
-	seq int
-}
-
-// New creates an exerciser; the config must validate.
-func New(cfg Config) (*Exerciser, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Exerciser{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
-}
-
-// Config returns the exerciser's configuration.
-func (e *Exerciser) Config() Config { return e.cfg }
-
-// Next generates the next event, or false when the stream is exhausted.
-func (e *Exerciser) Next() (Event, bool) {
-	if e.seq >= e.cfg.Events {
-		return Event{}, false
-	}
-	ev := Event{Seq: e.seq, Kind: e.pick()}
-	e.seq++
-	return ev, true
-}
-
-func (e *Exerciser) pick() EventKind {
-	r := e.rng.Float64()
-	if r < e.cfg.PctTouch {
-		return EventTouch
-	}
-	// Remaining probability split over the non-touch kinds with a fixed
-	// mix close to Monkey's defaults.
-	switch rest := (r - e.cfg.PctTouch) / (1 - e.cfg.PctTouch); {
-	case rest < 0.45:
-		return EventMotion
-	case rest < 0.75:
-		return EventKey
-	case rest < 0.92:
-		return EventNav
-	default:
-		return EventSystem
-	}
-}
-
-// Drain generates all remaining events.
-func (e *Exerciser) Drain() []Event {
-	var out []Event
-	for {
-		ev, ok := e.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, ev)
-	}
-}
-
-// KindMix returns the fraction of each event kind across a stream.
-func KindMix(events []Event) map[EventKind]float64 {
-	mix := make(map[EventKind]float64)
-	if len(events) == 0 {
-		return mix
-	}
-	for _, ev := range events {
-		mix[ev.Kind]++
-	}
-	for k := range mix {
-		mix[k] /= float64(len(events))
-	}
-	return mix
 }

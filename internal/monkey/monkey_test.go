@@ -1,10 +1,6 @@
 package monkey
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestProductionConfigRealistic(t *testing.T) {
 	c := ProductionConfig(1)
@@ -48,81 +44,5 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
 		}
-		if _, err := New(c); err == nil {
-			t.Errorf("case %d: New accepted %+v", i, c)
-		}
-	}
-}
-
-func TestStreamLengthAndDeterminism(t *testing.T) {
-	c := Config{Events: 1000, ThrottleMs: 500, PctTouch: 0.65, Seed: 7}
-	e1, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, _ := New(c)
-	s1 := e1.Drain()
-	s2 := e2.Drain()
-	if len(s1) != c.Events || len(s2) != c.Events {
-		t.Fatalf("stream lengths %d/%d, want %d", len(s1), len(s2), c.Events)
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, s1[i], s2[i])
-		}
-		if s1[i].Seq != i {
-			t.Fatalf("event %d has seq %d", i, s1[i].Seq)
-		}
-	}
-	if _, ok := e1.Next(); ok {
-		t.Error("drained exerciser still yields events")
-	}
-}
-
-func TestTouchFractionMatchesConfig(t *testing.T) {
-	for _, pct := range []float64{0.5, 0.65, 0.8} {
-		e, err := New(Config{Events: 20000, ThrottleMs: 500, PctTouch: pct, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mix := KindMix(e.Drain())
-		if math.Abs(mix[EventTouch]-pct) > 0.02 {
-			t.Errorf("pct=%.2f: touch fraction = %.3f", pct, mix[EventTouch])
-		}
-		// All kinds appear in a long stream.
-		for k := EventTouch; k <= EventSystem; k++ {
-			if mix[k] == 0 {
-				t.Errorf("pct=%.2f: kind %v never generated", pct, k)
-			}
-		}
-	}
-}
-
-func TestKindMixEmpty(t *testing.T) {
-	if len(KindMix(nil)) != 0 {
-		t.Error("KindMix(nil) not empty")
-	}
-}
-
-func TestQuickStreamsAreWellFormed(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw%2000) + 1
-		e, err := New(Config{Events: n, ThrottleMs: 500, PctTouch: 0.6, Seed: seed})
-		if err != nil {
-			return false
-		}
-		events := e.Drain()
-		if len(events) != n {
-			return false
-		}
-		for i, ev := range events {
-			if ev.Seq != i || ev.Kind > EventSystem {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"apichecker/internal/ml"
+	"apichecker/internal/wire"
 )
 
 // Compact verdict-cache entries.
@@ -73,7 +73,7 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 		4 + 8*len(x)
 	dst := make([]byte, 0, n)
 	dst = append(dst, entryVersion)
-	dst = appendLenPrefixed(dst, v.Package)
+	dst = wire.AppendString32(dst, v.Package)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.VersionCode)))
 	dst = binary.LittleEndian.AppendUint64(dst, v.Generation)
 	var flags byte
@@ -87,66 +87,17 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 		flags |= entryFlagTier1
 	}
 	dst = append(dst, flags)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Score))
+	dst = wire.AppendF64(dst, v.Score)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ScanTime.Nanoseconds()))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(v.OverallTime.Nanoseconds()))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.Crashes)))
-	dst = appendLenPrefixed(dst, v.Engine)
+	dst = wire.AppendString32(dst, v.Engine)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.InvokedKeyAPIs)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
 	for _, w := range x {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	return dst
-}
-
-func appendLenPrefixed(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// entryReader is a bounds-checked cursor over an encoded entry. Every read
-// checks remaining length and latches failure instead of panicking, so a
-// corrupt persisted record degrades to ErrBadEntry.
-type entryReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *entryReader) take(n int) []byte {
-	if r.bad || n < 0 || len(r.b)-r.off < n {
-		r.bad = true
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *entryReader) u32() uint32 {
-	b := r.take(4)
-	if r.bad {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *entryReader) u64() uint64 {
-	b := r.take(8)
-	if r.bad {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *entryReader) str() string {
-	n := r.u32()
-	b := r.take(int(n))
-	if r.bad {
-		return ""
-	}
-	return string(b)
 }
 
 // DecodeEntry unpacks an encoded entry into v (fully overwritten; Digest
@@ -156,51 +107,42 @@ func (r *entryReader) str() string {
 // never panics on corrupt input; any structural problem returns
 // ErrBadEntry.
 func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
-	r := entryReader{b: e}
-	ver := r.take(1)
-	if r.bad || ver[0] != entryVersion {
+	r := wire.NewReader(e)
+	if r.U8() != entryVersion {
 		return nil, fmt.Errorf("%w: bad version byte", ErrBadEntry)
 	}
 	*v = Verdict{}
-	v.Package = r.str()
-	v.VersionCode = int(int64(r.u64()))
-	v.Generation = r.u64()
-	flags := r.take(1)
-	if !r.bad {
-		// Strict: unknown flag bits mark a corrupt (or future-version)
-		// entry, and keep decode→encode canonical for everything accepted.
-		if flags[0]&^(entryFlagMalicious|entryFlagFellBack|entryFlagTier1) != 0 {
-			return nil, fmt.Errorf("%w: unknown flag bits 0x%02x", ErrBadEntry, flags[0])
-		}
-		v.Malicious = flags[0]&entryFlagMalicious != 0
-		v.FellBack = flags[0]&entryFlagFellBack != 0
-		v.Tier = 2
-		if flags[0]&entryFlagTier1 != 0 {
-			v.Tier = 1
-		}
+	v.Package = r.String(int(r.U32()))
+	v.VersionCode = int(int64(r.U64()))
+	v.Generation = r.U64()
+	// Strict: unknown flag bits mark a corrupt (or future-version) entry,
+	// and keep decode→encode canonical for everything accepted.
+	flags := r.Flags(entryFlagMalicious | entryFlagFellBack | entryFlagTier1)
+	v.Malicious = flags&entryFlagMalicious != 0
+	v.FellBack = flags&entryFlagFellBack != 0
+	v.Tier = 2
+	if flags&entryFlagTier1 != 0 {
+		v.Tier = 1
 	}
-	v.Score = math.Float64frombits(r.u64())
-	v.ScanTime = time.Duration(int64(r.u64()))
-	v.OverallTime = time.Duration(int64(r.u64()))
-	v.Crashes = int(int64(r.u64()))
-	v.Engine = r.str()
-	v.InvokedKeyAPIs = int(int64(r.u64()))
-	words := r.u32()
-	if r.bad || int64(words) > int64(len(e))/8+1 {
-		*v = Verdict{}
-		return nil, fmt.Errorf("%w: truncated header or absurd vector length", ErrBadEntry)
-	}
-	if cap(vec) >= int(words) {
+	v.Score = r.F64()
+	v.ScanTime = time.Duration(int64(r.U64()))
+	v.OverallTime = time.Duration(int64(r.U64()))
+	v.Crashes = int(int64(r.U64()))
+	v.Engine = r.String(int(r.U32()))
+	v.InvokedKeyAPIs = int(int64(r.U64()))
+	words := r.Count(uint64(r.U32()), "vector word", 8)
+	if cap(vec) >= words {
 		vec = vec[:words]
 	} else {
 		vec = make(ml.Vector, words)
 	}
 	for i := range vec {
-		vec[i] = r.u64()
+		vec[i] = r.U64()
 	}
-	if r.bad || r.off != len(e) {
+	r.End()
+	if err := r.Err(); err != nil {
 		*v = Verdict{}
-		return nil, fmt.Errorf("%w: length mismatch (decoded %d of %d bytes)", ErrBadEntry, r.off, len(e))
+		return nil, fmt.Errorf("%w: %w", ErrBadEntry, err)
 	}
 	return vec, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"apichecker/internal/ml"
+	"apichecker/internal/wire"
 )
 
 // randVerdict fabricates an arbitrary verdict; strings include empty and
@@ -118,7 +119,7 @@ func TestDecodeEntryRefusesV1(t *testing.T) {
 	cut := 1 + 4 + len(v.Package) + 8
 	md5 := "0123456789abcdef0123456789abcdef"
 	v1 := append([]byte{1}, v2[1:cut]...)
-	v1 = appendLenPrefixed(v1, md5)
+	v1 = wire.AppendString32(v1, md5)
 	v1 = append(v1, v2[cut:]...)
 	var got Verdict
 	if _, err := DecodeEntry(v1, &got, nil); !errors.Is(err, ErrBadEntry) {

@@ -16,11 +16,11 @@
 package vcache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"apichecker/internal/framelog"
+	"apichecker/internal/wire"
 )
 
 // persistFile is the log's name inside the persist directory.
@@ -94,22 +94,19 @@ func (p *PersistLog) EnableCompaction(snapshot func(emit func(key string, val []
 // decodeRecord parses one frame body; ok is false when the key length is
 // missing or longer than the body can back. val aliases body.
 func decodeRecord(body []byte) (key string, val []byte, ok bool) {
-	if len(body) < 4 {
+	r := wire.NewReader(body)
+	key = r.String(int(r.U32()))
+	val = r.Rest()
+	if r.Err() != nil {
 		return "", nil, false
 	}
-	keyLen := binary.LittleEndian.Uint32(body)
-	rest := body[4:]
-	if uint64(keyLen) > uint64(len(rest)) {
-		return "", nil, false
-	}
-	return string(rest[:keyLen]), rest[keyLen:], true
+	return key, val, true
 }
 
 // encodeRecord builds the frame that persists one key/value.
 func encodeRecord(key string, val []byte) []byte {
 	buf := framelog.NewFrame(4 + len(key) + len(val))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
+	buf = wire.AppendString32(buf, key)
 	return append(buf, val...)
 }
 

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"apichecker/internal/framelog"
+	"apichecker/internal/wire"
 )
 
 // logFile is the journal's name inside the queue directory.
@@ -70,26 +71,23 @@ func openLog(dir string) (l *framelog.Log, items []Item, maxSeq int64, skipped i
 // here wrote: an unknown kind, a settle of the wrong size, a key length the
 // body cannot back. The payload aliases body.
 func decodeRecord(body []byte) (it Item, settled, ok bool) {
-	if len(body) < 9 {
+	r := wire.NewReader(body)
+	kind := r.U8()
+	it.Seq = int64(r.U64())
+	switch kind {
+	case recSettle:
+		r.End()
+		settled = true
+	case recEnqueue:
+		it.Key = r.String(int(r.U32()))
+		it.Payload = r.Rest()
+	default:
 		return Item{}, false, false
 	}
-	it.Seq = int64(binary.LittleEndian.Uint64(body[1:]))
-	switch body[0] {
-	case recSettle:
-		return it, true, len(body) == 9
-	case recEnqueue:
-		if len(body) < 13 {
-			return Item{}, false, false
-		}
-		keyLen := binary.LittleEndian.Uint32(body[9:])
-		rest := body[13:]
-		if uint64(keyLen) > uint64(len(rest)) {
-			return Item{}, false, false
-		}
-		it.Key, it.Payload = string(rest[:keyLen]), rest[keyLen:]
-		return it, false, true
+	if r.Err() != nil {
+		return Item{}, false, false
 	}
-	return Item{}, false, false
+	return it, settled, true
 }
 
 // encodeEnqueue builds the frame that journals one accepted item.
@@ -97,8 +95,7 @@ func encodeEnqueue(it Item) []byte {
 	buf := framelog.NewFrame(13 + len(it.Key) + len(it.Payload))
 	buf = append(buf, recEnqueue)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(it.Seq))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Key)))
-	buf = append(buf, it.Key...)
+	buf = wire.AppendString32(buf, it.Key)
 	return append(buf, it.Payload...)
 }
 
