@@ -144,19 +144,6 @@ func (c *Consensus) LearnAll(sampleID int64) {
 	}
 }
 
-// FalseLabelBound returns the §4.1 noise bound for n engines with the given
-// per-engine FP rate: (fpRate)^n.
-func FalseLabelBound(fpRate float64, n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= fpRate
-	}
-	return out
-}
-
 func (r Result) String() string {
 	return fmt.Sprintf("flagged %d/%d (rejected=%v)", r.FlaggedBy, len(r.Verdicts), r.Rejected)
 }

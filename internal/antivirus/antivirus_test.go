@@ -92,19 +92,10 @@ func TestConsensusFalseLabelBound(t *testing.T) {
 			rejected++
 		}
 	}
-	bound := FalseLabelBound(0.05, 4) // 6.25e-6
+	bound := math.Pow(0.05, 4) // fpRate^engines = 6.25e-6
 	measured := float64(rejected) / n
 	if measured > bound*40 { // generous sampling slack around a tiny rate
 		t.Errorf("benign rejection rate %.6f far above bound %.6f", measured, bound)
-	}
-}
-
-func TestFalseLabelBound(t *testing.T) {
-	if got := FalseLabelBound(0.05, 4); math.Abs(got-6.25e-6) > 1e-12 {
-		t.Errorf("bound = %v", got)
-	}
-	if FalseLabelBound(0.5, 0) != 1 {
-		t.Error("degenerate bound")
 	}
 }
 

@@ -130,25 +130,17 @@ type Server struct {
 	listener net.Listener
 }
 
-// record tracks one submission from admission to verdict, plus its span
-// log and any live trace subscribers.
+// record indexes one submission: the service's ticket, which holds its
+// state, verdict and completion (the gateway keeps no copy of them), plus
+// the span log and any live trace subscribers.
 type record struct {
-	id      string
-	seq     int64
-	created time.Time
+	id     string
+	seq    int64
+	ticket *vetsvc.Ticket
 
 	mu    sync.Mutex
 	spans []obs.Event
 	subs  []chan obs.Event
-
-	// ticket is the service-side view of the submission (nil only while
-	// the record is being admitted, under regMu); its state machine
-	// (queued → claimed → done/failed) backs the status resource.
-	ticket *vetsvc.Ticket
-
-	done    chan struct{} // closed when the ticket settles
-	verdict *core.Verdict
-	vetErr  error
 }
 
 // New builds a gateway over a running vetting service. The server routes
@@ -266,15 +258,16 @@ func (r *record) addSpan(ev obs.Event) {
 }
 
 // subscribe snapshots the replayable spans and, if the submission is
-// still in flight, registers a live channel for the rest.
+// still in flight, registers a live channel for the rest. The pipeline
+// emits every span before the ticket settles, so a settled ticket seen
+// under r.mu means the replay is complete, and an unsettled one means
+// every later span reaches the channel.
 func (r *record) subscribe() (replay []obs.Event, live chan obs.Event, finished bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	replay = append([]obs.Event(nil), r.spans...)
-	select {
-	case <-r.done:
+	if r.settled() {
 		return replay, nil, true
-	default:
 	}
 	live = make(chan obs.Event, 64)
 	r.subs = append(r.subs, live)
@@ -293,23 +286,11 @@ func (r *record) unsubscribe(ch chan obs.Event) {
 	}
 }
 
-// complete settles the record with the ticket's outcome.
-func (r *record) complete(v *core.Verdict, err error) {
-	r.mu.Lock()
-	r.verdict, r.vetErr = v, err
-	r.subs = nil
-	r.mu.Unlock()
-	close(r.done)
-}
-
-// isDone reports whether the submission has settled.
-func (r *record) isDone() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+// settled reports whether the submission has its verdict or error, without
+// allocating the ticket's done channel.
+func (r *record) settled() bool {
+	st := r.ticket.State()
+	return st == "done" || st == "failed"
 }
 
 // SubmissionStatus is the JSON resource for one submission.
@@ -338,21 +319,13 @@ type errorBody struct {
 // the backpressure table: 504 deadline, 503 drain, 422 bad archive, 500
 // otherwise).
 func (r *record) status() (SubmissionStatus, int) {
-	st := SubmissionStatus{ID: r.id, Seq: r.seq}
-	if !r.isDone() {
-		// The ticket's state machine is authoritative for the in-flight
-		// half; a ticket that has settled while the record is still
-		// completing reads as claimed until the verdict lands.
-		st.Status = "queued"
-		if r.ticket != nil {
-			if ts := r.ticket.State(); ts == "claimed" || ts == "done" || ts == "failed" {
-				st.Status = "claimed"
-			}
-		}
+	st := SubmissionStatus{ID: r.id, Seq: r.seq, Status: r.ticket.State()}
+	if st.Status == "queued" || st.Status == "claimed" {
 		return st, http.StatusAccepted
 	}
+	// Settled: Wait returns at once.
+	v, err := r.ticket.Wait(context.Background())
 	r.mu.Lock()
-	v, err := r.verdict, r.vetErr
 	for _, ev := range r.spans {
 		if ev.Name == pipeline.StageCacheLookup && ev.Note != "" {
 			st.Outcome = ev.Note
@@ -360,11 +333,9 @@ func (r *record) status() (SubmissionStatus, int) {
 	}
 	r.mu.Unlock()
 	if err == nil {
-		st.Status = "done"
 		st.Verdict = v
 		return st, http.StatusOK
 	}
-	st.Status = "failed"
 	st.Error = err.Error()
 	if stage, ok := pipeline.FailedStage(err); ok {
 		st.Stage = stage
@@ -463,10 +434,10 @@ func (s *Server) retryAfterSeconds() int {
 	return int((retry + time.Second - 1) / time.Second)
 }
 
-// admit finds or creates the record for one content digest. Creation
-// reserves the vet sequence number up front and registers the record
-// under it before the service can start the vet, so the trace stream
-// never misses a span.
+// admit finds or creates the record for one content digest. regMu is held
+// across the service's Submit, so the record is indexed under its
+// sequence number before routeSpan can look up a span of its vet, and no
+// reader sees it before its ticket is set.
 func (s *Server) admit(id string, data []byte) (*record, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -477,43 +448,30 @@ func (s *Server) admit(id string, data []byte) (*record, error) {
 		return rec, nil
 	}
 	seq := s.ck.ReserveVetSeqs(1)
-	rec := &record{id: id, seq: seq, created: time.Now(), done: make(chan struct{})}
-	s.byID[id] = rec
-	s.bySeq[seq] = rec
 	ticket, err := s.svc.Submit(context.Background(), core.Submission{Raw: data, Seq: seq, Digest: id})
 	if err != nil {
-		delete(s.byID, id)
-		delete(s.bySeq, seq)
 		return nil, err
 	}
-	rec.ticket = ticket
+	rec := &record{id: id, seq: seq, ticket: ticket}
+	s.byID[id] = rec
+	s.bySeq[seq] = rec
 	s.order = append(s.order, rec)
 	s.evictLocked()
 	s.col.Counter("gw.submissions.accepted").Inc()
-	go s.settle(rec, ticket)
 	return rec, nil
 }
 
-// settle waits for the ticket and completes the record.
-func (s *Server) settle(rec *record, t *vetsvc.Ticket) {
-	v, err := t.Wait(context.Background())
-	rec.complete(v, err)
-	s.regMu.Lock()
-	delete(s.bySeq, rec.seq)
-	s.regMu.Unlock()
-	s.col.Counter("gw.submissions.settled").Inc()
-}
-
 // evictLocked bounds the record registry: oldest completed records go
-// first; in-flight records are never evicted (they are bounded by the
-// service queue anyway). Caller holds regMu.
+// first, from both indexes; in-flight records are never evicted (they are
+// bounded by the service queue anyway). Caller holds regMu.
 func (s *Server) evictLocked() {
 	for len(s.byID) > s.cfg.MaxRecords {
 		evicted := false
 		for i, rec := range s.order {
-			if rec.isDone() {
+			if rec.settled() {
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				delete(s.byID, rec.id)
+				delete(s.bySeq, rec.seq)
 				s.col.Counter("gw.records.evicted").Inc()
 				evicted = true
 				break
@@ -546,11 +504,11 @@ func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duratio
 // respond writes the submission resource, blocking up to wait for the
 // verdict first.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, rec *record, wait time.Duration) {
-	if wait > 0 && !rec.isDone() {
+	if wait > 0 && !rec.settled() {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
 		select {
-		case <-rec.done:
+		case <-rec.ticket.Done():
 		case <-timer.C:
 		case <-r.Context().Done():
 			return

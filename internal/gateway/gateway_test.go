@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/framework"
+	"apichecker/internal/obs"
 	"apichecker/internal/vetsvc"
 )
 
@@ -378,14 +380,7 @@ func TestGatewayDrainDuringInflight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// The gateway completes its record from a goroutine waiting on the
-	// ticket, so a poll right behind Shutdown may still read "claimed"
-	// (202) for a moment; wait for the record, not for luck.
 	got, resp := getStatus(t, ts.URL, st.ID, "")
-	for settleDeadline := time.Now().Add(10 * time.Second); resp.StatusCode == http.StatusAccepted && time.Now().Before(settleDeadline); {
-		time.Sleep(time.Millisecond)
-		got, resp = getStatus(t, ts.URL, st.ID, "")
-	}
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drained submission poll status %d (%+v), want 503", resp.StatusCode, got)
 	}
@@ -544,5 +539,120 @@ func TestGatewayUploadLengths(t *testing.T) {
 	half = half[:len(half)/2]
 	if code, st := raw(len(half), append(append([]byte{}, half...), "the other half"...)); code != http.StatusUnprocessableEntity || st.ID != apk.Digest(half) {
 		t.Errorf("declared half an archive: status %d, %+v; want 422 for %s", code, st, apk.Digest(half))
+	}
+}
+
+// serve runs one request through the gateway's handler in the calling
+// goroutine: no listener, no connection goroutines.
+func serve(gw *Server, method, target string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	gw.ServeHTTP(w, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	return w
+}
+
+// TestPollIsTerminalOnceSettled: the moment the service settles a
+// submission (its done event, emitted synchronously by the settling
+// goroutine), a poll reads the verdict or the error — never 202. Hits,
+// misses and a 422 all take that path.
+func TestPollIsTerminalOnceSettled(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	svc := vetsvc.New(ck, vetsvc.Config{Workers: 4, QueueSize: 128})
+	t.Cleanup(svc.Close)
+	gw := New(svc, Config{})
+
+	const n = 100
+	archives := make([][]byte, 0, n+1)
+	for i := 0; i < n; i++ {
+		data := buildAPK(t, corpus, i)
+		if i%2 == 0 {
+			// Vetted in process first: the gateway's submission is a hit.
+			if _, err := ck.Vet(context.Background(), core.Submission{Raw: data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		archives = append(archives, data)
+	}
+	archives = append(archives, []byte{'P', 'K', 3, 4, 9, 9}) // admitted, then 422
+
+	var (
+		mu     sync.Mutex
+		polled = map[string]int{} // submission id -> status code at its done event
+		sunk   sync.WaitGroup
+	)
+	sunk.Add(len(archives))
+	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
+		if ev.Kind != obs.KindService || ev.Name != vetsvc.EventDone.String() {
+			return
+		}
+		defer sunk.Done()
+		gw.regMu.RLock()
+		rec := gw.bySeq[ev.Trace]
+		gw.regMu.RUnlock()
+		if rec == nil {
+			t.Errorf("done event for seq %d has no gateway record", ev.Trace)
+			return
+		}
+		w := serve(gw, http.MethodGet, "/v1/submissions/"+rec.id, nil)
+		mu.Lock()
+		polled[rec.id] = w.Code
+		mu.Unlock()
+	}))
+	for i, data := range archives {
+		if w := serve(gw, http.MethodPost, "/v1/submissions", data); w.Code != http.StatusAccepted && w.Code != http.StatusOK {
+			t.Fatalf("archive %d: submit status %d: %s", i, w.Code, w.Body)
+		}
+	}
+	sunk.Wait()
+
+	for i, data := range archives {
+		want := http.StatusOK
+		if i == n {
+			want = http.StatusUnprocessableEntity
+		}
+		if got, ok := polled[apk.Digest(data)]; got != want {
+			t.Errorf("archive %d: poll at its done event answered %d (polled: %v), want %d", i, got, ok, want)
+		}
+	}
+	if m := svc.Metrics(); m.CacheHits == 0 || m.CacheMisses == 0 || m.Failed != 1 {
+		t.Errorf("mix: %d hits, %d misses, %d failed; want some hits, some misses, one failure",
+			m.CacheHits, m.CacheMisses, m.Failed)
+	}
+}
+
+// TestNoGoroutinePerInflightSubmission: an accepted submission costs the
+// gateway no goroutine while it waits for a lane.
+func TestNoGoroutinePerInflightSubmission(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	svc := vetsvc.New(ck, vetsvc.Config{
+		Workers:   1,
+		QueueSize: 64,
+		OnEvent: func(ev vetsvc.Event) {
+			if ev.Type == vetsvc.EventStarted {
+				<-gate
+			}
+		},
+	})
+	t.Cleanup(func() {
+		release()
+		svc.Close()
+	})
+	gw := New(svc, Config{})
+
+	const n = 50
+	archives := make([][]byte, n)
+	for i := range archives {
+		archives[i] = buildAPK(t, corpus, i)
+	}
+	before := runtime.NumGoroutine()
+	for i, data := range archives {
+		if w := serve(gw, http.MethodPost, "/v1/submissions", data); w.Code != http.StatusAccepted {
+			t.Fatalf("archive %d: submit status %d: %s", i, w.Code, w.Body)
+		}
+	}
+	if grown := runtime.NumGoroutine() - before; grown >= n/2 {
+		t.Errorf("%d in-flight submissions grew the goroutine count by %d", n, grown)
 	}
 }

@@ -62,19 +62,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		case ev := <-live:
 			writeSSE(w, "span", spanOf(ev))
 			flusher.Flush()
-		case <-rec.done:
-			// Drain spans that raced with completion, then terminate.
-			for {
-				select {
-				case ev := <-live:
-					writeSSE(w, "span", spanOf(ev))
-				default:
-					finished = true
-				}
-				if finished {
-					break
-				}
+		case <-rec.ticket.Done():
+			// Every span was sent before the ticket settled: drain the
+			// ones still buffered, then terminate.
+			for len(live) > 0 {
+				writeSSE(w, "span", spanOf(<-live))
 			}
+			finished = true
 		case <-r.Context().Done():
 			return
 		}

@@ -27,9 +27,6 @@ func NewVector(n int) Vector { return make(Vector, (n+63)/64) }
 // Set sets bit i.
 func (v Vector) Set(i int) { v[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear clears bit i.
-func (v Vector) Clear(i int) { v[i/64] &^= 1 << (uint(i) % 64) }
-
 // Get reports bit i.
 func (v Vector) Get(i int) bool { return v[i/64]&(1<<(uint(i)%64)) != 0 }
 

@@ -10,31 +10,27 @@ import (
 // problem: apps that touch both "SMS" (bit 0) and "network" (bit 1) are
 // malicious.
 func ExampleRandomForest() {
-	d := ml.NewDataset(4)
-	add := func(bits []int, malicious bool) {
+	app := func(bits ...int) ml.Vector {
 		v := ml.NewVector(4)
 		for _, b := range bits {
 			v.Set(b)
 		}
-		_ = d.Add(v, malicious)
+		return v
 	}
+	d := ml.NewDataset(4)
 	for i := 0; i < 30; i++ {
-		add([]int{0, 1}, true)  // SMS + network
-		add([]int{0}, false)    // SMS only: a messaging app
-		add([]int{1, 2}, false) // network + UI: a browser
-		add([]int{3}, false)    // neither
+		_ = d.Add(app(0, 1), true)  // SMS + network
+		_ = d.Add(app(0), false)    // SMS only: a messaging app
+		_ = d.Add(app(1, 2), false) // network + UI: a browser
+		_ = d.Add(app(3), false)    // neither
 	}
 
 	rf := ml.NewRandomForest(ml.DefaultForestConfig(1))
 	if err := rf.Train(d); err != nil {
 		panic(err)
 	}
-	query := ml.NewVector(4)
-	query.Set(0)
-	query.Set(1)
-	fmt.Println("SMS+network app malicious:", rf.Predict(query))
-	query.Clear(1)
-	fmt.Println("SMS-only app malicious:  ", rf.Predict(query))
+	fmt.Println("SMS+network app malicious:", rf.Predict(app(0, 1)))
+	fmt.Println("SMS-only app malicious:  ", rf.Predict(app(0)))
 	// Output:
 	// SMS+network app malicious: true
 	// SMS-only app malicious:   false

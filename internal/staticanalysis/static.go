@@ -49,15 +49,6 @@ type Report struct {
 	NativeLibCount   int
 }
 
-// ReferencedActivityRatio returns |referenced| / |declared| (§4.2 measures
-// 88% on average across the corpus).
-func (r *Report) ReferencedActivityRatio() float64 {
-	if len(r.DeclaredActivities) == 0 {
-		return 0
-	}
-	return float64(len(r.ReferencedActivities)) / float64(len(r.DeclaredActivities))
-}
-
 // Analyze scans a parsed APK against the universe.
 func Analyze(a *apk.APK, u *framework.Universe) (*Report, error) {
 	if a == nil || a.Manifest == nil || a.Dex == nil {

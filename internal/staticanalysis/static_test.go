@@ -49,9 +49,8 @@ func TestAnalyzeBasics(t *testing.T) {
 	if r.UnknownAPIs != 0 {
 		t.Errorf("unknown APIs = %d, want 0", r.UnknownAPIs)
 	}
-	ratio := r.ReferencedActivityRatio()
-	if ratio <= 0 || ratio > 1 {
-		t.Errorf("referenced ratio = %f", ratio)
+	if n := len(r.ReferencedActivities); n == 0 || n > len(r.DeclaredActivities) {
+		t.Errorf("referenced %d of %d declared activities", n, len(r.DeclaredActivities))
 	}
 }
 
@@ -146,9 +145,8 @@ func TestIntentActionsUnionManifestAndCode(t *testing.T) {
 }
 
 // TestAnalyzeEmptyManifest: an APK whose manifest declares nothing — no
-// activities, permissions, or receivers — analyzes cleanly with a zero
-// (not NaN, not panicking) referenced-activity ratio and empty feature
-// sets.
+// activities, permissions, or receivers — analyzes cleanly, with no
+// referenced activities and empty feature sets.
 func TestAnalyzeEmptyManifest(t *testing.T) {
 	p := testGen.Generate(behavior.Spec{
 		PackageName: "com.static.empty", Version: 1, Seed: 41,
@@ -162,9 +160,6 @@ func TestAnalyzeEmptyManifest(t *testing.T) {
 	r, err := Analyze(parsed, testU)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := r.ReferencedActivityRatio(); got != 0 {
-		t.Errorf("ReferencedActivityRatio on empty manifest = %v, want 0", got)
 	}
 	if len(r.DeclaredActivities) != 0 || len(r.ReferencedActivities) != 0 {
 		t.Errorf("activities leaked into empty-manifest report: %v / %v",
@@ -224,7 +219,9 @@ func TestCorpusReferencedRatioNearPaper(t *testing.T) {
 	sum, n := 0.0, 0
 	for seed := int64(0); seed < 150; seed++ {
 		_, r := analyzed(t, seed, behavior.Benign, behavior.FamilyNone)
-		sum += r.ReferencedActivityRatio()
+		if d := len(r.DeclaredActivities); d > 0 {
+			sum += float64(len(r.ReferencedActivities)) / float64(d)
+		}
 		n++
 	}
 	mean := sum / float64(n)

@@ -164,19 +164,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(vals, 50); got != 5 {
-		t.Errorf("P50 = %f", got)
-	}
-	if got := Percentile(vals, 0); got != 1 {
-		t.Errorf("P0 = %f", got)
-	}
-	if got := Percentile(vals, 100); got != 10 {
-		t.Errorf("P100 = %f", got)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	vals := []float64{3, 1, 2, 5, 4}
 	pts := CDF(vals, 5)

@@ -48,29 +48,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.Mean, s.Median, s.Max)
 }
 
-// Percentile returns the p-th percentile (0-100) by nearest-rank.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	X float64
