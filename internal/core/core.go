@@ -158,10 +158,12 @@ type Checker struct {
 	// obs is the checker's observability spine: one span per completed
 	// pipeline stage, plus the emulator-reliability and verdict-cache
 	// counters and the model.generation gauge. vetPipe is the canonical
-	// serving chain; runPipe the always-emulate chain VetRun drives.
+	// serving chain; runPipe the always-emulate chain VetRun drives; hitPipe
+	// the Admit → cache-hit chain AnswerHit drives.
 	obs     *obs.Collector
 	vetPipe *pipeline.Pipeline
 	runPipe *pipeline.Pipeline
+	hitPipe *pipeline.Pipeline
 
 	vetCount int64
 }
@@ -539,6 +541,7 @@ func (ck *Checker) buildPipelines() {
 	}
 	ck.vetPipe = pipeline.VetChain(ck.obs, d)
 	ck.runPipe = pipeline.RunChain(ck.obs, d)
+	ck.hitPipe = pipeline.HitChain(ck.obs, d)
 }
 
 // runRaw drives a decoded raw archive through the adb device sequence
@@ -638,6 +641,39 @@ func (ck *Checker) VetOutcome(ctx context.Context, sub Submission) (*Verdict, vc
 	// so returning it past the release is safe; everything else on vc is
 	// recycled.
 	return vc.Verdict, vc.Outcome, nil
+}
+
+// Hit is a verdict-cache entry LookupHit found for a submission, held
+// until AnswerHit answers the submission from it.
+type Hit struct{ entry []byte }
+
+// LookupHit probes the verdict cache for sub's content digest under the
+// current model generation, for a caller that sequences a submission only
+// once it knows whether the submission needs a vet. It runs no stage: a
+// miss counts and emits nothing, and a hit counts one cache hit. The
+// digest is memoized on sub.
+func (ck *Checker) LookupHit(sub *Submission) (Hit, bool) {
+	if ck.cache == nil {
+		return Hit{}, false
+	}
+	e, ok := ck.cache.Hit(sub.ContentDigest()) // an undigestable payload's "" is never found
+	return Hit{entry: e}, ok
+}
+
+// AnswerHit answers sub from the entry LookupHit found. It runs the vet
+// chain's Admit stage and the hit half of its cache lookup on the calling
+// goroutine, so a submission answered this way records the same admit and
+// cache.lookup spans (note "hit"), traced under sub.Seq, and gets the same
+// verdict as one answered by a cache hit inside Vet. Nothing is decoded
+// or emulated.
+func (ck *Checker) AnswerHit(ctx context.Context, sub Submission, h Hit) (*Verdict, error) {
+	vc := pipeline.AcquireContext(ctx, &sub)
+	defer pipeline.ReleaseContext(vc)
+	vc.Entry = h.entry
+	if err := ck.hitPipe.Run(vc); err != nil {
+		return nil, ck.vetError(vc, err)
+	}
+	return vc.Verdict, nil
 }
 
 // VetRun is Vet, additionally returning the raw emulation result (the

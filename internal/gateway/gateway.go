@@ -117,7 +117,10 @@ type Server struct {
 	// it is exported by /metrics alongside the checker's and service's.
 	col *obs.Collector
 
-	// regMu guards the two record indexes and the eviction order.
+	// regMu guards the two record indexes, the eviction order, and the
+	// setting of a record's ticket. Nothing that emits an obs event runs
+	// under it (Submit is called outside it), so a sink may call back into
+	// the gateway.
 	regMu sync.RWMutex
 	byID  map[string]*record
 	bySeq map[int64]*record
@@ -132,7 +135,9 @@ type Server struct {
 
 // record indexes one submission: the service's ticket, which holds its
 // state, verdict and completion (the gateway keeps no copy of them), plus
-// the span log and any live trace subscribers.
+// the span log and any live trace subscribers. The record sits in bySeq
+// from its seq reservation, and its ticket is set under regMu when it
+// enters byID, so every reader that finds it by id finds the ticket.
 type record struct {
 	id     string
 	seq    int64
@@ -406,20 +411,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	rec, err := s.admit(id, data)
 	if err != nil {
-		switch {
-		case errors.Is(err, vetsvc.ErrQueueFull):
+		code := admitErrorCode(err)
+		switch code {
+		case http.StatusTooManyRequests:
 			s.col.Counter("gw.rejected.backpressure").Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		case errors.Is(err, vetsvc.ErrDraining) || errors.Is(err, vetsvc.ErrClosed):
+		case http.StatusServiceUnavailable:
 			s.col.Counter("gw.rejected.draining").Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		}
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	s.respond(w, r, rec, wait)
+}
+
+// admitErrorCode maps a refused admission to its HTTP status: 429 for a
+// full queue, 503 for a draining or closed service, 400 for a submission
+// the service calls malformed, and 500 for anything else — a journal
+// write that failed is the server's fault, not the upload's.
+func admitErrorCode(err error) int {
+	switch {
+	case errors.Is(err, vetsvc.ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, vetsvc.ErrDraining) || errors.Is(err, vetsvc.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, core.ErrBadSubmission):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
 }
 
 // retryAfterSeconds turns live queue pressure into the 429 backoff hint:
@@ -434,31 +454,64 @@ func (s *Server) retryAfterSeconds() int {
 	return int((retry + time.Second - 1) / time.Second)
 }
 
-// admit finds or creates the record for one content digest. regMu is held
-// across the service's Submit, so the record is indexed under its
-// sequence number before routeSpan can look up a span of its vet, and no
-// reader sees it before its ticket is set.
+// admit finds or creates the record for one content digest. regMu covers
+// only the join check, the seq reservation and the bySeq entry, so
+// routeSpan can place every span of the vet; the service's Submit runs
+// outside it, and publish puts the record in byID with its ticket before
+// anything can settle it, so a reader never sees a record without one.
 func (s *Server) admit(id string, data []byte) (*record, error) {
 	s.regMu.Lock()
-	defer s.regMu.Unlock()
 	if rec, ok := s.byID[id]; ok {
+		s.regMu.Unlock()
 		// Byte-identical resubmission: same resource, no new vet — the
 		// digest is the submission ID (and the verdict-cache key).
 		s.col.Counter("gw.submissions.joined").Inc()
 		return rec, nil
 	}
-	seq := s.ck.ReserveVetSeqs(1)
-	ticket, err := s.svc.Submit(context.Background(), core.Submission{Raw: data, Seq: seq, Digest: id})
-	if err != nil {
+	rec := &record{id: id, seq: s.ck.ReserveVetSeqs(1)}
+	s.bySeq[rec.seq] = rec
+	s.regMu.Unlock()
+
+	sub := core.Submission{Raw: data, Seq: rec.seq, Digest: id}
+	if _, err := s.svc.SubmitPublish(context.Background(), sub, func(t *vetsvc.Ticket) { s.publish(rec, t) }); err != nil {
+		s.unindex(rec)
 		return nil, err
 	}
-	rec := &record{id: id, seq: seq, ticket: ticket}
-	s.byID[id] = rec
-	s.bySeq[seq] = rec
-	s.order = append(s.order, rec)
-	s.evictLocked()
 	s.col.Counter("gw.submissions.accepted").Inc()
 	return rec, nil
+}
+
+// publish sets the record's ticket and indexes it by id. A concurrent
+// identical POST may have published first: then this record answers its
+// own request from its own ticket and leaves both indexes to the winner.
+func (s *Server) publish(rec *record, t *vetsvc.Ticket) {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	rec.ticket = t
+	if _, ok := s.byID[rec.id]; ok {
+		delete(s.bySeq, rec.seq)
+		return
+	}
+	s.byID[rec.id] = rec
+	s.order = append(s.order, rec)
+	s.evictLocked()
+}
+
+// unindex removes a record whose admission failed from both indexes.
+func (s *Server) unindex(rec *record) {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	delete(s.bySeq, rec.seq)
+	if s.byID[rec.id] != rec {
+		return
+	}
+	delete(s.byID, rec.id)
+	for i, r := range s.order {
+		if r == rec {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // evictLocked bounds the record registry: oldest completed records go

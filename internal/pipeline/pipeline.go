@@ -60,6 +60,10 @@ type VetContext struct {
 	// bypass); the zero value is OutcomeBypass.
 	Outcome vcache.Outcome
 
+	// Entry is the verdict-cache entry an admission probe found before the
+	// submission was sequenced; HitChain's CacheHit stage decodes it.
+	Entry []byte
+
 	// Spans is the per-submission span log: one obs event per completed
 	// stage, in execution order.
 	Spans []obs.Event

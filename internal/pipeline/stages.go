@@ -262,18 +262,37 @@ func (s CacheLookup) Wrap(vc *VetContext, next func() error) error {
 		// only add allocations.
 		return nil
 	}
-	// Hit or coalesced: decode into caller-owned storage. The Verdict is a
-	// fresh allocation per caller (no two submissions ever share a result
-	// pointer); the vector reuses this context's scratch.
+	return vc.answer(e)
+}
+
+// answer decodes a cache entry into caller-owned storage: the hit half of
+// CacheLookup, shared with CacheHit. The Verdict is a fresh allocation per
+// caller (no two submissions ever share a result pointer); the vector
+// reuses this context's scratch.
+func (vc *VetContext) answer(e []byte) error {
 	v := new(Verdict)
-	vec, derr := DecodeEntry(e, v, vc.Vector[:0])
-	if derr != nil {
-		return derr
+	vec, err := DecodeEntry(e, v, vc.Vector[:0])
+	if err != nil {
+		return err
 	}
 	v.Digest = vc.Digest // the key looked up; the entry does not repeat it
 	vc.Verdict = v
 	vc.Vector = vec
 	return nil
+}
+
+// CacheHit answers from the entry an admission probe already found
+// (vc.Entry): CacheLookup's hit half under CacheLookup's name, so the span
+// it records is the one a lookup hit records. It never runs the stages
+// behind it.
+type CacheHit struct{}
+
+func (CacheHit) Name() string { return StageCacheLookup }
+
+func (CacheHit) Run(vc *VetContext) error {
+	vc.Outcome = vcache.OutcomeHit
+	vc.Span(0, vc.Outcome.String())
+	return vc.answer(vc.Entry)
 }
 
 // Triage is the tier-1 static pre-screen: a manifest-only permissions +
@@ -580,6 +599,13 @@ func (s CacheStore) Run(vc *VetContext) error {
 // singleflight.
 func VetChain(col *obs.Collector, d *Deps) *Pipeline {
 	return New(col, Admit{d}, CacheLookup{d}, Triage{d}, Decode{d}, Emulate{d}, ExtractFeatures{d}, Infer{d})
+}
+
+// HitChain assembles the chain that answers a submission from a cache
+// entry found before it was sequenced: Admit → CacheHit, the same two
+// spans a lookup hit on VetChain records.
+func HitChain(col *obs.Collector, d *Deps) *Pipeline {
+	return New(col, Admit{d}, CacheHit{})
 }
 
 // RunChain assembles the always-emulate chain VetRun drives: no cache

@@ -297,7 +297,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 }
 
 // Get looks the key up without counting a hit or a miss (observability
-// and tests; the serving path uses Do).
+// and tests; the serving path uses Hit and Do).
 func (c *Cache[V]) Get(key string) (V, bool) {
 	var zero V
 	if key == "" {
@@ -317,6 +317,17 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	sh.lru.MoveToFront(el)
 	return e.val, true
+}
+
+// Hit is Get for a caller that answers from the entry it finds: it counts
+// a hit when it finds one and nothing when it does not, so a probe that
+// misses and goes on to Do books exactly what Do alone would have.
+func (c *Cache[V]) Hit(key string) (V, bool) {
+	v, ok := c.Get(key)
+	if ok {
+		c.hits.Add(1)
+	}
+	return v, ok
 }
 
 // Put stores a value computed outside Do (the write-through path: callers
@@ -456,7 +467,7 @@ func (c *Cache[V]) Len() int {
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	Hits      uint64 // Dos served from a stored entry
+	Hits      uint64 // Dos and Hits served from a stored entry
 	Misses    uint64 // Dos that ran the computation
 	Coalesced uint64 // Dos that blocked on a concurrent leader
 

@@ -257,6 +257,29 @@ func TestBumpEpochInvalidates(t *testing.T) {
 	}
 }
 
+// TestHitCountsOnlyWhatItFinds: a probe that finds nothing — absent, or
+// stored under an epoch since bumped — books nothing, so the Do that
+// follows it books the one miss Do alone would have.
+func TestHitCountsOnlyWhatItFinds(t *testing.T) {
+	c := New[int](8)
+	if _, ok := c.Hit("k"); ok {
+		t.Fatal("Hit found an absent key")
+	}
+	if _, out, _ := c.Do(context.Background(), "k", func() (int, error) { return 7, nil }); out != OutcomeMiss {
+		t.Fatalf("outcome = %v, want miss", out)
+	}
+	if v, ok := c.Hit("k"); !ok || v != 7 {
+		t.Fatalf("Hit = (%d, %v), want (7, true)", v, ok)
+	}
+	c.BumpEpoch()
+	if _, ok := c.Hit("k"); ok {
+		t.Fatal("Hit served an entry from before BumpEpoch")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses; want 1 and 1", st.Hits, st.Misses)
+	}
+}
+
 func TestBumpEpochDuringFlightSkipsStore(t *testing.T) {
 	c := New[int](8)
 	started := make(chan struct{})

@@ -17,9 +17,10 @@
 //     isolation (a poisoned APK nacks its lease, it does not kill the
 //     process).
 //   - vetsvc itself owns meaning: tickets are views over a first-wins
-//     verdict record keyed by seq (+digest), Submit is an enqueue, Drain
-//     is stop-claims-then-settle-leases, and every metric is a view over
-//     the queue, the records, and the obs spine.
+//     verdict record keyed by seq (+digest), Submit answers a cached
+//     verdict at admission and enqueues everything else, Drain is
+//     stop-claims-then-settle-leases, and every metric is a view over the
+//     queue, the records, and the obs spine.
 //
 // The determinism contract is unchanged: verdicts derive from submission
 // content alone (Monkey seeds come from the content digest), so service
@@ -93,12 +94,14 @@ type Config struct {
 	// event-batch boundary and counts as a timeout.
 	Deadline time.Duration
 
-	// QueueDir, when non-empty, journals raw-archive submissions to a
-	// CRC-framed log in that directory: a killed service replays every
+	// QueueDir, when non-empty, journals queued raw-archive submissions to
+	// a CRC-framed log in that directory: a killed service replays every
 	// enqueued-but-unacked submission on the next Open (crash-safe
-	// intake). Submissions admitted as parsed APKs or behaviour programs
-	// are memory-only and do not survive a restart. Use Open (not New)
-	// with a QueueDir, so journal I/O errors surface.
+	// intake). A submission answered from the verdict cache at admission
+	// is never queued, so never journaled: its verdict is known before
+	// Submit returns. Submissions admitted as parsed APKs or behaviour
+	// programs are memory-only and do not survive a restart. Use Open (not
+	// New) with a QueueDir, so journal I/O errors surface.
 	QueueDir string
 
 	// LeaseTTL, when positive, bounds how long a claimed submission may go
@@ -119,11 +122,14 @@ type Config struct {
 	MaxAttempts int
 
 	// OnEvent, when set, receives a structured event per admission
-	// decision and completion. Called synchronously from service
-	// goroutines: keep it fast and do not call back into the service.
-	// It rides the service's obs spine: the callback is registered as a
-	// Sink on the service collector, so it sees exactly the events any
-	// other attached sink does.
+	// decision and completion. Called synchronously: accepted and rejected
+	// on the submitting goroutine (accepted with the admission lock held);
+	// started and done on the lane that vets the submission, or on the
+	// submitting goroutine, before Submit returns, for a submission
+	// answered from the verdict cache at admission. Keep it fast and do not
+	// call back into the service. It rides the service's obs spine: the
+	// callback is registered as a Sink on the service collector, so it
+	// sees exactly the events any other attached sink does.
 	OnEvent func(Event)
 
 	// DisableLocalLanes runs the service in coordinator mode: no local
@@ -143,13 +149,15 @@ func DefaultConfig() Config {
 type EventType uint8
 
 const (
-	// EventAccepted: a submission entered the queue.
+	// EventAccepted: a submission was admitted under a seq — queued, or
+	// about to be answered from the verdict cache.
 	EventAccepted EventType = iota
 	// EventRejected: the queue was full; nothing was enqueued.
 	EventRejected
-	// EventStarted: a worker began vetting the submission. A reclaimed
-	// submission starts again under its original seq, so a lease-expiry
-	// reclaim can repeat this event for one seq.
+	// EventStarted: a worker began vetting the submission, or admission
+	// found its verdict cached. A reclaimed submission starts again under
+	// its original seq, so a lease-expiry reclaim can repeat this event for
+	// one seq.
 	EventStarted
 	// EventDone: vetting finished (Err reports how). Exactly one per
 	// accepted submission, however many claims it took.
@@ -222,6 +230,12 @@ type Service struct {
 	mu       sync.Mutex
 	draining bool
 	closed   bool
+
+	// answering counts admission hits accepted but not yet settled. Add
+	// happens under mu while admissions are open, so once draining flips
+	// nothing adds to it and Drain's Wait sees every answer through to its
+	// done event.
+	answering sync.WaitGroup
 
 	// recs is the live verdict-record registry, keyed by seq; settled
 	// records drop out (their tickets keep the view).
@@ -343,64 +357,73 @@ func (s *Service) Obs() *obs.Collector { return s.m.col }
 // Config returns the effective (clamped) configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// Submit offers a submission without blocking: if the queue is at
-// capacity it fails with ErrQueueFull and consumes nothing. The context
-// becomes the parent of the submission's own deadline-bearing context.
+// Submit offers a submission without blocking. A submission whose content
+// digest the verdict cache holds under the serving model is answered
+// before Submit returns, on the calling goroutine: it takes no queue slot,
+// and its started and done events fire there. Any other submission is
+// queued, or, if the queue is at capacity, refused with ErrQueueFull,
+// consuming nothing. The context becomes the parent of the submission's
+// own deadline-bearing context.
 func (s *Service) Submit(ctx context.Context, sub core.Submission) (*Ticket, error) {
-	if !s.q.TryAcquire() {
-		s.m.rejected.Inc()
-		s.emit(Event{Type: EventRejected, Package: pkgOf(sub), Err: ErrQueueFull})
-		return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrQueueFull)
-	}
-	return s.admit(ctx, sub)
+	return s.SubmitPublish(ctx, sub, nil)
 }
 
-// SubmitWait is Submit with backpressure instead of rejection: it blocks
-// until queue space frees up, the context ends, or the service closes.
+// SubmitPublish is Submit, handing the ticket to publish once the
+// submission is accepted and before anything can settle it. publish runs
+// under the admission lock, right after the accepted event, so whatever it
+// indexes the ticket in is complete before the submission's started or
+// done event fires. Keep it short, and do not submit or drain from it.
+func (s *Service) SubmitPublish(ctx context.Context, sub core.Submission, publish func(*Ticket)) (*Ticket, error) {
+	return s.admit(ctx, sub, false, publish)
+}
+
+// SubmitWait is Submit with backpressure instead of rejection: a queued
+// submission blocks until queue space frees up, the context ends, or the
+// service closes.
 func (s *Service) SubmitWait(ctx context.Context, sub core.Submission) (*Ticket, error) {
+	return s.admit(ctx, sub, true, nil)
+}
+
+// admit is the one admission path. Validation comes first, then the
+// verdict-cache probe: a hit is answered here and takes no queue slot. A
+// miss takes one — waiting for it when wait is set — which transfers to the
+// queue entry or is released on failure. The accepted event and publish run
+// under the admission lock, before the item becomes claimable, so per-seq
+// event order is strictly accepted → started.
+func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, publish func(*Ticket)) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := s.q.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	return s.admit(ctx, sub)
-}
-
-// admit enqueues a submission; the caller holds one queue slot, which
-// transfers to the queue entry or is released on failure. The accepted
-// event is emitted under the admission lock, before the item becomes
-// claimable, so per-seq event order is strictly accepted → started.
-func (s *Service) admit(ctx context.Context, sub core.Submission) (*Ticket, error) {
 	if err := sub.Validate(); err != nil {
-		s.q.Release()
 		return nil, err
 	}
 	if s.cfg.DisableLocalLanes {
 		if sub.Raw == nil {
-			s.q.Release()
 			return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrRawOnly)
 		}
 		// The record's key is where a remote verdict's Digest comes from.
 		sub.ContentDigest()
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	if hit, ok := s.ck.LookupHit(&sub); ok {
+		return s.answer(ctx, sub, hit, publish)
+	}
+	if wait {
+		if err := s.q.Acquire(ctx); err != nil {
+			return nil, err
+		}
+	} else if !s.q.TryAcquire() {
+		s.m.rejected.Inc()
+		s.emit(Event{Type: EventRejected, Package: pkgOf(sub), Err: ErrQueueFull})
+		return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrQueueFull)
 	}
 	s.mu.Lock()
-	if s.closed || s.draining {
-		err := ErrClosed
-		if !s.closed {
-			err = ErrDraining
-		}
+	if err := s.refusal(); err != nil {
 		s.mu.Unlock()
 		s.q.Release()
 		return nil, err
 	}
-	if sub.Seq == 0 {
-		sub.Seq = s.ck.ReserveVetSeqs(1)
-	}
-	r := newRecord(sub.Seq, pkgOf(sub), sub.Digest)
+	t := s.open(&sub, publish)
+	r := t.r
 	r.sub = sub
 	// A caller context without cancellation rides the service's drainable
 	// base instead, so a hard drain can abort the vet with a typed cause.
@@ -411,8 +434,6 @@ func (s *Service) admit(ctx context.Context, sub core.Submission) (*Ticket, erro
 		r.deadline = time.Now().Add(s.cfg.Deadline)
 	}
 	s.addRecord(r)
-	s.m.accepted.Inc()
-	s.emit(Event{Type: EventAccepted, Seq: r.seq, Package: r.pkg})
 	_, err := s.q.Enqueue(workqueue.Item{Seq: sub.Seq, Key: sub.Digest, Payload: sub.Raw, Mem: r})
 	s.mu.Unlock()
 	if err != nil {
@@ -423,7 +444,60 @@ func (s *Service) admit(ctx context.Context, sub core.Submission) (*Ticket, erro
 		s.settleRecord(r, nil, vcache.OutcomeBypass, err, 0)
 		return nil, err
 	}
-	return &Ticket{r: r}, nil
+	return t, nil
+}
+
+// answer settles a submission LookupHit found on the submitting goroutine.
+// It is accepted and published under the admission lock like a queued one;
+// started, the checker's admit and cache.lookup spans, and done follow
+// outside it. Nothing is enqueued or journaled: the verdict is known before
+// Submit returns, so a crash has nothing to replay. Drain waits for the
+// answers it let in through s.answering.
+func (s *Service) answer(ctx context.Context, sub core.Submission, hit core.Hit, publish func(*Ticket)) (*Ticket, error) {
+	s.mu.Lock()
+	if err := s.refusal(); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	t := s.open(&sub, publish)
+	s.answering.Add(1)
+	s.mu.Unlock()
+	defer s.answering.Done()
+
+	r := t.r
+	r.markClaimed()
+	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+	v, err := s.ck.AnswerHit(ctx, sub, hit)
+	s.settleRecord(r, v, vcache.OutcomeHit, err, 0)
+	return t, nil
+}
+
+// refusal reports why admissions are refused once Drain has begun (nil
+// before). The caller holds s.mu.
+func (s *Service) refusal() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.draining:
+		return ErrDraining
+	}
+	return nil
+}
+
+// open reserves sub's seq if it pinned none, opens its record, books and
+// emits the accepted event, and hands the ticket to publish. The caller
+// holds s.mu.
+func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *Ticket {
+	if sub.Seq == 0 {
+		sub.Seq = s.ck.ReserveVetSeqs(1)
+	}
+	t := &Ticket{r: newRecord(sub.Seq, pkgOf(*sub), sub.Digest)}
+	s.m.accepted.Inc()
+	s.emit(Event{Type: EventAccepted, Seq: sub.Seq, Package: t.r.pkg})
+	if publish != nil {
+		publish(t)
+	}
+	return t
 }
 
 // vetClaim is the worker pool's Do: the binding from one queue claim to
@@ -738,6 +812,7 @@ func (s *Service) Drain(ctx context.Context) {
 		s.baseCancel(ErrDraining)
 		s.failOutstanding()
 	}
+	s.answering.Wait()
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
