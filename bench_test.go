@@ -10,7 +10,6 @@
 package apichecker
 
 import (
-	"archive/zip"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -312,6 +311,7 @@ func BenchmarkEmulatorRun(b *testing.B) {
 	}
 	emu := emulator.New(emulator.LightweightEmulator, reg)
 	p := e.Corpus.Program(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := emu.Run(p, monkey.ProductionConfig(int64(i))); err != nil {
@@ -627,41 +627,12 @@ func BenchmarkAPKBuildParse(b *testing.B) {
 // reads as the corpus mean, and CI's 1x reads archive 0 every time.
 const benchArchives = 16
 
-// inflateLoadEntries decompresses the three entries apk.Parse decodes, the
-// way it does: one central-directory pass, each entry read to its declared
-// size. It is the zip share of a parse, and the source of the payloads the
-// per-decoder sub-benchmarks run on.
-func inflateLoadEntries(data []byte) (entries [3][]byte, err error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return entries, err
-	}
-	for _, f := range zr.File {
-		for i, name := range [...]string{"AndroidManifest.xml", "classes.dex", "assets/behavior.bin"} {
-			if f.Name != name {
-				continue
-			}
-			rc, err := f.Open()
-			if err != nil {
-				return entries, err
-			}
-			entries[i] = make([]byte, f.UncompressedSize64)
-			_, err = io.ReadFull(rc, entries[i])
-			rc.Close()
-			if err != nil {
-				return entries, err
-			}
-		}
-	}
-	return entries, nil
-}
-
 // BenchmarkAPKParse is the decode budget: a full parse of prebuilt
 // archives, the vet path's view of them (one handle, manifest + behaviour
 // program, the dex never inflated), then the same archives split by where
-// the time goes — zip directory + inflate, and each of the three decoders
-// on its own entry. full minus the four parts is the two hashes plus the
-// directory walk.
+// the time goes — apk's zip directory + inflate (apk.Inflate), and each of
+// the three decoders on its own entry. full minus the four parts is the
+// content hash.
 func BenchmarkAPKParse(b *testing.B) {
 	e := env(b)
 	archives := make([][]byte, benchArchives)
@@ -672,7 +643,7 @@ func BenchmarkAPKParse(b *testing.B) {
 			b.Fatal(err)
 		}
 		archives[i] = data
-		entries, err := inflateLoadEntries(data)
+		entries, err := apk.Inflate(data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -702,7 +673,7 @@ func BenchmarkAPKParse(b *testing.B) {
 		_, err = a.Program()
 		return err
 	})
-	run("inflate", archives, func(d []byte) error { _, err := inflateLoadEntries(d); return err })
+	run("inflate", archives, func(d []byte) error { _, err := apk.Inflate(d); return err })
 	run("manifest", parts[0], func(d []byte) error { _, err := manifest.Decode(d); return err })
 	run("dex", parts[1], func(d []byte) error { _, err := dex.Decode(d); return err })
 	run("behavior", parts[2], func(d []byte) error { _, err := behavior.Decode(d); return err })

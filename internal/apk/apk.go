@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"apichecker/internal/behavior"
@@ -212,9 +211,21 @@ func ParseManifestOnly(data []byte) (*manifest.Manifest, error) {
 	return a.Manifest()
 }
 
+// Inflate decompresses the three load-bearing entries — manifest, dex,
+// behaviour blob, in that order — into one arena and decodes none of them:
+// the container's share of a Parse.
+func Inflate(data []byte) ([len(loadEntries)][]byte, error) {
+	var a Archive
+	if err := a.open(data); err != nil {
+		return a.payloads, err
+	}
+	err := a.inflate(entryManifest, entryDex, entryProgram)
+	return a.payloads, err
+}
+
 // The archive members an Archive materializes, in arena layout order.
 // Everything else (resources, native-lib markers, the signature manifest)
-// is validated structurally by the zip reader but never copied out.
+// is only walked past in the central directory.
 const (
 	entryManifest = iota
 	entryDex
@@ -234,7 +245,7 @@ var loadEntries = [...]string{
 // pipeline never asks for the dex. Every error wraps ErrBadAPK. Not safe
 // for concurrent use.
 type Archive struct {
-	files [len(loadEntries)]*zip.File
+	files [len(loadEntries)]entry
 
 	// setErr is what the load-bearing set as a whole fails on — an entry
 	// declaring more than MaxDecodedBytes, the three together exceeding it,
@@ -252,9 +263,10 @@ type Archive struct {
 	programErr  error
 }
 
-// Open walks the archive's central directory. It fails only on bytes that
-// are not a zip archive; what the directory declares is judged here and
-// reported by the accessors that depend on it.
+// Open walks the archive's central directory and holds each load-bearing
+// entry's local header to it. It fails only on a malformed container;
+// what the directory declares is judged here and reported by the accessors
+// that depend on it.
 func Open(data []byte) (*Archive, error) {
 	a := new(Archive)
 	if err := a.open(data); err != nil {
@@ -265,9 +277,9 @@ func Open(data []byte) (*Archive, error) {
 
 func badAPK(err error) error { return fmt.Errorf("%w: %w", ErrBadAPK, err) }
 
-func oversized(f *zip.File) error {
+func oversized(i int, f *entry) error {
 	return badAPK(fmt.Errorf("%w: %s declares %d bytes (> %d)",
-		ErrOversized, f.Name, f.UncompressedSize64, MaxDecodedBytes))
+		ErrOversized, loadEntries[i], f.usize, MaxDecodedBytes))
 }
 
 func missing(i int) error {
@@ -275,33 +287,29 @@ func missing(i int) error {
 }
 
 func (a *Archive) open(data []byte) error {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
+	if err := a.readDirectory(data); err != nil {
 		return badAPK(fmt.Errorf("apk: parse: not a zip archive: %w", err))
 	}
 
-	// One pass over the central directory: locate the load-bearing entries
-	// (first of a name wins) and bound the total decode size before
-	// anything is allocated for them.
+	// Bound the total decode size before anything is allocated for the
+	// load-bearing entries.
 	var total uint64
-	for _, f := range zr.File {
-		for i, name := range loadEntries {
-			if f.Name != name || a.files[i] != nil {
-				continue
-			}
-			a.files[i] = f
-			// Per-entry bound before summing: the declared sizes are
-			// attacker-controlled zip64 fields, and two ~2^63 declarations
-			// would wrap the uint64 total right past the aggregate check
-			// below (and then panic slicing the arena).
-			if f.UncompressedSize64 > MaxDecodedBytes {
-				if a.setErr == nil {
-					a.setErr = oversized(f)
-				}
-				continue
-			}
-			total += f.UncompressedSize64
+	for i := range a.files {
+		f := &a.files[i]
+		if !f.found {
+			continue
 		}
+		// Per-entry bound before summing: the declared sizes are
+		// attacker-controlled zip64 fields, and two ~2^63 declarations
+		// would wrap the uint64 total right past the aggregate check
+		// below (and then panic slicing the arena).
+		if f.usize > MaxDecodedBytes {
+			if a.setErr == nil {
+				a.setErr = oversized(i, f)
+			}
+			continue
+		}
+		total += f.usize
 	}
 	if a.setErr != nil {
 		return nil
@@ -311,32 +319,11 @@ func (a *Archive) open(data []byte) error {
 		a.setErr = badAPK(fmt.Errorf("%w (%d > %d)", ErrOversized, total, MaxDecodedBytes))
 		return nil
 	}
-	for i, f := range a.files {
-		if f == nil {
+	for i := range a.files {
+		if !a.files[i].found {
 			a.setErr = missing(i)
 			break
 		}
-	}
-	return nil
-}
-
-// readEntrySized decompresses one zip entry into dst, which the caller
-// pre-sized from the entry's declared UncompressedSize64. A decompressed
-// stream shorter or longer than declared is a corrupt archive, not a
-// truncation to tolerate: the declared size drove the allocation, so a
-// mismatch means the central directory lies.
-func readEntrySized(f *zip.File, dst []byte) error {
-	rc, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	if _, err := io.ReadFull(rc, dst); err != nil {
-		return fmt.Errorf("entry %s shorter than declared %d bytes: %w", f.Name, len(dst), err)
-	}
-	var probe [1]byte
-	if n, err := rc.Read(probe[:]); n != 0 || (err != nil && err != io.EOF) {
-		return fmt.Errorf("entry %s longer than declared %d bytes", f.Name, len(dst))
 	}
 	return nil
 }
@@ -352,22 +339,22 @@ func (a *Archive) inflate(entries ...int) error {
 	}
 	total := 0
 	for _, i := range entries {
-		f := a.files[i]
-		if f == nil {
+		f := &a.files[i]
+		if !f.found {
 			return missing(i)
 		}
-		if f.UncompressedSize64 > MaxDecodedBytes {
-			return oversized(f)
+		if f.usize > MaxDecodedBytes {
+			return oversized(i, f)
 		}
-		total += int(f.UncompressedSize64)
+		total += int(f.usize)
 	}
 	arena := make([]byte, total)
 	off := 0
 	for _, i := range entries {
-		n := int(a.files[i].UncompressedSize64)
+		n := int(a.files[i].usize)
 		dst := arena[off : off+n : off+n]
 		off += n
-		if err := readEntrySized(a.files[i], dst); err != nil {
+		if err := a.files[i].read(loadEntries[i], dst); err != nil {
 			return badAPK(fmt.Errorf("apk: parse: %w", err))
 		}
 		a.payloads[i] = dst

@@ -3,6 +3,7 @@ package apk
 import (
 	"archive/zip"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sort"
@@ -196,5 +197,121 @@ func TestHostileRefusalsKeepParseTexts(t *testing.T) {
 	if _, err := Open([]byte("definitely not a zip")); !errors.Is(err, ErrBadAPK) ||
 		!strings.Contains(err.Error(), "not a zip archive") {
 		t.Errorf("Open(garbage) = %v", err)
+	}
+}
+
+// hostileContainer is one archive whose zip container, not its payloads,
+// carries the lie; fails says where the package refuses it — "open" for
+// Open itself, "read" for the vet view and Parse, "" for nowhere — and why
+// is a phrase the refusal must contain.
+type hostileContainer struct {
+	name  string
+	data  []byte
+	fails string
+	why   string
+}
+
+func hostileContainers(tb testing.TB) []hostileContainer {
+	p := program(25, behavior.Malicious, behavior.FamilySMSFraud)
+	data, err := Build(p, testU)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	le := binary.LittleEndian
+	rename := func(to string) func(h []byte) { return func(h []byte) { copy(h[30:], to) } }
+	// The locator's last field, the number of disks, sits right before the
+	// end record.
+	twoDisks := apktest.Zip64End(tb, data)
+	le.PutUint32(twoDisks[len(twoDisks)-endLen-4:], 2)
+	counts := func(delta int) func(end []byte) {
+		return func(end []byte) {
+			n := le.Uint16(end[10:]) + uint16(delta)
+			le.PutUint16(end[8:], n)
+			le.PutUint16(end[10:], n)
+		}
+	}
+	return []hostileContainer{
+		{"end-record comment", apktest.Comment(tb, data, "built by apkgen"), "", ""},
+		{"longest end-record comment", apktest.Comment(tb, data, strings.Repeat("c", 1<<16-1)), "", ""},
+		{"zip64 end record", apktest.Zip64End(tb, data), "", ""},
+		{"bytes after the end-record comment", append(apktest.Comment(tb, data, "note"), "!!"...), "open", "comment does not end the archive"},
+		{"local manifest name differs", apktest.EditLocal(tb, data, "AndroidManifest.xml", rename("AndroidManifest.xmm")), "open", "local header names"},
+		{"local dex name differs", apktest.EditLocal(tb, data, "classes.dex", rename("classes.dey")), "open", "local header names"},
+		{"local dex method differs", apktest.EditLocal(tb, data, "classes.dex", func(h []byte) { le.PutUint16(h[8:], 0) }), "open", "local header method"},
+		{"behaviour blob overlaps the dex", apktest.Stretch(tb, data, "assets/behavior.bin", 1), "open", "overlap"},
+		{"dex body runs into the directory", dexIntoDirectory(tb, data), "open", "body runs into the central directory"},
+		{"entry count one high", apktest.EditEnd(tb, data, counts(1)), "open", "central directory: truncated"},
+		{"entry count one low", apktest.EditEnd(tb, data, counts(-1)), "open", "central directory: trailing data"},
+		{"multi-disk end record", apktest.EditEnd(tb, data, func(end []byte) { le.PutUint16(end[4:], 1) }), "open", "multi-disk"},
+		{"zip64 locator names two disks", twoDisks, "open", "multi-disk"},
+		{"dex descriptor lies about the CRC", apktest.EditDescriptor(tb, data, "classes.dex", func(d []byte) { d[4] ^= 1 }), "open", "data descriptor CRC"},
+		{"behaviour blob longer than declared", apktest.DeclarePrefix(tb, data, "assets/behavior.bin", 1), "read", "longer than declared"},
+	}
+}
+
+// dexIntoDirectory stretches the dex's body until its last byte is the
+// central directory's first.
+func dexIntoDirectory(tb testing.TB, data []byte) []byte {
+	flat := apktest.Stretch(tb, data, "classes.dex", 0)
+	dirStart := int64(binary.LittleEndian.Uint32(flat[len(flat)-6:]))
+	zr, err := zip.NewReader(bytes.NewReader(flat), int64(len(flat)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, f := range zr.File {
+		if f.Name == "classes.dex" {
+			body, err := f.DataOffset()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return apktest.Stretch(tb, data, "classes.dex", int(dirStart-body-int64(f.CompressedSize64)+1))
+		}
+	}
+	tb.Fatal("no classes.dex")
+	return nil
+}
+
+// TestHostileContainer: the directory reader refuses a container whose
+// records disagree with each other or with the bytes they describe, at
+// Open, before anything is inflated — even when the entry at fault is the
+// dex, which the vet path never reads — and reads the shapes it accepts as
+// the intact archive.
+func TestHostileContainer(t *testing.T) {
+	p := program(25, behavior.Malicious, behavior.FamilySMSFraud)
+	_, intact, err := BuildAndParse(p, testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range hostileContainers(t) {
+		_, openErr := Open(tc.data)
+		a, vetErr := vetView(tc.data)
+		parsed, parseErr := Parse(tc.data)
+		switch tc.fails {
+		case "":
+			if vetErr != nil || parseErr != nil {
+				t.Errorf("%s: refused: vet view %v, Parse %v", tc.name, vetErr, parseErr)
+				continue
+			}
+			m, _ := a.Manifest()
+			prog, _ := a.Program()
+			if !reflect.DeepEqual(m, intact.Manifest) || !reflect.DeepEqual(prog, intact.Program) ||
+				!reflect.DeepEqual(parsed.Dex, intact.Dex) {
+				t.Errorf("%s: read differently from the intact archive", tc.name)
+			}
+		case "open":
+			if !errors.Is(openErr, ErrBadAPK) || !strings.Contains(openErr.Error(), "not a zip archive: ") ||
+				!strings.Contains(openErr.Error(), tc.why) {
+				t.Errorf("%s: Open = %v, want a container refusal naming %q", tc.name, openErr, tc.why)
+			}
+		case "read":
+			if openErr != nil {
+				t.Errorf("%s: Open = %v, want the refusal at read", tc.name, openErr)
+			}
+			for path, err := range map[string]error{"vet view": vetErr, "Parse": parseErr} {
+				if !errors.Is(err, ErrBadAPK) || !strings.Contains(err.Error(), tc.why) {
+					t.Errorf("%s: %s = %v, want ErrBadAPK naming %q", tc.name, path, err, tc.why)
+				}
+			}
+		}
 	}
 }
