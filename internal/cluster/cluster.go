@@ -4,7 +4,12 @@
 // the paper actually operates — one coordinator owning the durable
 // submission queue, N worker nodes claiming work over HTTP, and lease
 // heartbeats making node death just another reclaim (the
-// taskcluster-worker shape).
+// taskcluster-worker shape). A node's lanes are internal/worker's one
+// executor running over this package's HTTP Claimer (worker.go): Claim is
+// the long-poll below, carrying the lane's pending ack; Heartbeat is the
+// heartbeat route, whose 410 is the one answer that cancels a vet; Ack
+// keeps the report for the next claim; Nack is the nack route. Local lanes
+// run the same executor over the queue, so the lease rules are one.
 //
 // The wire protocol is three POSTs plus one GET, mounted on the
 // coordinator's gateway mux. Coordinator and workers ship together: the

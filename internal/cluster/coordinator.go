@@ -442,8 +442,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // settleAck books one verdict report: record the verdict (first-wins),
-// then settle the lease. Record-before-ack mirrors the local lanes, where
-// settleRecord runs in the claim body and the pool's Ack may fail
+// then settle the lease. Record-before-ack mirrors the local lanes, whose
+// claimer's Ack settles the record and then the lease, which may fail
 // afterwards: a verdict computed under a lost lease is still the right
 // verdict for those bytes. A report that arrives twice (the node never saw
 // the first answer) finds the record settled and the lease taken, and

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/lifecycle"
 	"apichecker/internal/modelstore"
+	"apichecker/internal/worker"
 	"apichecker/internal/workqueue"
 )
 
@@ -61,25 +61,23 @@ type WorkerStats struct {
 	Verdicts   uint64 // vets completed and reported
 	Nacks      uint64 // claims returned (model failure, panic, shutdown)
 	Panics     uint64 // vets that panicked (recovered, their claims nacked)
-	LeaseLost  uint64 // vets abandoned mid-emulation (heartbeat got 410)
+	LeaseLost  uint64 // heartbeats answered 410: the lease was lost, the vet abandoned
 	ModelPulls uint64 // artifacts fetched over the wire
 	ModelSwaps uint64 // hot-swaps adopted after cold-start
 }
 
-// Worker is one running worker node: Lanes concurrent claim loops over
-// the coordinator's wire protocol, each running the full local vet
-// pipeline on a checker cold-started (and hot-swapped) from the
-// coordinator's advertised model generation. Construct with StartWorker;
-// Stop cancels the lanes, Wait blocks until they exit (coordinator
-// drained or stopped).
+// Worker is one running worker node: Lanes HTTP claim lanes, each run by
+// internal/worker's executor, vetting with the full local pipeline on a
+// checker cold-started (and hot-swapped) from the coordinator's advertised
+// model generation. Construct with StartWorker; Stop cancels the lanes,
+// Wait blocks until they exit (coordinator drained or stopped).
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	done   chan struct{}
+	pool   *worker.Pool
 
 	// modelMu serializes model management: the first lane to see a new
 	// digest pulls and swaps while the others wait, so no lane ever vets
@@ -111,20 +109,13 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	w := &Worker{
-		cfg:    cfg,
-		client: client,
-		done:   make(chan struct{}),
-	}
+	w := &Worker{cfg: cfg, client: client}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
-	w.wg.Add(cfg.Lanes)
-	for i := 0; i < cfg.Lanes; i++ {
-		go (&lane{w: w}).run()
-	}
-	go func() {
-		w.wg.Wait()
-		close(w.done)
-	}()
+	w.pool = worker.Executor[*job]{
+		HeartbeatEvery: cfg.HeartbeatEvery,
+		Do:             w.vet,
+		OnPanic:        func(*job, any) { w.panics.Add(1) },
+	}.Start(w.ctx, cfg.Lanes, func() worker.Claimer[*job] { return &lane{w: w} })
 	return w, nil
 }
 
@@ -134,15 +125,15 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 // still reported (a SIGKILL skips both; the lease TTL reclaims instead).
 func (w *Worker) Stop() {
 	w.cancel()
-	w.wg.Wait()
+	w.pool.Wait()
 }
 
 // Wait blocks until every lane has exited (Stop, or the coordinator
 // drained).
-func (w *Worker) Wait() { <-w.done }
+func (w *Worker) Wait() { w.pool.Wait() }
 
 // Done is closed when every lane has exited.
-func (w *Worker) Done() <-chan struct{} { return w.done }
+func (w *Worker) Done() <-chan struct{} { return w.pool.Done() }
 
 // Stats snapshots node activity.
 func (w *Worker) Stats() WorkerStats {
@@ -173,57 +164,70 @@ func (w *Worker) ModelDigest() string {
 	return w.digest
 }
 
-// lane is one claim loop's state. Only its own goroutine touches it,
-// except the heartbeat fields, which the timer's goroutine shares under
-// hbMu.
+// job is one claim on a lane: the frame, the checker that serves its
+// model, and, once vetted, the report Ack hands to the lane.
+type job struct {
+	*claim
+	ck  *core.Checker
+	rep ackRequest
+	err error
+}
+
+// vet is the executor's Do: one claimed submission through the local vet
+// pipeline.
+func (w *Worker) vet(ctx context.Context, j *job) error {
+	t0 := time.Now()
+	v, out, err := j.ck.VetOutcome(ctx, core.Submission{Raw: j.Payload, Seq: j.Seq, Digest: j.Key})
+	j.rep = ackRequest{
+		Seq:         j.Seq,
+		Token:       j.Token,
+		ModelDigest: j.ModelDigest,
+		Outcome:     out.String(),
+		WallNS:      time.Since(t0).Nanoseconds(),
+		Verdict:     v,
+	}
+	if err != nil {
+		j.rep.Error, j.rep.ErrorKind = err.Error(), errorKind(err)
+	}
+	j.err = err
+	return err
+}
+
+// lane is the HTTP Claimer one executor lane loops over. ack is the
+// encoded report (appendAck) of the last finished vet, kept until a 2xx
+// has answered a request that carried it; ackSeq and ackToken name its
+// claim for the nack that follows a refusal. Only the lane's goroutine
+// touches them; Heartbeat, which runs on the lane's timer, does not.
 type lane struct {
 	w *Worker
 
-	// ack is the encoded report (appendAck) of the last finished vet, kept
-	// until a 2xx has answered a request that carried it; ackSeq and
-	// ackToken name its claim for the nack that follows a refusal.
 	ack      []byte
 	ackSeq   int64
 	ackToken uint64
-
-	// One timer per lane, re-armed per claim, beats while a vet runs.
-	// hbClaim is that vet's claim (nil between vets): a beat that finds
-	// another claim there was overtaken and does nothing.
-	hbMu     sync.Mutex
-	hbTimer  *time.Timer
-	hbClaim  *claim
-	hbCancel context.CancelCauseFunc
-	hbEvery  time.Duration
 }
 
-// run is the claim loop: claim (reporting the last vet) → ensure model →
-// vet. However it ends, a report still pending is flushed.
-func (ln *lane) run() {
+// Claim sends the pending ack, if any, with each long-poll until one
+// brings a claim for a model the node can serve. However the lane ends, a
+// report still pending is flushed.
+func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	w := ln.w
-	defer w.wg.Done()
-	defer ln.flush()
-	for w.ctx.Err() == nil {
+	for ctx.Err() == nil {
 		// The request context allows one extra PollWait beyond the server's
 		// budget so a healthy long-poll is never cut off by the client side.
-		cl, err := ln.claim(w.ctx, 2*w.cfg.PollWait+5*time.Second, w.cfg.PollWait)
-		if err != nil {
-			if w.ctx.Err() != nil {
-				return
-			}
+		cl, err := ln.poll(ctx, 2*w.cfg.PollWait+5*time.Second, w.cfg.PollWait)
+		switch {
+		case err != nil:
 			// Transient coordinator trouble (restart, network): back off
 			// and re-poll rather than dying.
 			select {
 			case <-time.After(200 * time.Millisecond):
-			case <-w.ctx.Done():
-				return
+			case <-ctx.Done():
 			}
 			continue
-		}
-		if cl == nil {
+		case cl == nil:
 			continue // poll budget expired empty-handed
-		}
-		if cl.Drained {
-			return
+		case cl.Drained:
+			return worker.Claim[*job]{}, workqueue.ErrDrained
 		}
 		w.claims.Add(1)
 		ck, err := w.ensureModel(cl.ModelDigest)
@@ -231,134 +235,53 @@ func (ln *lane) run() {
 			w.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
 		}
-		ln.execute(ck, cl)
+		c := worker.Claim[*job]{Lease: &job{claim: cl, ck: ck}, TTL: time.Duration(cl.LeaseTTLMS) * time.Millisecond}
+		if cl.DeadlineUnixNano > 0 {
+			c.Deadline = time.Unix(0, cl.DeadlineUnixNano)
+		}
+		return c, nil
+	}
+	ln.flush()
+	return worker.Claim[*job]{}, ctx.Err()
+}
+
+// Heartbeat extends j's lease; a 410 is the one answer that reports it
+// lost.
+func (ln *lane) Heartbeat(j *job) (bool, error) {
+	w := ln.w
+	ctx, cancel := context.WithTimeout(w.ctx, 10*time.Second)
+	defer cancel()
+	resp, err := w.post(ctx, PathHeartbeat, appendLeaseRequest(nil, w.cfg.Node, j.Seq, j.Token, ""))
+	if err != nil {
+		return false, err
+	}
+	defer drainClose(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return false, nil
+	case http.StatusGone:
+		w.leaseLost.Add(1)
+		return true, nil
+	default:
+		return false, httpStatusError("heartbeat", resp)
 	}
 }
 
-// execute runs one claimed submission through the local vet pipeline,
-// heartbeating during emulation; lease loss cancels the vet context with
-// cause workqueue.ErrLeaseLost, mirroring the in-process worker pool. The
-// result becomes the lane's pending ack and rides the next claim. A vet (or
-// OnVet) that panics is isolated as the pool isolates it: the claim is
-// nacked with the panic text and the lane goes on claiming, so an archive
-// that panics on every attempt is dead-lettered by the attempt limit
-// instead of killing a node per attempt.
-func (ln *lane) execute(ck *core.Checker, cl *claim) {
+// Ack makes j's report the lane's pending ack: it rides the next claim
+// request.
+func (ln *lane) Ack(j *job) {
 	w := ln.w
-	vctx, vcancel := context.WithCancelCause(w.ctx)
-	defer vcancel(nil)
-	jctx := context.Context(vctx)
-	if cl.DeadlineUnixNano > 0 {
-		dctx, dcancel := context.WithDeadline(jctx, time.Unix(0, cl.DeadlineUnixNano))
-		defer dcancel()
-		jctx = dctx
-	}
-	hb := w.cfg.HeartbeatEvery
-	if hb == 0 {
-		hb = time.Duration(cl.LeaseTTLMS) * time.Millisecond / 3
-	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if hb > 0 {
-			ln.stopBeats()
-		}
-		w.panics.Add(1)
-		w.nack(cl.Seq, cl.Token, fmt.Sprintf("vet for seq %d panicked: %v", cl.Seq, p))
-	}()
-	if hb > 0 {
-		ln.startBeats(cl, vcancel, hb)
-	}
-
-	sub := core.Submission{Raw: cl.Payload, Seq: cl.Seq, Digest: cl.Key}
-	t0 := time.Now()
-	v, out, err := ck.VetOutcome(jctx, sub)
-	wall := time.Since(t0)
-	if hb > 0 {
-		ln.stopBeats()
-	}
-
-	if err != nil && errors.Is(err, context.Canceled) {
-		if errors.Is(context.Cause(vctx), workqueue.ErrLeaseLost) {
-			// Reclaimed mid-vet: the re-issued claim (on another node)
-			// reports the verdict; this half is abandoned unreported.
-			w.leaseLost.Add(1)
-			return
-		}
-		if w.ctx.Err() != nil {
-			// Node shutdown: hand the claim back for prompt re-issue.
-			w.nack(cl.Seq, cl.Token, "worker stopping")
-			return
-		}
-	}
 	if w.cfg.OnVet != nil {
-		w.cfg.OnVet(cl.Seq, v, err)
+		w.cfg.OnVet(j.Seq, j.rep.Verdict, j.err)
 	}
 	w.verdicts.Add(1)
-	req := ackRequest{
-		Seq:         cl.Seq,
-		Token:       cl.Token,
-		ModelDigest: cl.ModelDigest,
-		Outcome:     out.String(),
-		WallNS:      wall.Nanoseconds(),
-		Verdict:     v,
-	}
-	if err != nil {
-		req.Error, req.ErrorKind = err.Error(), errorKind(err)
-	}
-	ln.ack, ln.ackSeq, ln.ackToken = appendAck(ln.ack[:0], &req), cl.Seq, cl.Token
+	ln.ack, ln.ackSeq, ln.ackToken = appendAck(ln.ack[:0], &j.rep), j.Seq, j.Token
 }
 
-// startBeats arms the lane's timer to extend cl's lease every period
-// until stopBeats.
-func (ln *lane) startBeats(cl *claim, cancel context.CancelCauseFunc, every time.Duration) {
-	ln.hbMu.Lock()
-	defer ln.hbMu.Unlock()
-	ln.hbClaim, ln.hbCancel, ln.hbEvery = cl, cancel, every
-	if ln.hbTimer == nil {
-		ln.hbTimer = time.AfterFunc(every, ln.beat)
-	} else {
-		ln.hbTimer.Reset(every)
-	}
-}
+// Nack returns j's claim to the coordinator.
+func (ln *lane) Nack(j *job, cause string) { ln.w.nack(j.Seq, j.Token, cause) }
 
-// stopBeats disarms the timer; a beat already on the wire finds hbClaim
-// changed and does nothing.
-func (ln *lane) stopBeats() {
-	ln.hbMu.Lock()
-	defer ln.hbMu.Unlock()
-	ln.hbClaim = nil
-	ln.hbTimer.Stop()
-}
-
-// beat is the timer's function: one heartbeat, then re-arm. A 410 from
-// the coordinator cancels the vet with cause ErrLeaseLost. Transport
-// errors do not cancel — a transient partition must not kill a healthy
-// emulation; if the lease really expired, the next beat's 410 or the
-// ack's first-wins absorption handles it.
-func (ln *lane) beat() {
-	ln.hbMu.Lock()
-	cl := ln.hbClaim
-	ln.hbMu.Unlock()
-	if cl == nil {
-		return
-	}
-	lost, err := ln.w.heartbeat(cl)
-	ln.hbMu.Lock()
-	defer ln.hbMu.Unlock()
-	switch {
-	case ln.hbClaim != cl:
-		// The vet finished while the beat was on the wire.
-	case err == nil && lost:
-		ln.hbCancel(workqueue.ErrLeaseLost)
-	default:
-		ln.hbTimer.Reset(ln.hbEvery)
-	}
-}
-
-// claim sends the pending ack, if any, and long-polls the coordinator for
+// poll sends the pending ack, if any, and long-polls the coordinator for
 // work for up to wait (<= 0: claim nothing, only deliver the ack);
 // (nil, nil) means the poll came back empty (204). A frame or a 204
 // acknowledges the ack. A 4xx to a request that carried one means the
@@ -366,7 +289,7 @@ func (ln *lane) beat() {
 // cannot carry): the claim is nacked instead, so the item is re-issued at
 // once and dead-lettered with that cause if every attempt ends the same
 // way.
-func (ln *lane) claim(parent context.Context, timeout, wait time.Duration) (*claim, error) {
+func (ln *lane) poll(parent context.Context, timeout, wait time.Duration) (*claim, error) {
 	w := ln.w
 	carried := len(ln.ack) > 0
 	body := appendClaimRequest(make([]byte, 0, 64+len(w.cfg.Node)+len(ln.ack)),
@@ -415,26 +338,7 @@ func readClaim(resp *http.Response) (*claim, error) {
 // reclaims the item, as for a node that was killed.
 func (ln *lane) flush() {
 	if len(ln.ack) > 0 {
-		_, _ = ln.claim(context.Background(), 10*time.Second, 0)
-	}
-}
-
-// heartbeat reports (lost, transport error).
-func (w *Worker) heartbeat(cl *claim) (bool, error) {
-	ctx, cancel := context.WithTimeout(w.ctx, 10*time.Second)
-	defer cancel()
-	resp, err := w.post(ctx, PathHeartbeat, appendLeaseRequest(nil, w.cfg.Node, cl.Seq, cl.Token, ""))
-	if err != nil {
-		return false, err
-	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return false, nil
-	case http.StatusGone:
-		return true, nil
-	default:
-		return false, httpStatusError("heartbeat", resp)
+		_, _ = ln.poll(context.Background(), 10*time.Second, 0)
 	}
 }
 

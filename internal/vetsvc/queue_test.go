@@ -216,6 +216,50 @@ func TestPoisonedSubmissionDeadLetters(t *testing.T) {
 	}
 }
 
+// TestPanicAfterLeaseLossIsCounted: a vet that stalls past its lease TTL
+// and then panics is recovered and counted, although its nack finds the
+// lease already reclaimed — every recovered panic is counted, not only the
+// ones whose nack landed.
+func TestPanicAfterLeaseLossIsCounted(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	var (
+		first    sync.Once
+		revetted = make(chan struct{})
+	)
+	svc := New(ck, Config{
+		Workers:        2,
+		QueueSize:      4,
+		LeaseTTL:       50 * time.Millisecond,
+		HeartbeatEvery: -1,
+		OnEvent: func(ev Event) {
+			if ev.Type != EventStarted {
+				return
+			}
+			stall := false
+			first.Do(func() { stall = true })
+			if stall {
+				<-revetted // the other lane reclaimed the lease and vetted the submission
+				panic("vet stalled past its lease")
+			}
+		},
+	})
+	tk, err := svc.Submit(context.Background(), core.Submission{Program: corpus.Program(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := tk.Wait(ctx); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	close(revetted)
+	svc.Close()
+	if m := svc.Metrics(); m.WorkerPanics != 1 || m.Reclaims < 1 || m.QueueNacked != 0 {
+		t.Fatalf("WorkerPanics = %d, Reclaims = %d, QueueNacked = %d; want 1, >= 1, 0 (the nack found the lease gone)",
+			m.WorkerPanics, m.Reclaims, m.QueueNacked)
+	}
+}
+
 // TestCrashSafeIntakeReplays is the kill-and-restart drill: submissions
 // journaled by a previous life — enqueued, partially acked, then killed —
 // are replayed on the next Open, vetted exactly once each, and nothing

@@ -12,15 +12,17 @@
 //     with explicit backpressure, lease-bounded claims, and (with
 //     Config.QueueDir) a CRC-framed journal that replays every accepted-
 //     but-unacked submission after a kill.
-//   - internal/worker owns execution: claim → vet → report → ack lanes
-//     with heartbeats during long emulations and per-claim panic
-//     isolation (a poisoned APK nacks its lease, it does not kill the
-//     process).
-//   - vetsvc itself owns meaning: tickets are views over a first-wins
-//     verdict record keyed by seq (+digest), Submit answers a cached
-//     verdict at admission and enqueues everything else, Drain is
-//     stop-claims-then-settle-leases, and every metric is a view over the
-//     queue, the records, and the obs spine.
+//   - internal/worker owns execution: its one executor — the same one a
+//     cluster worker node runs over HTTP — loops claim → vet → ack on the
+//     lanes, with a heartbeat timer during long emulations, lease-loss
+//     cancellation, and per-claim panic isolation (a poisoned APK nacks
+//     its lease, it does not kill the process).
+//   - vetsvc itself owns meaning: its Claimer binds each queue lease to a
+//     first-wins verdict record keyed by seq (+digest) and the vet
+//     context's parent and deadline; tickets are views over the records,
+//     Submit answers a cached verdict at admission and enqueues everything
+//     else, Drain is stop-claims-then-settle-leases, and every metric is a
+//     view over the queue, the records, and the obs spine.
 //
 // The determinism contract is unchanged: verdicts derive from submission
 // content alone (Monkey seeds come from the content digest), so service
@@ -219,7 +221,6 @@ type Service struct {
 
 	q    *workqueue.Queue
 	pool *worker.Pool
-	hb   time.Duration // effective heartbeat period (0 = off)
 
 	// mu serializes admissions: the sequence reservation and the enqueue
 	// happen atomically, so FIFO queue order equals seq order — the
@@ -285,17 +286,9 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 4 * cfg.Workers
 	}
-	hb := cfg.HeartbeatEvery
-	if hb == 0 && cfg.LeaseTTL > 0 {
-		hb = cfg.LeaseTTL / 3
-	}
-	if hb < 0 {
-		hb = 0
-	}
 	s := &Service{
 		cfg:  cfg,
 		ck:   ck,
-		hb:   hb,
 		recs: make(map[int64]*record),
 		m:    newCounters(obs.NewCollector()),
 	}
@@ -334,12 +327,11 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		s.emit(Event{Type: EventAccepted, Seq: r.seq, Package: r.pkg})
 	}
 	if !cfg.DisableLocalLanes {
-		s.pool = worker.Start(q, worker.Config{
-			Lanes:          cfg.Workers,
-			HeartbeatEvery: hb,
+		s.pool = worker.Executor[*job]{
+			HeartbeatEvery: cfg.HeartbeatEvery,
 			Do:             s.vetClaim,
-			OnPanic:        func(workqueue.Item, any) { s.m.panics.Inc() },
-		})
+			OnPanic:        func(*job, any) { s.m.panics.Inc() },
+		}.Start(context.Background(), cfg.Workers, func() worker.Claimer[*job] { return localQueue{s} })
 	}
 	return s, nil
 }
@@ -500,83 +492,85 @@ func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *Ticket {
 	return t
 }
 
-// vetClaim is the worker pool's Do: the binding from one queue claim to
-// the staged vet pipeline and the verdict record.
-func (s *Service) vetClaim(claimCtx context.Context, l *workqueue.Lease) {
-	it := l.Item()
-	r := s.recordFor(it.Seq)
-	if r == nil {
-		// Already settled (dead-lettered while pending): nothing to vet.
-		return
-	}
-	r.markClaimed()
-	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
-	if !l.Valid() {
-		// The lease expired while the started hook ran: the submission has
-		// been reclaimed and another lane owns it now. Vetting it here too
-		// would be harmless for the verdict (content-determinism) but
-		// would double-pay the emulation; skip, and let Ack's lease check
-		// fall out as the no-double-ack.
-		return
-	}
-	sub, jctx, cleanup := s.claimContext(claimCtx, it)
-	t0 := time.Now()
-	v, out, err := s.ck.VetOutcome(jctx, sub)
-	wall := time.Since(t0)
-	cleanup()
-	if err != nil && errors.Is(err, context.Canceled) {
-		cause := context.Cause(jctx)
-		switch {
-		case errors.Is(cause, workqueue.ErrLeaseLost):
-			// Reclaimed mid-vet: the re-issued claim reports the verdict;
-			// this half-finished one is abandoned unreported.
-			return
-		case errors.Is(cause, ErrDraining):
-			// The cancellation was the service's hard drain, not the
-			// caller's: surface the shutdown reason.
-			err = fmt.Errorf("vet %s: %w: %w", r.pkg, ErrDraining, err)
-		}
-	}
-	s.settleRecord(r, v, out, err, wall)
+// job is one local claim: the lease, its record and submission, and, once
+// vetted, the result Ack settles the record with.
+type job struct {
+	l    *workqueue.Lease
+	r    *record
+	sub  core.Submission
+	v    *core.Verdict
+	out  vcache.Outcome
+	err  error
+	wall time.Duration
 }
 
-// claimContext assembles the submission and vetting context for one
-// claim: the caller context (or drainable base) as parent, the admission
-// deadline on top, and — when heartbeats run — the claim context's
-// lease-loss cancellation folded in. Replayed items rebuild their
-// submission from the durable payload and restart their deadline at
-// claim.
-func (s *Service) claimContext(claimCtx context.Context, it workqueue.Item) (core.Submission, context.Context, func()) {
-	var (
-		sub      core.Submission
-		parent   = s.base
-		deadline time.Time
-	)
-	if r, ok := it.Mem.(*record); ok {
-		sub = r.takeSub()
-		if r.ctx != nil {
-			parent = r.ctx
+// localQueue is the service's queue as a worker.Claimer: a claim is a
+// queue lease plus its first-wins verdict record.
+type localQueue struct{ s *Service }
+
+// Claim takes the next lease whose record is still live. The vet context's
+// parent is the caller's context (or the drainable base) and its deadline
+// is ClaimDeadline's. Replayed items rebuild their submission from the
+// durable payload.
+func (c localQueue) Claim(ctx context.Context) (worker.Claim[*job], error) {
+	s := c.s
+	for {
+		l, err := s.q.Claim(ctx)
+		if err != nil {
+			return worker.Claim[*job]{}, err
 		}
-		deadline = r.deadline
-	} else {
-		sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
-		if s.cfg.Deadline > 0 {
-			deadline = time.Now().Add(s.cfg.Deadline)
+		it := l.Item()
+		r := s.recordFor(it.Seq)
+		if r == nil {
+			// Already settled (dead-lettered while pending): nothing to vet.
+			l.Ack()
+			continue
 		}
+		j := &job{l: l, r: r}
+		cl := worker.Claim[*job]{Lease: j, Parent: s.base, Deadline: s.ClaimDeadline(it), TTL: s.q.LeaseTTL()}
+		if it.Mem == nil {
+			j.sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
+		} else {
+			j.sub = r.takeSub()
+			if r.ctx != nil {
+				cl.Parent = r.ctx
+			}
+		}
+		return cl, nil
 	}
-	jctx, cancel := parent, context.CancelFunc(func() {})
-	if !deadline.IsZero() {
-		jctx, cancel = context.WithDeadline(parent, deadline)
+}
+
+func (localQueue) Heartbeat(j *job) (bool, error) { return j.l.Heartbeat() != nil, nil }
+func (localQueue) Nack(j *job, cause string)      { j.l.Nack(errors.New(cause)) }
+
+// Ack settles the record, then the lease: report before ack, as a
+// cluster coordinator settles a remote report.
+func (c localQueue) Ack(j *job) {
+	c.s.settleRecord(j.r, j.v, j.out, j.err, j.wall)
+	j.l.Ack()
+}
+
+// vetClaim is the executor's Do: one claim through the staged vet
+// pipeline, its result kept for Ack.
+func (s *Service) vetClaim(ctx context.Context, j *job) error {
+	r := j.r
+	r.markClaimed()
+	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+	if !j.l.Valid() {
+		// The lease expired while the started hook ran: the submission has
+		// been reclaimed and another lane owns it now. Vetting it here too
+		// would be harmless for the verdict (content-determinism) but would
+		// double-pay the emulation.
+		return workqueue.ErrLeaseLost
 	}
-	if s.hb > 0 {
-		// Only a running heartbeat can cancel the claim context (on lease
-		// loss), so the merge is paid only when it matters.
-		lctx, lcancel := context.WithCancelCause(jctx)
-		stop := context.AfterFunc(claimCtx, func() { lcancel(context.Cause(claimCtx)) })
-		prev := cancel
-		return sub, lctx, func() { stop(); lcancel(nil); prev() }
+	t0 := time.Now()
+	j.v, j.out, j.err = s.ck.VetOutcome(ctx, j.sub)
+	j.wall = time.Since(t0)
+	if errors.Is(j.err, context.Canceled) && errors.Is(context.Cause(ctx), ErrDraining) {
+		// The service's hard drain, not the caller: surface the reason.
+		j.err = fmt.Errorf("vet %s: %w: %w", r.pkg, ErrDraining, j.err)
 	}
-	return sub, jctx, func() { cancel() }
+	return j.err
 }
 
 // settleRecord resolves one verdict record, books the completion exactly
@@ -636,11 +630,10 @@ func (s *Service) ReportRemote(seq int64, v *core.Verdict, out vcache.Outcome, e
 	return s.settleRecord(r, v, out, err, wall)
 }
 
-// ClaimDeadline resolves the absolute vet deadline for a claimed item
-// (zero when unbounded): the admission deadline while the record still
-// rides the item, or a fresh per-claim budget for replayed items — the
-// same rules claimContext applies for local lanes, exported so claim
-// responses can ship the deadline to remote nodes.
+// ClaimDeadline is the one deadline rule for a claimed item, local lane or
+// claim frame (zero when unbounded): the admission deadline while the
+// record still rides the item, or a fresh per-claim budget for replayed
+// items.
 func (s *Service) ClaimDeadline(it workqueue.Item) time.Time {
 	if r, ok := it.Mem.(*record); ok {
 		return r.deadline
