@@ -7,10 +7,10 @@
 //
 // Since the pipeline refactor the vet path itself lives in
 // internal/pipeline as an explicit chain of typed stages (Admit →
-// CacheLookup → Decode → Emulate → ExtractFeatures → Infer); the Checker
-// is the assembly that wires those stages to its trained parts, and
-// Vet/VetOutcome/VetRun are drivers over the assembled chains. Per-stage
-// spans and counters land on the checker's obs.Collector.
+// CacheLookup → Triage → Decode → Emulate → ExtractFeatures → Infer); the
+// Checker is the assembly that wires those stages to its trained parts,
+// and Vet/VetOutcome/VetRun are drivers over the assembled chains.
+// Per-stage spans and counters land on the checker's obs.Collector.
 //
 // TrainFromCorpus reproduces the offline study pipeline (§4): measure API
 // usage over the labelled corpus tracking everything, select the key APIs
@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"apichecker/internal/adb"
 	"apichecker/internal/behavior"
 	"apichecker/internal/dataset"
 	"apichecker/internal/emulator"
@@ -80,10 +79,6 @@ type Config struct {
 	// re-emulating. Empty disables persistence; requires VerdictCache >= 0.
 	VerdictPersistDir string
 
-	// Lanes bounds concurrent program/parsed emulations (the per-server
-	// emulator-farm gate). 0 selects emulator.ProductionLanes.
-	Lanes int
-
 	// TriageLo and TriageHi bound the tier-1 triage uncertainty band in
 	// probability space: a submission whose static manifest-only triage
 	// probability falls strictly outside [TriageLo, TriageHi] is answered
@@ -129,11 +124,11 @@ func DefaultConfig() Config {
 }
 
 // Checker is a trained vetting pipeline. Its trained parts — universe,
-// key-API selection, extractor, hook registry, emulation lanes, and forest
-// — live together in one immutable generation behind an atomic pointer;
-// SwapModel replaces the whole set in a single pointer flip, so in-flight
-// vets finish on the generation they pinned while new submissions pick up
-// the replacement.
+// key-API selection, extractor, the emulation engine hooked for those
+// keys, and forest — live together in one immutable generation behind an
+// atomic pointer; SwapModel replaces the whole set in a single pointer
+// flip, so in-flight vets finish on the generation they pinned while new
+// submissions pick up the replacement.
 type Checker struct {
 	cfg Config
 
@@ -169,9 +164,9 @@ type Checker struct {
 }
 
 // generation is one immutable trained assembly: everything a vet touches
-// after pinning. Nothing here is mutated once the generation is published;
-// the only internal state is the session mutex, owned by this generation
-// alone.
+// after pinning. Nothing here is mutated once the generation is published,
+// and nothing in it holds per-vet state, so any number of vets run on it
+// at once.
 type generation struct {
 	id     uint64
 	digest string
@@ -179,21 +174,8 @@ type generation struct {
 	u         *framework.Universe
 	selection *features.Selection
 	extractor *features.Extractor
-	registry  *hook.Registry
-	emu       *emulator.Emulator
 	model     *ml.RandomForest
 	triage    *ml.Linear
-
-	// farm gates program/parsed emulations behind the server's lane
-	// slots; a cancelled vet returns its lane (never leaks an emulator).
-	farm *emulator.Farm
-
-	// session is the adb control plane used for real APK submissions
-	// (install → Monkey → logs → uninstall → clear, §4.2). It drives one
-	// device, so concurrent raw-archive vets serialize on sessionMu;
-	// program/parsed vets bypass the device and fan out over farm lanes.
-	session   *adb.Session
-	sessionMu sync.Mutex
 
 	// mg is the stage-facing view the pipeline pins.
 	mg *pipeline.ModelGen
@@ -366,11 +348,11 @@ func trainTriage(c *dataset.Corpus, cfg Config) (*ml.Linear, error) {
 
 // NewFromParts assembles a Checker from one complete set of trained parts
 // (TrainFromCorpus, and every path that loads a model artifact): it builds
-// the hook registry, the emulation engine and its lane farm, the adb
-// session, the verdict cache and the obs collector, and wires them into
-// the vet and run stage chains. parts.Digest, when set, records the
-// artifact the parts were loaded from, so the serving generation is
-// attributable to it; parts.Triage is optional.
+// the hook registry, the emulation engine, the verdict cache and the obs
+// collector, and wires them into the vet and run stage chains.
+// parts.Digest, when set, records the artifact the parts were loaded from,
+// so the serving generation is attributable to it; parts.Triage is
+// optional.
 func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	ck := &Checker{cfg: cfg, obs: obs.NewCollector()}
 	if cfg.VerdictCache >= 0 {
@@ -392,11 +374,11 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	return ck, nil
 }
 
-// newGeneration assembles an immutable generation from trained parts: hook
-// registry over the selected keys, emulation engine, lane farm, adb
-// session, and the stage-facing ModelGen view. epoch is the
-// verdict-cache epoch the generation will serve under (for a swap, the
-// epoch after the pending bump).
+// newGeneration assembles an immutable generation from trained parts: the
+// emulation engine over a hook registry for the selected keys, and the
+// stage-facing ModelGen view that reaches it. epoch is the verdict-cache
+// epoch the generation will serve under (for a swap, the epoch after the
+// pending bump).
 func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generation, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Extractor == nil || parts.Model == nil {
 		return nil, fmt.Errorf("core: incomplete model parts")
@@ -406,26 +388,14 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	emu := emulator.New(ck.cfg.Profile, reg)
-	lanes := ck.cfg.Lanes
-	if lanes <= 0 {
-		lanes = emulator.ProductionLanes
-	}
-	farm, err := emulator.NewFarm(emu, lanes)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	g := &generation{
 		id:        id,
 		digest:    parts.Digest,
 		u:         parts.Universe,
 		selection: parts.Selection,
 		extractor: parts.Extractor,
-		registry:  reg,
-		emu:       emu,
 		model:     parts.Model,
 		triage:    parts.Triage,
-		farm:      farm,
-		session:   adb.NewSession(adb.NewDevice("emulator-5554", ck.cfg.Profile, reg)),
 		swappedAt: time.Now(),
 	}
 	trees := ck.cfg.Forest.Trees
@@ -441,8 +411,7 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 		Digest:    parts.Digest,
 		Universe:  parts.Universe,
 		Extractor: parts.Extractor,
-		Farm:      farm,
-		RunRaw:    g.runRaw,
+		Run:       emu.RunContext,
 		Score:     parts.Model.Score,
 		Trees:     trees,
 		Epoch:     epoch,
@@ -544,15 +513,6 @@ func (ck *Checker) buildPipelines() {
 	ck.hitPipe = pipeline.HitChain(ck.obs, d)
 }
 
-// runRaw drives a decoded raw archive through the adb device sequence
-// (install → Monkey → logs → uninstall → clear). Each generation owns one
-// device, so raw submissions pinned to it serialize here.
-func (g *generation) runRaw(vc *pipeline.VetContext) (*adb.VetResult, error) {
-	g.sessionMu.Lock()
-	defer g.sessionMu.Unlock()
-	return g.session.VetParsedContext(vc.Ctx, vc.Parsed, vc.Monkey)
-}
-
 // Universe returns the serving generation's framework universe.
 func (ck *Checker) Universe() *framework.Universe { return ck.gen.Load().u }
 
@@ -613,9 +573,9 @@ func (ck *Checker) StageStats() []obs.StageStats { return ck.obs.StageStats() }
 // boundary, surfacing as an error wrapping ErrDeadlineExceeded (and
 // context.DeadlineExceeded) or context.Canceled; pipeline.FailedStage
 // reports which stage the vet died in. Safe for concurrent use: the
-// emulator, extractor and model are read-only at vet time, program/parsed
-// submissions fan out over farm lanes, and raw archive submissions
-// serialize on the checker's single adb session.
+// emulator, extractor and model are read-only at vet time, so every
+// payload kind runs concurrently on the pinned generation's engine, as
+// many at once as the caller's own lanes allow.
 //
 // Vet consults the digest-keyed verdict cache first: a byte-identical
 // resubmission is answered without re-emulating, and N concurrent

@@ -1,23 +1,30 @@
 package core
 
 import (
-	"bytes"
+	"context"
 
-	"apichecker/internal/adb"
-	"apichecker/internal/pipeline"
+	"apichecker/internal/apk"
+	"apichecker/internal/behavior"
+	"apichecker/internal/emulator"
+	"apichecker/internal/monkey"
 )
 
-// PoisonRaw makes the serving generation's device run panic for one
-// archive, for the external tests that need a vet to panic where a
-// poisoned archive would: inside the pipeline, under the verdict cache's
-// singleflight. Call it while ck is idle.
+// PoisonRaw makes the serving generation's emulation panic for one
+// archive's program (matched by package name), for the external tests that
+// need a vet to panic where a poisoned archive would: inside the pipeline,
+// under the verdict cache's singleflight. Call it while ck is idle.
 func PoisonRaw(ck *Checker, raw []byte) {
+	parsed, err := apk.Parse(raw)
+	if err != nil {
+		panic(err)
+	}
+	pkg := parsed.Program.PackageName
 	mg := ck.gen.Load().mg
-	run := mg.RunRaw
-	mg.RunRaw = func(vc *pipeline.VetContext) (*adb.VetResult, error) {
-		if bytes.Equal(vc.Sub.Raw, raw) {
+	run := mg.Run
+	mg.Run = func(ctx context.Context, p *behavior.Program, mk monkey.Config) (*emulator.Result, error) {
+		if p.PackageName == pkg {
 			panic("poisoned archive")
 		}
-		return run(vc)
+		return run(ctx, p, mk)
 	}
 }

@@ -172,31 +172,40 @@ func TestPipelineMatchesLegacyVet(t *testing.T) {
 }
 
 // TestDeadlineAttributedToStage pins the stage attribution of vet
-// failures: a submission whose context is already dead dies in the
-// emulate stage (the first stage that honours the context), and an
-// invalid submission dies at admission.
+// failures: a submission whose context is already dead — a raw archive or
+// a bare program alike — dies in the emulate stage (the first stage that
+// honours the context), and an invalid submission dies at admission.
 func TestDeadlineAttributedToStage(t *testing.T) {
 	ck, corpus := trainedChecker(t, 120)
+	raw, err := apk.Build(corpus.Program(0), testU)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	<-ctx.Done()
-	_, err := ck.Vet(ctx, Submission{Program: corpus.Program(0)})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Vet(expired) = %v, want ErrDeadlineExceeded", err)
-	}
-	if stage, ok := pipeline.FailedStage(err); !ok || stage != pipeline.StageEmulate {
-		t.Errorf("expired vet attributed to %q/%v, want %q", stage, ok, pipeline.StageEmulate)
-	}
-
+	<-expired.Done()
 	canceled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	_, err = ck.Vet(canceled, Submission{Program: corpus.Program(0)})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Vet(canceled) = %v, want context.Canceled", err)
-	}
-	if stage, _ := pipeline.FailedStage(err); stage != pipeline.StageEmulate {
-		t.Errorf("canceled vet attributed to %q, want %q", stage, pipeline.StageEmulate)
+
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		sub  Submission
+		want error
+	}{
+		{"expired program", expired, Submission{Program: corpus.Program(0)}, ErrDeadlineExceeded},
+		{"expired raw", expired, Submission{Raw: raw}, ErrDeadlineExceeded},
+		{"canceled program", canceled, Submission{Program: corpus.Program(0)}, context.Canceled},
+		{"canceled raw", canceled, Submission{Raw: raw}, context.Canceled},
+	} {
+		_, err := ck.Vet(tc.ctx, tc.sub)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Vet = %v, want %v", tc.name, err, tc.want)
+		}
+		if stage, ok := pipeline.FailedStage(err); !ok || stage != pipeline.StageEmulate {
+			t.Errorf("%s: vet attributed to %q/%v, want %q", tc.name, stage, ok, pipeline.StageEmulate)
+		}
 	}
 
 	_, err = ck.Vet(context.Background(), Submission{})
@@ -208,16 +217,33 @@ func TestDeadlineAttributedToStage(t *testing.T) {
 	}
 }
 
-// TestCancelledVetsReturnFarmLanes: abandoned vets must return their
-// emulator lane to the checker's farm — a leak would wedge the serving
-// lanes behind cancelled submissions. Run under -race in CI.
-func TestCancelledVetsReturnFarmLanes(t *testing.T) {
+// TestCancellationChurn: cancelled and live vets of raw archives and bare
+// programs, interleaved on one checker, each get their own outcome — a
+// cancelled vet fails with context.Canceled and leaves nothing behind that
+// a live one could trip over, and every live vet matches the legacy path.
+// Run under -race in CI.
+func TestCancellationChurn(t *testing.T) {
 	ck, corpus := trainedChecker(t, 120)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
+	const n = 40
+	subs := make([]Submission, n)
+	for i := range subs {
+		p := corpus.Program(i % corpus.Len())
+		if i%4 < 2 {
+			raw, err := apk.Build(p, testU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs[i] = Submission{Raw: raw}
+		} else {
+			subs[i] = Submission{Program: p}
+		}
+	}
+	got := make([]*Verdict, n)
 	var wg sync.WaitGroup
-	for i := 0; i < 40; i++ {
+	for i := range subs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -225,23 +251,27 @@ func TestCancelledVetsReturnFarmLanes(t *testing.T) {
 			if i%2 == 0 {
 				ctx = canceled
 			}
-			_, err := ck.Vet(ctx, Submission{Program: corpus.Program(i % corpus.Len())})
+			v, err := ck.Vet(ctx, subs[i])
 			if i%2 == 0 && !errors.Is(err, context.Canceled) {
 				t.Errorf("vet %d: err = %v, want context.Canceled", i, err)
 			}
 			if i%2 == 1 && err != nil {
 				t.Errorf("vet %d: %v", i, err)
 			}
+			got[i] = v
 		}(i)
 	}
 	wg.Wait()
 
-	farm := ck.gen.Load().farm
-	if free, lanes := farm.FreeLanes(), farm.Lanes(); free != lanes {
-		t.Fatalf("farm has %d/%d free lanes after cancellation churn — slot leak", free, lanes)
+	for i := 1; i < n; i += 2 {
+		if want := legacyVet(t, ck, subs[i]); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("vet %d: verdict after churn diverged from legacy path:\n got  %+v\n want %+v", i, got[i], want)
+		}
 	}
-	if _, err := ck.Vet(context.Background(), Submission{Program: corpus.Program(1)}); err != nil {
-		t.Fatalf("vet after churn: %v", err)
+	for _, sub := range []Submission{subs[0], subs[2]} { // a raw archive and a program, both cancelled above
+		if _, err := ck.Vet(context.Background(), sub); err != nil {
+			t.Fatalf("vet after churn: %v", err)
+		}
 	}
 }
 

@@ -112,9 +112,8 @@ func (ck *Checker) persistGenKey() (string, error) {
 	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.u.Config(), g.u.Level(), g.u.EvolveHistory())
 	fmt.Fprintf(h, "keys=%v\n", g.selection.Keys)
 	cfg := ck.cfg
-	// Where verdicts are kept and how many lanes serve them, not what
-	// they are.
-	cfg.VerdictCache, cfg.VerdictPersistDir, cfg.Lanes = 0, "", 0
+	// Where verdicts are kept, not what they are.
+	cfg.VerdictCache, cfg.VerdictPersistDir = 0, ""
 	// The band is hashed with the triage model, below.
 	cfg.TriageLo, cfg.TriageHi = 0, 0
 	// Fallback is a pointer, which %v would print as an address: walk the

@@ -223,7 +223,7 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 	// The key holds the whole Config less the fields it names as shaping
 	// no verdict, so nudging any other leaf — including one a later change
 	// adds, which this walk reaches without being told — must re-key.
-	shapesNone := map[string]bool{"VerdictCache": true, "VerdictPersistDir": true, "Lanes": true}
+	shapesNone := map[string]bool{"VerdictCache": true, "VerdictPersistDir": true}
 	elsewhere := map[string]bool{"TriageLo": true, "TriageHi": true, "Profile.Fallback": true} // cases above
 	c := cfg
 	var walk func(path string, v reflect.Value)

@@ -276,12 +276,6 @@ func TestHardenedTampersIdentityAPIs(t *testing.T) {
 	t.Skip("no program invoked the anchor API")
 }
 
-func TestFarmRejectsBadLanes(t *testing.T) {
-	if _, err := NewFarm(New(GoogleEmulator, registryNone(t)), 0); err == nil {
-		t.Error("NewFarm accepted 0 lanes")
-	}
-}
-
 func TestRunRejectsInvalidInputs(t *testing.T) {
 	e := New(GoogleEmulator, registryNone(t))
 	p := prog(1, behavior.Benign, behavior.FamilyNone)

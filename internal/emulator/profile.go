@@ -19,6 +19,12 @@ package emulator
 
 import "time"
 
+// ProductionLanes is the deployed per-server emulator count (§4.2, §5.1:
+// 16 emulators on one 5×4-core x86 server, the remaining cores scheduling,
+// monitoring and logging). The serving layers default their lane counts to
+// it; the engine itself is stateless and bounds nothing.
+const ProductionLanes = 16
+
 // Profile describes one execution environment.
 type Profile struct {
 	Name string

@@ -50,12 +50,14 @@ var (
 )
 
 // artifactMagic opens every artifact; artifactVersion guards layout
-// changes. triageMagic opens the optional trailing triage section —
-// presence-gated rather than version-gated, so artifacts with and without
-// it coexist under version 1.
+// changes. Version 2 is version 1 less core.Config's Lanes field, which the
+// reflect walk used to encode; a version 1 artifact is refused by name.
+// triageMagic opens the optional trailing triage section — presence-gated
+// rather than version-gated, so artifacts with and without it coexist
+// under one version.
 const (
 	artifactMagic   = "APKMODEL"
-	artifactVersion = 1
+	artifactVersion = 2
 	triageMagic     = "TRI1"
 )
 

@@ -2,8 +2,10 @@ package modelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"apichecker/internal/core"
@@ -28,7 +30,6 @@ func randomArtifact(t testing.TB, seed int64) *Artifact {
 	cfg.Events = 1000 + rng.Intn(9000)
 	cfg.Seed = rng.Int63n(1 << 30)
 	cfg.VerdictCache = rng.Intn(512) - 1
-	cfg.Lanes = rng.Intn(8)
 	if rng.Intn(2) == 0 {
 		cfg.Profile = emulator.GoogleEmulator
 	} else {
@@ -212,5 +213,20 @@ func TestArtifactTruncatedAndCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty payload: %v", err)
+	}
+}
+
+// TestArtifactVersion1Refused: a version 1 header — what a binary whose
+// core.Config still carried Lanes wrote — is refused by name, never read
+// as a version 2 layout shifted by one field.
+func TestArtifactVersion1Refused(t *testing.T) {
+	enc, err := randomArtifact(t, 5).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(enc[len(artifactMagic):], 1)
+	_, err = Decode(enc)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format version 1, want 2") {
+		t.Fatalf("Decode(v1 header) = %v, want ErrFormat naming format version 1, want 2", err)
 	}
 }

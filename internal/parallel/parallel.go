@@ -1,8 +1,9 @@
 // Package parallel provides the one bounded-parallel-map primitive every
 // fan-out in the system shares: the corpus emulation passes
-// (dataset.Corpus), the emulator farm (emulator.Farm), the per-API
-// Spearman sweep (features.SelectKeyAPIs) and the market review pool
-// (market.ReviewBatch).
+// (dataset.Corpus), the serving lanes (worker.Executor, which bounds how
+// many vets emulate at once), the per-API Spearman sweep
+// (features.SelectKeyAPIs) and the forest's tree training and batch
+// scoring (ml.RandomForest).
 //
 // The contract is deliberately narrow: indices are dispatched to a bounded
 // worker set, fn(i) runs exactly once per index, and Run returns only when

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"apichecker/internal/adb"
 	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
 	"apichecker/internal/emulator"
@@ -57,7 +57,7 @@ const (
 
 // ModelGen is one immutable model generation as the stages see it: the
 // universe, the extractor built over the selected keys, the emulation
-// lanes hooked for those keys, and the forest's scorer. A vet pins
+// engine hooked for those keys, and the forest's scorer. A vet pins
 // exactly one ModelGen (in the Decode stage, inside the cache-lookup
 // singleflight) and drives every remaining stage through it, so a
 // concurrent hot-swap can never mix feature extraction from one
@@ -73,14 +73,10 @@ type ModelGen struct {
 	Universe  *framework.Universe
 	Extractor *features.Extractor
 
-	// Farm gates program/parsed emulations behind this generation's
-	// emulator lanes; a cancelled VetContext returns its lane to the farm.
-	Farm *emulator.Farm
-
-	// RunRaw drives a raw archive through the adb device sequence
-	// (install → Monkey → logs → uninstall → clear). The closure owns the
-	// device serialization.
-	RunRaw func(vc *VetContext) (*adb.VetResult, error)
+	// Run emulates one program on this generation's engine, hooked for its
+	// selected keys, under the vet's context. Every payload kind runs
+	// through it; the engine is stateless, so concurrent vets need no lock.
+	Run func(context.Context, *behavior.Program, monkey.Config) (*emulator.Result, error)
 
 	// Score classifies one feature vector on the generation's forest.
 	Score func(ml.Vector) float64
@@ -466,31 +462,21 @@ func (s Decode) Run(vc *VetContext) error {
 	return nil
 }
 
-// Emulate exercises the app and collects the hook log: raw archives run
-// the full adb device sequence on the checker's device; parsed/program
-// submissions run on a farm lane (and return it, even when the context
-// is cancelled mid-run). The span duration is the run's calibrated
-// virtual analysis time.
+// Emulate exercises the decoded program on the pinned generation's engine
+// and collects the hook log, whatever payload kind it came from. The span
+// duration is the run's calibrated virtual analysis time.
 type Emulate struct{ D *Deps }
 
 func (Emulate) Name() string { return StageEmulate }
 
 func (s Emulate) Run(vc *VetContext) error {
-	if vc.Sub.Raw != nil {
-		vr, err := vc.Gen.RunRaw(vc)
-		if err != nil {
-			return err
-		}
-		vc.Run = vr.Run
-	} else {
-		res, err := vc.Gen.Farm.RunContext(vc.Ctx, vc.Program, vc.Monkey)
-		if err != nil {
-			return err
-		}
-		vc.Run = res
+	res, err := vc.Gen.Run(vc.Ctx, vc.Program, vc.Monkey)
+	if err != nil {
+		return err
 	}
-	s.book(vc.Run)
-	vc.Span(vc.Run.VirtualTime, vc.Run.Profile)
+	vc.Run = res
+	s.book(res)
+	vc.Span(res.VirtualTime, res.Profile)
 	return nil
 }
 

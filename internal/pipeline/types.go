@@ -51,8 +51,8 @@ var (
 // Submission is one vetting request for the canonical Vet entrypoint. It
 // carries exactly one payload:
 //
-//   - Raw: a serialized APK archive, vetted through the full adb device
-//     sequence (install → Monkey → logs → uninstall → clear, §4.2);
+//   - Raw: a serialized APK archive, decoded on the vet path and emulated
+//     like the other two (install → Monkey → hooked run, §4.2);
 //   - Parsed: an already-parsed APK (skips re-parsing the archive);
 //   - Program: behaviour semantics directly (the market-simulation path,
 //     where building megabytes of zip per app would only slow things down).
