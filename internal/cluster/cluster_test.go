@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -266,7 +267,7 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	t.Helper()
 	body := cluster.AppendClaimRequest(nil, "zombie", 2000, nil)
-	resp, err := http.Post(baseURL+cluster.PathClaim, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(baseURL+cluster.PathClaim, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +652,7 @@ func TestAcksSurviveDroppedResponses(t *testing.T) {
 	tap := &tapTransport{onResponse: func(path string, body []byte, status int) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if path == cluster.PathClaim && bytes.Contains(body, []byte(`"ack":`)) && dropped < drops {
+		if path == cluster.PathClaim && cluster.ClaimCarriesAck(body) && dropped < drops {
 			dropped++
 			return errors.New("response lost")
 		}
@@ -789,7 +790,7 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 	)
 	seq2.Store(-1)
 	tapB := &tapTransport{onResponse: func(path string, body []byte, status int) error {
-		if path == cluster.PathClaim && bytes.Contains(body, []byte(`"wait_ms":0,`)) {
+		if path == cluster.PathClaim && cluster.ClaimWaitMS(body) == 0 {
 			flushes.Add(1)
 		}
 		return nil
@@ -833,7 +834,7 @@ func TestControlBodyBound(t *testing.T) {
 	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
 	post := func(path string, body []byte) (int, string) {
 		t.Helper()
-		resp, err := http.Post(st.ts.URL+path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(st.ts.URL+path, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -850,10 +851,80 @@ func TestControlBodyBound(t *testing.T) {
 	if code, msg := post(cluster.PathClaim, []byte(`{"node":"old","wait_ms":1}`)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
 		t.Errorf("claim from a build without a wire version: %d %s", code, msg)
 	}
+	for path, body := range map[string]string{
+		cluster.PathClaim:     `{"v":3,"node":"old","wait_ms":1}`,
+		cluster.PathHeartbeat: `{"node":"old","seq":1,"token":2}`,
+		cluster.PathNack:      `{"node":"old","seq":1,"token":2,"cause":"c"}`,
+	} {
+		if code, msg := post(path, []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
+			t.Errorf("%s from a version 3 build: %d %s", path, code, msg)
+		}
+	}
 	if code, _ := post(cluster.PathClaim, cluster.AppendClaimRequest(nil, "n", 0, nil)); code != http.StatusNoContent {
 		t.Errorf("claim-nothing request: %d, want 204", code)
 	}
 	if code, _ := post("/v1/cluster/ack", []byte(`{}`)); code != http.StatusNotFound {
 		t.Errorf("the retired ack route: %d, want 404", code)
+	}
+}
+
+// TestNonFiniteScoreIsNacked: an ack whose verdict score is NaN or ±Inf is
+// refused with 400, and the lane nacks the claim instead, so the
+// submission is dead-lettered with the refusal as its cause rather than
+// recorded with a score no threshold classifies.
+func TestNonFiniteScoreIsNacked(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	const attempts = 2
+	subs := rawSubs(t, corpus, 3, 3)
+	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, MaxAttempts: attempts, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := map[int64]float64{}
+	var scoresMu sync.Mutex
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{
+		Lanes: 1,
+		OnVet: func(seq int64, v *core.Verdict, _ error) {
+			scoresMu.Lock()
+			defer scoresMu.Unlock()
+			if s, ok := scores[seq]; ok && v != nil {
+				v.Score = s
+			}
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tickets := make([]*vetsvc.Ticket, len(subs))
+	for i, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		scoresMu.Lock()
+		if tickets[i], err = svc.Submit(ctx, subs[i]); err != nil {
+			scoresMu.Unlock()
+			t.Fatal(err)
+		}
+		scores[tickets[i].Seq()] = score
+		scoresMu.Unlock()
+	}
+	for i, tk := range tickets {
+		_, err := tk.Wait(ctx)
+		if !errors.Is(err, vetsvc.ErrPoisoned) || !strings.Contains(err.Error(), "400 Bad Request") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("submission %d: %v, want a dead-letter naming the refused score", i, err)
+		}
+	}
+	if s := st.workers[0].Stats(); s.Nacks != attempts*uint64(len(subs)) {
+		t.Errorf("node stats = %+v, want %d nacks", s, attempts*len(subs))
+	}
+	if got := svc.Obs().Counter("cluster.acks").Load(); got != 0 {
+		t.Errorf("cluster.acks = %d, want 0: nothing may be recorded", got)
+	}
+}
+
+// TestStartWorkerRefusesLongNodeName: the wire carries a node name after a
+// uint16 length, so a longer one is refused at start, not sent truncated.
+func TestStartWorkerRefusesLongNodeName(t *testing.T) {
+	_, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: strings.Repeat("n", 1<<16)})
+	if err == nil || !strings.Contains(err.Error(), "node name") {
+		t.Fatalf("a 65536-byte node name: %v, want it refused", err)
 	}
 }

@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -252,13 +252,8 @@ func rendezvousHash(key, node string) uint64 {
 // every PollSlice; 204 means nothing became claimable within the budget
 // (the worker just re-polls), or that nothing was asked for.
 func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.V != frameVersion {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf(
-			"claim wire version %d, want %d: coordinator and workers must be the same build", req.V, frameVersion))
+	req, ok := readRequest(w, r, decodeClaimRequest)
+	if !ok {
 		return
 	}
 	if req.Node == "" {
@@ -277,7 +272,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	c.pruneLeases(now)
 
 	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, c.cfg.MaxPoll))
-	for {
+	for now.Before(deadline) {
 		live := c.liveNodes(now)
 		accept := func(it workqueue.Item) bool {
 			if it.Payload == nil {
@@ -293,14 +288,8 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			}
 			return affinityOwner(it.Key, live) == req.Node
 		}
-		slice := min(c.cfg.PollSlice, deadline.Sub(now))
-		if slice <= 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		sctx, cancel := context.WithTimeout(r.Context(), slice)
-		l, err := c.q.ClaimWhere(sctx, accept)
-		cancel()
+		until := now.Add(min(c.cfg.PollSlice, deadline.Sub(now)))
+		l, err := c.q.ClaimWhere(r.Context(), until, accept)
 		switch {
 		case err == nil:
 			c.respondClaim(w, req.Node, l)
@@ -311,13 +300,13 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, workqueue.ErrClosed):
 			httpError(w, http.StatusServiceUnavailable, err.Error())
 			return
-		case r.Context().Err() != nil:
-			// Client went away; the slice context aborted with it.
-			return
+		case !errors.Is(err, workqueue.ErrNothingClaimable):
+			return // the client went away
 		}
 		// Slice expired: refresh liveness and try again within the budget.
 		now = time.Now()
 	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // respondClaim registers the wire lease and writes the claim frame. A
@@ -366,13 +355,17 @@ func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqu
 // writeFrame writes one claim frame: the header, then payload as it lies
 // in the queue.
 func (c *Coordinator) writeFrame(w http.ResponseWriter, cl *claim, payload []byte) error {
-	hdr, err := appendClaimHeader(make([]byte, 0, frameFixed+4+len(cl.Key)+len(cl.ModelDigest)), cl)
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	hdr, err := appendClaimHeader((*bp)[:0], cl)
+	*bp = hdr[:0]
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+len(payload)))
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h["Content-Length"] = []string{strconv.Itoa(len(hdr) + len(payload))}
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -419,16 +412,16 @@ func (c *Coordinator) pruneLeases(now time.Time) {
 // TTL. 410 tells the node its lease is gone and the vet must be
 // abandoned.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := readRequest(w, r, decodeLeaseRequest)
+	if !ok {
 		return
 	}
 	c.touch(req.Node, time.Now())
 	c.leaseMu.Lock()
 	rl := c.leases[req.Seq]
-	ok := rl != nil && rl.l.Token() == req.Token && rl.node == req.Node
+	held := rl != nil && rl.l.Token() == req.Token && rl.node == req.Node
 	c.leaseMu.Unlock()
-	if !ok {
+	if !held {
 		httpError(w, http.StatusGone, workqueue.ErrLeaseLost.Error())
 		return
 	}
@@ -449,8 +442,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // the first answer) finds the record settled and the lease taken, and
 // changes nothing; cluster.acks counts reports that settled something.
 func (c *Coordinator) settleAck(node string, req *ackRequest) {
-	vetErr := remoteError(req.Error, req.ErrorKind)
-	recorded := c.svc.ReportRemote(req.Seq, req.Verdict, parseOutcome(req.Outcome), vetErr, time.Duration(req.WallNS))
+	vetErr := remoteError(req.Error, req.Deadline)
+	recorded := c.svc.ReportRemote(req.Seq, req.Verdict, req.Outcome, vetErr, time.Duration(req.WallNS))
 
 	// A missing wire lease means the queue reclaimed it (and the prune or
 	// reclaim path already counted the loss); only a loss discovered here
@@ -480,8 +473,8 @@ func (c *Coordinator) settleAck(node string, req *ackRequest) {
 // handleNack is POST /v1/cluster/nack: return the claim for another
 // attempt (or dead-letter it when attempts are exhausted).
 func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := readRequest(w, r, decodeLeaseRequest)
+	if !ok {
 		return
 	}
 	c.touch(req.Node, time.Now())
@@ -528,7 +521,7 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.pulls.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = octetStream
 	w.Write(data)
 }
 
@@ -574,32 +567,70 @@ func (c *Coordinator) currentModel() (digest string, gen uint64, err error) {
 // submitted manifest.
 const maxControlBytes = 64 << 10
 
-// decodeBody decodes a JSON request body, answering 413 beyond
-// maxControlBytes and 400 on any other failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes)).Decode(into)
+// readRequest reads a control body whole and decodes it, answering 413
+// beyond maxControlBytes and 400 for a body that is shorter than declared
+// or does not decode.
+func readRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (req T, ok bool) {
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	b, err := *bp, error(nil)
+	if n := r.ContentLength; n >= 0 && n <= maxControlBytes {
+		b = slices.Grow(b[:0], int(n))[:n]
+		*bp = b
+		_, err = io.ReadFull(r.Body, b)
+	} else {
+		b, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes))
+	}
+	// Closed once read to its end, the body is not drained again when the
+	// answer starts.
+	r.Body.Close()
 	if err == nil {
-		return true
+		if req, err = decode(b); err == nil {
+			return req, true
+		}
 	}
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	httpError(w, code, "decoding request body: "+err.Error())
-	return false
+	httpError(w, code, err.Error())
+	return req, false
 }
 
-// httpError writes a JSON error envelope.
+// bufs recycles the coordinator's byte buffers: a control body until it
+// is decoded, a frame header until it is written. Nothing decoded aliases
+// one — the decoders copy every string they return.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Header values set on every answer of their kind; net/http copies them
+// out and never writes them.
+var (
+	octetStream = []string{"application/octet-stream"}
+	jsonContent = []string{"application/json"}
+)
+
+// httpError writes the JSON error envelope {"error": msg}.
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	w.Header()["Content-Type"] = jsonContent
+	w.WriteHeader(code)
+	w.Write(append(appendJSONString([]byte(`{"error":`), msg), "}\n"...))
 }
 
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(body)
+// appendJSONString appends s as a JSON string. Bytes that are not valid
+// UTF-8 pass through; a decoder reads them as U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c < 0x20:
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
 }

@@ -6,3 +6,19 @@ var (
 	AppendClaimRequest = appendClaimRequest
 	DecodeClaim        = decodeClaim
 )
+
+// ClaimCarriesAck reports whether a claim request body carries an ack.
+func ClaimCarriesAck(body []byte) bool {
+	req, err := decodeClaimRequest(body)
+	return err == nil && req.Ack != nil
+}
+
+// ClaimWaitMS reads a claim request body's long-poll budget; -1 when the
+// body does not decode.
+func ClaimWaitMS(body []byte) int64 {
+	req, err := decodeClaimRequest(body)
+	if err != nil {
+		return -1
+	}
+	return req.WaitMS
+}

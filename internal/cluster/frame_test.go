@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -17,6 +16,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/framework"
+	"apichecker/internal/vcache"
 )
 
 // frame encodes cl the way the coordinator writes it: header, then the
@@ -167,77 +167,189 @@ func FuzzClaimFrame(f *testing.F) {
 	})
 }
 
-// TestControlBodiesMatchEncodingJSON: the bodies the worker appends by
-// hand are the documents encoding/json reads back into the same values.
-// The verdict is filled by reflection, so a field added to core.Verdict
-// and not to appendAck fails here. Digest is the one field left empty, as
-// the worker's body leaves it.
-func TestControlBodiesMatchEncodingJSON(t *testing.T) {
-	nasty := "p\"k\\g\n\x00\x1f é  \xff</script>"
+// encodeClaimRequest appends req the way a lane does.
+func encodeClaimRequest(req claimRequest) []byte {
+	var ack []byte
+	if req.Ack != nil {
+		ack = appendAck(nil, req.Ack)
+	}
+	return appendClaimRequest(nil, req.Node, req.WaitMS, ack)
+}
+
+// encodeLeaseRequest appends req the way a heartbeat or nack does.
+func encodeLeaseRequest(req leaseRequest) []byte {
+	return appendLeaseRequest(nil, req.Node, req.Seq, req.Token, req.Cause)
+}
+
+// controlNasty is a string no escaping or length rule may trip on.
+const controlNasty = "p\"k\\g\n\x00\x1f é  \xff</script>"
+
+// filledVerdict is a core.Verdict with every field set by reflection, so a
+// field added to core.Verdict and not to the verdict codec shows up as a
+// difference. Digest is the one field left empty, as the worker's body
+// leaves it; Tier is 1, the one value other than 2 the codec carries.
+func filledVerdict(t testing.TB) *core.Verdict {
 	v := &core.Verdict{}
 	rv := reflect.ValueOf(v).Elem()
 	for i := 0; i < rv.NumField(); i++ {
-		if rv.Type().Field(i).Name == "Digest" {
-			continue // not on the wire: the coordinator sets it from its own key
-		}
-		switch f := rv.Field(i); f.Kind() {
-		case reflect.String:
-			f.SetString(nasty + rv.Type().Field(i).Name)
-		case reflect.Bool:
+		switch name, f := rv.Type().Field(i).Name, rv.Field(i); {
+		case name == "Digest":
+			// not on the wire: the coordinator sets it from its own key
+		case name == "Tier":
+			f.SetInt(1)
+		case f.Kind() == reflect.String:
+			f.SetString(controlNasty + name)
+		case f.Kind() == reflect.Bool:
 			f.SetBool(true)
-		case reflect.Float64:
+		case f.Kind() == reflect.Float64:
 			f.SetFloat(-0.1 * math.Pi * float64(i+1))
-		case reflect.Int, reflect.Int64:
+		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
 			f.SetInt(int64(-7 - i))
-		case reflect.Uint64:
+		case f.Kind() == reflect.Uint64:
 			f.SetUint(math.MaxUint64 - uint64(i))
 		default:
-			t.Fatalf("core.Verdict.%s: a %s appendAck does not know how to carry", rv.Type().Field(i).Name, f.Kind())
+			t.Fatalf("core.Verdict.%s: a %s the verdict codec does not know how to carry", name, f.Kind())
 		}
 	}
-	acks := []*ackRequest{
-		{Seq: math.MinInt64, Token: math.MaxUint64, ModelDigest: "d", Outcome: "miss", WallNS: 12345, Verdict: v},
-		{Seq: 3, Token: 4, Outcome: "bypass", Error: nasty, ErrorKind: "deadline"},
-		{Seq: 5, Token: 6, Verdict: &core.Verdict{Score: 5e-324}, Error: "both"},
-		{},
-	}
-	for _, a := range acks {
-		want := claimRequest{V: frameVersion, Node: nasty, WaitMS: -1, Ack: a}
-		body := appendClaimRequest(nil, want.Node, want.WaitMS, appendAck(nil, a))
-		var got claimRequest
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		// encoding/json reads a byte that is not UTF-8 as U+FFFD, from its
-		// own encoder's output as from ours.
-		ref, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaJSON claimRequest
-		if err := json.Unmarshal(ref, &viaJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, viaJSON) {
-			t.Fatalf("hand-appended body decodes to\n %+v\nencoding/json's to\n %+v\nbody %s", got, viaJSON, body)
-		}
-	}
-	if got := appendClaimRequest(nil, "n", 250, nil); string(got) != `{"v":3,"node":"n","wait_ms":250}` {
-		t.Fatalf("claim without an ack: %s", got)
-	}
+	return v
+}
 
-	for _, cause := range []string{"", nasty} {
-		want := leaseRequest{Node: nasty, Seq: -9, Token: math.MaxUint64, Cause: cause}
-		ref, _ := json.Marshal(want)
-		var got, viaJSON leaseRequest
-		if err := json.Unmarshal(appendLeaseRequest(nil, want.Node, want.Seq, want.Token, cause), &got); err != nil {
-			t.Fatal(err)
+// seedControlBodies are claim requests with and without an ack, and
+// heartbeat and nack bodies.
+func seedControlBodies(t testing.TB) (claims []claimRequest, leases []leaseRequest) {
+	for _, a := range []*ackRequest{
+		nil,
+		{Seq: math.MinInt64, Token: math.MaxUint64, ModelDigest: "d", Outcome: vcache.OutcomeMiss, WallNS: 12345, Verdict: filledVerdict(t)},
+		{Seq: 3, Token: 4, Outcome: vcache.OutcomeBypass, Error: controlNasty, Deadline: true},
+		{Seq: 5, Token: 6, Outcome: vcache.OutcomeCoalesced, Verdict: &core.Verdict{Score: 5e-324, Tier: 2}, Error: "both"},
+		{Outcome: vcache.OutcomeHit, Verdict: &core.Verdict{Score: math.Copysign(0, -1), Tier: 2}},
+		{},
+	} {
+		claims = append(claims, claimRequest{Node: controlNasty, WaitMS: -1, Ack: a})
+	}
+	claims = append(claims, claimRequest{Node: "n", WaitMS: 250})
+	for _, cause := range []string{"", controlNasty} {
+		leases = append(leases, leaseRequest{Node: controlNasty, Seq: -9, Token: math.MaxUint64, Cause: cause})
+	}
+	return claims, leases
+}
+
+// TestControlBodiesRoundTrip: every control body a worker appends decodes
+// to the values it was appended from, and those re-encode to the same
+// bytes.
+func TestControlBodiesRoundTrip(t *testing.T) {
+	claims, leases := seedControlBodies(t)
+	for _, want := range claims {
+		body := encodeClaimRequest(want)
+		got, err := decodeClaimRequest(body)
+		if err != nil {
+			t.Fatalf("%x: %v", body, err)
 		}
-		if err := json.Unmarshal(ref, &viaJSON); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("claim body decodes to\n %+v\nwant\n %+v", got, want)
 		}
-		if got != viaJSON {
-			t.Fatalf("lease body decodes to %+v, encoding/json's to %+v", got, viaJSON)
+		if want.Ack != nil && !reflect.DeepEqual(got.Ack, want.Ack) {
+			t.Fatalf("ack decodes to\n %+v\nwant\n %+v", *got.Ack, *want.Ack)
+		}
+		if re := encodeClaimRequest(got); !bytes.Equal(re, body) {
+			t.Fatalf("claim body re-encodes differently:\n in  %x\n out %x", body, re)
 		}
 	}
+	for _, want := range leases {
+		body := encodeLeaseRequest(want)
+		got, err := decodeLeaseRequest(body)
+		if err != nil {
+			t.Fatalf("%x: %v", body, err)
+		}
+		if got != want {
+			t.Fatalf("lease body decodes to %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestControlBodiesRefused: each body the coordinator must refuse is
+// errBadBody, and a body from another build says so.
+func TestControlBodiesRefused(t *testing.T) {
+	withAck := func(edit func(a *ackRequest)) []byte {
+		a := &ackRequest{Seq: 1, Token: 2, ModelDigest: "m", Outcome: vcache.OutcomeMiss, Verdict: &core.Verdict{Package: "p", Tier: 2}}
+		edit(a)
+		return encodeClaimRequest(claimRequest{Node: "n", WaitMS: 1, Ack: a})
+	}
+	good := withAck(func(*ackRequest) {})
+	// Offsets into good: the ack starts after the 13-byte claim header; its
+	// outcome byte follows seq, token and wall.
+	outcomeAt := 2 + 8 + 2 + 1 + 24
+	badOutcome := append([]byte{}, good...)
+	badOutcome[outcomeAt] = byte(vcache.OutcomeCoalesced) + 1
+	lyingNode := append([]byte{}, good...)
+	binary.LittleEndian.PutUint16(lyingNode[10:], 0xFFFF)
+	lease := encodeLeaseRequest(leaseRequest{Node: "n", Seq: 1, Token: 2})
+
+	for _, tc := range []struct {
+		name  string
+		claim bool
+		body  []byte
+		want  string
+	}{
+		{"empty claim", true, nil, "truncated"},
+		{"empty lease", false, nil, "truncated"},
+		{"a version 3 JSON claim", true, []byte(`{"v":3,"node":"n","wait_ms":1}`), "same build"},
+		{"a version 3 JSON lease", false, []byte(`{"node":"n","seq":1,"token":2}`), "same build"},
+		{"version 3", true, append([]byte{3}, good[1:]...), "same build"},
+		{"reserved claim flag", true, append([]byte{frameVersion, 2}, good[2:]...), "reserved flag"},
+		{"reserved ack flag", true, func() []byte {
+			b := append([]byte{}, good...)
+			b[outcomeAt+1] |= 4
+			return b
+		}(), "reserved flag"},
+		{"ack flag, no ack", true, append([]byte{frameVersion, requestAck}, good[2:13]...), "truncated"},
+		{"unknown outcome", true, badOutcome, "cache outcome"},
+		{"NaN score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.NaN() }), "not finite"},
+		{"+Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(1) }), "not finite"},
+		{"-Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(-1) }), "not finite"},
+		{"node length past the body", true, lyingNode, "truncated"},
+		{"trailing claim byte", true, append(append([]byte{}, good...), 0), "trailing"},
+		{"short claim", true, good[:len(good)-1], "truncated"},
+		{"trailing lease byte", false, append(append([]byte{}, lease...), 0), "trailing"},
+		{"short lease", false, lease[:len(lease)-1], "truncated"},
+	} {
+		var err error
+		if tc.claim {
+			_, err = decodeClaimRequest(tc.body)
+		} else {
+			_, err = decodeLeaseRequest(tc.body)
+		}
+		if !errors.Is(err, errBadBody) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want errBadBody naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzControlBodies: neither request decoder panics, every refusal is
+// errBadBody, and every accepted body re-encodes to the bytes it came
+// from.
+func FuzzControlBodies(f *testing.F) {
+	claims, leases := seedControlBodies(f)
+	for _, req := range claims {
+		f.Add(encodeClaimRequest(req))
+	}
+	for _, req := range leases {
+		f.Add(encodeLeaseRequest(req))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if req, err := decodeClaimRequest(b); err != nil {
+			if !errors.Is(err, errBadBody) {
+				t.Fatalf("untyped claim error: %v", err)
+			}
+		} else if re := encodeClaimRequest(req); !bytes.Equal(re, b) {
+			t.Fatalf("accepted claim body re-encodes differently:\n in  %x\n out %x", b, re)
+		}
+		if req, err := decodeLeaseRequest(b); err != nil {
+			if !errors.Is(err, errBadBody) {
+				t.Fatalf("untyped lease error: %v", err)
+			}
+		} else if re := encodeLeaseRequest(req); !bytes.Equal(re, b) {
+			t.Fatalf("accepted lease body re-encodes differently:\n in  %x\n out %x", b, re)
+		}
+	})
 }

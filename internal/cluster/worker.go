@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,6 +100,9 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("cluster: worker requires a node name")
 	}
+	if len(cfg.Node) > maxName {
+		return nil, fmt.Errorf("cluster: a %d-byte node name: the wire carries at most %d", len(cfg.Node), maxName)
+	}
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = 4
 	}
@@ -182,12 +186,13 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 		Seq:         j.Seq,
 		Token:       j.Token,
 		ModelDigest: j.ModelDigest,
-		Outcome:     out.String(),
+		Outcome:     out,
 		WallNS:      time.Since(t0).Nanoseconds(),
 		Verdict:     v,
 	}
 	if err != nil {
-		j.rep.Error, j.rep.ErrorKind = err.Error(), errorKind(err)
+		j.rep.Error = err.Error()
+		j.rep.Deadline = errors.Is(err, core.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded)
 	}
 	j.err = err
 	return err
@@ -285,8 +290,8 @@ func (ln *lane) Nack(j *job, cause string) { ln.w.nack(j.Seq, j.Token, cause) }
 // work for up to wait (<= 0: claim nothing, only deliver the ack);
 // (nil, nil) means the poll came back empty (204). A frame or a 204
 // acknowledges the ack. A 4xx to a request that carried one means the
-// coordinator will never take it (a body past its bound, a score JSON
-// cannot carry): the claim is nacked instead, so the item is re-issued at
+// coordinator will never take it (a body past its bound, a score that is
+// not finite): the claim is nacked instead, so the item is re-issued at
 // once and dead-lettered with that cause if every attempt ends the same
 // way.
 func (ln *lane) poll(parent context.Context, timeout, wait time.Duration) (*claim, error) {
@@ -444,7 +449,7 @@ func (w *Worker) post(ctx context.Context, path string, body []byte) (*http.Resp
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = octetStream
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", path, err)

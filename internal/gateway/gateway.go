@@ -36,7 +36,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +75,7 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// Cluster, when set, mounts the vet-cluster coordinator's wire
-	// protocol (claim/heartbeat/ack/nack + model pulls) on this gateway's
+	// protocol (claim/heartbeat/nack + model pulls) on this gateway's
 	// mux and folds its fleet view into /healthz. The concrete type is
 	// *cluster.Coordinator; the interface keeps the gateway ignorant of
 	// the cluster package (cluster sits below the gateway in the import
@@ -539,7 +541,7 @@ func (s *Server) evictLocked() {
 // parseWait reads the optional ?wait= blocking budget; on a malformed
 // value it answers 400 and reports !ok.
 func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	raw := r.URL.Query().Get("wait")
+	raw := queryValue(r.URL.RawQuery, "wait")
 	if raw == "" {
 		return 0, true
 	}
@@ -552,6 +554,28 @@ func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duratio
 		d = s.cfg.MaxWait
 	}
 	return d, true
+}
+
+// queryValue reads the first value of key from a raw query string the way
+// url.Values.Get reads it from r.URL.Query(), without building the map: a
+// pair holding ';' or one that does not unescape is skipped, and key and
+// value are unescaped ('+' is a space).
+func queryValue(query, key string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // respond writes the submission resource, blocking up to wait for the
@@ -626,9 +650,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteMetrics(w, "apichecker", s.ck.Obs(), s.svc.Obs(), s.col)
 }
 
+// jsonContent is every JSON answer's Content-Type; net/http copies it out
+// and never writes it.
+var jsonContent = []string{"application/json"}
+
 // writeJSON writes one JSON response.
 func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContent
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

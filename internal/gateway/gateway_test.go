@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -654,5 +655,38 @@ func TestNoGoroutinePerInflightSubmission(t *testing.T) {
 	}
 	if grown := runtime.NumGoroutine() - before; grown >= n/2 {
 		t.Errorf("%d in-flight submissions grew the goroutine count by %d", n, grown)
+	}
+}
+
+// FuzzQueryValueMatchesURLValues: queryValue reads the value
+// r.URL.Query().Get reads, from any raw query — percent-encoded keys and
+// values, '+', repeats, pairs that do not unescape, semicolons.
+func FuzzQueryValueMatchesURLValues(f *testing.F) {
+	for _, q := range []string{
+		"", "wait=30s", "wait=30%73", "w%61it=1s", "wait=1+s", "wait", "wait=",
+		"a=1&wait=2s&wait=3s", "wait=%zz&wait=2s", "w%zzit=1s&wait=4s", "wait=1s;x=2&wait=5s",
+		"&&wait=6s&", "=&wait==7s", "wait%3D8s", "WAIT=9s",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		want := (&url.URL{RawQuery: query}).Query().Get("wait")
+		if got := queryValue(query, "wait"); got != want {
+			t.Fatalf("queryValue(%q) = %q, url.Values reads %q", query, got, want)
+		}
+	})
+}
+
+// TestPercentEncodedWait: a percent-encoded ?wait= blocks for the
+// duration it spells, like a plain one.
+func TestPercentEncodedWait(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	fx := newFixtureWith(t, ck, vetsvc.Config{Workers: 2}, Config{})
+	st, resp := postAPK(t, fx.ts.URL, "?w%61it=30%73", buildAPK(t, corpus, 0))
+	if resp.StatusCode != http.StatusOK || st.Status != "done" {
+		t.Fatalf("?w%%61it=30%%73: %d %+v, want a 200 done", resp.StatusCode, st)
+	}
+	if _, resp := postAPK(t, fx.ts.URL, "?wait=30%2", buildAPK(t, corpus, 1)); resp.StatusCode == http.StatusBadRequest {
+		t.Fatal("?wait=30%2 (does not unescape, so url.Values drops it) answered 400")
 	}
 }

@@ -31,6 +31,9 @@ import (
 //	invoked  uint64
 //	vector   uint32 word count + 8 bytes per word
 //
+// Package through invoked is the verdict's layout (AppendVerdict,
+// ReadVerdict), which the cluster's ack carries too.
+//
 // The verdict's Digest is not in the entry: it is the key the entry is
 // stored under, and whoever looks the entry up sets it from that key.
 //
@@ -71,8 +74,19 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 		4 + len(v.Engine) +
 		8 + // InvokedKeyAPIs
 		4 + 8*len(x)
-	dst := make([]byte, 0, n)
-	dst = append(dst, entryVersion)
+	dst := AppendVerdict(append(make([]byte, 0, n), entryVersion), v)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
+	for _, w := range x {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+// AppendVerdict appends v in the entry's field layout, package through
+// invoked: the one verdict codec, under the cache entry, the persist log
+// and the cluster's ack. Digest is not encoded, and a Tier other than 1
+// reads back as 2.
+func AppendVerdict(dst []byte, v *Verdict) []byte {
 	dst = wire.AppendString32(dst, v.Package)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.VersionCode)))
 	dst = binary.LittleEndian.AppendUint64(dst, v.Generation)
@@ -92,25 +106,13 @@ func EncodeEntry(v *Verdict, x ml.Vector) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(v.OverallTime.Nanoseconds()))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.Crashes)))
 	dst = wire.AppendString32(dst, v.Engine)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v.InvokedKeyAPIs)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
-	for _, w := range x {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, uint64(int64(v.InvokedKeyAPIs)))
 }
 
-// DecodeEntry unpacks an encoded entry into v (fully overwritten; Digest
-// is left empty for the caller to set from the entry's key) and a vector
-// that reuses vec's storage when it is wide enough — the
-// caller-owned-storage discipline: nothing in the result aliases e. It
-// never panics on corrupt input; any structural problem returns
-// ErrBadEntry.
-func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
-	r := wire.NewReader(e)
-	if r.U8() != entryVersion {
-		return nil, fmt.Errorf("%w: bad version byte", ErrBadEntry)
-	}
+// ReadVerdict reads what AppendVerdict wrote into v, which it fully
+// overwrites (Digest is left empty). A failure is latched on r, and v then
+// holds whatever was read before it.
+func ReadVerdict(r *wire.Reader, v *Verdict) {
 	*v = Verdict{}
 	v.Package = r.String(int(r.U32()))
 	v.VersionCode = int(int64(r.U64()))
@@ -130,6 +132,20 @@ func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
 	v.Crashes = int(int64(r.U64()))
 	v.Engine = r.String(int(r.U32()))
 	v.InvokedKeyAPIs = int(int64(r.U64()))
+}
+
+// DecodeEntry unpacks an encoded entry into v (fully overwritten; Digest
+// is left empty for the caller to set from the entry's key) and a vector
+// that reuses vec's storage when it is wide enough — the
+// caller-owned-storage discipline: nothing in the result aliases e. It
+// never panics on corrupt input; any structural problem returns
+// ErrBadEntry.
+func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
+	r := wire.NewReader(e)
+	if r.U8() != entryVersion {
+		return nil, fmt.Errorf("%w: bad version byte", ErrBadEntry)
+	}
+	ReadVerdict(&r, v)
 	words := r.Count(uint64(r.U32()), "vector word", 8)
 	if cap(vec) >= words {
 		vec = vec[:words]

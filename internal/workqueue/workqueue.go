@@ -50,6 +50,10 @@ var (
 	// nothing left to hand out, ever.
 	ErrDrained = errors.New("workqueue: queue drained")
 
+	// ErrNothingClaimable: ClaimWhere's until passed with nothing it could
+	// take.
+	ErrNothingClaimable = errors.New("workqueue: nothing claimable before the deadline")
+
 	// ErrLeaseLost: the lease expired and its item was reclaimed (or the
 	// queue closed under it); the holder's ack/heartbeat no longer counts.
 	ErrLeaseLost = errors.New("workqueue: lease lost")
@@ -487,17 +491,20 @@ func (q *Queue) pulseLocked() {
 // caller. It returns ErrDrained once a Shutdown queue has settled
 // everything, ErrClosed after Close, or ctx's error.
 func (q *Queue) Claim(ctx context.Context) (*Lease, error) {
-	return q.ClaimWhere(ctx, nil)
+	return q.ClaimWhere(ctx, time.Time{}, nil)
 }
 
-// ClaimWhere is Claim restricted to items accept allows: it leases the
-// lowest-seq pending item for which accept reports true, waiting (like
-// Claim) when nothing acceptable is pending. This is the cluster
-// coordinator's affinity hook — a claim request routes around items whose
-// digest belongs to another live node. accept is called under the queue
-// lock: it must be fast and must not call back into the queue. A nil
-// accept is plain Claim.
-func (q *Queue) ClaimWhere(ctx context.Context, accept func(Item) bool) (*Lease, error) {
+// ClaimWhere is Claim restricted to items accept allows and to a wait that
+// ends at until: it leases the lowest-seq pending item for which accept
+// reports true, waiting (like Claim) when nothing acceptable is pending,
+// and returns ErrNothingClaimable once until has passed with nothing to
+// take. This is the cluster coordinator's affinity hook — a claim request
+// routes around items whose digest belongs to another live node, and
+// re-reads liveness at each until. accept is called under the queue lock:
+// it must be fast and must not call back into the queue. A nil accept and
+// a zero until are plain Claim.
+func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Item) bool) (*Lease, error) {
+	var timer *time.Timer
 	for {
 		q.mu.Lock()
 		if q.released {
@@ -525,9 +532,36 @@ func (q *Queue) ClaimWhere(ctx context.Context, accept func(Item) bool) (*Lease,
 			q.fireDead(dead)
 			return nil, ErrDrained
 		}
-		// Nothing claimable: wait for an enqueue, a nack, a shutdown — or
-		// the earliest lease expiry, after which a rescan reclaims it.
-		wake, expiry, timer := q.armWaitLocked()
+		if !until.IsZero() && !q.now().Before(until) {
+			q.mu.Unlock()
+			q.fireDead(dead)
+			return nil, ErrNothingClaimable
+		}
+		// Nothing claimable: wait for an enqueue, a nack, a shutdown, until
+		// — or the earliest lease expiry, after which a rescan reclaims it.
+		// Registering as a waiter before capturing the wake channel (both
+		// under q.mu) means no pulse between the unlock and the select can
+		// be missed. One timer serves every wait of the call, armed only
+		// when something bounds the wait.
+		q.waiters++
+		wake, next := q.wake, until
+		if q.cfg.LeaseTTL > 0 {
+			for _, ls := range q.leases {
+				if next.IsZero() || ls.deadline.Before(next) {
+					next = ls.deadline
+				}
+			}
+		}
+		var expiry <-chan time.Time
+		if !next.IsZero() {
+			d := max(next.Sub(q.now()), time.Millisecond)
+			if timer == nil {
+				timer = time.NewTimer(d)
+			} else {
+				timer.Reset(d)
+			}
+			expiry = timer.C
+		}
 		q.mu.Unlock()
 		q.fireDead(dead)
 		select {
@@ -535,7 +569,7 @@ func (q *Queue) ClaimWhere(ctx context.Context, accept func(Item) bool) (*Lease,
 		case <-expiry:
 		case <-ctx.Done():
 		}
-		if timer != nil {
+		if expiry != nil {
 			timer.Stop()
 		}
 		q.mu.Lock()
@@ -547,70 +581,20 @@ func (q *Queue) ClaimWhere(ctx context.Context, accept func(Item) bool) (*Lease,
 	}
 }
 
-// armWaitLocked registers the caller as a waiter and returns the wake
-// channel plus a timer armed at the earliest lease expiry (nil channels
-// when no lease can expire). Registering as a waiter before capturing the
-// channel (both under q.mu) means no pulse between the return and the
-// caller's select can be missed. Caller holds q.mu and must decrement
-// q.waiters (under q.mu) after its select.
-func (q *Queue) armWaitLocked() (wake <-chan struct{}, expiry <-chan time.Time, timer *time.Timer) {
-	q.waiters++
-	wake = q.wake
-	if q.cfg.LeaseTTL > 0 && len(q.leases) > 0 {
-		next := time.Time{}
-		for _, ls := range q.leases {
-			if next.IsZero() || ls.deadline.Before(next) {
-				next = ls.deadline
-			}
-		}
-		d := next.Sub(q.now())
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		timer = time.NewTimer(d)
-		expiry = timer.C
-	}
-	return wake, expiry, timer
-}
-
 // AwaitDrained blocks until a Shutdown queue has settled every pending
 // item and lease — the coordinator-mode drain primitive. A service whose
 // claims all come from remote worker nodes has no local claim loop, yet
 // something must keep expiring abandoned leases (and delivering their
 // dead-letter callbacks) while the drain waits; AwaitDrained is that
-// something. Returns nil once the queue is drained (or was abruptly
-// Closed, after which nothing more can settle), or ctx's error.
+// something: a claim that accepts nothing. Returns nil once the queue is
+// drained (or was abruptly Closed, after which nothing more can settle),
+// or ctx's error.
 func (q *Queue) AwaitDrained(ctx context.Context) error {
-	for {
-		q.mu.Lock()
-		if q.released {
-			q.mu.Unlock()
-			return nil
-		}
-		dead := q.reclaimLocked()
-		if q.closed && len(q.pending) == 0 && len(q.leases) == 0 {
-			q.mu.Unlock()
-			q.fireDead(dead)
-			return nil
-		}
-		wake, expiry, timer := q.armWaitLocked()
-		q.mu.Unlock()
-		q.fireDead(dead)
-		select {
-		case <-wake:
-		case <-expiry:
-		case <-ctx.Done():
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		q.mu.Lock()
-		q.waiters--
-		q.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	_, err := q.ClaimWhere(ctx, time.Time{}, func(Item) bool { return false })
+	if errors.Is(err, ErrDrained) || errors.Is(err, ErrClosed) {
+		return nil
 	}
+	return err
 }
 
 // reclaimLocked expires overdue leases: their items return to pending

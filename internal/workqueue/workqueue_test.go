@@ -487,3 +487,87 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestClaimWhereUntil: ClaimWhere's until bounds the wait, not the claim.
+// With nothing acceptable it returns ErrNothingClaimable once until has
+// passed; a lease that expires before until is still reclaimed and handed
+// out; an item that can be taken is taken even when until has passed; and
+// a zero until is plain Claim, which waits for ctx.
+func TestClaimWhereUntil(t *testing.T) {
+	q, _ := mustOpen(t, Config{Capacity: 4, LeaseTTL: 100 * time.Millisecond})
+	defer q.Close()
+	seq := enqueue(t, q, Item{Key: "theirs"})
+	mine := func(it Item) bool { return it.Key == "mine" }
+	// A bound on every wait, so a ClaimWhere that ignores until fails here
+	// instead of hanging the test.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	if l, err := q.ClaimWhere(ctx, start.Add(80*time.Millisecond), mine); !errors.Is(err, ErrNothingClaimable) {
+		t.Fatalf("nothing acceptable: %v, %v; want ErrNothingClaimable", l, err)
+	}
+	if waited := time.Since(start); waited < 80*time.Millisecond || waited > 2*time.Second {
+		t.Fatalf("returned after %v, want at the 80ms until", waited)
+	}
+	if l, err := q.ClaimWhere(ctx, time.Now().Add(-time.Second), mine); !errors.Is(err, ErrNothingClaimable) {
+		t.Fatalf("nothing acceptable, until passed: %v, %v", l, err)
+	}
+	l, err := q.ClaimWhere(ctx, time.Now().Add(-time.Second), nil)
+	if err != nil || l.Item().Seq != seq {
+		t.Fatalf("an acceptable item, until passed: %v, %v; want seq %d", l, err, seq)
+	}
+
+	// The lease expires 100ms in, well before until: the wait wakes for
+	// the expiry, reclaims the item and hands it out again.
+	start = time.Now()
+	again, err := q.ClaimWhere(ctx, start.Add(5*time.Second), nil)
+	if err != nil || again.Item().Seq != seq || again.Item().Attempts != 2 {
+		t.Fatalf("after the lease expired: %v, %v; want seq %d attempt 2", again, err, seq)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("the reclaim waited %v for until instead of the lease expiry", waited)
+	}
+	if l.Valid() {
+		t.Fatal("the expired lease is still valid")
+	}
+	if err := again.Ack(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A zero until never ends the wait by itself: only ctx does.
+	short, cancelShort := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancelShort()
+	if l, err := q.ClaimWhere(short, time.Time{}, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("zero until, empty queue: %v, %v; want ctx's error", l, err)
+	}
+	next := enqueue(t, q, Item{})
+	if l, err := q.ClaimWhere(ctx, time.Time{}, nil); err != nil || l.Item().Seq != next {
+		t.Fatalf("zero until: %v, %v; want seq %d", l, err, next)
+	}
+}
+
+// TestAwaitDrainedClaimsNothing: the drain waiter leaves pending items
+// where they are and returns once the last lease settles.
+func TestAwaitDrainedClaimsNothing(t *testing.T) {
+	q, _ := mustOpen(t, Config{Capacity: 4})
+	defer q.Close()
+	enqueue(t, q, Item{})
+	q.Shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := q.AwaitDrained(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AwaitDrained with an item pending = %v, want ctx's error", err)
+	}
+	if st := q.Stats(); st.Depth != 1 || st.Leased != 0 {
+		t.Fatalf("after AwaitDrained: %d pending, %d leased; want 1, 0", st.Depth, st.Leased)
+	}
+	done := make(chan error, 1)
+	go func() { done <- q.AwaitDrained(context.Background()) }()
+	if err := claim(t, q).Ack(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("AwaitDrained after the last ack = %v, want nil", err)
+	}
+}
