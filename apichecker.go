@@ -92,8 +92,13 @@ type (
 
 	// Checker is the trained vetting pipeline.
 	Checker = core.Checker
-	// Config is the deployment configuration.
+	// Config is the deployment configuration: its embedded model half
+	// travels with every exported model, its NodeConfig stays with the
+	// node.
 	Config = core.Config
+	// NodeConfig is the half of Config each node sets for itself: where
+	// its verdicts are kept.
+	NodeConfig = core.NodeConfig
 	// TrainReport summarizes a training round.
 	TrainReport = core.TrainReport
 	// Verdict is the outcome of vetting one submission.
@@ -487,8 +492,9 @@ func WriteObsMetrics(w io.Writer, namespace string, cols ...*ObsCollector) error
 // ExportModel writes the checker's serving generation as one APKMODEL
 // artifact — the §5.4 distribution path by which large markets share
 // trained models with smaller ones, in the same bytes the model registry
-// stores: universe identity, deployment config, key-API selection, forest
-// and (when trained) the tier-1 triage model with its band.
+// stores: universe identity, model config (triage band included), key-API
+// selection, forest and (when trained) the tier-1 triage model. The node
+// config stays behind.
 func ExportModel(ck *Checker, w io.Writer) error {
 	a, err := modelstore.Snapshot(ck)
 	if err != nil {
@@ -503,9 +509,9 @@ func ExportModel(ck *Checker, w io.Writer) error {
 }
 
 // ImportModel cold-starts a checker from an artifact written by
-// ExportModel. The framework universe is rebuilt from the artifact itself,
-// so the importer needs nothing but the bytes, and its verdicts are
-// bit-identical to the exporter's.
+// ExportModel, under the default node config. The framework universe is
+// rebuilt from the artifact itself, so the importer needs nothing but the
+// bytes, and its verdicts are bit-identical to the exporter's.
 func ImportModel(r io.Reader) (*Checker, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -515,7 +521,7 @@ func ImportModel(r io.Reader) (*Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.Instantiate()
+	return a.Instantiate(NodeConfig{})
 }
 
 // OpenModelRegistry opens (or creates) a versioned model registry rooted

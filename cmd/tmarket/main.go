@@ -234,10 +234,14 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 		if err != nil {
 			return err
 		}
-		cold, man, err := apichecker.ColdStart(reg)
+		a, man, err := reg.Current()
 		switch {
 		case err == nil:
-			checker = cold
+			// The artifact brings the model config; the cache bound is this
+			// node's own.
+			if checker, err = a.Instantiate(apichecker.NodeConfig{VerdictCache: scfg.VerdictCache}); err != nil {
+				return err
+			}
 			fmt.Printf("cold-started generation %s from %s (created %s)\n",
 				shortDigest(man.Digest), scfg.ModelDir, man.CreatedAt.Format(time.RFC3339))
 			mgr = apichecker.NewLifecycleManager(checker, reg, apichecker.DefaultGateConfig())

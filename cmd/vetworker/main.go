@@ -31,7 +31,7 @@ func main() {
 		lanes = flag.Int("lanes", 0, "concurrent claim lanes (0 = 4)")
 		poll  = flag.Duration("poll", 10*time.Second, "claim long-poll budget per request")
 		hb    = flag.Duration("heartbeat", 0, "lease heartbeat period (0 = derive from the lease TTL, negative = off)")
-		vcap  = flag.Int("vcache", 0, "node-local verdict-cache capacity (0 = artifact default, negative = disabled)")
+		vcap  = flag.Int("vcache", 0, "node-local verdict-cache capacity (0 = default capacity, negative = disabled)")
 		quiet = flag.Bool("quiet", false, "suppress the per-vet progress lines")
 	)
 	flag.Parse()
@@ -47,13 +47,7 @@ func main() {
 		Lanes:          *lanes,
 		PollWait:       *poll,
 		HeartbeatEvery: *hb,
-	}
-	if *vcap != 0 {
-		cap := *vcap
-		cfg.Configure = func(c apichecker.Config) apichecker.Config {
-			c.VerdictCache = cap
-			return c
-		}
+		VerdictCache:   *vcap,
 	}
 	if !*quiet {
 		cfg.OnVet = func(seq int64, v *apichecker.Verdict, err error) {

@@ -28,6 +28,7 @@ import (
 	"apichecker/internal/framework"
 	"apichecker/internal/gateway"
 	"apichecker/internal/modelstore"
+	"apichecker/internal/vcache"
 	"apichecker/internal/vetsvc"
 )
 
@@ -55,6 +56,9 @@ func trainedArtifact(t *testing.T) (*modelstore.Artifact, *dataset.Corpus) {
 	}
 	return a, corpus
 }
+
+// configOf is the artifact's model config under the default node config.
+func configOf(a *modelstore.Artifact) core.Config { return core.Config{ModelConfig: a.Model} }
 
 // instantiate builds a fresh checker from the artifact under cfg
 // (generation 1, exactly like a worker node's cold start).
@@ -211,10 +215,11 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// One deployment config for every checker in this case; the
 			// band travels inside the artifact the coordinator advertises,
-			// the cache knob through the worker's Configure hook.
-			cfg := base.Cfg
+			// the cache knob through each worker's own VerdictCache.
+			var wcfg cluster.WorkerConfig
+			cfg := configOf(base)
 			if !tc.cache {
-				cfg.VerdictCache = -1
+				cfg.VerdictCache, wcfg.VerdictCache = -1, -1
 			}
 			if tc.triage {
 				cfg.TriageLo, cfg.TriageHi = 0.05, 0.95
@@ -233,15 +238,7 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache := tc.cache
-			startStack(t, svc, cluster.CoordinatorConfig{}, nodes, cluster.WorkerConfig{
-				Configure: func(c core.Config) core.Config {
-					if !cache {
-						c.VerdictCache = -1
-					}
-					return c
-				},
-			})
+			startStack(t, svc, cluster.CoordinatorConfig{}, nodes, wcfg)
 
 			got, err := svc.VetBatch(context.Background(), subs)
 			if err != nil {
@@ -259,6 +256,33 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNodeKeepsItsOwnNodeConfig: a node cold-starts under the model config
+// the coordinator's artifact carries and a node config of its own — not
+// the coordinator's persist directory or cache bound.
+func TestNodeKeepsItsOwnNodeConfig(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	cfg := configOf(base)
+	cfg.VerdictCache, cfg.VerdictPersistDir = 8000, t.TempDir()
+	ckCoord := instantiate(t, base, cfg)
+	defer ckCoord.ClosePersist()
+	svc, err := vetsvc.Open(ckCoord, vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodeCache = 64
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{VerdictCache: nodeCache})
+	if _, err := svc.VetBatch(context.Background(), rawSubs(t, corpus, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	node := st.workers[0].Checker()
+	if node.PersistStats().Enabled {
+		t.Error("the node opened the coordinator's persist directory")
+	}
+	if got, want := node.CacheStats().Capacity, vcache.New[[]byte](nodeCache).Stats().Capacity; got != want {
+		t.Errorf("node verdict cache holds %d entries, want its own %d", got, want)
 	}
 }
 
@@ -300,7 +324,7 @@ func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 func TestClusterReclaimsDeadNode(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const total = 8
-	cfg := base.Cfg
+	cfg := configOf(base)
 	subs := rawSubs(t, corpus, total, total)
 
 	serial := serialVerdicts(t, base, cfg, subs)
@@ -388,7 +412,7 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 // under — and reports — the new generation's digest.
 func TestClusterModelPropagation(t *testing.T) {
 	base, corpus := trainedArtifact(t)
-	cfg := base.Cfg
+	cfg := configOf(base)
 	ckCoord := instantiate(t, base, cfg)
 	oldDigest := artifactDigest(t, ckCoord)
 
@@ -468,7 +492,7 @@ func TestClusterModelPropagation(t *testing.T) {
 // depth, in-flight leases, and the live worker-node count.
 func TestHealthzClusterFields(t *testing.T) {
 	base, corpus := trainedArtifact(t)
-	ckCoord := instantiate(t, base, base.Cfg)
+	ckCoord := instantiate(t, base, configOf(base))
 	svc, err := vetsvc.Open(ckCoord, vetsvc.Config{QueueSize: 8, DisableLocalLanes: true})
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +567,7 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connec
 // TTL (a minute here; the test would time out waiting for it).
 func TestClaimWriteFailureNacksAtOnce(t *testing.T) {
 	base, corpus := trainedArtifact(t)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
 	})
 	if err != nil {
@@ -627,9 +651,9 @@ func TestAcksSurviveDroppedResponses(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const total, drops = 12, 4
 	subs := rawSubs(t, corpus, total, total)
-	serial := serialVerdicts(t, base, base.Cfg, subs)
+	serial := serialVerdicts(t, base, configOf(base), subs)
 
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: total, LeaseTTL: 300 * time.Millisecond, DisableLocalLanes: true,
 	})
 	if err != nil {
@@ -715,8 +739,8 @@ func TestAcksSurviveDroppedResponses(t *testing.T) {
 func TestStopSettlesTheLaneClaim(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	subs := rawSubs(t, corpus, 3, 3)
-	serial := serialVerdicts(t, base, base.Cfg, subs)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	serial := serialVerdicts(t, base, configOf(base), subs)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
 	})
 	if err != nil {
@@ -827,7 +851,7 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 // request body, and a peer of another build is told so.
 func TestControlBodyBound(t *testing.T) {
 	base, _ := trainedArtifact(t)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -876,7 +900,7 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const attempts = 2
 	subs := rawSubs(t, corpus, 3, 3)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: 4, LeaseTTL: time.Minute, MaxAttempts: attempts, DisableLocalLanes: true,
 	})
 	if err != nil {

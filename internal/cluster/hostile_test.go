@@ -23,7 +23,7 @@ import (
 // dead-lettered with that cause.
 func TestWrongModelBytesNeverReachDecode(t *testing.T) {
 	base, corpus := trainedArtifact(t)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: 4, LeaseTTL: time.Minute, MaxAttempts: 2, DisableLocalLanes: true,
 	})
 	if err != nil {
@@ -84,8 +84,8 @@ func TestPanickingVetIsNackedNotFatal(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const total, attempts = 8, 2
 	subs := rawSubs(t, corpus, total, total)
-	serial := serialVerdicts(t, base, base.Cfg, subs)
-	svc, err := vetsvc.Open(instantiate(t, base, base.Cfg), vetsvc.Config{
+	serial := serialVerdicts(t, base, configOf(base), subs)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
 		QueueSize: total, LeaseTTL: time.Minute, MaxAttempts: attempts, DisableLocalLanes: true,
 	})
 	if err != nil {

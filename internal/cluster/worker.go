@@ -46,11 +46,10 @@ type WorkerConfig struct {
 	// (claim requests long-poll; the per-request context bounds them).
 	Client *http.Client
 
-	// Configure, when set, overrides the artifact's deployment config at
-	// node cold-start (e.g. disable the local verdict cache). Later
-	// generation swaps keep the node-local overrides: SwapModel preserves
-	// the running config except the artifact-carried triage band.
-	Configure func(core.Config) core.Config
+	// VerdictCache is the node's verdict-cache capacity: 0 selects the
+	// default capacity, negative disables the cache. The model config
+	// comes with the artifact; this is the node's whole node config.
+	VerdictCache int
 
 	// OnVet, when set, observes every completed vet before it is acked.
 	OnVet func(seq int64, v *core.Verdict, err error)
@@ -386,15 +385,7 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 		return nil, err
 	}
 	if w.ck == nil {
-		cfg := a.Cfg
-		if w.cfg.Configure != nil {
-			cfg = w.cfg.Configure(cfg)
-		}
-		parts, err := a.Parts()
-		if err != nil {
-			return nil, err
-		}
-		ck, err := core.NewFromParts(parts, cfg)
+		ck, err := a.Instantiate(core.NodeConfig{VerdictCache: w.cfg.VerdictCache})
 		if err != nil {
 			return nil, err
 		}

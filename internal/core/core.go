@@ -37,6 +37,7 @@ import (
 	"apichecker/internal/obs"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
+	"apichecker/internal/wire"
 )
 
 // Submission, Verdict and the cached-verdict record are defined by the
@@ -49,8 +50,18 @@ type (
 	Verdict = pipeline.Verdict
 )
 
-// Config holds the deployment configuration.
+// Config holds the deployment configuration: the model half every node
+// serving a generation shares, and the node half each node sets for
+// itself.
 type Config struct {
+	ModelConfig
+	NodeConfig
+}
+
+// ModelConfig is the half of the configuration that shapes a verdict. It
+// travels with the model: APKMODEL carries it (Fields is its codec), and a
+// checker cold-started from an artifact serves under it.
+type ModelConfig struct {
 	// Events per Monkey exercise (paper: 5,000 ≈ 126 s base).
 	Events int
 	// Mode is the feature combination (deployed: A+P+I).
@@ -64,6 +75,59 @@ type Config struct {
 	// Seed drives everything stochastic.
 	Seed int64
 
+	// TriageLo and TriageHi bound the tier-1 triage uncertainty band in
+	// probability space: a submission whose static manifest-only triage
+	// probability falls strictly outside [TriageLo, TriageHi] is answered
+	// with a tier-1 verdict and never emulated; anything in the band pays
+	// the full pipeline. The zero band (0, 0) means "not configured" and
+	// disables the tier, as does the explicit full band [0, 1] — with
+	// either, every verdict is bit-identical to a checker without triage.
+	TriageLo float64
+	TriageHi float64
+}
+
+// Fields lists every ModelConfig leaf, in encoding order, for both
+// directions of its codec: the Profile chain is each engine's leaves
+// followed by a bool saying whether a fallback engine follows. Decode into
+// a zero ModelConfig, so that each fallback read is a new engine.
+func (c *ModelConfig) Fields(f wire.Fields) {
+	f.Int(&c.Events)
+	f.U8((*uint8)(&c.Mode))
+	f.F64(&c.Selection.SRCThreshold)
+	f.F64(&c.Selection.SeldomFraction)
+	for p := &c.Profile; ; p = p.Fallback {
+		f.String(&p.Name)
+		f.I64((*int64)(&p.PerEvent))
+		f.I64((*int64)(&p.PerHook))
+		f.F64(&p.SpeedSigma)
+		f.F64(&p.SpeedMin)
+		f.F64(&p.SpeedMax)
+		f.Bool(&p.Hardened)
+		f.Bool(&p.RealDevice)
+		f.Bool(&p.CompatRisk)
+		next := p.Fallback != nil
+		f.Bool(&next)
+		if !next {
+			break
+		}
+		if p.Fallback == nil {
+			p.Fallback = new(emulator.Profile)
+		}
+	}
+	f.Int(&c.Forest.Trees)
+	f.Int(&c.Forest.MaxDepth)
+	f.Int(&c.Forest.MinLeaf)
+	f.Int(&c.Forest.MTry)
+	f.I64(&c.Forest.Seed)
+	f.I64(&c.Seed)
+	f.F64(&c.TriageLo)
+	f.F64(&c.TriageHi)
+}
+
+// NodeConfig is the half of the configuration that decides where verdicts
+// are kept, never what they are: each node sets its own, and no artifact
+// carries it.
+type NodeConfig struct {
 	// VerdictCache bounds the digest-keyed verdict-memoization layer on
 	// the serving path (entries, across all shards). 0 selects
 	// vcache.DefaultCapacity; negative disables memoization entirely, so
@@ -78,25 +142,11 @@ type Config struct {
 	// model is unchanged, so a restarted node resumes its hit rate without
 	// re-emulating. Empty disables persistence; requires VerdictCache >= 0.
 	VerdictPersistDir string
-
-	// TriageLo and TriageHi bound the tier-1 triage uncertainty band in
-	// probability space: a submission whose static manifest-only triage
-	// probability falls strictly outside [TriageLo, TriageHi] is answered
-	// with a tier-1 verdict and never emulated; anything in the band pays
-	// the full pipeline. The zero band (0, 0) means "not configured" and
-	// disables the tier, as does the explicit full band [0, 1] — with
-	// either, every verdict is bit-identical to a checker without triage.
-	//
-	// Tagged artifact:"-": the band travels in the APKMODEL artifact's
-	// optional triage section alongside the triage model itself, so
-	// artifacts written before the tier existed decode unchanged.
-	TriageLo float64 `artifact:"-"`
-	TriageHi float64 `artifact:"-"`
 }
 
 // triageBand normalizes the configured band: the zero band selects the
 // trivial [0, 1], which disables the tier.
-func (c Config) triageBand() (lo, hi float64) {
+func (c ModelConfig) triageBand() (lo, hi float64) {
 	if c.TriageLo == 0 && c.TriageHi == 0 {
 		return 0, 1
 	}
@@ -113,14 +163,14 @@ func checkTriageBand(lo, hi float64) error {
 
 // DefaultConfig is the production configuration from the paper.
 func DefaultConfig() Config {
-	return Config{
+	return Config{ModelConfig: ModelConfig{
 		Events:    5000,
 		Mode:      features.ModeAPI,
 		Selection: features.DefaultSelectionConfig(),
 		Profile:   emulator.LightweightEmulator,
 		Forest:    ml.DefaultForestConfig(1),
 		Seed:      1,
-	}
+	}}
 }
 
 // Checker is a trained vetting pipeline. Its trained parts — universe,
@@ -253,7 +303,7 @@ type TrainReport struct {
 // the paper's offline study; cfg.Profile selects the engine submissions
 // are vetted on.
 func TrainFromCorpus(c *dataset.Corpus, cfg Config) (*Checker, *TrainReport, error) {
-	parts, rep, err := trainParts(c, cfg)
+	parts, rep, err := trainParts(c, cfg.ModelConfig)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,7 +318,7 @@ func TrainFromCorpus(c *dataset.Corpus, cfg Config) (*Checker, *TrainReport, err
 // returns the trained parts without assembling a checker — the shared body
 // of TrainFromCorpus (fresh checker) and Retrain (hot-swap into a serving
 // one).
-func trainParts(c *dataset.Corpus, cfg Config) (ModelParts, *TrainReport, error) {
+func trainParts(c *dataset.Corpus, cfg ModelConfig) (ModelParts, *TrainReport, error) {
 	if cfg.Events <= 0 {
 		return ModelParts{}, nil, fmt.Errorf("core: events must be positive")
 	}
@@ -320,7 +370,7 @@ func trainParts(c *dataset.Corpus, cfg Config) (ModelParts, *TrainReport, error)
 // hook log, no dex, no emulation). Trained unconditionally: the model is
 // cheap, travels with the generation, and serves only when a non-trivial
 // band is configured.
-func trainTriage(c *dataset.Corpus, cfg Config) (*ml.Linear, error) {
+func trainTriage(c *dataset.Corpus, cfg ModelConfig) (*ml.Linear, error) {
 	tex, err := features.NewTriageExtractor(c.Universe())
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

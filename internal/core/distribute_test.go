@@ -11,6 +11,7 @@ import (
 	"apichecker/internal/framework"
 	"apichecker/internal/ml"
 	"apichecker/internal/modelstore"
+	"apichecker/internal/vcache"
 )
 
 // Model distribution (§5.4: "large app markets can possibly distribute
@@ -58,7 +59,7 @@ func distribute(t *testing.T, ck *core.Checker) *core.Checker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imported, err := dec.Instantiate()
+	imported, err := dec.Instantiate(core.NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +104,61 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	if tier1 == 0 {
 		t.Error("imported checker answered nothing at tier 1: the triage tier did not travel")
+	}
+}
+
+// TestArtifactCarriesTheModelNotTheNode: one generation snapshotted by two
+// nodes that keep their verdicts differently is one artifact, and a node
+// cold-started from it keeps its verdicts its own way — the capacity it
+// asks for, no persist log — not the snapshotting node's.
+func TestArtifactCarriesTheModelNotTheNode(t *testing.T) {
+	ck, _ := bigMarket(t, 200)
+	digestUnder := func(node core.NodeConfig) string {
+		t.Helper()
+		cfg := ck.Config()
+		cfg.NodeConfig = node
+		snap, err := core.NewFromParts(ck.Parts(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.ClosePersist()
+		a, err := modelstore.Snapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dig, err := a.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dig
+	}
+	persisting := core.NodeConfig{VerdictCache: 8000, VerdictPersistDir: t.TempDir()}
+	if a, b := digestUnder(persisting), digestUnder(core.NodeConfig{VerdictCache: -1}); a != b {
+		t.Fatalf("one generation under two node configs: digests %.12s and %.12s", a, b)
+	}
+
+	cfg := ck.Config()
+	cfg.NodeConfig = persisting
+	exporter, err := core.NewFromParts(ck.Parts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exporter.ClosePersist()
+	a, err := modelstore.Snapshot(exporter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{0, 64} {
+		node, err := a.Instantiate(core.NodeConfig{VerdictCache: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := node.CacheStats().Capacity, vcache.New[[]byte](capacity).Stats().Capacity; got != want {
+			t.Errorf("Instantiate(VerdictCache %d): capacity %d, want %d", capacity, got, want)
+		}
+		if node.PersistStats().Enabled {
+			t.Errorf("Instantiate(VerdictCache %d) opened the exporter's persist log", capacity)
+		}
 	}
 }
 

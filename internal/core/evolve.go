@@ -18,7 +18,7 @@ import "apichecker/internal/dataset"
 // Universe.Evolve requires a corpus rebuilt over the evolved universe so
 // its generator knows the new APIs).
 func (ck *Checker) Retrain(c *dataset.Corpus) (*TrainReport, error) {
-	parts, rep, err := trainParts(c, ck.cfg)
+	parts, rep, err := trainParts(c, ck.cfg.ModelConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"apichecker/internal/cluster"
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
+	"apichecker/internal/vcache"
 	"apichecker/internal/vetsvc"
 )
 
@@ -55,7 +56,10 @@ func TestPoisonedArchiveDeadLettersOnClusterNode(t *testing.T) {
 	cluster.NewCoordinator(svc, cluster.CoordinatorConfig{PollSlice: 10 * time.Millisecond}).Mount(mux)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: ts.URL, Node: "n", Lanes: 2, PollWait: 250 * time.Millisecond})
+	const nodeCache = 64
+	w, err := cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: ts.URL, Node: "n", Lanes: 2, PollWait: 250 * time.Millisecond, VerdictCache: nodeCache,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +78,8 @@ func TestPoisonedArchiveDeadLettersOnClusterNode(t *testing.T) {
 	if _, err := submit(0).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c := w.Checker().Config().VerdictCache; c < 0 {
-		t.Fatalf("the node's verdict cache is off (%d): this test is about the cache's singleflight", c)
+	if got, want := w.Checker().CacheStats().Capacity, vcache.New[[]byte](nodeCache).Stats().Capacity; got != want {
+		t.Fatalf("the node's verdict cache holds %d entries, want %d: this test is about the cache's singleflight", got, want)
 	}
 	core.PoisonRaw(w.Checker(), subs[1].Raw)
 

@@ -5,9 +5,9 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"apichecker/internal/emulator"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
+	"apichecker/internal/wire"
 )
 
 // Persistent verdict-cache wiring: the optional file-backed tier under the
@@ -91,14 +91,11 @@ func (ck *Checker) AttachPersist(dir string) error {
 // persistGenKey derives the identity the persisted tier is keyed by. The
 // generation digest is preferred (content address of the persisted
 // artifact). A generation trained in-process and never snapshotted falls
-// back to a hash of everything that shapes a verdict: the model's parts,
-// each in its own deterministic encoding — the universe (config, SDK
-// level, evolve history), the selected keys, the forest, the triage model
-// with its band while the tier is on — and the whole Config, less only the
-// fields named below as shaping none. A field added to Config is therefore
-// in the key until someone excludes it: the worst a new field can do is
-// discard a log, never serve a stale one. Two checkers trained from the
-// same corpus and config share a key.
+// back to a hash of everything that shapes a verdict: the universe (config,
+// SDK level, evolve history), the selected keys, the model config in the
+// bytes APKMODEL carries it in, the forest, and the triage model while the
+// tier is on. The node config is not in it. Two checkers trained from the
+// same corpus and model config share a key.
 func (ck *Checker) persistGenKey() (string, error) {
 	g := ck.gen.Load()
 	if g.digest != "" {
@@ -111,28 +108,17 @@ func (ck *Checker) persistGenKey() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.u.Config(), g.u.Level(), g.u.EvolveHistory())
 	fmt.Fprintf(h, "keys=%v\n", g.selection.Keys)
-	cfg := ck.cfg
-	// Where verdicts are kept, not what they are.
-	cfg.VerdictCache, cfg.VerdictPersistDir = 0, ""
-	// The band is hashed with the triage model, below.
-	cfg.TriageLo, cfg.TriageHi = 0, 0
-	// Fallback is a pointer, which %v would print as an address: walk the
-	// chain and print each engine by value.
-	for p := &cfg.Profile; p != nil; p = p.Fallback {
-		q := *p
-		q.Fallback = nil
-		fmt.Fprintf(h, "profile=%+v\n", q)
-	}
-	cfg.Profile = emulator.Profile{}
-	fmt.Fprintf(h, "config=%+v\n", cfg)
-	fmt.Fprintf(h, "forest=%d\n", len(forest))
+	cfg := wire.Encoder{B: []byte("config=")}
+	ck.cfg.Fields(&cfg)
+	h.Write(cfg.B)
+	fmt.Fprintf(h, "\nforest=%d\n", len(forest))
 	h.Write(forest)
 	// The triage model shapes verdicts only while the tier is on (the
 	// condition pipeline.Triage falls through on): under the trivial band
 	// a checker with the model and one without answer bit-identically, and
 	// share a key.
 	if lo, hi := g.mg.TriageLo, g.mg.TriageHi; g.triage != nil && (lo > 0 || hi < 1) {
-		fmt.Fprintf(h, "\ntriage=[%v, %v]\n", lo, hi)
+		h.Write([]byte("\ntriage\n"))
 		h.Write(g.triage.AppendBinary(nil))
 	}
 	return "export:" + hex.EncodeToString(h.Sum(nil)), nil

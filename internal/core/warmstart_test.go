@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"apichecker/internal/ml"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
+	"apichecker/internal/wire"
 )
 
 // TestPersistWarmStart is the kill-and-restart scenario: a checker with a
@@ -127,7 +129,7 @@ func TestPersistSwapInvalidates(t *testing.T) {
 // everything that shapes a verdict, so changing any one part re-keys the
 // log (the persisted verdicts are discarded, not served under a model they
 // were not computed by), while training twice from the same corpus and
-// config — or changing only how many lanes serve — keeps it.
+// config — or changing only where the node keeps its verdicts — keeps it.
 func TestPersistKeyCoversEveryPart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TriageLo, cfg.TriageHi = testBandLo, testBandHi
@@ -145,6 +147,7 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ck.ClosePersist()
 		ck.gen.Load().u = u
 		key, err := ck.persistGenKey()
 		if err != nil {
@@ -185,28 +188,18 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 	weight := *parts.Triage
 	weight.W = append([]float64(nil), weight.W...)
 	weight.W[0]++
-	fallback := cfg.Profile
-	fallback.Fallback = &emulator.RealDevice
 
 	withParts := func(edit func(*ModelParts)) (ModelParts, Config) {
 		p := parts
 		edit(&p)
 		return p, cfg
 	}
-	withCfg := func(edit func(*Config)) (ModelParts, Config) {
-		c := cfg
-		edit(&c)
-		return parts, c
-	}
 	changed := map[string]func() (ModelParts, Config){
-		"universe config":  func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Universe = rebuild(otherSeed) }) },
-		"SDK level":        func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Universe = rebuild(ucfg, 9) }) },
-		"selection key":    func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Selection = &fewerKeys }) },
-		"forest node":      func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Model = oneNode }) },
-		"triage weight":    func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Triage = &weight }) },
-		"band lower edge":  func() (ModelParts, Config) { return withCfg(func(c *Config) { c.TriageLo = testBandLo / 2 }) },
-		"band upper edge":  func() (ModelParts, Config) { return withCfg(func(c *Config) { c.TriageHi = 0.99 }) },
-		"Profile fallback": func() (ModelParts, Config) { return withCfg(func(c *Config) { c.Profile = fallback }) },
+		"universe config": func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Universe = rebuild(otherSeed) }) },
+		"SDK level":       func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Universe = rebuild(ucfg, 9) }) },
+		"selection key":   func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Selection = &fewerKeys }) },
+		"forest node":     func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Model = oneNode }) },
+		"triage weight":   func() (ModelParts, Config) { return withParts(func(p *ModelParts) { p.Triage = &weight }) },
 	}
 	for name, variant := range changed {
 		if got := keyOf(variant()); got == want {
@@ -220,52 +213,82 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 	if evolved(9) == evolved(10) {
 		t.Error("changing the evolve history left the persist key unchanged")
 	}
-	// The key holds the whole Config less the fields it names as shaping
-	// no verdict, so nudging any other leaf — including one a later change
-	// adds, which this walk reaches without being told — must re-key.
-	shapesNone := map[string]bool{"VerdictCache": true, "VerdictPersistDir": true}
-	elsewhere := map[string]bool{"TriageLo": true, "TriageHi": true, "Profile.Fallback": true} // cases above
-	c := cfg
-	var walk func(path string, v reflect.Value)
-	walk = func(path string, v reflect.Value) {
-		if v.Kind() == reflect.Struct {
-			for i := 0; i < v.NumField(); i++ {
-				walk(strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), v.Field(i))
-			}
-			return
-		}
-		if elsewhere[path] || path == "VerdictPersistDir" {
-			return
-		}
-		old := reflect.ValueOf(v.Interface()) // a copy
-		switch {
-		case v.CanInt():
-			v.SetInt(v.Int() + 1)
-		case v.CanUint():
-			v.SetUint(v.Uint() + 1)
-		case v.CanFloat():
-			v.SetFloat(v.Float() + 0.125)
-		case v.Kind() == reflect.String:
-			v.SetString(v.String() + "x")
-		case v.Kind() == reflect.Bool:
-			v.SetBool(!v.Bool())
-		default:
-			t.Fatalf("Config.%s is a %s: teach this walk to nudge it, and persistGenKey to print it by value", path, v.Kind())
-		}
-		got := keyOf(parts, c)
-		v.Set(old)
-		if shapesNone[path] && got != want {
-			t.Errorf("Config.%s re-keyed the persist log; it shapes no verdict", path)
-		} else if !shapesNone[path] && got == want {
-			t.Errorf("changing Config.%s left the persist key unchanged", path)
-		}
+	// Nudging any ModelConfig leaf — including one a later change adds,
+	// which this walk reaches without being told — moves both the codec's
+	// bytes and the key; nudging a NodeConfig leaf moves neither.
+	codec := func(c *Config) []byte {
+		e := wire.Encoder{}
+		c.Fields(&e)
+		return e.B
 	}
-	walk("", reflect.ValueOf(&c).Elem())
+	c := cfg
+	wantBytes := codec(&c)
+	nudgeLeaves(t, "ModelConfig", reflect.ValueOf(&c.ModelConfig).Elem(), func(s string) string { return s + "x" }, func(path string) {
+		if bytes.Equal(codec(&c), wantBytes) {
+			t.Errorf("changing %s left the model config's bytes unchanged", path)
+		}
+		if keyOf(parts, c) == want {
+			t.Errorf("changing %s left the persist key unchanged", path)
+		}
+	})
+	nudgeLeaves(t, "NodeConfig", reflect.ValueOf(&c.NodeConfig).Elem(), func(string) string { return t.TempDir() }, func(path string) {
+		if !bytes.Equal(codec(&c), wantBytes) {
+			t.Errorf("changing %s moved the model config's bytes", path)
+		}
+		if keyOf(parts, c) != want {
+			t.Errorf("changing %s re-keyed the persist log; it shapes no verdict", path)
+		}
+	})
 
 	// A generation that carries an artifact digest keys on it alone, in
 	// the form registry-backed deployments have always had on disk.
 	if got := keyOf(withParts(func(p *ModelParts) { p.Digest = "abc123" })); got != "model:abc123" {
 		t.Errorf("digest-carrying key = %q, want model:abc123", got)
+	}
+}
+
+// nudgeLeaves changes each leaf under v in turn — every integer, float,
+// bool and string, and each pointer's presence before the leaves it points
+// to (through a private copy) — calls check with the leaf's path, and
+// restores it. Floats are halved, so a band stays a band.
+func nudgeLeaves(t *testing.T, path string, v reflect.Value, str func(string) string, check func(path string)) {
+	t.Helper()
+	if v.Kind() == reflect.Struct {
+		for i := 0; i < v.NumField(); i++ {
+			nudgeLeaves(t, path+"."+v.Type().Field(i).Name, v.Field(i), str, check)
+		}
+		return
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch {
+	case v.Kind() == reflect.Pointer && v.IsNil():
+		v.Set(reflect.New(v.Type().Elem()))
+	case v.Kind() == reflect.Pointer:
+		v.SetZero()
+	case v.CanInt():
+		v.SetInt(v.Int() + 1)
+	case v.CanUint():
+		v.SetUint(v.Uint() + 1)
+	case v.CanFloat() && v.Float() != 0:
+		v.SetFloat(v.Float() / 2)
+	case v.CanFloat():
+		v.SetFloat(0.125)
+	case v.Kind() == reflect.String:
+		v.SetString(str(v.String()))
+	case v.Kind() == reflect.Bool:
+		v.SetBool(!v.Bool())
+	default:
+		t.Fatalf("%s is a %s: teach this walk to nudge it, and the codec to carry it", path, v.Kind())
+	}
+	check(path)
+	v.Set(old)
+	if v.Kind() == reflect.Pointer && !v.IsNil() {
+		cp := reflect.New(v.Type().Elem())
+		cp.Elem().Set(v.Elem())
+		v.Set(cp)
+		nudgeLeaves(t, path, cp.Elem(), str, check)
+		v.Set(old)
 	}
 }
 

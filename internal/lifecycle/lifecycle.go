@@ -161,15 +161,15 @@ func (m *Manager) Snapshot(note string) (string, error) {
 }
 
 // ColdStart restores a serving checker from the registry's current
-// generation. Verdicts are bit-identical to the checker that snapshotted
-// it: the universe is replayed from its recorded generation, and Monkey
-// seeds derive from submission content.
+// generation under the default node config. Verdicts are bit-identical to
+// the checker that snapshotted it: the universe is replayed from its
+// recorded generation, and Monkey seeds derive from submission content.
 func ColdStart(reg *modelstore.Registry) (*core.Checker, modelstore.Manifest, error) {
 	a, man, err := reg.Current()
 	if err != nil {
 		return nil, modelstore.Manifest{}, err
 	}
-	ck, err := a.Instantiate()
+	ck, err := a.Instantiate(core.NodeConfig{})
 	if err != nil {
 		return nil, modelstore.Manifest{}, err
 	}
@@ -180,12 +180,12 @@ func ColdStart(reg *modelstore.Registry) (*core.Checker, modelstore.Manifest, er
 // checker — the worker-node half of generation propagation: a node that
 // learns (from a claim response) that its coordinator serves a newer
 // generation pulls the artifact and adopts it through the same SwapModel
-// path a local promotion takes. The triage band rides the artifact
-// (Cfg.TriageLo/TriageHi from its TRI1 section), so a band change
-// propagates with the generation it shipped under; adopting a changed
-// band republishes once more via SetTriageBand, advancing the node's
-// local generation counter twice — harmless, since verdict identity
-// derives from content and the model digest, not the local swap count.
+// path a local promotion takes. The triage band rides the artifact's
+// model config, so a band change propagates with the generation it
+// shipped under; adopting a changed band republishes once more via
+// SetTriageBand, advancing the node's local generation counter twice —
+// harmless, since verdict identity derives from content and the model
+// digest, not the local swap count.
 func AdoptArtifact(ck *core.Checker, a *modelstore.Artifact) (core.GenerationInfo, error) {
 	parts, err := a.Parts()
 	if err != nil {
@@ -197,9 +197,9 @@ func AdoptArtifact(ck *core.Checker, a *modelstore.Artifact) (core.GenerationInf
 	}
 	cfg := ck.Config()
 	curLo, curHi := normBand(cfg.TriageLo, cfg.TriageHi)
-	artLo, artHi := normBand(a.Cfg.TriageLo, a.Cfg.TriageHi)
+	artLo, artHi := normBand(a.Model.TriageLo, a.Model.TriageHi)
 	if curLo != artLo || curHi != artHi {
-		return ck.SetTriageBand(a.Cfg.TriageLo, a.Cfg.TriageHi)
+		return ck.SetTriageBand(a.Model.TriageLo, a.Model.TriageHi)
 	}
 	return gen, nil
 }
@@ -235,9 +235,11 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 
 	// Train the challenger as a complete standalone checker: its shadow
 	// vets run through the same pipeline stages production verdicts do,
-	// on its own farm — nothing touches the serving path.
+	// under the champion's model config and a node config of its own —
+	// nothing touches the serving path, its cache or its persist log.
+	model := m.ck.Config().ModelConfig
 	start := time.Now()
-	challenger, rep, err := core.TrainFromCorpus(trainCorpus, m.ck.Config())
+	challenger, rep, err := core.TrainFromCorpus(trainCorpus, core.Config{ModelConfig: model})
 	dur := time.Since(start)
 	col.Counter("lifecycle.trains").Inc()
 	emitSpan(col, "lifecycle.train", dur, fmt.Sprintf("corpus=%d", trainCorpus.Len()), err)
@@ -266,7 +268,7 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 	// that simply cold-starts into the (gated, good) challenger.
 	start = time.Now()
 	parts := challenger.Parts()
-	a, err := modelstore.FromParts(parts, m.ck.Config())
+	a, err := modelstore.FromParts(parts, model)
 	if err != nil {
 		return nil, err
 	}

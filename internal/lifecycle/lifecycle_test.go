@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
@@ -229,6 +230,55 @@ func TestEvolveGateRejects(t *testing.T) {
 	}
 	if st := m.State(); st.Rejections != 1 || st.Promotions != 0 {
 		t.Fatalf("state counters: %+v", st)
+	}
+}
+
+// TestEvolveKeepsTheServingPersistLog: training a challenger must not touch
+// the serving checker's node config. A challenger that opened the serving
+// checker's persist directory under its own key would replace the log, and
+// the champion's appends would land in an unlinked file: the next restart
+// would warm-start empty.
+func TestEvolveKeepsTheServingPersistLog(t *testing.T) {
+	u := framework.MustGenerate(framework.TestConfig(3000))
+	corpus := refreshedCorpus(t, u, 260, 1)
+	cfg := core.DefaultConfig()
+	cfg.VerdictPersistDir = t.TempDir()
+	ck, _, err := core.TrainFromCorpus(corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		raw, err := apk.Build(corpus.Program(i), u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ck.Vet(context.Background(), core.Submission{Raw: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An impossible gate, so the champion keeps serving and keeps its log.
+	m := NewManager(ck, reg, GateConfig{MaxF1Drop: -2, MaxAUCDrop: 1, MinHoldout: 20})
+	if _, err := m.Evolve(context.Background(), refreshedCorpus(t, u, 300, 2)); err != nil {
+		t.Fatal(err)
+	}
+	// The shadow evaluation vets the holdout on the champion too, so the
+	// log holds at least the n archives.
+	want := ck.CacheStats().Entries
+	if err := ck.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := core.NewFromParts(ck.Parts(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.ClosePersist()
+	if got := reopened.PersistStats().Restored; got != uint64(want) || got < n {
+		t.Fatalf("restart after Evolve restored %d entries, want the champion's %d (>= %d)", got, want, n)
 	}
 }
 

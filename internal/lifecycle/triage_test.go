@@ -93,7 +93,7 @@ func TestTriageSurvivesLifecycle(t *testing.T) {
 	t1, t2 := tierCounts(rootVerdicts)
 
 	// Cold start: the restored checker carries the triage model and band
-	// from the artifact's triage section and answers bit-identically.
+	// from the artifact and answers bit-identically.
 	cold, _, err := ColdStart(reg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestTriageSurvivesLifecycle(t *testing.T) {
 	if a.Triage == nil {
 		t.Fatal("promoted artifact has no triage model")
 	}
-	reck, err := a.Instantiate()
+	reck, err := a.Instantiate(core.NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // checker bit-identically: the universe generation config plus the
 // recorded Evolve seed history (the universe itself is never serialized —
 // Generate and Evolve are deterministic, so replaying the seeds rebuilds
-// it exactly), the deployment config, the key-API selection, and the
-// trained forest. The encoding is deterministic hand-laid-out
+// it exactly), the model half of the configuration, the key-API
+// selection, and the trained forest. The encoding is deterministic hand-laid-out
 // little-endian binary — the same parts always produce the same bytes —
 // so artifacts are content-addressed by their sha256 digest, and a
 // round-tripped checker produces bit-identical verdicts.
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 
 	"apichecker/internal/core"
 	"apichecker/internal/features"
@@ -50,21 +49,17 @@ var (
 )
 
 // artifactMagic opens every artifact; artifactVersion guards layout
-// changes. Version 2 is version 1 less core.Config's Lanes field, which the
-// reflect walk used to encode; a version 1 artifact is refused by name.
+// changes. Version 3 is the hand-written layout of fields, which carries the
+// model half of core.Config and the triage band with it; a version 1 or 2
+// artifact (a reflect walk over the whole core.Config) is refused by name.
 // triageMagic opens the optional trailing triage section — presence-gated
 // rather than version-gated, so artifacts with and without it coexist
 // under one version.
 const (
 	artifactMagic   = "APKMODEL"
-	artifactVersion = 2
+	artifactVersion = 3
 	triageMagic     = "TRI1"
 )
-
-// maxCount bounds decoded element counts whatever the payload size. Every
-// declared count is additionally checked against the bytes that remain
-// (wire's Count) before anything is allocated at that size.
-const maxCount = 1 << 26
 
 // Artifact is one complete, self-contained model generation.
 type Artifact struct {
@@ -74,8 +69,10 @@ type Artifact struct {
 	UniverseCfg framework.Config
 	EvolveSeeds []int64
 
-	// Cfg is the deployment configuration the checker runs under.
-	Cfg core.Config
+	// Model is the model half of the configuration the checker runs under,
+	// triage band included. Where a node keeps its verdicts is its own
+	// business (core.NodeConfig), so no artifact carries it.
+	Model core.ModelConfig
 
 	// Selection is the key-API selection the extractor and hook registry
 	// are built over.
@@ -84,13 +81,8 @@ type Artifact struct {
 	// Forest is the trained classifier.
 	Forest *ml.RandomForest
 
-	// Triage is the optional tier-1 manifest-only linear scorer; nil for
-	// artifacts written before the tier existed (they decode unchanged —
-	// the triage section is a trailing optional extension, not a layout
-	// change). When present it is encoded together with the uncertainty
-	// band from Cfg.TriageLo/TriageHi, which are excluded from the
-	// reflect-walked Cfg encoding (tagged artifact:"-") precisely so old
-	// digests stay stable.
+	// Triage is the optional tier-1 manifest-only linear scorer; nil when
+	// the generation has none.
 	Triage *ml.Linear
 }
 
@@ -100,31 +92,50 @@ func Snapshot(ck *core.Checker) (*Artifact, error) {
 	if parts.Model == nil || !parts.Model.Trained() {
 		return nil, fmt.Errorf("modelstore: checker has no trained model")
 	}
-	return &Artifact{
-		UniverseCfg: parts.Universe.Config(),
-		EvolveSeeds: parts.Universe.EvolveHistory(),
-		Cfg:         ck.Config(),
-		Selection:   *parts.Selection,
-		Forest:      parts.Model,
-		Triage:      parts.Triage,
-	}, nil
+	return FromParts(parts, ck.Config().ModelConfig)
 }
 
 // FromParts assembles an artifact from explicit trained parts and the
-// deployment config (the lifecycle trainer's path, where the parts exist
-// before any checker serves them).
-func FromParts(parts core.ModelParts, cfg core.Config) (*Artifact, error) {
+// model config they serve under (the lifecycle trainer's path, where the
+// parts exist before any checker serves them).
+func FromParts(parts core.ModelParts, model core.ModelConfig) (*Artifact, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Model == nil {
 		return nil, fmt.Errorf("modelstore: incomplete model parts")
 	}
 	return &Artifact{
 		UniverseCfg: parts.Universe.Config(),
 		EvolveSeeds: parts.Universe.EvolveHistory(),
-		Cfg:         cfg,
+		Model:       model,
 		Selection:   *parts.Selection,
 		Forest:      parts.Model,
 		Triage:      parts.Triage,
 	}, nil
+}
+
+// fields lists the artifact's leading sections, in encoding order, for
+// both directions of its codec: the universe config, the evolve seeds, the
+// model config (core.ModelConfig.Fields), then the selection.
+func (a *Artifact) fields(f wire.Fields) {
+	u := &a.UniverseCfg
+	f.I64(&u.Seed)
+	for _, n := range []*int{&u.NumAPIs, &u.NumPermissions, &u.NumIntents,
+		&u.MaliceSignalCount, &u.BenignCommonCount, &u.NegativeCommonCnt, &u.SharedHeavyCount, &u.BenignNicheCount,
+		&u.RestrictedAPICount, &u.SensitiveAPICount, &u.SignalRestrictedOverlap, &u.SignalSensitiveOverlap,
+		&u.DependentAPICount, &u.BaseLevel} {
+		f.Int(n)
+	}
+	f.F64(&u.HiddenFraction)
+	wire.Slice(f, &a.EvolveSeeds, "evolve seed", 8, f.I64)
+
+	a.Model.Fields(f)
+
+	s := &a.Selection
+	f.F64(&s.Config.SRCThreshold)
+	f.F64(&s.Config.SeldomFraction)
+	for _, ids := range []*[]framework.APIID{&s.SetC, &s.SetP, &s.SetS, &s.Keys} {
+		wire.Slice(f, ids, "API id", 4, func(id *framework.APIID) { f.I32((*int32)(id)) })
+	}
+	wire.Slice(f, &s.SRC, "SRC", 8, f.F64)
 }
 
 // Encode serializes the artifact deterministically: encoding the same
@@ -134,36 +145,18 @@ func (a *Artifact) Encode() ([]byte, error) {
 	if a.Forest == nil {
 		return nil, fmt.Errorf("modelstore: artifact has no forest")
 	}
-	buf := append([]byte(nil), artifactMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, artifactVersion)
-	var err error
-	if buf, err = appendValue(buf, reflect.ValueOf(a.UniverseCfg)); err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.EvolveSeeds)))
-	for _, s := range a.EvolveSeeds {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
-	}
-	if buf, err = appendValue(buf, reflect.ValueOf(a.Cfg)); err != nil {
-		return nil, err
-	}
-	if buf, err = appendValue(buf, reflect.ValueOf(a.Selection)); err != nil {
-		return nil, err
-	}
 	forest, err := a.Forest.AppendBinary(nil)
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(forest)))
+	e := wire.Encoder{B: binary.LittleEndian.AppendUint32([]byte(artifactMagic), artifactVersion)}
+	a.fields(&e)
+	buf := binary.LittleEndian.AppendUint32(e.B, uint32(len(forest)))
 	buf = append(buf, forest...)
 	if a.Triage != nil {
-		// Optional trailing triage section: magic, section length, the
-		// uncertainty band (which is excluded from the Cfg walk), then the
-		// linear model. Written only when a triage model exists, so
-		// triage-less artifacts are byte-identical to the pre-tier format.
-		sec := wire.AppendF64(nil, a.Cfg.TriageLo)
-		sec = wire.AppendF64(sec, a.Cfg.TriageHi)
-		sec = a.Triage.AppendBinary(sec)
+		// Optional trailing triage section: magic, section length, then the
+		// linear model.
+		sec := a.Triage.AppendBinary(nil)
 		buf = append(buf, triageMagic...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sec)))
 		buf = append(buf, sec...)
@@ -198,17 +191,7 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 
 	a := &Artifact{}
-	readValue(&r, reflect.ValueOf(&a.UniverseCfg).Elem())
-	nSeeds := r.U32()
-	if nSeeds > maxCount {
-		r.Fail(fmt.Errorf("%d evolve seeds", nSeeds))
-	}
-	a.EvolveSeeds = make([]int64, r.Count(uint64(nSeeds), "evolve seed", 8))
-	for i := range a.EvolveSeeds {
-		a.EvolveSeeds[i] = int64(r.U64())
-	}
-	readValue(&r, reflect.ValueOf(&a.Cfg).Elem())
-	readValue(&r, reflect.ValueOf(&a.Selection).Elem())
+	a.fields(wire.Decoder{R: &r})
 	// A section length past the end is a lie (ErrCorruptArtifact), where
 	// running out of bytes inside a field is ErrTruncated.
 	fLen := int(r.U32())
@@ -224,7 +207,7 @@ func Decode(data []byte) (*Artifact, error) {
 		return nil, err
 	}
 	if r.Len() == 0 {
-		return a, nil // pre-triage artifact: nothing follows the forest
+		return a, nil // no triage model: nothing follows the forest
 	}
 	// Whatever follows the forest must be exactly one triage section;
 	// trailing bytes are still corruption, not slack.
@@ -233,10 +216,6 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 	if tLen := r.U32(); int(tLen) != r.Len() {
 		return nil, fmt.Errorf("%w: triage section claims %d bytes, %d remain", ErrCorruptArtifact, tLen, r.Len())
-	}
-	a.Cfg.TriageLo, a.Cfg.TriageHi = r.F64(), r.F64()
-	if err := r.Err(); err != nil {
-		return nil, artifactError(err)
 	}
 	if a.Triage, err = decodeSection(r.Rest(), ml.DecodeLinearBinary); err != nil {
 		return nil, err
@@ -277,7 +256,7 @@ func (a *Artifact) Parts() (core.ModelParts, error) {
 		return core.ModelParts{}, fmt.Errorf("modelstore: rebuild universe: %w", err)
 	}
 	sel := a.Selection
-	ex, err := features.NewExtractor(u, sel.Keys, a.Cfg.Mode)
+	ex, err := features.NewExtractor(u, sel.Keys, a.Model.Mode)
 	if err != nil {
 		return core.ModelParts{}, fmt.Errorf("modelstore: rebuild extractor: %w", err)
 	}
@@ -295,150 +274,14 @@ func (a *Artifact) Parts() (core.ModelParts, error) {
 	}, nil
 }
 
-// Instantiate cold-starts a serving checker from the artifact. Verdicts
-// are bit-identical to the checker the artifact snapshotted — same
-// universe, same keys, same forest, and content-derived Monkey seeds.
-func (a *Artifact) Instantiate() (*core.Checker, error) {
+// Instantiate cold-starts a serving checker from the artifact under the
+// caller's node config. Verdicts are bit-identical to the checker the
+// artifact snapshotted — same universe, same keys, same forest, same model
+// config, and content-derived Monkey seeds — whatever either node's config.
+func (a *Artifact) Instantiate(node core.NodeConfig) (*core.Checker, error) {
 	parts, err := a.Parts()
 	if err != nil {
 		return nil, err
 	}
-	return core.NewFromParts(parts, a.Cfg)
-}
-
-// appendValue deterministically encodes a value by walking its type:
-// struct fields in declaration order, integers as little-endian u64,
-// floats as IEEE bit patterns, strings and slices length-prefixed,
-// pointers as a presence byte plus the element. Walking the type (rather
-// than hand-listing fields per struct) keeps the codec in lockstep with
-// the config structs it serializes — a new field changes the encoding,
-// which changes digests, which is exactly what content addressing wants.
-func appendValue(buf []byte, v reflect.Value) ([]byte, error) {
-	switch v.Kind() {
-	case reflect.Bool:
-		b := byte(0)
-		if v.Bool() {
-			b = 1
-		}
-		return append(buf, b), nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.Int())), nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return binary.LittleEndian.AppendUint64(buf, v.Uint()), nil
-	case reflect.Float32, reflect.Float64:
-		return wire.AppendF64(buf, v.Float()), nil
-	case reflect.String:
-		return wire.AppendString32(buf, v.String()), nil
-	case reflect.Slice:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Len()))
-		var err error
-		for i := 0; i < v.Len(); i++ {
-			if buf, err = appendValue(buf, v.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case reflect.Pointer:
-		if v.IsNil() {
-			return append(buf, 0), nil
-		}
-		return appendValue(append(buf, 1), v.Elem())
-	case reflect.Struct:
-		var err error
-		for i := 0; i < v.NumField(); i++ {
-			// artifact:"-" excludes a field from the walk — used by fields
-			// that travel in a dedicated optional section instead, so adding
-			// them does not change the digests of existing artifacts.
-			if v.Type().Field(i).Tag.Get("artifact") == "-" {
-				continue
-			}
-			if buf, err = appendValue(buf, v.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	default:
-		return nil, fmt.Errorf("modelstore: cannot encode %s", v.Type())
-	}
-}
-
-// readValue decodes into a settable value, mirroring appendValue exactly;
-// a failure is left on r.
-func readValue(r *wire.Reader, v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(r.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n := int64(r.U64())
-		if v.OverflowInt(n) {
-			r.Fail(fmt.Errorf("%d overflows %s", n, v.Type()))
-		}
-		v.SetInt(n)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		n := r.U64()
-		if v.OverflowUint(n) {
-			r.Fail(fmt.Errorf("%d overflows %s", n, v.Type()))
-		}
-		v.SetUint(n)
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(r.F64())
-	case reflect.String:
-		n := r.U32()
-		if n > maxCount {
-			r.Fail(fmt.Errorf("string of %d bytes", n))
-		}
-		v.SetString(r.String(int(n)))
-	case reflect.Slice:
-		n := r.U32()
-		if n > maxCount {
-			r.Fail(fmt.Errorf("slice of %d elements", n))
-		}
-		k := r.Count(uint64(n), "slice element", minEncodedSize(v.Type().Elem()))
-		s := reflect.MakeSlice(v.Type(), k, k)
-		for i := range k {
-			readValue(r, s.Index(i))
-		}
-		v.Set(s)
-	case reflect.Pointer:
-		if r.Bool() {
-			p := reflect.New(v.Type().Elem())
-			readValue(r, p.Elem())
-			v.Set(p)
-		} else {
-			v.SetZero()
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).Tag.Get("artifact") != "-" {
-				readValue(r, v.Field(i))
-			}
-		}
-	default:
-		r.Fail(fmt.Errorf("cannot decode %s", v.Type()))
-	}
-}
-
-// minEncodedSize is the fewest bytes appendValue can write for a value of
-// type t — what a declared slice count is divided into. It never returns
-// zero: a type the codec cannot encode sizes as one byte (readValue refuses
-// it on the first element), and so does a struct with no encoded fields.
-func minEncodedSize(t reflect.Type) int {
-	switch t.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
-		return 8
-	case reflect.String, reflect.Slice:
-		return 4
-	case reflect.Struct:
-		n := 0
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).Tag.Get("artifact") != "-" {
-				n += minEncodedSize(t.Field(i).Type)
-			}
-		}
-		return max(n, 1)
-	default: // bool, pointer presence byte
-		return 1
-	}
+	return core.NewFromParts(parts, core.Config{ModelConfig: a.Model, NodeConfig: node})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,10 +27,9 @@ func randomArtifact(t testing.TB, seed int64) *Artifact {
 	ucfg.Seed = rng.Int63n(1 << 30)
 	ucfg.HiddenFraction = rng.Float64()
 
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultConfig().ModelConfig
 	cfg.Events = 1000 + rng.Intn(9000)
 	cfg.Seed = rng.Int63n(1 << 30)
-	cfg.VerdictCache = rng.Intn(512) - 1
 	if rng.Intn(2) == 0 {
 		cfg.Profile = emulator.GoogleEmulator
 	} else {
@@ -85,7 +85,7 @@ func randomArtifact(t testing.TB, seed int64) *Artifact {
 	return &Artifact{
 		UniverseCfg: ucfg,
 		EvolveSeeds: seeds,
-		Cfg:         cfg,
+		Model:       cfg,
 		Selection:   sel,
 		Forest:      forest,
 	}
@@ -148,16 +148,9 @@ func TestArtifactRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: digest changed across round trip", seed)
 		}
 
-		if dec.UniverseCfg != a.UniverseCfg || dec.Cfg.Events != a.Cfg.Events ||
-			dec.Cfg.Profile.Name != a.Cfg.Profile.Name ||
-			len(dec.Selection.Keys) != len(a.Selection.Keys) {
+		if !reflect.DeepEqual(dec.UniverseCfg, a.UniverseCfg) || !reflect.DeepEqual(dec.Model, a.Model) ||
+			!reflect.DeepEqual(dec.EvolveSeeds, a.EvolveSeeds) || !reflect.DeepEqual(dec.Selection, a.Selection) {
 			t.Fatalf("seed %d: decoded fields diverge", seed)
-		}
-		if a.Cfg.Profile.Fallback != nil {
-			if dec.Cfg.Profile.Fallback == nil ||
-				dec.Cfg.Profile.Fallback.Name != a.Cfg.Profile.Fallback.Name {
-				t.Fatalf("seed %d: fallback profile lost", seed)
-			}
 		}
 
 		rng := rand.New(rand.NewSource(seed * 977))
@@ -216,17 +209,17 @@ func TestArtifactTruncatedAndCorrupt(t *testing.T) {
 	}
 }
 
-// TestArtifactVersion1Refused: a version 1 header — what a binary whose
-// core.Config still carried Lanes wrote — is refused by name, never read
-// as a version 2 layout shifted by one field.
-func TestArtifactVersion1Refused(t *testing.T) {
+// TestArtifactVersion2Refused: a version 2 header — what a binary that
+// reflect-walked the whole core.Config wrote — is refused by name, never
+// read as the version 3 layout.
+func TestArtifactVersion2Refused(t *testing.T) {
 	enc, err := randomArtifact(t, 5).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(enc[len(artifactMagic):], 1)
+	binary.LittleEndian.PutUint32(enc[len(artifactMagic):], 2)
 	_, err = Decode(enc)
-	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format version 1, want 2") {
-		t.Fatalf("Decode(v1 header) = %v, want ErrFormat naming format version 1, want 2", err)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format version 2, want 3") {
+		t.Fatalf("Decode(v2 header) = %v, want ErrFormat naming format version 2, want 3", err)
 	}
 }

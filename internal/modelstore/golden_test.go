@@ -10,13 +10,12 @@ import (
 // fixed-seed artifacts goldenArtifacts builds, without and with the
 // optional TRI1 section. Decode is canonical (FuzzArtifactDecode), so its
 // accept set is Encode's image only while Encode does not move; these pin
-// it. First recorded at c261443, before the decoder moved onto
-// internal/wire; re-recorded on purpose for format version 2, which drops
-// core.Config's Lanes field from the Cfg walk (randomArtifact stopped
-// drawing it, so the fixed-seed contents moved too).
+// it. Re-recorded on purpose for format version 3, whose hand-written
+// fields carry the model half of core.Config (the triage band included)
+// and no node settings, so randomArtifact no longer draws a cache bound.
 const (
-	artifactBytesGolden       = "8c0847738c7a9e2c8036ff51ec1908d5ed84d9ef058bc5f9effcf6323764c9ea"
-	artifactTriageBytesGolden = "b4f3837ea354be5b2ed68bc82c209eb044bb52b8ce5d118302b80a14b7dce214"
+	artifactBytesGolden       = "fa963bba46d6d0579c854f696f2540ca079d6c9046bb3b4480c1962860661166"
+	artifactTriageBytesGolden = "3dc2a37e04fae0b3673b0fb5ac448a07c331f1a6aaaf2874e15bbbdb2378c01c"
 )
 
 // goldenArtifacts builds the artifacts of seeds 1-4, bare or with a triage

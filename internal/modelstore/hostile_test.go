@@ -3,12 +3,10 @@ package modelstore
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
+	"math"
 	"runtime"
 	"testing"
 
-	"apichecker/internal/features"
-	"apichecker/internal/framework"
 	"apichecker/internal/wire"
 )
 
@@ -22,48 +20,54 @@ func allocatedBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLyingCountAllocatesNothing: every count the artifact layer declares
-// — evolve seeds, string bytes, each reflected slice type the config and
-// selection hold — is checked against the bytes that remain before
-// anything is sized by it. (The forest's and the triage model's own counts
-// are the ml package's test of the same name.)
+// countRecorder encodes like wire.Encoder and notes the offset of every
+// count it writes — slice lengths by what they count, string lengths as
+// "string".
+type countRecorder struct {
+	wire.Encoder
+	at map[string][]int
+}
+
+func (c *countRecorder) Len(n *int, what string, minBytesEach int) {
+	c.at[what] = append(c.at[what], len(c.B))
+	c.Encoder.Len(n, what, minBytesEach)
+}
+
+func (c *countRecorder) String(v *string) {
+	c.at["string"] = append(c.at["string"], len(c.B))
+	c.Encoder.String(v)
+}
+
+// TestLyingCountAllocatesNothing: every count the artifact's fields
+// declare — the evolve seeds, the profile name, each of the selection's
+// four API id lists and its SRC table — is checked against the bytes that
+// remain before anything is sized by it. (The forest's and the triage
+// model's own counts are the ml package's test of the same name.)
 func TestLyingCountAllocatesNothing(t *testing.T) {
-	const lie = maxCount
-	lying := binary.LittleEndian.AppendUint32(nil, lie)
-	lying = append(lying, make([]byte, 16)...) // two elements' worth follow, not 2^26
-
-	seeds := append([]byte(artifactMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(seeds[len(artifactMagic):], artifactVersion)
-	seeds, err := appendValue(seeds, reflect.ValueOf(framework.TestConfig(2000)))
-	if err != nil {
-		t.Fatal(err)
+	a := randomArtifact(t, 3)
+	a.EvolveSeeds = []int64{7}
+	rec := &countRecorder{
+		Encoder: wire.Encoder{B: binary.LittleEndian.AppendUint32([]byte(artifactMagic), artifactVersion)},
+		at:      map[string][]int{},
 	}
-	seeds = append(seeds, lying...)
-
-	value := func(target any) func() error {
-		return func() error {
-			r := wire.NewReader(lying)
-			readValue(&r, reflect.ValueOf(target).Elem())
-			if err := r.Err(); err != nil {
-				return artifactError(err)
-			}
-			return nil
-		}
+	a.fields(rec)
+	ids := rec.at["API id"]
+	if len(ids) != 4 {
+		t.Fatalf("the selection declared %d API id lists, want 4", len(ids))
 	}
-	cases := []struct {
-		name   string
-		decode func() error
+	for _, tc := range []struct {
+		name string
+		at   int
 	}{
-		{"evolve seeds", func() error { _, err := Decode(seeds); return err }},
-		{"string bytes", value(new(string))},
-		{"[]APIID", value(new([]framework.APIID))},
-		{"[]float64", value(new([]float64))},
-		{"[]struct", value(new([]features.SelectionConfig))},
-		{"[]string", value(new([]string))},
-	}
-	for _, tc := range cases {
+		{"evolve seeds", rec.at["evolve seed"][0]},
+		{"profile name", rec.at["string"][0]},
+		{"SetC", ids[0]}, {"SetP", ids[1]}, {"SetS", ids[2]}, {"Keys", ids[3]},
+		{"SRC", rec.at["SRC"][0]},
+	} {
+		lying := binary.LittleEndian.AppendUint32(bytes.Clone(rec.B[:tc.at]), math.MaxUint32)
+		lying = append(lying, make([]byte, 16)...) // two elements' worth follow, not 2^32
 		var err error
-		got := allocatedBytes(func() { err = tc.decode() })
+		got := allocatedBytes(func() { _, err = Decode(lying) })
 		if !isTyped(err) {
 			t.Errorf("%s: untyped or missing error %v", tc.name, err)
 		}

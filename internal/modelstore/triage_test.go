@@ -35,13 +35,13 @@ func withTriage(t testing.TB, a *Artifact, seed int64) *Artifact {
 		t.Fatal(err)
 	}
 	a.Triage = tri
-	a.Cfg.TriageLo, a.Cfg.TriageHi = 0.1, 0.9
+	a.Model.TriageLo, a.Model.TriageHi = 0.1, 0.9
 	return a
 }
 
 // TestArtifactTriageRoundTrip: artifacts carrying the optional triage
 // section encode deterministically and canonically; the decoded triage
-// model scores bit-identically and the band survives in Cfg.
+// model scores bit-identically and the band survives in the model config.
 func TestArtifactTriageRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		a := withTriage(t, randomArtifact(t, seed), seed*31)
@@ -59,9 +59,9 @@ func TestArtifactTriageRoundTrip(t *testing.T) {
 		if dec.Triage == nil {
 			t.Fatalf("seed %d: triage model lost in round trip", seed)
 		}
-		if dec.Cfg.TriageLo != a.Cfg.TriageLo || dec.Cfg.TriageHi != a.Cfg.TriageHi {
+		if dec.Model.TriageLo != a.Model.TriageLo || dec.Model.TriageHi != a.Model.TriageHi {
 			t.Fatalf("seed %d: band [%v, %v] decoded as [%v, %v]", seed,
-				a.Cfg.TriageLo, a.Cfg.TriageHi, dec.Cfg.TriageLo, dec.Cfg.TriageHi)
+				a.Model.TriageLo, a.Model.TriageHi, dec.Model.TriageLo, dec.Model.TriageHi)
 		}
 		re, err := dec.Encode()
 		if err != nil {
@@ -80,11 +80,10 @@ func TestArtifactTriageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactTriageBackwardCompat: the band fields are excluded from the
-// reflect-walked Cfg encoding, so a triage-less artifact's bytes — and
-// therefore its digest — are identical to the pre-tier format whatever the
-// band says; and such artifacts decode with a nil triage model.
-func TestArtifactTriageBackwardCompat(t *testing.T) {
+// TestArtifactWithoutTriage: an artifact with no triage model has no
+// triage section and decodes with a nil model, while its band — part of
+// the model config — is carried and moves the bytes like any other field.
+func TestArtifactWithoutTriage(t *testing.T) {
 	a := randomArtifact(t, 9)
 	plain, err := a.Encode()
 	if err != nil {
@@ -95,30 +94,31 @@ func TestArtifactTriageBackwardCompat(t *testing.T) {
 	}
 
 	banded := randomArtifact(t, 9)
-	banded.Cfg.TriageLo, banded.Cfg.TriageHi = 0.2, 0.8
+	banded.Model.TriageLo, banded.Model.TriageHi = 0.2, 0.8
 	enc, err := banded.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain, enc) {
-		t.Fatal("band fields leaked into the Cfg walk: triage-less encodings differ")
+	if bytes.Equal(plain, enc) {
+		t.Fatal("the band did not move the model config's bytes")
 	}
 
-	dec, err := Decode(plain)
+	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Triage != nil || dec.Cfg.TriageLo != 0 || dec.Cfg.TriageHi != 0 {
-		t.Fatalf("pre-tier artifact decoded with triage state: %v [%v, %v]",
-			dec.Triage, dec.Cfg.TriageLo, dec.Cfg.TriageHi)
+	if dec.Triage != nil || dec.Model.TriageLo != 0.2 || dec.Model.TriageHi != 0.8 {
+		t.Fatalf("triage-less banded artifact decoded as %v [%v, %v], want no model and [0.2, 0.8]",
+			dec.Triage, dec.Model.TriageLo, dec.Model.TriageHi)
 	}
 }
 
 // TestArtifactTriageCorrupt: damage in and around the triage section —
 // truncations, garbage trailers, a lying section length — fails with a
 // typed error, never a panic. (A truncation exactly at the end of the
-// forest is indistinguishable from a valid pre-tier artifact, which is the
-// price of an optional trailing section; content addressing catches it.)
+// forest is indistinguishable from a valid artifact without a triage
+// model, which is the price of an optional trailing section; content
+// addressing catches it.)
 func TestArtifactTriageCorrupt(t *testing.T) {
 	a := withTriage(t, randomArtifact(t, 21), 77)
 	enc, err := a.Encode()

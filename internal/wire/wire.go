@@ -16,6 +16,10 @@
 // from Count is bounded by the input whether or not the reader has failed.
 //
 // All fixed-width integers are little-endian.
+//
+// Fields, with its Encoder and Decoder, is for a struct written as a run of
+// fields: the struct lists its leaves once and both directions walk that
+// list. The model artifact's config and selection sections are written so.
 package wire
 
 import (
@@ -241,4 +245,74 @@ func AppendString32(b []byte, s string) []byte {
 // String(int(Uvarint())) reads.
 func AppendStringUvarint(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// Fields moves a struct's leaves one way: an *Encoder appends what each
+// pointer holds, a Decoder stores what it reads through it. A type that
+// lists its leaves once, over a Fields, gets its encoder and its decoder
+// from that one list, so the two cannot drift apart. Int is written as a
+// u64, I32 as a u32, Bool as one byte, String and Len as a u32 count.
+type Fields interface {
+	Int(*int)
+	I32(*int32)
+	I64(*int64)
+	U8(*uint8)
+	F64(*float64)
+	Bool(*bool)
+	String(*string)
+	// Len moves a count of elements of at least minBytesEach encoded
+	// bytes each; a Decoder checks it with Count.
+	Len(n *int, what string, minBytesEach int)
+}
+
+// Slice moves *s over f: its length, then each element through each. A
+// Decoder allocates the slice once Len has checked the count; an Encoder
+// leaves it alone.
+func Slice[T any](f Fields, s *[]T, what string, minBytesEach int, each func(*T)) {
+	n := len(*s)
+	f.Len(&n, what, minBytesEach)
+	if n != len(*s) {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		each(&(*s)[i])
+	}
+}
+
+// Encoder is the append direction of Fields.
+type Encoder struct{ B []byte }
+
+func (e *Encoder) Int(v *int)       { e.B = binary.LittleEndian.AppendUint64(e.B, uint64(*v)) }
+func (e *Encoder) I32(v *int32)     { e.B = binary.LittleEndian.AppendUint32(e.B, uint32(*v)) }
+func (e *Encoder) I64(v *int64)     { e.B = binary.LittleEndian.AppendUint64(e.B, uint64(*v)) }
+func (e *Encoder) U8(v *uint8)      { e.B = append(e.B, *v) }
+func (e *Encoder) F64(v *float64)   { e.B = AppendF64(e.B, *v) }
+func (e *Encoder) String(v *string) { e.B = AppendString32(e.B, *v) }
+
+func (e *Encoder) Bool(v *bool) {
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	e.B = append(e.B, b)
+}
+
+func (e *Encoder) Len(n *int, _ string, _ int) {
+	e.B = binary.LittleEndian.AppendUint32(e.B, uint32(*n))
+}
+
+// Decoder is the read direction of Fields. A failure is left on R, and
+// every field after it reads as zero.
+type Decoder struct{ R *Reader }
+
+func (d Decoder) Int(v *int)       { *v = int(d.R.U64()) }
+func (d Decoder) I32(v *int32)     { *v = int32(d.R.U32()) }
+func (d Decoder) I64(v *int64)     { *v = int64(d.R.U64()) }
+func (d Decoder) U8(v *uint8)      { *v = d.R.U8() }
+func (d Decoder) F64(v *float64)   { *v = d.R.F64() }
+func (d Decoder) Bool(v *bool)     { *v = d.R.Bool() }
+func (d Decoder) String(v *string) { *v = d.R.String(int(d.R.U32())) }
+
+func (d Decoder) Len(n *int, what string, minBytesEach int) {
+	*n = d.R.Count(uint64(d.R.U32()), what, minBytesEach)
 }
