@@ -102,7 +102,7 @@ type ackRequest struct {
 
 	// Verdict is the result (nil when the vet failed). Its Digest does not
 	// travel: the coordinator keyed the claim by it and sets it from its
-	// own record (vetsvc.ReportRemote), so a node cannot report a verdict
+	// own record (vetsvc.Remote.Ack), so a node cannot report a verdict
 	// under another archive's identity.
 	Verdict *core.Verdict
 	// Error reports a failed vet; Deadline marks it a missed deadline, which

@@ -407,6 +407,78 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 	}
 }
 
+// TestVerdictUnderLostLeaseIsNotReissued: a node's report that lands after
+// its lease was reclaimed still records the verdict (first-wins), and the
+// item the reclaim put back is settled work — the coordinator acks it away,
+// as a local lane does, instead of handing a node a second vet of a
+// submission already answered.
+func TestVerdictUnderLostLeaseIsNotReissued(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	subs := rawSubs(t, corpus, 1, 1)
+	want := serialVerdicts(t, base, configOf(base), subs)[0]
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 2, LeaseTTL: 100 * time.Millisecond, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{NodeTTL: time.Minute, StealAge: time.Hour}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tk, err := svc.Submit(ctx, subs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimAs := func(node string, waitMS int64, ack []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(st.ts.URL+cluster.PathClaim, "application/octet-stream",
+			bytes.NewReader(cluster.AppendClaimRequest(nil, node, waitMS, ack)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	// The submission's affinity owner takes it. Once the lease has lapsed,
+	// the other node's poll reclaims it but may not take it (StealAge is an
+	// hour), so it lies pending when the owner's late report lands.
+	owner := cluster.AffinityOwner(apk.Digest(subs[0].Raw), []string{"a", "b"})
+	other := map[string]string{"a": "b", "b": "a"}[owner]
+	code, frame := claimAs(owner, 2000, nil)
+	if code != http.StatusOK {
+		t.Fatalf("owner's claim: status %d", code)
+	}
+	cl, err := cluster.DecodeClaim(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if code, _ := claimAs(other, 50, nil); code != http.StatusNoContent {
+		t.Fatalf("other node's poll: status %d, want 204", code)
+	}
+	if qs := svc.QueueStats(); qs.Reclaimed != 1 || qs.Depth != 1 {
+		t.Fatalf("after the lapse: %d reclaimed, %d pending; want 1, 1", qs.Reclaimed, qs.Depth)
+	}
+	if code, _ := claimAs(owner, 0, cluster.AppendAck(cl.Seq, cl.Token, want)); code != http.StatusNoContent {
+		t.Fatalf("late report: status %d, want 204", code)
+	}
+	if v, err := tk.Wait(ctx); err != nil || *v != *want {
+		t.Fatalf("ticket = %+v, %v; want the reported verdict %+v", v, err, *want)
+	}
+
+	if code, _ := claimAs(owner, 200, nil); code != http.StatusNoContent {
+		t.Fatalf("claim after the verdict was recorded: status %d, want 204 (settled work re-issued)", code)
+	}
+	if qs := svc.QueueStats(); qs.Depth != 0 || qs.Leased != 0 {
+		t.Fatalf("at the end: %d pending, %d leased; want 0, 0", qs.Depth, qs.Leased)
+	}
+}
+
 // TestClusterModelPropagation promotes a new model generation mid-run
 // and verifies every subsequent verdict, from every node, was vetted
 // under — and reports — the new generation's digest.

@@ -64,36 +64,31 @@ type RemoteVerdict struct {
 	Recorded bool
 }
 
-// Coordinator owns the durable queue side of the cluster: it mounts the
-// claim protocol on the gateway mux, tracks worker-node liveness, routes
-// claims by digest affinity, and serves model artifacts so nodes always
-// vet on the advertised generation. Construct with NewCoordinator over a
-// running vetsvc.Service (normally one opened in coordinator mode,
+// Coordinator is the cluster's wire in front of the service's claimer: it
+// mounts the claim protocol on the gateway mux, tracks worker-node
+// liveness, routes claims by digest affinity, and serves model artifacts
+// so nodes always vet on the advertised generation. Claims and their
+// settlement are vetsvc.Remote's — the local lanes' claim path, settle
+// rule and the queue's one lease table — so the coordinator holds no lease
+// of its own. Construct with NewCoordinator over a running vetsvc.Service
+// (normally one opened in coordinator mode,
 // vetsvc.Config.DisableLocalLanes; local lanes and remote nodes can also
 // share a queue — first-wins records absorb the overlap).
 type Coordinator struct {
-	svc *vetsvc.Service
-	ck  *core.Checker
-	q   *workqueue.Queue
-	cfg CoordinatorConfig
+	remote vetsvc.Remote
+	ck     *core.Checker
+	ttl    time.Duration // the queue's lease TTL, shipped in every claim frame
+	cfg    CoordinatorConfig
 
-	// nodes is the worker registry, by node name; liveness is lastSeen
-	// within NodeTTL. live is the sorted live set, recomputed only when it
-	// can have changed: a node joined (live == nil) or the earliest expiry
-	// seen at the last recompute (liveUntil) has passed. A published live
-	// slice is never written again.
+	// nodes is the worker registry: each node's last sighting, by name;
+	// liveness is a sighting within NodeTTL. live is the sorted live set,
+	// recomputed only when it can have changed: a node joined (live == nil)
+	// or the earliest expiry seen at the last recompute (liveUntil) has
+	// passed. A published live slice is never written again.
 	nodesMu   sync.Mutex
-	nodes     map[string]*nodeState
+	nodes     map[string]time.Time
 	live      []string
 	liveUntil time.Time
-
-	// leases maps seq → the wire-lease view of an outstanding remote
-	// claim. A re-issued claim overwrites by seq; stale entries (node
-	// death) are pruned on the claim path, at most once per lease TTL
-	// (pruned is the last sweep). Never hold leaseMu across queue calls.
-	leaseMu sync.Mutex
-	leases  map[int64]*remoteLease
-	pruned  time.Time
 
 	// model memoizes the serving generation's encoded artifact, keyed by
 	// the checker's generation ID: SetTriageBand republishes the same
@@ -105,22 +100,8 @@ type Coordinator struct {
 	models      map[string][]byte
 	modelOrder  []string
 
-	nodesGauge                       *obs.Gauge
-	claims, acks, nacks, lost, pulls *obs.Counter
-}
-
-// nodeState is one worker node's registry entry.
-type nodeState struct {
-	lastSeen time.Time
-	claims   uint64
-	leaseAge *obs.Distribution // wall seconds per settled remote lease
-}
-
-// remoteLease pairs a queue lease with the node holding it.
-type remoteLease struct {
-	l        *workqueue.Lease
-	node     string
-	leasedAt time.Time
+	nodesGauge                 *obs.Gauge
+	claims, acks, nacks, pulls *obs.Counter
 }
 
 // modelWindow bounds the in-memory digest → artifact map (current
@@ -129,9 +110,10 @@ type remoteLease struct {
 const modelWindow = 4
 
 // NewCoordinator builds a coordinator over a running service. Cluster
-// metrics (cluster.nodes, cluster.claims/acks/nacks/reclaims, per-node
-// cluster.lease_age.<node> distributions) register on the service's obs
-// collector, so they flow into GET /metrics with no exporter changes.
+// metrics (cluster.nodes, cluster.claims/acks/nacks/model_pulls) register
+// on the service's obs collector, so they flow into GET /metrics with no
+// exporter changes; reclaims and lease ages are the queue's own
+// (svc.queue.reclaimed, svc.queue.lease_age).
 func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 	if cfg.NodeTTL <= 0 {
 		cfg.NodeTTL = 15 * time.Second
@@ -147,18 +129,16 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 	}
 	col := svc.Obs()
 	return &Coordinator{
-		svc:        svc,
+		remote:     svc.Remote(),
 		ck:         svc.Checker(),
-		q:          svc.Queue(),
+		ttl:        svc.Config().LeaseTTL,
 		cfg:        cfg,
-		nodes:      make(map[string]*nodeState),
-		leases:     make(map[int64]*remoteLease),
+		nodes:      make(map[string]time.Time),
 		models:     make(map[string][]byte),
 		nodesGauge: col.Gauge("cluster.nodes"),
 		claims:     col.Counter("cluster.claims"),
 		acks:       col.Counter("cluster.acks"),
 		nacks:      col.Counter("cluster.nacks"),
-		lost:       col.Counter("cluster.reclaims"),
 		pulls:      col.Counter("cluster.model_pulls"),
 	}
 }
@@ -178,13 +158,10 @@ func (c *Coordinator) LiveNodes() int { return len(c.liveNodes(time.Now())) }
 // touch books one sighting of node.
 func (c *Coordinator) touch(node string, now time.Time) {
 	c.nodesMu.Lock()
-	ns := c.nodes[node]
-	if ns == nil {
-		ns = &nodeState{leaseAge: c.svc.Obs().Distribution("cluster.lease_age." + node)}
-		c.nodes[node] = ns
+	if _, ok := c.nodes[node]; !ok {
 		c.live = nil
 	}
-	ns.lastSeen = now
+	c.nodes[node] = now
 	c.nodesMu.Unlock()
 }
 
@@ -198,17 +175,14 @@ func (c *Coordinator) liveNodes(now time.Time) []string {
 	}
 	live := make([]string, 0, len(c.nodes))
 	first := now
-	for name, st := range c.nodes {
-		if now.Sub(st.lastSeen) > c.cfg.NodeTTL {
-			// Expired registry entries are dropped; the node's obs
-			// distribution survives on the collector and resumes if the
-			// node returns.
+	for name, seen := range c.nodes {
+		if now.Sub(seen) > c.cfg.NodeTTL {
 			delete(c.nodes, name)
 			continue
 		}
 		live = append(live, name)
-		if st.lastSeen.Before(first) {
-			first = st.lastSeen
+		if seen.Before(first) {
+			first = seen
 		}
 	}
 	sort.Strings(live)
@@ -269,7 +243,6 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	c.pruneLeases(now)
 
 	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, c.cfg.MaxPoll))
 	for now.Before(deadline) {
@@ -289,10 +262,10 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			return affinityOwner(it.Key, live) == req.Node
 		}
 		until := now.Add(min(c.cfg.PollSlice, deadline.Sub(now)))
-		l, err := c.q.ClaimWhere(r.Context(), until, accept)
+		l, dl, err := c.remote.Claim(r.Context(), until, accept)
 		switch {
 		case err == nil:
-			c.respondClaim(w, req.Node, l)
+			c.respondClaim(w, req.Node, l, dl)
 			return
 		case errors.Is(err, workqueue.ErrDrained):
 			c.writeFrame(w, &claim{Drained: true}, nil)
@@ -309,47 +282,44 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// respondClaim registers the wire lease and writes the claim frame. A
-// frame that cannot be built or written returns the item at once rather
-// than stranding it until the lease TTL: if the bytes did reach the node,
-// the duplicate vet is absorbed by first-wins like any other.
-func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease) {
-	it := l.Item()
+// respondClaim writes the claim frame for lease l. A frame that cannot be
+// built or written returns the item at once rather than stranding it until
+// the lease TTL: if the bytes did reach the node, the duplicate vet is
+// absorbed by first-wins like any other.
+func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease, deadline time.Time) {
+	it, id := l.Item(), l.ID()
 	digest, gen, err := c.currentModel()
 	if err != nil {
-		l.Nack(fmt.Errorf("cluster: model snapshot: %w", err))
+		c.nack(id, fmt.Errorf("cluster: model snapshot: %w", err))
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	c.svc.MarkStarted(it.Seq)
-	c.leaseMu.Lock()
-	c.leases[it.Seq] = &remoteLease{l: l, node: node, leasedAt: time.Now()}
-	c.leaseMu.Unlock()
-	c.nodesMu.Lock()
-	if ns := c.nodes[node]; ns != nil {
-		ns.claims++
-	}
-	c.nodesMu.Unlock()
 	c.claims.Inc()
-
 	cl := claim{
 		Seq:         it.Seq,
 		Key:         it.Key,
 		Attempts:    uint32(it.Attempts),
-		Token:       l.Token(),
-		LeaseTTLMS:  c.q.LeaseTTL().Milliseconds(),
+		Token:       id.Token,
+		LeaseTTLMS:  c.ttl.Milliseconds(),
 		ModelDigest: digest,
 		Generation:  gen,
 	}
-	if dl := c.svc.ClaimDeadline(it); !dl.IsZero() {
-		cl.DeadlineUnixNano = dl.UnixNano()
+	if !deadline.IsZero() {
+		cl.DeadlineUnixNano = deadline.UnixNano()
 	}
 	if err := c.writeFrame(w, &cl, it.Payload); err != nil {
-		if rl := c.takeLease(it.Seq, l.Token()); rl != nil {
-			rl.l.Nack(fmt.Errorf("cluster: claim frame to node %s: %w", node, err))
-			c.nacks.Inc()
-		}
+		c.nack(id, fmt.Errorf("cluster: claim frame to node %s: %w", node, err))
 	}
+}
+
+// nack returns id's submission for another attempt; cluster.nacks counts
+// the nacks that found the lease still held.
+func (c *Coordinator) nack(id workqueue.LeaseID, cause error) error {
+	err := c.remote.Nack(id, cause)
+	if err == nil {
+		c.nacks.Inc()
+	}
+	return err
 }
 
 // writeFrame writes one claim frame: the header, then payload as it lies
@@ -373,41 +343,6 @@ func (c *Coordinator) writeFrame(w http.ResponseWriter, cl *claim, payload []byt
 	return err
 }
 
-// takeLease resolves and removes the wire lease for (seq, token); nil
-// when unknown or token-mismatched (reclaimed and possibly re-issued).
-func (c *Coordinator) takeLease(seq int64, token uint64) *remoteLease {
-	c.leaseMu.Lock()
-	defer c.leaseMu.Unlock()
-	rl := c.leases[seq]
-	if rl == nil || rl.l.Token() != token {
-		return nil
-	}
-	delete(c.leases, seq)
-	return rl
-}
-
-// pruneLeases drops wire-lease entries whose queue lease has been
-// reclaimed out from under the node (death mid-emulation). A re-issued
-// claim overwrites its seq's entry anyway; pruning catches the tail —
-// items dead-lettered or still pending — so the registry cannot leak. A
-// lease is lost only by outliving the TTL, so one sweep per TTL finds
-// every loss within two.
-func (c *Coordinator) pruneLeases(now time.Time) {
-	ttl := c.q.LeaseTTL()
-	c.leaseMu.Lock()
-	defer c.leaseMu.Unlock()
-	if ttl <= 0 || now.Sub(c.pruned) < ttl {
-		return
-	}
-	c.pruned = now
-	for seq, rl := range c.leases {
-		if !rl.l.Valid() {
-			delete(c.leases, seq)
-			c.lost.Inc()
-		}
-	}
-}
-
 // handleHeartbeat is POST /v1/cluster/heartbeat: extend the lease one
 // TTL. 410 tells the node its lease is gone and the vet must be
 // abandoned.
@@ -417,45 +352,20 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.touch(req.Node, time.Now())
-	c.leaseMu.Lock()
-	rl := c.leases[req.Seq]
-	held := rl != nil && rl.l.Token() == req.Token && rl.node == req.Node
-	c.leaseMu.Unlock()
-	if !held {
-		httpError(w, http.StatusGone, workqueue.ErrLeaseLost.Error())
-		return
-	}
-	if err := rl.l.Heartbeat(); err != nil {
-		c.leaseMu.Lock()
-		delete(c.leases, req.Seq)
-		c.leaseMu.Unlock()
-		c.lost.Inc()
+	if err := c.remote.Heartbeat(workqueue.LeaseID{Seq: req.Seq, Token: req.Token}); err != nil {
 		httpError(w, http.StatusGone, err.Error())
 	}
 }
 
-// settleAck books one verdict report: record the verdict (first-wins),
-// then settle the lease. Record-before-ack mirrors the local lanes, whose
-// claimer's Ack settles the record and then the lease, which may fail
-// afterwards: a verdict computed under a lost lease is still the right
-// verdict for those bytes. A report that arrives twice (the node never saw
-// the first answer) finds the record settled and the lease taken, and
-// changes nothing; cluster.acks counts reports that settled something.
+// settleAck books one verdict report by the service's settle rule: the
+// record (first-wins), then the lease. A report that arrives twice (the
+// node never saw the first answer) finds the record settled and the lease
+// acked, and changes nothing; cluster.acks counts reports that settled
+// something.
 func (c *Coordinator) settleAck(node string, req *ackRequest) {
-	vetErr := remoteError(req.Error, req.Deadline)
-	recorded := c.svc.ReportRemote(req.Seq, req.Verdict, req.Outcome, vetErr, time.Duration(req.WallNS))
-
-	// A missing wire lease means the queue reclaimed it (and the prune or
-	// reclaim path already counted the loss); only a loss discovered here
-	// — the lease looked live but Ack found it gone — bumps the counter.
-	rl := c.takeLease(req.Seq, req.Token)
-	if rl != nil {
-		if errors.Is(rl.l.Ack(), workqueue.ErrLeaseLost) {
-			c.lost.Inc()
-		}
-		c.observeLease(rl)
-	}
-	if recorded || rl != nil {
+	recorded, held := c.remote.Ack(workqueue.LeaseID{Seq: req.Seq, Token: req.Token},
+		req.Verdict, req.Outcome, remoteError(req.Error, req.Deadline), time.Duration(req.WallNS))
+	if recorded || held {
 		c.acks.Inc()
 	}
 	if c.cfg.OnVerdict != nil {
@@ -478,29 +388,9 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.touch(req.Node, time.Now())
-	rl := c.takeLease(req.Seq, req.Token)
-	if rl == nil {
-		httpError(w, http.StatusGone, workqueue.ErrLeaseLost.Error())
-		return
-	}
-	cause := fmt.Errorf("cluster: node %s: %s", req.Node, req.Cause)
-	_, err := rl.l.Nack(cause)
-	c.observeLease(rl)
-	c.nacks.Inc()
-	if errors.Is(err, workqueue.ErrLeaseLost) {
-		c.lost.Inc()
+	id := workqueue.LeaseID{Seq: req.Seq, Token: req.Token}
+	if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", req.Node, req.Cause)); err != nil {
 		httpError(w, http.StatusGone, err.Error())
-	}
-}
-
-// observeLease books the settled lease's age into the node's
-// distribution.
-func (c *Coordinator) observeLease(rl *remoteLease) {
-	c.nodesMu.Lock()
-	ns := c.nodes[rl.node]
-	c.nodesMu.Unlock()
-	if ns != nil {
-		ns.leaseAge.Observe(time.Since(rl.leasedAt).Seconds())
 	}
 }
 

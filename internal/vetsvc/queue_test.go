@@ -12,6 +12,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/emulator"
+	"apichecker/internal/vcache"
 	"apichecker/internal/workqueue"
 )
 
@@ -171,6 +172,104 @@ func TestLeaseExpiryRevetsExactlyOnce(t *testing.T) {
 	}
 	if m.QueueAcked != 1 {
 		t.Errorf("QueueAcked = %d, want exactly 1 (no double-ack)", m.QueueAcked)
+	}
+}
+
+// TestRemoteClaimerSettleRule: the coordinator's face of the service's
+// claimer keeps the local lanes' rules, addressed by LeaseID alone. A claim
+// is started and carries its admission deadline; a stale token is refused
+// at every verb; a report settles the record, then the lease, with the
+// digest taken from the record; a repeated report changes nothing; and a
+// report that lands after its lease was reclaimed is still recorded, while
+// the item the reclaim left pending is skipped, not handed out again.
+func TestRemoteClaimerSettleRule(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	ckRef, _ := trainedChecker(t)
+	ctx := context.Background()
+	raws := make([][]byte, 2)
+	want := make([]*core.Verdict, 2)
+	for i := range raws {
+		var err error
+		if raws[i], err = apk.Build(corpus.Program(i), testU); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = ckRef.Vet(ctx, core.Submission{Raw: raws[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// report is what a node sends: the wire carries no digest.
+	report := func(i int) *core.Verdict {
+		v := *want[i]
+		v.Digest = ""
+		return &v
+	}
+	svc, err := Open(ck, Config{QueueSize: 4, LeaseTTL: 50 * time.Millisecond, Deadline: time.Minute, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	tks := make([]*Ticket, len(raws))
+	for i, raw := range raws {
+		if tks[i], err = svc.Submit(ctx, core.Submission{Raw: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc := svc.Remote()
+	soon := func() time.Time { return time.Now().Add(20 * time.Millisecond) }
+
+	l, deadline, err := rc.Claim(ctx, soon(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := l.ID()
+	if id.Seq != tks[0].Seq() || tks[0].State() != "claimed" || deadline.IsZero() {
+		t.Fatalf("claim %+v, ticket %d %q, deadline %v; want the first ticket, claimed, under its admission deadline",
+			id, tks[0].Seq(), tks[0].State(), deadline)
+	}
+	stale := workqueue.LeaseID{Seq: id.Seq, Token: id.Token + 1}
+	if err := rc.Heartbeat(stale); !errors.Is(err, workqueue.ErrLeaseLost) {
+		t.Fatalf("heartbeat under a stale token = %v, want ErrLeaseLost", err)
+	}
+	if err := rc.Nack(stale, errors.New("not mine")); !errors.Is(err, workqueue.ErrLeaseLost) {
+		t.Fatalf("nack under a stale token = %v, want ErrLeaseLost", err)
+	}
+	if err := rc.Heartbeat(id); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeMiss, nil, time.Millisecond); !recorded || !held {
+		t.Fatalf("report: recorded=%v held=%v, want both", recorded, held)
+	}
+	if got, err := tks[0].Wait(ctx); err != nil || !reflect.DeepEqual(got, want[0]) {
+		t.Fatalf("first ticket = %+v, %v; want %+v", got, err, want[0])
+	}
+	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeMiss, nil, time.Millisecond); recorded || held {
+		t.Fatalf("repeated report: recorded=%v held=%v, want neither", recorded, held)
+	}
+
+	// The second claim outlives its lease; a claim that takes nothing
+	// reclaims it, and its node's report lands afterwards.
+	l, _, err = rc.Claim(ctx, soon(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if _, _, err := rc.Claim(ctx, soon(), func(workqueue.Item) bool { return false }); !errors.Is(err, workqueue.ErrNothingClaimable) {
+		t.Fatalf("claim that takes nothing = %v", err)
+	}
+	if recorded, held := rc.Ack(l.ID(), report(1), vcache.OutcomeMiss, nil, time.Millisecond); !recorded || held {
+		t.Fatalf("report under a reclaimed lease: recorded=%v held=%v, want recorded only", recorded, held)
+	}
+	if got, err := tks[1].Wait(ctx); err != nil || !reflect.DeepEqual(got, want[1]) {
+		t.Fatalf("second ticket = %+v, %v; want %+v", got, err, want[1])
+	}
+	if _, _, err := rc.Claim(ctx, soon(), nil); !errors.Is(err, workqueue.ErrNothingClaimable) {
+		t.Fatalf("claim after the late report = %v: settled work was handed out again", err)
+	}
+	if st := svc.QueueStats(); st.Depth != 0 || st.Leased != 0 || st.Reclaimed != 1 || st.Acked != 2 {
+		t.Fatalf("queue = %+v; want nothing pending or leased, 1 reclaim, 2 acks", st)
+	}
+	if m := svc.Metrics(); m.Completed != 2 || m.Failed != 0 {
+		t.Fatalf("Completed = %d, Failed = %d; want 2, 0", m.Completed, m.Failed)
 	}
 }
 

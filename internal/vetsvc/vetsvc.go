@@ -17,9 +17,11 @@
 //     lanes, with a heartbeat timer during long emulations, lease-loss
 //     cancellation, and per-claim panic isolation (a poisoned APK nacks
 //     its lease, it does not kill the process).
-//   - vetsvc itself owns meaning: its Claimer binds each queue lease to a
+//   - vetsvc itself owns meaning: its claimer binds each queue lease to a
 //     first-wins verdict record keyed by seq (+digest) and the vet
-//     context's parent and deadline; tickets are views over the records,
+//     context's parent and deadline, and settles it by one rule — for the
+//     local lanes and, through Remote, for a cluster coordinator's nodes;
+//     tickets are views over the records,
 //     Submit answers a cached verdict at admission and enqueues everything
 //     else, Drain is stop-claims-then-settle-leases, and every metric is a
 //     view over the queue, the records, and the obs spine.
@@ -136,8 +138,8 @@ type Config struct {
 
 	// DisableLocalLanes runs the service in coordinator mode: no local
 	// worker lanes start, and every queued submission is vetted by remote
-	// worker nodes claiming it over the wire (internal/cluster), settling
-	// through the same first-wins records via MarkStarted/ReportRemote.
+	// worker nodes claiming it over the wire (internal/cluster), through the
+	// service's Remote claimer: the local lanes' claim path and settle rule.
 	// Raw-archive submissions only — anything else fails with ErrRawOnly.
 	DisableLocalLanes bool
 }
@@ -504,58 +506,132 @@ type job struct {
 	wall time.Duration
 }
 
+// The service's claimer has two faces over one claim path (claim) and one
+// settle rule (settle): localQueue, the worker.Claimer the local lanes'
+// executor loops over, and Remote, which a cluster coordinator drives on
+// behalf of remote worker nodes that hold nothing of a claim but its
+// workqueue.LeaseID.
+
+// claim leases the lowest-seq pending item accept allows, waiting until
+// until at most (workqueue.ClaimWhere's contract), whose verdict record is
+// still live. An item whose record has settled — its verdict recorded
+// under a lease that was then lost, or its ticket failed by a hard drain —
+// has nothing left to vet: its lease is acked and the claim goes on.
+func (s *Service) claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (*workqueue.Lease, *record, error) {
+	for {
+		l, err := s.q.ClaimWhere(ctx, until, accept)
+		if err != nil {
+			return nil, nil, err
+		}
+		if r := s.recordFor(l.Item().Seq); r != nil {
+			return l, r, nil
+		}
+		l.Ack()
+	}
+}
+
+// start flips r to claimed and emits its started event.
+func (s *Service) start(r *record) {
+	r.markClaimed()
+	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+}
+
+// settle is the one settle rule, a local lane's Ack and a remote node's
+// report alike: the verdict record first (first-wins), then the lease. A
+// verdict computed under a lost lease is still the right verdict for
+// those bytes, so it is recorded although the lease is gone; a second
+// report for a settled record changes nothing. recorded says this report
+// settled the record (r may be nil: already settled), held that the lease
+// was still this claim's to ack.
+func (s *Service) settle(r *record, id workqueue.LeaseID, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) (recorded, held bool) {
+	if r != nil {
+		recorded = s.settleRecord(r, v, out, err, wall)
+	}
+	return recorded, s.q.Ack(id) == nil
+}
+
 // localQueue is the service's queue as a worker.Claimer: a claim is a
 // queue lease plus its first-wins verdict record.
 type localQueue struct{ s *Service }
 
 // Claim takes the next lease whose record is still live. The vet context's
 // parent is the caller's context (or the drainable base) and its deadline
-// is ClaimDeadline's. Replayed items rebuild their submission from the
+// is claimDeadline's. Replayed items rebuild their submission from the
 // durable payload.
 func (c localQueue) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	s := c.s
-	for {
-		l, err := s.q.Claim(ctx)
-		if err != nil {
-			return worker.Claim[*job]{}, err
-		}
-		it := l.Item()
-		r := s.recordFor(it.Seq)
-		if r == nil {
-			// Already settled (dead-lettered while pending): nothing to vet.
-			l.Ack()
-			continue
-		}
-		j := &job{l: l, r: r}
-		cl := worker.Claim[*job]{Lease: j, Parent: s.base, Deadline: s.ClaimDeadline(it), TTL: s.q.LeaseTTL()}
-		if it.Mem == nil {
-			j.sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
-		} else {
-			j.sub = r.takeSub()
-			if r.ctx != nil {
-				cl.Parent = r.ctx
-			}
-		}
-		return cl, nil
+	l, r, err := s.claim(ctx, time.Time{}, nil)
+	if err != nil {
+		return worker.Claim[*job]{}, err
 	}
+	it := l.Item()
+	j := &job{l: l, r: r}
+	cl := worker.Claim[*job]{Lease: j, Parent: s.base, Deadline: s.claimDeadline(it), TTL: s.q.LeaseTTL()}
+	if it.Mem == nil {
+		j.sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
+	} else {
+		j.sub = r.takeSub()
+		if r.ctx != nil {
+			cl.Parent = r.ctx
+		}
+	}
+	return cl, nil
 }
 
 func (localQueue) Heartbeat(j *job) (bool, error) { return j.l.Heartbeat() != nil, nil }
 func (localQueue) Nack(j *job, cause string)      { j.l.Nack(errors.New(cause)) }
+func (c localQueue) Ack(j *job)                   { c.s.settle(j.r, j.l.ID(), j.v, j.out, j.err, j.wall) }
 
-// Ack settles the record, then the lease: report before ack, as a
-// cluster coordinator settles a remote report.
-func (c localQueue) Ack(j *job) {
-	c.s.settleRecord(j.r, j.v, j.out, j.err, j.wall)
-	j.l.Ack()
+// Remote is the service's claimer as a cluster coordinator drives it for
+// remote worker nodes (internal/cluster): the local lanes' claim path and
+// settle rule, addressed by the workqueue.LeaseID a claim frame carries.
+// The queue's lease table is the only one; Remote keeps no state.
+type Remote struct{ s *Service }
+
+// Remote returns the service's claimer for remote worker nodes.
+func (s *Service) Remote() Remote { return Remote{s} }
+
+// Claim leases the lowest-seq pending submission accept allows, waiting
+// until until at most, and marks it started — the started event fires as
+// the claim leaves for its node. deadline is the vet's (zero: unbounded).
+func (c Remote) Claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (l *workqueue.Lease, deadline time.Time, err error) {
+	l, r, err := c.s.claim(ctx, until, accept)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	c.s.start(r)
+	return l, c.s.claimDeadline(l.Item()), nil
+}
+
+// Heartbeat extends the lease id names; workqueue.ErrLeaseLost means it is
+// gone and the node must abandon the vet.
+func (c Remote) Heartbeat(id workqueue.LeaseID) error { return c.s.q.Heartbeat(id) }
+
+// Nack returns id's submission for another attempt (or dead-letters it
+// when attempts are exhausted); workqueue.ErrLeaseLost when the lease is
+// gone.
+func (c Remote) Nack(id workqueue.LeaseID, cause error) error {
+	_, err := c.s.q.Nack(id, cause)
+	return err
+}
+
+// Ack books a node's report on the claim id names by the settle rule local
+// lanes follow, with the same completion metrics. The verdict's Digest is
+// set from the record's key: the wire does not carry it, and the key the
+// submission was admitted under is the one to trust.
+func (c Remote) Ack(id workqueue.LeaseID, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) (recorded, held bool) {
+	r := c.s.recordFor(id.Seq)
+	if r != nil && v != nil {
+		v.Digest = r.digest
+	}
+	return c.s.settle(r, id, v, out, err, wall)
 }
 
 // vetClaim is the executor's Do: one claim through the staged vet
 // pipeline, its result kept for Ack.
 func (s *Service) vetClaim(ctx context.Context, j *job) error {
 	r := j.r
-	r.markClaimed()
-	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+	s.start(r)
 	if !j.l.Valid() {
 		// The lease expired while the started hook ran: the submission has
 		// been reclaimed and another lane owns it now. Vetting it here too
@@ -590,51 +666,14 @@ func (s *Service) settleRecord(r *record, v *core.Verdict, out vcache.Outcome, e
 	return true
 }
 
-// Queue exposes the service's durable work queue — the claim surface the
-// cluster coordinator hands to remote worker nodes. Claims taken from it
-// directly bypass the local lanes but settle through the same first-wins
-// verdict records (MarkStarted / ReportRemote).
-func (s *Service) Queue() *workqueue.Queue { return s.q }
-
 // QueueStats snapshots queue activity (the healthz surface).
 func (s *Service) QueueStats() workqueue.Stats { return s.q.Stats() }
 
-// MarkStarted notes that a remote worker node has claimed seq: the record
-// flips to claimed and the started event fires, mirroring the local
-// lanes' claim bookkeeping. A seq whose record already settled
-// (dead-lettered while pending) is ignored.
-func (s *Service) MarkStarted(seq int64) {
-	r := s.recordFor(seq)
-	if r == nil {
-		return
-	}
-	r.markClaimed()
-	s.emit(Event{Type: EventStarted, Seq: seq, Package: r.pkg})
-}
-
-// ReportRemote settles seq's verdict record with a result a remote worker
-// node produced, booking completion metrics exactly as a local lane
-// would. The verdict's Digest is set from the record's key — the wire does
-// not carry it, and the key the submission was admitted under is the one
-// to trust. First report wins — false means the record was unknown or
-// already settled (a reclaim-raced duplicate, or an ack after a
-// dead-letter), and the report changed nothing.
-func (s *Service) ReportRemote(seq int64, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) bool {
-	r := s.recordFor(seq)
-	if r == nil {
-		return false
-	}
-	if v != nil {
-		v.Digest = r.digest
-	}
-	return s.settleRecord(r, v, out, err, wall)
-}
-
-// ClaimDeadline is the one deadline rule for a claimed item, local lane or
+// claimDeadline is the one deadline rule for a claimed item, local lane or
 // claim frame (zero when unbounded): the admission deadline while the
 // record still rides the item, or a fresh per-claim budget for replayed
 // items.
-func (s *Service) ClaimDeadline(it workqueue.Item) time.Time {
+func (s *Service) claimDeadline(it workqueue.Item) time.Time {
 	if r, ok := it.Mem.(*record); ok {
 		return r.deadline
 	}

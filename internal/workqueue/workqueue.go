@@ -733,6 +733,18 @@ func (q *Queue) Close() error {
 	return err
 }
 
+// LeaseID names one claim: its item's seq and the token the claim was
+// issued under. It is all a holder in another process keeps of a lease —
+// a cluster coordinator ships it in the claim frame and a node echoes it
+// on every heartbeat, ack and nack — and all the queue needs to settle
+// one: the queue's lease table is the only record of who holds what. A
+// reclaimed item is re-issued under a new token, so a stale ID is refused
+// exactly like a stale *Lease.
+type LeaseID struct {
+	Seq   int64
+	Token uint64
+}
+
 // Lease is one claim on one item. The holder must settle it exactly once
 // with Ack or Nack; Heartbeat extends it mid-work.
 type Lease struct {
@@ -744,72 +756,84 @@ type Lease struct {
 // Item returns the leased item (Attempts counts this claim).
 func (l *Lease) Item() Item { return l.item }
 
-// Token returns the lease's claim token — the remote-lease view: a
-// coordinator handing leases to worker nodes over the wire ships the
-// token with the claim and matches it on every heartbeat/ack/nack, so a
-// node acking a lease that was reclaimed and re-issued (new token) is
-// rejected exactly like a stale in-process Lease would be.
-func (l *Lease) Token() uint64 { return l.token }
+// ID returns the claim's name in the queue's lease table.
+func (l *Lease) ID() LeaseID { return LeaseID{Seq: l.item.Seq, Token: l.token} }
 
 // Valid reports whether the lease is still live — its item has not been
 // reclaimed out from under the holder.
 func (l *Lease) Valid() bool {
 	l.q.mu.Lock()
-	ls, ok := l.q.leases[l.item.Seq]
+	_, ok := l.q.heldLocked(l.ID())
 	l.q.mu.Unlock()
-	return ok && ls.token == l.token
+	return ok
 }
 
-// Heartbeat extends the lease by one TTL (a no-op without a TTL). It
-// fails with ErrLeaseLost if the lease has already been reclaimed.
-func (l *Lease) Heartbeat() error {
-	l.q.mu.Lock()
-	defer l.q.mu.Unlock()
-	ls, ok := l.q.leases[l.item.Seq]
-	if !ok || ls.token != l.token {
+// Heartbeat is Queue.Heartbeat on this lease.
+func (l *Lease) Heartbeat() error { return l.q.Heartbeat(l.ID()) }
+
+// Ack is Queue.Ack on this lease.
+func (l *Lease) Ack() error { return l.q.Ack(l.ID()) }
+
+// Nack is Queue.Nack on this lease.
+func (l *Lease) Nack(cause error) (requeued bool, err error) { return l.q.Nack(l.ID(), cause) }
+
+// heldLocked resolves id against the lease table: false when its item was
+// reclaimed (and possibly re-issued under another token) or settled.
+func (q *Queue) heldLocked(id LeaseID) (leaseState, bool) {
+	ls, ok := q.leases[id.Seq]
+	return ls, ok && ls.token == id.Token
+}
+
+// Heartbeat extends the lease id names by one TTL (a no-op without a
+// TTL). It fails with ErrLeaseLost if the lease has already been
+// reclaimed.
+func (q *Queue) Heartbeat(id LeaseID) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	ls, ok := q.heldLocked(id)
+	if !ok {
 		return ErrLeaseLost
 	}
-	if l.q.cfg.LeaseTTL > 0 {
-		ls.deadline = l.q.now().Add(l.q.cfg.LeaseTTL)
-		l.q.leases[l.item.Seq] = ls
+	if q.cfg.LeaseTTL > 0 {
+		ls.deadline = q.now().Add(q.cfg.LeaseTTL)
+		q.leases[id.Seq] = ls
 	}
 	return nil
 }
 
-// Ack settles the lease as done: the item is journaled settled (it will
-// never replay) and leaves the queue for good. Fails with ErrLeaseLost if
-// the item was reclaimed — the result now belongs to a later claim.
-func (l *Lease) Ack() error {
-	q := l.q
+// Ack settles the lease id names as done: the item is journaled settled
+// (it will never replay) and leaves the queue for good. Fails with
+// ErrLeaseLost if the item was reclaimed — the result now belongs to a
+// later claim.
+func (q *Queue) Ack(id LeaseID) error {
 	q.mu.Lock()
-	ls, ok := q.leases[l.item.Seq]
-	if !ok || ls.token != l.token {
+	ls, ok := q.heldLocked(id)
+	if !ok {
 		q.mu.Unlock()
 		return ErrLeaseLost
 	}
-	delete(q.leases, l.item.Seq)
+	delete(q.leases, id.Seq)
 	q.leased.Set(int64(len(q.leases)))
 	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
 	q.acked.Inc()
-	q.journalSettleLocked(l.item)
+	q.journalSettleLocked(ls.item)
 	q.pulseLocked()
 	q.mu.Unlock()
 	return nil
 }
 
-// Nack returns the item for another attempt (requeued true) — unless its
-// attempts are exhausted, in which case it is dead-lettered with cause
-// (requeued false, OnDead fired). Fails with ErrLeaseLost if the item was
-// already reclaimed.
-func (l *Lease) Nack(cause error) (requeued bool, err error) {
-	q := l.q
+// Nack returns the item of the lease id names for another attempt
+// (requeued true) — unless its attempts are exhausted, in which case it is
+// dead-lettered with cause (requeued false, OnDead fired). Fails with
+// ErrLeaseLost if the item was already reclaimed.
+func (q *Queue) Nack(id LeaseID, cause error) (requeued bool, err error) {
 	q.mu.Lock()
-	ls, ok := q.leases[l.item.Seq]
-	if !ok || ls.token != l.token {
+	ls, ok := q.heldLocked(id)
+	if !ok {
 		q.mu.Unlock()
 		return false, ErrLeaseLost
 	}
-	delete(q.leases, l.item.Seq)
+	delete(q.leases, id.Seq)
 	q.leased.Set(int64(len(q.leases)))
 	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
 	q.nacked.Inc()

@@ -226,6 +226,66 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
+// TestLeaseIDSettlesWithoutTheHandle: a holder that kept only a claim's
+// LeaseID — all a remote node echoes back — heartbeats, nacks and acks it
+// through the queue's one lease table. A re-issued claim gets a new token,
+// the old ID is refused at every verb, and an ack by ID is journaled like
+// Lease.Ack: a restart replays nothing.
+func TestLeaseIDSettlesWithoutTheHandle(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	q, _ := mustOpen(t, Config{Capacity: 4, LeaseTTL: time.Second, Dir: dir, Now: clk.Now})
+	seq := enqueue(t, q, Item{Key: "k", Payload: []byte("archive")})
+
+	first := claim(t, q).ID()
+	if first.Seq != seq {
+		t.Fatalf("claim ID = %+v, want seq %d", first, seq)
+	}
+	clk.Advance(700 * time.Millisecond)
+	if err := q.Heartbeat(first); err != nil {
+		t.Fatalf("heartbeat by ID: %v", err)
+	}
+	clk.Advance(700 * time.Millisecond) // past the claim's deadline, inside the extended one
+	if requeued, err := q.Nack(first, errors.New("node stopping")); err != nil || !requeued {
+		t.Fatalf("nack by ID: requeued=%v err=%v", requeued, err)
+	}
+
+	again := claim(t, q)
+	second := again.ID()
+	if second.Seq != seq || second.Token == first.Token {
+		t.Fatalf("re-issued claim ID = %+v after %+v, want the same seq under a new token", second, first)
+	}
+	if err := q.Heartbeat(first); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("heartbeat by a stale ID = %v, want ErrLeaseLost", err)
+	}
+	if _, err := q.Nack(first, nil); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("nack by a stale ID = %v, want ErrLeaseLost", err)
+	}
+	if err := q.Ack(first); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("ack by a stale ID = %v, want ErrLeaseLost", err)
+	}
+	if !again.Valid() {
+		t.Fatal("a stale ID's refusals touched the live claim")
+	}
+	if err := q.Ack(second); err != nil {
+		t.Fatalf("ack by ID: %v", err)
+	}
+	if again.Valid() {
+		t.Fatal("the handle of a claim acked by ID is still valid")
+	}
+	if st := q.Stats(); st.Acked != 1 || st.Nacked != 1 || st.Reclaimed != 0 || st.Leased != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q2, replayed := mustOpen(t, Config{Capacity: 4, Dir: dir})
+	defer q2.Close()
+	if len(replayed) != 0 {
+		t.Fatalf("replayed %d items after an ack by ID, want 0", len(replayed))
+	}
+}
+
 func TestRestartReplaysOnlyUnacked(t *testing.T) {
 	dir := t.TempDir()
 
