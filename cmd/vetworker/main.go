@@ -21,7 +21,8 @@ import (
 	"syscall"
 	"time"
 
-	"apichecker"
+	"apichecker/internal/cluster"
+	"apichecker/internal/core"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := apichecker.ClusterWorkerConfig{
+	cfg := cluster.WorkerConfig{
 		Coordinator:    *coord,
 		Node:           *node,
 		Lanes:          *lanes,
@@ -50,7 +51,7 @@ func main() {
 		VerdictCache:   *vcap,
 	}
 	if !*quiet {
-		cfg.OnVet = func(seq int64, v *apichecker.Verdict, err error) {
+		cfg.OnVet = func(seq int64, v *core.Verdict, err error) {
 			switch {
 			case err != nil:
 				fmt.Printf("vet seq=%-5d err=%v\n", seq, err)
@@ -61,7 +62,7 @@ func main() {
 		}
 	}
 
-	w, err := apichecker.StartClusterWorker(cfg)
+	w, err := cluster.StartWorker(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vetworker:", err)
 		os.Exit(1)

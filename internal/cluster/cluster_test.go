@@ -627,6 +627,39 @@ func TestHealthzClusterFields(t *testing.T) {
 	}
 }
 
+// TestGatewayReportsNodeOutcome: a submission POSTed to a gateway whose
+// verdicts come from a worker node reports how the node served it, from
+// the outcome the node's report settled the record with. The node's spans
+// never reach the coordinator, so no span there can say.
+func TestGatewayReportsNodeOutcome(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := cluster.NewCoordinator(svc, cluster.CoordinatorConfig{PollSlice: 10 * time.Millisecond})
+	ts := httptest.NewServer(gateway.New(svc, gateway.Config{Cluster: coord}))
+	w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: ts.URL, Node: "node-0", Lanes: 1, PollWait: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer (&clusterStack{svc: svc, coord: coord, ts: ts, workers: []*cluster.Worker{w}}).stop()
+
+	raw := rawSubs(t, corpus, 1, 1)[0].Raw
+	resp, err := http.Post(ts.URL+"/v1/submissions?wait=30s", "application/octet-stream", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st gateway.SubmissionStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.Status != "done" || st.Verdict == nil || st.Outcome != "miss" {
+		t.Fatalf("status %d, %+v; want 200, done, outcome miss", resp.StatusCode, st)
+	}
+}
+
 // brokenWriter is a client that went away: every body write fails.
 type brokenWriter struct{ h http.Header }
 

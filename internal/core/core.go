@@ -5,12 +5,11 @@
 // install → Monkey exercise → hooked dynamic analysis → feature
 // extraction → classification.
 //
-// Since the pipeline refactor the vet path itself lives in
-// internal/pipeline as an explicit chain of typed stages (Admit →
-// CacheLookup → Triage → Decode → Emulate → ExtractFeatures → Infer); the
-// Checker is the assembly that wires those stages to its trained parts,
-// and Vet/VetOutcome/VetRun are drivers over the assembled chains.
-// Per-stage spans and counters land on the checker's obs.Collector.
+// The vet path itself lives in internal/pipeline as three drivers (Vet,
+// Answer, Run) over the stages admit → cache.lookup → triage → decode →
+// emulate → extract → infer → cache.store; the Checker wires them to its
+// trained parts, and Vet/VetOutcome/VetRun/AnswerHit call them. Per-stage
+// spans and counters land on the checker's obs.Collector.
 //
 // TrainFromCorpus reproduces the offline study pipeline (§4): measure API
 // usage over the labelled corpus tracking everything, select the key APIs
@@ -183,9 +182,9 @@ type Checker struct {
 	cfg Config
 
 	// gen is the serving model generation. Vets pin it once per
-	// submission (in the Decode stage, inside the cache singleflight) and
-	// never look back; SwapModel is the only writer, serialized on swapMu.
-	gen    atomic.Pointer[generation]
+	// submission (inside the cache singleflight) and never look back;
+	// SwapModel is the only writer, serialized on swapMu.
+	gen    atomic.Pointer[pipeline.ModelGen]
 	swapMu sync.Mutex
 
 	// cache memoizes complete verdicts (plus their feature vectors) by
@@ -201,45 +200,24 @@ type Checker struct {
 	persist *vcache.PersistLog
 
 	// obs is the checker's observability spine: one span per completed
-	// pipeline stage, plus the emulator-reliability and verdict-cache
-	// counters and the model.generation gauge. vetPipe is the canonical
-	// serving chain; runPipe the always-emulate chain VetRun drives; hitPipe
-	// the Admit → cache-hit chain AnswerHit drives.
-	obs     *obs.Collector
-	vetPipe *pipeline.Pipeline
-	runPipe *pipeline.Pipeline
-	hitPipe *pipeline.Pipeline
+	// stage, plus the emulator-reliability and verdict-cache counters and
+	// the model.generation gauge.
+	obs *obs.Collector
+
+	// deps drives the vet path over the serving generation, the cache and
+	// obs.
+	deps pipeline.Deps
 
 	vetCount int64
 }
 
-// generation is one immutable trained assembly: everything a vet touches
-// after pinning. Nothing here is mutated once the generation is published,
-// and nothing in it holds per-vet state, so any number of vets run on it
-// at once.
-type generation struct {
-	id     uint64
-	digest string
-
-	u         *framework.Universe
-	selection *features.Selection
-	extractor *features.Extractor
-	model     *ml.RandomForest
-	triage    *ml.Linear
-
-	// mg is the stage-facing view the pipeline pins.
-	mg *pipeline.ModelGen
-
-	swappedAt time.Time
-}
-
-// info summarizes the generation for the public surface.
-func (g *generation) info() GenerationInfo {
+// genInfo summarizes a generation for the public surface.
+func genInfo(g *pipeline.ModelGen) GenerationInfo {
 	return GenerationInfo{
-		ID:        g.id,
-		Digest:    g.digest,
-		SwappedAt: g.swappedAt,
-		KeyAPIs:   len(g.selection.Keys),
+		ID:        g.ID,
+		Digest:    g.Digest,
+		SwappedAt: g.SwappedAt,
+		KeyAPIs:   len(g.Selection.Keys),
 	}
 }
 
@@ -399,7 +377,7 @@ func trainTriage(c *dataset.Corpus, cfg ModelConfig) (*ml.Linear, error) {
 // NewFromParts assembles a Checker from one complete set of trained parts
 // (TrainFromCorpus, and every path that loads a model artifact): it builds
 // the hook registry, the emulation engine, the verdict cache and the obs
-// collector, and wires them into the vet and run stage chains.
+// collector, and wires them to the vet drivers.
 // parts.Digest, when set, records the artifact the parts were loaded from,
 // so the serving generation is attributable to it; parts.Triage is
 // optional.
@@ -415,7 +393,14 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	}
 	ck.gen.Store(g)
 	ck.obs.Gauge("model.generation").Set(1)
-	ck.buildPipelines()
+	ck.deps = pipeline.Deps{
+		Gen:     ck.gen.Load,
+		Cache:   ck.cache,
+		NextSeq: ck.nextVetSeq,
+		Obs:     ck.obs,
+		Events:  cfg.Events,
+		Seed:    cfg.Seed,
+	}
 	if cfg.VerdictPersistDir != "" {
 		if err := ck.attachPersist(cfg.VerdictPersistDir); err != nil {
 			return nil, err
@@ -424,12 +409,11 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	return ck, nil
 }
 
-// newGeneration assembles an immutable generation from trained parts: the
-// emulation engine over a hook registry for the selected keys, and the
-// stage-facing ModelGen view that reaches it. epoch is the verdict-cache
-// epoch the generation will serve under (for a swap, the epoch after the
-// pending bump).
-func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generation, error) {
+// newGeneration assembles an immutable generation from trained parts, with
+// the emulation engine over a hook registry for the selected keys. epoch is
+// the verdict-cache epoch the generation will serve under (for a swap, the
+// epoch after the pending bump).
+func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*pipeline.ModelGen, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Extractor == nil || parts.Model == nil {
 		return nil, fmt.Errorf("core: incomplete model parts")
 	}
@@ -438,16 +422,6 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	emu := emulator.New(ck.cfg.Profile, reg)
-	g := &generation{
-		id:        id,
-		digest:    parts.Digest,
-		u:         parts.Universe,
-		selection: parts.Selection,
-		extractor: parts.Extractor,
-		model:     parts.Model,
-		triage:    parts.Triage,
-		swappedAt: time.Now(),
-	}
 	trees := ck.cfg.Forest.Trees
 	if trees <= 0 {
 		trees = ml.DefaultForestConfig(ck.cfg.Seed).Trees
@@ -456,25 +430,27 @@ func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*generatio
 	if err := checkTriageBand(lo, hi); err != nil {
 		return nil, err
 	}
-	g.mg = &pipeline.ModelGen{
+	g := &pipeline.ModelGen{
 		ID:        id,
 		Digest:    parts.Digest,
 		Universe:  parts.Universe,
+		Selection: parts.Selection,
 		Extractor: parts.Extractor,
 		Run:       emu.RunContext,
-		Score:     parts.Model.Score,
+		Model:     parts.Model,
 		Trees:     trees,
 		Epoch:     epoch,
 		TriageLo:  lo,
 		TriageHi:  hi,
+		SwappedAt: time.Now(),
 	}
 	if parts.Triage != nil {
 		tex, err := features.NewTriageExtractor(parts.Universe)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		g.mg.Triage = parts.Triage
-		g.mg.TriageExtractor = tex
+		g.Triage = parts.Triage
+		g.TriageExtractor = tex
 	}
 	return g, nil
 }
@@ -509,7 +485,7 @@ func (ck *Checker) SwapModel(parts ModelParts) (GenerationInfo, error) {
 	if ck.cache != nil {
 		epoch++
 	}
-	g, err := ck.newGeneration(parts, old.id+1, epoch)
+	g, err := ck.newGeneration(parts, old.ID+1, epoch)
 	if err != nil {
 		return GenerationInfo{}, err
 	}
@@ -519,15 +495,15 @@ func (ck *Checker) SwapModel(parts ModelParts) (GenerationInfo, error) {
 	// to the new generation after the epoch bump, so anything appended for
 	// the old epoch is gone and nothing stale survives a restart.
 	ck.resetPersist()
-	ck.obs.Gauge("model.generation").Set(int64(g.id))
+	ck.obs.Gauge("model.generation").Set(int64(g.ID))
 	ck.obs.Counter("model.swaps").Inc()
-	return g.info(), nil
+	return genInfo(g), nil
 }
 
 // Generation identifies the serving model generation: its swap counter
 // (matching Verdict.Generation), artifact digest if known, promotion time,
 // and key-API count.
-func (ck *Checker) Generation() GenerationInfo { return ck.gen.Load().info() }
+func (ck *Checker) Generation() GenerationInfo { return genInfo(ck.gen.Load()) }
 
 // Parts returns the serving generation's trained parts as one consistent
 // snapshot — a concurrent swap cannot tear it the way separate
@@ -536,44 +512,26 @@ func (ck *Checker) Generation() GenerationInfo { return ck.gen.Load().info() }
 func (ck *Checker) Parts() ModelParts {
 	g := ck.gen.Load()
 	return ModelParts{
-		Universe:  g.u,
-		Selection: g.selection,
-		Extractor: g.extractor,
-		Model:     g.model,
-		Digest:    g.digest,
-		Triage:    g.triage,
+		Universe:  g.Universe,
+		Selection: g.Selection,
+		Extractor: g.Extractor,
+		Model:     g.Model,
+		Digest:    g.Digest,
+		Triage:    g.Triage,
 	}
-}
-
-// buildPipelines assembles the vet and run stage chains over the checker's
-// obs collector. Deps resolve the generation through the atomic pointer,
-// so a SwapModel is picked up by the next submission without rebuilding
-// the chains.
-func (ck *Checker) buildPipelines() {
-	d := &pipeline.Deps{
-		Gen:     func() *pipeline.ModelGen { return ck.gen.Load().mg },
-		Cache:   func() *vcache.Cache[[]byte] { return ck.cache },
-		NextSeq: ck.nextVetSeq,
-		Obs:     ck.obs,
-		Events:  ck.cfg.Events,
-		Seed:    ck.cfg.Seed,
-	}
-	ck.vetPipe = pipeline.VetChain(ck.obs, d)
-	ck.runPipe = pipeline.RunChain(ck.obs, d)
-	ck.hitPipe = pipeline.HitChain(ck.obs, d)
 }
 
 // Universe returns the serving generation's framework universe.
-func (ck *Checker) Universe() *framework.Universe { return ck.gen.Load().u }
+func (ck *Checker) Universe() *framework.Universe { return ck.gen.Load().Universe }
 
 // Selection returns the serving generation's key-API selection.
-func (ck *Checker) Selection() *features.Selection { return ck.gen.Load().selection }
+func (ck *Checker) Selection() *features.Selection { return ck.gen.Load().Selection }
 
 // Extractor returns the serving generation's feature extractor.
-func (ck *Checker) Extractor() *features.Extractor { return ck.gen.Load().extractor }
+func (ck *Checker) Extractor() *features.Extractor { return ck.gen.Load().Extractor }
 
 // Model returns the serving generation's trained forest.
-func (ck *Checker) Model() *ml.RandomForest { return ck.gen.Load().model }
+func (ck *Checker) Model() *ml.RandomForest { return ck.gen.Load().Model }
 
 // Config returns the deployment config.
 func (ck *Checker) Config() Config {
@@ -585,8 +543,8 @@ func (ck *Checker) Config() Config {
 // TriageBand returns the serving generation's normalized tier-1
 // uncertainty band.
 func (ck *Checker) TriageBand() (lo, hi float64) {
-	mg := ck.gen.Load().mg
-	return mg.TriageLo, mg.TriageHi
+	g := ck.gen.Load()
+	return g.TriageLo, g.TriageHi
 }
 
 // SetTriageBand reconfigures the tier-1 uncertainty band and republishes
@@ -644,7 +602,7 @@ func (ck *Checker) Vet(ctx context.Context, sub Submission) (*Verdict, error) {
 func (ck *Checker) VetOutcome(ctx context.Context, sub Submission) (*Verdict, vcache.Outcome, error) {
 	vc := pipeline.AcquireContext(ctx, &sub)
 	defer pipeline.ReleaseContext(vc)
-	if err := ck.vetPipe.Run(vc); err != nil {
+	if err := ck.deps.Vet(vc); err != nil {
 		return nil, vc.Outcome, ck.vetError(vc, err)
 	}
 	// The Verdict is never pool-backed (fresh allocation per submission),
@@ -670,17 +628,15 @@ func (ck *Checker) LookupHit(sub *Submission) (Hit, bool) {
 	return Hit{entry: e}, ok
 }
 
-// AnswerHit answers sub from the entry LookupHit found. It runs the vet
-// chain's Admit stage and the hit half of its cache lookup on the calling
-// goroutine, so a submission answered this way records the same admit and
-// cache.lookup spans (note "hit"), traced under sub.Seq, and gets the same
-// verdict as one answered by a cache hit inside Vet. Nothing is decoded
-// or emulated.
+// AnswerHit answers sub from the entry LookupHit found. It runs the admit
+// stage and the hit half of the cache lookup on the calling goroutine, so
+// a submission answered this way records the same admit and cache.lookup
+// spans (note "hit"), traced under sub.Seq, and gets the same verdict as
+// one answered by a cache hit inside Vet. Nothing is decoded or emulated.
 func (ck *Checker) AnswerHit(ctx context.Context, sub Submission, h Hit) (*Verdict, error) {
 	vc := pipeline.AcquireContext(ctx, &sub)
 	defer pipeline.ReleaseContext(vc)
-	vc.Entry = h.entry
-	if err := ck.hitPipe.Run(vc); err != nil {
+	if err := ck.deps.Answer(vc, h.entry); err != nil {
 		return nil, ck.vetError(vc, err)
 	}
 	return vc.Verdict, nil
@@ -693,13 +649,13 @@ func (ck *Checker) AnswerHit(ctx context.Context, sub Submission, h Hit) (*Verdi
 func (ck *Checker) VetRun(ctx context.Context, sub Submission) (*Verdict, *emulator.Result, error) {
 	vc := pipeline.AcquireContext(ctx, &sub)
 	defer pipeline.ReleaseContext(vc)
-	if err := ck.runPipe.Run(vc); err != nil {
+	if err := ck.deps.Run(vc); err != nil {
 		return nil, nil, ck.vetError(vc, err)
 	}
 	return vc.Verdict, vc.Run, nil
 }
 
-// vetError shapes a pipeline failure for the public surface: admission
+// vetError shapes a vet failure for the public surface: admission
 // failures (ErrBadSubmission) pass through exactly as Validate raised
 // them; everything else is wrapped with the vet prefix and the submission
 // label. The stage attribution survives — pipeline.FailedStage still

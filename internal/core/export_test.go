@@ -19,9 +19,9 @@ func PoisonRaw(ck *Checker, raw []byte) {
 		panic(err)
 	}
 	pkg := parsed.Program.PackageName
-	mg := ck.gen.Load().mg
-	run := mg.Run
-	mg.Run = func(ctx context.Context, p *behavior.Program, mk monkey.Config) (*emulator.Result, error) {
+	g := ck.gen.Load()
+	run := g.Run
+	g.Run = func(ctx context.Context, p *behavior.Program, mk monkey.Config) (*emulator.Result, error) {
 		if p.PackageName == pkg {
 			panic("poisoned archive")
 		}

@@ -235,7 +235,7 @@ func TestHostileVetPathNeverDecodesTheDex(t *testing.T) {
 		}
 		sub := Submission{Raw: raw}
 		vc := pipeline.AcquireContext(context.Background(), &sub)
-		if err := tiered.vetPipe.Run(vc); err != nil {
+		if err := tiered.deps.Vet(vc); err != nil {
 			t.Fatal(err)
 		}
 		if vc.Verdict.Tier != 2 {

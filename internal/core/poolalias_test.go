@@ -10,7 +10,7 @@ import (
 
 // TestPoolReuseNoAliasing: with release-time poisoning on, recycled
 // VetContext storage is scribbled over the moment a vet returns — so any
-// verdict, span, or cached entry still aliasing pooled memory shows up as
+// verdict or cached entry still aliasing pooled memory shows up as
 // poisoned data (or a -race report) instead of passing silently. Duplicate
 // submissions vetted concurrently exercise all three cache paths (miss,
 // coalesced, hit), and every verdict must stay bit-identical to the

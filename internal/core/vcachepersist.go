@@ -98,28 +98,28 @@ func (ck *Checker) AttachPersist(dir string) error {
 // same corpus and model config share a key.
 func (ck *Checker) persistGenKey() (string, error) {
 	g := ck.gen.Load()
-	if g.digest != "" {
-		return "model:" + g.digest, nil
+	if g.Digest != "" {
+		return "model:" + g.Digest, nil
 	}
-	forest, err := g.model.AppendBinary(nil)
+	forest, err := g.Model.AppendBinary(nil)
 	if err != nil {
 		return "", err
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.u.Config(), g.u.Level(), g.u.EvolveHistory())
-	fmt.Fprintf(h, "keys=%v\n", g.selection.Keys)
+	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.Universe.Config(), g.Universe.Level(), g.Universe.EvolveHistory())
+	fmt.Fprintf(h, "keys=%v\n", g.Selection.Keys)
 	cfg := wire.Encoder{B: []byte("config=")}
 	ck.cfg.Fields(&cfg)
 	h.Write(cfg.B)
 	fmt.Fprintf(h, "\nforest=%d\n", len(forest))
 	h.Write(forest)
 	// The triage model shapes verdicts only while the tier is on (the
-	// condition pipeline.Triage falls through on): under the trivial band
+	// condition the triage stage falls through on): under the trivial band
 	// a checker with the model and one without answer bit-identically, and
 	// share a key.
-	if lo, hi := g.mg.TriageLo, g.mg.TriageHi; g.triage != nil && (lo > 0 || hi < 1) {
+	if lo, hi := g.TriageLo, g.TriageHi; g.Triage != nil && (lo > 0 || hi < 1) {
 		h.Write([]byte("\ntriage\n"))
-		h.Write(g.triage.AppendBinary(nil))
+		h.Write(g.Triage.AppendBinary(nil))
 	}
 	return "export:" + hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -148,7 +148,7 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ck.ClosePersist()
-		ck.gen.Load().u = u
+		ck.gen.Load().Universe = u
 		key, err := ck.persistGenKey()
 		if err != nil {
 			t.Fatal(err)

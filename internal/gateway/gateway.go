@@ -307,8 +307,8 @@ type SubmissionStatus struct {
 	// Status is the submission's position in the serving state machine:
 	// queued | claimed | done | failed.
 	Status string `json:"status"`
-	// Outcome reports how a settled verdict was served (miss | hit |
-	// coalesced | bypass), from the cache-lookup span.
+	// Outcome reports how a done submission's verdict was served (miss |
+	// hit | coalesced | bypass), as the service's record settled it.
 	Outcome string        `json:"outcome,omitempty"`
 	Verdict *core.Verdict `json:"verdict,omitempty"`
 	Error   string        `json:"error,omitempty"`
@@ -332,14 +332,8 @@ func (r *record) status() (SubmissionStatus, int) {
 	}
 	// Settled: Wait returns at once.
 	v, err := r.ticket.Wait(context.Background())
-	r.mu.Lock()
-	for _, ev := range r.spans {
-		if ev.Name == pipeline.StageCacheLookup && ev.Note != "" {
-			st.Outcome = ev.Note
-		}
-	}
-	r.mu.Unlock()
 	if err == nil {
+		st.Outcome = r.ticket.Outcome().String()
 		st.Verdict = v
 		return st, http.StatusOK
 	}

@@ -16,9 +16,9 @@ import (
 	"apichecker/internal/vcache"
 )
 
-// VetContext carries one submission through the stage chain: the bounding
+// VetContext carries one submission through the vet path: the bounding
 // context, the submission and its identity, the per-stage products, and
-// the span record the engine appends to as stages complete.
+// the span scratch the executing stage reports through.
 type VetContext struct {
 	// Ctx bounds the vet: a deadline or cancellation aborts the run at
 	// the next stage or event-batch boundary.
@@ -27,26 +27,27 @@ type VetContext struct {
 	// Sub is the submission being vetted. ContentDigest memoizes on it.
 	Sub *Submission
 
-	// Seq is the vet sequence number (assigned by the Decode stage if the
+	// Seq is the vet sequence number (assigned by the decode stage if the
 	// submission did not pin one); Digest is the content digest resolved
 	// at admission.
 	Seq    int64
 	Digest string
 
-	// Gen is the model generation this vet is pinned to. The Decode stage
-	// sets it exactly once — inside the cache-lookup singleflight bracket —
-	// and every later stage reads only through it, so a concurrent hot-swap
-	// can never mix feature extraction and scoring across generations.
+	// Gen is the model generation this vet is pinned to. The triage stage
+	// (decode, on Run's path) sets it exactly once — inside the
+	// cache-lookup singleflight bracket — and every later stage reads only
+	// through it, so a concurrent hot-swap can never mix feature extraction
+	// and scoring across generations.
 	Gen *ModelGen
 
 	// Monkey is the per-submission exerciser configuration, derived from
-	// the content digest by the Decode stage.
+	// the content digest by the decode stage.
 	Monkey monkey.Config
 
 	// Stage products, populated left to right. Archive is a raw
-	// submission's opened handle: Triage and Decode share one directory
+	// submission's opened handle: triage and decode share one directory
 	// walk and one decoded manifest through it. Parsed, for a raw
-	// submission, is the view Decode assembles from it — Dex stays nil,
+	// submission, is the view decode assembles from it — Dex stays nil,
 	// nothing on the vet path reads code.
 	Archive  *apk.Archive
 	Program  *behavior.Program
@@ -60,28 +61,20 @@ type VetContext struct {
 	// bypass); the zero value is OutcomeBypass.
 	Outcome vcache.Outcome
 
-	// Entry is the verdict-cache entry an admission probe found before the
-	// submission was sequenced; HitChain's CacheHit stage decodes it.
-	Entry []byte
-
-	// Spans is the per-submission span log: one obs event per completed
-	// stage, in execution order.
-	Spans []obs.Event
-
 	// span scratch: the executing stage deposits its virtual duration and
-	// outcome note here; the engine consumes them when recording the span.
+	// outcome note here; emit consumes them when it emits the span.
 	spanDur  time.Duration
 	spanNote string
 }
 
 // Span lets the executing stage report its virtual-clock duration and an
-// optional outcome note for the span the engine is about to record.
+// optional outcome note for the span emit is about to emit.
 func (vc *VetContext) Span(dur time.Duration, note string) {
 	vc.spanDur, vc.spanNote = dur, note
 }
 
 // archive opens the raw submission's archive handle, once: the triage
-// pre-screen takes the manifest from it and a fall-through Decode the
+// pre-screen takes the manifest from it and a fall-through decode the
 // behaviour blob, over one directory walk.
 func (vc *VetContext) archive() (*apk.Archive, error) {
 	if vc.Archive == nil {
@@ -95,7 +88,7 @@ func (vc *VetContext) archive() (*apk.Archive, error) {
 }
 
 // PackageLabel names the submission for spans and error messages, best
-// effort: the parsed/decoded identity once Decode has run, the
+// effort: the parsed/decoded identity once decode has run, the
 // submission's own naming before that.
 func (vc *VetContext) PackageLabel() string {
 	if vc.Program != nil {
@@ -107,31 +100,9 @@ func (vc *VetContext) PackageLabel() string {
 	return vc.Sub.PackageName()
 }
 
-// Stage is one named step of the vet pipeline. Concrete stages implement
-// exactly one of Runner (a plain step) or Wrapper (a step that brackets
-// the remainder of the chain, e.g. the cache-lookup singleflight).
-type Stage interface {
-	Name() string
-}
-
-// Runner is a plain stage: run, then continue down the chain.
-type Runner interface {
-	Stage
-	Run(*VetContext) error
-}
-
-// Wrapper is a bracketing stage: it receives the rest of the chain as
-// next and decides whether to run it (cache miss) or answer without it
-// (cache hit).
-type Wrapper interface {
-	Stage
-	Wrap(vc *VetContext, next func() error) error
-}
-
-// stageErr attributes a failure to the pipeline stage it died in. The
-// innermost stage wins: a deadline that expires during emulation is
-// reported as stage "emulate" even though the cache-lookup wrapper was
-// bracketing it.
+// stageErr attributes a failure to the stage it died in. The innermost
+// stage wins: a deadline that expires during emulation is reported as
+// stage "emulate" even though the cache lookup was bracketing it.
 type stageErr struct {
 	stage string
 	err   error
@@ -140,8 +111,8 @@ type stageErr struct {
 func (e *stageErr) Error() string { return "stage " + e.stage + ": " + e.err.Error() }
 func (e *stageErr) Unwrap() error { return e.err }
 
-// FailedStage reports which pipeline stage an error died in, if the
-// error came out of a pipeline run.
+// FailedStage reports which stage an error died in, if the error came out
+// of a vet driver.
 func FailedStage(err error) (string, bool) {
 	var se *stageErr
 	if errors.As(err, &se) {
@@ -150,94 +121,88 @@ func FailedStage(err error) (string, bool) {
 	return "", false
 }
 
-// attribute wraps a stage failure with its stage name and normalizes
-// deadline expiry (wherever the emulator noticed it) to
-// ErrDeadlineExceeded. Errors already attributed deeper in the chain
-// pass through untouched.
-func attribute(stage string, err error) error {
-	if err == nil {
-		return nil
-	}
-	if _, ok := FailedStage(err); ok {
+// Vet drives the serving path: admit, then the verdict-cache lookup, which
+// brackets the triage pre-screen, which brackets decode → emulate →
+// extract → infer. The returned error is attributed to the stage it died
+// in (see FailedStage) and, for deadline expiries, wraps
+// ErrDeadlineExceeded.
+func (d *Deps) Vet(vc *VetContext) error {
+	if err := d.emit(vc, StageAdmit, d.admit(vc)); err != nil {
 		return err
 	}
-	if errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrDeadlineExceeded) {
-		err = fmt.Errorf("%w (%v)", ErrDeadlineExceeded, err)
-	}
-	return &stageErr{stage: stage, err: err}
+	return d.emit(vc, StageCacheLookup, d.lookup(vc))
 }
 
-// Pipeline is an assembled stage chain over one obs collector. Safe for
-// concurrent use: stages hold no per-submission state (everything rides
-// on the VetContext).
-type Pipeline struct {
-	stages []Stage
-	col    *obs.Collector
-}
-
-// New assembles a pipeline. Every stage must implement Runner or Wrapper.
-func New(col *obs.Collector, stages ...Stage) *Pipeline {
-	for _, st := range stages {
-		switch st.(type) {
-		case Runner, Wrapper:
-		default:
-			panic(fmt.Sprintf("pipeline: stage %s implements neither Runner nor Wrapper", st.Name()))
-		}
-	}
-	return &Pipeline{stages: stages, col: col}
-}
-
-// Run drives one submission through the chain. The returned error is
-// attributed to the stage it died in (see FailedStage) and, for deadline
-// expiries, wraps ErrDeadlineExceeded.
-func (p *Pipeline) Run(vc *VetContext) error {
-	if vc.Ctx == nil {
-		vc.Ctx = context.Background()
-	}
-	return p.run(vc, 0)
-}
-
-// run executes stages[i:]; wrappers receive the tail as their next.
-func (p *Pipeline) run(vc *VetContext, i int) error {
-	if i >= len(p.stages) {
-		return nil
-	}
-	st := p.stages[i]
-	if w, ok := st.(Wrapper); ok {
-		return p.record(vc, st, func(vc *VetContext) error {
-			return w.Wrap(vc, func() error { return p.run(vc, i+1) })
-		})
-	}
-	if err := p.record(vc, st, st.(Runner).Run); err != nil {
+// Answer answers a submission from the verdict-cache entry an admission
+// probe found before the submission was sequenced: admit, then the hit
+// half of the cache lookup under the lookup's name, so it emits the two
+// spans a lookup hit inside Vet emits. Nothing is decoded or emulated.
+func (d *Deps) Answer(vc *VetContext, entry []byte) error {
+	if err := d.emit(vc, StageAdmit, d.admit(vc)); err != nil {
 		return err
 	}
-	return p.run(vc, i+1)
+	vc.Outcome = vcache.OutcomeHit
+	vc.Span(0, vc.Outcome.String())
+	return d.emit(vc, StageCacheLookup, vc.answer(entry))
 }
 
-// record runs one stage body, attributes its failure, and records the
-// span (to the collector and the context's span log).
-func (p *Pipeline) record(vc *VetContext, st Stage, body func(*VetContext) error) error {
-	vc.spanDur, vc.spanNote = 0, ""
-	err := attribute(st.Name(), body(vc))
+// Run drives the always-emulate path VetRun takes: admit, decode →
+// emulate → extract → infer with no cache lookup (the emulation result is
+// the point), then a write-through cache store so later Vets of the same
+// content are served without re-running.
+func (d *Deps) Run(vc *VetContext) error {
+	if err := d.emit(vc, StageAdmit, d.admit(vc)); err != nil {
+		return err
+	}
+	if err := d.analyse(vc); err != nil {
+		return err
+	}
+	return d.emit(vc, StageCacheStore, d.store(vc))
+}
+
+// analyse runs the tier-2 stages, stopping at the first failure.
+func (d *Deps) analyse(vc *VetContext) error {
+	if err := d.emit(vc, StageDecode, d.decode(vc)); err != nil {
+		return err
+	}
+	if err := d.emit(vc, StageEmulate, d.emulate(vc)); err != nil {
+		return err
+	}
+	if err := d.emit(vc, StageExtract, extract(vc)); err != nil {
+		return err
+	}
+	return d.emit(vc, StageInfer, infer(vc))
+}
+
+// emit closes one stage: it attributes the stage's failure, emits its span
+// from the context's scratch, and clears the scratch for the next stage. A
+// bracketing stage's span is emitted after the spans of the stages inside
+// it; an error one of those already owns passes through untouched, and
+// the bracketing span does not book it a second time. Deadline expiry,
+// wherever the emulator noticed it, is normalised to ErrDeadlineExceeded.
+func (d *Deps) emit(vc *VetContext, stage string, err error) error {
 	ev := obs.Event{
 		Kind:    obs.KindSpan,
-		Name:    st.Name(),
+		Name:    stage,
 		Trace:   vc.Seq,
 		Package: vc.PackageLabel(),
 		Dur:     vc.spanDur,
 		Note:    vc.spanNote,
-		Err:     err,
 	}
-	// A wrapper's span must not count the inner stages' failure twice:
-	// only the stage the error is attributed to books it.
+	vc.spanDur, vc.spanNote = 0, ""
+	// FailedStage only on failure: errors.As's target escapes, so calling
+	// it on every span would allocate on every stage.
 	if err != nil {
-		if stage, ok := FailedStage(err); ok && stage != st.Name() {
-			ev.Err = nil
+		if _, owned := FailedStage(err); !owned {
+			if errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrDeadlineExceeded) {
+				err = fmt.Errorf("%w (%v)", ErrDeadlineExceeded, err)
+			}
+			err = &stageErr{stage: stage, err: err}
+			ev.Err = err
 		}
 	}
-	if p.col != nil {
-		p.col.Emit(ev)
+	if d.Obs != nil {
+		d.Obs.Emit(ev)
 	}
-	vc.Spans = append(vc.Spans, ev)
 	return err
 }

@@ -3,188 +3,17 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
-
-	"apichecker/internal/obs"
 )
-
-// fake is a configurable Runner stage.
-type fake struct {
-	name string
-	run  func(*VetContext) error
-}
-
-func (f fake) Name() string             { return f.name }
-func (f fake) Run(vc *VetContext) error { return f.run(vc) }
-
-// fakeWrap is a configurable Wrapper stage.
-type fakeWrap struct {
-	name string
-	wrap func(*VetContext, func() error) error
-}
-
-func (f fakeWrap) Name() string                                 { return f.name }
-func (f fakeWrap) Wrap(vc *VetContext, next func() error) error { return f.wrap(vc, next) }
-
-// bare implements Stage but neither Runner nor Wrapper.
-type bare struct{}
-
-func (bare) Name() string { return "bare" }
-
-func TestRunOrderAndSpans(t *testing.T) {
-	col := obs.NewCollector()
-	var order []string
-	step := func(name string, d time.Duration) Stage {
-		return fake{name: name, run: func(vc *VetContext) error {
-			order = append(order, name)
-			vc.Span(d, "note-"+name)
-			return nil
-		}}
-	}
-	p := New(col, step("a", time.Second), step("b", 2*time.Second), step("c", 0))
-	vc := &VetContext{Sub: &Submission{}}
-	if err := p.Run(vc); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(order), "[a b c]"; got != want {
-		t.Errorf("execution order = %v, want %v", got, want)
-	}
-	if len(vc.Spans) != 3 {
-		t.Fatalf("span log has %d entries, want 3", len(vc.Spans))
-	}
-	for i, want := range []struct {
-		name string
-		dur  time.Duration
-	}{{"a", time.Second}, {"b", 2 * time.Second}, {"c", 0}} {
-		sp := vc.Spans[i]
-		if sp.Name != want.name || sp.Dur != want.dur || sp.Note != "note-"+want.name || sp.Err != nil {
-			t.Errorf("span[%d] = %+v, want name=%s dur=%v", i, sp, want.name, want.dur)
-		}
-	}
-	stats := col.StageStats()
-	if len(stats) != 3 || stats[0].Stage != "a" || stats[1].Stage != "b" || stats[2].Stage != "c" {
-		t.Fatalf("StageStats order = %+v", stats)
-	}
-	if stats[1].Count != 1 || stats[1].Dur.P50 != 2.0 {
-		t.Errorf("stage b stats = %+v, want count 1, p50 2s", stats[1])
-	}
-}
-
-func TestWrapperBracketsAndShortCircuits(t *testing.T) {
-	ran := false
-	inner := fake{name: "inner", run: func(vc *VetContext) error { ran = true; return nil }}
-
-	// A wrapper that answers without running the tail (the cache-hit
-	// shape) must suppress the bracketed stages entirely.
-	hit := fakeWrap{name: "w", wrap: func(vc *VetContext, next func() error) error { return nil }}
-	if err := New(nil, hit, inner).Run(&VetContext{Sub: &Submission{}}); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("short-circuiting wrapper still ran the bracketed stage")
-	}
-
-	// One that calls next runs the tail exactly once.
-	calls := 0
-	pass := fakeWrap{name: "w", wrap: func(vc *VetContext, next func() error) error { calls++; return next() }}
-	if err := New(nil, pass, inner).Run(&VetContext{Sub: &Submission{}}); err != nil {
-		t.Fatal(err)
-	}
-	if !ran || calls != 1 {
-		t.Errorf("pass-through wrapper: ran=%v calls=%d", ran, calls)
-	}
-}
-
-func TestErrorAttributionInnermostStageWins(t *testing.T) {
-	boom := errors.New("boom")
-	col := obs.NewCollector()
-	w := fakeWrap{name: "outer", wrap: func(vc *VetContext, next func() error) error { return next() }}
-	bad := fake{name: "mid", run: func(vc *VetContext) error { return boom }}
-	tail := fake{name: "tail", run: func(vc *VetContext) error {
-		t.Error("stage after a failure still ran")
-		return nil
-	}}
-
-	vc := &VetContext{Sub: &Submission{}}
-	err := New(col, w, bad, tail).Run(vc)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	stage, ok := FailedStage(err)
-	if !ok || stage != "mid" {
-		t.Fatalf("FailedStage = %q/%v, want mid", stage, ok)
-	}
-
-	// The failing stage's span carries the error; the bracketing wrapper's
-	// span does not book it a second time.
-	var midErr, outerErr error
-	for _, sp := range vc.Spans {
-		switch sp.Name {
-		case "mid":
-			midErr = sp.Err
-		case "outer":
-			outerErr = sp.Err
-		}
-	}
-	if midErr == nil {
-		t.Error("failing stage's span has no error")
-	}
-	if outerErr != nil {
-		t.Error("wrapper span double-books the inner stage's error")
-	}
-	for _, st := range col.StageStats() {
-		if st.Stage == "mid" && st.Errors != 1 {
-			t.Errorf("mid stage errors = %d, want 1", st.Errors)
-		}
-		if st.Stage == "outer" && st.Errors != 0 {
-			t.Errorf("outer stage errors = %d, want 0", st.Errors)
-		}
-	}
-}
-
-func TestDeadlineNormalization(t *testing.T) {
-	expired := fake{name: "emulate", run: func(vc *VetContext) error {
-		return fmt.Errorf("engine: aborted: %w", context.DeadlineExceeded)
-	}}
-	err := New(nil, expired).Run(&VetContext{Sub: &Submission{}})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v does not chain to context.DeadlineExceeded", err)
-	}
-	if stage, _ := FailedStage(err); stage != "emulate" {
-		t.Fatalf("FailedStage = %q, want emulate", stage)
-	}
-
-	// context.Canceled passes through un-normalized: it is the caller's
-	// own abort, not a deadline.
-	canceled := fake{name: "emulate", run: func(vc *VetContext) error { return context.Canceled }}
-	err = New(nil, canceled).Run(&VetContext{Sub: &Submission{}})
-	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("canceled err = %v", err)
-	}
-}
 
 func TestInferHonoursContextFirst(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	// Deps.Score is nil: reaching it would panic, proving the context
-	// check runs before any classification work.
-	s := Infer{D: &Deps{}}
-	if err := s.Run(&VetContext{Ctx: ctx, Sub: &Submission{}}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Infer(expired ctx) = %v, want context.DeadlineExceeded", err)
+	// The context has no generation: reaching the forest would panic,
+	// proving the context check runs before any classification work.
+	if err := infer(&VetContext{Ctx: ctx, Sub: &Submission{}}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("infer(expired ctx) = %v, want context.DeadlineExceeded", err)
 	}
-}
-
-func TestNewRejectsBareStage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a stage implementing neither Runner nor Wrapper")
-		}
-	}()
-	New(nil, bare{})
 }

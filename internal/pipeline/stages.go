@@ -17,8 +17,8 @@ import (
 	"apichecker/internal/vcache"
 )
 
-// Stage names, in chain order. The -trace stage table and the
-// stage-attributed errors use these.
+// Stage names, in execution order. The -trace stage table, the spans and
+// the stage-attributed errors use these.
 const (
 	StageAdmit       = "admit"
 	StageCacheLookup = "cache.lookup"
@@ -55,10 +55,11 @@ const (
 	triageCost = 75 * time.Microsecond
 )
 
-// ModelGen is one immutable model generation as the stages see it: the
-// universe, the extractor built over the selected keys, the emulation
-// engine hooked for those keys, and the forest's scorer. A vet pins
-// exactly one ModelGen (in the Decode stage, inside the cache-lookup
+// ModelGen is one immutable model generation: the universe, the key-API
+// selection, the extractor built over it, the emulation engine hooked for
+// those keys, and the forest. Nothing in it is mutated once the generation
+// is published, and nothing holds per-vet state, so any number of vets run
+// on it at once. A vet pins exactly one ModelGen (inside the cache-lookup
 // singleflight) and drives every remaining stage through it, so a
 // concurrent hot-swap can never mix feature extraction from one
 // generation with scoring from another — in-flight vets finish on the
@@ -71,6 +72,7 @@ type ModelGen struct {
 	Digest string
 
 	Universe  *framework.Universe
+	Selection *features.Selection
 	Extractor *features.Extractor
 
 	// Run emulates one program on this generation's engine, hooked for its
@@ -78,8 +80,8 @@ type ModelGen struct {
 	// through it; the engine is stateless, so concurrent vets need no lock.
 	Run func(context.Context, *behavior.Program, monkey.Config) (*emulator.Result, error)
 
-	// Score classifies one feature vector on the generation's forest.
-	Score func(ml.Vector) float64
+	// Model is the generation's forest; infer scores on it.
+	Model *ml.RandomForest
 
 	// Trees sizes the infer span's virtual cost.
 	Trees int
@@ -102,26 +104,30 @@ type ModelGen struct {
 	// write-through stores are conditional on it so a verdict computed on
 	// an old generation can never be stored into a newer epoch.
 	Epoch uint64
+
+	// SwappedAt is when this generation started serving.
+	SwappedAt time.Time
 }
 
-// Deps wires the stages to the checker that assembled them. Gen is a func
-// so a hot-swap is picked up by the next submission without rebuilding
-// the chain; everything else is generation-independent.
+// Deps wires the vet drivers (Vet, Answer, Run) to the checker that
+// assembled them. Gen is a func so a hot-swap is picked up by the next
+// submission; everything else is generation-independent.
 type Deps struct {
-	// Gen returns the current model generation. The Decode stage calls it
-	// exactly once per submission and pins the result on the VetContext.
+	// Gen returns the current model generation. A vet pins it exactly once
+	// (triage, or decode on Run's path) on the VetContext; admission reads
+	// it only for its universe's sizes.
 	Gen func() *ModelGen
 
 	// Cache is the digest-keyed verdict cache; nil disables memoization.
 	// Values are flat EncodeEntry buffers — one GC-opaque allocation per
 	// memoized verdict — not CachedVerdict graphs.
-	Cache func() *vcache.Cache[[]byte]
+	Cache *vcache.Cache[[]byte]
 
 	// NextSeq reserves the next vet sequence number.
 	NextSeq func() int64
 
-	// Obs books emulator reliability counters (emu.runs, emu.crashes,
-	// emu.fallbacks) per emulated completion.
+	// Obs receives one span per stage, and the triage and emulator
+	// reliability counters (emu.runs, emu.crashes, emu.fallbacks).
 	Obs *obs.Collector
 
 	// Events and Seed shape the per-submission Monkey configuration.
@@ -146,15 +152,11 @@ func (d *Deps) MonkeyFor(dig string, seq int64) monkey.Config {
 	return mk
 }
 
-// Admit validates the exactly-one-payload invariant, bounds the ids of a
+// admit validates the exactly-one-payload invariant, bounds the ids of a
 // program that arrived already decoded, and resolves the content digest.
 // It consumes no vet sequence number, so an invalid submission leaves no
 // trace in the accounting.
-type Admit struct{ D *Deps }
-
-func (Admit) Name() string { return StageAdmit }
-
-func (s Admit) Run(vc *VetContext) error {
+func (d *Deps) admit(vc *VetContext) error {
 	if err := vc.Sub.Validate(); err != nil {
 		return err
 	}
@@ -167,7 +169,7 @@ func (s Admit) Run(vc *VetContext) error {
 		p = vc.Sub.Parsed.Program
 	}
 	if p != nil {
-		if err := checkIDs(p, s.D.Gen().Universe); err != nil {
+		if err := checkIDs(p, d.Gen().Universe); err != nil {
 			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
 		}
 	}
@@ -218,29 +220,20 @@ func checkIDs(p *behavior.Program, u *framework.Universe) error {
 	return nil
 }
 
-// CacheLookup brackets the expensive stages with the digest-keyed verdict
-// cache: a hit answers without running them, a concurrent identical
-// submission coalesces onto the in-flight leader (singleflight), a miss
-// runs the rest of the chain and stores its result. With the cache
-// disabled or the payload undigestable the chain runs uncached
-// (OutcomeBypass).
-type CacheLookup struct{ D *Deps }
-
-func (CacheLookup) Name() string { return StageCacheLookup }
-
-func (s CacheLookup) Wrap(vc *VetContext, next func() error) error {
-	cache := s.D.Cache()
-	if cache == nil || vc.Digest == "" {
+// lookup brackets triage and the expensive stages with the digest-keyed
+// verdict cache: a hit answers without running them, a concurrent
+// identical submission coalesces onto the in-flight leader
+// (singleflight), a miss runs them and stores the result. With the cache
+// disabled or the payload undigestable they run uncached (OutcomeBypass).
+func (d *Deps) lookup(vc *VetContext) error {
+	if d.Cache == nil || vc.Digest == "" {
 		vc.Outcome = vcache.OutcomeBypass
-		if err := next(); err != nil {
-			vc.Span(0, vc.Outcome.String())
-			return err
-		}
+		err := d.emit(vc, StageTriage, d.triage(vc))
 		vc.Span(0, vc.Outcome.String())
-		return nil
+		return err
 	}
-	e, out, err := cache.Do(vc.Ctx, vc.Digest, func() ([]byte, error) {
-		if err := next(); err != nil {
+	e, out, err := d.Cache.Do(vc.Ctx, vc.Digest, func() ([]byte, error) {
+		if err := d.emit(vc, StageTriage, d.triage(vc)); err != nil {
 			return nil, err
 		}
 		// The stored entry is a flat copy of the leader's result, so the
@@ -254,7 +247,7 @@ func (s CacheLookup) Wrap(vc *VetContext, next func() error) error {
 	}
 	if out == vcache.OutcomeMiss {
 		// The leader already holds its own freshly allocated Verdict and
-		// Vector from the inner chain; decoding its own entry back would
+		// Vector from the inner stages; decoding its own entry back would
 		// only add allocations.
 		return nil
 	}
@@ -262,7 +255,7 @@ func (s CacheLookup) Wrap(vc *VetContext, next func() error) error {
 }
 
 // answer decodes a cache entry into caller-owned storage: the hit half of
-// CacheLookup, shared with CacheHit. The Verdict is a fresh allocation per
+// lookup, shared with Answer. The Verdict is a fresh allocation per
 // caller (no two submissions ever share a result pointer); the vector
 // reuses this context's scratch.
 func (vc *VetContext) answer(e []byte) error {
@@ -277,48 +270,30 @@ func (vc *VetContext) answer(e []byte) error {
 	return nil
 }
 
-// CacheHit answers from the entry an admission probe already found
-// (vc.Entry): CacheLookup's hit half under CacheLookup's name, so the span
-// it records is the one a lookup hit records. It never runs the stages
-// behind it.
-type CacheHit struct{}
-
-func (CacheHit) Name() string { return StageCacheLookup }
-
-func (CacheHit) Run(vc *VetContext) error {
-	vc.Outcome = vcache.OutcomeHit
-	vc.Span(0, vc.Outcome.String())
-	return vc.answer(vc.Entry)
-}
-
-// Triage is the tier-1 static pre-screen: a manifest-only permissions +
+// triage is the tier-1 static pre-screen: a manifest-only permissions +
 // intent-filter vector scored by a lightweight linear model, with no dex
 // decode, no behaviour materialization, and no emulation. A probability
 // outside the generation's uncertainty band answers immediately with a
 // tier-1 verdict (Engine "triage.static", microsecond virtual cost); a
 // probability in the band — or a disabled tier — falls through to the
-// full chain unchanged, so tier-2 verdicts stay bit-identical to a
+// tier-2 stages unchanged, so tier-2 verdicts stay bit-identical to a
 // checker without the stage.
 //
 // The stage sits inside the cache-lookup bracket, so tier-1 verdicts are
 // memoized, coalesced, persisted, and epoch-invalidated exactly like
-// tier-2 ones. It also takes over the generation pin from Decode: the pin
-// still happens exactly once per leader, inside the singleflight, before
-// any generation state is consulted.
-type Triage struct{ D *Deps }
-
-func (Triage) Name() string { return StageTriage }
-
-func (s Triage) Wrap(vc *VetContext, next func() error) error {
-	gen := s.D.Gen()
+// tier-2 ones. It also pins the generation: the pin happens exactly once
+// per leader, inside the singleflight, before any generation state is
+// consulted.
+func (d *Deps) triage(vc *VetContext) error {
+	gen := d.Gen()
 	vc.Gen = gen
 	if gen.Triage == nil || (gen.TriageLo <= 0 && gen.TriageHi >= 1) {
-		err := next()
+		err := d.analyse(vc)
 		vc.Span(0, "off")
-		s.count("triage.pass")
+		d.count("triage.pass")
 		return err
 	}
-	man, err := s.manifestOnly(vc)
+	man, err := manifestOnly(vc)
 	if err != nil {
 		return err
 	}
@@ -330,17 +305,17 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 	p := gen.Triage.Prob(x)
 	if p >= gen.TriageLo && p <= gen.TriageHi {
 		// Uncertain: pay the full pipeline. The vector scratch is handed
-		// back for ExtractFeatures to refill with the A+P+I vector.
-		err := next()
+		// back for extract to refill with the A+P+I vector.
+		err := d.analyse(vc)
 		vc.Span(triageCost, "band")
-		s.count("triage.band")
+		d.count("triage.band")
 		return err
 	}
 	// Confident: short-circuit with a tier-1 verdict. The submission was
 	// genuinely vetted (unlike a cache hit), so it consumes a sequence
 	// number exactly as the decode leader would have.
 	if vc.Seq == 0 {
-		vc.Seq = s.D.NextSeq()
+		vc.Seq = d.NextSeq()
 	}
 	pkg, version := man.Package, man.VersionCode
 	if prog := vc.Sub.Program; prog != nil {
@@ -359,7 +334,7 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 		Engine:      "triage.static",
 	}
 	vc.Span(triageCost, "hit")
-	s.count("triage.hit")
+	d.count("triage.hit")
 	return nil
 }
 
@@ -367,8 +342,8 @@ func (s Triage) Wrap(vc *VetContext, next func() error) error {
 // raw archives open their handle and inflate the manifest entry alone,
 // parsed APKs already carry theirs, and behaviour programs derive it. The
 // handle and a derived manifest stay on the context, so a fall-through
-// Decode neither walks the directory nor decodes the manifest twice.
-func (s Triage) manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
+// decode neither walks the directory nor decodes the manifest twice.
+func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	sub := vc.Sub
 	switch {
 	case sub.Raw != nil:
@@ -389,33 +364,28 @@ func (s Triage) manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	}
 }
 
-func (s Triage) count(name string) {
-	if s.D.Obs != nil {
-		s.D.Obs.Counter(name).Inc()
+func (d *Deps) count(name string) {
+	if d.Obs != nil {
+		d.Obs.Counter(name).Inc()
 	}
 }
 
-// Decode is the static half of the vet: it reserves the vet sequence
+// decode is the static half of the vet: it reserves the vet sequence
 // number, derives the content-seeded Monkey configuration, parses a raw
 // archive, and resolves the manifest view the feature extractor will
 // join the hook log against. Runs only when the cache did not answer.
-type Decode struct{ D *Deps }
-
-func (Decode) Name() string { return StageDecode }
-
-func (s Decode) Run(vc *VetContext) error {
-	// Pin the model generation for the whole remaining chain. The pin
-	// happens inside the cache-lookup singleflight — by the Triage stage
-	// when it is in the chain, here otherwise — so a leader that starts
-	// after a hot-swap computes wholly on the new generation, and one that
-	// started before finishes wholly on the old one.
+func (d *Deps) decode(vc *VetContext) error {
+	// Pin the model generation for the remaining stages: triage pinned it
+	// on Vet's path, inside the cache-lookup singleflight, so a leader that
+	// starts after a hot-swap computes wholly on the new generation, and
+	// one that started before finishes wholly on the old one.
 	if vc.Gen == nil {
-		vc.Gen = s.D.Gen()
+		vc.Gen = d.Gen()
 	}
 	if vc.Seq == 0 {
-		vc.Seq = s.D.NextSeq()
+		vc.Seq = d.NextSeq()
 	}
-	vc.Monkey = s.D.MonkeyFor(vc.Digest, vc.Seq)
+	vc.Monkey = d.MonkeyFor(vc.Digest, vc.Seq)
 
 	sub := vc.Sub
 	switch {
@@ -462,48 +432,40 @@ func (s Decode) Run(vc *VetContext) error {
 	return nil
 }
 
-// Emulate exercises the decoded program on the pinned generation's engine
+// emulate exercises the decoded program on the pinned generation's engine
 // and collects the hook log, whatever payload kind it came from. The span
 // duration is the run's calibrated virtual analysis time.
-type Emulate struct{ D *Deps }
-
-func (Emulate) Name() string { return StageEmulate }
-
-func (s Emulate) Run(vc *VetContext) error {
+func (d *Deps) emulate(vc *VetContext) error {
 	res, err := vc.Gen.Run(vc.Ctx, vc.Program, vc.Monkey)
 	if err != nil {
 		return err
 	}
 	vc.Run = res
-	s.book(res)
+	d.book(res)
 	vc.Span(res.VirtualTime, res.Profile)
 	return nil
 }
 
 // book absorbs the emulator reliability accounting (§5.1) into obs:
 // crash-restarts, fallback re-runs, and completed emulations by engine.
-func (s Emulate) book(res *emulator.Result) {
-	if s.D.Obs == nil {
+func (d *Deps) book(res *emulator.Result) {
+	if d.Obs == nil {
 		return
 	}
-	s.D.Obs.Counter("emu.runs").Inc()
-	s.D.Obs.Counter("emu.engine." + res.Profile).Inc()
+	d.Obs.Counter("emu.runs").Inc()
+	d.Obs.Counter("emu.engine." + res.Profile).Inc()
 	if res.Crashed > 0 {
-		s.D.Obs.Counter("emu.crashes").Add(uint64(res.Crashed))
-		s.D.Obs.Counter("emu.crashed_submissions").Inc()
+		d.Obs.Counter("emu.crashes").Add(uint64(res.Crashed))
+		d.Obs.Counter("emu.crashed_submissions").Inc()
 	}
 	if res.FellBack {
-		s.D.Obs.Counter("emu.fallbacks").Inc()
+		d.Obs.Counter("emu.fallbacks").Inc()
 	}
 }
 
-// ExtractFeatures joins the hook log against the manifest into one A+P+I
-// feature vector.
-type ExtractFeatures struct{ D *Deps }
-
-func (ExtractFeatures) Name() string { return StageExtract }
-
-func (s ExtractFeatures) Run(vc *VetContext) error {
+// extract joins the hook log against the manifest into one A+P+I feature
+// vector.
+func extract(vc *VetContext) error {
 	// The vector fills this context's recycled scratch; everything that
 	// outlives the vet (cache entries, score results) copies out of it.
 	x, err := vc.Gen.Extractor.VectorInto(vc.Run.Log, vc.Manifest, vc.Vector)
@@ -515,19 +477,15 @@ func (s ExtractFeatures) Run(vc *VetContext) error {
 	return nil
 }
 
-// Infer classifies the feature vector on the pinned generation's forest
-// and assembles the Verdict. It honours the submission
-// context: a deadline that survived emulation but expired before
-// classification surfaces here, attributed to this stage.
-type Infer struct{ D *Deps }
-
-func (Infer) Name() string { return StageInfer }
-
-func (s Infer) Run(vc *VetContext) error {
+// infer classifies the feature vector on the pinned generation's forest
+// and assembles the Verdict. It honours the submission context: a deadline
+// that survived emulation but expired before classification surfaces
+// here, attributed to this stage.
+func infer(vc *VetContext) error {
 	if err := vc.Ctx.Err(); err != nil {
 		return err
 	}
-	score := vc.Gen.Score(vc.Vector)
+	score := vc.Gen.Model.Score(vc.Vector)
 	p, res := vc.Program, vc.Run
 	pkg, version := p.PackageName, p.Version
 	if vc.Sub.Raw != nil && vc.Parsed != nil {
@@ -555,49 +513,21 @@ func (s Infer) Run(vc *VetContext) error {
 	return nil
 }
 
-// CacheStore writes a verdict computed outside the cache-lookup bracket
-// through to the cache (the VetRun path, which always emulates because
-// the raw run result is the point). The store is conditional on the
-// pinned generation's cache epoch: a verdict computed on a generation
-// that was swapped out mid-run is returned to the caller but never
-// stored, so the cache can only ever serve current-generation verdicts.
-type CacheStore struct{ D *Deps }
-
-func (CacheStore) Name() string { return StageCacheStore }
-
-func (s CacheStore) Run(vc *VetContext) error {
-	cache := s.D.Cache()
-	if cache == nil || vc.Digest == "" {
+// store writes a verdict computed outside the cache-lookup bracket through
+// to the cache (Run's path, which always emulates because the raw run
+// result is the point). The store is conditional on the pinned
+// generation's cache epoch: a verdict computed on a generation that was
+// swapped out mid-run is returned to the caller but never stored, so the
+// cache can only ever serve current-generation verdicts.
+func (d *Deps) store(vc *VetContext) error {
+	if d.Cache == nil || vc.Digest == "" {
 		vc.Span(0, "skipped")
 		return nil
 	}
-	if !cache.TryPut(vc.Digest, EncodeEntry(vc.Verdict, vc.Vector), vc.Gen.Epoch) {
+	if !d.Cache.TryPut(vc.Digest, EncodeEntry(vc.Verdict, vc.Vector), vc.Gen.Epoch) {
 		vc.Span(0, "stale")
 		return nil
 	}
 	vc.Span(0, "stored")
 	return nil
-}
-
-// VetChain assembles the canonical serving chain: Admit → CacheLookup →
-// Triage → Decode → Emulate → ExtractFeatures → Infer, with the triage
-// pre-screen and the three expensive stages bracketed by the cache
-// singleflight.
-func VetChain(col *obs.Collector, d *Deps) *Pipeline {
-	return New(col, Admit{d}, CacheLookup{d}, Triage{d}, Decode{d}, Emulate{d}, ExtractFeatures{d}, Infer{d})
-}
-
-// HitChain assembles the chain that answers a submission from a cache
-// entry found before it was sequenced: Admit → CacheHit, the same two
-// spans a lookup hit on VetChain records.
-func HitChain(col *obs.Collector, d *Deps) *Pipeline {
-	return New(col, Admit{d}, CacheHit{})
-}
-
-// RunChain assembles the always-emulate chain VetRun drives: no cache
-// lookup (the emulation result is the point), but the verdict still
-// writes through so subsequent Vets of the same content are served
-// without re-running.
-func RunChain(col *obs.Collector, d *Deps) *Pipeline {
-	return New(col, Admit{d}, Decode{d}, Emulate{d}, ExtractFeatures{d}, Infer{d}, CacheStore{d})
 }

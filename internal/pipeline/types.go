@@ -1,19 +1,20 @@
-// Package pipeline is the canonical vet path as an explicit chain of
-// typed stages — the structure the paper describes (install/emulate,
-// hook-log collection, A+P+I feature extraction, random-forest inference)
-// made first-class:
+// Package pipeline is the canonical vet path — the sequence the paper
+// describes (install/emulate, hook-log collection, A+P+I feature
+// extraction, random-forest inference) as three straight-line drivers on
+// Deps:
 //
-//	Admit → CacheLookup → Triage → Decode/StaticParse → Emulate
-//	      → ExtractFeatures → Infer → CacheStore
+//	Vet:    admit → cache.lookup[ triage[ decode → emulate → extract → infer ] ]
+//	Answer: admit → cache.lookup (hit half)
+//	Run:    admit → decode → emulate → extract → infer → cache.store
 //
-// Each stage implements a common interface over a VetContext that carries
-// the submission, its content digest, the bounding context, and a
-// per-stage span record; the engine records one obs span per stage with
-// its virtual-clock duration, and attributes failures (in particular
-// deadline expiries) to the stage they died in.
+// Each stage is a function over a VetContext that carries the submission,
+// its content digest, the bounding context, and the stage products; every
+// stage emits one obs span with its virtual-clock duration, and failures
+// (in particular deadline expiries) are attributed to the stage they died
+// in.
 //
-// The chain preserves the bit-identical-verdict guarantees of the
-// monolithic path it replaced: verdicts depend on submission content
+// The drivers preserve the bit-identical-verdict guarantees of the
+// monolithic path they replaced: verdicts depend on submission content
 // alone (Monkey seeds derive from the content digest), the cache stages
 // are semantically invisible, and stage boundaries add no randomness —
 // proven by the legacy-equivalence and determinism tests in

@@ -320,6 +320,3 @@ func newScanStats(dist *obs.Distribution) ScanStats {
 	d := dist.Summary()
 	return ScanStats{Count: d.Count, Mean: d.Mean, P50: d.P50, P95: d.P95, P99: d.P99}
 }
-
-// quantile is the nearest-rank quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 { return obs.Quantile(sorted, q) }

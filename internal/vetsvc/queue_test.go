@@ -179,7 +179,8 @@ func TestLeaseExpiryRevetsExactlyOnce(t *testing.T) {
 // claimer keeps the local lanes' rules, addressed by LeaseID alone. A claim
 // is started and carries its admission deadline; a stale token is refused
 // at every verb; a report settles the record, then the lease, with the
-// digest taken from the record; a repeated report changes nothing; and a
+// digest taken from the record and the outcome the node reported; a
+// repeated report changes nothing; and a
 // report that lands after its lease was reclaimed is still recorded, while
 // the item the reclaim left pending is skipped, not handed out again.
 func TestRemoteClaimerSettleRule(t *testing.T) {
@@ -236,7 +237,8 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	if err := rc.Heartbeat(id); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
-	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeMiss, nil, time.Millisecond); !recorded || !held {
+	// The node answered from its own verdict cache.
+	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeHit, nil, time.Millisecond); !recorded || !held {
 		t.Fatalf("report: recorded=%v held=%v, want both", recorded, held)
 	}
 	if got, err := tks[0].Wait(ctx); err != nil || !reflect.DeepEqual(got, want[0]) {
@@ -244,6 +246,9 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	}
 	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeMiss, nil, time.Millisecond); recorded || held {
 		t.Fatalf("repeated report: recorded=%v held=%v, want neither", recorded, held)
+	}
+	if out := tks[0].Outcome(); out != vcache.OutcomeHit {
+		t.Fatalf("first ticket's outcome = %v, want the reported hit", out)
 	}
 
 	// The second claim outlives its lease; a claim that takes nothing

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"apichecker/internal/core"
+	"apichecker/internal/vcache"
 )
 
 // record is the verdict record one accepted submission settles into —
@@ -26,6 +27,7 @@ type record struct {
 	mu      sync.Mutex
 	settled bool
 	verdict *core.Verdict
+	outcome vcache.Outcome // how the verdict was served
 	err     error
 	done    chan struct{} // lazy (doneCh): fast-path settles never allocate it
 
@@ -49,14 +51,14 @@ func newRecord(seq int64, pkg, digest string) *record {
 // runs under the record lock, before any waiter is released, so whoever has
 // seen the verdict finds it in the service's metrics. The submission
 // payload is released here so long-lived tickets don't pin archive bytes.
-func (r *record) settle(v *core.Verdict, err error, book func()) bool {
+func (r *record) settle(v *core.Verdict, out vcache.Outcome, err error, book func()) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.settled {
 		return false
 	}
 	r.settled = true
-	r.verdict, r.err = v, err
+	r.verdict, r.outcome, r.err = v, out, err
 	r.sub = core.Submission{}
 	book()
 	if r.done != nil {

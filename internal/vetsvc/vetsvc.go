@@ -202,6 +202,16 @@ func (t *Ticket) Done() <-chan struct{} { return t.r.doneCh() }
 // lease) → "done" / "failed".
 func (t *Ticket) State() string { return t.r.state() }
 
+// Outcome reports how the settled verdict was served: miss, hit,
+// coalesced, or bypass — the outcome a local lane's vet, a node's report
+// or an admission hit settled the record with. OutcomeBypass until the
+// ticket settles.
+func (t *Ticket) Outcome() vcache.Outcome {
+	t.r.mu.Lock()
+	defer t.r.mu.Unlock()
+	return t.r.outcome
+}
+
 // Wait blocks for the verdict. The context bounds the wait only — the
 // submission itself keeps running under its own deadline.
 func (t *Ticket) Wait(ctx context.Context) (*core.Verdict, error) {
@@ -653,7 +663,7 @@ func (s *Service) vetClaim(ctx context.Context, j *job) error {
 // once (first report wins; a reclaim-raced duplicate changes nothing and
 // reports false), and emits the done event.
 func (s *Service) settleRecord(r *record, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) bool {
-	if !r.settle(v, err, func() { s.m.finishJob(v, err, out) }) {
+	if !r.settle(v, out, err, func() { s.m.finishJob(v, err, out) }) {
 		return false
 	}
 	s.noteWall(wall)
@@ -692,7 +702,7 @@ func (s *Service) deadLetter(it workqueue.Item, cause error) {
 		return
 	}
 	err := fmt.Errorf("vet %s: %w: %w", r.pkg, ErrPoisoned, cause)
-	if !r.settle(nil, err, func() { s.m.finishJob(nil, err, vcache.OutcomeBypass) }) {
+	if !r.settle(nil, vcache.OutcomeBypass, err, func() { s.m.finishJob(nil, err, vcache.OutcomeBypass) }) {
 		return
 	}
 	s.dropRecord(r.seq)

@@ -440,19 +440,3 @@ func TestEventLogOrdering(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantileNearestRank pins the quantile helper.
-func TestQuantileNearestRank(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{{0.5, 5}, {0.95, 10}, {0.99, 10}, {0, 1}, {1, 10}} {
-		if got := quantile(s, tc.q); got != tc.want {
-			t.Errorf("quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := quantile(nil, 0.5); got != 0 {
-		t.Errorf("quantile(nil) = %v, want 0", got)
-	}
-}
