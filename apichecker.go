@@ -27,7 +27,7 @@
 // For always-on operation, wrap the checker in a vetting service with
 // bounded-queue backpressure, per-submission deadlines, and metrics:
 //
-//	svc := apichecker.NewVetService(checker, apichecker.DefaultVetServiceConfig())
+//	svc := apichecker.NewVetService(checker, apichecker.VetServiceConfig{})
 //	defer svc.Close()
 //	ticket, _ := svc.Submit(ctx, apichecker.Submission{Raw: apkBytes})
 //	verdict, _ := ticket.Wait(ctx)
@@ -110,14 +110,14 @@ type (
 	// VetService is the always-on submission-vetting service: a bounded
 	// queue feeding a deterministic worker pool.
 	VetService = vetsvc.Service
-	// VetServiceConfig tunes the service's lanes, queue, and deadlines.
+	// VetServiceConfig tunes the service's lanes, queue, and deadlines;
+	// the zero value is the production deployment (one lane per emulator
+	// slot, a 4x-deep queue).
 	VetServiceConfig = vetsvc.Config
 	// VetMetrics is a service observability snapshot.
 	VetMetrics = vetsvc.Metrics
 	// VetTicket tracks one async submission through the service.
 	VetTicket = vetsvc.Ticket
-	// VetEvent is one structured service event (see VetServiceConfig.OnEvent).
-	VetEvent = vetsvc.Event
 
 	// Gateway is the wire-facing HTTP frontend over a vetting service:
 	// submission API, Prometheus /metrics, SSE trace streams, graceful
@@ -125,10 +125,6 @@ type (
 	Gateway = gateway.Server
 	// GatewayConfig tunes one gateway instance.
 	GatewayConfig = gateway.Config
-	// ServeConfig bundles every serving-deployment knob (service sizing,
-	// cache tiers, model registry, network frontend) into one struct;
-	// frontends parse flags into it (see cmd/tmarket, examples/service).
-	ServeConfig = gateway.ServeConfig
 	// SubmissionStatus is the gateway's JSON resource for one submission.
 	SubmissionStatus = gateway.SubmissionStatus
 
@@ -452,19 +448,12 @@ func OpenVetService(ck *Checker, cfg VetServiceConfig) (*VetService, error) {
 	return vetsvc.Open(ck, cfg)
 }
 
-// DefaultVetServiceConfig sizes the service for the production deployment:
-// one lane per emulator slot and a 4x-deep queue.
-func DefaultVetServiceConfig() VetServiceConfig { return vetsvc.DefaultConfig() }
-
 // NewGateway fronts a vetting service with the HTTP serving surface:
 // POST /v1/submissions (+ poll and blocking ?wait=), GET /metrics
 // (Prometheus text exposition of every obs metric), per-submission SSE
 // trace streams, and /healthz. Shut down with Gateway.Shutdown to drain
 // gracefully.
 func NewGateway(svc *VetService, cfg GatewayConfig) *Gateway { return gateway.New(svc, cfg) }
-
-// DefaultServeConfig is the recommended serving deployment shape.
-func DefaultServeConfig() ServeConfig { return gateway.DefaultServeConfig() }
 
 // NewClusterCoordinator builds the head of a vet cluster over a
 // coordinator-mode vetting service (VetServiceConfig.DisableLocalLanes).

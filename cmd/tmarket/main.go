@@ -28,8 +28,10 @@
 //
 //	tmarket -serve -listen localhost:8080
 //
-// Every serve-related flag is a thin shim over one apichecker.ServeConfig;
-// see that type for the knob inventory.
+// The service's own flags (-workers, -queue, -deadline, -queue-dir,
+// -lease-ttl, -cluster) bind straight into an apichecker.VetServiceConfig;
+// the rest of the serving deployment (cache tiers, model registry, HTTP
+// frontend) is a serveFlags.
 package main
 
 import (
@@ -63,38 +65,40 @@ func main() {
 		snapshot = flag.Bool("snapshot", false, "train a model, persist it to -model-dir, and exit")
 		tband    = flag.String("triage-band", "", `tier-1 triage uncertainty band "lo,hi" (e.g. 0.05,0.95): submissions the static pre-screen scores outside the band skip emulation entirely (-serve and -snapshot)`)
 	)
-	// The serve-related flags are a thin shim over one ServeConfig.
-	scfg := apichecker.DefaultServeConfig()
-	flag.IntVar(&scfg.Workers, "workers", 0, "service lanes (0 = one per emulator slot)")
-	flag.IntVar(&scfg.Queue, "queue", 0, "service queue depth (0 = 4x workers)")
-	flag.DurationVar(&scfg.Deadline, "deadline", 0, "per-submission vet deadline (0 = none)")
-	flag.StringVar(&scfg.QueueDir, "queue-dir", "", "journal accepted submissions to this directory and replay unsettled ones on restart (-serve only)")
-	flag.DurationVar(&scfg.LeaseTTL, "lease-ttl", 0, "reclaim a claimed submission after this long without worker progress (0 = never)")
-	flag.IntVar(&scfg.VerdictCache, "vcache", 0, "verdict-cache capacity on the -serve path (0 = default, negative = disabled)")
-	flag.StringVar(&scfg.PersistDir, "vcache-persist", "", "persist the verdict cache to this directory and warm-start it on the next run (-serve only)")
-	flag.BoolVar(&scfg.Trace, "trace", false, "stream per-submission pipeline spans and print the per-stage latency table (-serve only)")
-	flag.StringVar(&scfg.ModelDir, "model-dir", "", "versioned model registry directory; -serve cold-starts from its current generation")
-	flag.BoolVar(&scfg.Evolve, "evolve", false, "retrain in the background during the -serve batch and hot-swap on gated promotion (requires -model-dir)")
-	flag.StringVar(&scfg.Listen, "listen", "", "serve the HTTP gateway on this address until SIGINT/SIGTERM (-serve only)")
-	flag.StringVar(&scfg.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.DurationVar(&scfg.DrainTimeout, "drain-timeout", scfg.DrainTimeout, "graceful-shutdown budget for in-flight submissions (-listen only)")
-	flag.BoolVar(&scfg.Cluster, "cluster", false, "run as a vet-cluster coordinator: local lanes off, remote vetworker nodes claim submissions over the gateway (requires -listen)")
+	// The service's knobs bind straight into its config; the rest of the
+	// serving deployment is tmarket's own.
+	var vcfg apichecker.VetServiceConfig
+	sf := serveFlags{drainTimeout: 30 * time.Second}
+	flag.IntVar(&vcfg.Workers, "workers", 0, "service lanes (0 = one per emulator slot)")
+	flag.IntVar(&vcfg.QueueSize, "queue", 0, "service queue depth (0 = 4x workers)")
+	flag.DurationVar(&vcfg.Deadline, "deadline", 0, "per-submission vet deadline (0 = none)")
+	flag.StringVar(&vcfg.QueueDir, "queue-dir", "", "journal accepted submissions to this directory and replay unsettled ones on restart (-serve only)")
+	flag.DurationVar(&vcfg.LeaseTTL, "lease-ttl", 0, "reclaim a claimed submission after this long without worker progress (0 = never)")
+	flag.IntVar(&sf.vcache, "vcache", 0, "verdict-cache capacity on the -serve path (0 = default, negative = disabled)")
+	flag.StringVar(&sf.persistDir, "vcache-persist", "", "persist the verdict cache to this directory and warm-start it on the next run (-serve only)")
+	flag.BoolVar(&sf.trace, "trace", false, "stream per-submission pipeline spans and print the per-stage latency table (-serve only)")
+	flag.StringVar(&sf.modelDir, "model-dir", "", "versioned model registry directory; -serve cold-starts from its current generation")
+	flag.BoolVar(&sf.evolve, "evolve", false, "retrain in the background during the -serve batch and hot-swap on gated promotion (requires -model-dir)")
+	flag.StringVar(&sf.listen, "listen", "", "serve the HTTP gateway on this address until SIGINT/SIGTERM (-serve only)")
+	flag.StringVar(&sf.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	flag.DurationVar(&sf.drainTimeout, "drain-timeout", sf.drainTimeout, "graceful-shutdown budget for in-flight submissions (-listen only)")
+	flag.BoolVar(&vcfg.DisableLocalLanes, "cluster", false, "run as a vet-cluster coordinator: local lanes off, remote vetworker nodes claim submissions over the gateway (requires -listen)")
 	flag.Parse()
 
-	if scfg.PprofAddr != "" {
+	if sf.pprof != "" {
 		go func() {
 			// DefaultServeMux carries the pprof handlers via the blank import.
-			if err := http.ListenAndServe(scfg.PprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(sf.pprof, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "tmarket: pprof:", err)
 			}
 		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", scfg.PprofAddr)
+		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", sf.pprof)
 	}
 
-	if (*snapshot || scfg.Evolve) && scfg.ModelDir == "" {
+	if (*snapshot || sf.evolve) && sf.modelDir == "" {
 		fail(fmt.Errorf("-snapshot and -evolve require -model-dir"))
 	}
-	if scfg.Cluster && (!*serve || scfg.Listen == "") {
+	if vcfg.DisableLocalLanes && (!*serve || sf.listen == "") {
 		fail(fmt.Errorf("-cluster requires -serve -listen (worker nodes claim over the gateway)"))
 	}
 	band, err := parseBand(*tband)
@@ -106,13 +110,13 @@ func main() {
 		fail(err)
 	}
 	if *snapshot {
-		if err := runSnapshot(u, *seed, *initial, scfg.ModelDir, band); err != nil {
+		if err := runSnapshot(u, *seed, *initial, sf.modelDir, band); err != nil {
 			fail(err)
 		}
 		return
 	}
 	if *serve {
-		if err := runService(u, *seed, *initial, *monthly, *dup, scfg, band); err != nil {
+		if err := runService(u, *seed, *initial, *monthly, *dup, vcfg, sf, band); err != nil {
 			fail(err)
 		}
 		return
@@ -120,16 +124,16 @@ func main() {
 	if *tband != "" {
 		fmt.Fprintln(os.Stderr, "tmarket: -triage-band only applies with -serve or -snapshot")
 	}
-	if scfg.Trace {
+	if sf.trace {
 		fmt.Fprintln(os.Stderr, "tmarket: -trace only applies with -serve")
 	}
-	if scfg.PersistDir != "" {
+	if sf.persistDir != "" {
 		fmt.Fprintln(os.Stderr, "tmarket: -vcache-persist only applies with -serve")
 	}
-	if scfg.Evolve {
+	if sf.evolve {
 		fmt.Fprintln(os.Stderr, "tmarket: -evolve only applies with -serve")
 	}
-	if scfg.Listen != "" {
+	if sf.listen != "" {
 		fmt.Fprintln(os.Stderr, "tmarket: -listen only applies with -serve")
 	}
 	cfg := apichecker.DefaultYearConfig()
@@ -164,6 +168,20 @@ func main() {
 	fmt.Printf("key-API set: %d initially, %d-%d over the run\n",
 		rep.InitialKeyAPIs, minKeys(rep), maxKeys(rep))
 	fmt.Printf("total manual-analysis effort: %.0f analyst-hours\n", manualTotal/60)
+}
+
+// serveFlags is the serving deployment beyond the vetting service's own
+// config: the checker's verdict-cache tiers, the model registry, and the
+// network frontend, one field per flag.
+type serveFlags struct {
+	vcache       int
+	persistDir   string
+	modelDir     string
+	evolve       bool
+	trace        bool
+	listen       string
+	pprof        string
+	drainTimeout time.Duration // <= 0 selects 30s
 }
 
 // triageBand is a parsed -triage-band flag; Set false means the flag was
@@ -217,20 +235,20 @@ func runSnapshot(u *apichecker.Universe, seed int64, initial int, modelDir strin
 }
 
 // runService is the -serve path: obtain a model (cold-started from the
-// registry when ModelDir has one, trained otherwise), then either vet one
+// registry when -model-dir has one, trained otherwise), then either vet one
 // batch of submissions through the always-on service and print its
-// metrics, or — with Listen set — expose the service over HTTP until a
-// shutdown signal drains it. With Trace, the checker's obs spine streams
+// metrics, or — with -listen — expose the service over HTTP until a
+// shutdown signal drains it. With -trace, the checker's obs spine streams
 // one line per completed pipeline stage and the per-stage latency table
-// follows the metrics. With Evolve, a background runner retrains
+// follows the metrics. With -evolve, a background runner retrains
 // mid-batch and hot-swaps on promotion.
-func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, scfg apichecker.ServeConfig, band triageBand) error {
+func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, vcfg apichecker.VetServiceConfig, sf serveFlags, band triageBand) error {
 	var (
 		checker *apichecker.Checker
 		mgr     *apichecker.LifecycleManager
 	)
-	if scfg.ModelDir != "" {
-		reg, err := apichecker.OpenModelRegistry(scfg.ModelDir)
+	if sf.modelDir != "" {
+		reg, err := apichecker.OpenModelRegistry(sf.modelDir)
 		if err != nil {
 			return err
 		}
@@ -239,15 +257,15 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 		case err == nil:
 			// The artifact brings the model config; the cache bound is this
 			// node's own.
-			if checker, err = a.Instantiate(apichecker.NodeConfig{VerdictCache: scfg.VerdictCache}); err != nil {
+			if checker, err = a.Instantiate(apichecker.NodeConfig{VerdictCache: sf.vcache}); err != nil {
 				return err
 			}
 			fmt.Printf("cold-started generation %s from %s (created %s)\n",
-				shortDigest(man.Digest), scfg.ModelDir, man.CreatedAt.Format(time.RFC3339))
+				shortDigest(man.Digest), sf.modelDir, man.CreatedAt.Format(time.RFC3339))
 			mgr = apichecker.NewLifecycleManager(checker, reg, apichecker.DefaultGateConfig())
 		case errors.Is(err, apichecker.ErrNoCurrentModel):
 			// Empty registry: train a first generation and seed it.
-			ck, rep, err := trainChecker(u, seed, initial, scfg.VerdictCache, band)
+			ck, rep, err := trainChecker(u, seed, initial, sf.vcache, band)
 			if err != nil {
 				return err
 			}
@@ -258,12 +276,12 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 				return err
 			}
 			fmt.Printf("trained on %d apps (%d key APIs); snapshotted generation %s to %s\n",
-				initial, rep.KeyAPIs, shortDigest(dig), scfg.ModelDir)
+				initial, rep.KeyAPIs, shortDigest(dig), sf.modelDir)
 		default:
 			return err
 		}
 	} else {
-		ck, rep, err := trainChecker(u, seed, initial, scfg.VerdictCache, band)
+		ck, rep, err := trainChecker(u, seed, initial, sf.vcache, band)
 		if err != nil {
 			return err
 		}
@@ -282,20 +300,20 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 	if lo, hi := checker.TriageBand(); (lo > 0 || hi < 1) && checker.Parts().Triage != nil {
 		fmt.Printf("tiered triage on: band [%g, %g] falls through to emulation, outside short-circuits\n", lo, hi)
 	}
-	if scfg.PersistDir != "" {
+	if sf.persistDir != "" {
 		// Attached after the checker exists (covers the cold-start path,
 		// where the registry instantiates it), before any vet runs: a
 		// snapshot recorded under the same model warm-starts the cache.
-		if err := checker.AttachPersist(scfg.PersistDir); err != nil {
+		if err := checker.AttachPersist(sf.persistDir); err != nil {
 			return err
 		}
 		defer checker.ClosePersist()
 		if ps := checker.PersistStats(); ps.Restored > 0 || ps.Skipped > 0 {
 			fmt.Printf("warm-started verdict cache from %s: %d restored, %d skipped\n",
-				scfg.PersistDir, ps.Restored, ps.Skipped)
+				sf.persistDir, ps.Restored, ps.Skipped)
 		}
 	}
-	if scfg.Trace {
+	if sf.trace {
 		var mu sync.Mutex
 		checker.Obs().AddSink(apichecker.ObsSinkFunc(func(ev apichecker.ObsEvent) {
 			if ev.Kind != apichecker.ObsSpan {
@@ -314,22 +332,22 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 		}))
 	}
 
-	svc, err := apichecker.OpenVetService(checker, scfg.ServiceConfig())
+	svc, err := apichecker.OpenVetService(checker, vcfg)
 	if err != nil {
 		return fmt.Errorf("tmarket: opening vet service: %w", err)
 	}
 	defer svc.Close()
-	if scfg.QueueDir != "" {
+	if vcfg.QueueDir != "" {
 		m := svc.Metrics()
-		fmt.Printf("durable intake journal at %s", scfg.QueueDir)
+		fmt.Printf("durable intake journal at %s", vcfg.QueueDir)
 		if m.Replayed > 0 {
 			fmt.Printf(" (replayed %d unsettled submissions)", m.Replayed)
 		}
 		fmt.Println()
 	}
 
-	if scfg.Listen != "" {
-		return serveGateway(svc, scfg)
+	if sf.listen != "" {
+		return serveGateway(svc, sf)
 	}
 
 	// Corpora are generated over the serving checker's universe so a
@@ -352,7 +370,7 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 	// With evolve, retrain in the background while the batch is being
 	// vetted: promotion hot-swaps the serving model mid-stream.
 	var evolveDone chan *apichecker.EvolveResult
-	if scfg.Evolve {
+	if sf.evolve {
 		refreshed, err := apichecker.NewCorpus(checker.Universe(), initial+monthly, seed+202)
 		if err != nil {
 			return err
@@ -457,7 +475,7 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 				sh.Challenger.F1, sh.Challenger.AUC, sh.Champion.F1, sh.Champion.AUC, sh.Holdout)
 		}
 	}
-	if scfg.Trace {
+	if sf.trace {
 		fmt.Printf("\n  pipeline stages (virtual seconds):\n")
 		fmt.Printf("  %-14s %6s %6s %9s %9s %9s %9s\n",
 			"stage", "count", "errors", "mean", "p50", "p95", "p99")
@@ -471,16 +489,16 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, s
 
 // serveGateway is the -serve -listen path: expose the vetting service
 // over HTTP and block until SIGINT/SIGTERM, then drain gracefully —
-// admissions stop (503), in-flight submissions get DrainTimeout to
-// finish, the persist log flushes, and the listener closes. With
-// Cluster, the gateway also mounts the vet-cluster coordinator so
-// remote vetworker nodes do the vetting.
-func serveGateway(svc *apichecker.VetService, scfg apichecker.ServeConfig) error {
-	gcfg := scfg.GatewayConfig()
-	if scfg.Cluster {
+// admissions stop (503), in-flight submissions get the drain timeout to
+// finish, the persist log flushes, and the listener closes. In
+// coordinator mode (-cluster), the gateway also mounts the vet-cluster
+// coordinator so remote vetworker nodes do the vetting.
+func serveGateway(svc *apichecker.VetService, sf serveFlags) error {
+	var gcfg apichecker.GatewayConfig
+	if svc.Config().DisableLocalLanes {
 		ccfg := apichecker.ClusterCoordinatorConfig{}
-		if scfg.ModelDir != "" {
-			reg, err := apichecker.OpenModelRegistry(scfg.ModelDir)
+		if sf.modelDir != "" {
+			reg, err := apichecker.OpenModelRegistry(sf.modelDir)
 			if err != nil {
 				return err
 			}
@@ -492,7 +510,7 @@ func serveGateway(svc *apichecker.VetService, scfg apichecker.ServeConfig) error
 	gw := apichecker.NewGateway(svc, gcfg)
 	serveErr := make(chan error, 1)
 	go func() {
-		err := gw.ListenAndServe(scfg.Listen)
+		err := gw.ListenAndServe(sf.listen)
 		if errors.Is(err, http.ErrServerClosed) {
 			err = nil
 		}
@@ -502,21 +520,25 @@ func serveGateway(svc *apichecker.VetService, scfg apichecker.ServeConfig) error
 	for i := 0; i < 100 && gw.Addr() == ""; i++ {
 		select {
 		case err := <-serveErr:
-			return fmt.Errorf("tmarket: gateway listen on %s: %w", scfg.Listen, err)
+			return fmt.Errorf("tmarket: gateway listen on %s: %w", sf.listen, err)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
 	fmt.Printf("gateway listening on http://%s (POST /v1/submissions, /metrics, /healthz)\n", gw.Addr())
 
+	drain := sf.drainTimeout
+	if drain <= 0 {
+		drain = 30 * time.Second
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		fmt.Printf("received %s; draining (budget %s)\n", s, scfg.EffectiveDrainTimeout())
+		fmt.Printf("received %s; draining (budget %s)\n", s, drain)
 	case err := <-serveErr:
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), scfg.EffectiveDrainTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := gw.Shutdown(ctx); err != nil {
 		return fmt.Errorf("tmarket: gateway shutdown: %w", err)

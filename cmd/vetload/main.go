@@ -312,15 +312,15 @@ func selfServe(u *apichecker.Universe, seed int64, train, workers, queue int, qu
 	if err != nil {
 		return "", nil, err
 	}
-	scfg := apichecker.DefaultServeConfig()
-	scfg.Workers = workers
-	scfg.Queue = queue
-	scfg.QueueDir = queueDir
-	svc, err := apichecker.OpenVetService(checker, scfg.ServiceConfig())
+	svc, err := apichecker.OpenVetService(checker, apichecker.VetServiceConfig{
+		Workers:   workers,
+		QueueSize: queue,
+		QueueDir:  queueDir,
+	})
 	if err != nil {
 		return "", nil, err
 	}
-	gw := apichecker.NewGateway(svc, scfg.GatewayConfig())
+	gw := apichecker.NewGateway(svc, apichecker.GatewayConfig{})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- gw.ListenAndServe("127.0.0.1:0") }()
 	for i := 0; i < 200 && gw.Addr() == ""; i++ {

@@ -5,10 +5,10 @@
 // under per-submission deadlines, and the metrics snapshot reports the
 // crash/fallback accounting and scan-latency quantiles of §5.1-§5.2.
 //
-// The deployment knobs live in one apichecker.ServeConfig — the same
-// struct `tmarket -serve` parses its flags into — and the example ends by
-// printing the Prometheus exposition a gateway's /metrics would serve
-// for this exact service.
+// The service's knobs live in one apichecker.VetServiceConfig — the same
+// struct `tmarket -serve` binds its -workers, -queue and -deadline flags
+// into — and the example ends by printing the Prometheus exposition a
+// gateway's /metrics would serve for this exact service.
 package main
 
 import (
@@ -43,16 +43,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One ServeConfig carries the deployment shape end to end; the
-	// service layer derives its own config from it.
-	scfg := apichecker.DefaultServeConfig()
-	scfg.Workers = 8
-	scfg.Queue = 16
-	// Per-submission wall-clock budget; expiries surface as
-	// ErrDeadlineExceeded and are counted in the metrics.
-	scfg.Deadline = 2 * time.Minute
-
-	svc := apichecker.NewVetService(checker, scfg.ServiceConfig())
+	svc := apichecker.NewVetService(checker, apichecker.VetServiceConfig{
+		Workers:   8,
+		QueueSize: 16,
+		// Per-submission wall-clock budget; expiries surface as
+		// ErrDeadlineExceeded and are counted in the metrics.
+		Deadline: 2 * time.Minute,
+	})
 	defer svc.Close()
 
 	ctx := context.Background()

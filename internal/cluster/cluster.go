@@ -69,7 +69,7 @@ type claimRequest struct {
 	Node string
 	// WaitMS is the long-poll budget in milliseconds; the coordinator
 	// answers 204 when nothing became claimable within it (capped by the
-	// coordinator's MaxPoll). <= 0 claims nothing: the request only
+	// coordinator's maxPoll). <= 0 claims nothing: the request only
 	// delivers Ack.
 	WaitMS int64
 	// Ack is the lane's finished vet, settled before the poll starts.

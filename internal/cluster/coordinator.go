@@ -27,9 +27,6 @@ type CoordinatorConfig struct {
 	// selects 15s.
 	NodeTTL time.Duration
 
-	// MaxPoll caps a claim request's long-poll budget; <= 0 selects 30s.
-	MaxPoll time.Duration
-
 	// PollSlice is how often a blocked claim re-evaluates node liveness
 	// and affinity (each slice is one bounded ClaimWhere); <= 0 selects
 	// 250ms. Tests shrink it.
@@ -104,6 +101,9 @@ type Coordinator struct {
 	claims, acks, nacks, pulls *obs.Counter
 }
 
+// maxPoll caps a claim request's long-poll budget.
+const maxPoll = 30 * time.Second
+
 // modelWindow bounds the in-memory digest → artifact map (current
 // generation plus a few predecessors, so a node pulling the digest a
 // just-superseded claim advertised still succeeds without a registry).
@@ -117,9 +117,6 @@ const modelWindow = 4
 func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 	if cfg.NodeTTL <= 0 {
 		cfg.NodeTTL = 15 * time.Second
-	}
-	if cfg.MaxPoll <= 0 {
-		cfg.MaxPoll = 30 * time.Second
 	}
 	if cfg.PollSlice <= 0 {
 		cfg.PollSlice = 250 * time.Millisecond
@@ -244,7 +241,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, c.cfg.MaxPoll))
+	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, maxPoll))
 	for now.Before(deadline) {
 		live := c.liveNodes(now)
 		accept := func(it workqueue.Item) bool {

@@ -179,17 +179,17 @@ func stalledGateway(t *testing.T, ck *core.Checker, head []byte, queueSize int) 
 	svc := vetsvc.New(ck, vetsvc.Config{
 		Workers:   1,
 		QueueSize: queueSize,
-		OnEvent: func(ev vetsvc.Event) {
-			if ev.Type != vetsvc.EventStarted {
-				return
-			}
-			first := false
-			once.Do(func() { first = true })
-			if first { // the head, on the only lane
-				close(stalled)
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != vetsvc.EventStarted {
+			return
+		}
+		first := false
+		once.Do(func() { first = true })
+		if first { // the head, on the only lane
+			close(stalled)
+			<-gate
+		}
 	})
 	t.Cleanup(func() {
 		release()

@@ -64,16 +64,6 @@ type Config struct {
 	// <= 0 selects 4096.
 	MaxRecords int
 
-	// MaxWait caps the ?wait= blocking budget a client may request;
-	// <= 0 selects 2 minutes.
-	MaxWait time.Duration
-
-	// RetryAfter is the floor of the backoff hint returned with 429
-	// responses; <= 0 selects 1 second. The actual hint is live: the
-	// service's drain estimate (queue depth + in-flight leases over the
-	// lane throughput), clamped below by this.
-	RetryAfter time.Duration
-
 	// Cluster, when set, mounts the vet-cluster coordinator's wire
 	// protocol (claim/heartbeat/nack + model pulls) on this gateway's
 	// mux and folds its fleet view into /healthz. The concrete type is
@@ -90,6 +80,15 @@ type ClusterCoordinator interface {
 	LiveNodes() int
 }
 
+const (
+	// maxWait caps the ?wait= blocking budget a client may request.
+	maxWait = 2 * time.Minute
+	// minRetryAfter floors the 429 backoff hint: the drain estimate is 0
+	// once the backlog has emptied, and a client told "Retry-After: 0"
+	// retries at once.
+	minRetryAfter = time.Second
+)
+
 // withDefaults clamps out-of-range values.
 func (c Config) withDefaults() Config {
 	if c.MaxUploadBytes <= 0 {
@@ -97,12 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRecords <= 0 {
 		c.MaxRecords = 4096
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -369,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: vetsvc.ErrDraining.Error()})
 		return
 	}
-	wait, ok := s.parseWait(w, r)
+	wait, ok := parseWait(w, r)
 	if !ok {
 		return
 	}
@@ -440,13 +433,9 @@ func admitErrorCode(err error) int {
 
 // retryAfterSeconds turns live queue pressure into the 429 backoff hint:
 // the service's drain estimate (how long the current backlog needs to
-// clear the lanes), floored by the configured RetryAfter, in whole
-// seconds rounded up.
+// clear the lanes), floored by minRetryAfter, in whole seconds rounded up.
 func (s *Server) retryAfterSeconds() int {
-	retry := s.svc.DrainEstimate()
-	if retry < s.cfg.RetryAfter {
-		retry = s.cfg.RetryAfter
-	}
+	retry := max(s.svc.DrainEstimate(), minRetryAfter)
 	return int((retry + time.Second - 1) / time.Second)
 }
 
@@ -533,8 +522,9 @@ func (s *Server) evictLocked() {
 }
 
 // parseWait reads the optional ?wait= blocking budget; on a malformed
-// value it answers 400 and reports !ok.
-func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+// value it answers 400 and reports !ok. A budget over maxWait is clamped
+// to it.
+func parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	raw := queryValue(r.URL.RawQuery, "wait")
 	if raw == "" {
 		return 0, true
@@ -544,10 +534,7 @@ func (s *Server) parseWait(w http.ResponseWriter, r *http.Request) (time.Duratio
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "wait must be a non-negative Go duration (e.g. 30s)"})
 		return 0, false
 	}
-	if d > s.cfg.MaxWait {
-		d = s.cfg.MaxWait
-	}
-	return d, true
+	return min(d, maxWait), true
 }
 
 // queryValue reads the first value of key from a raw query string the way
@@ -591,7 +578,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, rec *record, wa
 
 // handlePoll is GET /v1/submissions/{id} (+ the blocking ?wait= form).
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	wait, ok := s.parseWait(w, r)
+	wait, ok := parseWait(w, r)
 	if !ok {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,16 @@ import (
 )
 
 var testU = framework.MustGenerate(framework.TestConfig(3000))
+
+// onEvent attaches fn to svc's lifecycle events (obs.KindService). Attach
+// it right after vetsvc.New, before the first Submit, to see every event.
+func onEvent(svc *vetsvc.Service, fn func(obs.Event)) {
+	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindService {
+			fn(ev)
+		}
+	}))
+}
 
 // trainedChecker builds an independent trained checker; training is
 // deterministic, so two calls yield behaviourally identical checkers
@@ -264,11 +275,11 @@ func TestGatewayBackpressure429(t *testing.T) {
 	svc := vetsvc.New(ck, vetsvc.Config{
 		Workers:   1,
 		QueueSize: 1,
-		OnEvent: func(ev vetsvc.Event) {
-			if ev.Type == vetsvc.EventStarted {
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == vetsvc.EventStarted {
+			<-gate
+		}
 	})
 	gw := New(svc, Config{})
 	ts := httptest.NewServer(gw)
@@ -297,8 +308,10 @@ func TestGatewayBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submit into full queue: status %d (%s), want 429", resp.StatusCode, st.Error)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 response carries no Retry-After hint")
+	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+		t.Errorf("Retry-After = %q, want a whole number of seconds >= 1", ra)
 	}
 	// The rejected archive left no record behind.
 	if _, resp := getStatus(t, ts.URL, apk.Digest(buildAPK(t, corpus, 2)), ""); resp.StatusCode != http.StatusNotFound {
@@ -318,11 +331,11 @@ func TestGatewayDrainDuringInflight(t *testing.T) {
 	svc := vetsvc.New(ck, vetsvc.Config{
 		Workers:   1,
 		QueueSize: 4,
-		OnEvent: func(ev vetsvc.Event) {
-			if ev.Type == vetsvc.EventStarted {
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == vetsvc.EventStarted {
+			<-gate
+		}
 	})
 	gw := New(svc, Config{})
 	ts := httptest.NewServer(gw)
@@ -581,8 +594,8 @@ func TestPollIsTerminalOnceSettled(t *testing.T) {
 		sunk   sync.WaitGroup
 	)
 	sunk.Add(len(archives))
-	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
-		if ev.Kind != obs.KindService || ev.Name != vetsvc.EventDone.String() {
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != vetsvc.EventDone {
 			return
 		}
 		defer sunk.Done()
@@ -597,7 +610,7 @@ func TestPollIsTerminalOnceSettled(t *testing.T) {
 		mu.Lock()
 		polled[rec.id] = w.Code
 		mu.Unlock()
-	}))
+	})
 	for i, data := range archives {
 		if w := serve(gw, http.MethodPost, "/v1/submissions", data); w.Code != http.StatusAccepted && w.Code != http.StatusOK {
 			t.Fatalf("archive %d: submit status %d: %s", i, w.Code, w.Body)
@@ -630,11 +643,11 @@ func TestNoGoroutinePerInflightSubmission(t *testing.T) {
 	svc := vetsvc.New(ck, vetsvc.Config{
 		Workers:   1,
 		QueueSize: 64,
-		OnEvent: func(ev vetsvc.Event) {
-			if ev.Type == vetsvc.EventStarted {
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == vetsvc.EventStarted {
+			<-gate
+		}
 	})
 	t.Cleanup(func() {
 		release()
@@ -688,5 +701,31 @@ func TestPercentEncodedWait(t *testing.T) {
 	}
 	if _, resp := postAPK(t, fx.ts.URL, "?wait=30%2", buildAPK(t, corpus, 1)); resp.StatusCode == http.StatusBadRequest {
 		t.Fatal("?wait=30%2 (does not unescape, so url.Values drops it) answered 400")
+	}
+}
+
+// TestParseWaitClamps: a ?wait= budget is capped at maxWait (2 min), a
+// shorter one is kept, and a malformed one answers 400.
+func TestParseWaitClamps(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		want  time.Duration
+		ok    bool
+	}{
+		{"", 0, true},
+		{"wait=30s", 30 * time.Second, true},
+		{"wait=2m", 2 * time.Minute, true},
+		{"wait=10m", 2 * time.Minute, true},
+		{"wait=-1s", 0, false},
+		{"wait=soon", 0, false},
+	} {
+		rec := httptest.NewRecorder()
+		got, ok := parseWait(rec, httptest.NewRequest(http.MethodGet, "/v1/submissions/x?"+c.query, nil))
+		if got != c.want || ok != c.ok {
+			t.Errorf("?%s: parseWait = %v, %v; want %v, %v", c.query, got, ok, c.want, c.ok)
+		}
+		if !ok && rec.Code != http.StatusBadRequest {
+			t.Errorf("?%s: refused with status %d, want 400", c.query, rec.Code)
+		}
 	}
 }

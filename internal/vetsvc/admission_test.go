@@ -40,10 +40,7 @@ func TestAdmissionHitSkipsQueue(t *testing.T) {
 		events = map[int64][]string{} // seq -> event names, in order
 		locked = map[int64][]bool{}   // seq -> whether s.mu was held at each
 	)
-	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
-		if ev.Kind != obs.KindService {
-			return
-		}
+	onEvent(svc, func(ev obs.Event) {
 		held := !svc.mu.TryLock()
 		if !held {
 			svc.mu.Unlock()
@@ -52,7 +49,7 @@ func TestAdmissionHitSkipsQueue(t *testing.T) {
 		events[ev.Trace] = append(events[ev.Trace], ev.Name)
 		locked[ev.Trace] = append(locked[ev.Trace], held)
 		mu.Unlock()
-	}))
+	})
 
 	tk, err := svc.Submit(context.Background(), core.Submission{Raw: raw})
 	if err != nil {
@@ -150,17 +147,17 @@ func TestAdmissionHitTakesNoSlot(t *testing.T) {
 	svc := New(ck, Config{
 		Workers:   1,
 		QueueSize: 1,
-		OnEvent: func(ev Event) {
-			if ev.Type != EventStarted {
-				return
-			}
-			first := false
-			once.Do(func() { first = true })
-			if first { // the head submission, on the only lane
-				close(stalled)
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != EventStarted {
+			return
+		}
+		first := false
+		once.Do(func() { first = true })
+		if first { // the head submission, on the only lane
+			close(stalled)
+			<-gate
+		}
 	})
 	defer svc.Close()
 	defer close(gate)
@@ -206,22 +203,19 @@ func TestAdmissionHitsRaceDrainAndSwap(t *testing.T) {
 		lookup   = map[int64]string{} // seq -> note of its cache.lookup span
 		drained  atomic.Bool
 	)
-	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
-		if ev.Kind != obs.KindService {
-			return
-		}
+	onEvent(svc, func(ev obs.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch ev.Name {
-		case EventAccepted.String():
+		case EventAccepted:
 			accepted[ev.Trace]++
-		case EventDone.String():
+		case EventDone:
 			if drained.Load() {
 				t.Errorf("seq %d: done emitted after Drain returned", ev.Trace)
 			}
 			done[ev.Trace]++
 		}
-	}))
+	})
 	ck.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
 		if ev.Kind == obs.KindSpan && ev.Name == pipeline.StageCacheLookup {
 			mu.Lock()

@@ -110,9 +110,7 @@ type Metrics struct {
 	// Memory accounting at snapshot time. CacheEntries and CacheLiveBytes
 	// come from the checker's verdict cache (flat-entry bytes, the
 	// measurable live-heap contribution of memoization); HeapLiveBytes is
-	// the process's live heap (runtime.MemStats.HeapAlloc), also published
-	// on the service collector as the svc.heap.live_bytes gauge so sinks
-	// and CI artifacts can watch it without taking a snapshot.
+	// the process's live heap (runtime.MemStats.HeapAlloc).
 	CacheEntries   int
 	CacheLiveBytes int64
 	HeapLiveBytes  uint64
@@ -297,7 +295,6 @@ func (s *Service) Metrics() Metrics {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.HeapLiveBytes = ms.HeapAlloc
-	c.col.Gauge("svc.heap.live_bytes").Set(int64(ms.HeapAlloc))
 	m.Persist = s.ck.PersistStats()
 
 	gen := s.ck.Generation()

@@ -12,6 +12,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/emulator"
+	"apichecker/internal/obs"
 	"apichecker/internal/vcache"
 	"apichecker/internal/workqueue"
 )
@@ -119,17 +120,17 @@ func TestLeaseExpiryRevetsExactlyOnce(t *testing.T) {
 		LeaseTTL:       100 * time.Millisecond,
 		HeartbeatEvery: -1, // heartbeats off: a stalled lane must lose its lease
 		MaxAttempts:    3,
-		OnEvent: func(ev Event) {
-			if ev.Type != EventStarted {
-				return
-			}
-			first := false
-			stallOnce.Do(func() { first = true })
-			if first {
-				close(stalled)
-				<-release
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != EventStarted {
+			return
+		}
+		first := false
+		stallOnce.Do(func() { first = true })
+		if first {
+			close(stalled)
+			<-release
+		}
 	})
 	defer svc.Close()
 
@@ -290,11 +291,11 @@ func TestPoisonedSubmissionDeadLetters(t *testing.T) {
 		LeaseTTL:       50 * time.Millisecond,
 		HeartbeatEvery: -1,
 		MaxAttempts:    1,
-		OnEvent: func(ev Event) {
-			if ev.Type == EventStarted {
-				<-block
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == EventStarted {
+			<-block
+		}
 	})
 
 	tk, err := svc.Submit(context.Background(), core.Submission{Program: corpus.Program(0)})
@@ -335,17 +336,17 @@ func TestPanicAfterLeaseLossIsCounted(t *testing.T) {
 		QueueSize:      4,
 		LeaseTTL:       50 * time.Millisecond,
 		HeartbeatEvery: -1,
-		OnEvent: func(ev Event) {
-			if ev.Type != EventStarted {
-				return
-			}
-			stall := false
-			first.Do(func() { stall = true })
-			if stall {
-				<-revetted // the other lane reclaimed the lease and vetted the submission
-				panic("vet stalled past its lease")
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != EventStarted {
+			return
+		}
+		stall := false
+		first.Do(func() { stall = true })
+		if stall {
+			<-revetted // the other lane reclaimed the lease and vetted the submission
+			panic("vet stalled past its lease")
+		}
 	})
 	tk, err := svc.Submit(context.Background(), core.Submission{Program: corpus.Program(0)})
 	if err != nil {
@@ -473,11 +474,11 @@ func TestRetryAfterTracksQueuePressure(t *testing.T) {
 	svc := New(ck, Config{
 		Workers:   1,
 		QueueSize: 4,
-		OnEvent: func(ev Event) {
-			if ev.Type == EventStarted {
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == EventStarted {
+			<-gate
+		}
 	})
 	defer svc.Close()
 

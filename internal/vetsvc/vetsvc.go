@@ -125,17 +125,6 @@ type Config struct {
 	// with ErrPoisoned; <= 0 selects 3.
 	MaxAttempts int
 
-	// OnEvent, when set, receives a structured event per admission
-	// decision and completion. Called synchronously: accepted and rejected
-	// on the submitting goroutine (accepted with the admission lock held);
-	// started and done on the lane that vets the submission, or on the
-	// submitting goroutine, before Submit returns, for a submission
-	// answered from the verdict cache at admission. Keep it fast and do not
-	// call back into the service. It rides the service's obs spine: the
-	// callback is registered as a Sink on the service collector, so it
-	// sees exactly the events any other attached sink does.
-	OnEvent func(Event)
-
 	// DisableLocalLanes runs the service in coordinator mode: no local
 	// worker lanes start, and every queued submission is vetted by remote
 	// worker nodes claiming it over the wire (internal/cluster), through the
@@ -144,46 +133,29 @@ type Config struct {
 	DisableLocalLanes bool
 }
 
-// DefaultConfig is the production-shaped serving configuration.
-func DefaultConfig() Config {
-	return Config{Workers: emulator.ProductionLanes}
-}
-
-// EventType classifies service events.
-type EventType uint8
-
+// The service's lifecycle events are obs.KindService events on its
+// collector (Obs), named by these constants. Sinks run synchronously:
+// accepted and rejected on the submitting goroutine (accepted with the
+// admission lock held); started and done on the lane that vets the
+// submission, or on the submitting goroutine, before Submit returns, for a
+// submission answered from the verdict cache at admission. A sink attached
+// after Open misses the accepted events of replayed submissions.
 const (
 	// EventAccepted: a submission was admitted under a seq — queued, or
 	// about to be answered from the verdict cache.
-	EventAccepted EventType = iota
-	// EventRejected: the queue was full; nothing was enqueued.
-	EventRejected
+	EventAccepted = "accepted"
+	// EventRejected: the queue was full; nothing was enqueued (Trace 0).
+	EventRejected = "rejected"
 	// EventStarted: a worker began vetting the submission, or admission
 	// found its verdict cached. A reclaimed submission starts again under
 	// its original seq, so a lease-expiry reclaim can repeat this event for
 	// one seq.
-	EventStarted
-	// EventDone: vetting finished (Err reports how). Exactly one per
-	// accepted submission, however many claims it took.
-	EventDone
+	EventStarted = "started"
+	// EventDone: vetting finished (Err reports how; Dur is the verdict's
+	// scan time). Exactly one per accepted submission, however many claims
+	// it took.
+	EventDone = "done"
 )
-
-func (t EventType) String() string {
-	names := [...]string{"accepted", "rejected", "started", "done"}
-	if int(t) < len(names) {
-		return names[t]
-	}
-	return fmt.Sprintf("EventType(%d)", uint8(t))
-}
-
-// Event is one structured service-log record.
-type Event struct {
-	Type    EventType
-	Seq     int64  // vet sequence number (0 for rejections)
-	Package string // submission package, best effort
-	Scan    time.Duration
-	Err     error
-}
 
 // Ticket tracks one accepted submission to completion. It is a view over
 // the submission's verdict record.
@@ -305,9 +277,6 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		m:    newCounters(obs.NewCollector()),
 	}
 	s.base, s.baseCancel = context.WithCancelCause(context.Background())
-	if cfg.OnEvent != nil {
-		s.m.col.AddSink(eventSink(cfg.OnEvent))
-	}
 
 	q, replayed, err := workqueue.Open(workqueue.Config{
 		Capacity:    cfg.QueueSize,
@@ -336,7 +305,7 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		r := newRecord(it.Seq, core.Submission{Raw: it.Payload}.PackageName(), it.Key)
 		s.addRecord(r)
 		s.m.accepted.Inc()
-		s.emit(Event{Type: EventAccepted, Seq: r.seq, Package: r.pkg})
+		s.emit(EventAccepted, r.seq, r.pkg, 0, nil)
 	}
 	if !cfg.DisableLocalLanes {
 		s.pool = worker.Executor[*job]{
@@ -417,7 +386,7 @@ func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, pub
 		}
 	} else if !s.q.TryAcquire() {
 		s.m.rejected.Inc()
-		s.emit(Event{Type: EventRejected, Package: pkgOf(sub), Err: ErrQueueFull})
+		s.emit(EventRejected, 0, pkgOf(sub), 0, ErrQueueFull)
 		return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrQueueFull)
 	}
 	s.mu.Lock()
@@ -470,7 +439,7 @@ func (s *Service) answer(ctx context.Context, sub core.Submission, hit core.Hit,
 
 	r := t.r
 	r.markClaimed()
-	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+	s.emit(EventStarted, r.seq, r.pkg, 0, nil)
 	v, err := s.ck.AnswerHit(ctx, sub, hit)
 	s.settleRecord(r, v, vcache.OutcomeHit, err, 0)
 	return t, nil
@@ -497,7 +466,7 @@ func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *Ticket {
 	}
 	t := &Ticket{r: newRecord(sub.Seq, pkgOf(*sub), sub.Digest)}
 	s.m.accepted.Inc()
-	s.emit(Event{Type: EventAccepted, Seq: sub.Seq, Package: t.r.pkg})
+	s.emit(EventAccepted, sub.Seq, t.r.pkg, 0, nil)
 	if publish != nil {
 		publish(t)
 	}
@@ -543,7 +512,7 @@ func (s *Service) claim(ctx context.Context, until time.Time, accept func(workqu
 // start flips r to claimed and emits its started event.
 func (s *Service) start(r *record) {
 	r.markClaimed()
-	s.emit(Event{Type: EventStarted, Seq: r.seq, Package: r.pkg})
+	s.emit(EventStarted, r.seq, r.pkg, 0, nil)
 }
 
 // settle is the one settle rule, a local lane's Ack and a remote node's
@@ -643,10 +612,10 @@ func (s *Service) vetClaim(ctx context.Context, j *job) error {
 	r := j.r
 	s.start(r)
 	if !j.l.Valid() {
-		// The lease expired while the started hook ran: the submission has
-		// been reclaimed and another lane owns it now. Vetting it here too
-		// would be harmless for the verdict (content-determinism) but would
-		// double-pay the emulation.
+		// The lease expired while the started event's sinks ran: the
+		// submission has been reclaimed and another lane owns it now. Vetting
+		// it here too would be harmless for the verdict (content-determinism)
+		// but would double-pay the emulation.
 		return workqueue.ErrLeaseLost
 	}
 	t0 := time.Now()
@@ -668,11 +637,11 @@ func (s *Service) settleRecord(r *record, v *core.Verdict, out vcache.Outcome, e
 	}
 	s.noteWall(wall)
 	s.dropRecord(r.seq)
-	ev := Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err}
+	var scan time.Duration
 	if v != nil {
-		ev.Scan = v.ScanTime
+		scan = v.ScanTime
 	}
-	s.emit(ev)
+	s.emit(EventDone, r.seq, r.pkg, scan, err)
 	return true
 }
 
@@ -706,7 +675,7 @@ func (s *Service) deadLetter(it workqueue.Item, cause error) {
 		return
 	}
 	s.dropRecord(r.seq)
-	s.emit(Event{Type: EventDone, Seq: r.seq, Package: r.pkg, Err: err})
+	s.emit(EventDone, r.seq, r.pkg, 0, err)
 }
 
 // noteWall folds one completion's wall-clock cost into the drain-estimate
@@ -884,40 +853,16 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// emit routes one lifecycle event through the service's obs collector;
-// registered sinks (including the OnEvent adapter) receive it from there.
-func (s *Service) emit(ev Event) {
+// emit routes one lifecycle event through the service's obs collector,
+// which fans it out to every attached sink.
+func (s *Service) emit(name string, seq int64, pkg string, scan time.Duration, err error) {
 	s.m.col.Emit(obs.Event{
 		Kind:    obs.KindService,
-		Name:    ev.Type.String(),
-		Trace:   ev.Seq,
-		Package: ev.Package,
-		Dur:     ev.Scan,
-		Err:     ev.Err,
-	})
-}
-
-// eventSink adapts a legacy OnEvent callback to the obs Sink interface,
-// reconstructing the service Event from the structured record.
-func eventSink(fn func(Event)) obs.Sink {
-	return obs.SinkFunc(func(oe obs.Event) {
-		if oe.Kind != obs.KindService {
-			return
-		}
-		var t EventType
-		switch oe.Name {
-		case "accepted":
-			t = EventAccepted
-		case "rejected":
-			t = EventRejected
-		case "started":
-			t = EventStarted
-		case "done":
-			t = EventDone
-		default:
-			return
-		}
-		fn(Event{Type: t, Seq: oe.Trace, Package: oe.Package, Scan: oe.Dur, Err: oe.Err})
+		Name:    name,
+		Trace:   seq,
+		Package: pkg,
+		Dur:     scan,
+		Err:     err,
 	})
 }
 

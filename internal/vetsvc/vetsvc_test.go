@@ -3,6 +3,7 @@ package vetsvc
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +12,20 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/framework"
+	"apichecker/internal/obs"
 )
 
 var testU = framework.MustGenerate(framework.TestConfig(3000))
+
+// onEvent attaches fn to svc's lifecycle events (obs.KindService). Attach
+// it right after New, before the first Submit, to see every event.
+func onEvent(svc *Service, fn func(obs.Event)) {
+	svc.Obs().AddSink(obs.SinkFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindService {
+			fn(ev)
+		}
+	}))
+}
 
 // trainedChecker builds an independent trained checker; training is
 // deterministic, so two calls yield behaviourally identical checkers with
@@ -114,13 +126,13 @@ func TestBackpressureQueueFull(t *testing.T) {
 	svc := New(ck, Config{
 		Workers:   1,
 		QueueSize: 2,
-		// The hook runs synchronously in the worker: blocking it stalls
-		// the lane with the queue intact.
-		OnEvent: func(ev Event) {
-			if ev.Type == EventStarted {
-				<-gate
-			}
-		},
+	})
+	// The sink runs synchronously in the worker: blocking it stalls the
+	// lane with the queue intact.
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == EventStarted {
+			<-gate
+		}
 	})
 	// Unwind order matters: the gate must open before Close waits for the
 	// stalled lane.
@@ -130,7 +142,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	sub := func(i int) core.Submission {
 		return core.Submission{Program: corpus.Program(i)}
 	}
-	// Head submission is dequeued by the lane, which stalls in the hook.
+	// Head submission is dequeued by the lane, which stalls in the sink.
 	var tickets []*Ticket
 	tk0, err := svc.Submit(context.Background(), sub(0))
 	if err != nil {
@@ -278,11 +290,11 @@ func TestHardDrainPropagatesReason(t *testing.T) {
 	svc := New(ck, Config{
 		Workers:   1,
 		QueueSize: 2,
-		OnEvent: func(ev Event) {
-			if ev.Type == EventStarted {
-				<-gate
-			}
-		},
+	})
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name == EventStarted {
+			<-gate
+		}
 	})
 
 	tk, err := svc.Submit(context.Background(), core.Submission{Program: corpus.Program(0)})
@@ -385,36 +397,60 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-// TestEventLogOrdering: the structured hook sees accepted → started → done
+// TestMetricsIsARead: a Metrics snapshot writes nothing to the service's
+// collector — no gauge appears or moves — so /metrics shows the same rows
+// whether or not anything took one.
+func TestMetricsIsARead(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	svc := New(ck, Config{Workers: 2})
+	subs := make([]core.Submission, 6)
+	for i := range subs {
+		subs[i] = core.Submission{Program: corpus.Program(i)}
+	}
+	if _, err := svc.VetBatch(context.Background(), subs); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+
+	before := svc.Obs().Gauges()
+	if m := svc.Metrics(); m.HeapLiveBytes == 0 {
+		t.Error("Metrics().HeapLiveBytes = 0, want the process's live heap")
+	}
+	if after := svc.Obs().Gauges(); !maps.Equal(before, after) {
+		t.Fatalf("Metrics() changed the service's gauges:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestEventLogOrdering: a service-event sink sees accepted → started → done
 // for every submission, with matching sequence numbers.
 func TestEventLogOrdering(t *testing.T) {
 	ck, corpus := trainedChecker(t)
 	var mu sync.Mutex
-	state := make(map[int64]EventType)
+	state := make(map[int64]string)
 	bad := false
 	svc := New(ck, Config{
 		Workers:   4,
 		QueueSize: 8,
-		OnEvent: func(ev Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			prev, ok := state[ev.Seq]
-			switch ev.Type {
-			case EventAccepted:
-				if ok {
-					bad = true
-				}
-			case EventStarted:
-				if !ok || prev != EventAccepted {
-					bad = true
-				}
-			case EventDone:
-				if !ok || prev != EventStarted {
-					bad = true
-				}
+	})
+	onEvent(svc, func(ev obs.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		prev, ok := state[ev.Trace]
+		switch ev.Name {
+		case EventAccepted:
+			if ok {
+				bad = true
 			}
-			state[ev.Seq] = ev.Type
-		},
+		case EventStarted:
+			if !ok || prev != EventAccepted {
+				bad = true
+			}
+		case EventDone:
+			if !ok || prev != EventStarted {
+				bad = true
+			}
+		}
+		state[ev.Trace] = ev.Name
 	})
 	const n = 25
 	subs := make([]core.Submission, n)
