@@ -65,7 +65,7 @@ func main() {
 	files := flag.Args()
 	if len(files) == 0 {
 		fmt.Println("no APKs given; vetting a self-generated demo batch")
-		demo, err := apichecker.NewCorpus(u, 8, *seed+2000)
+		demo, err := apichecker.NewCorpus(u, demoApps, *seed+2000)
 		if err != nil {
 			fail(err)
 		}
@@ -86,6 +86,10 @@ func main() {
 		vetOne(checker, path, data)
 	}
 }
+
+// demoApps is the demo batch's size: the smallest corpus the dataset
+// generator accepts.
+const demoApps = 20
 
 // logWriter, when non-nil, records every vetted app's analysis log.
 var logWriter *analysislog.Writer

@@ -3,10 +3,8 @@ package apichecker
 import (
 	"bufio"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -35,7 +33,6 @@ func TestNoUnreachedExports(t *testing.T) {
 	}
 	var (
 		decls     []decl
-		fset      = token.NewFileSet()
 		bare      = map[string]map[string]bool{} // package dir → identifiers used unqualified in it
 		selectors = map[string]bool{}            // every x.Sel name, any package
 		ifaceDecl = map[string]bool{}            // every method name an interface declares
@@ -43,35 +40,18 @@ func TestNoUnreachedExports(t *testing.T) {
 		funcDir   = map[string]string{}          // pkg.Func → package dir
 	)
 
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	files, err := repoFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.test {
+			continue
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+		file, imports := f.ast, f.imports
+		dir := path.Dir(f.path)
 		if bare[dir] == nil {
 			bare[dir] = map[string]bool{}
-		}
-		imports := map[string]string{} // local name → import path
-		for _, im := range file.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			local := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = p
 		}
 		skip := map[*ast.Ident]bool{} // declared names and selector fields: not bare uses
 		for _, d := range file.Decls {
@@ -89,7 +69,7 @@ func TestNoUnreachedExports(t *testing.T) {
 			} else {
 				funcDir[name] = dir
 			}
-			decls = append(decls, decl{name: name, pos: fset.Position(fn.Pos()).String()})
+			decls = append(decls, decl{name: name, pos: repoFset.Position(fn.Pos()).String()})
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -114,10 +94,6 @@ func TestNoUnreachedExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	reached := func(d decl) bool {
