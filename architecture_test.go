@@ -71,6 +71,8 @@ func TestArchitecture(t *testing.T) {
 			source(in("internal/gateway"), declares("Config.MaxWait", "Config.RetryAfter")), "internal/gateway/p.go: package gateway; type Config struct { RetryAfter int }"},
 		{"coordinator-max-poll", "cluster.CoordinatorConfig has a MaxPoll field again (it is the constant maxPoll)",
 			source(in("internal/cluster"), declares("CoordinatorConfig.MaxPoll")), "internal/cluster/p.go: package cluster; type CoordinatorConfig struct { MaxPoll int }"},
+		{"flate-reads", "compress/flate reads in non-test code outside internal/apk/apktest and bench/ (apk inflates into the arena itself)",
+			source(outside("internal/apk/apktest", "bench"), sel("compress/flate", "NewReader", "NewReaderDict")), `internal/apk/p.go: package apk; import f "compress/flate"; var r = f.NewReader`},
 		{"zip-reads", "archive/zip reads in non-test code (read through apk.Open)",
 			source(outside("internal/apk/apktest"), sel("archive/zip", "NewReader", "OpenReader"), callNoArgs("Open")), `internal/apk/p.go: package apk; import z "archive/zip"; var r = z.NewReader`},
 		{"gob", "internal/behavior or a serving binary depends on encoding/gob again",

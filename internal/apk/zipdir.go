@@ -3,8 +3,8 @@ package apk
 // The read side of the zip container. archive/zip writes the archives
 // (Build) and is the reference the tests hold this reader to
 // (FuzzDirectoryMatchesArchiveZip); reading goes through internal/wire, so a
-// miss builds no zip.File or name string per entry and inflates with no
-// section, checksum or bufio reader around flate.
+// miss builds no zip.File or name string per entry, and each entry
+// inflates straight into its arena slice (inflate.go).
 //
 // The accept set is archive/zip's with shapes taken out, never added: what
 // this reader accepts, archive/zip reads as the same entries with the same
@@ -12,13 +12,11 @@ package apk
 // archive/zip accepts.
 
 import (
-	"bytes"
-	"compress/flate"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"apichecker/internal/wire"
 )
@@ -291,43 +289,25 @@ func (e *entry) locate(data []byte, name string) (uint64, error) {
 	return e.offset + uint64(r.Off()), nil
 }
 
-// inflater is a pooled flate reader and the bytes.Reader it reads, which
-// is an io.ByteReader, so flate wraps it in no bufio.
-type inflater struct {
-	src   bytes.Reader
-	flate io.ReadCloser
-	probe [1]byte
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
 // read decompresses the entry into dst, which the caller sized from the
 // declared length. A stream shorter or longer than declared, or one whose
 // CRC-32 is not the directory's, is a corrupt archive: the declared size
-// drove the allocation, so a mismatch means the directory lies.
+// drove the allocation, so a mismatch means the directory lies. Output
+// that fills dst before the stream fails counts as longer, as it did when
+// flate's reader was read to dst and probed for one byte more.
 func (e *entry) read(name string, dst []byte) error {
-	in := inflaters.Get().(*inflater)
-	defer func() {
-		in.src.Reset(nil) // a pooled reader must not keep an upload alive
-		inflaters.Put(in)
-	}()
-	in.src.Reset(e.body)
-	var rd io.Reader = &in.src
+	n, err := len(e.body), error(nil)
 	if e.method == methodDeflate {
-		if in.flate == nil {
-			in.flate = flate.NewReader(&in.src)
-		} else if err := in.flate.(flate.Resetter).Reset(&in.src, nil); err != nil {
-			return err
-		}
-		rd = in.flate
+		n, err = inflate(dst, e.body)
+	} else {
+		copy(dst, e.body)
 	}
-	if _, err := io.ReadFull(rd, dst); err != nil {
-		return fmt.Errorf("entry %s shorter than declared %d bytes: %w", name, len(dst), err)
-	}
-	if n, err := rd.Read(in.probe[:]); n != 0 || (err != nil && err != io.EOF) {
+	switch {
+	case err == errOverrun || n > len(dst) || err != nil && n == len(dst):
 		return fmt.Errorf("entry %s longer than declared %d bytes", name, len(dst))
-	}
-	if crc32.ChecksumIEEE(dst) != e.crc {
+	case err != nil || n < len(dst):
+		return fmt.Errorf("entry %s shorter than declared %d bytes: %w", name, len(dst), cmp.Or(err, io.ErrUnexpectedEOF))
+	case crc32.ChecksumIEEE(dst) != e.crc:
 		return fmt.Errorf("entry %s fails its CRC-32", name)
 	}
 	return nil
