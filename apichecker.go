@@ -104,7 +104,7 @@ type (
 	// Verdict is the outcome of vetting one submission.
 	Verdict = core.Verdict
 	// Submission is one vetting request for Checker.Vet; exactly one of
-	// Raw, Parsed, or Program must be set.
+	// Raw or Program must be set.
 	Submission = core.Submission
 
 	// VetService is the always-on submission-vetting service: a bounded
@@ -336,7 +336,7 @@ var (
 	// ErrBadAPK: the submitted archive failed to parse.
 	ErrBadAPK = apk.ErrBadAPK
 	// ErrBadSubmission: the Submission payload is not exactly one of
-	// Raw/Parsed/Program, or its decoded program names ids the
+	// Raw/Program, or its decoded program names ids the
 	// deployment's universe does not have.
 	ErrBadSubmission = core.ErrBadSubmission
 	// ErrQueueFull: the vetting service's bounded queue rejected the

@@ -63,6 +63,12 @@ func TestArchitecture(t *testing.T) {
 			source(in("internal/pipeline"), declares("VetContext.Spans")), "internal/pipeline/p.go: package pipeline; type VetContext struct { Spans []int }"},
 		{"core-generation", "internal/core declares its own generation record (the serving generation is a pipeline.ModelGen)",
 			source(in("internal/core"), declares("generation")), "internal/core/p.go: package core; type generation struct{}"},
+		{"submission-payloads", "internal/pipeline declares a parsed-APK payload or view again (a submission is a raw archive or a program; decode leaves vc.Manifest and vc.Program)",
+			source(in("internal/pipeline"), declares("Submission.Parsed", "VetContext.Parsed")), "internal/pipeline/p.go: package pipeline; type VetContext struct { Parsed *int }"},
+		{"hook-callbacks", "internal/hook declares a callback table or internal/emulator hands out its profile or registry again (a registry is immutable once NewRegistry returns; hardening is Profile.Hardened)",
+			source(in("internal/hook", "internal/emulator"), declares("Registry.OnInvoke", "Callback", "Invocation.Tampered", "Emulator.Profile", "Emulator.Registry")), "internal/hook/p.go: package hook; func (r *Registry) OnInvoke() {}"},
+		{"one-sgd-loop", "internal/ml declares LogRegConfig again (LogReg trains through TrainLinear under a LinearConfig)",
+			source(in("internal/ml"), declares("LogRegConfig")), "internal/ml/p.go: package ml; type LogRegConfig struct{}"},
 		{"second-config", "a second config or a service event mirror is back (bind flags into each layer's Config; attach an obs sink to svc.Obs())",
 			source(scope{}, declares("ServeConfig", "EventType"), ident("OnEvent"), sel("apichecker/internal/vetsvc", "DefaultConfig")), `cmd/tmarket/p.go: package main; import svc "apichecker/internal/vetsvc"; var c = svc.DefaultConfig`},
 		{"vetsvc-default-config", "vetsvc declares a DefaultConfig again (the zero Config is the production deployment)",

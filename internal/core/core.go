@@ -387,7 +387,7 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 		ck.cache = vcache.NewObserved[[]byte](cfg.VerdictCache, ck.obs)
 		ck.cache.SetSizeOf(func(e []byte) int { return len(e) })
 	}
-	g, err := ck.newGeneration(parts, 1, ck.cacheEpoch())
+	g, err := newGeneration(parts, cfg.ModelConfig, 1, ck.cacheEpoch())
 	if err != nil {
 		return nil, err
 	}
@@ -409,26 +409,26 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	return ck, nil
 }
 
-// newGeneration assembles an immutable generation from trained parts, with
-// the emulation engine over a hook registry for the selected keys. epoch is
-// the verdict-cache epoch the generation will serve under (for a swap, the
-// epoch after the pending bump).
-func (ck *Checker) newGeneration(parts ModelParts, id, epoch uint64) (*pipeline.ModelGen, error) {
+// newGeneration assembles an immutable generation from trained parts under
+// cfg, with the emulation engine over a hook registry for the selected
+// keys. epoch is the verdict-cache epoch the generation will serve under
+// (for a swap, the epoch after the pending bump).
+func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeline.ModelGen, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Extractor == nil || parts.Model == nil {
 		return nil, fmt.Errorf("core: incomplete model parts")
+	}
+	lo, hi := cfg.triageBand()
+	if err := checkTriageBand(lo, hi); err != nil {
+		return nil, err
 	}
 	reg, err := hook.NewRegistry(parts.Universe, parts.Selection.Keys)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	emu := emulator.New(ck.cfg.Profile, reg)
-	trees := ck.cfg.Forest.Trees
+	emu := emulator.New(cfg.Profile, reg)
+	trees := cfg.Forest.Trees
 	if trees <= 0 {
-		trees = ml.DefaultForestConfig(ck.cfg.Seed).Trees
-	}
-	lo, hi := ck.cfg.triageBand()
-	if err := checkTriageBand(lo, hi); err != nil {
-		return nil, err
+		trees = ml.DefaultForestConfig(cfg.Seed).Trees
 	}
 	g := &pipeline.ModelGen{
 		ID:        id,
@@ -476,6 +476,25 @@ func (ck *Checker) cacheEpoch() uint64 {
 func (ck *Checker) SwapModel(parts ModelParts) (GenerationInfo, error) {
 	ck.swapMu.Lock()
 	defer ck.swapMu.Unlock()
+	return ck.swap(parts, ck.cfg.ModelConfig)
+}
+
+// SwapModelBand is SwapModel for parts that carry their own tier-1 band (a
+// model artifact's): the parts and the band install in the same swap, so
+// no vet runs the generation under another band, and the serving model
+// config snapshots back to the artifact the parts came from. The zero band
+// turns the tier off, as in ModelConfig.
+func (ck *Checker) SwapModelBand(parts ModelParts, lo, hi float64) (GenerationInfo, error) {
+	ck.swapMu.Lock()
+	defer ck.swapMu.Unlock()
+	cfg := ck.cfg.ModelConfig
+	cfg.TriageLo, cfg.TriageHi = lo, hi
+	return ck.swap(parts, cfg)
+}
+
+// swap publishes parts as the next generation under cfg, which becomes the
+// checker's model config. The caller holds swapMu.
+func (ck *Checker) swap(parts ModelParts, cfg ModelConfig) (GenerationInfo, error) {
 	old := ck.gen.Load()
 	// The new generation serves under the post-bump epoch. Publishing the
 	// generation before bumping means a vet that pins it pre-bump computes
@@ -485,10 +504,11 @@ func (ck *Checker) SwapModel(parts ModelParts) (GenerationInfo, error) {
 	if ck.cache != nil {
 		epoch++
 	}
-	g, err := ck.newGeneration(parts, old.ID+1, epoch)
+	g, err := newGeneration(parts, cfg, old.ID+1, epoch)
 	if err != nil {
 		return GenerationInfo{}, err
 	}
+	ck.cfg.ModelConfig = cfg
 	ck.gen.Store(g)
 	ck.InvalidateVerdicts()
 	// The on-disk tier invalidates with the in-memory one: re-key the log
@@ -557,13 +577,7 @@ func (ck *Checker) SetTriageBand(lo, hi float64) (GenerationInfo, error) {
 	if lo == 0 && hi == 0 {
 		lo, hi = 0, 1
 	}
-	if err := checkTriageBand(lo, hi); err != nil {
-		return GenerationInfo{}, err
-	}
-	ck.swapMu.Lock()
-	ck.cfg.TriageLo, ck.cfg.TriageHi = lo, hi
-	ck.swapMu.Unlock()
-	return ck.SwapModel(ck.Parts())
+	return ck.SwapModelBand(ck.Parts(), lo, hi)
 }
 
 // Obs returns the checker's observability collector: per-stage spans and

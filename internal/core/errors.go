@@ -8,8 +8,8 @@ import "apichecker/internal/pipeline"
 // errors.Is instead of matching error strings.
 var (
 	// ErrBadSubmission marks a Submission refused at admission: not exactly
-	// one payload (raw bytes, parsed APK, or behaviour program), or a
-	// decoded program naming ids outside the deployment's universe.
+	// one payload (raw bytes or a behaviour program), or a decoded program
+	// naming ids outside the deployment's universe.
 	ErrBadSubmission = pipeline.ErrBadSubmission
 
 	// ErrDeadlineExceeded marks a vet abandoned because its per-submission

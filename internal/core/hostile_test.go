@@ -16,7 +16,6 @@ import (
 	"apichecker/internal/behavior"
 	"apichecker/internal/framework"
 	"apichecker/internal/pipeline"
-	"apichecker/internal/staticanalysis"
 )
 
 // swapBehaviorBlob re-zips the archive around a different assets/behavior.bin.
@@ -114,8 +113,7 @@ func TestVetRejectsIDsOutsideTheUniverse(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		raw := swapBehaviorBlob(t, archive, blob)
-		parsed, err := apk.Parse(raw)
-		if err != nil {
+		if _, err := apk.Parse(raw); err != nil {
 			t.Fatalf("%s: the archive is not well-formed: %v", name, err)
 		}
 		if _, err := ck.Vet(context.Background(), Submission{Raw: raw}); !errors.Is(err, apk.ErrBadAPK) {
@@ -123,9 +121,6 @@ func TestVetRejectsIDsOutsideTheUniverse(t *testing.T) {
 		}
 		if _, _, err := ck.VetRun(context.Background(), Submission{Raw: raw}); !errors.Is(err, apk.ErrBadAPK) {
 			t.Errorf("%s: VetRun(Raw) = %v, want ErrBadAPK", name, err)
-		}
-		if _, err := ck.Vet(context.Background(), Submission{Parsed: parsed}); !errors.Is(err, ErrBadSubmission) {
-			t.Errorf("%s: Vet(Parsed) = %v, want ErrBadSubmission", name, err)
 		}
 		if _, err := ck.Vet(context.Background(), Submission{Program: p}); !errors.Is(err, ErrBadSubmission) {
 			t.Errorf("%s: Vet(Program) = %v, want ErrBadSubmission", name, err)
@@ -222,10 +217,9 @@ func TestHostileDexDirectoryRecordOnVetPath(t *testing.T) {
 	}
 }
 
-// TestHostileVetPathNeverDecodesTheDex: Decode assembles the vet-path view
-// — the manifest triage decoded, the behaviour blob, no dex — from the one
-// handle on the context, and a static analyser handed that view refuses it
-// with an error rather than dereferencing the missing dex.
+// TestHostileVetPathNeverDecodesTheDex: decode takes the vet-path view —
+// the manifest triage decoded and the behaviour blob, no dex — from the one
+// handle on the context, and a tier-1 answer decodes nothing.
 func TestHostileVetPathNeverDecodesTheDex(t *testing.T) {
 	tiered, _, corpus := tieredAndFlat(t, 120)
 	for i := 0; i < 40; i++ {
@@ -239,29 +233,22 @@ func TestHostileVetPathNeverDecodesTheDex(t *testing.T) {
 			t.Fatal(err)
 		}
 		if vc.Verdict.Tier != 2 {
-			if vc.Parsed != nil {
+			if vc.Program != nil {
 				t.Errorf("app %d: a tier-1 answer decoded the archive", i)
 			}
 			pipeline.ReleaseContext(vc)
 			continue
 		}
 		// An in-band submission: triage opened the handle, decode reused it.
-		if vc.Parsed == nil || vc.Parsed.Dex != nil {
-			t.Fatalf("app %d: vet-path view %+v, want a parsed APK without a dex", i, vc.Parsed)
-		}
-		if m, err := vc.Archive.Manifest(); err != nil || m != vc.Parsed.Manifest || m != vc.Manifest {
+		if m, err := vc.Archive.Manifest(); err != nil || m != vc.Manifest {
 			t.Errorf("app %d: decode did not take the manifest triage decoded", i)
 		}
 		full, err := apk.Parse(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full.Dex = nil
-		if !reflect.DeepEqual(vc.Parsed, full) {
-			t.Errorf("app %d: vet-path view differs from Parse beyond the dex:\n%+v\n%+v", i, vc.Parsed, full)
-		}
-		if _, err := staticanalysis.Analyze(vc.Parsed, testU); err == nil {
-			t.Errorf("app %d: staticanalysis.Analyze accepted an APK without a dex", i)
+		if !reflect.DeepEqual(vc.Manifest, full.Manifest) || !reflect.DeepEqual(vc.Program, full.Program) {
+			t.Errorf("app %d: vet-path view differs from Parse:\n%+v %+v\n%+v %+v", i, vc.Manifest, vc.Program, full.Manifest, full.Program)
 		}
 		pipeline.ReleaseContext(vc)
 		return

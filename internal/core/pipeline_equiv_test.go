@@ -13,7 +13,6 @@ import (
 	"apichecker/internal/dataset"
 	"apichecker/internal/emulator"
 	"apichecker/internal/hook"
-	"apichecker/internal/manifest"
 	"apichecker/internal/ml"
 	"apichecker/internal/monkey"
 	"apichecker/internal/pipeline"
@@ -70,20 +69,13 @@ func legacyVet(t *testing.T, ck *Checker, sub Submission) *Verdict {
 	}
 
 	p := sub.Program
-	var man *manifest.Manifest
-	if sub.Parsed != nil {
-		p = sub.Parsed.Program
-		man = sub.Parsed.Manifest
-	}
 	res, err := emulator.New(cfg.Profile, reg).Run(p, mkc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man == nil {
-		man, err = p.Manifest(ck.Universe())
-		if err != nil {
-			t.Fatal(err)
-		}
+	man, err := p.Manifest(ck.Universe())
+	if err != nil {
+		t.Fatal(err)
 	}
 	x, err := ck.Extractor().Vector(res.Log, man)
 	if err != nil {
@@ -112,7 +104,7 @@ func legacyVerdict(ck *Checker, pkg string, version int, dig string, res *emulat
 }
 
 // TestPipelineMatchesLegacyVet is the refactor's equivalence proof: for
-// every payload form (raw archive, parsed APK, bare program), with the
+// every payload form (raw archive, bare program), with the
 // verdict cache enabled and disabled, the staged pipeline's verdict is
 // bit-identical to an independent replica of the monolithic path it
 // replaced — and with the cache on, the cached re-answer is too.
@@ -129,7 +121,7 @@ func TestPipelineMatchesLegacyVet(t *testing.T) {
 			cfg.VerdictCache = tc.cache
 			ck, corpus := trainedCheckerCfg(t, 120, cfg)
 			p := corpus.Program(5)
-			raw, parsed, err := apk.BuildAndParse(p, testU)
+			raw, err := apk.Build(p, testU)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +131,6 @@ func TestPipelineMatchesLegacyVet(t *testing.T) {
 				s    Submission
 			}{
 				{"raw", Submission{Raw: raw}},
-				{"parsed", Submission{Parsed: parsed}},
 				{"program", Submission{Program: corpus.Program(7)}},
 			} {
 				got, err := ck.Vet(context.Background(), sub.s)

@@ -46,7 +46,7 @@ func TestTriageTrivialBandBitIdentical(t *testing.T) {
 	flat, _ := trainedCheckerCfg(t, 120, DefaultConfig())
 
 	p := corpus.Program(3)
-	raw, parsed, err := apk.BuildAndParse(p, testU)
+	raw, err := apk.Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,6 @@ func TestTriageTrivialBandBitIdentical(t *testing.T) {
 		s    Submission
 	}{
 		{"raw", Submission{Raw: raw}},
-		{"parsed", Submission{Parsed: parsed}},
 		{"program", Submission{Program: corpus.Program(8)}},
 	} {
 		got, err := trivial.Vet(context.Background(), sub.s)
@@ -166,11 +165,10 @@ func TestTriageShortCircuitAndBandEquivalence(t *testing.T) {
 		t.Errorf("tier-1 resubmit paid %d emulations", runs)
 	}
 
-	// The same archive short-circuits identically as raw bytes and as a
-	// parsed APK (same manifest, same probability, same tier) — and the
-	// parsed resubmission is a cache hit on the raw submission's digest.
+	// The same app short-circuits as a raw archive too, keyed on the
+	// archive's digest and named by its manifest.
 	p := corpus.Program(firstTier1)
-	raw, parsed, err := apk.BuildAndParse(p, testU)
+	raw, err := apk.Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +176,8 @@ func TestTriageShortCircuitAndBandEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rawV.Tier != 1 || rawV.Digest != parsed.SHA256 || rawV.Package != p.PackageName {
+	if rawV.Tier != 1 || rawV.Digest != apk.Digest(raw) || rawV.Package != p.PackageName {
 		t.Errorf("raw tier-1 verdict: %+v", rawV)
-	}
-	parsedV, out, err := tiered.VetOutcome(context.Background(), Submission{Parsed: parsed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Served() || !reflect.DeepEqual(parsedV, rawV) {
-		t.Errorf("parsed resubmission of raw archive: outcome %v\n got  %+v\n want %+v", out, parsedV, rawV)
 	}
 }
 

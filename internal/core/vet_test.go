@@ -13,14 +13,13 @@ import (
 func TestSubmissionValidate(t *testing.T) {
 	_, corpus := trainedChecker(t, 120)
 	p := corpus.Program(0)
-	raw, parsed, err := apk.BuildAndParse(p, testU)
+	raw, err := apk.Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	good := []Submission{
 		{Raw: raw},
-		{Parsed: parsed},
 		{Program: p},
 		{Program: p, Seq: 7},
 	}
@@ -33,9 +32,6 @@ func TestSubmissionValidate(t *testing.T) {
 	bad := []Submission{
 		{},
 		{Raw: raw, Program: p},
-		{Raw: raw, Parsed: parsed},
-		{Parsed: parsed, Program: p},
-		{Raw: raw, Parsed: parsed, Program: p},
 	}
 	for i, sub := range bad {
 		if err := sub.Validate(); !errors.Is(err, ErrBadSubmission) {
@@ -86,7 +82,7 @@ func TestSubmissionPayloadsMatchVet(t *testing.T) {
 		t.Errorf("Vet diverged across checkers with pinned Seq")
 	}
 
-	raw, parsed, err := apk.BuildAndParse(p, testU)
+	raw, err := apk.Build(p, testU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +96,6 @@ func TestSubmissionPayloadsMatchVet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vr, vp) {
 		t.Errorf("Raw-payload Vet diverged across fresh checkers")
-	}
-	// A parsed submission carries the archive metadata (digest, version)
-	// without paying the unpack again.
-	vd, err := ckA.Vet(context.Background(), Submission{Parsed: parsed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vd.Digest != vr.Digest || vd.Package != vr.Package {
-		t.Errorf("parsed vet identity = %q/%q, want %q/%q",
-			vd.Package, vd.Digest, vr.Package, vr.Digest)
 	}
 }
 

@@ -194,21 +194,21 @@ func TestVetRunFeedsCache(t *testing.T) {
 	}
 }
 
-// TestDigestAgreesAcrossPayloadForms: one app's Raw, Parsed and Program
-// submissions share a digest exactly when their canonical bytes agree —
-// Raw and Parsed key on the archive, so they collide with each other.
+// TestDigestAgreesAcrossPayloadForms: one app's Raw and Program
+// submissions share a digest exactly when their canonical bytes agree — a
+// raw archive keys on its bytes, a program on its behaviour encoding.
 func TestDigestAgreesAcrossPayloadForms(t *testing.T) {
 	ck, corpus := trainedChecker(t, 300)
 	p := corpus.Program(3)
-	data, parsed, err := apk.BuildAndParse(p, ck.Universe())
+	data, err := apk.Build(p, ck.Universe())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	raw := Submission{Raw: data}
-	par := Submission{Parsed: parsed}
-	if raw.ContentDigest() == "" || raw.ContentDigest() != par.ContentDigest() {
-		t.Fatalf("raw digest %q != parsed digest %q", raw.ContentDigest(), par.ContentDigest())
+	again := Submission{Raw: data}
+	if raw.ContentDigest() == "" || raw.ContentDigest() != apk.Digest(data) {
+		t.Fatalf("raw digest %q, want the archive's %q", raw.ContentDigest(), apk.Digest(data))
 	}
 	prog := Submission{Program: p}
 	if prog.ContentDigest() == "" {
@@ -218,21 +218,21 @@ func TestDigestAgreesAcrossPayloadForms(t *testing.T) {
 		t.Fatal("program digest (behaviour encoding) should differ from archive digest")
 	}
 
-	// A Parsed submission of the same archive is a cache hit after Raw.
+	// A second submission of the same archive is a cache hit.
 	runs0 := emulator.RunCount()
 	v1, _, err := ck.VetOutcome(context.Background(), raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, out, err := ck.VetOutcome(context.Background(), par)
+	v2, out, err := ck.VetOutcome(context.Background(), again)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != vcache.OutcomeHit {
-		t.Fatalf("parsed-after-raw outcome = %v, want hit", out)
+		t.Fatalf("resubmitted archive outcome = %v, want hit", out)
 	}
 	if *v1 != *v2 {
-		t.Fatalf("verdicts differ across payload forms: %+v vs %+v", *v1, *v2)
+		t.Fatalf("verdicts differ across the miss and the hit: %+v vs %+v", *v1, *v2)
 	}
 	if runs := emulator.RunCount() - runs0; runs != 1 {
 		t.Fatalf("emulation runs = %d, want 1", runs)

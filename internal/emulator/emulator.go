@@ -28,44 +28,20 @@ type Emulator struct {
 	profile Profile
 	reg     *hook.Registry
 
-	// fallback is the pre-built engine incompatible apps re-run on.
-	// Building it once at construction keeps Run free of registry
-	// mutation (hardening installs callbacks), so emulations can fan out
-	// over parallel lanes safely.
+	// fallback is the pre-built engine incompatible apps re-run on, so Run
+	// builds nothing per app.
 	fallback *Emulator
 }
 
-// New builds an emulator. When the profile is hardened, anti-detection
-// tampering callbacks are installed on the identity-revealing APIs the
-// registry happens to track (§4.2's fourth improvement).
+// New builds an emulator. A hardened profile (§4.2) defeats the app's
+// detection probes (failedProbes); the registry is only read.
 func New(profile Profile, reg *hook.Registry) *Emulator {
 	e := &Emulator{profile: profile, reg: reg}
 	if profile.CompatRisk && profile.Fallback != nil {
 		e.fallback = New(*profile.Fallback, reg)
 	}
-	if profile.Hardened {
-		u := reg.Universe()
-		for _, name := range []string{
-			"android.content.pm.PackageManager.getInstalledApplications",
-			"android.content.pm.PackageManager.getInstalledPackages",
-			"android.telephony.TelephonyManager.getDeviceId",
-			"android.net.wifi.WifiInfo.getMacAddress",
-		} {
-			if id, ok := u.LookupAPI(name); ok && reg.Tracks(id) {
-				// Installing on our own registry cannot fail for
-				// a tracked id.
-				_ = reg.OnInvoke(id, func(inv *hook.Invocation) { inv.Tampered = true })
-			}
-		}
-	}
 	return e
 }
-
-// Profile returns the emulator's profile.
-func (e *Emulator) Profile() Profile { return e.profile }
-
-// Registry returns the hook registry in use.
-func (e *Emulator) Registry() *hook.Registry { return e.reg }
 
 // Result is the outcome of emulating one app.
 type Result struct {

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -252,28 +253,38 @@ func TestVirtualTimeNearPaperBase(t *testing.T) {
 	}
 }
 
-func TestHardenedTampersIdentityAPIs(t *testing.T) {
+// TestHardenedEngineLeavesSharedRegistryAlone: building a hardened engine
+// on a registry must not change what another engine on the same registry
+// records — the Authenticity experiment runs its stock, hardened and device
+// engines over one registry.
+func TestHardenedEngineLeavesSharedRegistryAlone(t *testing.T) {
 	id, ok := testU.LookupAPI("android.net.wifi.WifiInfo.getMacAddress")
 	if !ok {
 		t.Fatal("anchor API missing")
 	}
 	reg := hook.MustNewRegistry(testU, []framework.APIID{id})
-	e := New(GoogleEmulator, reg)
-	// Find a program invoking the API.
+	stock := New(StockGoogleEmulator, reg)
 	for seed := int64(0); seed < 500; seed++ {
 		p := prog(seed, behavior.Malicious, behavior.FamilySpyware)
-		res, err := e.Run(p, mk(seed))
+		before, err := stock.Run(p, mk(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inv := res.Log.Invocation(id); inv != nil {
-			if !inv.Tampered {
-				t.Error("identity API result not tampered on hardened engine")
-			}
-			return
+		if before.Log.Invocation(id) == nil {
+			continue
 		}
+		New(GoogleEmulator, reg)
+		after, err := stock.Run(p, mk(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before.Log, after.Log) {
+			t.Errorf("seed %d: the stock engine's log changed once a hardened engine shared its registry:\n%+v\n%+v",
+				seed, before.Log.Invocation(id), after.Log.Invocation(id))
+		}
+		return
 	}
-	t.Skip("no program invoked the anchor API")
+	t.Fatal("no program invoked the anchor API")
 }
 
 func TestRunRejectsInvalidInputs(t *testing.T) {

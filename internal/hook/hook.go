@@ -1,8 +1,6 @@
 // Package hook is the API-interception engine, our stand-in for the Xposed
 // framework (§4.2): it intercepts a configured set of framework APIs before
-// they run, records their names and parameters, and lets callers install
-// callbacks that tamper with return values (the emulator's anti-detection
-// hardening uses this to fake device identity and hide hooking artifacts).
+// they run and records their names and parameters.
 //
 // Interception has a real cost: every intercepted invocation pays a fixed
 // overhead, which is why the size and heat of the tracked set dominates
@@ -11,9 +9,9 @@
 //
 // Observe is the hottest call in the simulator — the §4.3 measurement pass
 // intercepts every invocation of every app in the corpus — so the tracked
-// set and callback presence are dense per-API bytes rather than map
-// lookups, and per-run records live in an append-only arena indexed by a
-// pooled dense table that Seal returns once the run is over.
+// set is a dense per-API byte table rather than a map lookup, and per-run
+// records live in an append-only arena indexed by a pooled dense table that
+// Seal returns once the run is over.
 package hook
 
 import (
@@ -26,41 +24,27 @@ import (
 	"apichecker/internal/framework"
 )
 
-// Per-API state bits in Registry.state.
-const (
-	trackedBit  = 1 << 0
-	callbackBit = 1 << 1
-)
+// trackedBit marks an intercepted API in Registry.state.
+const trackedBit = 1 << 0
 
-// Registry is the set of APIs to intercept plus installed callbacks. Build
-// once per tracked-set configuration; safe for concurrent readers. OnInvoke
-// mutates the registry and must not race with running emulations — install
-// callbacks at construction time.
+// Registry is the set of APIs to intercept. It is immutable once
+// NewRegistry returns, so any number of engines and concurrent emulations
+// may share one.
 type Registry struct {
 	universe *framework.Universe
 	list     []framework.APIID
 
-	// state is indexed by APIID: trackedBit marks interception,
-	// callbackBit marks an installed callback.
+	// state is indexed by APIID: trackedBit marks interception.
 	state []uint8
-
-	// callbacks run when a tracked API is invoked; used by the
-	// hardening layer to tamper with returns (e.g. hiding Xposed from
-	// PackageManager.getInstalledApplications).
-	callbacks map[framework.APIID]Callback
 }
-
-// Callback observes one intercepted invocation and may rewrite its result.
-type Callback func(inv *Invocation)
 
 // NewRegistry builds a registry tracking the given APIs. Hidden APIs cannot
 // be hooked by name (they are not part of the public SDK surface) and are
 // rejected.
 func NewRegistry(u *framework.Universe, apis []framework.APIID) (*Registry, error) {
 	r := &Registry{
-		universe:  u,
-		state:     make([]uint8, u.NumAPIs()),
-		callbacks: make(map[framework.APIID]Callback),
+		universe: u,
+		state:    make([]uint8, u.NumAPIs()),
 	}
 	for _, id := range apis {
 		if id < 0 || int(id) >= u.NumAPIs() {
@@ -98,20 +82,6 @@ func (r *Registry) Size() int { return len(r.list) }
 // TrackedAPIs returns the sorted tracked set. Callers must not modify it.
 func (r *Registry) TrackedAPIs() []framework.APIID { return r.list }
 
-// Universe returns the registry's universe.
-func (r *Registry) Universe() *framework.Universe { return r.universe }
-
-// OnInvoke installs a callback for a tracked API. Installing on an
-// untracked API is an error: Xposed only sees methods it hooked.
-func (r *Registry) OnInvoke(id framework.APIID, cb Callback) error {
-	if !r.Tracks(id) {
-		return fmt.Errorf("hook: OnInvoke on untracked API %d", id)
-	}
-	r.callbacks[id] = cb
-	r.state[id] |= callbackBit
-	return nil
-}
-
 // ParamKind says which shape of parameter an interception sampled.
 type ParamKind uint8
 
@@ -143,11 +113,7 @@ type Invocation struct {
 	API   framework.APIID
 
 	nparams uint8
-
-	// Tampered marks invocations whose results a callback rewrote.
-	Tampered bool
-
-	params [maxParams]Param
+	params  [maxParams]Param
 }
 
 // Log collects everything one emulation run observes.
@@ -330,9 +296,6 @@ func (l *Log) Observe(id framework.APIID, count uint64, params ...Param) {
 			inv.params[inv.nparams] = p
 			inv.nparams++
 		}
-	}
-	if state[id]&callbackBit != 0 {
-		l.registry.callbacks[id](inv)
 	}
 }
 

@@ -158,30 +158,6 @@ func TestObserveAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
-func TestCallbacks(t *testing.T) {
-	ids := someVisible(2)
-	r := MustNewRegistry(testU, ids[:1])
-	called := 0
-	if err := r.OnInvoke(ids[0], func(inv *Invocation) {
-		called++
-		inv.Tampered = true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.OnInvoke(ids[1], func(*Invocation) {}); err == nil {
-		t.Error("OnInvoke accepted untracked API")
-	}
-	l := NewLog(r)
-	l.Observe(ids[0], 3)
-	l.Observe(ids[0], 2)
-	if called != 2 {
-		t.Errorf("callback called %d times, want 2", called)
-	}
-	if !l.Invocation(ids[0]).Tampered {
-		t.Error("callback tampering lost")
-	}
-}
-
 func TestObserveIntent(t *testing.T) {
 	r := MustNewRegistry(testU, nil)
 	l := NewLog(r)

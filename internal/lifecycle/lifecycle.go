@@ -179,39 +179,16 @@ func ColdStart(reg *modelstore.Registry) (*core.Checker, modelstore.Manifest, er
 // AdoptArtifact hot-swaps an artifact's generation into a running
 // checker — the worker-node half of generation propagation: a node that
 // learns (from a claim response) that its coordinator serves a newer
-// generation pulls the artifact and adopts it through the same SwapModel
-// path a local promotion takes. The triage band rides the artifact's
-// model config, so a band change propagates with the generation it
-// shipped under; adopting a changed band republishes once more via
-// SetTriageBand, advancing the node's local generation counter twice —
-// harmless, since verdict identity derives from content and the model
-// digest, not the local swap count.
+// generation pulls the artifact and adopts it through the same swap a
+// rollback takes. The triage band rides the artifact's model config and
+// installs with its parts, so a band change propagates with the generation
+// it shipped under.
 func AdoptArtifact(ck *core.Checker, a *modelstore.Artifact) (core.GenerationInfo, error) {
 	parts, err := a.Parts()
 	if err != nil {
 		return core.GenerationInfo{}, err
 	}
-	gen, err := ck.SwapModel(parts)
-	if err != nil {
-		return core.GenerationInfo{}, err
-	}
-	cfg := ck.Config()
-	curLo, curHi := normBand(cfg.TriageLo, cfg.TriageHi)
-	artLo, artHi := normBand(a.Model.TriageLo, a.Model.TriageHi)
-	if curLo != artLo || curHi != artHi {
-		return ck.SetTriageBand(a.Model.TriageLo, a.Model.TriageHi)
-	}
-	return gen, nil
-}
-
-// normBand maps the zero band to the trivial [0, 1] band (the same
-// normalization SetTriageBand applies) so band equality compares
-// semantics, not spellings.
-func normBand(lo, hi float64) (float64, float64) {
-	if lo == 0 && hi == 0 {
-		return 0, 1
-	}
-	return lo, hi
+	return ck.SwapModelBand(parts, a.Model.TriageLo, a.Model.TriageHi)
 }
 
 // Evolve is one background-evolution round: split the refreshed corpus
@@ -306,9 +283,10 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 	return res, nil
 }
 
-// Rollback restores a prior generation from the registry: the artifact is
-// re-instantiated, hot-swapped into the serving path (bumping the verdict-
-// cache epoch exactly once, like any swap), and marked current.
+// Rollback restores a prior generation from the registry: the artifact's
+// parts and triage band are hot-swapped into the serving path together
+// (bumping the verdict-cache epoch exactly once, like any swap), and the
+// artifact is marked current.
 func (m *Manager) Rollback(digest string) (core.GenerationInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -322,7 +300,7 @@ func (m *Manager) Rollback(digest string) (core.GenerationInfo, error) {
 		return core.GenerationInfo{}, err
 	}
 	start := time.Now()
-	gen, err := m.ck.SwapModel(parts)
+	gen, err := m.ck.SwapModelBand(parts, a.Model.TriageLo, a.Model.TriageHi)
 	emitSpan(col, "lifecycle.rollback", time.Since(start), shortDigest(digest), err)
 	if err != nil {
 		return core.GenerationInfo{}, fmt.Errorf("lifecycle: rollback: %w", err)

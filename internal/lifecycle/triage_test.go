@@ -169,3 +169,52 @@ func TestTriageSurvivesLifecycle(t *testing.T) {
 		t.Fatalf("rollback tier split %d/%d, want the root's %d/%d", r1, r2, t1, t2)
 	}
 }
+
+// TestRollbackRestoresTheArtifactBand: a rollback installs the artifact's
+// triage band with its parts, whatever band was serving, so the checker
+// snapshots back to the digest it rolled back to; a node adopting the
+// artifact takes the band in the same single swap.
+func TestRollbackRestoresTheArtifactBand(t *testing.T) {
+	ck, _ := tieredChecker(t, 120)
+	reg, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ck, reg, GateConfig{})
+	root, err := m.Snapshot("tiered root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.SetTriageBand(0.2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := m.Rollback(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := ck.TriageBand(); lo != 0.05 || hi != 0.95 {
+		t.Errorf("rollback serves band [%v, %v], want the artifact's [0.05, 0.95]", lo, hi)
+	}
+	if gen.Digest != root {
+		t.Errorf("rollback generation digest %.12s, want %.12s", gen.Digest, root)
+	}
+	a, err := modelstore.Snapshot(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dig, err := a.Digest(); err != nil || dig != root {
+		t.Errorf("snapshot after rollback: digest %.12s (%v), want %.12s", dig, err, root)
+	}
+
+	// The node path: adopting the artifact under another band is one swap.
+	if _, err := ck.SetTriageBand(0.2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	before := ck.Generation().ID
+	if gen, err = AdoptArtifact(ck, a); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := ck.TriageBand(); lo != 0.05 || hi != 0.95 || gen.ID != before+1 {
+		t.Errorf("adopt: band [%v, %v] at generation %d, want [0.05, 0.95] at %d", lo, hi, gen.ID, before+1)
+	}
+}

@@ -74,7 +74,7 @@ func NewClassifier(kind ModelKind, seed int64) Classifier {
 	case ModelNaiveBayes:
 		return NewNaiveBayes()
 	case ModelLogReg:
-		return NewLogReg(LogRegConfig{Epochs: 30, LearningRate: 0.3, L2: 1e-5, Seed: seed})
+		return NewLogReg(LinearConfig{Epochs: 30, LearningRate: 0.3, L2: 1e-5, Seed: seed})
 	case ModelSVM:
 		return NewSVM(SVMConfig{C: 1.0, Epochs: 12, Seed: seed})
 	case ModelGBDT:

@@ -13,19 +13,18 @@ import (
 // Linear is the tier-1 triage scorer: a plain linear model over the
 // manifest-only (permission/intent) feature vector, per the SigPID line of
 // work — a small ranked permission set separates most of the distribution
-// at negligible cost. It is deliberately minimal compared to LogReg: bare
-// weights plus bias, deterministic byte-stable serialization, and no
-// training state, because it travels inside the content-addressed APKMODEL
-// artifact and hot-swaps with the serving generation.
+// at negligible cost. It is deliberately minimal: bare weights plus bias,
+// deterministic byte-stable serialization, and no training state, because
+// it travels inside the content-addressed APKMODEL artifact and hot-swaps
+// with the serving generation.
 type Linear struct {
 	W []float64
 	B float64
 }
 
 // LinearConfig configures TrainLinear's SGD loop (logistic loss, sparse
-// per-example updates, epoch-level L2 decay — the same discipline as
-// LogReg, kept separate so triage training can be tuned independently of
-// the Table 2 baselines).
+// per-example updates, epoch-level L2 decay): DefaultLinearConfig for the
+// triage scorer, NewClassifier's for Table 2's LogReg.
 type LinearConfig struct {
 	Epochs       int
 	LearningRate float64
@@ -84,7 +83,7 @@ func TrainLinear(d *Dataset, cfg LinearConfig) (*Linear, error) {
 }
 
 // Score returns the pre-sigmoid logit for x. Bits beyond the trained
-// dimensionality are ignored, mirroring LogReg.Score.
+// dimensionality are ignored.
 func (l *Linear) Score(x Vector) float64 {
 	s := l.B
 	x.ForEachSet(func(f int) {

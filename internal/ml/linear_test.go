@@ -120,7 +120,7 @@ func TestLinearBinaryCorrupt(t *testing.T) {
 }
 
 // TestLinearScoreIgnoresExtraBits: bits beyond the trained width do not
-// perturb the score (defensive symmetry with LogReg.Score).
+// perturb the score.
 func TestLinearScoreIgnoresExtraBits(t *testing.T) {
 	l := &Linear{W: []float64{1, 2}, B: 0}
 	x := NewVector(130)

@@ -1,94 +1,41 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
-// LogRegConfig configures logistic regression.
-type LogRegConfig struct {
-	Epochs       int
-	LearningRate float64
-	L2           float64
-	Seed         int64
-}
-
-// LogReg is L2-regularized logistic regression trained by SGD with sparse
-// per-example updates (touching only set bits) and an epoch-level weight
-// decay.
+// LogReg is Table 2's logistic-regression row: a Classifier around the
+// Linear model TrainLinear fits (L2-regularized logistic loss, SGD with
+// sparse per-example updates and an epoch-level weight decay).
 type LogReg struct {
-	cfg     LogRegConfig
-	trained bool
-	w       []float64
-	b       float64
+	cfg LinearConfig
+	m   *Linear
 }
 
 // NewLogReg returns an untrained logistic regression.
-func NewLogReg(cfg LogRegConfig) *LogReg { return &LogReg{cfg: cfg} }
+func NewLogReg(cfg LinearConfig) *LogReg { return &LogReg{cfg: cfg} }
 
 // Name implements Classifier.
 func (lr *LogReg) Name() string { return "Logistic Regression" }
 
 // Train implements Classifier.
 func (lr *LogReg) Train(d *Dataset) error {
-	if err := checkTrainable(d); err != nil {
+	m, err := TrainLinear(d, lr.cfg)
+	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(lr.cfg.Seed))
-	lr.w = make([]float64, d.NumFeatures)
-	lr.b = 0
-	n := d.Len()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	eta := lr.cfg.LearningRate
-	for epoch := 0; epoch < lr.cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, i := range order {
-			ex := &d.Examples[i]
-			p := sigmoid(lr.Score(ex.X))
-			y := 0.0
-			if ex.Y {
-				y = 1
-			}
-			g := eta * (y - p)
-			ex.X.ForEachSet(func(f int) { lr.w[f] += g })
-			lr.b += g
-		}
-		if lr.cfg.L2 > 0 {
-			decay := 1 - eta*lr.cfg.L2*float64(n)
-			if decay < 0 {
-				decay = 0
-			}
-			for f := range lr.w {
-				lr.w[f] *= decay
-			}
-		}
-		eta *= 0.95 // simple schedule
-	}
-	lr.trained = true
+	lr.m = m
 	return nil
 }
 
-// Score implements Scorer (pre-sigmoid logit).
+// Score implements Scorer (pre-sigmoid logit); 0 before Train.
 func (lr *LogReg) Score(x Vector) float64 {
-	s := lr.b
-	x.ForEachSet(func(f int) {
-		if f < len(lr.w) {
-			s += lr.w[f]
-		}
-	})
-	return s
+	if lr.m == nil {
+		return 0
+	}
+	return lr.m.Score(x)
 }
 
 // Predict implements Classifier.
-func (lr *LogReg) Predict(x Vector) bool {
-	if !lr.trained {
-		return false
-	}
-	return lr.Score(x) > 0
-}
+func (lr *LogReg) Predict(x Vector) bool { return lr.Score(x) > 0 }
 
 func sigmoid(z float64) float64 {
 	if z < -35 {

@@ -46,12 +46,11 @@ type VetContext struct {
 
 	// Stage products, populated left to right. Archive is a raw
 	// submission's opened handle: triage and decode share one directory
-	// walk and one decoded manifest through it. Parsed, for a raw
-	// submission, is the view decode assembles from it — Dex stays nil,
-	// nothing on the vet path reads code.
+	// walk and one decoded manifest through it. Program and Manifest are
+	// the decoded view every payload kind reaches; nothing on the vet path
+	// reads a dex.
 	Archive  *apk.Archive
 	Program  *behavior.Program
-	Parsed   *apk.APK
 	Manifest *manifest.Manifest
 	Run      *emulator.Result
 	Vector   ml.Vector
@@ -88,14 +87,11 @@ func (vc *VetContext) archive() (*apk.Archive, error) {
 }
 
 // PackageLabel names the submission for spans and error messages, best
-// effort: the parsed/decoded identity once decode has run, the
-// submission's own naming before that.
+// effort: the decoded identity once decode has run, the submission's own
+// naming before that.
 func (vc *VetContext) PackageLabel() string {
 	if vc.Program != nil {
 		return vc.Program.PackageName
-	}
-	if vc.Parsed != nil {
-		return vc.Parsed.PackageName()
 	}
 	return vc.Sub.PackageName()
 }

@@ -164,11 +164,7 @@ func (d *Deps) admit(vc *VetContext) error {
 	// pins the one it runs on later, inside the cache bracket. A
 	// deployment's universe only ever grows (framework.Evolve appends), so
 	// ids in range now are in range for that one too.
-	p := vc.Sub.Program
-	if vc.Sub.Parsed != nil {
-		p = vc.Sub.Parsed.Program
-	}
-	if p != nil {
+	if p := vc.Sub.Program; p != nil {
 		if err := checkIDs(p, d.Gen().Universe); err != nil {
 			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
 		}
@@ -339,10 +335,10 @@ func (d *Deps) triage(vc *VetContext) error {
 }
 
 // manifestOnly resolves the manifest view without paying the full decode:
-// raw archives open their handle and inflate the manifest entry alone,
-// parsed APKs already carry theirs, and behaviour programs derive it. The
-// handle and a derived manifest stay on the context, so a fall-through
-// decode neither walks the directory nor decodes the manifest twice.
+// raw archives open their handle and inflate the manifest entry alone, and
+// behaviour programs derive it. The handle and a derived manifest stay on
+// the context, so a fall-through decode neither walks the directory nor
+// decodes the manifest twice.
 func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	sub := vc.Sub
 	switch {
@@ -352,8 +348,6 @@ func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 			return nil, err
 		}
 		return a.Manifest()
-	case sub.Parsed != nil:
-		return sub.Parsed.Manifest, nil
 	default:
 		m, err := sub.Program.Manifest(vc.Gen.Universe)
 		if err != nil {
@@ -393,7 +387,7 @@ func (d *Deps) decode(vc *VetContext) error {
 		// The vet-path view of the archive: the manifest triage may already
 		// have decoded, and the behaviour blob the emulator runs. The dex
 		// was located and bounded by the directory walk and is never
-		// inflated — nothing downstream reads it — so Parsed.Dex stays nil.
+		// inflated — nothing downstream reads it.
 		a, err := vc.archive()
 		if err != nil {
 			return err
@@ -411,13 +405,7 @@ func (d *Deps) decode(vc *VetContext) error {
 		}
 		vc.Program = prog
 		vc.Manifest = man
-		vc.Parsed = &apk.APK{Manifest: man, Program: prog, SHA256: vc.Digest, Size: int64(len(sub.Raw))}
 		vc.Span(decodeBase+time.Duration(len(sub.Raw)/1024)*decodePerKiB, "raw")
-	case sub.Parsed != nil:
-		vc.Parsed = sub.Parsed
-		vc.Program = sub.Parsed.Program
-		vc.Manifest = sub.Parsed.Manifest
-		vc.Span(0, "parsed")
 	default:
 		vc.Program = sub.Program
 		if vc.Manifest == nil { // triage may have derived it already
@@ -488,11 +476,11 @@ func infer(vc *VetContext) error {
 	score := vc.Gen.Model.Score(vc.Vector)
 	p, res := vc.Program, vc.Run
 	pkg, version := p.PackageName, p.Version
-	if vc.Sub.Raw != nil && vc.Parsed != nil {
-		// Raw archives are identified by their parsed manifest, exactly as
+	if vc.Sub.Raw != nil {
+		// Raw archives are identified by their decoded manifest, exactly as
 		// the device sequence reported them before the pipeline split
 		// decode from emulation.
-		pkg, version = vc.Parsed.PackageName(), vc.Parsed.VersionCode()
+		pkg, version = vc.Manifest.Package, vc.Manifest.VersionCode
 	}
 	vc.Verdict = &Verdict{
 		Package:        pkg,

@@ -37,9 +37,9 @@ import (
 // errors.Is instead of matching error strings.
 var (
 	// ErrBadSubmission marks a Submission refused at admission: it does not
-	// carry exactly one payload (raw bytes, parsed APK, or behaviour
-	// program), or its already-decoded program names an API, intent or
-	// permission id the deployment's universe does not have.
+	// carry exactly one payload (raw bytes or a behaviour program), or its
+	// already-decoded program names an API, intent or permission id the
+	// deployment's universe does not have.
 	ErrBadSubmission = errors.New("bad submission")
 
 	// ErrDeadlineExceeded marks a vet abandoned because its per-submission
@@ -53,8 +53,7 @@ var (
 // carries exactly one payload:
 //
 //   - Raw: a serialized APK archive, decoded on the vet path and emulated
-//     like the other two (install → Monkey → hooked run, §4.2);
-//   - Parsed: an already-parsed APK (skips re-parsing the archive);
+//     like a program (install → Monkey → hooked run, §4.2);
 //   - Program: behaviour semantics directly (the market-simulation path,
 //     where building megabytes of zip per app would only slow things down).
 //
@@ -71,7 +70,6 @@ var (
 // payload bytes); leave it empty and ContentDigest derives it.
 type Submission struct {
 	Raw     []byte
-	Parsed  *apk.APK
 	Program *behavior.Program
 	Seq     int64
 	Digest  string
@@ -80,26 +78,15 @@ type Submission struct {
 // Validate checks the exactly-one-payload invariant; violations wrap
 // ErrBadSubmission.
 func (s Submission) Validate() error {
-	n := 0
-	if s.Raw != nil {
-		n++
-	}
-	if s.Parsed != nil {
-		n++
-	}
-	if s.Program != nil {
-		n++
-	}
-	if n != 1 {
-		return fmt.Errorf("core: %w: must carry exactly one of raw bytes, parsed APK, or program (got %d)", ErrBadSubmission, n)
+	if (s.Raw != nil) == (s.Program != nil) {
+		return fmt.Errorf("core: %w: must carry exactly one of raw bytes or program", ErrBadSubmission)
 	}
 	return nil
 }
 
 // ContentDigest returns the submission's content digest — the verdict-
 // cache key and Monkey-seed source: hex sha256 of the raw archive bytes
-// (Raw), the digest computed at parse time (Parsed), or the canonical
-// encoding of the behaviour program (Program). The result is memoized in
+// (Raw) or of the canonical encoding of the behaviour program (Program). The result is memoized in
 // Digest. Empty when the payload cannot be digested; such submissions
 // bypass the verdict cache.
 func (s *Submission) ContentDigest() string {
@@ -109,8 +96,6 @@ func (s *Submission) ContentDigest() string {
 	switch {
 	case s.Raw != nil:
 		s.Digest = apk.Digest(s.Raw)
-	case s.Parsed != nil:
-		s.Digest = s.Parsed.SHA256
 	case s.Program != nil:
 		// Program.ContentDigest memoizes on the shared Program, so a
 		// duplicate-heavy stream pays the encode once per unique app rather
@@ -125,14 +110,10 @@ func (s *Submission) ContentDigest() string {
 // PackageName names the submission for logs and error messages, best
 // effort (a raw archive is unnamed until parsed).
 func (s Submission) PackageName() string {
-	switch {
-	case s.Parsed != nil:
-		return s.Parsed.PackageName()
-	case s.Program != nil:
+	if s.Program != nil {
 		return s.Program.PackageName
-	default:
-		return "(raw archive)"
 	}
+	return "(raw archive)"
 }
 
 // Verdict is the outcome of vetting one submission.
@@ -140,9 +121,8 @@ type Verdict struct {
 	Package     string
 	VersionCode int
 
-	// Digest is the submission's content digest (hex SHA-256 of a raw or
-	// parsed archive's bytes, of the canonical encoding for a behaviour
-	// program): the app's identity, and the key the verdict is cached and
+	// Digest is the submission's content digest (hex SHA-256 of a raw
+	// archive's bytes, of the canonical encoding for a behaviour program): the app's identity, and the key the verdict is cached and
 	// journaled under. Empty only for a payload that cannot be digested.
 	Digest string
 

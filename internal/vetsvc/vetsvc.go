@@ -76,9 +76,9 @@ var (
 	ErrPoisoned = errors.New("vetsvc: submission dead-lettered")
 
 	// ErrRawOnly: the service runs in coordinator mode (DisableLocalLanes)
-	// and the submission carries no raw archive bytes — a parsed APK or
-	// behaviour program cannot ship to a remote worker node, so admission
-	// rejects it up front instead of queueing it forever.
+	// and the submission carries no raw archive bytes — a behaviour
+	// program cannot ship to a remote worker node, so admission rejects
+	// it up front instead of queueing it forever.
 	ErrRawOnly = errors.New("vetsvc: coordinator mode accepts only raw-archive submissions")
 )
 
@@ -103,9 +103,9 @@ type Config struct {
 	// enqueued-but-unacked submission on the next Open (crash-safe
 	// intake). A submission answered from the verdict cache at admission
 	// is never queued, so never journaled: its verdict is known before
-	// Submit returns. Submissions admitted as parsed APKs or behaviour
-	// programs are memory-only and do not survive a restart. Use Open (not
-	// New) with a QueueDir, so journal I/O errors surface.
+	// Submit returns. Submissions admitted as behaviour programs are
+	// memory-only and do not survive a restart. Use Open (not New) with a
+	// QueueDir, so journal I/O errors surface.
 	QueueDir string
 
 	// LeaseTTL, when positive, bounds how long a claimed submission may go
