@@ -191,7 +191,7 @@ type (
 	// content-addressed artifacts plus manifests plus a current pointer.
 	ModelRegistry = modelstore.Registry
 	// ModelArtifact is one deterministic, self-contained model encoding.
-	ModelArtifact = modelstore.Artifact
+	ModelArtifact = core.Artifact
 	// ModelManifest is a registry entry's provenance record.
 	ModelManifest = modelstore.Manifest
 	// ModelQuality is the shadow-evaluation scorecard stored with a
@@ -369,7 +369,7 @@ var (
 	// cold-start from.
 	ErrNoCurrentModel = modelstore.ErrNoCurrent
 	// ErrCorruptModel: a stored artifact or manifest failed validation.
-	ErrCorruptModel = modelstore.ErrCorruptArtifact
+	ErrCorruptModel = core.ErrCorruptArtifact
 )
 
 // NewUniverse generates a framework universe with numAPIs APIs. Use
@@ -485,15 +485,8 @@ func WriteObsMetrics(w io.Writer, namespace string, cols ...*ObsCollector) error
 // selection, forest and (when trained) the tier-1 triage model. The node
 // config stays behind.
 func ExportModel(ck *Checker, w io.Writer) error {
-	a, err := modelstore.Snapshot(ck)
-	if err != nil {
-		return err
-	}
-	data, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
+	_, data := ck.ArtifactBytes()
+	_, err := w.Write(data)
 	return err
 }
 
@@ -506,7 +499,7 @@ func ImportModel(r io.Reader) (*Checker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apichecker: import model: %w", err)
 	}
-	a, err := modelstore.Decode(data)
+	a, err := core.Decode(data)
 	if err != nil {
 		return nil, err
 	}

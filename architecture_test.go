@@ -45,8 +45,12 @@ func TestArchitecture(t *testing.T) {
 			source(in("internal/cluster"), imports("encoding/json")), `internal/cluster/p.go: package cluster; import "encoding/json"`},
 		{"coordinator-timeout", "coordinator.go builds a context.WithTimeout (pass the slice deadline to workqueue.ClaimWhere as until)",
 			source(in("internal/cluster/coordinator.go"), sel("context", "WithTimeout")), `internal/cluster/coordinator.go: package cluster; import c "context"; var f = c.WithTimeout`},
-		{"modelstore-reflect", "internal/modelstore imports reflect (the artifact codec is a field list on internal/wire)",
-			source(in("internal/modelstore"), imports("reflect")), `internal/modelstore/p.go: package modelstore; import "reflect"`},
+		{"modelstore-reflect", "internal/modelstore or internal/core imports reflect (the artifact codec is a field list on internal/wire)",
+			source(in("internal/modelstore", "internal/core"), imports("reflect")), `internal/core/p.go: package core; import "reflect"`},
+		{"model-identity", "internal/core declares ModelParts.Digest or Checker.SwapModelBand again (a generation's digest is its artifact bytes' sha256, computed in newGeneration; Adopt installs an artifact whole)",
+			source(in("internal/core"), declares("ModelParts.Digest", "Checker.SwapModelBand")), "internal/core/p.go: package core; type ModelParts struct { Digest string }"},
+		{"persist-export-key", "internal/core keys the persist log on an export: hash again (the key is model: and the generation's digest)",
+			source(in("internal/core"), literal("export:")), `internal/core/p.go: package core; const k = "export:"`},
 		{"artifact-tag", "non-test code carries an artifact struct tag (list the field in its type's Fields instead)",
 			source(scope{}, literal(`artifact:"`)), "internal/core/p.go: package core; type T struct { X int `artifact:\"x\"` }"},
 		{"worker-configure", "cluster.WorkerConfig has a Configure field (a node's only setting is its VerdictCache)",
@@ -84,7 +88,7 @@ func TestArchitecture(t *testing.T) {
 		{"gob", "internal/behavior or a serving binary depends on encoding/gob again",
 			links("./internal/behavior ./cmd/tmarket ./cmd/vetworker ./cmd/vetload", "encoding/gob"), "encoding/gob"},
 		{"vetworker-links", "cmd/vetworker links packages a worker node never runs (import internal/cluster and internal/core directly)",
-			links("./cmd/vetworker", "apichecker", "apichecker/internal/gateway", "apichecker/internal/market", "apichecker/internal/antivirus"), "apichecker/internal/market"},
+			links("./cmd/vetworker", "apichecker", "apichecker/internal/gateway", "apichecker/internal/market", "apichecker/internal/antivirus", "apichecker/internal/lifecycle"), "apichecker/internal/lifecycle"},
 		{"md5", "crypto/md5 imported outside internal/apk/apk.go",
 			source(outside("internal/apk/apk.go"), imports("crypto/md5")), `bench/p.go: package main; import "crypto/md5"`},
 		{"emulator-math-rand", "internal/emulator imports math/rand (v1) again: seeding it costs 12 us and 4.9 KB per stream",

@@ -460,11 +460,7 @@ func runService(u *apichecker.Universe, seed int64, initial, monthly, dup int, v
 	}
 	fmt.Printf("  scan latency (virtual): mean %.1fs  p50 %.1fs  p95 %.1fs  p99 %.1fs\n",
 		m.ScanMean, m.ScanP50, m.ScanP95, m.ScanP99)
-	fmt.Printf("  model: generation %d", m.ModelGeneration)
-	if m.ModelDigest != "" {
-		fmt.Printf(" (%s)", shortDigest(m.ModelDigest))
-	}
-	fmt.Printf(", %d hot-swaps\n", m.ModelSwaps)
+	fmt.Printf("  model: generation %d (%s), %d hot-swaps\n", m.ModelGeneration, shortDigest(m.ModelDigest), m.ModelSwaps)
 	if mgr != nil {
 		st := mgr.State()
 		if !st.LastPromotion.IsZero() {

@@ -6,8 +6,6 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,22 +163,6 @@ func (st *clusterStack) stop() {
 	cancel()
 	st.svc.Close()
 	st.ts.Close()
-}
-
-// artifactDigest replicates the coordinator's advertised digest: sha256
-// over the deterministic encoding of a snapshot of the serving checker.
-func artifactDigest(t *testing.T, ck *core.Checker) string {
-	t.Helper()
-	a, err := modelstore.Snapshot(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // eventually polls cond until it holds. A ticket completes when its
@@ -486,7 +468,7 @@ func TestClusterModelPropagation(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	cfg := configOf(base)
 	ckCoord := instantiate(t, base, cfg)
-	oldDigest := artifactDigest(t, ckCoord)
+	oldDigest := ckCoord.Generation().Digest
 
 	svc, err := vetsvc.Open(ckCoord, vetsvc.Config{QueueSize: 32, DisableLocalLanes: true})
 	if err != nil {
@@ -529,7 +511,7 @@ func TestClusterModelPropagation(t *testing.T) {
 	if _, err := ckCoord.SetTriageBand(0.05, 0.95); err != nil {
 		t.Fatal(err)
 	}
-	newDigest := artifactDigest(t, ckCoord)
+	newDigest := ckCoord.Generation().Digest
 	if newDigest == oldDigest {
 		t.Fatal("promotion did not change the artifact digest")
 	}

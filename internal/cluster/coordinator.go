@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -87,15 +85,11 @@ type Coordinator struct {
 	live      []string
 	liveUntil time.Time
 
-	// model memoizes the serving generation's encoded artifact, keyed by
-	// the checker's generation ID: SetTriageBand republishes the same
-	// parts under the same artifact digest, but a fresh snapshot is the
-	// only digest source that always matches what the checker serves.
-	modelMu     sync.Mutex
-	modelGen    uint64
-	modelDigest string
-	models      map[string][]byte
-	modelOrder  []string
+	// models is the model window: the artifact bytes of the generations
+	// claims advertised, by digest, the oldest evicted past modelWindow.
+	modelMu    sync.Mutex
+	models     map[string][]byte
+	modelOrder []string
 
 	nodesGauge                 *obs.Gauge
 	claims, acks, nacks, pulls *obs.Counter
@@ -285,12 +279,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 // absorbed by first-wins like any other.
 func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease, deadline time.Time) {
 	it, id := l.Item(), l.ID()
-	digest, gen, err := c.currentModel()
-	if err != nil {
-		c.nack(id, fmt.Errorf("cluster: model snapshot: %w", err))
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	digest, gen := c.currentModel()
 	c.claims.Inc()
 	cl := claim{
 		Seq:         it.Seq,
@@ -392,7 +381,7 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModel is GET /v1/model/{digest}: the content-addressed artifact
-// bytes, from the in-memory snapshot window or the registry.
+// bytes, from the model window or the registry.
 func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	c.modelMu.Lock()
@@ -412,40 +401,22 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// currentModel resolves the serving generation's artifact digest,
-// snapshotting and memoizing by generation ID. Snapshotting (not the
-// checker's recorded digest) is the source of truth: a generation
-// trained in-process has no recorded digest, and a runtime band override
-// (SetTriageBand) re-encodes into a new digest even though the recorded
-// one wouldn't change — either way the advertised digest always matches
-// exactly what the checker serves.
-func (c *Coordinator) currentModel() (digest string, gen uint64, err error) {
-	g := c.ck.Generation()
+// currentModel pins the serving generation and returns its digest and
+// ID, first putting its artifact bytes in the model window so a node can
+// pull what the claim advertises.
+func (c *Coordinator) currentModel() (digest string, gen uint64) {
+	g, data := c.ck.ArtifactBytes()
 	c.modelMu.Lock()
 	defer c.modelMu.Unlock()
-	if c.modelDigest != "" && c.modelGen == g.ID {
-		return c.modelDigest, g.ID, nil
-	}
-	a, err := modelstore.Snapshot(c.ck)
-	if err != nil {
-		return "", 0, err
-	}
-	data, err := a.Encode()
-	if err != nil {
-		return "", 0, err
-	}
-	sum := sha256.Sum256(data)
-	dig := hex.EncodeToString(sum[:])
-	c.modelGen, c.modelDigest = g.ID, dig
-	if _, ok := c.models[dig]; !ok {
-		c.models[dig] = data
-		c.modelOrder = append(c.modelOrder, dig)
+	if _, ok := c.models[g.Digest]; !ok {
+		c.models[g.Digest] = data
+		c.modelOrder = append(c.modelOrder, g.Digest)
 		for len(c.modelOrder) > modelWindow {
 			delete(c.models, c.modelOrder[0])
 			c.modelOrder = c.modelOrder[1:]
 		}
 	}
-	return dig, g.ID, nil
+	return g.Digest, g.ID
 }
 
 // maxControlBytes bounds a control body (claim, heartbeat, nack). They

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"apichecker/internal/core"
-	"apichecker/internal/lifecycle"
-	"apichecker/internal/modelstore"
 	"apichecker/internal/worker"
 	"apichecker/internal/workqueue"
 )
@@ -84,7 +82,6 @@ type Worker struct {
 	// on a stale generation once a claim advertised a newer one.
 	modelMu sync.Mutex
 	ck      *core.Checker
-	digest  string
 
 	claims, verdicts, nacks, panics, leaseLost, pulls, swaps atomic.Uint64
 }
@@ -162,9 +159,10 @@ func (w *Worker) Checker() *core.Checker {
 // ModelDigest returns the generation digest the node currently serves
 // ("" before cold-start).
 func (w *Worker) ModelDigest() string {
-	w.modelMu.Lock()
-	defer w.modelMu.Unlock()
-	return w.digest
+	if ck := w.Checker(); ck != nil {
+		return ck.Generation().Digest
+	}
+	return ""
 }
 
 // job is one claim on a lane: the frame, the checker that serves its
@@ -364,7 +362,7 @@ func (w *Worker) nack(seq int64, token uint64, cause string) {
 func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 	w.modelMu.Lock()
 	defer w.modelMu.Unlock()
-	if w.ck != nil && w.digest == digest {
+	if w.ck != nil && w.ck.Generation().Digest == digest {
 		return w.ck, nil
 	}
 	data, err := w.fetchModel(digest)
@@ -380,7 +378,7 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 	if got := hex.EncodeToString(sum[:]); got != digest {
 		return nil, fmt.Errorf("cluster: model integrity: got %.12s want %.12s", got, digest)
 	}
-	a, err := modelstore.Decode(data)
+	a, err := core.Decode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -391,12 +389,11 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 		}
 		w.ck = ck
 	} else {
-		if _, err := lifecycle.AdoptArtifact(w.ck, a); err != nil {
+		if _, err := w.ck.Adopt(a); err != nil {
 			return nil, err
 		}
 		w.swaps.Add(1)
 	}
-	w.digest = digest
 	return w.ck, nil
 }
 

@@ -227,8 +227,9 @@ type GenerationInfo struct {
 	// incremented by every SwapModel. Verdicts carry the ID of the
 	// generation that produced them.
 	ID uint64
-	// Digest is the content digest of the generation's persisted artifact
-	// (empty when the generation was never snapshotted or loaded).
+	// Digest is the hex sha256 of the generation's artifact bytes: the
+	// APKMODEL encoding of exactly the parts and model config it serves,
+	// always set.
 	Digest string
 	// SwappedAt is when this generation started serving.
 	SwappedAt time.Time
@@ -238,14 +239,12 @@ type GenerationInfo struct {
 
 // ModelParts is a complete set of trained parts for SwapModel (and the
 // constructors): the universe the ids refer to, the key-API selection, the
-// extractor built over it, and the trained forest. Digest optionally
-// records the artifact digest the parts were loaded from.
+// extractor built over it, and the trained forest.
 type ModelParts struct {
 	Universe  *framework.Universe
 	Selection *features.Selection
 	Extractor *features.Extractor
 	Model     *ml.RandomForest
-	Digest    string
 
 	// Triage is the tier-1 manifest-only linear scorer, trained alongside
 	// the forest over the same corpus and promoted/rolled back with it —
@@ -377,10 +376,7 @@ func trainTriage(c *dataset.Corpus, cfg ModelConfig) (*ml.Linear, error) {
 // NewFromParts assembles a Checker from one complete set of trained parts
 // (TrainFromCorpus, and every path that loads a model artifact): it builds
 // the hook registry, the emulation engine, the verdict cache and the obs
-// collector, and wires them to the vet drivers.
-// parts.Digest, when set, records the artifact the parts were loaded from,
-// so the serving generation is attributable to it; parts.Triage is
-// optional.
+// collector, and wires them to the vet drivers. parts.Triage is optional.
 func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 	ck := &Checker{cfg: cfg, obs: obs.NewCollector()}
 	if cfg.VerdictCache >= 0 {
@@ -411,14 +407,23 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 
 // newGeneration assembles an immutable generation from trained parts under
 // cfg, with the emulation engine over a hook registry for the selected
-// keys. epoch is the verdict-cache epoch the generation will serve under
-// (for a swap, the epoch after the pending bump).
+// keys, and encodes (parts, cfg) once into the artifact bytes whose digest
+// identifies it. epoch is the verdict-cache epoch the generation will
+// serve under (for a swap, the epoch after the pending bump).
 func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeline.ModelGen, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Extractor == nil || parts.Model == nil {
 		return nil, fmt.Errorf("core: incomplete model parts")
 	}
 	lo, hi := cfg.triageBand()
 	if err := checkTriageBand(lo, hi); err != nil {
+		return nil, err
+	}
+	a, err := FromParts(parts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	data, err := a.Encode()
+	if err != nil {
 		return nil, err
 	}
 	reg, err := hook.NewRegistry(parts.Universe, parts.Selection.Keys)
@@ -432,7 +437,8 @@ func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeli
 	}
 	g := &pipeline.ModelGen{
 		ID:        id,
-		Digest:    parts.Digest,
+		Digest:    ArtifactDigest(data),
+		Artifact:  data,
 		Universe:  parts.Universe,
 		Selection: parts.Selection,
 		Extractor: parts.Extractor,
@@ -479,17 +485,18 @@ func (ck *Checker) SwapModel(parts ModelParts) (GenerationInfo, error) {
 	return ck.swap(parts, ck.cfg.ModelConfig)
 }
 
-// SwapModelBand is SwapModel for parts that carry their own tier-1 band (a
-// model artifact's): the parts and the band install in the same swap, so
-// no vet runs the generation under another band, and the serving model
-// config snapshots back to the artifact the parts came from. The zero band
-// turns the tier off, as in ModelConfig.
-func (ck *Checker) SwapModelBand(parts ModelParts, lo, hi float64) (GenerationInfo, error) {
+// Adopt installs an artifact's generation: its parts under its whole model
+// config, in one swap, so the serving generation's digest is the
+// artifact's. A rollback and a node that learns of a newer generation
+// both take this path.
+func (ck *Checker) Adopt(a *Artifact) (GenerationInfo, error) {
+	parts, err := a.Parts()
+	if err != nil {
+		return GenerationInfo{}, err
+	}
 	ck.swapMu.Lock()
 	defer ck.swapMu.Unlock()
-	cfg := ck.cfg.ModelConfig
-	cfg.TriageLo, cfg.TriageHi = lo, hi
-	return ck.swap(parts, cfg)
+	return ck.swap(parts, a.Model)
 }
 
 // swap publishes parts as the next generation under cfg, which becomes the
@@ -521,9 +528,17 @@ func (ck *Checker) swap(parts ModelParts, cfg ModelConfig) (GenerationInfo, erro
 }
 
 // Generation identifies the serving model generation: its swap counter
-// (matching Verdict.Generation), artifact digest if known, promotion time,
-// and key-API count.
+// (matching Verdict.Generation), artifact digest, promotion time, and
+// key-API count.
 func (ck *Checker) Generation() GenerationInfo { return genInfo(ck.gen.Load()) }
+
+// ArtifactBytes returns the serving generation's identity and its
+// artifact bytes, both read from one generation. The bytes are shared
+// with the generation: read them, never write them.
+func (ck *Checker) ArtifactBytes() (GenerationInfo, []byte) {
+	g := ck.gen.Load()
+	return genInfo(g), g.Artifact
+}
 
 // Parts returns the serving generation's trained parts as one consistent
 // snapshot — a concurrent swap cannot tear it the way separate
@@ -536,7 +551,6 @@ func (ck *Checker) Parts() ModelParts {
 		Selection: g.Selection,
 		Extractor: g.Extractor,
 		Model:     g.Model,
-		Digest:    g.Digest,
 		Triage:    g.Triage,
 	}
 }
@@ -577,7 +591,11 @@ func (ck *Checker) SetTriageBand(lo, hi float64) (GenerationInfo, error) {
 	if lo == 0 && hi == 0 {
 		lo, hi = 0, 1
 	}
-	return ck.SwapModelBand(ck.Parts(), lo, hi)
+	ck.swapMu.Lock()
+	defer ck.swapMu.Unlock()
+	cfg := ck.cfg.ModelConfig
+	cfg.TriageLo, cfg.TriageHi = lo, hi
+	return ck.swap(ck.Parts(), cfg)
 }
 
 // Obs returns the checker's observability collector: per-stage spans and

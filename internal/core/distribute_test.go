@@ -10,14 +10,13 @@ import (
 	"apichecker/internal/features"
 	"apichecker/internal/framework"
 	"apichecker/internal/ml"
-	"apichecker/internal/modelstore"
 	"apichecker/internal/vcache"
 )
 
 // Model distribution (§5.4: "large app markets can possibly distribute
 // their trained models to smaller markets, who thus do not need to train
 // their own models") rides the APKMODEL artifact. These tests sit in the
-// external test package because modelstore imports core.
+// external test package: they use core the way an importing market does.
 
 var distU = framework.MustGenerate(framework.TestConfig(3000))
 
@@ -44,7 +43,7 @@ func bigMarket(t *testing.T, n int) (*core.Checker, *dataset.Corpus) {
 // market would: from the bytes alone, universe included.
 func distribute(t *testing.T, ck *core.Checker) *core.Checker {
 	t.Helper()
-	a, err := modelstore.Snapshot(ck)
+	a, err := core.Snapshot(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func distribute(t *testing.T, ck *core.Checker) *core.Checker {
 	if len(data) == 0 {
 		t.Fatal("empty export")
 	}
-	dec, err := modelstore.Decode(data)
+	dec, err := core.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestArtifactCarriesTheModelNotTheNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer snap.ClosePersist()
-		a, err := modelstore.Snapshot(snap)
+		a, err := core.Snapshot(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +143,7 @@ func TestArtifactCarriesTheModelNotTheNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exporter.ClosePersist()
-	a, err := modelstore.Snapshot(exporter)
+	a, err := core.Snapshot(exporter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +161,45 @@ func TestArtifactCarriesTheModelNotTheNode(t *testing.T) {
 	}
 }
 
+// TestAdoptInstallsTheArtifactModelConfig: adopting an artifact installs
+// its parts under its whole model config, not just its band, so the node
+// serves — and is identified by — exactly the artifact's generation.
+func TestAdoptInstallsTheArtifactModelConfig(t *testing.T) {
+	ck, _ := bigMarket(t, 120)
+	a, err := core.Snapshot(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := a.Instantiate(core.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Snapshot(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Model.Events++
+	gen, err := node.Adopt(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := node.Config().ModelConfig; got != b.Model {
+		t.Errorf("adopt serves model config %+v, want the artifact's %+v", got, b.Model)
+	}
+	dig, err := b.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.Digest != dig || node.Generation().Digest != dig {
+		t.Errorf("adopted generation digest %.12s (serving %.12s), want the artifact's %.12s", gen.Digest, node.Generation().Digest, dig)
+	}
+}
+
 func TestImportRejectsGarbage(t *testing.T) {
-	if _, err := modelstore.Decode([]byte("not a model")); err == nil {
+	if _, err := core.Decode([]byte("not a model")); err == nil {
 		t.Error("import accepted garbage")
 	}
-	if _, err := modelstore.Decode(nil); err == nil {
+	if _, err := core.Decode(nil); err == nil {
 		t.Error("import accepted an empty payload")
 	}
 }
@@ -178,15 +211,13 @@ func TestExportRequiresTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := core.NewFromParts(core.ModelParts{
+	// A generation is its artifact, and an untrained forest has none: no
+	// checker serves one, so none can export one.
+	if _, err := core.NewFromParts(core.ModelParts{
 		Universe: distU, Selection: sel, Extractor: ex,
 		Model: ml.NewRandomForest(ml.DefaultForestConfig(1)),
-	}, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := modelstore.Snapshot(ck); err == nil {
-		t.Error("export of a checker around an untrained forest succeeded")
+	}, core.DefaultConfig()); err == nil {
+		t.Error("a checker assembled around an untrained forest")
 	}
 }
 

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vcache"
-	"apichecker/internal/wire"
 )
 
 // Persistent verdict-cache wiring: the optional file-backed tier under the
@@ -17,12 +14,11 @@ import (
 // serving node warm-starts its hit rate instead of re-emulating everything
 // it had already answered.
 //
-// The tier is keyed by the serving model's identity: the generation's
-// artifact digest when it has one (the modelstore/lifecycle paths always
-// set it), otherwise a fingerprint of the trained parts themselves. A
-// snapshot recorded under any other model is discarded wholesale at open,
-// and SwapModel resets the log exactly like it bumps the in-memory epoch —
-// a persisted verdict can no more outlive its model than a cached one.
+// The tier is keyed by the serving model's identity, the generation's
+// artifact digest. A snapshot recorded under any other model is discarded
+// wholesale at open, and SwapModel resets the log exactly like it bumps
+// the in-memory epoch — a persisted verdict can no more outlive its model
+// than a cached one.
 
 // attachPersist opens (or creates) the persist log, replays a matching
 // snapshot into the live cache, and taps the cache's store hook for
@@ -32,12 +28,8 @@ func (ck *Checker) attachPersist(dir string) error {
 	if ck.cache == nil {
 		return fmt.Errorf("core: VerdictPersistDir requires the verdict cache (VerdictCache >= 0)")
 	}
-	key, err := ck.persistGenKey()
-	if err != nil {
-		return fmt.Errorf("core: persist generation key: %w", err)
-	}
 	bad := 0
-	p, restored, skipped, err := vcache.OpenPersist(dir, key, ck.cache.Epoch(), func(k string, v []byte) {
+	p, restored, skipped, err := vcache.OpenPersist(dir, ck.persistGenKey(), ck.cache.Epoch(), func(k string, v []byte) {
 		// Replay defensively: an entry that does not decode (a layout
 		// change between binaries, say) must not enter the serving cache.
 		if _, derr := pipeline.DecodeCachedVerdict(v); derr != nil {
@@ -88,41 +80,11 @@ func (ck *Checker) AttachPersist(dir string) error {
 	return ck.attachPersist(dir)
 }
 
-// persistGenKey derives the identity the persisted tier is keyed by. The
-// generation digest is preferred (content address of the persisted
-// artifact). A generation trained in-process and never snapshotted falls
-// back to a hash of everything that shapes a verdict: the universe (config,
-// SDK level, evolve history), the selected keys, the model config in the
-// bytes APKMODEL carries it in, the forest, and the triage model while the
-// tier is on. The node config is not in it. Two checkers trained from the
-// same corpus and model config share a key.
-func (ck *Checker) persistGenKey() (string, error) {
-	g := ck.gen.Load()
-	if g.Digest != "" {
-		return "model:" + g.Digest, nil
-	}
-	forest, err := g.Model.AppendBinary(nil)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "universe=%+v level=%d evolve=%v\n", g.Universe.Config(), g.Universe.Level(), g.Universe.EvolveHistory())
-	fmt.Fprintf(h, "keys=%v\n", g.Selection.Keys)
-	cfg := wire.Encoder{B: []byte("config=")}
-	ck.cfg.Fields(&cfg)
-	h.Write(cfg.B)
-	fmt.Fprintf(h, "\nforest=%d\n", len(forest))
-	h.Write(forest)
-	// The triage model shapes verdicts only while the tier is on (the
-	// condition the triage stage falls through on): under the trivial band
-	// a checker with the model and one without answer bit-identically, and
-	// share a key.
-	if lo, hi := g.TriageLo, g.TriageHi; g.Triage != nil && (lo > 0 || hi < 1) {
-		h.Write([]byte("\ntriage\n"))
-		h.Write(g.Triage.AppendBinary(nil))
-	}
-	return "export:" + hex.EncodeToString(h.Sum(nil)), nil
-}
+// persistGenKey is the identity the persisted tier is keyed by: the
+// serving generation's artifact digest, in the form registry-backed nodes
+// have always written. The node config is not in it, so two checkers
+// serving the same model under any node configs share a key.
+func (ck *Checker) persistGenKey() string { return "model:" + ck.gen.Load().Digest }
 
 // resetPersist re-keys the persist log for the newly swapped-in
 // generation, discarding every persisted verdict — SwapModel's on-disk
@@ -133,12 +95,7 @@ func (ck *Checker) resetPersist() {
 	if ck.persist == nil {
 		return
 	}
-	key, err := ck.persistGenKey()
-	if err != nil {
-		ck.obs.Counter("vcache.persist.reset_errors").Inc()
-		return
-	}
-	if err := ck.persist.Reset(key, ck.cacheEpoch()); err != nil {
+	if err := ck.persist.Reset(ck.persistGenKey(), ck.cacheEpoch()); err != nil {
 		ck.obs.Counter("vcache.persist.reset_errors").Inc()
 	}
 }

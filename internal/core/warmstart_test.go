@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"apichecker/internal/emulator"
@@ -125,11 +124,12 @@ func TestPersistSwapInvalidates(t *testing.T) {
 	}
 }
 
-// TestPersistKeyCoversEveryPart: the no-digest persist key is a hash of
-// everything that shapes a verdict, so changing any one part re-keys the
-// log (the persisted verdicts are discarded, not served under a model they
-// were not computed by), while training twice from the same corpus and
-// config — or changing only where the node keeps its verdicts — keeps it.
+// TestPersistKeyCoversEveryPart: the persist key is the generation's
+// artifact digest, which covers everything that shapes a verdict, so
+// changing any one part or model-config leaf re-keys the log (the
+// persisted verdicts are discarded, not served under a model they were
+// not computed by), while training twice from the same corpus and config
+// — or changing only where the node keeps its verdicts — keeps it.
 func TestPersistKeyCoversEveryPart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TriageLo, cfg.TriageHi = testBandLo, testBandHi
@@ -138,28 +138,33 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 
 	keyOf := func(parts ModelParts, cfg Config) string {
 		t.Helper()
-		// The keys were selected over testU, and another universe may
-		// refuse to hook them: assemble over testU and hand the key the
-		// universe under test.
-		u := parts.Universe
-		parts.Universe = testU
+		if parts.Universe != testU {
+			// The keys were selected over testU, and another universe
+			// may refuse to hook them: digest the artifact the way
+			// newGeneration does, without assembling a checker over it.
+			a, err := FromParts(parts, cfg.ModelConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dig, err := a.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return "model:" + dig
+		}
 		ck, err := NewFromParts(parts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ck.ClosePersist()
-		ck.gen.Load().Universe = u
-		key, err := ck.persistGenKey()
-		if err != nil {
-			t.Fatal(err)
+		key := ck.persistGenKey()
+		if want := "model:" + ck.Generation().Digest; key != want {
+			t.Fatalf("persist key %q, want the generation's %q", key, want)
 		}
 		return key
 	}
 	parts := base.Parts()
 	want := keyOf(parts, cfg)
-	if !strings.HasPrefix(want, "export:") {
-		t.Fatalf("no-digest key = %q, want an export: key", want)
-	}
 	if got := keyOf(again.Parts(), cfg); got != want {
 		t.Error("two trainings from the same corpus and config key differently")
 	}
@@ -240,11 +245,6 @@ func TestPersistKeyCoversEveryPart(t *testing.T) {
 		}
 	})
 
-	// A generation that carries an artifact digest keys on it alone, in
-	// the form registry-backed deployments have always had on disk.
-	if got := keyOf(withParts(func(p *ModelParts) { p.Digest = "abc123" })); got != "model:abc123" {
-		t.Errorf("digest-carrying key = %q, want model:abc123", got)
-	}
 }
 
 // nudgeLeaves changes each leaf under v in turn — every integer, float,

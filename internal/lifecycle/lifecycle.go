@@ -127,11 +127,18 @@ type Manager struct {
 }
 
 // NewManager wires a manager over a serving checker and an open registry.
+// The serving generation is the next snapshot's parent only when the
+// registry holds it; otherwise that snapshot is a root.
 func NewManager(ck *core.Checker, reg *modelstore.Registry, gates GateConfig) *Manager {
 	if gates.HoldoutFraction <= 0 || gates.HoldoutFraction >= 1 {
 		gates.HoldoutFraction = DefaultGateConfig().HoldoutFraction
 	}
-	return &Manager{ck: ck, reg: reg, gates: gates, currentDigest: ck.Generation().Digest}
+	m := &Manager{ck: ck, reg: reg, gates: gates}
+	dig := ck.Generation().Digest
+	if _, err := reg.Manifest(dig); err == nil {
+		m.currentDigest = dig
+	}
+	return m
 }
 
 // Checker returns the serving checker.
@@ -145,7 +152,7 @@ func (m *Manager) Registry() *modelstore.Registry { return m.reg }
 func (m *Manager) Snapshot(note string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a, err := modelstore.Snapshot(m.ck)
+	a, err := core.Snapshot(m.ck)
 	if err != nil {
 		return "", err
 	}
@@ -174,21 +181,6 @@ func ColdStart(reg *modelstore.Registry) (*core.Checker, modelstore.Manifest, er
 		return nil, modelstore.Manifest{}, err
 	}
 	return ck, man, nil
-}
-
-// AdoptArtifact hot-swaps an artifact's generation into a running
-// checker — the worker-node half of generation propagation: a node that
-// learns (from a claim response) that its coordinator serves a newer
-// generation pulls the artifact and adopts it through the same swap a
-// rollback takes. The triage band rides the artifact's model config and
-// installs with its parts, so a band change propagates with the generation
-// it shipped under.
-func AdoptArtifact(ck *core.Checker, a *modelstore.Artifact) (core.GenerationInfo, error) {
-	parts, err := a.Parts()
-	if err != nil {
-		return core.GenerationInfo{}, err
-	}
-	return ck.SwapModelBand(parts, a.Model.TriageLo, a.Model.TriageHi)
 }
 
 // Evolve is one background-evolution round: split the refreshed corpus
@@ -245,7 +237,7 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 	// that simply cold-starts into the (gated, good) challenger.
 	start = time.Now()
 	parts := challenger.Parts()
-	a, err := modelstore.FromParts(parts, model)
+	a, err := core.FromParts(parts, model)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +260,6 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 	if err := m.reg.SetCurrent(dig); err != nil {
 		return nil, err
 	}
-	parts.Digest = dig
 	gen, err := m.ck.SwapModel(parts)
 	emitSpan(col, "lifecycle.promote", time.Since(start), shortDigest(dig), err)
 	if err != nil {
@@ -283,10 +274,9 @@ func (m *Manager) Evolve(ctx context.Context, c *dataset.Corpus) (*EvolveResult,
 	return res, nil
 }
 
-// Rollback restores a prior generation from the registry: the artifact's
-// parts and triage band are hot-swapped into the serving path together
-// (bumping the verdict-cache epoch exactly once, like any swap), and the
-// artifact is marked current.
+// Rollback restores a prior generation from the registry: the artifact is
+// adopted — its parts under its whole model config, in one swap that bumps
+// the verdict-cache epoch exactly once — and marked current.
 func (m *Manager) Rollback(digest string) (core.GenerationInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -295,12 +285,8 @@ func (m *Manager) Rollback(digest string) (core.GenerationInfo, error) {
 	if err != nil {
 		return core.GenerationInfo{}, err
 	}
-	parts, err := a.Parts()
-	if err != nil {
-		return core.GenerationInfo{}, err
-	}
 	start := time.Now()
-	gen, err := m.ck.SwapModelBand(parts, a.Model.TriageLo, a.Model.TriageHi)
+	gen, err := m.ck.Adopt(a)
 	emitSpan(col, "lifecycle.rollback", time.Since(start), shortDigest(digest), err)
 	if err != nil {
 		return core.GenerationInfo{}, fmt.Errorf("lifecycle: rollback: %w", err)

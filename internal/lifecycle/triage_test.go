@@ -2,6 +2,8 @@ package lifecycle
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -211,10 +213,157 @@ func TestRollbackRestoresTheArtifactBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ck.Generation().ID
-	if gen, err = AdoptArtifact(ck, a); err != nil {
+	if gen, err = ck.Adopt(a); err != nil {
 		t.Fatal(err)
 	}
 	if lo, hi := ck.TriageBand(); lo != 0.05 || hi != 0.95 || gen.ID != before+1 {
 		t.Errorf("adopt: band [%v, %v] at generation %d, want [0.05, 0.95] at %d", lo, hi, gen.ID, before+1)
+	}
+}
+
+// TestBandOverrideDiscardsPersistedVerdicts: a band override is another
+// generation with another digest, so a persist log written under it is
+// discarded by a later cold start under the artifact's band instead of
+// warm-starting verdicts that band would not give.
+func TestBandOverrideDiscardsPersistedVerdicts(t *testing.T) {
+	ck, _ := tieredChecker(t, 120)
+	reg, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewManager(ck, reg, GateConfig{}).Snapshot("tiered root"); err != nil {
+		t.Fatal(err)
+	}
+	coldStart := func() *core.Checker {
+		t.Helper()
+		c, _, err := ColdStart(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dir := t.TempDir()
+	first := coldStart()
+	if _, err := first.SetTriageBand(0.45, 0.55); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.AttachPersist(dir); err != nil {
+		t.Fatal(err)
+	}
+	corpus := refreshedCorpus(t, first.Universe(), 60, 1)
+	idxs := make([]int, 60)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	vetIdxs(t, first, corpus, idxs)
+	if err := first.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := coldStart()
+	if err := second.AttachPersist(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer second.ClosePersist()
+	if got := second.PersistStats().Restored; got != 0 {
+		t.Errorf("a cold start under the artifact's band restored %d verdicts written under the override", got)
+	}
+	if got, want := vetIdxs(t, second, corpus, idxs), vetIdxs(t, coldStart(), corpus, idxs); !sameVerdictsModuloGeneration(got, want) {
+		t.Error("the second life's verdicts differ from a fresh cold start's")
+	}
+}
+
+// TestGenerationDigestIsTheArtifactDigest: in every state a generation is
+// born in, its digest is the sha256 of the bytes a snapshot holds, and
+// those are the encoding of exactly the parts and model config it serves.
+func TestGenerationDigestIsTheArtifactDigest(t *testing.T) {
+	ck, _ := tieredChecker(t, 120)
+	check := func(state string, ck *core.Checker) string {
+		t.Helper()
+		dig := ck.Generation().Digest
+		a, err := core.Snapshot(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := core.FromParts(ck.Parts(), ck.Config().ModelConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, a := range map[string]*core.Artifact{"snapshot": a, "served parts and config": served} {
+			data, err := a.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(data); dig != hex.EncodeToString(sum[:]) {
+				t.Errorf("%s: generation digest %.12s is not the sha256 of the %s bytes", state, dig, what)
+			}
+		}
+		return dig
+	}
+	check("trained in-process", ck)
+
+	reg, err := modelstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ck, reg, GateConfig{})
+	root, err := m.Snapshot("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dig := check("after Manager.Snapshot", ck); dig != root {
+		t.Errorf("after Manager.Snapshot: digest %.12s, want the stored %.12s", dig, root)
+	}
+	if man, err := reg.Manifest(root); err != nil || man.Parent != "" {
+		t.Errorf("first snapshot of an in-process checker: parent %q (%v), want a root", man.Parent, err)
+	}
+
+	if _, err := ck.SetTriageBand(0.2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if check("after SetTriageBand", ck) == root {
+		t.Error("a band override kept the artifact's digest")
+	}
+	// A manager over the overridden generation, which the registry does
+	// not hold, records the next snapshot as a root.
+	over, err := NewManager(ck, reg, GateConfig{}).Snapshot("override")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man, err := reg.Manifest(over); err != nil || man.Parent != "" {
+		t.Errorf("snapshot over an unregistered generation: parent %q (%v), want a root", man.Parent, err)
+	}
+
+	other, _, err := core.TrainFromCorpus(refreshedCorpus(t, ck.Universe(), 120, 2), ck.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.SwapModel(other.Parts()); err != nil {
+		t.Fatal(err)
+	}
+	if check("after SwapModel", ck) == over {
+		t.Error("swapping in other parts kept the digest")
+	}
+
+	a, _, err := reg.Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.Adopt(a); err != nil {
+		t.Fatal(err)
+	}
+	if dig := check("after Adopt", ck); dig != root {
+		t.Errorf("after Adopt: digest %.12s, want the artifact's %.12s", dig, root)
+	}
+
+	if err := reg.SetCurrent(root); err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := ColdStart(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dig := check("after ColdStart", cold); dig != root {
+		t.Errorf("after ColdStart: digest %.12s, want the current %.12s", dig, root)
 	}
 }

@@ -44,10 +44,6 @@ func NewRandomForest(cfg ForestConfig) *RandomForest {
 // Name implements Classifier.
 func (rf *RandomForest) Name() string { return "Random Forest" }
 
-// Trained reports whether the forest has been trained (or decoded from a
-// trained encoding).
-func (rf *RandomForest) Trained() bool { return rf.trained }
-
 // Train implements Classifier. Trees are trained in parallel; tree seeds
 // derive from the forest seed and the tree index, so results are
 // independent of scheduling.

@@ -16,6 +16,14 @@ import (
 	"apichecker/internal/ml"
 )
 
+// The format's magics and version, as core writes them: these tests hold
+// the codec to the bytes, so they spell them out rather than borrow them.
+const (
+	artifactMagic   = "APKMODEL"
+	artifactVersion = 3
+	triageMagic     = "TRI1"
+)
+
 // randomArtifact builds a structurally rich artifact with randomized
 // contents: the codec must round-trip whatever the fields hold, not just
 // the defaults.
@@ -167,8 +175,8 @@ func TestArtifactRoundTripProperty(t *testing.T) {
 
 // isTyped reports the error wraps one of the package's decode sentinels.
 func isTyped(err error) bool {
-	return errors.Is(err, ErrFormat) || errors.Is(err, ErrTruncated) ||
-		errors.Is(err, ErrCorruptArtifact)
+	return errors.Is(err, core.ErrFormat) || errors.Is(err, core.ErrTruncated) ||
+		errors.Is(err, core.ErrCorruptArtifact)
 }
 
 // TestArtifactTruncatedAndCorrupt: every truncation point and every
@@ -201,10 +209,10 @@ func TestArtifactTruncatedAndCorrupt(t *testing.T) {
 	}
 
 	// Not an artifact at all.
-	if _, err := Decode([]byte("definitely not a model artifact")); !errors.Is(err, ErrFormat) {
+	if _, err := Decode([]byte("definitely not a model artifact")); !errors.Is(err, core.ErrFormat) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
+	if _, err := Decode(nil); !errors.Is(err, core.ErrTruncated) {
 		t.Fatalf("empty payload: %v", err)
 	}
 }
@@ -219,7 +227,7 @@ func TestArtifactVersion2Refused(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint32(enc[len(artifactMagic):], 2)
 	_, err = Decode(enc)
-	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format version 2, want 3") {
+	if !errors.Is(err, core.ErrFormat) || !strings.Contains(err.Error(), "format version 2, want 3") {
 		t.Fatalf("Decode(v2 header) = %v, want ErrFormat naming format version 2, want 3", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestLyingCountAllocatesNothing(t *testing.T) {
 		Encoder: wire.Encoder{B: binary.LittleEndian.AppendUint32([]byte(artifactMagic), artifactVersion)},
 		at:      map[string][]int{},
 	}
-	a.fields(rec)
+	a.Fields(rec)
 	ids := rec.at["API id"]
 	if len(ids) != 4 {
 		t.Fatalf("the selection declared %d API id lists, want 4", len(ids))

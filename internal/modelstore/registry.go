@@ -1,3 +1,11 @@
+// Package modelstore is the on-disk registry of model generations:
+// content-addressed artifacts (core.Artifact, the APKMODEL codec) under
+// <dir>/gens/<digest>.apkmodel with a JSON manifest (<digest>.json)
+// recording lineage (parent digest), the corpus fingerprint, the train
+// report, and shadow-evaluation quality metrics; <dir>/CURRENT names the
+// serving generation so a restarted tmarket can cold-start from the
+// latest good model. All writes are atomic (temp file + rename), and Load
+// checks a stored file against the digest it was asked for.
 package modelstore
 
 import (
@@ -13,7 +21,18 @@ import (
 	"apichecker/internal/core"
 )
 
-// Registry errors.
+// Artifact is the model artifact the registry stores.
+type Artifact = core.Artifact
+
+// Snapshot decodes a checker's serving generation (core.Snapshot).
+func Snapshot(ck *core.Checker) (*Artifact, error) { return core.Snapshot(ck) }
+
+// Decode parses an encoded artifact (core.Decode).
+func Decode(data []byte) (*Artifact, error) { return core.Decode(data) }
+
+// Registry errors. A corrupt stored file — bytes that do not hash to their
+// digest or do not decode, a manifest that does not parse — is the codec's
+// core.ErrCorruptArtifact.
 var (
 	// ErrNotFound marks a digest the registry does not hold.
 	ErrNotFound = errors.New("modelstore: generation not found")
@@ -101,10 +120,7 @@ func (r *Registry) Put(a *Artifact, m Manifest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	dig, err := a.Digest()
-	if err != nil {
-		return "", err
-	}
+	dig := core.ArtifactDigest(data)
 	m.Digest = dig
 	if m.CreatedAt.IsZero() {
 		m.CreatedAt = time.Now().UTC()
@@ -147,16 +163,17 @@ func (r *Registry) CurrentDigest() (string, error) {
 	return dig, nil
 }
 
-// Load returns a stored generation's artifact and manifest by digest.
+// Load returns a stored generation's artifact and manifest by digest,
+// refusing with core.ErrCorruptArtifact bytes that do not hash to it.
 func (r *Registry) Load(digest string) (*Artifact, Manifest, error) {
-	data, err := os.ReadFile(r.artifactPath(digest))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, Manifest{}, fmt.Errorf("%w: %s", ErrNotFound, digest)
-	}
+	data, err := r.ArtifactBytes(digest)
 	if err != nil {
-		return nil, Manifest{}, fmt.Errorf("modelstore: %w", err)
+		return nil, Manifest{}, err
 	}
-	a, err := Decode(data)
+	if got := core.ArtifactDigest(data); got != digest {
+		return nil, Manifest{}, fmt.Errorf("%w: %.12s holds the bytes of %.12s", core.ErrCorruptArtifact, digest, got)
+	}
+	a, err := core.Decode(data)
 	if err != nil {
 		return nil, Manifest{}, err
 	}
@@ -193,7 +210,7 @@ func (r *Registry) Manifest(digest string) (Manifest, error) {
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, fmt.Errorf("%w: manifest for %s: %v", ErrCorruptArtifact, digest, err)
+		return Manifest{}, fmt.Errorf("%w: manifest for %s: %v", core.ErrCorruptArtifact, digest, err)
 	}
 	return m, nil
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"apichecker/internal/core"
 )
 
 func TestRegistryPutCurrentList(t *testing.T) {
@@ -89,7 +91,7 @@ func TestRegistryCorruptEntries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "gens", dig+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Manifest(dig); !errors.Is(err, ErrCorruptArtifact) {
+	if _, err := r.Manifest(dig); !errors.Is(err, core.ErrCorruptArtifact) {
 		t.Fatalf("corrupt manifest: %v", err)
 	}
 
@@ -104,5 +106,37 @@ func TestRegistryCorruptEntries(t *testing.T) {
 	}
 	if _, _, err := r.Load(dig); !isTyped(err) {
 		t.Fatalf("truncated artifact file: %v", err)
+	}
+}
+
+// TestLoadRefusesBytesUnderAnotherDigest: a stored file is checked against
+// the digest it is asked for, so B's bytes under A's name are corrupt, not
+// generation B served as A.
+func TestLoadRefusesBytesUnderAnotherDigest(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, err := r.Put(randomArtifact(t, 1), Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := r.Put(randomArtifact(t, 2), Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "gens", db+".apkmodel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gens", da+".apkmodel"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Load(da); !errors.Is(err, core.ErrCorruptArtifact) {
+		t.Fatalf("Load(A) over B's bytes: %v, want ErrCorruptArtifact", err)
+	}
+	if _, _, err := r.Load(db); err != nil {
+		t.Fatalf("Load(B): %v", err)
 	}
 }

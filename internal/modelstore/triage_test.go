@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"apichecker/internal/core"
 	"apichecker/internal/ml"
 )
 
@@ -143,7 +144,7 @@ func TestArtifactTriageCorrupt(t *testing.T) {
 	// Garbage where the section magic should be.
 	bad := append([]byte(nil), enc...)
 	copy(bad[secStart:], "JUNK")
-	if _, err := Decode(bad); !errors.Is(err, ErrCorruptArtifact) {
+	if _, err := Decode(bad); !errors.Is(err, core.ErrCorruptArtifact) {
 		t.Fatalf("bad section magic: %v", err)
 	}
 

@@ -65,11 +65,13 @@ const (
 // generation with scoring from another — in-flight vets finish on the
 // generation they started with.
 type ModelGen struct {
-	// ID is the swap counter (1 for the initial generation); Digest is
-	// the content digest of the generation's persisted artifact, empty
-	// when the generation was never snapshotted.
-	ID     uint64
-	Digest string
+	// ID is the swap counter (1 for the initial generation). Artifact is
+	// the APKMODEL encoding of exactly the parts and model config this
+	// generation serves, and Digest its hex sha256: the generation's one
+	// identity, set when it is built.
+	ID       uint64
+	Digest   string
+	Artifact []byte
 
 	Universe  *framework.Universe
 	Selection *features.Selection
