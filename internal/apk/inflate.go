@@ -320,11 +320,13 @@ func (r *bitReader) header(lit *[maxLit]uint32, dist *[maxDist]uint32) error {
 }
 
 // block decodes one Huffman block's symbols into dst from out on. The bit
-// buffer lives in locals; one refill covers the longest length/distance
-// pair (15+5+15+13 bits).
+// buffer lives in locals. Runs of literals go to literals; this loop takes
+// each symbol that ends a run, and its one refill covers the longest
+// length/distance pair (15+5+15+13 bits).
 func (r *bitReader) block(dst []byte, out int, lit *[maxLit]uint32, dist *[maxDist]uint32) (int, error) {
 	src, in, b, nb := r.src, r.in, r.b, r.nb
 	for {
+		out, in, b, nb = literals(dst, out, src, in, b, nb, lit)
 		if nb < 48 {
 			if in, b, nb = refill(src, in, b, nb); nb < 0 {
 				return out, io.ErrUnexpectedEOF
@@ -387,4 +389,33 @@ func (r *bitReader) block(dst []byte, out int, lit *[maxLit]uint32, dist *[maxDi
 		}
 		out += length
 	}
+}
+
+// literals decodes the literals whose codes sit whole in lit's root table
+// into dst from out on, while dst has room, and returns where it stopped.
+// A literal needs at most 15 bits, so it refills below that, with one
+// 8-byte load; it stops at anything else (a longer code, a length, the end
+// of block, a refused symbol), at a full dst, or where fewer than 8 input
+// bytes are left to refill from, all for block to take. It is a leaf, so
+// the bit buffer stays in registers.
+func literals(dst []byte, out int, src []byte, in int, b uint64, nb int, lit *[maxLit]uint32) (int, int, uint64, int) {
+	for out < len(dst) {
+		if nb < 15 {
+			if in+8 > len(src) {
+				break
+			}
+			b |= le64(src[in:]) << (uint(nb) & 63)
+			in += (63 - nb) >> 3
+			nb |= 56
+		}
+		e := lit[b&(1<<litRoot-1)]
+		if e&0xff00 != opLiteral<<8 {
+			break
+		}
+		b >>= e & 63
+		nb -= int(e & 63)
+		dst[out] = byte(e >> 16)
+		out++
+	}
+	return out, in, b, nb
 }

@@ -261,6 +261,38 @@ func hostileStreams() map[string]hostileStream {
 	}
 }
 
+// literalRun is a final fixed block of n literals, then the end of block.
+func literalRun(n int) []byte {
+	var w bitWriter
+	w.header(true, 1)
+	for i := range n {
+		w.fixed('a' + i%26)
+	}
+	return w.fixed(256).bytes()
+}
+
+// edgeCase is a stream, the destination length it is read into, and what
+// both decoders answer: "" for accepted, else a phrase both refusals contain.
+type edgeCase struct {
+	name   string
+	stream []byte
+	size   int
+	want   string
+}
+
+// literalRuns are the corners of a run of literals: where the input left
+// is too short to refill eight bytes at a time, and where the destination
+// fills (with trailing bytes, so the run is not near the input's end).
+func literalRuns() []edgeCase {
+	trailed := append(literalRun(40), "bytes after the final block"...)
+	return []edgeCase{
+		{"a literal run into the last 8 input bytes", literalRun(64), 64, ""},
+		{"a literal run filling the destination, then its end", trailed, 40, ""},
+		{"a literal run one byte longer than the destination", trailed, 39, "longer than declared"},
+		{"a stream cut off inside a literal run", literalRun(64)[:32], 64, "shorter than declared"},
+	}
+}
+
 // goldenEntries returns the compressed bytes of every entry of every
 // golden archive.
 func goldenEntries(tb testing.TB) [][]byte {
@@ -305,6 +337,10 @@ func FuzzInflateMatchesFlate(f *testing.F) {
 		refused, _ := io.ReadAll(flate.NewReader(bytes.NewReader(h.stream)))
 		f.Add(h.stream, int16(len(h.lenient)-len(refused)))
 	}
+	for _, c := range literalRuns() {
+		full, _ := io.ReadAll(flate.NewReader(bytes.NewReader(c.stream)))
+		f.Add(c.stream, int16(c.size-len(full)))
+	}
 	f.Add(deflate(f, text, flate.BestSpeed), int16(-1))
 	f.Add(deflate(f, text, flate.BestSpeed), int16(1))
 	f.Add(deflate(f, text, flate.BestSpeed)[:20], int16(0))
@@ -333,12 +369,6 @@ func TestInflateEdgeCases(t *testing.T) {
 	between.header(false, 1).fixed('a').fixed('b').fixed(256).stored(false, "xyz").header(true, 1).fixed('c').fixed(256)
 
 	hostile := hostileStreams()
-	type edgeCase struct {
-		name   string
-		stream []byte
-		size   int // the destination's length
-		want   string
-	}
 	cases := []edgeCase{
 		{"trailing bytes after the final block", append(slices.Clip(stream), "trailing"...), len(payload), ""},
 		{"a single one-bit distance code", literalBlock(true, []uint8{1}), 5, ""},
@@ -350,6 +380,7 @@ func TestInflateEdgeCases(t *testing.T) {
 		{"a zero-length entry", deflate(t, nil, flate.DefaultCompression), 0, ""},
 		{"a refused stream into a zero-length entry", hostile["incomplete code"].stream, 0, "longer than declared"},
 	}
+	cases = append(cases, literalRuns()...)
 	// A hostile stream is refused at the length and CRC-32 of what it
 	// would decode to if the check it fails were skipped.
 	for name, h := range hostile {
@@ -396,7 +427,10 @@ func TestInflateAllocs(t *testing.T) {
 // 400 archives of the standing benchmark's seed-1 payloads (6,000-API
 // universe) into a destination of the declared size, CRC-32 included:
 // flate is the pooled compress/flate reader entry.read used before, arena
-// the package's own decoder. One op is one entry.
+// the package's own decoder. The manifest and program arms run the arena
+// decoder on one kind of entry each: a manifest is short and repetitive, so
+// its dynamic header dominates; a program is mostly literals. One op is one
+// entry.
 func BenchmarkInflate(b *testing.B) {
 	cfg := framework.TestConfig(6000)
 	cfg.Seed = 1
@@ -410,8 +444,7 @@ func BenchmarkInflate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var entries []*entry
-	var names []string
+	var entries []*entry // a manifest, then a program, per archive
 	size := 0
 	for i := range corpus.Apps {
 		data, err := Build(corpus.Program(i), u)
@@ -423,20 +456,30 @@ func BenchmarkInflate(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, k := range []int{entryManifest, entryProgram} {
-			entries, names = append(entries, &a.files[k]), append(names, loadEntries[k])
+			entries = append(entries, &a.files[k])
 			size = max(size, int(a.files[k].usize))
 		}
 	}
 	dst := make([]byte, size)
 	for _, arm := range []struct {
-		name string
-		read func(e *entry, name string, dst []byte) error
-	}{{"flate", flateRead}, {"arena", (*entry).read}} {
+		name        string
+		read        func(e *entry, name string, dst []byte) error
+		first, step int // the entries the arm reads
+	}{
+		{"flate", flateRead, 0, 1},
+		{"arena", (*entry).read, 0, 1},
+		{"manifest", (*entry).read, 0, 2},
+		{"program", (*entry).read, 1, 2},
+	} {
+		var mine []*entry
+		for i := arm.first; i < len(entries); i += arm.step {
+			mine = append(mine, entries[i])
+		}
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := entries[i%len(entries)]
-				if err := arm.read(e, names[i%len(names)], dst[:e.usize]); err != nil {
+				e := mine[i%len(mine)]
+				if err := arm.read(e, "e", dst[:e.usize]); err != nil {
 					b.Fatal(err)
 				}
 			}

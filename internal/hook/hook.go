@@ -126,6 +126,7 @@ type Log struct {
 	invs   []Invocation
 	index  []int32
 	lookup map[framework.APIID]int32
+	table  *[]int32 // holds index, for the pool to take back
 
 	sentIntents map[framework.IntentID]uint64
 
@@ -147,20 +148,17 @@ type Log struct {
 }
 
 // indexPool recycles the dense APIID→slot tables between runs. Sealed logs
-// return their table zeroed, so a pooled table is always all-zero.
+// return their table zeroed, so a pooled table is always all-zero. It holds
+// *[]int32, not []int32: a slice put in a pool is boxed, one allocation a run.
 var indexPool sync.Pool
 
 // NewLog creates an empty log for the registry.
 func NewLog(r *Registry) *Log {
 	n := r.universe.NumAPIs()
-	var idx []int32
-	if v := indexPool.Get(); v != nil {
-		if s := v.([]int32); len(s) >= n {
-			idx = s
-		}
-	}
-	if idx == nil {
-		idx = make([]int32, n)
+	table, _ := indexPool.Get().(*[]int32)
+	if table == nil || len(*table) < n {
+		idx := make([]int32, n)
+		table = &idx
 	}
 	return &Log{
 		registry: r,
@@ -168,7 +166,8 @@ func NewLog(r *Registry) *Log {
 		// arena at 128 slots avoids most growth copies on the
 		// full-tracking measurement pass.
 		invs:  make([]Invocation, 0, 128),
-		index: idx,
+		index: *table,
+		table: table,
 	}
 }
 
@@ -189,8 +188,8 @@ func (l *Log) Seal() {
 	for i := range l.invs {
 		l.index[l.invs[i].API] = 0
 	}
-	indexPool.Put(l.index)
-	l.index = nil
+	indexPool.Put(l.table)
+	l.index, l.table = nil, nil
 	l.compactIntents()
 	l.compactActivities()
 }

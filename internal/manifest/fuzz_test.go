@@ -101,6 +101,28 @@ func TestNearMissesTakeFallback(t *testing.T) {
 	}
 }
 
+// TestCountsMatchesCount: countTags's one pass counts each tag as
+// strings.Count does, on Encode's output, on every near miss, and on runs
+// of `<` and tags cut short.
+func TestCountsMatchesCount(t *testing.T) {
+	good, err := sample().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := nearMisses(t)
+	docs["sample"] = good
+	docs["tags cut short"] = []byte("<<action <<activity<service <receiver<intent-filter<uses-permission <")
+	docs["back to back"] = []byte("<action <action <intent-filter><intent-filter><<<receiver <")
+	for name, doc := range docs {
+		got := countTags(string(doc))
+		for k, tag := range countedTags {
+			if want := strings.Count(string(doc), tag); got[k] != want {
+				t.Errorf("%s: %d of %q, strings.Count %d", name, got[k], tag, want)
+			}
+		}
+	}
+}
+
 // TestEncodeOutputTakesFastPath: whatever Encode can emit, scan claims —
 // including the characters Encode has to escape, which come out as
 // entities and so must (and do) fall back without changing the answer.

@@ -149,7 +149,7 @@ func (m *Manifest) Validate() error {
 	if m.VersionCode <= 0 {
 		return fmt.Errorf("manifest: package %s: versionCode %d must be positive", m.Package, m.VersionCode)
 	}
-	seen := make(map[string]bool)
+	seen := make(map[string]bool, len(m.Application.Activities))
 	for _, a := range m.Application.Activities {
 		if a.Name == "" {
 			return fmt.Errorf("manifest: package %s: activity with empty name", m.Package)

@@ -66,8 +66,11 @@ func scan(data []byte) (m *Manifest, ok bool) {
 
 	// A `<` can only open a tag in this shape, so counting a tag's opening
 	// literal counts its elements: each table is allocated once, full size.
-	if n := s.count("<uses-permission "); n > 0 {
-		m.Permissions = make([]UsesPerm, 0, n)
+	// All six are counted here, in one pass: no value holds a `<`, so the
+	// permissions and the application tag add none of the other five.
+	count := countTags(s.s[s.off:])
+	if count[tagPermission] > 0 {
+		m.Permissions = make([]UsesPerm, 0, count[tagPermission])
 	}
 	for s.lit("<uses-permission") {
 		var p UsesPerm
@@ -85,11 +88,11 @@ func scan(data []byte) (m *Manifest, ok bool) {
 	s.space()
 	// Every component's filters, and every filter's actions, are carved
 	// out of one backing array each.
-	filters := make([]IntentFilter, 0, s.count("<intent-filter>"))
-	actions := make([]Action, 0, s.count("<action "))
+	filters := make([]IntentFilter, 0, count[tagFilter])
+	actions := make([]Action, 0, count[tagAction])
 
-	if n := s.count("<activity "); n > 0 {
-		app.Activities = make([]Activity, 0, n)
+	if count[tagActivity] > 0 {
+		app.Activities = make([]Activity, 0, count[tagActivity])
 	}
 	for s.lit("<activity") {
 		var a Activity
@@ -103,8 +106,8 @@ func scan(data []byte) (m *Manifest, ok bool) {
 		app.Activities = append(app.Activities, a)
 		s.space()
 	}
-	if n := s.count("<service "); n > 0 {
-		app.Services = make([]Service, 0, n)
+	if count[tagService] > 0 {
+		app.Services = make([]Service, 0, count[tagService])
 	}
 	for s.lit("<service") {
 		var sv Service
@@ -114,8 +117,8 @@ func scan(data []byte) (m *Manifest, ok bool) {
 		app.Services = append(app.Services, sv)
 		s.space()
 	}
-	if n := s.count("<receiver "); n > 0 {
-		app.Receivers = make([]Receiver, 0, n)
+	if count[tagReceiver] > 0 {
+		app.Receivers = make([]Receiver, 0, count[tagReceiver])
 	}
 	for s.lit("<receiver") {
 		var r Receiver
@@ -171,9 +174,33 @@ func (s *scanner) space() {
 	}
 }
 
-// count returns how often tag occurs in the part not yet consumed.
-func (s *scanner) count(tag string) int {
-	return strings.Count(s.s[s.off:], tag)
+// countedTags are the opening literals of the elements scan counts before
+// it reads them, indexed by the tag constants.
+var countedTags = [...]string{"<uses-permission ", "<intent-filter>", "<action ", "<activity ", "<service ", "<receiver "}
+
+const (
+	tagPermission = iota
+	tagFilter
+	tagAction
+	tagActivity
+	tagService
+	tagReceiver
+)
+
+// countTags counts every countedTags literal in doc in one pass. Each
+// literal's one `<` is its first byte, so no two occurrences overlap and
+// counting the literals at each `<` gives strings.Count's answers.
+func countTags(doc string) (n [len(countedTags)]int) {
+	for i := strings.IndexByte(doc, '<'); i >= 0; i = strings.IndexByte(doc, '<') {
+		doc = doc[i+1:]
+		for k, tag := range countedTags {
+			if len(doc) > 0 && doc[0] == tag[1] && strings.HasPrefix(doc, tag[1:]) {
+				n[k]++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // open consumes ` name="`, the start of an attribute.

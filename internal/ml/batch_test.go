@@ -1,8 +1,50 @@
 package ml
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
+
+// TestScoreMatchesTreeWalk holds Score, which walks four trees per step, to
+// the tree-by-tree loop it replaced, bit for bit: forests whose tree counts
+// leave every remainder after the groups of four, on random vectors and the
+// all-zero and all-one vectors.
+func TestScoreMatchesTreeWalk(t *testing.T) {
+	const features = 120
+	d := syntheticDataset(700, features, 7)
+	rng := rand.New(rand.NewSource(9))
+	zero, one := NewVector(features), NewVector(features)
+	for f := range features {
+		one.Set(f)
+	}
+	xs := []Vector{zero, one}
+	for range 1000 {
+		v := NewVector(features)
+		for f := range features {
+			if rng.Intn(2) == 0 {
+				v.Set(f)
+			}
+		}
+		xs = append(xs, v)
+	}
+	for _, trees := range []int{1, 3, 4, 5, 120} {
+		rf := NewRandomForest(ForestConfig{Trees: trees, MaxDepth: 12, Seed: int64(trees)})
+		if err := rf.Train(d); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			sum := 0.0
+			for _, tree := range rf.trees {
+				sum += tree.prob(x)
+			}
+			want := sum/float64(len(rf.trees)) - 0.5
+			if got := rf.Score(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d trees, vector %d: Score %v, tree-by-tree %v", trees, i, got, want)
+			}
+		}
+	}
+}
 
 // TestScoreBatchBitIdentical is batch inference's core contract: every
 // ScoreBatch output equals Score on the same row, bit for bit, across

@@ -382,6 +382,37 @@ func (t *CART) probBatch4(x0, x1, x2, x3 Vector) (p0, p1, p2, p3 float64) {
 	return nodes[i0].prob, nodes[i1].prob, nodes[i2].prob, nodes[i3].prob
 }
 
+// probTrees4 walks one row through four trees in lockstep over their batch
+// layouts: probBatch4 turned around, four trees for one row. Each walker
+// parks on its self-looping leaf until the deepest of the four lands, and
+// reaches exactly the leaf prob would reach. One walker over four node
+// slices and four rows could serve both, but keeps eight slices live in
+// the loop, and the compiler spills them to the stack.
+func probTrees4(t0, t1, t2, t3 *CART, x Vector) (p0, p1, p2, p3 float64) {
+	b0, b1, b2, b3 := t0.bnodes, t1.bnodes, t2.bnodes, t3.bnodes
+	var i0, i1, i2, i3 int32
+	for s, depth := 0, max(t0.depth, t1.depth, t2.depth, t3.depth); s < depth; s++ {
+		n0, n1, n2, n3 := &b0[i0], &b1[i1], &b2[i2], &b3[i3]
+		i0 = n0.left
+		if x[n0.word]&n0.mask != 0 {
+			i0 = n0.right
+		}
+		i1 = n1.left
+		if x[n1.word]&n1.mask != 0 {
+			i1 = n1.right
+		}
+		i2 = n2.left
+		if x[n2.word]&n2.mask != 0 {
+			i2 = n2.right
+		}
+		i3 = n3.left
+		if x[n3.word]&n3.mask != 0 {
+			i3 = n3.right
+		}
+	}
+	return b0[i0].prob, b1[i1].prob, b2[i2].prob, b3[i3].prob
+}
+
 // Predict implements Classifier.
 func (t *CART) Predict(x Vector) bool {
 	if !t.trained {

@@ -87,9 +87,19 @@ func (rf *RandomForest) Train(d *Dataset) error {
 }
 
 // Score implements Scorer: mean leaf probability minus the 0.5 threshold.
+// Trees are walked four at a time (see probTrees4), and the sum still adds
+// their probabilities in tree order, so the score is the tree-by-tree one
+// to the bit.
 func (rf *RandomForest) Score(x Vector) float64 {
-	sum := 0.0
-	for _, tree := range rf.trees {
+	sum, trees := 0.0, rf.trees
+	for ; len(trees) >= 4; trees = trees[4:] {
+		p0, p1, p2, p3 := probTrees4(trees[0], trees[1], trees[2], trees[3], x)
+		sum += p0
+		sum += p1
+		sum += p2
+		sum += p3
+	}
+	for _, tree := range trees {
 		sum += tree.prob(x)
 	}
 	return sum/float64(len(rf.trees)) - 0.5
