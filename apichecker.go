@@ -307,7 +307,6 @@ const (
 	StageEmulate     = pipeline.StageEmulate
 	StageExtract     = pipeline.StageExtract
 	StageInfer       = pipeline.StageInfer
-	StageCacheStore  = pipeline.StageCacheStore
 )
 
 // FailedVetStage reports which pipeline stage a vet error died in (e.g.

@@ -61,8 +61,11 @@ func TestArchitecture(t *testing.T) {
 			source(in("internal/vetsvc"), declares("Service.Queue", "Service.MarkStarted", "Service.ReportRemote")), "internal/vetsvc/p.go: package vetsvc; func (*Service) MarkStarted() {}"},
 		{"cluster-reclaims", "a cluster.reclaims counter is back (reclaims are the queue's: svc.queue.reclaimed)",
 			source(scope{}, literal("cluster.reclaims")), `internal/cluster/p.go: package cluster; const c = "cluster.reclaims"`},
-		{"stage-engine", "internal/pipeline declares a stage engine again (call the stage functions from Deps.Vet, Answer or Run)",
+		{"stage-engine", "internal/pipeline declares a stage engine again (call the stage functions from Deps.Vet or Answer)",
 			source(in("internal/pipeline"), declares("Stage", "Runner", "Wrapper", "VetChain", "HitChain", "RunChain")), "internal/pipeline/p.go: package pipeline; type Stage interface{}"},
+		{"one-cache-write", "an always-emulate driver or a second cache write path is back (VetRun rides Deps.Vet; a verdict is stored by Cache.Do alone)",
+			source(scope{}, declares("Deps.Run", "Deps.store", "Cache.TryPut", "ModelGen.Epoch"), ident("StageCacheStore"), ident("CachedVerdict")),
+			"internal/vcache/p.go: package vcache; func (c *Cache[V]) TryPut() {}"},
 		{"vetcontext-spans", "pipeline.VetContext has a Spans field again (spans go to the obs collector; attach a sink to read them)",
 			source(in("internal/pipeline"), declares("VetContext.Spans")), "internal/pipeline/p.go: package pipeline; type VetContext struct { Spans []int }"},
 		{"core-generation", "internal/core declares its own generation record (the serving generation is a pipeline.ModelGen)",

@@ -40,7 +40,11 @@ func main() {
 	}
 	fmt.Printf("training on %d ground-truth apps (%d malicious)...\n", corpus.Len(), corpus.Positives())
 	start := time.Now()
-	checker, rep, err := apichecker.Train(corpus, apichecker.DefaultConfig())
+	// The verdict cache is off, so every argument, a repeated file too, is
+	// emulated and gets its analysis-log record.
+	cfg := apichecker.DefaultConfig()
+	cfg.VerdictCache = -1
+	checker, rep, err := apichecker.Train(corpus, cfg)
 	if err != nil {
 		fail(err)
 	}

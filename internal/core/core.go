@@ -5,11 +5,11 @@
 // install → Monkey exercise → hooked dynamic analysis → feature
 // extraction → classification.
 //
-// The vet path itself lives in internal/pipeline as three drivers (Vet,
-// Answer, Run) over the stages admit → cache.lookup → triage → decode →
-// emulate → extract → infer → cache.store; the Checker wires them to its
-// trained parts, and Vet/VetOutcome/VetRun/AnswerHit call them. Per-stage
-// spans and counters land on the checker's obs.Collector.
+// The vet path itself lives in internal/pipeline as two drivers (Vet,
+// Answer) over the stages admit → cache.lookup → triage → decode →
+// emulate → extract → infer; the Checker wires them to its trained parts:
+// Vet/VetOutcome/VetRun call Vet, AnswerHit calls Answer. Per-stage spans
+// and counters land on the checker's obs.Collector.
 //
 // TrainFromCorpus reproduces the offline study pipeline (§4): measure API
 // usage over the labelled corpus tracking everything, select the key APIs
@@ -136,10 +136,11 @@ type NodeConfig struct {
 	VerdictCache int
 
 	// VerdictPersistDir enables the file-backed warm-start tier under the
-	// verdict cache: memoized verdicts are appended to an epoch-keyed log
-	// in this directory and replayed on the next start if the serving
-	// model is unchanged, so a restarted node resumes its hit rate without
-	// re-emulating. Empty disables persistence; requires VerdictCache >= 0.
+	// verdict cache: memoized verdicts are appended to a log in this
+	// directory, keyed by the serving model's digest, and replayed on the
+	// next start if the serving model is unchanged, so a restarted node
+	// resumes its hit rate without re-emulating. Empty disables
+	// persistence; requires VerdictCache >= 0.
 	VerdictPersistDir string
 }
 
@@ -383,7 +384,7 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 		ck.cache = vcache.NewObserved[[]byte](cfg.VerdictCache, ck.obs)
 		ck.cache.SetSizeOf(func(e []byte) int { return len(e) })
 	}
-	g, err := newGeneration(parts, cfg.ModelConfig, 1, ck.cacheEpoch())
+	g, err := newGeneration(parts, cfg.ModelConfig, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -408,9 +409,8 @@ func NewFromParts(parts ModelParts, cfg Config) (*Checker, error) {
 // newGeneration assembles an immutable generation from trained parts under
 // cfg, with the emulation engine over a hook registry for the selected
 // keys, and encodes (parts, cfg) once into the artifact bytes whose digest
-// identifies it. epoch is the verdict-cache epoch the generation will
-// serve under (for a swap, the epoch after the pending bump).
-func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeline.ModelGen, error) {
+// identifies it.
+func newGeneration(parts ModelParts, cfg ModelConfig, id uint64) (*pipeline.ModelGen, error) {
 	if parts.Universe == nil || parts.Selection == nil || parts.Extractor == nil || parts.Model == nil {
 		return nil, fmt.Errorf("core: incomplete model parts")
 	}
@@ -445,7 +445,6 @@ func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeli
 		Run:       emu.RunContext,
 		Model:     parts.Model,
 		Trees:     trees,
-		Epoch:     epoch,
 		TriageLo:  lo,
 		TriageHi:  hi,
 		SwappedAt: time.Now(),
@@ -459,15 +458,6 @@ func newGeneration(parts ModelParts, cfg ModelConfig, id, epoch uint64) (*pipeli
 		g.TriageExtractor = tex
 	}
 	return g, nil
-}
-
-// cacheEpoch is the verdict cache's current epoch (0 with the cache
-// disabled).
-func (ck *Checker) cacheEpoch() uint64 {
-	if ck.cache == nil {
-		return 0
-	}
-	return ck.cache.Epoch()
 }
 
 // SwapModel atomically replaces the serving generation with freshly
@@ -502,22 +492,21 @@ func (ck *Checker) Adopt(a *Artifact) (GenerationInfo, error) {
 // swap publishes parts as the next generation under cfg, which becomes the
 // checker's model config. The caller holds swapMu.
 func (ck *Checker) swap(parts ModelParts, cfg ModelConfig) (GenerationInfo, error) {
-	old := ck.gen.Load()
-	// The new generation serves under the post-bump epoch. Publishing the
-	// generation before bumping means a vet that pins it pre-bump computes
-	// correctly but fails its conditional store — never the reverse, where
-	// a stale generation's verdict lands in a fresh epoch.
-	epoch := ck.cacheEpoch()
-	if ck.cache != nil {
-		epoch++
-	}
-	g, err := newGeneration(parts, cfg, old.ID+1, epoch)
+	g, err := newGeneration(parts, cfg, ck.gen.Load().ID+1)
 	if err != nil {
 		return GenerationInfo{}, err
 	}
 	ck.cfg.ModelConfig = cfg
+	// Publish, then bump the cache epoch, in that order: Cache.Do stores a
+	// leader's verdict only if the epoch it started under is still current
+	// when the computation returns. A leader that pinned the old generation
+	// did so before this publish, so before the bump, and its store is
+	// refused; the reverse order would let a leader start under the new
+	// epoch, pin the old generation, and store its verdict.
 	ck.gen.Store(g)
-	ck.InvalidateVerdicts()
+	if ck.cache != nil {
+		ck.cache.BumpEpoch()
+	}
 	// The on-disk tier invalidates with the in-memory one: re-key the log
 	// to the new generation after the epoch bump, so anything appended for
 	// the old epoch is gone and nothing stale survives a restart.
@@ -623,7 +612,7 @@ func (ck *Checker) StageStats() []obs.StageStats { return ck.obs.StageStats() }
 // block on the leader's result). Cached verdicts are bit-identical to
 // emulated ones because the Monkey seed derives from the content digest.
 func (ck *Checker) Vet(ctx context.Context, sub Submission) (*Verdict, error) {
-	v, _, err := ck.VetOutcome(ctx, sub)
+	v, _, _, err := ck.vet(ctx, &sub)
 	return v, err
 }
 
@@ -632,15 +621,33 @@ func (ck *Checker) Vet(ctx context.Context, sub Submission) (*Verdict, error) {
 // the cache), OutcomeCoalesced (deduplicated onto a concurrent identical
 // submission), or OutcomeBypass (cache disabled or payload undigestable).
 func (ck *Checker) VetOutcome(ctx context.Context, sub Submission) (*Verdict, vcache.Outcome, error) {
-	vc := pipeline.AcquireContext(ctx, &sub)
+	v, out, _, err := ck.vet(ctx, &sub)
+	return v, out, err
+}
+
+// VetRun is Vet, additionally returning the raw emulation result (the
+// input to analysis-log export). The result is nil when the verdict was
+// served without emulating — a cache hit, a coalesced follower, or a
+// tier-1 triage verdict; a caller that needs every submission emulated
+// builds its checker with the cache off (VerdictCache < 0) and no triage
+// band.
+func (ck *Checker) VetRun(ctx context.Context, sub Submission) (*Verdict, *emulator.Result, error) {
+	v, _, run, err := ck.vet(ctx, &sub)
+	return v, run, err
+}
+
+// vet drives one submission through pipeline.Deps.Vet on a pooled context:
+// the one body of Vet, VetOutcome and VetRun.
+func (ck *Checker) vet(ctx context.Context, sub *Submission) (*Verdict, vcache.Outcome, *emulator.Result, error) {
+	vc := pipeline.AcquireContext(ctx, sub)
 	defer pipeline.ReleaseContext(vc)
 	if err := ck.deps.Vet(vc); err != nil {
-		return nil, vc.Outcome, ck.vetError(vc, err)
+		return nil, vc.Outcome, nil, ck.vetError(vc, err)
 	}
-	// The Verdict is never pool-backed (fresh allocation per submission),
-	// so returning it past the release is safe; everything else on vc is
-	// recycled.
-	return vc.Verdict, vc.Outcome, nil
+	// The Verdict and the emulation result are never pool-backed (fresh
+	// allocations per vet), so returning them past the release is safe;
+	// everything else on vc is recycled.
+	return vc.Verdict, vc.Outcome, vc.Run, nil
 }
 
 // Hit is a verdict-cache entry LookupHit found for a submission, held
@@ -674,19 +681,6 @@ func (ck *Checker) AnswerHit(ctx context.Context, sub Submission, h Hit) (*Verdi
 	return vc.Verdict, nil
 }
 
-// VetRun is Vet, additionally returning the raw emulation result (the
-// input to analysis-log export). It always emulates — the result is the
-// point — but writes the verdict through to the cache so subsequent Vets
-// of the same content are served without re-running.
-func (ck *Checker) VetRun(ctx context.Context, sub Submission) (*Verdict, *emulator.Result, error) {
-	vc := pipeline.AcquireContext(ctx, &sub)
-	defer pipeline.ReleaseContext(vc)
-	if err := ck.deps.Run(vc); err != nil {
-		return nil, nil, ck.vetError(vc, err)
-	}
-	return vc.Verdict, vc.Run, nil
-}
-
 // vetError shapes a vet failure for the public surface: admission
 // failures (ErrBadSubmission) pass through exactly as Validate raised
 // them; everything else is wrapped with the vet prefix and the submission
@@ -715,15 +709,6 @@ func (ck *Checker) ReserveVetSeqs(n int) int64 {
 
 // nextVetSeq reserves the next single sequence number.
 func (ck *Checker) nextVetSeq() int64 { return atomic.AddInt64(&ck.vetCount, 1) }
-
-// InvalidateVerdicts drops every memoized verdict by advancing the
-// cache's model-generation epoch; SwapModel calls it when the model swaps.
-// In-flight emulations complete but their verdicts are not stored.
-func (ck *Checker) InvalidateVerdicts() {
-	if ck.cache != nil {
-		ck.cache.BumpEpoch()
-	}
-}
 
 // CacheStats snapshots the verdict-cache counters; the zero Stats when
 // the cache is disabled.

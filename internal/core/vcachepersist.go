@@ -32,7 +32,7 @@ func (ck *Checker) attachPersist(dir string) error {
 	p, restored, skipped, err := vcache.OpenPersist(dir, ck.persistGenKey(), ck.cache.Epoch(), func(k string, v []byte) {
 		// Replay defensively: an entry that does not decode (a layout
 		// change between binaries, say) must not enter the serving cache.
-		if _, derr := pipeline.DecodeCachedVerdict(v); derr != nil {
+		if _, derr := pipeline.DecodeEntry(v, new(pipeline.Verdict), nil); derr != nil {
 			bad++
 			return
 		}
@@ -87,15 +87,15 @@ func (ck *Checker) AttachPersist(dir string) error {
 func (ck *Checker) persistGenKey() string { return "model:" + ck.gen.Load().Digest }
 
 // resetPersist re-keys the persist log for the newly swapped-in
-// generation, discarding every persisted verdict — SwapModel's on-disk
-// mirror of InvalidateVerdicts. Best effort: a failed reset disables
-// appends for the stale epoch anyway (AppendCurrent's epoch gate), so
-// stale entries still cannot land.
+// generation, discarding every persisted verdict — swap's on-disk mirror
+// of the cache epoch bump. Best effort: a failed reset disables appends
+// for the stale epoch anyway (AppendCurrent's epoch gate), so stale
+// entries still cannot land.
 func (ck *Checker) resetPersist() {
 	if ck.persist == nil {
 		return
 	}
-	if err := ck.persist.Reset(ck.persistGenKey(), ck.cacheEpoch()); err != nil {
+	if err := ck.persist.Reset(ck.persistGenKey(), ck.cache.Epoch()); err != nil {
 		ck.obs.Counter("vcache.persist.reset_errors").Inc()
 	}
 }

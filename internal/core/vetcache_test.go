@@ -164,9 +164,9 @@ func TestRetrainInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestVetRunFeedsCache: the write-through path — VetRun (and therefore the
-// VetRun) always emulates but stores its verdict, so a
-// later Vet of the same bytes is a hit.
+// TestVetRunFeedsCache: VetRun rides Vet, so its miss stores the verdict
+// and a later Vet of the same bytes is a hit; a second VetRun is answered
+// from the cache too, with no emulation result.
 func TestVetRunFeedsCache(t *testing.T) {
 	ck, corpus := trainedChecker(t, 300)
 	data, err := apk.Build(corpus.Program(2), ck.Universe())
@@ -175,9 +175,12 @@ func TestVetRunFeedsCache(t *testing.T) {
 	}
 
 	runs0 := emulator.RunCount()
-	v1, _, err := ck.VetRun(context.Background(), Submission{Raw: data})
+	v1, run1, err := ck.VetRun(context.Background(), Submission{Raw: data})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if run1 == nil {
+		t.Fatal("VetRun's miss returned no emulation result")
 	}
 	v2, out, err := ck.VetOutcome(context.Background(), Submission{Raw: data})
 	if err != nil {
@@ -187,10 +190,52 @@ func TestVetRunFeedsCache(t *testing.T) {
 		t.Fatalf("vet after VetRun outcome = %v, want hit", out)
 	}
 	if *v1 != *v2 {
-		t.Fatalf("write-through verdict differs: %+v vs %+v", *v1, *v2)
+		t.Fatalf("stored verdict differs: %+v vs %+v", *v1, *v2)
+	}
+	v3, run3, err := ck.VetRun(context.Background(), Submission{Raw: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run3 != nil {
+		t.Fatal("VetRun answered from the cache returned an emulation result")
+	}
+	if *v3 != *v1 {
+		t.Fatalf("second VetRun verdict differs: %+v vs %+v", *v3, *v1)
 	}
 	if runs := emulator.RunCount() - runs0; runs != 1 {
 		t.Fatalf("emulation runs = %d, want 1", runs)
+	}
+}
+
+// TestVetRunCacheOffEmulatesEveryCall is cmd/apichecker's contract: on a
+// checker with the cache off, VetRun of one archive twice emulates twice,
+// returning a Result each time, and the two verdicts are bit-identical.
+func TestVetRunCacheOffEmulatesEveryCall(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VerdictCache = -1
+	ck, corpus := trainedCheckerCfg(t, 300, cfg)
+	data, err := apk.Build(corpus.Program(2), ck.Universe())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runs0 := emulator.RunCount()
+	var verdicts [2]*Verdict
+	for i := range verdicts {
+		v, run, err := ck.VetRun(context.Background(), Submission{Raw: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == nil {
+			t.Fatalf("VetRun %d returned no emulation result", i+1)
+		}
+		verdicts[i] = v
+	}
+	if *verdicts[0] != *verdicts[1] {
+		t.Fatalf("verdicts differ: %+v vs %+v", *verdicts[0], *verdicts[1])
+	}
+	if runs := emulator.RunCount() - runs0; runs != 2 {
+		t.Fatalf("emulation runs = %d, want 2", runs)
 	}
 }
 

@@ -312,7 +312,7 @@ func TestPersistSkipsVersion1Entries(t *testing.T) {
 	// length-prefixed MD5, and the fields version 2 still has. The rest of
 	// the entry is beside the point — the version byte alone refuses it.
 	v1 := []byte{1, 7, 0, 0, 0, 'c', 'o', 'm', '.', 'o', 'l', 'd'}
-	if _, err := pipeline.DecodeCachedVerdict(v1); !errors.Is(err, pipeline.ErrBadEntry) {
+	if _, err := pipeline.DecodeEntry(v1, new(pipeline.Verdict), nil); !errors.Is(err, pipeline.ErrBadEntry) {
 		t.Fatalf("v1 entry decodes: %v", err)
 	}
 	if err := ck1.persist.AppendCurrent(stale.ContentDigest(), v1, ck1.cache.Epoch()); err != nil {

@@ -13,7 +13,7 @@ import (
 // Compact verdict-cache entries.
 //
 // The cache holds up to millions of memoized verdicts, so each entry is a
-// single flat []byte instead of a CachedVerdict pointer graph (three
+// single flat []byte instead of a verdict-and-vector pointer graph (three
 // string headers, a slice header, and the GC scanning all of them per
 // cycle). The layout is a fixed field sequence, little-endian, strings and
 // the vector length-prefixed:
@@ -161,17 +161,4 @@ func DecodeEntry(e []byte, v *Verdict, vec ml.Vector) (ml.Vector, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadEntry, err)
 	}
 	return vec, nil
-}
-
-// DecodeCachedVerdict is DecodeEntry into a fresh CachedVerdict — the
-// convenience used by tests and offline tooling; the serving hit path
-// decodes into pooled storage instead.
-func DecodeCachedVerdict(e []byte) (CachedVerdict, error) {
-	var cv CachedVerdict
-	vec, err := DecodeEntry(e, &cv.Verdict, nil)
-	if err != nil {
-		return CachedVerdict{}, err
-	}
-	cv.Vector = vec
-	return cv, nil
 }

@@ -34,10 +34,9 @@ type VetContext struct {
 	Digest string
 
 	// Gen is the model generation this vet is pinned to. The triage stage
-	// (decode, on Run's path) sets it exactly once — inside the
-	// cache-lookup singleflight bracket — and every later stage reads only
-	// through it, so a concurrent hot-swap can never mix feature extraction
-	// and scoring across generations.
+	// sets it exactly once — inside the cache-lookup singleflight bracket —
+	// and every later stage reads only through it, so a concurrent hot-swap
+	// can never mix feature extraction and scoring across generations.
 	Gen *ModelGen
 
 	// Monkey is the per-submission exerciser configuration, derived from
@@ -142,20 +141,6 @@ func (d *Deps) Answer(vc *VetContext, entry []byte) error {
 	return d.emit(vc, StageCacheLookup, vc.answer(entry))
 }
 
-// Run drives the always-emulate path VetRun takes: admit, decode →
-// emulate → extract → infer with no cache lookup (the emulation result is
-// the point), then a write-through cache store so later Vets of the same
-// content are served without re-running.
-func (d *Deps) Run(vc *VetContext) error {
-	if err := d.emit(vc, StageAdmit, d.admit(vc)); err != nil {
-		return err
-	}
-	if err := d.analyse(vc); err != nil {
-		return err
-	}
-	return d.emit(vc, StageCacheStore, d.store(vc))
-}
-
 // analyse runs the tier-2 stages, stopping at the first failure.
 func (d *Deps) analyse(vc *VetContext) error {
 	if err := d.emit(vc, StageDecode, d.decode(vc)); err != nil {
@@ -197,8 +182,6 @@ func (d *Deps) emit(vc *VetContext, stage string, err error) error {
 			ev.Err = err
 		}
 	}
-	if d.Obs != nil {
-		d.Obs.Emit(ev)
-	}
+	d.Obs.Emit(ev)
 	return err
 }

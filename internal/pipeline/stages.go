@@ -27,7 +27,6 @@ const (
 	StageEmulate     = "emulate"
 	StageExtract     = "extract"
 	StageInfer       = "infer"
-	StageCacheStore  = "cache.store"
 )
 
 // Deterministic virtual-clock costs for the bookkeeping stages. The
@@ -102,34 +101,30 @@ type ModelGen struct {
 	// band [0, 1] disables the tier (nothing is ever outside it).
 	TriageLo, TriageHi float64
 
-	// Epoch is the verdict-cache epoch this generation serves under;
-	// write-through stores are conditional on it so a verdict computed on
-	// an old generation can never be stored into a newer epoch.
-	Epoch uint64
-
 	// SwappedAt is when this generation started serving.
 	SwappedAt time.Time
 }
 
-// Deps wires the vet drivers (Vet, Answer, Run) to the checker that
-// assembled them. Gen is a func so a hot-swap is picked up by the next
-// submission; everything else is generation-independent.
+// Deps wires the vet drivers (Vet, Answer) to the checker that assembled
+// them. Gen is a func so a hot-swap is picked up by the next submission;
+// everything else is generation-independent.
 type Deps struct {
 	// Gen returns the current model generation. A vet pins it exactly once
-	// (triage, or decode on Run's path) on the VetContext; admission reads
-	// it only for its universe's sizes.
+	// (triage) on the VetContext; admission reads it only for its
+	// universe's sizes.
 	Gen func() *ModelGen
 
 	// Cache is the digest-keyed verdict cache; nil disables memoization.
 	// Values are flat EncodeEntry buffers — one GC-opaque allocation per
-	// memoized verdict — not CachedVerdict graphs.
+	// memoized verdict.
 	Cache *vcache.Cache[[]byte]
 
 	// NextSeq reserves the next vet sequence number.
 	NextSeq func() int64
 
 	// Obs receives one span per stage, and the triage and emulator
-	// reliability counters (emu.runs, emu.crashes, emu.fallbacks).
+	// reliability counters (emu.runs, emu.crashes, emu.fallbacks). The
+	// drivers need it set.
 	Obs *obs.Collector
 
 	// Events and Seed shape the per-submission Monkey configuration.
@@ -360,24 +355,17 @@ func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	}
 }
 
-func (d *Deps) count(name string) {
-	if d.Obs != nil {
-		d.Obs.Counter(name).Inc()
-	}
-}
+func (d *Deps) count(name string) { d.Obs.Counter(name).Inc() }
 
 // decode is the static half of the vet: it reserves the vet sequence
 // number, derives the content-seeded Monkey configuration, parses a raw
 // archive, and resolves the manifest view the feature extractor will
 // join the hook log against. Runs only when the cache did not answer.
 func (d *Deps) decode(vc *VetContext) error {
-	// Pin the model generation for the remaining stages: triage pinned it
-	// on Vet's path, inside the cache-lookup singleflight, so a leader that
-	// starts after a hot-swap computes wholly on the new generation, and
-	// one that started before finishes wholly on the old one.
-	if vc.Gen == nil {
-		vc.Gen = d.Gen()
-	}
+	// vc.Gen is the generation triage pinned inside the cache-lookup
+	// singleflight, so a leader that starts after a hot-swap computes
+	// wholly on the new generation, and one that started before finishes
+	// wholly on the old one.
 	if vc.Seq == 0 {
 		vc.Seq = d.NextSeq()
 	}
@@ -439,9 +427,6 @@ func (d *Deps) emulate(vc *VetContext) error {
 // book absorbs the emulator reliability accounting (§5.1) into obs:
 // crash-restarts, fallback re-runs, and completed emulations by engine.
 func (d *Deps) book(res *emulator.Result) {
-	if d.Obs == nil {
-		return
-	}
 	d.Obs.Counter("emu.runs").Inc()
 	d.Obs.Counter("emu.engine." + res.Profile).Inc()
 	if res.Crashed > 0 {
@@ -500,24 +485,5 @@ func infer(vc *VetContext) error {
 		InvokedKeyAPIs: res.Log.DistinctInvoked(),
 	}
 	vc.Span(time.Duration(vc.Gen.Trees)*inferPerTree, "")
-	return nil
-}
-
-// store writes a verdict computed outside the cache-lookup bracket through
-// to the cache (Run's path, which always emulates because the raw run
-// result is the point). The store is conditional on the pinned
-// generation's cache epoch: a verdict computed on a generation that was
-// swapped out mid-run is returned to the caller but never stored, so the
-// cache can only ever serve current-generation verdicts.
-func (d *Deps) store(vc *VetContext) error {
-	if d.Cache == nil || vc.Digest == "" {
-		vc.Span(0, "skipped")
-		return nil
-	}
-	if !d.Cache.TryPut(vc.Digest, EncodeEntry(vc.Verdict, vc.Vector), vc.Gen.Epoch) {
-		vc.Span(0, "stale")
-		return nil
-	}
-	vc.Span(0, "stored")
 	return nil
 }

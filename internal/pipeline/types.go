@@ -1,11 +1,10 @@
 // Package pipeline is the canonical vet path — the sequence the paper
 // describes (install/emulate, hook-log collection, A+P+I feature
-// extraction, random-forest inference) as three straight-line drivers on
+// extraction, random-forest inference) as two straight-line drivers on
 // Deps:
 //
 //	Vet:    admit → cache.lookup[ triage[ decode → emulate → extract → infer ] ]
 //	Answer: admit → cache.lookup (hit half)
-//	Run:    admit → decode → emulate → extract → infer → cache.store
 //
 // Each stage is a function over a VetContext that carries the submission,
 // its content digest, the bounding context, and the stage products; every
@@ -29,7 +28,6 @@ import (
 
 	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
-	"apichecker/internal/ml"
 )
 
 // Typed failure modes of the vet path. internal/core aliases these (and
@@ -172,15 +170,6 @@ type Verdict struct {
 // install, emulator recycle, result logging (§5.2: 1.92 min overall vs
 // 1.4 min analysis at production load).
 const FixedOverhead = 31 * time.Second
-
-// CachedVerdict is one memoized vet: the full verdict plus the feature
-// vector it was scored on, so a cached answer carries everything an
-// emulated one does. The Verdict lives here by value — the driver hands
-// each caller its own copy.
-type CachedVerdict struct {
-	Verdict Verdict
-	Vector  ml.Vector
-}
 
 // DigestSeed folds a hex content digest into 64 bits (FNV-1a) — the
 // content-derived Monkey seed source.

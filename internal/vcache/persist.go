@@ -111,7 +111,7 @@ func encodeRecord(key string, val []byte) []byte {
 }
 
 // AppendCurrent appends one entry if epoch still matches the log's —
-// the on-disk analogue of TryPut's epoch condition. An append racing a
+// the on-disk analogue of Do's post-compute epoch check. An append racing a
 // Reset (model swap) is either rejected here or lands in the old file
 // before the rename replaces it; a stale entry can never reach the log
 // that survives.

@@ -162,7 +162,7 @@ func NewObserved[V any](capacity int, col *obs.Collector) *Cache[V] {
 func (c *Cache[V]) SetSizeOf(fn func(V) int) { c.sizeOf = fn }
 
 // OnStore installs a hook observing every successful store (leader
-// completion, Put, TryPut) with the epoch the value was stored under. It
+// completion, Put) with the epoch the value was stored under. It
 // runs outside the shard lock, so a slow hook (a file append) stalls only
 // its own caller. Install before the cache sees traffic.
 func (c *Cache[V]) OnStore(fn func(key string, v V, epoch uint64)) { c.onStore = fn }
@@ -296,42 +296,32 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 	return cl.val, OutcomeMiss, cl.err
 }
 
-// Get looks the key up without counting a hit or a miss (observability
-// and tests; the serving path uses Hit and Do).
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
+// Hit looks the key up for a caller that answers from the entry it finds:
+// it counts a hit when it finds one and nothing when it does not, so a
+// probe that misses and goes on to Do books exactly what Do alone would
+// have.
+func (c *Cache[V]) Hit(key string) (v V, ok bool) {
 	if key == "" {
-		return zero, false
+		return v, false
 	}
 	sh := c.shard(key)
 	epoch := c.epoch.Load()
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
-	if !ok {
-		return zero, false
+	if el, found := sh.items[key]; found {
+		if e := el.Value.(*entry[V]); e.epoch == epoch {
+			sh.lru.MoveToFront(el)
+			v, ok = e.val, true
+		}
 	}
-	e := el.Value.(*entry[V])
-	if e.epoch != epoch {
-		return zero, false
-	}
-	sh.lru.MoveToFront(el)
-	return e.val, true
-}
-
-// Hit is Get for a caller that answers from the entry it finds: it counts
-// a hit when it finds one and nothing when it does not, so a probe that
-// misses and goes on to Do books exactly what Do alone would have.
-func (c *Cache[V]) Hit(key string) (V, bool) {
-	v, ok := c.Get(key)
+	sh.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	}
 	return v, ok
 }
 
-// Put stores a value computed outside Do (the write-through path: callers
-// that must always run the computation can still feed the cache).
+// Put stores a value computed outside Do under the current epoch (the
+// persist tier's warm-start replay).
 func (c *Cache[V]) Put(key string, v V) {
 	if key == "" {
 		return
@@ -344,32 +334,6 @@ func (c *Cache[V]) Put(key string, v V) {
 	if c.onStore != nil {
 		c.onStore(key, v, epoch)
 	}
-}
-
-// TryPut is Put conditioned on the epoch the value was computed under: it
-// stores only if that epoch is still current and reports whether it did.
-// This is the write-through analogue of Do's straddle check — a verdict
-// computed on a model generation that was swapped out mid-run must reach
-// its caller but never the cache.
-func (c *Cache[V]) TryPut(key string, v V, epoch uint64) bool {
-	if key == "" || c.epoch.Load() != epoch {
-		return false
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	// Re-check under the shard lock: BumpEpoch drops entries shard by
-	// shard, so an unlocked check alone could store into a shard the bump
-	// already cleared.
-	if c.epoch.Load() != epoch {
-		sh.mu.Unlock()
-		return false
-	}
-	c.store(sh, key, v, epoch)
-	sh.mu.Unlock()
-	if c.onStore != nil {
-		c.onStore(key, v, epoch)
-	}
-	return true
 }
 
 // store upserts under the shard lock, evicting the LRU entry if full.

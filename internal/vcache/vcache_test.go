@@ -58,15 +58,15 @@ func TestLRUEviction(t *testing.T) {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
 	// Touch k0 so k1 becomes least recently used.
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok := c.Hit("k0"); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
 	c.Put("k3", 3)
-	if _, ok := c.Get("k1"); ok {
+	if _, ok := c.Hit("k1"); ok {
 		t.Fatal("k1 survived eviction; LRU order not respected")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Hit(k); !ok {
 			t.Fatalf("%s evicted, want retained", k)
 		}
 	}
@@ -240,7 +240,7 @@ func TestBumpEpochInvalidates(t *testing.T) {
 		t.Fatalf("outcome = %v, want miss", out)
 	}
 	c.BumpEpoch()
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Hit("k"); ok {
 		t.Fatal("entry survived BumpEpoch")
 	}
 	v, out, _ := c.Do(context.Background(), "k", get)
@@ -299,7 +299,7 @@ func TestBumpEpochDuringFlightSkipsStore(t *testing.T) {
 	if out := <-done; out != OutcomeMiss {
 		t.Fatalf("leader outcome = %v, want miss", out)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Hit("k"); ok {
 		t.Fatal("stale-epoch result was stored")
 	}
 	if c.Len() != 0 {
