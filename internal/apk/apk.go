@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"apichecker/internal/behavior"
@@ -70,7 +71,9 @@ type APK struct {
 // sha256, the key byte-identical resubmissions are deduplicated under.
 func Digest(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var h [2 * sha256.Size]byte // formatted on the stack: one allocation, the string
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }
 
 // PackageName returns the manifest package name.
@@ -174,8 +177,8 @@ func signatureFor(entries map[string][]byte) []byte {
 // Parse opens an APK archive and decodes its load-bearing entries. Any
 // malformed archive fails with an error wrapping ErrBadAPK.
 func Parse(data []byte) (*APK, error) {
-	var a Archive
-	if err := a.open(data); err != nil {
+	a, err := Open(data)
+	if err != nil {
 		return nil, err
 	}
 	// All three payloads inflate into one arena before any decoder runs.
@@ -183,7 +186,6 @@ func Parse(data []byte) (*APK, error) {
 		return nil, err
 	}
 	out := &APK{Size: int64(len(data))}
-	var err error
 	if out.Manifest, err = a.Manifest(); err != nil {
 		return nil, err
 	}
@@ -204,8 +206,8 @@ func Parse(data []byte) (*APK, error) {
 // to the one entry it inflates, and any malformed archive fails with an
 // error wrapping ErrBadAPK.
 func ParseManifestOnly(data []byte) (*manifest.Manifest, error) {
-	var a Archive
-	if err := a.open(data); err != nil {
+	a, err := Open(data)
+	if err != nil {
 		return nil, err
 	}
 	return a.Manifest()
@@ -215,11 +217,11 @@ func ParseManifestOnly(data []byte) (*manifest.Manifest, error) {
 // behaviour blob, in that order — into one arena and decodes none of them:
 // the container's share of a Parse.
 func Inflate(data []byte) ([len(loadEntries)][]byte, error) {
-	var a Archive
-	if err := a.open(data); err != nil {
-		return a.payloads, err
+	a, err := Open(data)
+	if err != nil {
+		return [len(loadEntries)][]byte{}, err
 	}
-	err := a.inflate(entryManifest, entryDex, entryProgram)
+	err = a.inflate(entryManifest, entryDex, entryProgram)
 	return a.payloads, err
 }
 
@@ -244,6 +246,11 @@ var loadEntries = [...]string{
 // memoize, so a caller pays only for the views it reads — the serving
 // pipeline never asks for the dex. Every error wraps ErrBadAPK. Not safe
 // for concurrent use.
+//
+// Reset reopens a handle over another archive and keeps its storage: the
+// arena the entries inflate into, and the decoders the manifest and the
+// program are refilled from. What the accessors return is then valid until
+// the next Reset.
 type Archive struct {
 	files [len(loadEntries)]entry
 
@@ -261,7 +268,17 @@ type Archive struct {
 	dexErr      error
 	program     *behavior.Program
 	programErr  error
+
+	// Storage Reset keeps: the inflate arena (payloads are cut from it)
+	// and the decoders behind manifest and program.
+	arena     []byte
+	manifests manifest.Decoder
+	programs  behavior.Decoder
 }
+
+// keepArena bounds the inflate arena Reset keeps: past it, one outsized
+// archive would pin its storage to the handle for good.
+const keepArena = 1 << 20
 
 // Open walks the archive's central directory and holds each load-bearing
 // entry's local header to it. It fails only on a malformed container;
@@ -273,6 +290,17 @@ func Open(data []byte) (*Archive, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// Reset reopens the handle over data, as Open does, keeping the storage the
+// last archive decoded into.
+func (a *Archive) Reset(data []byte) error {
+	arena := a.arena[:0]
+	if cap(arena) > keepArena {
+		arena = nil
+	}
+	*a = Archive{arena: arena, manifests: a.manifests, programs: a.programs}
+	return a.open(data)
 }
 
 func badAPK(err error) error { return fmt.Errorf("%w: %w", ErrBadAPK, err) }
@@ -328,11 +356,12 @@ func (a *Archive) open(data []byte) error {
 	return nil
 }
 
-// inflate decompresses the given entries into one arena allocated at its
-// final size (the directory's, so no io.ReadAll growth copies) and
-// sub-slices their payloads out of it. Several entries at once need the
-// whole set sound — the aggregate bound caps the arena; one needs only
-// itself present and bounded.
+// inflate decompresses the given entries into the arena, after what an
+// earlier call put there, and sub-slices their payloads out of it. The
+// arena grows at most once a call, by the directory's sizes, so there are
+// no io.ReadAll growth copies. Several entries at once need the whole set
+// sound — the aggregate bound caps the arena; one needs only itself present
+// and bounded.
 func (a *Archive) inflate(entries ...int) error {
 	if len(entries) > 1 && a.setErr != nil {
 		return a.setErr
@@ -348,7 +377,9 @@ func (a *Archive) inflate(entries ...int) error {
 		}
 		total += int(f.usize)
 	}
-	arena := make([]byte, total)
+	start := len(a.arena)
+	a.arena = slices.Grow(a.arena, total)[:start+total]
+	arena := a.arena[start:]
 	off := 0
 	for _, i := range entries {
 		n := int(a.files[i].usize)
@@ -387,7 +418,7 @@ func (a *Archive) decodeManifest() (*manifest.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := manifest.Decode(xml)
+	m, err := a.manifests.Decode(xml)
 	if err != nil {
 		return nil, badAPK(fmt.Errorf("apk: parse: %w", err))
 	}
@@ -438,7 +469,7 @@ func (a *Archive) decodeProgram() (*behavior.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := behavior.Decode(raw)
+	p, err := a.programs.Decode(raw)
 	if err != nil {
 		return nil, badAPK(fmt.Errorf("apk: parse %s: %w", m.Package, err))
 	}

@@ -162,27 +162,47 @@ func appendActivities(b []byte, acts []ActivityBehavior) []byte {
 //
 // The blob is copied once into a string and every name in the result is a
 // substring of that copy (wire.NewSubstringReader); the activities,
-// APIRates and send-intents of the whole program live in three backing
-// arrays, each allocated once at the total the header declares — only after
-// wire's Count has checked that total against the bytes that remain — and
-// handed out as capped sub-slices. Empty slices decode to nil. Anything
-// Encode would not have written (an overlong uvarint, a reserved flag bit,
-// a total the body does not use up, trailing bytes) is an error, so an
-// accepted blob re-encodes to the same bytes.
-func Decode(data []byte) (*Program, error) {
+// APIRates and send-intents of the whole program live in three arenas,
+// each sized at the total the header declares — only after wire's Count has
+// checked that total against the bytes that remain — and handed out as
+// capped sub-slices. Empty slices decode to nil. Anything Encode would not
+// have written (an overlong uvarint, a reserved flag bit, a total the body
+// does not use up, trailing bytes) is an error, so an accepted blob
+// re-encodes to the same bytes.
+func Decode(data []byte) (*Program, error) { return new(Decoder).Decode(data) }
+
+// Decoder is Decode with storage kept from one blob to the next: the
+// Program it returns, its payload, the three arenas and the arrays of its
+// other lists. Once they have grown to the blobs it sees, a decode
+// allocates only the copy of the blob that every name is a substring of.
+// The returned program is valid until the next Decode. The zero value is
+// ready to use.
+type Decoder struct {
+	p       Program
+	payload Payload
+	arenas  arenas
+
+	receivers   []framework.IntentID
+	permissions []framework.PermissionID
+	nativeLibs  []string
+}
+
+// Decode is the package's Decode into d's storage.
+func (d *Decoder) Decode(data []byte) (*Program, error) {
 	if len(data) < len(blobMagic) || string(data[:len(blobMagic)]) != blobMagic {
 		return nil, fmt.Errorf("behavior: decode: not a version 2 behaviour blob: starts %q, want %q",
 			data[:min(len(data), len(blobMagic))], blobMagic)
 	}
 	r := wire.NewSubstringReader(data)
 	r.Bytes(len(blobMagic))
-	ar := arenas{
-		acts:    make([]ActivityBehavior, r.Count(r.Uvarint(), "activity total", minActivityBytes)),
-		rates:   make([]APIRate, r.Count(r.Uvarint(), "rate total", minRateBytes)),
-		intents: make([]framework.IntentID, r.Count(r.Uvarint(), "send-intent total", minIDBytes)),
-	}
+	ar := &d.arenas
+	ar.acts = grow(ar.acts, r.Count(r.Uvarint(), "activity total", minActivityBytes))
+	ar.rates = grow(ar.rates, r.Count(r.Uvarint(), "rate total", minRateBytes))
+	ar.intents = grow(ar.intents, r.Count(r.Uvarint(), "send-intent total", minIDBytes))
+	rest := *ar
 
-	p := new(Program)
+	p := &d.p
+	*p = Program{}
 	flags := r.Flags(programFlagsMask)
 	p.SuppressOnEmulator = flags&flagSuppressOnEmulator != 0
 	p.RequiresRealSensors = flags&flagRequiresRealSensors != 0
@@ -195,21 +215,23 @@ func Decode(data []byte) (*Program, error) {
 	p.Version = int(version)
 	p.Seed = int64(r.U64())
 	p.CrashBias = r.F64()
-	p.Activities = ar.activities(&r)
-	p.ReceiverIntents = ids[framework.IntentID](&r, "receiver intent")
-	p.Permissions = ids[framework.PermissionID](&r, "permission")
+	p.Activities = rest.activities(&r)
+	p.ReceiverIntents = ids(&r, &d.receivers, "receiver intent")
+	p.Permissions = ids(&r, &d.permissions, "permission")
 	if n := r.Count(r.Uvarint(), "native lib", minStringBytes); n > 0 {
-		p.NativeLibs = make([]string, n)
+		d.nativeLibs = grow(d.nativeLibs, n)
+		p.NativeLibs = d.nativeLibs[:n:n]
 		for i := range p.NativeLibs {
 			p.NativeLibs[i] = r.String(int(r.Uvarint()))
 		}
 	}
 	if flags&flagPayload != 0 {
-		p.Payload = &Payload{Activities: ar.activities(&r)}
+		d.payload = Payload{Activities: rest.activities(&r)}
+		p.Payload = &d.payload
 	}
-	if len(ar.acts) != 0 || len(ar.rates) != 0 || len(ar.intents) != 0 {
+	if len(rest.acts) != 0 || len(rest.rates) != 0 || len(rest.intents) != 0 {
 		r.Fail(fmt.Errorf("header totals exceed the body by %d activities, %d rates, %d send-intents",
-			len(ar.acts), len(ar.rates), len(ar.intents)))
+			len(rest.acts), len(rest.rates), len(rest.intents)))
 	}
 	r.End()
 	if err := r.Err(); err != nil {
@@ -221,6 +243,16 @@ func Decode(data []byte) (*Program, error) {
 	return p, nil
 }
 
+// grow returns s resliced to n elements, reallocated when its capacity is
+// short, and keeps the capacity for the next blob: a slice handed out of it
+// is capped at n. The caller overwrites every element.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // id reads one API, intent or permission id.
 func id(r *wire.Reader) int32 {
 	v := r.Uvarint()
@@ -230,21 +262,23 @@ func id(r *wire.Reader) int32 {
 	return int32(v)
 }
 
-// ids reads a counted id list into its own slice (nil when empty).
-func ids[T ~int32](r *wire.Reader, what string) []T {
+// ids reads a counted id list into *array, grown to fit, and returns the
+// list (nil when empty).
+func ids[T ~int32](r *wire.Reader, array *[]T, what string) []T {
 	n := r.Count(r.Uvarint(), what, minIDBytes)
 	if n == 0 {
 		return nil
 	}
-	out := make([]T, n)
+	*array = grow(*array, n)
+	out := (*array)[:n:n]
 	for i := range out {
 		out[i] = T(id(r))
 	}
 	return out
 }
 
-// arenas is what is left of the three backing arrays Decode allocates at
-// the header totals.
+// arenas holds the three backing arrays a decode carves the activities,
+// rates and send-intents from; a copy's slices shrink as they are carved.
 type arenas struct {
 	acts    []ActivityBehavior
 	rates   []APIRate

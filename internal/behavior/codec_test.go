@@ -271,3 +271,39 @@ func TestDecodeRejectsNonFiniteBlob(t *testing.T) {
 		}
 	}
 }
+
+// TestDecoderReuseReadsAsFresh: one Decoder reads every corpus program, in
+// order and then backwards, each right after it refused a truncated copy
+// of that program's blob, exactly as a fresh Decode reads it — the storage
+// it reuses carries nothing from one blob to the next.
+func TestDecoderReuseReadsAsFresh(t *testing.T) {
+	var blobs [][]byte
+	for _, p := range corpusPrograms() {
+		data, err := p.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", p.PackageName, err)
+		}
+		blobs = append(blobs, data)
+	}
+	var d Decoder
+	for k := range 2 * len(blobs) {
+		data := blobs[k%len(blobs)]
+		if k >= len(blobs) {
+			data = blobs[2*len(blobs)-1-k]
+		}
+		if _, err := d.Decode(data[:len(data)-1]); err == nil {
+			t.Fatalf("blob %d: Decode accepted it truncated", k)
+		}
+		got, err := d.Decode(data)
+		if err != nil {
+			t.Fatalf("blob %d: %v", k, err)
+		}
+		want, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("blob %d: a reused Decoder read\n%+v\nwhere a fresh one reads\n%+v", k, got, want)
+		}
+	}
+}

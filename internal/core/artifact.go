@@ -167,7 +167,9 @@ func (a *Artifact) Digest() (string, error) {
 // hex sha256.
 func ArtifactDigest(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var h [2 * sha256.Size]byte // formatted on the stack: one allocation, the string
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }
 
 // Decode parses an encoded artifact. The whole payload must be consumed —

@@ -442,7 +442,7 @@ func newGeneration(parts ModelParts, cfg ModelConfig, id uint64) (*pipeline.Mode
 		Universe:  parts.Universe,
 		Selection: parts.Selection,
 		Extractor: parts.Extractor,
-		Run:       emu.RunContext,
+		Run:       emu.RunScratch,
 		Model:     parts.Model,
 		Trees:     trees,
 		TriageLo:  lo,
@@ -612,7 +612,7 @@ func (ck *Checker) StageStats() []obs.StageStats { return ck.obs.StageStats() }
 // block on the leader's result). Cached verdicts are bit-identical to
 // emulated ones because the Monkey seed derives from the content digest.
 func (ck *Checker) Vet(ctx context.Context, sub Submission) (*Verdict, error) {
-	v, _, _, err := ck.vet(ctx, &sub)
+	v, _, _, err := ck.vet(ctx, &sub, false)
 	return v, err
 }
 
@@ -621,33 +621,37 @@ func (ck *Checker) Vet(ctx context.Context, sub Submission) (*Verdict, error) {
 // the cache), OutcomeCoalesced (deduplicated onto a concurrent identical
 // submission), or OutcomeBypass (cache disabled or payload undigestable).
 func (ck *Checker) VetOutcome(ctx context.Context, sub Submission) (*Verdict, vcache.Outcome, error) {
-	v, out, _, err := ck.vet(ctx, &sub)
+	v, out, _, err := ck.vet(ctx, &sub, false)
 	return v, out, err
 }
 
 // VetRun is Vet, additionally returning the raw emulation result (the
-// input to analysis-log export). The result is nil when the verdict was
-// served without emulating — a cache hit, a coalesced follower, or a
-// tier-1 triage verdict; a caller that needs every submission emulated
-// builds its checker with the cache off (VerdictCache < 0) and no triage
-// band.
+// input to analysis-log export). The result is the caller's: a sealed copy
+// of the run, which itself lives in scratch the next vet reuses. It is nil
+// when the verdict was served without emulating — a cache hit, a coalesced
+// follower, or a tier-1 triage verdict; a caller that needs every
+// submission emulated builds its checker with the cache off
+// (VerdictCache < 0) and no triage band.
 func (ck *Checker) VetRun(ctx context.Context, sub Submission) (*Verdict, *emulator.Result, error) {
-	v, _, run, err := ck.vet(ctx, &sub)
+	v, _, run, err := ck.vet(ctx, &sub, true)
 	return v, run, err
 }
 
 // vet drives one submission through pipeline.Deps.Vet on a pooled context:
-// the one body of Vet, VetOutcome and VetRun.
-func (ck *Checker) vet(ctx context.Context, sub *Submission) (*Verdict, vcache.Outcome, *emulator.Result, error) {
+// the one body of Vet, VetOutcome and VetRun. The Verdict is never
+// pool-backed, so it is returned past the release; the emulation result
+// is, so it is copied out when keepRun asks for it, and nil otherwise.
+func (ck *Checker) vet(ctx context.Context, sub *Submission, keepRun bool) (*Verdict, vcache.Outcome, *emulator.Result, error) {
 	vc := pipeline.AcquireContext(ctx, sub)
 	defer pipeline.ReleaseContext(vc)
 	if err := ck.deps.Vet(vc); err != nil {
 		return nil, vc.Outcome, nil, ck.vetError(vc, err)
 	}
-	// The Verdict and the emulation result are never pool-backed (fresh
-	// allocations per vet), so returning them past the release is safe;
-	// everything else on vc is recycled.
-	return vc.Verdict, vc.Outcome, vc.Run, nil
+	var run *emulator.Result
+	if keepRun && vc.Run != nil {
+		run = vc.Run.Clone()
+	}
+	return vc.Verdict, vc.Outcome, run, nil
 }
 
 // Hit is a verdict-cache entry LookupHit found for a submission, held

@@ -21,10 +21,10 @@ func PoisonRaw(ck *Checker, raw []byte) {
 	pkg := parsed.Program.PackageName
 	g := ck.gen.Load()
 	run := g.Run
-	g.Run = func(ctx context.Context, p *behavior.Program, mk monkey.Config) (*emulator.Result, error) {
+	g.Run = func(ctx context.Context, p *behavior.Program, mk monkey.Config, s *emulator.Scratch) (*emulator.Result, error) {
 		if p.PackageName == pkg {
 			panic("poisoned archive")
 		}
-		return run(ctx, p, mk)
+		return run(ctx, p, mk, s)
 	}
 }

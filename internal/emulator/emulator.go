@@ -80,6 +80,14 @@ type Result struct {
 	Profile string
 }
 
+// Clone returns a copy of the result that shares no storage with r; its
+// log is sealed. A caller keeps a clone of a result run into scratch.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Log = r.Log.Clone()
+	return &c
+}
+
 // runCount totals emulations process-wide; see RunCount.
 var runCount atomic.Int64
 
@@ -88,6 +96,26 @@ var runCount atomic.Int64
 // Tests and benchmarks diff this counter to assert how many corpus passes
 // a pipeline really paid for.
 func RunCount() int64 { return runCount.Load() }
+
+// Scratch is the storage one emulation run fills: the result, its hook
+// log, the PCG the run's stream and then the app-speed draw are seeded
+// into, and the list of active activities. A caller that runs program
+// after program keeps one Scratch and hands it to each RunScratch, so a
+// run allocates nothing once the scratch has grown to the programs it
+// sees. The zero value is ready to use.
+type Scratch struct {
+	res     Result
+	log     hook.Log
+	pcg     rand.PCG
+	actives []active
+}
+
+// active is an activity the run reached, and the event index it was
+// discovered at.
+type active struct {
+	ab    *behavior.ActivityBehavior
+	start float64
+}
 
 // Run emulates the program: install, exercise with the Monkey, record the
 // hook log, uninstall. The virtual clock advances per event and per
@@ -104,7 +132,25 @@ func (e *Emulator) Run(p *behavior.Program, mk monkey.Config) (*Result, error) {
 // ctx.Err(), so errors.Is(err, context.DeadlineExceeded) identifies
 // timeouts. A run that completes is bit-identical to Run: the checks
 // consume no randomness.
+//
+// The result is the caller's to keep: the run fills a scratch of its own,
+// and its log is sealed.
 func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monkey.Config) (*Result, error) {
+	s := new(Scratch)
+	res, err := e.RunScratch(ctx, p, mk, s)
+	if err != nil {
+		return nil, err
+	}
+	s.actives = nil // the kept result holds no pointer into the program
+	res.Log.Seal()
+	return res, nil
+}
+
+// RunScratch is RunContext into s: the result and its log are s's own
+// storage, valid until s is handed to the next run, and the log is not
+// sealed. The same program, Monkey and engine draw the same streams
+// whatever s held before, so the result is bit-identical to RunContext's.
+func (e *Emulator) RunScratch(ctx context.Context, p *behavior.Program, mk monkey.Config, s *Scratch) (*Result, error) {
 	runCount.Add(1)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("emulator: %w", err)
@@ -118,7 +164,7 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 
 	// Incompatible apps abort early and re-run on the fallback engine.
 	if e.fallback != nil && p.CrashBias > incompatibleThreshold {
-		res, err := e.fallback.RunContext(ctx, p, mk)
+		res, err := e.fallback.RunScratch(ctx, p, mk, s)
 		if err != nil {
 			return nil, err
 		}
@@ -131,9 +177,12 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 
 	// The run stream: the app seed picks the generator's state, the Monkey
 	// seed its stream, so distinct (app, Monkey) pairs never share a run.
-	rng := rand.New(rand.NewPCG(uint64(p.Seed), uint64(mk.Seed)))
-	log := hook.NewLog(e.reg)
-	res := &Result{Log: log, Events: mk.Events, Profile: e.profile.Name}
+	s.pcg.Seed(uint64(p.Seed), uint64(mk.Seed))
+	rng := rand.New(&s.pcg)
+	log := &s.log
+	log.Reset(e.reg)
+	res := &s.res
+	*res = Result{Log: log, Events: mk.Events, Profile: e.profile.Name}
 
 	// Transient crashes on risky engines: detect, restart, continue
 	// (crash detection + restart is what keeps the engine reliable). Each
@@ -159,11 +208,7 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 
 	// Activity discovery times (in events), driven by the Monkey's
 	// exploration intensity.
-	type active struct {
-		ab    *behavior.ActivityBehavior
-		start float64 // event index at discovery
-	}
-	var actives []active
+	actives := s.actives[:0]
 	referenced := 0
 	reached := 0
 	events := float64(mk.Events)
@@ -209,6 +254,7 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 			}
 		}
 	}
+	s.actives = actives
 
 	// Execute: each active activity emits its behaviour over its active
 	// window. One activity's emission is one batch of Monkey events, so
@@ -244,11 +290,10 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 	}
 
 	// Virtual clock: per-app speed is a stable property of the app.
-	speed := appSpeed(p, e.profile)
+	speed := appSpeed(p, e.profile, &s.pcg)
 	base := float64(e.profile.PerEvent) * events * speed
 	hookCost := float64(e.profile.PerHook) * float64(log.Intercepted)
 	res.VirtualTime = time.Duration(base*(1+retryCost) + hookCost)
-	log.Seal()
 	return res, nil
 }
 
@@ -277,9 +322,11 @@ func (e *Emulator) failedProbes(mk monkey.Config) uint8 {
 }
 
 // appSpeed derives the app's stable speed multiplier on a profile: one
-// draw from the app's own stream, whatever Monkey exercises it.
-func appSpeed(p *behavior.Program, prof Profile) float64 {
-	rng := rand.New(rand.NewPCG(uint64(p.Seed), speedStream))
+// draw from the app's own stream, whatever Monkey exercises it. src is
+// reseeded for the draw.
+func appSpeed(p *behavior.Program, prof Profile, src *rand.PCG) float64 {
+	src.Seed(uint64(p.Seed), speedStream)
+	rng := rand.New(src)
 	s := math.Exp(rng.NormFloat64() * prof.SpeedSigma)
 	if s < prof.SpeedMin {
 		s = prof.SpeedMin

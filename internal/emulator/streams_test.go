@@ -35,7 +35,7 @@ func TestAppSpeedBelongsToTheApp(t *testing.T) {
 	}
 	speeds := map[float64]bool{}
 	for seed := int64(0); seed < 200; seed++ {
-		speeds[appSpeed(prog(seed, behavior.Benign, behavior.FamilyNone), GoogleEmulator)] = true
+		speeds[appSpeed(prog(seed, behavior.Benign, behavior.FamilyNone), GoogleEmulator, new(rand.PCG))] = true
 	}
 	// A clamped draw may repeat (SpeedMin/SpeedMax); the rest may not.
 	if len(speeds) < 190 {

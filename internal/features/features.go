@@ -385,21 +385,33 @@ func (e *Extractor) ManifestVectorInto(man *manifest.Manifest, dst ml.Vector) (m
 	} else {
 		v = ml.NewVector(e.total)
 	}
+	e.manifestBits(man, v)
+	return v, nil
+}
+
+// manifestBits sets the P and I bits a manifest declares: its requested
+// permissions and its receivers' filter actions. It reads the decoded
+// tables in place; a name declared twice sets its bit twice, which changes
+// nothing.
+func (e *Extractor) manifestBits(man *manifest.Manifest, v ml.Vector) {
 	if e.mode&ModeP != 0 {
-		for _, name := range man.PermissionNames() {
-			if id, ok := e.u.LookupPermission(name); ok {
+		for _, p := range man.Permissions {
+			if id, ok := e.u.LookupPermission(p.Name); ok {
 				v.Set(e.permBase + int(id))
 			}
 		}
 	}
 	if e.mode&ModeI != 0 {
-		for _, name := range man.ReceiverActions() {
-			if id, ok := e.u.LookupIntent(name); ok {
-				v.Set(e.intentBase + int(id))
+		for _, r := range man.Application.Receivers {
+			for _, f := range r.Filters {
+				for _, a := range f.Actions {
+					if id, ok := e.u.LookupIntent(a.Name); ok {
+						v.Set(e.intentBase + int(id))
+					}
+				}
 			}
 		}
 	}
-	return v, nil
 }
 
 // CanProjectFrom reports whether logs recorded under reg cover every API
@@ -434,21 +446,10 @@ func (e *Extractor) fill(log *hook.Log, man *manifest.Manifest, dst ml.Vector) m
 	if e.mode&ModeA != 0 {
 		e.apiBits(log, v)
 	}
-	if e.mode&ModeP != 0 {
-		for _, name := range man.PermissionNames() {
-			if id, ok := e.u.LookupPermission(name); ok {
-				v.Set(e.permBase + int(id))
-			}
-		}
-	}
+	e.manifestBits(man, v)
 	if e.mode&ModeI != 0 {
-		for _, name := range man.ReceiverActions() {
-			if id, ok := e.u.LookupIntent(name); ok {
-				v.Set(e.intentBase + int(id))
-			}
-		}
-		for _, id := range log.SentIntents() {
-			v.Set(e.intentBase + int(id))
+		for _, s := range log.Intents() {
+			v.Set(e.intentBase + int(s.ID))
 		}
 	}
 	return v

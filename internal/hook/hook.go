@@ -10,12 +10,14 @@
 // Observe is the hottest call in the simulator — the §4.3 measurement pass
 // intercepts every invocation of every app in the corpus — so the tracked
 // set is a dense per-API byte table rather than a map lookup, and per-run
-// records live in an append-only arena indexed by a pooled dense table that
-// Seal returns once the run is over.
+// records live in an append-only arena indexed by a dense table that Seal
+// returns to a pool once the run is over, or that a log Reset for the next
+// run keeps.
 package hook
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -128,13 +130,10 @@ type Log struct {
 	lookup map[framework.APIID]int32
 	table  *[]int32 // holds index, for the pool to take back
 
-	sentIntents map[framework.IntentID]uint64
-
-	// Sealed logs trade the live intent map for sorted parallel slices:
-	// pointer-free, smaller, and cheap for the garbage collector to skip
-	// while the log sits in a corpus run cache.
-	intentIDs    []framework.IntentID
-	intentCounts []uint64
+	// intents holds one record per intent action sent, in first-observation
+	// order: pointer-free, so a sealed log in a corpus run cache costs the
+	// garbage collector nothing to skip.
+	intents []IntentSend
 
 	// TotalInvocations counts every framework API invocation the app
 	// performed, tracked or not (Fig. 2's statistic).
@@ -147,6 +146,12 @@ type Log struct {
 	ReachedActivities []string
 }
 
+// IntentSend is one intent action a run sent, and how many times.
+type IntentSend struct {
+	ID    framework.IntentID
+	Count uint64
+}
+
 // indexPool recycles the dense APIID→slot tables between runs. Sealed logs
 // return their table zeroed, so a pooled table is always all-zero. It holds
 // *[]int32, not []int32: a slice put in a pool is boxed, one allocation a run.
@@ -154,20 +159,41 @@ var indexPool sync.Pool
 
 // NewLog creates an empty log for the registry.
 func NewLog(r *Registry) *Log {
-	n := r.universe.NumAPIs()
-	table, _ := indexPool.Get().(*[]int32)
-	if table == nil || len(*table) < n {
-		idx := make([]int32, n)
-		table = &idx
+	l := new(Log)
+	l.Reset(r)
+	return l
+}
+
+// Reset empties the log for a new run under r and keeps its storage: the
+// arena, the intent and activity slices, and the dense index, zeroed where
+// the last run wrote it. The index is taken from the pool when the log has
+// none (a new or sealed log) or when r's universe outgrew it
+// (framework.Evolve appends APIs). A log that scratch storage reuses run
+// after run is never sealed, so it keeps its index for good.
+func (l *Log) Reset(r *Registry) {
+	l.clearIndex()
+	if n := r.universe.NumAPIs(); len(l.index) < n {
+		table, _ := indexPool.Get().(*[]int32)
+		if table == nil || len(*table) < n {
+			idx := make([]int32, n)
+			table = &idx
+		}
+		l.index, l.table = *table, table
 	}
-	return &Log{
-		registry: r,
+	invs := l.invs[:0]
+	if cap(invs) == 0 {
 		// Typical runs touch a few hundred distinct APIs; starting the
 		// arena at 128 slots avoids most growth copies on the
 		// full-tracking measurement pass.
-		invs:  make([]Invocation, 0, 128),
-		index: *table,
-		table: table,
+		invs = make([]Invocation, 0, 128)
+	}
+	*l = Log{
+		registry:          r,
+		invs:              invs,
+		index:             l.index,
+		table:             l.table,
+		intents:           l.intents[:0],
+		ReachedActivities: l.ReachedActivities[:0],
 	}
 }
 
@@ -175,23 +201,46 @@ func NewLog(r *Registry) *Log {
 func (l *Log) Registry() *Registry { return l.registry }
 
 // Seal releases the log's dense index back to the shared pool once the run
-// is over and compacts the log's pointer-bearing state. Logs are retained
-// by result caches for whole corpus passes, so holding a universe-sized
-// table per log would dwarf the data it indexes — and every individually
-// allocated string or map the log keeps is re-marked by each GC cycle for
-// as long as the pass stays cached. Observing a sealed log still works
-// (via a small map); reading never needed the table.
+// is over and compacts its activity names. Logs are retained by result
+// caches for whole corpus passes, so holding a universe-sized table per log
+// would dwarf the data it indexes — and every individually allocated
+// string the log keeps is re-marked by each GC cycle for as long as the
+// pass stays cached. Observing a sealed log still works (via a small map);
+// reading never needed the table.
 func (l *Log) Seal() {
+	if l.index == nil {
+		return
+	}
+	l.clearIndex()
+	indexPool.Put(l.table)
+	l.index, l.table = nil, nil
+	l.compactActivities()
+}
+
+// clearIndex zeroes the index slots this run's arena set, if the log has
+// an index.
+func (l *Log) clearIndex() {
 	if l.index == nil {
 		return
 	}
 	for i := range l.invs {
 		l.index[l.invs[i].API] = 0
 	}
-	indexPool.Put(l.table)
-	l.index, l.table = nil, nil
-	l.compactIntents()
-	l.compactActivities()
+}
+
+// Clone returns a sealed copy of the log that shares no storage with it,
+// for a caller that keeps a log recorded into scratch the next run reuses.
+func (l *Log) Clone() *Log {
+	c := &Log{
+		registry:          l.registry,
+		invs:              slices.Clone(l.invs),
+		intents:           slices.Clone(l.intents),
+		TotalInvocations:  l.TotalInvocations,
+		Intercepted:       l.Intercepted,
+		ReachedActivities: slices.Clone(l.ReachedActivities),
+	}
+	c.compactActivities()
+	return c
 }
 
 // compactActivities rewrites the reached-activity names as slices of one
@@ -216,25 +265,6 @@ func (l *Log) compactActivities() {
 		l.ReachedActivities[i] = blob[off : off+len(a)]
 		off += len(a)
 	}
-}
-
-// compactIntents freezes the live intent map into sorted parallel slices.
-func (l *Log) compactIntents() {
-	if len(l.sentIntents) == 0 {
-		l.sentIntents = nil
-		return
-	}
-	ids := make([]framework.IntentID, 0, len(l.sentIntents))
-	for id := range l.sentIntents {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	counts := make([]uint64, len(ids))
-	for i, id := range ids {
-		counts[i] = l.sentIntents[id]
-	}
-	l.intentIDs, l.intentCounts = ids, counts
-	l.sentIntents = nil
 }
 
 // slot returns the arena slot for id, allocating one if needed.
@@ -300,21 +330,20 @@ func (l *Log) Observe(id framework.APIID, count uint64, params ...Param) {
 
 // ObserveIntent records an intent send. Binder transactions are visible to
 // the instrumentation layer without per-API hook overhead (§4.5: auxiliary
-// features cost no extra dynamic-analysis time).
+// features cost no extra dynamic-analysis time). The search is linear: a
+// run sends a handful of distinct actions, and never more than the
+// universe's intent vocabulary holds.
 func (l *Log) ObserveIntent(id framework.IntentID, count uint64) {
 	if count == 0 {
 		return
 	}
-	if l.sentIntents == nil {
-		// Lazily (re)build the live map; a sealed log thaws its frozen
-		// slice form first.
-		l.sentIntents = make(map[framework.IntentID]uint64, len(l.intentIDs))
-		for i, iid := range l.intentIDs {
-			l.sentIntents[iid] = l.intentCounts[i]
+	for i := range l.intents {
+		if l.intents[i].ID == id {
+			l.intents[i].Count += count
+			return
 		}
-		l.intentIDs, l.intentCounts = nil, nil
 	}
-	l.sentIntents[id] += count
+	l.intents = append(l.intents, IntentSend{ID: id, Count: count})
 }
 
 // ObserveActivity records that an activity came to the foreground.
@@ -386,29 +415,26 @@ func (l *Log) Invocation(id framework.APIID) *Invocation {
 // DistinctInvoked returns how many tracked APIs were observed.
 func (l *Log) DistinctInvoked() int { return len(l.invs) }
 
+// Intents returns the intent sends in first-observation order. Callers
+// must not modify or retain the slice; it is the log's own storage.
+func (l *Log) Intents() []IntentSend { return l.intents }
+
 // SentIntents returns the distinct intent actions sent, sorted by id.
 func (l *Log) SentIntents() []framework.IntentID {
-	if l.sentIntents == nil {
-		out := make([]framework.IntentID, len(l.intentIDs))
-		copy(out, l.intentIDs)
-		return out
+	out := make([]framework.IntentID, len(l.intents))
+	for i, s := range l.intents {
+		out[i] = s.ID
 	}
-	out := make([]framework.IntentID, 0, len(l.sentIntents))
-	for id := range l.sentIntents {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // IntentCount returns how many times an intent action was sent.
 func (l *Log) IntentCount(id framework.IntentID) uint64 {
-	if l.sentIntents == nil {
-		i := sort.Search(len(l.intentIDs), func(i int) bool { return l.intentIDs[i] >= id })
-		if i < len(l.intentIDs) && l.intentIDs[i] == id {
-			return l.intentCounts[i]
+	for _, s := range l.intents {
+		if s.ID == id {
+			return s.Count
 		}
-		return 0
 	}
-	return l.sentIntents[id]
+	return 0
 }

@@ -187,3 +187,47 @@ func TestObserveActivity(t *testing.T) {
 		t.Errorf("ReachedActivities = %v", l.ReachedActivities)
 	}
 }
+
+// TestResetReadsAsNew: a reset log keeps its storage but nothing of the
+// last run — no record, intent, activity or count, and no index slot that
+// would find a stale record — and its index grows to a registry whose
+// universe outgrew it.
+func TestResetReadsAsNew(t *testing.T) {
+	ids := someVisible(2)
+	l := NewLog(MustNewRegistry(testU, ids[:1]))
+	l.Observe(ids[0], 2, Param{Kind: ParamCtx})
+	l.ObserveIntent(1, 1)
+	l.ObserveActivity("a.Main")
+
+	l.Reset(MustNewRegistry(testU, ids[1:]))
+	if l.DistinctInvoked() != 0 || len(l.Intents()) != 0 || len(l.ReachedActivities) != 0 ||
+		l.TotalInvocations != 0 || l.Intercepted != 0 {
+		t.Fatalf("reset log still holds the last run: %d records, %v, %v, %d/%d",
+			l.DistinctInvoked(), l.Intents(), l.ReachedActivities, l.TotalInvocations, l.Intercepted)
+	}
+	l.Observe(ids[1], 3)
+	l.Observe(ids[0], 1) // no longer tracked
+	if inv := l.Invocation(ids[1]); inv == nil || inv.Count != 3 {
+		t.Errorf("Invocation(%d) = %+v, want a record of 3", ids[1], inv)
+	}
+	if inv := l.Invocation(ids[0]); inv != nil {
+		t.Errorf("an untracked API finds a stale record after Reset: %+v", inv)
+	}
+
+	big := framework.MustGenerate(framework.TestConfig(2 * testU.NumAPIs()))
+	var past framework.APIID = -1
+	for _, a := range big.APIs()[testU.NumAPIs():] {
+		if !a.Hidden {
+			past = a.ID
+			break
+		}
+	}
+	if past < 0 {
+		t.Fatal("the larger universe has no visible API past the smaller one's")
+	}
+	l.Reset(MustNewRegistry(big, []framework.APIID{past}))
+	l.Observe(past, 4)
+	if inv := l.Invocation(past); inv == nil || inv.Count != 4 || l.DistinctInvoked() != 1 {
+		t.Errorf("after a reset into a larger universe: Invocation(%d) = %+v, %d records", past, inv, l.DistinctInvoked())
+	}
+}

@@ -14,7 +14,8 @@ import (
 // like the serving benchmark's payload set (bench/inputs.go: a 6000-API
 // universe, 4000 apps, corpus seed = run seed + 11) and counts the path
 // each takes: all of them the scanner, none the xml.Unmarshal fallback,
-// and each read exactly as xml.Unmarshal reads it.
+// and each read exactly as xml.Unmarshal reads it — also by one Decoder
+// reused across the corpus, the way an archive handle decodes them.
 func TestPayloadCorpusTakesFastPath(t *testing.T) {
 	const apps, seed = 4000, 1
 	ucfg := framework.TestConfig(6000)
@@ -31,6 +32,7 @@ func TestPayloadCorpusTakesFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast, fallback := 0, 0
+	var dec manifest.Decoder
 	for i := 0; i < corpus.Len(); i++ {
 		m, err := corpus.Program(i).Manifest(u)
 		if err != nil {
@@ -54,6 +56,9 @@ func TestPayloadCorpusTakesFastPath(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, &want) {
 			t.Fatalf("app %d: scan and xml.Unmarshal disagree:\n%+v\n%+v", i, got, &want)
+		}
+		if again, err := dec.Decode(doc); err != nil || !reflect.DeepEqual(again, &want) {
+			t.Fatalf("app %d: a reused Decoder read %+v (%v), xml.Unmarshal %+v", i, again, err, &want)
 		}
 	}
 	if fast != apps || fallback != 0 {

@@ -206,3 +206,34 @@ func FuzzFastPathMatchesXML(f *testing.F) {
 		checkFastPath(t, data)
 	})
 }
+
+// TestDecoderReuseReadsAsFresh: one Decoder reads Encode's output for a
+// full and a bare manifest and every near miss — the scanner's path and
+// the fallback's, interleaved, in order and then backwards — exactly as a
+// fresh Decode reads each document.
+func TestDecoderReuseReadsAsFresh(t *testing.T) {
+	good, err := sample().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := New("com.example.bare", 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := [][]byte{good, bare}
+	for _, doc := range nearMisses(t) {
+		docs = append(docs, doc, good, bare)
+	}
+	var d Decoder
+	for k := range 2 * len(docs) {
+		doc := docs[k%len(docs)]
+		if k >= len(docs) {
+			doc = docs[2*len(docs)-1-k]
+		}
+		got, gotErr := d.Decode(doc)
+		want, wantErr := Decode(doc)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("document %d: a reused Decoder read %+v (%v), a fresh one %+v (%v):\n%s", k, got, gotErr, want, wantErr, doc)
+		}
+	}
+}

@@ -12,6 +12,8 @@ package manifest
 import (
 	"encoding/xml"
 	"fmt"
+
+	"apichecker/internal/wire"
 )
 
 // Manifest is the parsed AndroidManifest.xml.
@@ -149,15 +151,15 @@ func (m *Manifest) Validate() error {
 	if m.VersionCode <= 0 {
 		return fmt.Errorf("manifest: package %s: versionCode %d must be positive", m.Package, m.VersionCode)
 	}
-	seen := make(map[string]bool, len(m.Application.Activities))
-	for _, a := range m.Application.Activities {
+	acts := m.Application.Activities
+	repeat := wire.FirstRepeat(len(acts), func(i int) string { return acts[i].Name })
+	for i, a := range acts {
 		if a.Name == "" {
 			return fmt.Errorf("manifest: package %s: activity with empty name", m.Package)
 		}
-		if seen[a.Name] {
+		if i == repeat {
 			return fmt.Errorf("manifest: package %s: duplicate activity %s", m.Package, a.Name)
 		}
-		seen[a.Name] = true
 	}
 	return nil
 }
@@ -177,10 +179,30 @@ func (m *Manifest) Encode() ([]byte, error) {
 // Decode parses an AndroidManifest.xml document. A document in the shape
 // Encode emits is read by scan without reflection; any other document goes
 // through encoding/xml, which is the only judge of what is well-formed.
-func Decode(data []byte) (*Manifest, error) {
-	m, ok := scan(data)
-	if !ok {
-		m = new(Manifest)
+func Decode(data []byte) (*Manifest, error) { return new(Decoder).Decode(data) }
+
+// Decoder is Decode with storage kept from one document to the next: the
+// Manifest it returns and the arrays that manifest's tables are carved
+// from. Once they have grown to the documents it sees, a decode in
+// Encode's shape allocates only the copy of the document that every value
+// is a substring of, and the package name. The returned manifest is valid
+// until the next Decode. The zero value is ready to use.
+type Decoder struct {
+	m Manifest
+
+	perms      []UsesPerm
+	activities []Activity
+	services   []Service
+	receivers  []Receiver
+	filters    []IntentFilter
+	actions    []Action
+}
+
+// Decode is the package's Decode into d's storage.
+func (d *Decoder) Decode(data []byte) (*Manifest, error) {
+	m := &d.m
+	if !d.scan(data) {
+		*m = Manifest{}
 		if err := xml.Unmarshal(data, m); err != nil {
 			return nil, fmt.Errorf("manifest: decode: %w", err)
 		}

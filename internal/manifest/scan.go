@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// scan is Decode's fast path: a recognizer for exactly the document shape
-// Encode emits, and nothing wider.
+// scan is Decode's fast path, into d's manifest and arrays: a recognizer
+// for exactly the document shape Encode emits, and nothing wider.
 //
 //	doc     = [xml.Header] sp
 //	          `<manifest package="V" versionCode="N" versionName="V">` sp
@@ -31,16 +31,18 @@ import (
 // ok is false for everything else, malformed or merely different; that is
 // not a verdict on the document, only "not mine": Decode then runs
 // xml.Unmarshal, which alone decides accept or reject and words the error.
-func scan(data []byte) (m *Manifest, ok bool) {
+// On false the manifest holds whatever the scan got to.
+func (d *Decoder) scan(data []byte) (ok bool) {
 	s := scanner{s: string(data)}
 	s.lit(xml.Header)
 	s.space()
 
-	m = &Manifest{XMLName: xml.Name{Local: "manifest"}}
+	m := &d.m
+	*m = Manifest{XMLName: xml.Name{Local: "manifest"}}
 	if !s.lit("<manifest") || !s.attr("package", &m.Package) ||
 		!s.intAttr("versionCode", &m.VersionCode) ||
 		!s.attr("versionName", &m.VersionName) || !s.lit(">") {
-		return nil, false
+		return false
 	}
 	// Package is the one string that outlives a vet — it names the verdict,
 	// and records and caches keep verdicts — so it alone is copied out: as
@@ -48,34 +50,33 @@ func scan(data []byte) (m *Manifest, ok bool) {
 	m.Package = strings.Clone(m.Package)
 	s.space()
 	if !s.lit("<uses-sdk>") {
-		return nil, false
+		return false
 	}
 	s.space()
 	if !s.lit("<minSdkVersion>") || !s.digits(&m.MinSDK) || !s.lit("</minSdkVersion>") {
-		return nil, false
+		return false
 	}
 	s.space()
 	if !s.lit("<targetSdkVersion>") || !s.digits(&m.TargetSDK) || !s.lit("</targetSdkVersion>") {
-		return nil, false
+		return false
 	}
 	s.space()
 	if !s.lit("</uses-sdk>") {
-		return nil, false
+		return false
 	}
 	s.space()
 
 	// A `<` can only open a tag in this shape, so counting a tag's opening
-	// literal counts its elements: each table is allocated once, full size.
-	// All six are counted here, in one pass: no value holds a `<`, so the
-	// permissions and the application tag add none of the other five.
+	// literal counts its elements: each table is carved from its array at
+	// full size, and the array grows at most once. All six are counted
+	// here, in one pass: no value holds a `<`, so the permissions and the
+	// application tag add none of the other five.
 	count := countTags(s.s[s.off:])
-	if count[tagPermission] > 0 {
-		m.Permissions = make([]UsesPerm, 0, count[tagPermission])
-	}
+	m.Permissions = table(&d.perms, count[tagPermission])
 	for s.lit("<uses-permission") {
 		var p UsesPerm
 		if !s.attr("name", &p.Name) || !s.lit("></uses-permission>") {
-			return nil, false
+			return false
 		}
 		m.Permissions = append(m.Permissions, p)
 		s.space()
@@ -83,68 +84,73 @@ func scan(data []byte) (m *Manifest, ok bool) {
 
 	app := &m.Application
 	if !s.lit("<application") || !s.attr("label", &app.Label) || !s.lit(">") {
-		return nil, false
+		return false
 	}
 	s.space()
 	// Every component's filters, and every filter's actions, are carved
 	// out of one backing array each.
-	filters := make([]IntentFilter, 0, count[tagFilter])
-	actions := make([]Action, 0, count[tagAction])
+	filters := table(&d.filters, count[tagFilter])
+	actions := table(&d.actions, count[tagAction])
 
-	if count[tagActivity] > 0 {
-		app.Activities = make([]Activity, 0, count[tagActivity])
-	}
+	app.Activities = table(&d.activities, count[tagActivity])
 	for s.lit("<activity") {
 		var a Activity
 		if !s.attr("name", &a.Name) || !s.boolAttr("exported", &a.Exported) || !s.lit(">") {
-			return nil, false
+			return false
 		}
 		s.space()
 		if a.Filters, ok = s.filters(&filters, &actions); !ok || !s.lit("</activity>") {
-			return nil, false
+			return false
 		}
 		app.Activities = append(app.Activities, a)
 		s.space()
 	}
-	if count[tagService] > 0 {
-		app.Services = make([]Service, 0, count[tagService])
-	}
+	app.Services = table(&d.services, count[tagService])
 	for s.lit("<service") {
 		var sv Service
 		if !s.attr("name", &sv.Name) || !s.lit("></service>") {
-			return nil, false
+			return false
 		}
 		app.Services = append(app.Services, sv)
 		s.space()
 	}
-	if count[tagReceiver] > 0 {
-		app.Receivers = make([]Receiver, 0, count[tagReceiver])
-	}
+	app.Receivers = table(&d.receivers, count[tagReceiver])
 	for s.lit("<receiver") {
 		var r Receiver
 		if !s.attr("name", &r.Name) || !s.lit(">") {
-			return nil, false
+			return false
 		}
 		s.space()
 		if r.Filters, ok = s.filters(&filters, &actions); !ok || !s.lit("</receiver>") {
-			return nil, false
+			return false
 		}
 		app.Receivers = append(app.Receivers, r)
 		s.space()
 	}
 
 	if !s.lit("</application>") {
-		return nil, false
+		return false
 	}
 	s.space()
 	if !s.lit("</manifest>") {
-		return nil, false
+		return false
 	}
 	s.space()
-	if s.off != len(s.s) {
-		return nil, false
+	return s.off == len(s.s)
+}
+
+// table returns room for n elements carved from the start of *array,
+// which it first grows if n would not fit: empty, with capacity n, so
+// appends stay inside it. It is nil when n is zero, as xml.Unmarshal
+// leaves a table with no elements.
+func table[T any](array *[]T, n int) []T {
+	if n == 0 {
+		return nil
 	}
-	return m, true
+	if cap(*array) < n {
+		*array = make([]T, n)
+	}
+	return (*array)[:0:n]
 }
 
 // scanner is a cursor over the document, held as one string so attribute

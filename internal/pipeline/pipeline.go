@@ -63,6 +63,20 @@ type VetContext struct {
 	// outcome note here; emit consumes them when it emits the span.
 	spanDur  time.Duration
 	spanNote string
+
+	// scratch is what a miss decodes and emulates into; like Vector it
+	// survives ReleaseContext.
+	scratch *scratch
+}
+
+// scratch is a pooled context's miss storage: the archive handle, with
+// its inflate arena and the manifest and program decoders, and the
+// emulation run's result, hook log and streams. Archive, Program,
+// Manifest and Run point into it while a raw archive is vetted; nothing
+// that outlives the vet does.
+type scratch struct {
+	archive apk.Archive
+	emu     emulator.Scratch
 }
 
 // Span lets the executing stage report its virtual-clock duration and an
@@ -76,8 +90,8 @@ func (vc *VetContext) Span(dur time.Duration, note string) {
 // behaviour blob, over one directory walk.
 func (vc *VetContext) archive() (*apk.Archive, error) {
 	if vc.Archive == nil {
-		a, err := apk.Open(vc.Sub.Raw)
-		if err != nil {
+		a := &vc.scratch.archive
+		if err := a.Reset(vc.Sub.Raw); err != nil {
 			return nil, err
 		}
 		vc.Archive = a

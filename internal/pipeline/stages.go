@@ -3,6 +3,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"apichecker/internal/apk"
@@ -77,9 +79,10 @@ type ModelGen struct {
 	Extractor *features.Extractor
 
 	// Run emulates one program on this generation's engine, hooked for its
-	// selected keys, under the vet's context. Every payload kind runs
-	// through it; the engine is stateless, so concurrent vets need no lock.
-	Run func(context.Context, *behavior.Program, monkey.Config) (*emulator.Result, error)
+	// selected keys, under the vet's context and into the vet's scratch.
+	// Every payload kind runs through it; the engine is stateless, so
+	// concurrent vets need no lock.
+	Run func(context.Context, *behavior.Program, monkey.Config, *emulator.Scratch) (*emulator.Result, error)
 
 	// Model is the generation's forest; infer scores on it.
 	Model *ml.RandomForest
@@ -130,6 +133,52 @@ type Deps struct {
 	// Events and Seed shape the per-submission Monkey configuration.
 	Events int
 	Seed   int64
+
+	// m holds the counter handles on Obs, resolved by the first vet.
+	m atomic.Pointer[meters]
+}
+
+// meters are the vet path's counter handles on Obs, resolved once, so that
+// counting takes neither the collector's lock nor a name built per vet.
+type meters struct {
+	triagePass, triageBand, triageHit     *obs.Counter
+	runs, crashes, crashedSubs, fallbacks *obs.Counter
+
+	// engines maps an engine's name to its completed-run *obs.Counter,
+	// resolved on obs when a run first completes on that engine.
+	obs     *obs.Collector
+	engines sync.Map
+}
+
+// meters returns the handles, resolving them on the first call. Racing
+// first calls resolve the same handles (Collector.Counter is idempotent),
+// so whichever set is kept counts the same.
+func (d *Deps) meters() *meters {
+	if m := d.m.Load(); m != nil {
+		return m
+	}
+	c := d.Obs
+	m := &meters{
+		triagePass:  c.Counter("triage.pass"),
+		triageBand:  c.Counter("triage.band"),
+		triageHit:   c.Counter("triage.hit"),
+		runs:        c.Counter("emu.runs"),
+		crashes:     c.Counter("emu.crashes"),
+		crashedSubs: c.Counter("emu.crashed_submissions"),
+		fallbacks:   c.Counter("emu.fallbacks"),
+		obs:         c,
+	}
+	d.m.Store(m)
+	return m
+}
+
+// engine returns the completed-run counter of the named engine.
+func (m *meters) engine(name string) *obs.Counter {
+	c, ok := m.engines.Load(name)
+	if !ok {
+		c, _ = m.engines.LoadOrStore(name, m.obs.Counter("emu.engine."+name))
+	}
+	return c.(*obs.Counter)
 }
 
 // MonkeyFor derives the Monkey configuration for one submission. The seed
@@ -283,7 +332,7 @@ func (d *Deps) triage(vc *VetContext) error {
 	if gen.Triage == nil || (gen.TriageLo <= 0 && gen.TriageHi >= 1) {
 		err := d.analyse(vc)
 		vc.Span(0, "off")
-		d.count("triage.pass")
+		d.meters().triagePass.Inc()
 		return err
 	}
 	man, err := manifestOnly(vc)
@@ -301,7 +350,7 @@ func (d *Deps) triage(vc *VetContext) error {
 		// back for extract to refill with the A+P+I vector.
 		err := d.analyse(vc)
 		vc.Span(triageCost, "band")
-		d.count("triage.band")
+		d.meters().triageBand.Inc()
 		return err
 	}
 	// Confident: short-circuit with a tier-1 verdict. The submission was
@@ -327,15 +376,15 @@ func (d *Deps) triage(vc *VetContext) error {
 		Engine:      "triage.static",
 	}
 	vc.Span(triageCost, "hit")
-	d.count("triage.hit")
+	d.meters().triageHit.Inc()
 	return nil
 }
 
 // manifestOnly resolves the manifest view without paying the full decode:
 // raw archives open their handle and inflate the manifest entry alone, and
-// behaviour programs derive it. The handle and a derived manifest stay on
-// the context, so a fall-through decode neither walks the directory nor
-// decodes the manifest twice.
+// behaviour programs derive it. The handle and the manifest stay on the
+// context, so a fall-through decode neither walks the directory nor decodes
+// the manifest twice.
 func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 	sub := vc.Sub
 	switch {
@@ -344,7 +393,12 @@ func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 		if err != nil {
 			return nil, err
 		}
-		return a.Manifest()
+		m, err := a.Manifest()
+		if err != nil {
+			return nil, err
+		}
+		vc.Manifest = m
+		return m, nil
 	default:
 		m, err := sub.Program.Manifest(vc.Gen.Universe)
 		if err != nil {
@@ -354,8 +408,6 @@ func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 		return m, nil
 	}
 }
-
-func (d *Deps) count(name string) { d.Obs.Counter(name).Inc() }
 
 // decode is the static half of the vet: it reserves the vet sequence
 // number, derives the content-seeded Monkey configuration, parses a raw
@@ -414,7 +466,7 @@ func (d *Deps) decode(vc *VetContext) error {
 // and collects the hook log, whatever payload kind it came from. The span
 // duration is the run's calibrated virtual analysis time.
 func (d *Deps) emulate(vc *VetContext) error {
-	res, err := vc.Gen.Run(vc.Ctx, vc.Program, vc.Monkey)
+	res, err := vc.Gen.Run(vc.Ctx, vc.Program, vc.Monkey, &vc.scratch.emu)
 	if err != nil {
 		return err
 	}
@@ -427,14 +479,15 @@ func (d *Deps) emulate(vc *VetContext) error {
 // book absorbs the emulator reliability accounting (§5.1) into obs:
 // crash-restarts, fallback re-runs, and completed emulations by engine.
 func (d *Deps) book(res *emulator.Result) {
-	d.Obs.Counter("emu.runs").Inc()
-	d.Obs.Counter("emu.engine." + res.Profile).Inc()
+	m := d.meters()
+	m.runs.Inc()
+	m.engine(res.Profile).Inc()
 	if res.Crashed > 0 {
-		d.Obs.Counter("emu.crashes").Add(uint64(res.Crashed))
-		d.Obs.Counter("emu.crashed_submissions").Inc()
+		m.crashes.Add(uint64(res.Crashed))
+		m.crashedSubs.Inc()
 	}
 	if res.FellBack {
-		d.Obs.Counter("emu.fallbacks").Inc()
+		m.fallbacks.Inc()
 	}
 }
 

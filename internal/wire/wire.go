@@ -23,10 +23,13 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 )
 
 // Reader reads fields off a byte slice it never reads past.
@@ -315,4 +318,32 @@ func (d Decoder) String(v *string) { *v = d.R.String(int(d.R.U32())) }
 
 func (d Decoder) Len(n *int, what string, minBytesEach int) {
 	*n = d.R.Count(uint64(d.R.U32()), what, minBytesEach)
+}
+
+// FirstRepeat returns the first i in 0..n-1 whose key(i) equals the key of
+// an earlier index — where a scan that remembered every key it had passed
+// would stop — or -1 when the n keys are distinct. Decoders use it to refuse
+// a table that names one entry twice. It sorts indices, so a hostile table
+// costs O(n log n); up to 64 keys it allocates nothing.
+func FirstRepeat(n int, key func(i int) string) int {
+	var buf [64]int32
+	idx := buf[:0]
+	if n > len(buf) {
+		idx = make([]int32, 0, n)
+	}
+	for i := range n {
+		idx = append(idx, int32(i))
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(strings.Compare(key(int(a)), key(int(b))), cmp.Compare(a, b))
+	})
+	first := -1
+	for k := 1; k < len(idx); k++ {
+		// Sorted by key, then index: an index whose key its predecessor
+		// shares repeats an earlier one, and the scan stops at the least.
+		if i := int(idx[k]); (first < 0 || i < first) && key(i) == key(int(idx[k-1])) {
+			first = i
+		}
+	}
+	return first
 }

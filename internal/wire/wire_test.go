@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -320,4 +322,37 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFirstRepeatMatchesScan: FirstRepeat stops where a scan that
+// remembers every key it passed stops, on tables with and without repeats,
+// on both sides of the 64 keys it sorts without allocating.
+func TestFirstRepeatMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.IntN(160)
+		keys := make([]string, n)
+		alphabet := 1 + rng.IntN(3*n+1)
+		for i := range keys {
+			keys[i] = strconv.Itoa(rng.IntN(alphabet))
+		}
+		want, seen := -1, map[string]bool{}
+		for i, k := range keys {
+			if seen[k] {
+				want = i
+				break
+			}
+			seen[k] = true
+		}
+		if got := FirstRepeat(n, func(i int) string { return keys[i] }); got != want {
+			t.Fatalf("keys %q: FirstRepeat = %d, the scan stops at %d", keys, got, want)
+		}
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+	}
+	if n := testing.AllocsPerRun(100, func() { FirstRepeat(len(keys), func(i int) string { return keys[i] }) }); n != 0 {
+		t.Errorf("FirstRepeat over 64 keys allocates %.1f times, want 0", n)
+	}
 }
