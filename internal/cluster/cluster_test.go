@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"apichecker/internal/apk"
 	"apichecker/internal/cluster"
@@ -976,6 +977,32 @@ func TestControlBodyBound(t *testing.T) {
 	}
 	if code, _ := post("/v1/cluster/ack", []byte(`{}`)); code != http.StatusNotFound {
 		t.Errorf("the retired ack route: %d, want 404", code)
+	}
+}
+
+// TestErrorBodyIsEncodingJSON: the coordinator's error envelope is what
+// encoding/json writes for {"error": msg}, so a client-chosen string in the
+// message — here a model digest holding a newline and a byte that is not
+// UTF-8 — still answers a body that is valid UTF-8 JSON.
+func TestErrorBodyIsEncodingJSON(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	resp, err := http.Get(st.ts.URL + cluster.PathModel + "%FFnot%0Aa%09digest%E2%80%A8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetEscapeHTML(false)
+	enc.Encode(map[string]string{"error": "unknown model digest: \xffnot\na\tdigest\xe2\x80\xa8"})
+	if resp.StatusCode != http.StatusNotFound || !bytes.Equal(body, want.Bytes()) || !utf8.Valid(body) {
+		t.Errorf("unknown digest: %d %q, want 404 %q", resp.StatusCode, body, want.Bytes())
 	}
 }
 

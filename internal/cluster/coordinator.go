@@ -15,6 +15,7 @@ import (
 	"apichecker/internal/modelstore"
 	"apichecker/internal/obs"
 	"apichecker/internal/vetsvc"
+	"apichecker/internal/wire"
 	"apichecker/internal/workqueue"
 )
 
@@ -472,23 +473,5 @@ var (
 func httpError(w http.ResponseWriter, code int, msg string) {
 	w.Header()["Content-Type"] = jsonContent
 	w.WriteHeader(code)
-	w.Write(append(appendJSONString([]byte(`{"error":`), msg), "}\n"...))
-}
-
-// appendJSONString appends s as a JSON string. Bytes that are not valid
-// UTF-8 pass through; a decoder reads them as U+FFFD.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
+	w.Write(append(wire.AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
 }

@@ -1,11 +1,14 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"apichecker/internal/core"
 	"apichecker/internal/obs"
 	"apichecker/internal/vetsvc"
+	"apichecker/internal/workqueue"
 )
 
 // TestAdmitErrorCode pins the status each refused admission answers with:
@@ -233,5 +237,108 @@ func TestIdenticalPostsShareOneRecord(t *testing.T) {
 	}
 	if byID, bySeq := indexSizes(fx.gw); byID != 1 || bySeq != 1 {
 		t.Errorf("indexes hold %d by id and %d by seq, want 1 and 1", byID, bySeq)
+	}
+}
+
+// TestUploadBufferNotReusedWhileQueued: a queued miss keeps its upload
+// buffer while admission hits recycle theirs. The only lane is held on a
+// first miss, a second miss queues behind it, and then hits run through the
+// upload pool with every returned buffer poisoned. The queued miss's
+// journal frame still holds its archive, and its verdict is the one an
+// independent checker gives the same bytes.
+func TestUploadBufferNotReusedWhileQueued(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	ref, _ := trainedChecker(t)
+	hits := [][]byte{buildAPK(t, corpus, 0), buildAPK(t, corpus, 1)}
+	for _, data := range hits {
+		if _, err := ck.Vet(context.Background(), core.Submission{Raw: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, queued := buildAPK(t, corpus, 2), buildAPK(t, corpus, 3)
+	want, err := ref.Vet(context.Background(), core.Submission{Raw: queued})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	poisonUploads.Store(true)
+	t.Cleanup(func() { poisonUploads.Store(false) })
+	dir := t.TempDir()
+	svc, err := vetsvc.Open(ck, vetsvc.Config{Workers: 1, QueueSize: 4, QueueDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once, gateOnce sync.Once
+	held, gate := make(chan struct{}), make(chan struct{})
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	onEvent(svc, func(ev obs.Event) {
+		if ev.Name != vetsvc.EventStarted {
+			return
+		}
+		first := false
+		once.Do(func() { first = true })
+		if first { // the head, on the only lane
+			close(held)
+			<-gate
+		}
+	})
+	t.Cleanup(func() {
+		release()
+		svc.Close()
+	})
+	// MaxRecords 1: every hit is a new record the service answers, never a
+	// join on the last one.
+	gw := New(svc, Config{MaxRecords: 1})
+
+	if w := serve(gw, http.MethodPost, "/v1/submissions", head); w.Code != http.StatusAccepted {
+		t.Fatalf("head: status %d: %s", w.Code, w.Body)
+	}
+	<-held
+	if w := serve(gw, http.MethodPost, "/v1/submissions", queued); w.Code != http.StatusAccepted {
+		t.Fatalf("queued miss: status %d: %s", w.Code, w.Body)
+	}
+	for i := range 40 {
+		w := serve(gw, http.MethodPost, "/v1/submissions", hits[i%2])
+		var st SubmissionStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusOK || st.Outcome != "hit" {
+			t.Fatalf("hit %d: status %d, %s", i, w.Code, w.Body)
+		}
+	}
+
+	// Replay a copy of the journal: the queued miss's frame is intact.
+	log, err := os.ReadFile(filepath.Join(dir, "workqueue.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(replayDir, "workqueue.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, items, err := workqueue.Open(workqueue.Config{Dir: replayDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	found := false
+	for _, it := range items {
+		if it.Key == want.Digest {
+			found = true
+			if !bytes.Equal(it.Payload, queued) {
+				t.Error("the queued miss's journal frame does not hold its archive")
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no journal frame for the queued miss among %d replayed items", len(items))
+	}
+
+	release()
+	w := serve(gw, http.MethodGet, "/v1/submissions/"+want.Digest+"?wait=30s", nil)
+	var st SubmissionStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusOK || st.Verdict == nil {
+		t.Fatalf("queued miss: status %d, %s", w.Code, w.Body)
+	}
+	if *st.Verdict != *want {
+		t.Errorf("queued miss vetted from reused bytes:\n got %+v\nwant %+v", *st.Verdict, *want)
 	}
 }

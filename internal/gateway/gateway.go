@@ -34,9 +34,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,6 +50,7 @@ import (
 	"apichecker/internal/obs"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vetsvc"
+	"apichecker/internal/wire"
 )
 
 // Config tunes one gateway instance. The zero value selects production
@@ -141,6 +144,8 @@ type record struct {
 	mu    sync.Mutex
 	spans []obs.Event
 	subs  []chan obs.Event
+	// spanBuf holds the first spans inline: all an admission hit has.
+	spanBuf [2]obs.Event
 }
 
 // New builds a gateway over a running vetting service. The server routes
@@ -309,11 +314,6 @@ type SubmissionStatus struct {
 	Stage string `json:"stage,omitempty"`
 }
 
-// errorBody is the JSON error envelope for non-submission failures.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // status snapshots the record as its JSON resource plus the HTTP status
 // code the snapshot maps to (202 in flight; 200 done; typed failures per
 // the backpressure table: 504 deadline, 503 drain, 422 bad archive, 500
@@ -346,6 +346,46 @@ func (r *record) status() (SubmissionStatus, int) {
 	}
 }
 
+// appendStatus appends st as its JSON resource: the bytes json.Encoder
+// writes for it with HTML escaping off, trailing newline included. Like
+// the Encoder, it writes nothing for a verdict whose score has no JSON form
+// (NaN or an infinity).
+func appendStatus(b []byte, st *SubmissionStatus) []byte {
+	start := len(b)
+	b = wire.AppendJSONString(append(b, `{"id":`...), st.ID)
+	b = strconv.AppendInt(append(b, `,"seq":`...), st.Seq, 10)
+	b = wire.AppendJSONString(append(b, `,"status":`...), st.Status)
+	if st.Outcome != "" {
+		b = wire.AppendJSONString(append(b, `,"outcome":`...), st.Outcome)
+	}
+	if v := st.Verdict; v != nil {
+		if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) {
+			return b[:start]
+		}
+		b = wire.AppendJSONString(append(b, `,"verdict":{"Package":`...), v.Package)
+		b = strconv.AppendInt(append(b, `,"VersionCode":`...), int64(v.VersionCode), 10)
+		b = wire.AppendJSONString(append(b, `,"Digest":`...), v.Digest)
+		b = strconv.AppendUint(append(b, `,"Generation":`...), v.Generation, 10)
+		b = strconv.AppendBool(append(b, `,"Malicious":`...), v.Malicious)
+		b = wire.AppendJSONFloat(append(b, `,"Score":`...), v.Score)
+		b = strconv.AppendInt(append(b, `,"Tier":`...), int64(v.Tier), 10)
+		b = strconv.AppendInt(append(b, `,"ScanTime":`...), int64(v.ScanTime), 10)
+		b = strconv.AppendInt(append(b, `,"OverallTime":`...), int64(v.OverallTime), 10)
+		b = strconv.AppendBool(append(b, `,"FellBack":`...), v.FellBack)
+		b = strconv.AppendInt(append(b, `,"Crashes":`...), int64(v.Crashes), 10)
+		b = wire.AppendJSONString(append(b, `,"Engine":`...), v.Engine)
+		b = strconv.AppendInt(append(b, `,"InvokedKeyAPIs":`...), int64(v.InvokedKeyAPIs), 10)
+		b = append(b, '}')
+	}
+	if st.Error != "" {
+		b = wire.AppendJSONString(append(b, `,"error":`...), st.Error)
+	}
+	if st.Stage != "" {
+		b = wire.AppendJSONString(append(b, `,"stage":`...), st.Stage)
+	}
+	return append(b, "}\n"...)
+}
+
 // presizedUploadBytes is the largest declared Content-Length the upload
 // buffer is sized from up front (io.ReadAll reaches a 7.5 KB archive in
 // nine doublings, 34 KB allocated). Beyond it, and for chunked uploads,
@@ -353,39 +393,78 @@ func (r *record) status() (SubmissionStatus, int) {
 // the whole upload bound and sends nothing costs a megabyte, not 64.
 const presizedUploadBytes = 1 << 20
 
+// maxPooledBuffer is the largest buffer the upload and body pools keep.
+const maxPooledBuffer = 64 << 10
+
+// uploads recycles upload buffers. The handler owns a buffer until it
+// hands the bytes to the service; it puts the buffer back only when the
+// service says it kept nothing of them (an admission hit), or when the
+// upload joined an existing record and never reached the service. A
+// queued submission's buffer is the queue's and goes to the collector.
+var uploads = sync.Pool{New: func() any { return new([]byte) }}
+
+// poisonUploads, when set (tests only), scribbles over every buffer put
+// back in the upload pool, so a submission still reading one shows it.
+var poisonUploads atomic.Bool
+
+// readUpload reads the request body. A declared length up to
+// presizedUploadBytes is read into a buffer of exactly that length, taken
+// from the upload pool (buf); net/http already stops such a body at its
+// Content-Length, so it needs no MaxBytesReader. A body of undeclared
+// length, or declared past the presize, grows with the bytes that arrive,
+// up to MaxUploadBytes.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (data []byte, buf *[]byte, err error) {
+	n := r.ContentLength
+	if n <= 0 || n > min(s.cfg.MaxUploadBytes, presizedUploadBytes) {
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+		return data, nil, err
+	}
+	buf = uploads.Get().(*[]byte)
+	data = slices.Grow((*buf)[:0], int(n))[:n]
+	// The server hands the handler exactly the declared bytes, or an error
+	// if the client sent fewer.
+	_, err = io.ReadFull(r.Body, data)
+	return data, buf, err
+}
+
+// putUpload returns data's buffer to the upload pool, unless it is too
+// large to keep.
+func putUpload(buf *[]byte, data []byte) {
+	if cap(data) > maxPooledBuffer {
+		return
+	}
+	if poisonUploads.Load() {
+		for i := range data {
+			data[i] = 0xA5
+		}
+	}
+	*buf = data[:0]
+	uploads.Put(buf)
+}
+
 // handleSubmit is POST /v1/submissions: read the archive (bounded),
 // digest it, admit it to the vetting service (or join the existing
 // record for these bytes), and answer with the submission resource.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.col.Counter("gw.rejected.draining").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: vetsvc.ErrDraining.Error()})
+		writeError(w, http.StatusServiceUnavailable, vetsvc.ErrDraining.Error())
 		return
 	}
 	wait, ok := parseWait(w, r)
 	if !ok {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	var data []byte
-	var err error
-	if n := r.ContentLength; n > 0 && n <= min(s.cfg.MaxUploadBytes, presizedUploadBytes) {
-		// The server hands the handler exactly the declared bytes, or an
-		// error if the client sent fewer.
-		data = make([]byte, n)
-		_, err = io.ReadFull(body, data)
-	} else {
-		data, err = io.ReadAll(body)
-	}
+	data, buf, err := s.readUpload(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.col.Counter("gw.rejected.oversize").Inc()
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-				Error: fmt.Sprintf("archive exceeds the %d-byte upload bound", s.cfg.MaxUploadBytes)})
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("archive exceeds the %d-byte upload bound", s.cfg.MaxUploadBytes))
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
 	// Cheap wire gate: a submission that is not even a zip container is
@@ -393,12 +472,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// gate and full validation run in the pipeline's decode stage.
 	if len(data) < 4 || data[0] != 'P' || data[1] != 'K' {
 		s.col.Counter("gw.rejected.notzip").Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "request body is not a zip archive"})
+		writeError(w, http.StatusBadRequest, "request body is not a zip archive")
 		return
 	}
 	id := apk.Digest(data)
 
-	rec, err := s.admit(id, data)
+	rec, rawFree, err := s.admit(id, data)
+	if buf != nil && rawFree {
+		putUpload(buf, data)
+	}
 	if err != nil {
 		code := admitErrorCode(err)
 		switch code {
@@ -408,7 +490,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case http.StatusServiceUnavailable:
 			s.col.Counter("gw.rejected.draining").Inc()
 		}
-		writeJSON(w, code, errorBody{Error: err.Error()})
+		writeError(w, code, err.Error())
 		return
 	}
 	s.respond(w, r, rec, wait)
@@ -444,26 +526,30 @@ func (s *Server) retryAfterSeconds() int {
 // routeSpan can place every span of the vet; the service's Submit runs
 // outside it, and publish puts the record in byID with its ticket before
 // anything can settle it, so a reader never sees a record without one.
-func (s *Server) admit(id string, data []byte) (*record, error) {
+// rawFree reports that nothing kept data: the upload joined an existing
+// record, or the service answered it at admission.
+func (s *Server) admit(id string, data []byte) (rec *record, rawFree bool, err error) {
 	s.regMu.Lock()
 	if rec, ok := s.byID[id]; ok {
 		s.regMu.Unlock()
 		// Byte-identical resubmission: same resource, no new vet — the
 		// digest is the submission ID (and the verdict-cache key).
 		s.col.Counter("gw.submissions.joined").Inc()
-		return rec, nil
+		return rec, true, nil
 	}
-	rec := &record{id: id, seq: s.ck.ReserveVetSeqs(1)}
+	rec = &record{id: id, seq: s.ck.ReserveVetSeqs(1)}
+	rec.spans = rec.spanBuf[:0]
 	s.bySeq[rec.seq] = rec
 	s.regMu.Unlock()
 
 	sub := core.Submission{Raw: data, Seq: rec.seq, Digest: id}
-	if _, err := s.svc.SubmitPublish(context.Background(), sub, func(t *vetsvc.Ticket) { s.publish(rec, t) }); err != nil {
+	_, rawFree, err = s.svc.SubmitPublish(context.Background(), sub, func(t *vetsvc.Ticket) { s.publish(rec, t) })
+	if err != nil {
 		s.unindex(rec)
-		return nil, err
+		return nil, false, err
 	}
 	s.col.Counter("gw.submissions.accepted").Inc()
-	return rec, nil
+	return rec, rawFree, nil
 }
 
 // publish sets the record's ticket and indexes it by id. A concurrent
@@ -531,7 +617,7 @@ func parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil || d < 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "wait must be a non-negative Go duration (e.g. 30s)"})
+		writeError(w, http.StatusBadRequest, "wait must be a non-negative Go duration (e.g. 30s)")
 		return 0, false
 	}
 	return min(d, maxWait), true
@@ -573,7 +659,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, rec *record, wa
 		}
 	}
 	st, code := rec.status()
-	writeJSON(w, code, st)
+	writeStatus(w, code, &st)
 }
 
 // handlePoll is GET /v1/submissions/{id} (+ the blocking ?wait= form).
@@ -584,7 +670,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown submission id"})
+		writeError(w, http.StatusNotFound, "unknown submission id")
 		return
 	}
 	s.respond(w, r, rec, wait)
@@ -642,4 +728,34 @@ func writeJSON(w http.ResponseWriter, code int, body any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(body)
+}
+
+// writeError writes the JSON error envelope {"error": msg}, byte for byte
+// what json.Encoder writes for it.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeBody(w, code, func(b []byte) []byte {
+		return append(wire.AppendJSONString(append(b, `{"error":`...), msg), "}\n"...)
+	})
+}
+
+// writeStatus writes one submission resource.
+func writeStatus(w http.ResponseWriter, code int, st *SubmissionStatus) {
+	writeBody(w, code, func(b []byte) []byte { return appendStatus(b, st) })
+}
+
+// bodies recycles JSON response bodies.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBody writes one JSON response whose body appendBody appends to a
+// pooled buffer.
+func writeBody(w http.ResponseWriter, code int, appendBody func([]byte) []byte) {
+	bp := bodies.Get().(*[]byte)
+	b := appendBody((*bp)[:0])
+	w.Header()["Content-Type"] = jsonContent
+	w.WriteHeader(code)
+	w.Write(b)
+	if cap(b) <= maxPooledBuffer {
+		*bp = b[:0]
+		bodies.Put(bp)
+	}
 }

@@ -35,12 +35,12 @@ type traceSpan struct {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown submission id"})
+		writeError(w, http.StatusNotFound, "unknown submission id")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "response writer does not support streaming"})
+		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

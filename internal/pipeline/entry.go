@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"apichecker/internal/emulator"
 	"apichecker/internal/ml"
 	"apichecker/internal/wire"
 )
@@ -130,8 +131,31 @@ func ReadVerdict(r *wire.Reader, v *Verdict) {
 	v.ScanTime = time.Duration(int64(r.U64()))
 	v.OverallTime = time.Duration(int64(r.U64()))
 	v.Crashes = int(int64(r.U64()))
-	v.Engine = r.String(int(r.U32()))
+	v.Engine = readEngine(r)
 	v.InvokedKeyAPIs = int(int64(r.U64()))
+}
+
+// engineNames are the Engine values the vet path writes: the triage tier's
+// and every emulator profile's.
+var engineNames = [...]string{
+	triageEngine,
+	emulator.GoogleEmulator.Name,
+	emulator.StockGoogleEmulator.Name,
+	emulator.LightweightEmulator.Name,
+	emulator.RealDevice.Name,
+}
+
+// readEngine reads a verdict's Engine, handing back the engineNames string
+// it spells rather than a copy, so a decoded verdict costs no engine
+// allocation; any other name is copied.
+func readEngine(r *wire.Reader) string {
+	b := r.Bytes(int(r.U32()))
+	for _, name := range engineNames {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // DecodeEntry unpacks an encoded entry into v (fully overwritten; Digest

@@ -24,8 +24,11 @@ type VetContext struct {
 	// the next stage or event-batch boundary.
 	Ctx context.Context
 
-	// Sub is the submission being vetted. ContentDigest memoizes on it.
+	// Sub is the submission being vetted: AcquireContext's copy in sub,
+	// so the caller's Submission never escapes. ContentDigest memoizes on
+	// it.
 	Sub *Submission
+	sub Submission
 
 	// Seq is the vet sequence number (assigned by the decode stage if the
 	// submission did not pin one); Digest is the content digest resolved

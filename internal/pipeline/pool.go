@@ -45,15 +45,17 @@ var ctxPool = sync.Pool{New: func() any { return &VetContext{scratch: new(scratc
 // or run did not overwrite.
 var PoisonReleased atomic.Bool
 
-// AcquireContext returns a cleared VetContext bound to one submission; a
-// nil ctx means context.Background. Pair with ReleaseContext.
+// AcquireContext returns a cleared VetContext bound to a copy of one
+// submission; a nil ctx means context.Background. Pair with
+// ReleaseContext.
 func AcquireContext(ctx context.Context, sub *Submission) *VetContext {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	vc := ctxPool.Get().(*VetContext)
 	vc.Ctx = ctx
-	vc.Sub = sub
+	vc.sub = *sub
+	vc.Sub = &vc.sub
 	return vc
 }
 

@@ -56,6 +56,9 @@ const (
 	triageCost = 75 * time.Microsecond
 )
 
+// triageEngine is the Engine of a verdict the triage tier answered.
+const triageEngine = "triage.static"
+
 // ModelGen is one immutable model generation: the universe, the key-API
 // selection, the extractor built over it, the emulation engine hooked for
 // those keys, and the forest. Nothing in it is mutated once the generation
@@ -373,7 +376,7 @@ func (d *Deps) triage(vc *VetContext) error {
 		Tier:        1,
 		ScanTime:    triageCost,
 		OverallTime: triageCost + FixedOverhead,
-		Engine:      "triage.static",
+		Engine:      triageEngine,
 	}
 	vc.Span(triageCost, "hit")
 	d.meters().triageHit.Inc()

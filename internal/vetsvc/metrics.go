@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 
 	"apichecker/internal/core"
 	"apichecker/internal/obs"
@@ -158,6 +159,11 @@ type counters struct {
 
 	tier1, tier2 *obs.Counter
 
+	// engines maps an engine's name to its svc.engine.<name> counter,
+	// resolved on col the first time a completion names that engine, so a
+	// completion neither builds the name nor takes the collector's lock.
+	engines sync.Map
+
 	scans      *obs.Distribution // all completions, virtual seconds
 	missScans  *obs.Distribution // emulated completions only
 	hitScans   *obs.Distribution // cache-served completions only
@@ -234,7 +240,7 @@ func (c *counters) finishJob(v *core.Verdict, err error, out vcache.Outcome) {
 			c.fallbacks.Inc()
 		}
 		if v.Engine != "" {
-			c.col.Counter(enginePrefix + v.Engine).Inc()
+			c.engine(v.Engine).Inc()
 		}
 	case errors.Is(err, core.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
 		c.timeouts.Inc()
@@ -247,6 +253,15 @@ func (c *counters) finishJob(v *core.Verdict, err error, out vcache.Outcome) {
 	default:
 		c.failed.Inc()
 	}
+}
+
+// engine returns the completion counter of the named engine.
+func (c *counters) engine(name string) *obs.Counter {
+	e, ok := c.engines.Load(name)
+	if !ok {
+		e, _ = c.engines.LoadOrStore(name, c.col.Counter(enginePrefix+name))
+	}
+	return e.(*obs.Counter)
 }
 
 // Metrics returns a consistent snapshot; quantiles are computed over a

@@ -19,6 +19,9 @@ import (
 // queue's at-least-once execution into the service's exactly-once
 // verdict accounting.
 type record struct {
+	// ticket is the record's one view, allocated with it.
+	ticket Ticket
+
 	seq     int64
 	pkg     string
 	digest  string
@@ -43,7 +46,9 @@ type record struct {
 }
 
 func newRecord(seq int64, pkg, digest string) *record {
-	return &record{seq: seq, pkg: pkg, digest: digest}
+	r := &record{seq: seq, pkg: pkg, digest: digest}
+	r.ticket.r = r
+	return r
 }
 
 // settle resolves the record exactly once; later calls report false and

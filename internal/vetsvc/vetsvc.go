@@ -158,7 +158,7 @@ const (
 )
 
 // Ticket tracks one accepted submission to completion. It is a view over
-// the submission's verdict record.
+// the submission's verdict record, and lives inside it.
 type Ticket struct {
 	r *record
 }
@@ -338,7 +338,8 @@ func (s *Service) Config() Config { return s.cfg }
 // consuming nothing. The context becomes the parent of the submission's
 // own deadline-bearing context.
 func (s *Service) Submit(ctx context.Context, sub core.Submission) (*Ticket, error) {
-	return s.SubmitPublish(ctx, sub, nil)
+	t, _, err := s.SubmitPublish(ctx, sub, nil)
+	return t, err
 }
 
 // SubmitPublish is Submit, handing the ticket to publish once the
@@ -346,7 +347,12 @@ func (s *Service) Submit(ctx context.Context, sub core.Submission) (*Ticket, err
 // under the admission lock, right after the accepted event, so whatever it
 // indexes the ticket in is complete before the submission's started or
 // done event fires. Keep it short, and do not submit or drain from it.
-func (s *Service) SubmitPublish(ctx context.Context, sub core.Submission, publish func(*Ticket)) (*Ticket, error) {
+//
+// rawFree reports that the submission was answered at admission, so the
+// service kept nothing of sub once SubmitPublish returns: the caller may
+// reuse the bytes of sub.Raw. It is false for a queued submission, whose
+// bytes the queue holds until the submission settles, and on an error.
+func (s *Service) SubmitPublish(ctx context.Context, sub core.Submission, publish func(*Ticket)) (t *Ticket, rawFree bool, err error) {
 	return s.admit(ctx, sub, false, publish)
 }
 
@@ -354,7 +360,8 @@ func (s *Service) SubmitPublish(ctx context.Context, sub core.Submission, publis
 // submission blocks until queue space frees up, the context ends, or the
 // service closes.
 func (s *Service) SubmitWait(ctx context.Context, sub core.Submission) (*Ticket, error) {
-	return s.admit(ctx, sub, true, nil)
+	t, _, err := s.admit(ctx, sub, true, nil)
+	return t, err
 }
 
 // admit is the one admission path. Validation comes first, then the
@@ -362,41 +369,41 @@ func (s *Service) SubmitWait(ctx context.Context, sub core.Submission) (*Ticket,
 // miss takes one — waiting for it when wait is set — which transfers to the
 // queue entry or is released on failure. The accepted event and publish run
 // under the admission lock, before the item becomes claimable, so per-seq
-// event order is strictly accepted → started.
-func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, publish func(*Ticket)) (*Ticket, error) {
+// event order is strictly accepted → started. rawFree is SubmitPublish's.
+func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, publish func(*Ticket)) (t *Ticket, rawFree bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := sub.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if s.cfg.DisableLocalLanes {
 		if sub.Raw == nil {
-			return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrRawOnly)
+			return nil, false, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrRawOnly)
 		}
 		// The record's key is where a remote verdict's Digest comes from.
 		sub.ContentDigest()
 	}
 	if hit, ok := s.ck.LookupHit(&sub); ok {
-		return s.answer(ctx, sub, hit, publish)
+		t, err := s.answer(ctx, sub, hit, publish)
+		return t, err == nil, err
 	}
 	if wait {
 		if err := s.q.Acquire(ctx); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	} else if !s.q.TryAcquire() {
 		s.m.rejected.Inc()
 		s.emit(EventRejected, 0, pkgOf(sub), 0, ErrQueueFull)
-		return nil, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrQueueFull)
+		return nil, false, fmt.Errorf("vet %s: %w", pkgOf(sub), ErrQueueFull)
 	}
 	s.mu.Lock()
 	if err := s.refusal(); err != nil {
 		s.mu.Unlock()
 		s.q.Release()
-		return nil, err
+		return nil, false, err
 	}
-	t := s.open(&sub, publish)
-	r := t.r
+	r := s.open(&sub, publish)
 	r.sub = sub
 	// A caller context without cancellation rides the service's drainable
 	// base instead, so a hard drain can abort the vet with a typed cause.
@@ -407,7 +414,7 @@ func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, pub
 		r.deadline = time.Now().Add(s.cfg.Deadline)
 	}
 	s.addRecord(r)
-	_, err := s.q.Enqueue(workqueue.Item{Seq: sub.Seq, Key: sub.Digest, Payload: sub.Raw, Mem: r})
+	_, err = s.q.Enqueue(workqueue.Item{Seq: sub.Seq, Key: sub.Digest, Payload: sub.Raw, Mem: r})
 	s.mu.Unlock()
 	if err != nil {
 		// Journal failure (the draining/closed races are excluded under
@@ -415,9 +422,9 @@ func (s *Service) admit(ctx context.Context, sub core.Submission, wait bool, pub
 		// a done and the books stay balanced.
 		err = fmt.Errorf("vet %s: %w", r.pkg, err)
 		s.settleRecord(r, nil, vcache.OutcomeBypass, err, 0)
-		return nil, err
+		return nil, false, err
 	}
-	return t, nil
+	return &r.ticket, false, nil
 }
 
 // answer settles a submission LookupHit found on the submitting goroutine.
@@ -432,17 +439,16 @@ func (s *Service) answer(ctx context.Context, sub core.Submission, hit core.Hit,
 		s.mu.Unlock()
 		return nil, err
 	}
-	t := s.open(&sub, publish)
+	r := s.open(&sub, publish)
 	s.answering.Add(1)
 	s.mu.Unlock()
 	defer s.answering.Done()
 
-	r := t.r
 	r.markClaimed()
 	s.emit(EventStarted, r.seq, r.pkg, 0, nil)
 	v, err := s.ck.AnswerHit(ctx, sub, hit)
 	s.settleRecord(r, v, vcache.OutcomeHit, err, 0)
-	return t, nil
+	return &r.ticket, nil
 }
 
 // refusal reports why admissions are refused once Drain has begun (nil
@@ -460,17 +466,17 @@ func (s *Service) refusal() error {
 // open reserves sub's seq if it pinned none, opens its record, books and
 // emits the accepted event, and hands the ticket to publish. The caller
 // holds s.mu.
-func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *Ticket {
+func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *record {
 	if sub.Seq == 0 {
 		sub.Seq = s.ck.ReserveVetSeqs(1)
 	}
-	t := &Ticket{r: newRecord(sub.Seq, pkgOf(*sub), sub.Digest)}
+	r := newRecord(sub.Seq, pkgOf(*sub), sub.Digest)
 	s.m.accepted.Inc()
-	s.emit(EventAccepted, sub.Seq, t.r.pkg, 0, nil)
+	s.emit(EventAccepted, sub.Seq, r.pkg, 0, nil)
 	if publish != nil {
-		publish(t)
+		publish(&r.ticket)
 	}
-	return t
+	return r
 }
 
 // job is one local claim: the lease, its record and submission, and, once

@@ -13,6 +13,7 @@ import (
 	"apichecker/internal/dataset"
 	"apichecker/internal/framework"
 	"apichecker/internal/obs"
+	"apichecker/internal/vcache"
 )
 
 var testU = framework.MustGenerate(framework.TestConfig(3000))
@@ -474,5 +475,47 @@ func TestEventLogOrdering(t *testing.T) {
 		if last != EventDone {
 			t.Fatalf("seq %d ended in state %v", seq, last)
 		}
+	}
+}
+
+// raceDetector is set by race_test.go in a -race build.
+var raceDetector bool
+
+// TestEngineCountersAreResolvedOnce: per-engine completions count on
+// handles resolved once, under the same svc.engine.<name> counters that
+// Metrics and /metrics read, so booking a miss allocates nothing and
+// EngineRuns still counts each emulated verdict under its engine.
+func TestEngineCountersAreResolvedOnce(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	svc := New(ck, Config{Workers: 2, QueueSize: 8})
+	defer svc.Close()
+	subs := make([]core.Submission, 24)
+	for i, p := range programs(corpus, len(subs)) {
+		subs[i] = core.Submission{Program: p}
+	}
+	verdicts, err := svc.VetBatch(context.Background(), subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]uint64)
+	for _, v := range verdicts {
+		want[v.Engine]++
+	}
+	if got := svc.Metrics().EngineRuns; !maps.Equal(got, want) {
+		t.Errorf("EngineRuns %v, want %v", got, want)
+	}
+	counters := svc.Obs().Counters()
+	for engine, n := range want {
+		if got := counters[enginePrefix+engine]; got != n {
+			t.Errorf("counter %s%s = %d, want %d", enginePrefix, engine, got, n)
+		}
+	}
+
+	if raceDetector {
+		return // the race detector allocates on its own
+	}
+	v := verdicts[0]
+	if n := testing.AllocsPerRun(100, func() { svc.m.finishJob(v, nil, vcache.OutcomeMiss) }); n != 0 {
+		t.Errorf("booking a miss allocates %.1f times, want 0", n)
 	}
 }

@@ -20,6 +20,10 @@
 // Fields, with its Encoder and Decoder, is for a struct written as a run of
 // fields: the struct lists its leaves once and both directions walk that
 // list. The model artifact's config and selection sections are written so.
+//
+// AppendJSONString and AppendJSONFloat write JSON the way encoding/json
+// does, for the HTTP bodies the gateway and the cluster coordinator build
+// by hand.
 package wire
 
 import (

@@ -267,18 +267,24 @@ func (h seqHeap) siftDown(i int) {
 	}
 }
 
-// lease tracks one outstanding claim.
+// lease tracks one outstanding claim. Its times are offsets from the
+// queue's epoch rather than time.Time values: that keeps the entry at the
+// 128 bytes a Go map stores inline, so a claim allocates no map entry.
 type leaseState struct {
 	item     Item
 	token    uint64
-	deadline time.Time // zero when leases never expire
-	leasedAt time.Time
+	deadline time.Duration // since epoch; zero when leases never expire
+	leasedAt time.Duration // since epoch
 }
 
 // Queue is a running work queue. Construct with Open.
 type Queue struct {
 	cfg Config
 	now func() time.Time
+	// epoch is now() at Open, the origin of every lease time. An offset
+	// from it is a difference of two clock readings, so with time.Now it
+	// keeps the monotonic clock.
+	epoch time.Time
 
 	// slots carries one token per free queue position; admission takes a
 	// token (TryAcquire/Acquire), Claim returns it — unless debt is
@@ -327,6 +333,7 @@ func Open(cfg Config) (*Queue, []Item, error) {
 	q := &Queue{
 		cfg:       cfg,
 		now:       now,
+		epoch:     now(),
 		slots:     make(chan struct{}, cfg.Capacity),
 		leases:    make(map[int64]leaseState),
 		wake:      make(chan struct{}),
@@ -517,9 +524,9 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 			q.releaseSlotLocked()
 			it.Attempts++
 			q.token++
-			ls := leaseState{item: it, token: q.token, leasedAt: q.now()}
+			ls := leaseState{item: it, token: q.token, leasedAt: q.clock()}
 			if q.cfg.LeaseTTL > 0 {
-				ls.deadline = ls.leasedAt.Add(q.cfg.LeaseTTL)
+				ls.deadline = ls.leasedAt + q.cfg.LeaseTTL
 			}
 			q.leases[it.Seq] = ls
 			q.leased.Set(int64(len(q.leases)))
@@ -547,8 +554,8 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 		wake, next := q.wake, until
 		if q.cfg.LeaseTTL > 0 {
 			for _, ls := range q.leases {
-				if next.IsZero() || ls.deadline.Before(next) {
-					next = ls.deadline
+				if dl := q.epoch.Add(ls.deadline); next.IsZero() || dl.Before(next) {
+					next = dl
 				}
 			}
 		}
@@ -604,14 +611,14 @@ func (q *Queue) reclaimLocked() []deadItem {
 	if q.cfg.LeaseTTL <= 0 || len(q.leases) == 0 {
 		return nil
 	}
-	now := q.now()
+	now := q.clock()
 	var dead []deadItem
 	for seq, ls := range q.leases {
-		if ls.deadline.After(now) {
+		if ls.deadline > now {
 			continue
 		}
 		delete(q.leases, seq)
-		q.leaseAge.Observe(now.Sub(ls.leasedAt).Seconds())
+		q.leaseAge.Observe((now - ls.leasedAt).Seconds())
 		q.reclaimed.Inc()
 		cause := fmt.Errorf("%w: lease expired after %d attempt(s)", ErrLeaseLost, ls.item.Attempts)
 		if ls.item.Attempts >= q.cfg.MaxAttempts {
@@ -777,6 +784,9 @@ func (l *Lease) Ack() error { return l.q.Ack(l.ID()) }
 // Nack is Queue.Nack on this lease.
 func (l *Lease) Nack(cause error) (requeued bool, err error) { return l.q.Nack(l.ID(), cause) }
 
+// clock reads the queue's clock as an offset from its epoch.
+func (q *Queue) clock() time.Duration { return q.now().Sub(q.epoch) }
+
 // heldLocked resolves id against the lease table: false when its item was
 // reclaimed (and possibly re-issued under another token) or settled.
 func (q *Queue) heldLocked(id LeaseID) (leaseState, bool) {
@@ -795,7 +805,7 @@ func (q *Queue) Heartbeat(id LeaseID) error {
 		return ErrLeaseLost
 	}
 	if q.cfg.LeaseTTL > 0 {
-		ls.deadline = q.now().Add(q.cfg.LeaseTTL)
+		ls.deadline = q.clock() + q.cfg.LeaseTTL
 		q.leases[id.Seq] = ls
 	}
 	return nil
@@ -814,7 +824,7 @@ func (q *Queue) Ack(id LeaseID) error {
 	}
 	delete(q.leases, id.Seq)
 	q.leased.Set(int64(len(q.leases)))
-	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
+	q.leaseAge.Observe((q.clock() - ls.leasedAt).Seconds())
 	q.acked.Inc()
 	q.journalSettleLocked(ls.item)
 	q.pulseLocked()
@@ -835,7 +845,7 @@ func (q *Queue) Nack(id LeaseID, cause error) (requeued bool, err error) {
 	}
 	delete(q.leases, id.Seq)
 	q.leased.Set(int64(len(q.leases)))
-	q.leaseAge.Observe(q.now().Sub(ls.leasedAt).Seconds())
+	q.leaseAge.Observe((q.clock() - ls.leasedAt).Seconds())
 	q.nacked.Inc()
 	var dead []deadItem
 	if ls.item.Attempts >= q.cfg.MaxAttempts {

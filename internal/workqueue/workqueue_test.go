@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock is an injectable queue clock.
@@ -629,5 +630,13 @@ func TestAwaitDrainedClaimsNothing(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("AwaitDrained after the last ack = %v, want nil", err)
+	}
+}
+
+// TestLeaseEntryIsInline pins the lease table's value at the 128 bytes a Go
+// map stores inline: one byte more and every claim allocates its entry.
+func TestLeaseEntryIsInline(t *testing.T) {
+	if n := unsafe.Sizeof(leaseState{}); n > 128 {
+		t.Fatalf("leaseState is %d bytes; a map stores at most 128 inline", n)
 	}
 }
