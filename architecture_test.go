@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	gotypes "go/types"
 	"io/fs"
 	"os/exec"
 	"path"
@@ -94,6 +95,8 @@ func TestArchitecture(t *testing.T) {
 			links("./cmd/vetworker", "apichecker", "apichecker/internal/gateway", "apichecker/internal/market", "apichecker/internal/antivirus", "apichecker/internal/lifecycle"), "apichecker/internal/lifecycle"},
 		{"md5", "crypto/md5 imported outside internal/apk/apk.go",
 			source(outside("internal/apk/apk.go"), imports("crypto/md5")), `bench/p.go: package main; import "crypto/md5"`},
+		{"one-http-edge", "http.MaxBytesReader or a sync.Pool of byte buffers in internal/gateway or internal/cluster non-test code (read a body with httpio.ReadBody; keep buffers in an httpio.Pool)",
+			source(in("internal/gateway", "internal/cluster"), sel("net/http", "MaxBytesReader"), asserts("[]byte", "*[]byte", "*bytes.Buffer")), `internal/cluster/p.go: package cluster; import s "sync"; var p s.Pool; var b = p.Get().(*[]byte)`},
 		{"emulator-math-rand", "internal/emulator imports math/rand (v1) again: seeding it costs 12 us and 4.9 KB per stream",
 			source(scope{in: []string{"internal/emulator"}, tests: true}, imports("math/rand")), `internal/emulator/p_test.go: package emulator; import "math/rand"`},
 	}
@@ -286,6 +289,13 @@ func soleArg(pkg, name string) match {
 	call := node(func(c *ast.CallExpr, f *srcFile) bool { return len(c.Args) == 1 && is(c.Args[0], f) })
 	paren := node(func(p *ast.ParenExpr, f *srcFile) bool { return is(p.X, f) })
 	return func(n ast.Node, f *srcFile) bool { return call(n, f) || paren(n, f) }
+}
+
+// asserts matches a type assertion x.(T) whose T, as written, is one of types.
+func asserts(types ...string) match {
+	return node(func(a *ast.TypeAssertExpr, _ *srcFile) bool {
+		return a.Type != nil && slices.Contains(types, gotypes.ExprString(a.Type))
+	})
 }
 
 // goStmt matches a go statement.

@@ -4,6 +4,7 @@
 package cluster_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -977,6 +979,34 @@ func TestControlBodyBound(t *testing.T) {
 	}
 	if code, _ := post("/v1/cluster/ack", []byte(`{}`)); code != http.StatusNotFound {
 		t.Errorf("the retired ack route: %d, want 404", code)
+	}
+}
+
+// TestOverDeclaredControlBodyRefusedUnread: a control body that declares
+// more than its bound is answered 413 from its headers alone, without the
+// coordinator waiting for a byte of the body, and the connection closes.
+func TestOverDeclaredControlBodyRefusedUnread(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	conn, err := net.Dial("tcp", st.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", cluster.PathClaim, 100<<10)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to the headers alone: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	const want = "{\"error\":\"http: request body too large\"}\n"
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close || string(body) != want {
+		t.Errorf("got %d (close %v) %q, want 413, a closing connection and %q", resp.StatusCode, resp.Close, body, want)
 	}
 }
 

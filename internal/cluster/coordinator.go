@@ -3,19 +3,17 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"apichecker/internal/core"
+	"apichecker/internal/httpio"
 	"apichecker/internal/modelstore"
 	"apichecker/internal/obs"
 	"apichecker/internal/vetsvc"
-	"apichecker/internal/wire"
 	"apichecker/internal/workqueue"
 )
 
@@ -223,7 +221,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Node == "" {
-		httpError(w, http.StatusBadRequest, "claim requires a node name")
+		httpio.Error(w, http.StatusBadRequest, "claim requires a node name")
 		return
 	}
 	now := time.Now()
@@ -263,7 +261,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			c.writeFrame(w, &claim{Drained: true}, nil)
 			return
 		case errors.Is(err, workqueue.ErrClosed):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			httpio.Error(w, http.StatusServiceUnavailable, err.Error())
 			return
 		case !errors.Is(err, workqueue.ErrNothingClaimable):
 			return // the client went away
@@ -312,16 +310,16 @@ func (c *Coordinator) nack(id workqueue.LeaseID, cause error) error {
 // writeFrame writes one claim frame: the header, then payload as it lies
 // in the queue.
 func (c *Coordinator) writeFrame(w http.ResponseWriter, cl *claim, payload []byte) error {
-	bp := bufs.Get().(*[]byte)
+	bp := bufs.Get()
 	defer bufs.Put(bp)
 	hdr, err := appendClaimHeader((*bp)[:0], cl)
-	*bp = hdr[:0]
+	*bp = hdr
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpio.Error(w, http.StatusInternalServerError, err.Error())
 		return err
 	}
 	h := w.Header()
-	h["Content-Type"] = octetStream
+	h["Content-Type"] = httpio.OctetStream
 	h["Content-Length"] = []string{strconv.Itoa(len(hdr) + len(payload))}
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -340,7 +338,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.touch(req.Node, time.Now())
 	if err := c.remote.Heartbeat(workqueue.LeaseID{Seq: req.Seq, Token: req.Token}); err != nil {
-		httpError(w, http.StatusGone, err.Error())
+		httpio.Error(w, http.StatusGone, err.Error())
 	}
 }
 
@@ -377,7 +375,7 @@ func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
 	c.touch(req.Node, time.Now())
 	id := workqueue.LeaseID{Seq: req.Seq, Token: req.Token}
 	if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", req.Node, req.Cause)); err != nil {
-		httpError(w, http.StatusGone, err.Error())
+		httpio.Error(w, http.StatusGone, err.Error())
 	}
 }
 
@@ -394,11 +392,11 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if data == nil {
-		httpError(w, http.StatusNotFound, "unknown model digest: "+digest)
+		httpio.Error(w, http.StatusNotFound, "unknown model digest: "+digest)
 		return
 	}
 	c.pulls.Inc()
-	w.Header()["Content-Type"] = octetStream
+	w.Header()["Content-Type"] = httpio.OctetStream
 	w.Write(data)
 }
 
@@ -430,48 +428,23 @@ const maxControlBytes = 64 << 10
 // beyond maxControlBytes and 400 for a body that is shorter than declared
 // or does not decode.
 func readRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (req T, ok bool) {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
-	b, err := *bp, error(nil)
-	if n := r.ContentLength; n >= 0 && n <= maxControlBytes {
-		b = slices.Grow(b[:0], int(n))[:n]
-		*bp = b
-		_, err = io.ReadFull(r.Body, b)
-	} else {
-		b, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes))
-	}
-	// Closed once read to its end, the body is not drained again when the
-	// answer starts.
-	r.Body.Close()
+	bp, err := httpio.ReadBody(w, r, maxControlBytes, &bufs)
 	if err == nil {
-		if req, err = decode(b); err == nil {
+		req, err = decode(*bp)
+		bufs.Put(bp)
+		if err == nil {
 			return req, true
 		}
 	}
 	code := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	if errors.As(err, new(*http.MaxBytesError)) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	httpError(w, code, err.Error())
+	httpio.Error(w, code, err.Error())
 	return req, false
 }
 
 // bufs recycles the coordinator's byte buffers: a control body until it
 // is decoded, a frame header until it is written. Nothing decoded aliases
 // one — the decoders copy every string they return.
-var bufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// Header values set on every answer of their kind; net/http copies them
-// out and never writes them.
-var (
-	octetStream = []string{"application/octet-stream"}
-	jsonContent = []string{"application/json"}
-)
-
-// httpError writes the JSON error envelope {"error": msg}.
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header()["Content-Type"] = jsonContent
-	w.WriteHeader(code)
-	w.Write(append(wire.AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
-}
+var bufs httpio.Pool

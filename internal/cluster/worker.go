@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"apichecker/internal/core"
+	"apichecker/internal/httpio"
 	"apichecker/internal/worker"
 	"apichecker/internal/workqueue"
 )
@@ -437,7 +438,7 @@ func (w *Worker) post(ctx context.Context, path string, body []byte) (*http.Resp
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	req.Header["Content-Type"] = octetStream
+	req.Header["Content-Type"] = httpio.OctetStream
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", path, err)

@@ -261,8 +261,8 @@ func TestUploadBufferNotReusedWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	poisonUploads.Store(true)
-	t.Cleanup(func() { poisonUploads.Store(false) })
+	uploads.Poison.Store(true)
+	t.Cleanup(func() { uploads.Poison.Store(false) })
 	dir := t.TempDir()
 	svc, err := vetsvc.Open(ck, vetsvc.Config{Workers: 1, QueueSize: 4, QueueDir: dir})
 	if err != nil {

@@ -33,12 +33,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,6 +45,7 @@ import (
 
 	"apichecker/internal/apk"
 	"apichecker/internal/core"
+	"apichecker/internal/httpio"
 	"apichecker/internal/obs"
 	"apichecker/internal/pipeline"
 	"apichecker/internal/vetsvc"
@@ -386,61 +385,12 @@ func appendStatus(b []byte, st *SubmissionStatus) []byte {
 	return append(b, "}\n"...)
 }
 
-// presizedUploadBytes is the largest declared Content-Length the upload
-// buffer is sized from up front (io.ReadAll reaches a 7.5 KB archive in
-// nine doublings, 34 KB allocated). Beyond it, and for chunked uploads,
-// the buffer grows with the bytes that arrive, so a client that declares
-// the whole upload bound and sends nothing costs a megabyte, not 64.
-const presizedUploadBytes = 1 << 20
-
-// maxPooledBuffer is the largest buffer the upload and body pools keep.
-const maxPooledBuffer = 64 << 10
-
 // uploads recycles upload buffers. The handler owns a buffer until it
 // hands the bytes to the service; it puts the buffer back only when the
 // service says it kept nothing of them (an admission hit), or when the
 // upload joined an existing record and never reached the service. A
 // queued submission's buffer is the queue's and goes to the collector.
-var uploads = sync.Pool{New: func() any { return new([]byte) }}
-
-// poisonUploads, when set (tests only), scribbles over every buffer put
-// back in the upload pool, so a submission still reading one shows it.
-var poisonUploads atomic.Bool
-
-// readUpload reads the request body. A declared length up to
-// presizedUploadBytes is read into a buffer of exactly that length, taken
-// from the upload pool (buf); net/http already stops such a body at its
-// Content-Length, so it needs no MaxBytesReader. A body of undeclared
-// length, or declared past the presize, grows with the bytes that arrive,
-// up to MaxUploadBytes.
-func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (data []byte, buf *[]byte, err error) {
-	n := r.ContentLength
-	if n <= 0 || n > min(s.cfg.MaxUploadBytes, presizedUploadBytes) {
-		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-		return data, nil, err
-	}
-	buf = uploads.Get().(*[]byte)
-	data = slices.Grow((*buf)[:0], int(n))[:n]
-	// The server hands the handler exactly the declared bytes, or an error
-	// if the client sent fewer.
-	_, err = io.ReadFull(r.Body, data)
-	return data, buf, err
-}
-
-// putUpload returns data's buffer to the upload pool, unless it is too
-// large to keep.
-func putUpload(buf *[]byte, data []byte) {
-	if cap(data) > maxPooledBuffer {
-		return
-	}
-	if poisonUploads.Load() {
-		for i := range data {
-			data[i] = 0xA5
-		}
-	}
-	*buf = data[:0]
-	uploads.Put(buf)
-}
+var uploads httpio.Pool
 
 // handleSubmit is POST /v1/submissions: read the archive (bounded),
 // digest it, admit it to the vetting service (or join the existing
@@ -448,38 +398,38 @@ func putUpload(buf *[]byte, data []byte) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.col.Counter("gw.rejected.draining").Inc()
-		writeError(w, http.StatusServiceUnavailable, vetsvc.ErrDraining.Error())
+		httpio.Error(w, http.StatusServiceUnavailable, vetsvc.ErrDraining.Error())
 		return
 	}
 	wait, ok := parseWait(w, r)
 	if !ok {
 		return
 	}
-	data, buf, err := s.readUpload(w, r)
+	buf, err := httpio.ReadBody(w, r, s.cfg.MaxUploadBytes, &uploads)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.As(err, new(*http.MaxBytesError)) {
 			s.col.Counter("gw.rejected.oversize").Inc()
-			writeError(w, http.StatusRequestEntityTooLarge,
+			httpio.Error(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("archive exceeds the %d-byte upload bound", s.cfg.MaxUploadBytes))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		httpio.Error(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
+	data := *buf
 	// Cheap wire gate: a submission that is not even a zip container is
 	// rejected synchronously; the apk package's decoded-size (zip-bomb)
 	// gate and full validation run in the pipeline's decode stage.
 	if len(data) < 4 || data[0] != 'P' || data[1] != 'K' {
 		s.col.Counter("gw.rejected.notzip").Inc()
-		writeError(w, http.StatusBadRequest, "request body is not a zip archive")
+		httpio.Error(w, http.StatusBadRequest, "request body is not a zip archive")
 		return
 	}
 	id := apk.Digest(data)
 
 	rec, rawFree, err := s.admit(id, data)
-	if buf != nil && rawFree {
-		putUpload(buf, data)
+	if rawFree {
+		uploads.Put(buf)
 	}
 	if err != nil {
 		code := admitErrorCode(err)
@@ -490,7 +440,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case http.StatusServiceUnavailable:
 			s.col.Counter("gw.rejected.draining").Inc()
 		}
-		writeError(w, code, err.Error())
+		httpio.Error(w, code, err.Error())
 		return
 	}
 	s.respond(w, r, rec, wait)
@@ -617,7 +567,7 @@ func parseWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil || d < 0 {
-		writeError(w, http.StatusBadRequest, "wait must be a non-negative Go duration (e.g. 30s)")
+		httpio.Error(w, http.StatusBadRequest, "wait must be a non-negative Go duration (e.g. 30s)")
 		return 0, false
 	}
 	return min(d, maxWait), true
@@ -659,7 +609,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, rec *record, wa
 		}
 	}
 	st, code := rec.status()
-	writeStatus(w, code, &st)
+	httpio.WriteJSON(w, code, func(b []byte) []byte { return appendStatus(b, &st) })
 }
 
 // handlePoll is GET /v1/submissions/{id} (+ the blocking ?wait= form).
@@ -670,7 +620,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeError(w, http.StatusNotFound, "unknown submission id")
+		httpio.Error(w, http.StatusNotFound, "unknown submission id")
 		return
 	}
 	s.respond(w, r, rec, wait)
@@ -705,7 +655,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	w.Header()["Content-Type"] = httpio.JSON
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	enc.Encode(body)
 }
 
 // handleMetrics is GET /metrics: the Prometheus text exposition over the
@@ -715,47 +669,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WriteMetrics(w, "apichecker", s.ck.Obs(), s.svc.Obs(), s.col)
-}
-
-// jsonContent is every JSON answer's Content-Type; net/http copies it out
-// and never writes it.
-var jsonContent = []string{"application/json"}
-
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header()["Content-Type"] = jsonContent
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(body)
-}
-
-// writeError writes the JSON error envelope {"error": msg}, byte for byte
-// what json.Encoder writes for it.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeBody(w, code, func(b []byte) []byte {
-		return append(wire.AppendJSONString(append(b, `{"error":`...), msg), "}\n"...)
-	})
-}
-
-// writeStatus writes one submission resource.
-func writeStatus(w http.ResponseWriter, code int, st *SubmissionStatus) {
-	writeBody(w, code, func(b []byte) []byte { return appendStatus(b, st) })
-}
-
-// bodies recycles JSON response bodies.
-var bodies = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeBody writes one JSON response whose body appendBody appends to a
-// pooled buffer.
-func writeBody(w http.ResponseWriter, code int, appendBody func([]byte) []byte) {
-	bp := bodies.Get().(*[]byte)
-	b := appendBody((*bp)[:0])
-	w.Header()["Content-Type"] = jsonContent
-	w.WriteHeader(code)
-	w.Write(b)
-	if cap(b) <= maxPooledBuffer {
-		*bp = b[:0]
-		bodies.Put(bp)
-	}
 }

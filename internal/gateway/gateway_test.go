@@ -428,6 +428,69 @@ func TestGatewayRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOverDeclaredUploadRefusedUnread: an upload that declares more than
+// the upload bound is answered 413 from its headers alone, without the
+// gateway waiting for a byte of the body, and the connection closes.
+func TestOverDeclaredUploadRefusedUnread(t *testing.T) {
+	fx := newFixture(t, vetsvc.Config{Workers: 1, QueueSize: 4}, Config{})
+	conn, err := net.Dial("tcp", fx.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(conn, "POST /v1/submissions HTTP/1.1\r\nHost: gateway\r\nContent-Length: %d\r\n\r\n", apk.MaxDecodedBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to the headers alone: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	want := fmt.Sprintf("{\"error\":\"archive exceeds the %d-byte upload bound\"}\n", apk.MaxDecodedBytes)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close || string(body) != want {
+		t.Errorf("got %d (close %v) %q, want 413, a closing connection and %q", resp.StatusCode, resp.Close, body, want)
+	}
+}
+
+// TestTraceDoneMatchesPoll: the trace stream's done event carries the
+// bytes a poll answers for the same submission, less the trailing newline,
+// HTML characters in a package name included.
+func TestTraceDoneMatchesPoll(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	fx := newFixtureWith(t, ck, vetsvc.Config{Workers: 1, QueueSize: 4}, Config{})
+	prog := corpus.Program(0)
+	prog.PackageName = "com.a&b<c>"
+	data, err := apk.Build(prog, testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, resp := postAPK(t, fx.ts.URL, "?wait=30s", data)
+	if resp.StatusCode != http.StatusOK || st.Verdict == nil || st.Verdict.Package != prog.PackageName {
+		t.Fatalf("submit: status %d, %+v", resp.StatusCode, st)
+	}
+	poll, err := http.Get(fx.ts.URL + "/v1/submissions/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(poll.Body)
+	poll.Body.Close()
+	trace, err := http.Get(fx.ts.URL + "/v1/submissions/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.Body.Close()
+	var done []byte
+	for sc, event := bufio.NewScanner(trace.Body), ""; sc.Scan() && done == nil; {
+		if line := sc.Text(); strings.HasPrefix(line, "event: ") {
+			event = strings.TrimPrefix(line, "event: ")
+		} else if event == "done" && strings.HasPrefix(line, "data: ") {
+			done = []byte(strings.TrimPrefix(line, "data: "))
+		}
+	}
+	if !bytes.Equal(append(done, '\n'), want) {
+		t.Errorf("done event:\n%s\npoll body:\n%s", done, want)
+	}
+}
+
 // TestMetricsExposesEverything: every counter, gauge, and distribution
 // on the checker's, service's, and gateway's collectors appears in the
 // /metrics exposition — with no per-metric code in the exporter.

@@ -10,10 +10,12 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
+	"apichecker/internal/httpio"
 	"apichecker/internal/obs"
 )
 
@@ -35,12 +37,12 @@ type traceSpan struct {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeError(w, http.StatusNotFound, "unknown submission id")
+		httpio.Error(w, http.StatusNotFound, "unknown submission id")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
+		httpio.Error(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -54,32 +56,34 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		defer rec.unsubscribe(live)
 	}
 	for _, ev := range replay {
-		writeSSE(w, "span", spanOf(ev))
+		writeSSE(w, "span", spanJSON(ev))
 	}
 	flusher.Flush()
 	for !finished {
 		select {
 		case ev := <-live:
-			writeSSE(w, "span", spanOf(ev))
+			writeSSE(w, "span", spanJSON(ev))
 			flusher.Flush()
 		case <-rec.ticket.Done():
 			// Every span was sent before the ticket settled: drain the
 			// ones still buffered, then terminate.
 			for len(live) > 0 {
-				writeSSE(w, "span", spanOf(<-live))
+				writeSSE(w, "span", spanJSON(<-live))
 			}
 			finished = true
 		case <-r.Context().Done():
 			return
 		}
 	}
+	// The done event carries the resource a poll answers, on one line.
 	st, _ := rec.status()
-	writeSSE(w, "done", st)
+	writeSSE(w, "done", bytes.TrimSuffix(appendStatus(nil, &st), []byte("\n")))
 	flusher.Flush()
 }
 
-// spanOf maps one obs span event to its SSE payload.
-func spanOf(ev obs.Event) traceSpan {
+// spanJSON is the SSE payload of one obs span event. Every field has a JSON
+// form, so it always marshals.
+func spanJSON(ev obs.Event) []byte {
 	sp := traceSpan{
 		Seq:        ev.Trace,
 		Stage:      ev.Name,
@@ -90,14 +94,11 @@ func spanOf(ev obs.Event) traceSpan {
 	if ev.Err != nil {
 		sp.Error = ev.Err.Error()
 	}
-	return sp
+	data, _ := json.Marshal(sp)
+	return data
 }
 
 // writeSSE writes one SSE frame ("event:" + single-line "data:" JSON).
-func writeSSE(w http.ResponseWriter, event string, payload any) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		data = []byte(`{"error":"marshal failure"}`)
-	}
+func writeSSE(w http.ResponseWriter, event string, data []byte) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
