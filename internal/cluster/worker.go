@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -375,8 +373,7 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 	// never reaches the decoder. (Decoding is canonical — what decodes
 	// re-encodes to the same bytes — so the decoded artifact's own digest
 	// is this one.)
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != digest {
+	if got := core.ArtifactDigest(data); got != digest {
 		return nil, fmt.Errorf("cluster: model integrity: got %.12s want %.12s", got, digest)
 	}
 	a, err := core.Decode(data)

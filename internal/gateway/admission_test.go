@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"apichecker/internal/core"
 	"apichecker/internal/obs"
@@ -39,11 +41,24 @@ func TestAdmitErrorCode(t *testing.T) {
 	}
 }
 
-// indexSizes reads the sizes of the gateway's two record indexes.
-func indexSizes(gw *Server) (byID, bySeq int) {
+// indexSizes reads the sizes of the gateway's record index and its
+// eviction order.
+func indexSizes(gw *Server) (byID, order int) {
 	gw.regMu.RLock()
 	defer gw.regMu.RUnlock()
-	return len(gw.byID), len(gw.bySeq)
+	return len(gw.byID), len(gw.order)
+}
+
+// recordBySeq finds the published record whose ticket holds seq, or nil.
+func recordBySeq(gw *Server, seq int64) *record {
+	gw.regMu.RLock()
+	defer gw.regMu.RUnlock()
+	for _, rec := range gw.byID {
+		if rec.ticket.Seq() == seq {
+			return rec
+		}
+	}
+	return nil
 }
 
 // TestAdmissionHitTraceAndOutcome: POSTing an archive whose verdict is
@@ -95,10 +110,7 @@ func TestSinkMayCallBackIntoGateway(t *testing.T) {
 		if ev.Kind != obs.KindService && ev.Kind != obs.KindSpan {
 			return
 		}
-		gw.regMu.RLock()
-		rec := gw.bySeq[ev.Trace]
-		gw.regMu.RUnlock()
-		if rec != nil {
+		if rec := recordBySeq(gw, ev.Trace); rec != nil {
 			serve(gw, http.MethodGet, "/v1/submissions/"+rec.id, nil)
 		}
 	})
@@ -341,4 +353,60 @@ func TestUploadBufferNotReusedWhileQueued(t *testing.T) {
 	if *st.Verdict != *want {
 		t.Errorf("queued miss vetted from reused bytes:\n got %+v\nwant %+v", *st.Verdict, *want)
 	}
+}
+
+// TestRefusedPostConsumesNoSeq: a POST refused with 429 consumes no vet
+// seq, as vetsvc.ErrQueueFull promises. With the only lane stalled and the
+// queue full, three refusals leave the checker's count alone, and the next
+// accepted POST, an admission hit, answers the seq right after it.
+func TestRefusedPostConsumesNoSeq(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	cached := buildAPK(t, corpus, 9)
+	if _, err := ck.Vet(context.Background(), core.Submission{Raw: cached}); err != nil {
+		t.Fatal(err)
+	}
+	_, gw, _ := stalledGateway(t, ck, buildAPK(t, corpus, 0), 1)
+	if w := serve(gw, http.MethodPost, "/v1/submissions", buildAPK(t, corpus, 1)); w.Code != http.StatusAccepted {
+		t.Fatalf("filling the queue: status %d: %s", w.Code, w.Body)
+	}
+	before := ck.VetCount()
+	for i := 2; i < 5; i++ {
+		if w := serve(gw, http.MethodPost, "/v1/submissions", buildAPK(t, corpus, i)); w.Code != http.StatusTooManyRequests {
+			t.Fatalf("archive %d on a full queue: status %d, want 429", i, w.Code)
+		}
+	}
+	if n := ck.VetCount(); n != before {
+		t.Errorf("three 429s moved VetCount %d -> %d", before, n)
+	}
+	w := serve(gw, http.MethodPost, "/v1/submissions", cached)
+	var st SubmissionStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("cached archive: status %d, %s (%v)", w.Code, w.Body, err)
+	}
+	if st.Seq != before+1 {
+		t.Errorf("the POST after three 429s answered seq %d, want %d", st.Seq, before+1)
+	}
+}
+
+// TestShutGatewayIsCollected: a gateway registers nothing on the checker or
+// the service it serves over, so once it has served a POST, shut down and
+// been dropped, the collector frees it while both live on.
+func TestShutGatewayIsCollected(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	svc := vetsvc.New(ck, vetsvc.Config{Workers: 1, QueueSize: 4})
+	gw := New(svc, Config{})
+	if w := serve(gw, http.MethodPost, "/v1/submissions?wait=30s", buildAPK(t, corpus, 0)); w.Code != http.StatusOK {
+		t.Fatalf("POST: status %d: %s", w.Code, w.Body)
+	}
+	if err := gw.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	shut := weak.Make(gw)
+	gw = nil
+	runtime.GC()
+	if shut.Value() != nil {
+		t.Error("a shut-down gateway is still reachable from the checker or the service it served")
+	}
+	runtime.KeepAlive(ck)
+	runtime.KeepAlive(svc)
 }

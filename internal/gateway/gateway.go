@@ -114,13 +114,12 @@ type Server struct {
 	// it is exported by /metrics alongside the checker's and service's.
 	col *obs.Collector
 
-	// regMu guards the two record indexes, the eviction order, and the
-	// setting of a record's ticket. Nothing that emits an obs event runs
-	// under it (Submit is called outside it), so a sink may call back into
-	// the gateway.
+	// regMu guards the record index, the eviction order, and the setting
+	// of a record's ticket. Nothing that emits an obs event runs under it
+	// (Submit is called outside it), so a sink may call back into the
+	// gateway.
 	regMu sync.RWMutex
 	byID  map[string]*record
-	bySeq map[int64]*record
 	order []*record
 
 	draining atomic.Bool
@@ -131,13 +130,13 @@ type Server struct {
 }
 
 // record indexes one submission: the service's ticket, which holds its
-// state, verdict and completion (the gateway keeps no copy of them), plus
-// the span log and any live trace subscribers. The record sits in bySeq
-// from its seq reservation, and its ticket is set under regMu when it
-// enters byID, so every reader that finds it by id finds the ticket.
+// state, seq, verdict and completion (the gateway keeps no copy of them),
+// plus the span log and any live trace subscribers. It is the
+// submission's Trace sink, so the pipeline hands it its own spans. Its
+// ticket is set under regMu when it enters byID, so every reader that
+// finds it by id finds the ticket.
 type record struct {
 	id     string
-	seq    int64
 	ticket *vetsvc.Ticket
 
 	mu    sync.Mutex
@@ -147,19 +146,17 @@ type record struct {
 	spanBuf [2]obs.Event
 }
 
-// New builds a gateway over a running vetting service. The server routes
-// pipeline spans from the checker's obs collector to per-submission trace
-// streams; register it before traffic flows.
+// New builds a gateway over a running vetting service. Each submission it
+// admits carries its record as the Submission's Trace, which feeds the
+// submission's pipeline spans to its trace stream.
 func New(svc *vetsvc.Service, cfg Config) *Server {
 	s := &Server{
-		cfg:   cfg.withDefaults(),
-		svc:   svc,
-		ck:    svc.Checker(),
-		col:   obs.NewCollector(),
-		byID:  make(map[string]*record),
-		bySeq: make(map[int64]*record),
+		cfg:  cfg.withDefaults(),
+		svc:  svc,
+		ck:   svc.Checker(),
+		col:  obs.NewCollector(),
+		byID: make(map[string]*record),
 	}
-	s.ck.Obs().AddSink(obs.SinkFunc(s.routeSpan))
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submissions", s.handleSubmit)
 	mux.HandleFunc("GET /v1/submissions/{id}", s.handlePoll)
@@ -230,25 +227,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// routeSpan is the obs sink fanning checker pipeline spans out to the
-// submission records that subscribed to them. Called synchronously from
-// vetting goroutines: one RLock and an append.
-func (s *Server) routeSpan(ev obs.Event) {
-	if ev.Kind != obs.KindSpan {
-		return
-	}
-	s.regMu.RLock()
-	rec := s.bySeq[ev.Trace]
-	s.regMu.RUnlock()
-	if rec != nil {
-		rec.addSpan(ev)
-	}
-}
-
-// addSpan appends one span to the record's log and pushes it to live
-// trace subscribers (non-blocking: a stalled subscriber misses events
-// rather than stalling the pipeline).
-func (r *record) addSpan(ev obs.Event) {
+// Emit implements obs.Sink for the submission's Trace: it appends one span
+// to the record's log and pushes it to live trace subscribers
+// (non-blocking: a stalled subscriber misses events rather than stalling
+// the pipeline). Called synchronously from the vetting goroutine.
+func (r *record) Emit(ev obs.Event) {
 	r.mu.Lock()
 	r.spans = append(r.spans, ev)
 	subs := r.subs
@@ -318,7 +301,7 @@ type SubmissionStatus struct {
 // the backpressure table: 504 deadline, 503 drain, 422 bad archive, 500
 // otherwise).
 func (r *record) status() (SubmissionStatus, int) {
-	st := SubmissionStatus{ID: r.id, Seq: r.seq, Status: r.ticket.State()}
+	st := SubmissionStatus{ID: r.id, Seq: r.ticket.Seq(), Status: r.ticket.State()}
 	if st.Status == "queued" || st.Status == "claimed" {
 		return st, http.StatusAccepted
 	}
@@ -472,27 +455,23 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // admit finds or creates the record for one content digest. regMu covers
-// only the join check, the seq reservation and the bySeq entry, so
-// routeSpan can place every span of the vet; the service's Submit runs
-// outside it, and publish puts the record in byID with its ticket before
+// only the join check; the service's Submit runs outside it, reserves the
+// seq, and has publish put the record in byID with its ticket before
 // anything can settle it, so a reader never sees a record without one.
-// rawFree reports that nothing kept data: the upload joined an existing
-// record, or the service answered it at admission.
+// The record rides the submission as its Trace, so every span of the vet
+// reaches it. rawFree reports that nothing kept data: the upload joined an
+// existing record, or the service answered it at admission.
 func (s *Server) admit(id string, data []byte) (rec *record, rawFree bool, err error) {
-	s.regMu.Lock()
-	if rec, ok := s.byID[id]; ok {
-		s.regMu.Unlock()
+	if rec = s.lookup(id); rec != nil {
 		// Byte-identical resubmission: same resource, no new vet — the
 		// digest is the submission ID (and the verdict-cache key).
 		s.col.Counter("gw.submissions.joined").Inc()
 		return rec, true, nil
 	}
-	rec = &record{id: id, seq: s.ck.ReserveVetSeqs(1)}
+	rec = &record{id: id}
 	rec.spans = rec.spanBuf[:0]
-	s.bySeq[rec.seq] = rec
-	s.regMu.Unlock()
 
-	sub := core.Submission{Raw: data, Seq: rec.seq, Digest: id}
+	sub := core.Submission{Raw: data, Digest: id, Trace: rec}
 	_, rawFree, err = s.svc.SubmitPublish(context.Background(), sub, func(t *vetsvc.Ticket) { s.publish(rec, t) })
 	if err != nil {
 		s.unindex(rec)
@@ -504,13 +483,12 @@ func (s *Server) admit(id string, data []byte) (rec *record, rawFree bool, err e
 
 // publish sets the record's ticket and indexes it by id. A concurrent
 // identical POST may have published first: then this record answers its
-// own request from its own ticket and leaves both indexes to the winner.
+// own request from its own ticket and leaves the index to the winner.
 func (s *Server) publish(rec *record, t *vetsvc.Ticket) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	rec.ticket = t
 	if _, ok := s.byID[rec.id]; ok {
-		delete(s.bySeq, rec.seq)
 		return
 	}
 	s.byID[rec.id] = rec
@@ -518,11 +496,10 @@ func (s *Server) publish(rec *record, t *vetsvc.Ticket) {
 	s.evictLocked()
 }
 
-// unindex removes a record whose admission failed from both indexes.
+// unindex removes a record whose admission failed from the index.
 func (s *Server) unindex(rec *record) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	delete(s.bySeq, rec.seq)
 	if s.byID[rec.id] != rec {
 		return
 	}
@@ -536,8 +513,8 @@ func (s *Server) unindex(rec *record) {
 }
 
 // evictLocked bounds the record registry: oldest completed records go
-// first, from both indexes; in-flight records are never evicted (they are
-// bounded by the service queue anyway). Caller holds regMu.
+// first; in-flight records are never evicted (they are bounded by the
+// service queue anyway). Caller holds regMu.
 func (s *Server) evictLocked() {
 	for len(s.byID) > s.cfg.MaxRecords {
 		evicted := false
@@ -545,7 +522,6 @@ func (s *Server) evictLocked() {
 			if rec.settled() {
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				delete(s.byID, rec.id)
-				delete(s.bySeq, rec.seq)
 				s.col.Counter("gw.records.evicted").Inc()
 				evicted = true
 				break

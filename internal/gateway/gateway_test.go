@@ -662,9 +662,7 @@ func TestPollIsTerminalOnceSettled(t *testing.T) {
 			return
 		}
 		defer sunk.Done()
-		gw.regMu.RLock()
-		rec := gw.bySeq[ev.Trace]
-		gw.regMu.RUnlock()
+		rec := recordBySeq(gw, ev.Trace)
 		if rec == nil {
 			t.Errorf("done event for seq %d has no gateway record", ev.Trace)
 			return

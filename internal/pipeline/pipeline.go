@@ -173,7 +173,8 @@ func (d *Deps) analyse(vc *VetContext) error {
 }
 
 // emit closes one stage: it attributes the stage's failure, emits its span
-// from the context's scratch, and clears the scratch for the next stage. A
+// from the context's scratch to the obs collector and then to the
+// submission's Trace, and clears the scratch for the next stage. A
 // bracketing stage's span is emitted after the spans of the stages inside
 // it; an error one of those already owns passes through untouched, and
 // the bracketing span does not book it a second time. Deadline expiry,
@@ -200,5 +201,8 @@ func (d *Deps) emit(vc *VetContext, stage string, err error) error {
 		}
 	}
 	d.Obs.Emit(ev)
+	if t := vc.Sub.Trace; t != nil {
+		t.Emit(ev)
+	}
 	return err
 }

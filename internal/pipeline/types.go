@@ -28,6 +28,7 @@ import (
 
 	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
+	"apichecker/internal/obs"
 )
 
 // Typed failure modes of the vet path. internal/core aliases these (and
@@ -66,11 +67,17 @@ var (
 //
 // Digest optionally pins the content digest (hex sha256 of the canonical
 // payload bytes); leave it empty and ContentDigest derives it.
+//
+// Trace, when set, receives every span of this submission's vet, right
+// after the checker's obs collector has it: a per-request reply route,
+// not a setting. It is never journaled nor sent on the claim wire, so a
+// replayed or remotely vetted submission has none.
 type Submission struct {
 	Raw     []byte
 	Program *behavior.Program
 	Seq     int64
 	Digest  string
+	Trace   obs.Sink
 }
 
 // Validate checks the exactly-one-payload invariant; violations wrap

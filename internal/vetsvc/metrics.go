@@ -130,14 +130,10 @@ type Metrics struct {
 	ModelSwaps      uint64
 }
 
-// ScanStats is one scan-latency distribution in virtual-clock seconds.
-type ScanStats struct {
-	Count uint64
-	Mean  float64
-	P50   float64
-	P95   float64
-	P99   float64
-}
+// ScanStats is one scan-latency distribution in virtual-clock seconds:
+// Count and Mean over every sample it has seen, quantiles over the window
+// it retains.
+type ScanStats = obs.Summary
 
 // enginePrefix namespaces per-engine completion counters on the service
 // collector.
@@ -302,7 +298,7 @@ func (s *Service) Metrics() Metrics {
 	m.Replayed = qs.Replayed
 	m.ReplaySkipped = qs.ReplaySkipped
 	m.DeadLettered = qs.DeadLettered
-	m.LeaseAge = newScanStats(c.leaseAges)
+	m.LeaseAge = c.leaseAges.Summary()
 
 	cs := s.ck.CacheStats()
 	m.CacheEntries = cs.Entries
@@ -317,18 +313,11 @@ func (s *Service) Metrics() Metrics {
 	m.ModelDigest = gen.Digest
 	m.ModelSwaps = s.ck.Obs().Counter("model.swaps").Load()
 
-	m.MissScan = newScanStats(c.missScans)
-	m.HitScan = newScanStats(c.hitScans)
-	m.Tier1Scan = newScanStats(c.tier1Scans)
-	m.Tier2Scan = newScanStats(c.tier2Scans)
-	all := newScanStats(c.scans)
+	m.MissScan = c.missScans.Summary()
+	m.HitScan = c.hitScans.Summary()
+	m.Tier1Scan = c.tier1Scans.Summary()
+	m.Tier2Scan = c.tier2Scans.Summary()
+	all := c.scans.Summary()
 	m.ScanMean, m.ScanP50, m.ScanP95, m.ScanP99 = all.Mean, all.P50, all.P95, all.P99
 	return m
-}
-
-// newScanStats summarizes one latency distribution: Count and Mean over
-// every sample it has seen, quantiles over the window it retains.
-func newScanStats(dist *obs.Distribution) ScanStats {
-	d := dist.Summary()
-	return ScanStats{Count: d.Count, Mean: d.Mean, P50: d.P50, P95: d.P95, P99: d.P99}
 }

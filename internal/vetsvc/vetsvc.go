@@ -283,7 +283,6 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		LeaseTTL:    cfg.LeaseTTL,
 		MaxAttempts: cfg.MaxAttempts,
 		Dir:         cfg.QueueDir,
-		NextSeq:     ck.ReserveVetSeqs,
 		Obs:         s.m.col,
 		OnDead:      s.deadLetter,
 	})
@@ -672,16 +671,9 @@ func (s *Service) claimDeadline(it workqueue.Item) time.Time {
 // its claim attempts settles as failed with ErrPoisoned instead of
 // cycling forever.
 func (s *Service) deadLetter(it workqueue.Item, cause error) {
-	r := s.recordFor(it.Seq)
-	if r == nil {
-		return
+	if r := s.recordFor(it.Seq); r != nil {
+		s.settleRecord(r, nil, vcache.OutcomeBypass, fmt.Errorf("vet %s: %w: %w", r.pkg, ErrPoisoned, cause), 0)
 	}
-	err := fmt.Errorf("vet %s: %w: %w", r.pkg, ErrPoisoned, cause)
-	if !r.settle(nil, vcache.OutcomeBypass, err, func() { s.m.finishJob(nil, err, vcache.OutcomeBypass) }) {
-		return
-	}
-	s.dropRecord(r.seq)
-	s.emit(EventDone, r.seq, r.pkg, 0, err)
 }
 
 // noteWall folds one completion's wall-clock cost into the drain-estimate

@@ -108,11 +108,6 @@ type Config struct {
 	// restart replays everything enqueued but never acked.
 	Dir string
 
-	// NextSeq reserves n consecutive sequence numbers and returns the
-	// first (the Checker's ReserveVetSeqs shape); nil uses an internal
-	// counter starting at 1.
-	NextSeq func(n int) int64
-
 	// Now is the clock (tests inject a fake one); nil uses time.Now.
 	Now func() time.Time
 
@@ -302,7 +297,7 @@ type Queue struct {
 	waiters  int    // Claims blocked on wake (pulses are skipped at zero)
 	wake     chan struct{}
 	log      *framelog.Log
-	nextSeq  int64 // internal counter when cfg.NextSeq == nil
+	nextSeq  int64 // last seq assigned to an item enqueued with Seq 0
 	maxSeq   int64 // highest seq the journal had recorded at Open
 
 	depth, leased                                      *obs.Gauge
@@ -365,7 +360,7 @@ func Open(cfg Config) (*Queue, []Item, error) {
 		q.maxSeq = maxSeq
 		q.replaySkipped.Add(uint64(skipped))
 		// The internal counter resumes past everything the journal ever
-		// recorded; external seq sources consult ReplayMaxSeq themselves.
+		// recorded; callers that pin seqs consult ReplayMaxSeq themselves.
 		q.nextSeq = maxSeq
 		replayed = items
 		at := now()
@@ -387,8 +382,8 @@ func Open(cfg Config) (*Queue, []Item, error) {
 
 // ReplayMaxSeq returns the highest sequence number the journal had ever
 // recorded when the queue opened (0 without a journal or on a fresh one).
-// Callers using an external seq source advance it past this so new
-// admissions never collide with numbers a previous life consumed.
+// Callers that pin seqs from a source of their own advance it past this so
+// new admissions never collide with numbers a previous life consumed.
 func (q *Queue) ReplayMaxSeq() int64 { return q.maxSeq }
 
 // TryAcquire takes one queue slot without blocking; false means the queue
@@ -418,9 +413,10 @@ func (q *Queue) Acquire(ctx context.Context) error {
 func (q *Queue) Release() { q.slots <- struct{}{} }
 
 // Enqueue admits one item, consuming a slot the caller acquired. A zero
-// Seq is assigned from the seq source; the assigned seq is returned. With
-// a journal, durable items are logged before they become claimable, so an
-// accepted submission is crash-safe by the time Enqueue returns.
+// Seq is assigned from the queue's own counter; the assigned seq is
+// returned. With a journal, durable items are logged before they become
+// claimable, so an accepted submission is crash-safe by the time Enqueue
+// returns.
 func (q *Queue) Enqueue(it Item) (int64, error) {
 	q.mu.Lock()
 	if q.closed {
@@ -429,12 +425,8 @@ func (q *Queue) Enqueue(it Item) (int64, error) {
 		return 0, ErrClosed
 	}
 	if it.Seq == 0 {
-		if q.cfg.NextSeq != nil {
-			it.Seq = q.cfg.NextSeq(1)
-		} else {
-			q.nextSeq++
-			it.Seq = q.nextSeq
-		}
+		q.nextSeq++
+		it.Seq = q.nextSeq
 	}
 	it.Attempts = 0
 	it.EnqueuedAt = q.now()
