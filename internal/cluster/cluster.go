@@ -5,41 +5,49 @@
 // submission queue, N worker nodes claiming work over HTTP, and lease
 // heartbeats making node death just another reclaim (the
 // taskcluster-worker shape). A node's lanes are internal/worker's one
-// executor running over this package's HTTP Claimer (worker.go): Claim is
-// the long-poll below, carrying the lane's pending ack; Heartbeat is the
-// heartbeat route, whose 410 is the one answer that cancels a vet; Ack
-// keeps the report for the next claim; Nack is the nack route. Local lanes
-// run the same executor over the queue, so the lease rules are one.
+// executor running over this package's Claimer (worker.go), one claim
+// stream per lane: Claim is a long-poll on the stream, carrying the lane's
+// pending ack; Heartbeat is the heartbeat route, whose 410 is the one
+// answer that cancels a vet; Ack keeps the report for the next claim; Nack
+// is a frame on the stream. Local lanes run the same executor over the
+// queue, so the lease rules are one.
 //
-// The wire protocol is three POSTs plus one GET, mounted on the
+// The wire is one stream, one POST and one GET, mounted on the
 // coordinator's gateway mux. Coordinator and workers ship together: the
 // wire is versioned, not negotiated, and a peer of another build is
-// refused with an error that says so. Every request body, and the claim
-// answer, is a fixed little-endian layout that starts with the wire
-// version (frame.go); a refusal comes back as a JSON {"error": …}
-// envelope.
+// refused with an error that says so. Every frame and body is a fixed
+// little-endian layout (frame.go).
 //
-//   - POST /v1/cluster/claim — report the lane's last finished vet (if
-//     any) and long-poll for the lowest-seq pending submission this node
-//     may take (digest-affinity routing: repeat submissions land on the
-//     node whose verdict cache already holds them). The coordinator
-//     settles the ack the request carries — first-wins verdict record,
-//     then the lease, exactly like a local lane: a verdict computed under
-//     a lost lease is still correct (content determinism) and is absorbed
-//     by first-wins, never double-booked — before it starts to poll. The
-//     200 body is a claim frame: a fixed binary header, then the raw
-//     archive bytes. 204 means the poll came back empty. Any 2xx
-//     acknowledges the ack; until a lane has seen one it sends the ack
-//     again, and a repeated ack changes nothing. A wait <= 0 claims
-//     nothing: it is how a stopping lane flushes its last ack.
+//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/5 — the lane's
+//     claim stream. The node name rides the upgrade, once, in the
+//     Apichecker-Node header; the coordinator answers 101 and the
+//     connection then carries frames. A claim request reports the lane's
+//     last finished vet (if any) and long-polls for the lowest-seq pending
+//     submission this node may take (digest-affinity routing: repeat
+//     submissions land on the node whose verdict cache already holds
+//     them). The coordinator settles the ack it carries — first-wins
+//     verdict record, then the lease, exactly like a local lane: a verdict
+//     computed under a lost lease is still correct (content determinism)
+//     and is absorbed by first-wins, never double-booked — before it
+//     starts to poll. The answer is a claim frame (a fixed binary header,
+//     then the raw archive bytes), empty when the poll came back empty,
+//     drained, or a refusal. Any answer but a refusal acknowledges the
+//     ack; until a lane has seen one it sends the ack again, and a
+//     repeated ack changes nothing. A wait <= 0 claims nothing: it is how
+//     a stopping lane flushes its last ack. A nack returns a claim for
+//     another attempt (node shutting down, model pull failed, ack
+//     refused). A stopping lane cancels its poll in flight; a claim that
+//     overtook the cancel is nacked at once. A stream that ends cancels
+//     its poll; the leases it holds expire by their TTL.
 //   - POST /v1/cluster/heartbeat — extend the lease mid-emulation;
 //     410 means the lease was reclaimed and the node must abandon the
 //     vet (workqueue.ErrLeaseLost semantics, over the wire).
-//   - POST /v1/cluster/nack — return the claim for another attempt
-//     (node shutting down, model pull failed, ack refused).
 //   - GET /v1/model/{digest} — the encoded APKMODEL artifact, content-
 //     addressed, so a stale node hot-swaps to the advertised generation
 //     before vetting. No node ever serves a stale generation.
+//
+// A refusal before the upgrade, and any HTTP error, is a JSON
+// {"error": …} envelope.
 //
 // Bit-identity discipline: verdicts derive from submission content
 // alone, the coordinator pins sequence numbers at admission, and the
@@ -56,19 +64,22 @@ import (
 
 // Wire paths. PathModel is a prefix; the digest is the final segment.
 const (
-	PathClaim     = "/v1/cluster/claim"
+	PathStream    = "/v1/cluster/stream"
 	PathHeartbeat = "/v1/cluster/heartbeat"
-	PathNack      = "/v1/cluster/nack"
 	PathModel     = "/v1/model/"
+)
+
+// The stream's upgrade token, whose version is frameVersion, and the
+// header that names the node on the upgrade and on a heartbeat.
+const (
+	streamProtocol = "apichecker-claim/5"
+	nodeHeader     = "Apichecker-Node"
 )
 
 // claimRequest reports the lane's last vet and asks for one unit of work.
 type claimRequest struct {
-	// Node is the worker node's stable name — its affinity and liveness
-	// identity. Required.
-	Node string
 	// WaitMS is the long-poll budget in milliseconds; the coordinator
-	// answers 204 when nothing became claimable within it (capped by the
+	// answers empty when nothing became claimable within it (capped by the
 	// coordinator's maxPoll). <= 0 claims nothing: the request only
 	// delivers Ack.
 	WaitMS int64
@@ -78,15 +89,14 @@ type claimRequest struct {
 
 // leaseRequest is the heartbeat/nack body.
 type leaseRequest struct {
-	Node  string
 	Seq   int64
 	Token uint64
 	// Cause is the nack reason (nack only).
 	Cause string
 }
 
-// ackRequest reports one completed vet; it rides a claimRequest, whose
-// Node names the reporter.
+// ackRequest reports one completed vet; it rides a claimRequest, on a
+// stream whose upgrade named the reporter.
 type ackRequest struct {
 	Seq   int64
 	Token uint64

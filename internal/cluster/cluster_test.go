@@ -272,28 +272,18 @@ func TestNodeKeepsItsOwnNodeConfig(t *testing.T) {
 }
 
 // zombieClaim takes one claim over the wire as a node that will never
-// heartbeat, ack, or nack — a worker killed mid-emulation.
+// heartbeat, ack, or nack — a worker killed mid-emulation. Its stream
+// stays open, idle, until the test ends.
 func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	t.Helper()
-	body := cluster.AppendClaimRequest(nil, "zombie", 2000, nil)
-	resp, err := http.Post(baseURL+cluster.PathClaim, "application/octet-stream", bytes.NewReader(body))
+	s, err := cluster.OpenStream(baseURL, "zombie", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("zombie claim: status %d", resp.StatusCode)
-	}
-	frame, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(frame)) != resp.ContentLength {
-		t.Fatalf("zombie claim: %d-byte body, Content-Length %d", len(frame), resp.ContentLength)
-	}
-	cl, err := cluster.DecodeClaim(frame)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { s.Close() })
+	kind, cl, err := s.Claim(2000, nil)
+	if err != nil || kind != "claim" {
+		t.Fatalf("zombie claim: answered %s, %v", kind, err)
 	}
 	if len(cl.Payload) == 0 {
 		t.Fatal("zombie claim carried no payload")
@@ -414,19 +404,23 @@ func TestVerdictUnderLostLeaseIsNotReissued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	claimAs := func(node string, waitMS int64, ack []byte) (int, []byte) {
+	streams := map[string]*cluster.Stream{}
+	claimAs := func(node string, waitMS int64, ack []byte) (string, *cluster.Claim) {
 		t.Helper()
-		resp, err := http.Post(st.ts.URL+cluster.PathClaim, "application/octet-stream",
-			bytes.NewReader(cluster.AppendClaimRequest(nil, node, waitMS, ack)))
+		s := streams[node]
+		if s == nil {
+			var err error
+			if s, err = cluster.OpenStream(st.ts.URL, node, nil); err != nil {
+				t.Fatal(err)
+			}
+			streams[node] = s
+			t.Cleanup(func() { s.Close() })
+		}
+		kind, cl, err := s.Claim(waitMS, ack)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
+		return kind, cl
 	}
 
 	// The submission's affinity owner takes it. Once the lease has lapsed,
@@ -434,30 +428,26 @@ func TestVerdictUnderLostLeaseIsNotReissued(t *testing.T) {
 	// hour), so it lies pending when the owner's late report lands.
 	owner := cluster.AffinityOwner(apk.Digest(subs[0].Raw), []string{"a", "b"})
 	other := map[string]string{"a": "b", "b": "a"}[owner]
-	code, frame := claimAs(owner, 2000, nil)
-	if code != http.StatusOK {
-		t.Fatalf("owner's claim: status %d", code)
-	}
-	cl, err := cluster.DecodeClaim(frame)
-	if err != nil {
-		t.Fatal(err)
+	kind, cl := claimAs(owner, 2000, nil)
+	if kind != "claim" {
+		t.Fatalf("owner's claim: answered %s", kind)
 	}
 	time.Sleep(150 * time.Millisecond)
-	if code, _ := claimAs(other, 50, nil); code != http.StatusNoContent {
-		t.Fatalf("other node's poll: status %d, want 204", code)
+	if kind, _ := claimAs(other, 50, nil); kind != "empty" {
+		t.Fatalf("other node's poll: answered %s, want empty", kind)
 	}
 	if qs := svc.QueueStats(); qs.Reclaimed != 1 || qs.Depth != 1 {
 		t.Fatalf("after the lapse: %d reclaimed, %d pending; want 1, 1", qs.Reclaimed, qs.Depth)
 	}
-	if code, _ := claimAs(owner, 0, cluster.AppendAck(cl.Seq, cl.Token, want)); code != http.StatusNoContent {
-		t.Fatalf("late report: status %d, want 204", code)
+	if kind, _ := claimAs(owner, 0, cluster.AppendAck(cl.Seq, cl.Token, want)); kind != "empty" {
+		t.Fatalf("late report: answered %s, want empty", kind)
 	}
 	if v, err := tk.Wait(ctx); err != nil || *v != *want {
 		t.Fatalf("ticket = %+v, %v; want the reported verdict %+v", v, err, *want)
 	}
 
-	if code, _ := claimAs(owner, 200, nil); code != http.StatusNoContent {
-		t.Fatalf("claim after the verdict was recorded: status %d, want 204 (settled work re-issued)", code)
+	if kind, _ := claimAs(owner, 200, nil); kind != "empty" {
+		t.Fatalf("claim after the verdict was recorded: answered %s, want empty (settled work re-issued)", kind)
 	}
 	if qs := svc.QueueStats(); qs.Depth != 0 || qs.Leased != 0 {
 		t.Fatalf("at the end: %d pending, %d leased; want 0, 0", qs.Depth, qs.Leased)
@@ -645,12 +635,30 @@ func TestGatewayReportsNodeOutcome(t *testing.T) {
 	}
 }
 
-// brokenWriter is a client that went away: every body write fails.
-type brokenWriter struct{ h http.Header }
+// brokenConn is a connection whose client went away once the stream was
+// open: the 101 is written, every write after it fails.
+type brokenConn struct {
+	net.Conn
+	writes atomic.Int32
+}
 
-func (w *brokenWriter) Header() http.Header       { return w.h }
-func (w *brokenWriter) WriteHeader(int)           {}
-func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+func (c *brokenConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) > 1 {
+		return 0, errors.New("connection reset by peer")
+	}
+	return c.Conn.Write(b)
+}
+
+// brokenListener accepts brokenConns.
+type brokenListener struct{ net.Listener }
+
+func (l brokenListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &brokenConn{Conn: c}, nil
+}
 
 // TestClaimWriteFailureNacksAtOnce: a claim whose frame cannot be written
 // goes back to pending immediately instead of sitting leased until the
@@ -671,9 +679,18 @@ func TestClaimWriteFailureNacksAtOnce(t *testing.T) {
 
 	mux := http.NewServeMux()
 	st.coord.Mount(mux)
-	req := httptest.NewRequest(http.MethodPost, cluster.PathClaim,
-		bytes.NewReader(cluster.AppendClaimRequest(nil, "gone", 2000, nil)))
-	mux.ServeHTTP(&brokenWriter{h: http.Header{}}, req)
+	broken := httptest.NewUnstartedServer(mux)
+	broken.Listener = brokenListener{broken.Listener}
+	broken.Start()
+	defer broken.Close()
+	s, err := cluster.OpenStream(broken.URL, "gone", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if kind, _, err := s.Claim(2000, nil); err == nil {
+		t.Fatalf("a stream that cannot be written answered %s", kind)
+	}
 
 	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Depth != 1 || qs.Nacked != 1 {
 		t.Fatalf("after the failed write: %d leased, %d pending, %d nacked; want 0, 1, 1", qs.Leased, qs.Depth, qs.Nacked)
@@ -695,46 +712,10 @@ func TestClaimWriteFailureNacksAtOnce(t *testing.T) {
 	}
 }
 
-// tapTransport lets a test see, and interfere with, one worker's
-// requests. The response body is read into memory before onResponse runs,
-// so what onResponse does cannot cut the transfer short.
-type tapTransport struct {
-	// onResponse may return an error to drop the response on the floor:
-	// the coordinator has acted on the request, the worker never hears.
-	onResponse func(path string, reqBody []byte, status int) error
-}
-
-func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	var reqBody []byte
-	if req.Body != nil {
-		b, err := io.ReadAll(req.Body)
-		if err != nil {
-			return nil, err
-		}
-		req.Body.Close()
-		reqBody = b
-		req = req.Clone(req.Context())
-		req.Body = io.NopCloser(bytes.NewReader(b))
-	}
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if err := tt.onResponse(req.URL.Path, reqBody, resp.StatusCode); err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	return resp, nil
-}
-
-// TestAcksSurviveDroppedResponses drops the answers to the first claims
-// that carried an ack. The coordinator settled each on arrival; the lane,
-// never having heard so, sends it again with its next request. Every
+// TestAcksSurviveDroppedResponses loses the answers to the first claims
+// that carried an ack: dropped with the stream, or cut off mid-frame. The
+// coordinator settled each on arrival; the lane, never having heard so,
+// sends it again with its next request, on a new stream. Every
 // verdict is recorded exactly once, the repeats change nothing, and the
 // claims whose frames were lost with the answers come back by lease TTL.
 func TestAcksSurviveDroppedResponses(t *testing.T) {
@@ -763,16 +744,19 @@ func TestAcksSurviveDroppedResponses(t *testing.T) {
 			recorded[rv.Seq]++
 		}
 	}}
-	tap := &tapTransport{onResponse: func(path string, body []byte, status int) error {
+	faults := &streamFaults{onUp: func(typ byte, body []byte) fault {
 		mu.Lock()
 		defer mu.Unlock()
-		if path == cluster.PathClaim && cluster.ClaimCarriesAck(body) && dropped < drops {
+		if typ == cluster.UpClaim && cluster.ClaimCarriesAck(body) && dropped < drops {
 			dropped++
-			return errors.New("response lost")
+			if dropped%2 == 1 {
+				return lose
+			}
+			return cut
 		}
-		return nil
+		return intact
 	}}
-	st := startStack(t, svc, ccfg, 1, cluster.WorkerConfig{Lanes: 2, Client: &http.Client{Transport: tap}})
+	st := startStack(t, svc, ccfg, 1, cluster.WorkerConfig{Lanes: 2, Client: faults.client()})
 
 	got, err := svc.VetBatch(context.Background(), subs)
 	if err != nil {
@@ -871,15 +855,14 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 		go func() { a.Load().Stop(); close(stopped) }()
 		time.Sleep(50 * time.Millisecond) // Stop cancels first, then waits for the lane
 	}
-	tap := &tapTransport{onResponse: func(path string, body []byte, status int) error {
-		if path == cluster.PathClaim && status == http.StatusOK && frames.Add(1) == 2 {
+	faultsA := &streamFaults{onDown: func(typ byte, body []byte) {
+		if typ == cluster.DownClaim && frames.Add(1) == 2 {
 			stopA()
 		}
-		return nil
 	}}
 	w, err := cluster.StartWorker(cluster.WorkerConfig{
 		Coordinator: st.ts.URL, Node: "a", Lanes: 1, PollWait: 250 * time.Millisecond,
-		Client: &http.Client{Transport: tap},
+		Client: faultsA.client(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -903,15 +886,15 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 		seq2 atomic.Int64
 	)
 	seq2.Store(-1)
-	tapB := &tapTransport{onResponse: func(path string, body []byte, status int) error {
-		if path == cluster.PathClaim && cluster.ClaimWaitMS(body) == 0 {
+	faultsB := &streamFaults{onUp: func(typ byte, body []byte) fault {
+		if typ == cluster.UpClaim && cluster.ClaimWaitMS(body) == 0 {
 			flushes.Add(1)
 		}
-		return nil
+		return intact
 	}}
 	w, err = cluster.StartWorker(cluster.WorkerConfig{
 		Coordinator: st.ts.URL, Node: "b", Lanes: 1, PollWait: 250 * time.Millisecond,
-		Client: &http.Client{Transport: tapB},
+		Client: faultsB.client(),
 		OnVet: func(seq int64, _ *core.Verdict, _ error) {
 			if seq == seq2.Load() {
 				go b.Load().Stop()
@@ -938,7 +921,8 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 }
 
 // TestControlBodyBound: /v1/cluster/* reads no more than its bound of a
-// request body, and a peer of another build is told so.
+// request body, the retired claim and ack routes are gone, and a peer of
+// another build is told so.
 func TestControlBodyBound(t *testing.T) {
 	base, _ := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
@@ -946,9 +930,14 @@ func TestControlBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
-	post := func(path string, body []byte) (int, string) {
+	send := func(path string, body []byte, header http.Header) (int, string) {
 		t.Helper()
-		resp, err := http.Post(st.ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, st.ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header = header
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -956,29 +945,40 @@ func TestControlBodyBound(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(msg)
 	}
-	huge := cluster.AppendClaimRequest(nil, strings.Repeat("n", 1<<20), 0, nil)
-	for _, path := range []string{cluster.PathClaim, cluster.PathHeartbeat, cluster.PathNack} {
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		return send(path, body, http.Header{"Content-Type": {"application/octet-stream"}})
+	}
+	huge := make([]byte, 1<<20)
+	for _, path := range []string{cluster.PathHeartbeat} {
 		if code, msg := post(path, huge); code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s with a 1 MiB body: %d %s, want 413", path, code, msg)
 		}
 	}
-	if code, msg := post(cluster.PathClaim, []byte(`{"node":"old","wait_ms":1}`)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
-		t.Errorf("claim from a build without a wire version: %d %s", code, msg)
+	if code, msg := send(cluster.PathStream, nil, http.Header{
+		"Connection": {"Upgrade"}, "Upgrade": {"apichecker-claim/4"}, cluster.NodeHeader: {"old"},
+	}); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
+		t.Errorf("a stream from a build of another wire version: %d %s", code, msg)
 	}
 	for path, body := range map[string]string{
-		cluster.PathClaim:     `{"v":3,"node":"old","wait_ms":1}`,
 		cluster.PathHeartbeat: `{"node":"old","seq":1,"token":2}`,
-		cluster.PathNack:      `{"node":"old","seq":1,"token":2,"cause":"c"}`,
 	} {
 		if code, msg := post(path, []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
 			t.Errorf("%s from a version 3 build: %d %s", path, code, msg)
 		}
 	}
-	if code, _ := post(cluster.PathClaim, cluster.AppendClaimRequest(nil, "n", 0, nil)); code != http.StatusNoContent {
-		t.Errorf("claim-nothing request: %d, want 204", code)
+	s, err := cluster.OpenStream(st.ts.URL, "n", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := post("/v1/cluster/ack", []byte(`{}`)); code != http.StatusNotFound {
-		t.Errorf("the retired ack route: %d, want 404", code)
+	defer s.Close()
+	if kind, _, err := s.Claim(0, nil); kind != "empty" || err != nil {
+		t.Errorf("claim-nothing request: answered %s, %v, want empty", kind, err)
+	}
+	for _, path := range []string{"/v1/cluster/claim", "/v1/cluster/ack"} {
+		if code, _ := post(path, []byte(`{}`)); code != http.StatusNotFound {
+			t.Errorf("the retired route %s: %d, want 404", path, code)
+		}
 	}
 }
 
@@ -998,7 +998,7 @@ func TestOverDeclaredControlBodyRefusedUnread(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", cluster.PathClaim, 100<<10)
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", cluster.PathHeartbeat, 100<<10)
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("no answer to the headers alone: %v", err)
@@ -1088,11 +1088,18 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 	}
 }
 
-// TestStartWorkerRefusesLongNodeName: the wire carries a node name after a
-// uint16 length, so a longer one is refused at start, not sent truncated.
+// TestStartWorkerRefusesLongNodeName: the coordinator takes a node name of
+// at most 65535 bytes, in a header, which cannot carry a control byte; a
+// name it would refuse is refused at start, not on every stream the node
+// opens.
 func TestStartWorkerRefusesLongNodeName(t *testing.T) {
 	_, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: strings.Repeat("n", 1<<16)})
 	if err == nil || !strings.Contains(err.Error(), "node name") {
 		t.Fatalf("a 65536-byte node name: %v, want it refused", err)
+	}
+	// The name travels in a header, which cannot carry a control byte.
+	_, err = cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: "node\n1"})
+	if err == nil || !strings.Contains(err.Error(), "node name") {
+		t.Fatalf("a node name with a newline: %v, want it refused", err)
 	}
 }

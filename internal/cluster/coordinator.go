@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -135,9 +135,8 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 
 // Mount registers the claim protocol and the model endpoint on mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST "+PathClaim, c.handleClaim)
+	mux.HandleFunc("POST "+PathStream, c.handleStream)
 	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
-	mux.HandleFunc("POST "+PathNack, c.handleNack)
 	mux.HandleFunc("GET "+PathModel+"{digest}", c.handleModel)
 }
 
@@ -210,31 +209,146 @@ func rendezvousHash(key, node string) uint64 {
 	return h
 }
 
-// handleClaim is POST /v1/cluster/claim: settle the ack the request
-// carries, then long-poll for the lowest-seq pending item this node may
-// take. The poll is sliced so node liveness and affinity are re-evaluated
-// every PollSlice; 204 means nothing became claimable within the budget
-// (the worker just re-polls), or that nothing was asked for.
-func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
-	req, ok := readRequest(w, r, decodeClaimRequest)
-	if !ok {
+// switching is the 101 that hands a stream's connection over to frames.
+var switching = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProtocol + "\r\n\r\n")
+
+// handleStream is POST /v1/cluster/stream: it checks the node name and the
+// protocol token, answers 101, and then serves the lane's frames on the
+// connection until either side ends it. The stream's reader (readUp)
+// decodes each up-frame and hands it over; this goroutine answers them one
+// at a time, so a claim request's long-poll and everything after it keep
+// their order.
+func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
+	node, err := nodeName(r)
+	if err == nil && r.Header.Get("Upgrade") != streamProtocol {
+		err = fmt.Errorf("cluster: stream protocol %q, want %q: coordinator and workers must be the same build",
+			r.Header.Get("Upgrade"), streamProtocol)
+	}
+	if err != nil {
+		httpio.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Node == "" {
-		httpio.Error(w, http.StatusBadRequest, "claim requires a node name")
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		httpio.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	defer conn.Close()
+	// The server's read and write deadlines, if any, were for the request.
+	conn.SetDeadline(time.Time{})
+	if _, err := conn.Write(switching); err != nil {
+		return
+	}
+	c.touch(node, time.Now())
+
+	ctx, end := context.WithCancel(context.Background())
+	defer end()
+	polls, cancelPolls := context.WithCancel(ctx)
+	defer cancelPolls()
+	s := &stream{rw: conn, r: brw.Reader}
+	frames := make(chan upFrame)
+	reading := make(chan struct{})
+	go func() {
+		defer close(reading)
+		readUp(s, frames, ctx.Done(), end, cancelPolls)
+	}()
+	defer func() { conn.Close(); <-reading }()
+	for {
+		select {
+		case f := <-frames:
+			if err := c.answer(polls, s, node, &f); err != nil {
+				return
+			}
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// upFrame is one up-frame as the stream's reader decoded it.
+type upFrame struct {
+	typ   byte
+	claim claimRequest
+	lease leaseRequest
+	err   error
+}
+
+// readUp is a stream's one reader. It decodes each up-frame and hands it
+// to the stream's handler, except a cancel, which it acts on at once: the
+// poll in flight, and any later poll on the stream, ends empty. When the
+// lane's side closes, or a frame breaks the framing, it ends the stream,
+// which cancels a poll in flight as a request's context does.
+func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelPolls context.CancelFunc) {
+	defer end()
+	for {
+		typ, body, err := s.read(up)
+		f := upFrame{typ: typ, err: err}
+		switch {
+		case err != nil && !errors.Is(err, errBadFrame):
+			return // the lane went away
+		case err != nil:
+		case typ == upCancel:
+			cancelPolls()
+			continue
+		case typ == upClaim:
+			f.claim, f.err = decodeClaimRequest(body)
+		default:
+			f.lease, f.err = decodeLeaseRequest(body)
+		}
+		select {
+		case frames <- f:
+		case <-done:
+			return
+		}
+		if err != nil {
+			return // the refusal is sent; the framing is lost
+		}
+	}
+}
+
+// answer answers one up-frame. A claim request settles the ack it carries,
+// then long-polls; a nack returns its claim. An error means the stream
+// cannot be written and must end.
+func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *upFrame) error {
+	if f.err != nil {
+		return s.refuse(http.StatusBadRequest, f.err.Error())
+	}
+	if f.typ == upNack {
+		id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
+		if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", node, f.lease.Cause)); err != nil {
+			return s.refuse(http.StatusGone, err.Error())
+		}
+		return s.send(s.frame(downEmpty))
+	}
+	req := &f.claim
 	now := time.Now()
-	c.touch(req.Node, now)
+	c.touch(node, now)
 	if req.Ack != nil {
-		c.settleAck(req.Node, req.Ack)
+		c.settleAck(node, req.Ack)
 	}
 	if req.WaitMS <= 0 {
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return s.send(s.frame(downEmpty))
 	}
+	l, dl, err := c.poll(polls, node, now, time.Duration(req.WaitMS)*time.Millisecond)
+	switch {
+	case err == nil:
+		return c.sendClaim(s, node, l, dl)
+	case errors.Is(err, workqueue.ErrDrained):
+		return s.send(s.frame(downDrained))
+	case errors.Is(err, workqueue.ErrClosed):
+		return s.refuse(http.StatusServiceUnavailable, err.Error())
+	}
+	// Nothing became claimable within the budget, or the poll was
+	// cancelled (if the stream ended, this write goes nowhere).
+	return s.send(s.frame(downEmpty))
+}
 
-	deadline := now.Add(min(time.Duration(req.WaitMS)*time.Millisecond, maxPoll))
+// poll long-polls for the lowest-seq pending item node may take, for up to
+// wait (capped by maxPoll). The poll is sliced so node liveness and
+// affinity are re-evaluated every PollSlice; workqueue.ErrNothingClaimable
+// means the budget ran out.
+func (c *Coordinator) poll(ctx context.Context, node string, now time.Time, wait time.Duration) (*workqueue.Lease, time.Time, error) {
+	deadline := now.Add(min(wait, maxPoll))
 	for now.Before(deadline) {
 		live := c.liveNodes(now)
 		accept := func(it workqueue.Item) bool {
@@ -249,34 +363,24 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			if now.Sub(it.EnqueuedAt) >= c.cfg.StealAge {
 				return true
 			}
-			return affinityOwner(it.Key, live) == req.Node
+			return affinityOwner(it.Key, live) == node
 		}
 		until := now.Add(min(c.cfg.PollSlice, deadline.Sub(now)))
-		l, dl, err := c.remote.Claim(r.Context(), until, accept)
-		switch {
-		case err == nil:
-			c.respondClaim(w, req.Node, l, dl)
-			return
-		case errors.Is(err, workqueue.ErrDrained):
-			c.writeFrame(w, &claim{Drained: true}, nil)
-			return
-		case errors.Is(err, workqueue.ErrClosed):
-			httpio.Error(w, http.StatusServiceUnavailable, err.Error())
-			return
-		case !errors.Is(err, workqueue.ErrNothingClaimable):
-			return // the client went away
+		l, dl, err := c.remote.Claim(ctx, until, accept)
+		if !errors.Is(err, workqueue.ErrNothingClaimable) {
+			return l, dl, err
 		}
 		// Slice expired: refresh liveness and try again within the budget.
 		now = time.Now()
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil, time.Time{}, workqueue.ErrNothingClaimable
 }
 
-// respondClaim writes the claim frame for lease l. A frame that cannot be
+// sendClaim writes the claim frame for lease l. A frame that cannot be
 // built or written returns the item at once rather than stranding it until
 // the lease TTL: if the bytes did reach the node, the duplicate vet is
 // absorbed by first-wins like any other.
-func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqueue.Lease, deadline time.Time) {
+func (c *Coordinator) sendClaim(s *stream, node string, l *workqueue.Lease, deadline time.Time) error {
 	it, id := l.Item(), l.ID()
 	digest, gen := c.currentModel()
 	c.claims.Inc()
@@ -292,9 +396,17 @@ func (c *Coordinator) respondClaim(w http.ResponseWriter, node string, l *workqu
 	if !deadline.IsZero() {
 		cl.DeadlineUnixNano = deadline.UnixNano()
 	}
-	if err := c.writeFrame(w, &cl, it.Payload); err != nil {
-		c.nack(id, fmt.Errorf("cluster: claim frame to node %s: %w", node, err))
+	f, err := appendClaimHeader(s.frame(downClaim), &cl)
+	if err != nil {
+		c.nack(id, err)
+		return s.refuse(http.StatusInternalServerError, err.Error())
 	}
+	if err := s.send(append(f, it.Payload...)); err != nil {
+		err = fmt.Errorf("cluster: claim frame to node %s: %w", node, err)
+		c.nack(id, err)
+		return err
+	}
+	return nil
 }
 
 // nack returns id's submission for another attempt; cluster.nacks counts
@@ -307,39 +419,37 @@ func (c *Coordinator) nack(id workqueue.LeaseID, cause error) error {
 	return err
 }
 
-// writeFrame writes one claim frame: the header, then payload as it lies
-// in the queue.
-func (c *Coordinator) writeFrame(w http.ResponseWriter, cl *claim, payload []byte) error {
-	bp := bufs.Get()
-	defer bufs.Put(bp)
-	hdr, err := appendClaimHeader((*bp)[:0], cl)
-	*bp = hdr
-	if err != nil {
-		httpio.Error(w, http.StatusInternalServerError, err.Error())
-		return err
-	}
-	h := w.Header()
-	h["Content-Type"] = httpio.OctetStream
-	h["Content-Length"] = []string{strconv.Itoa(len(hdr) + len(payload))}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
 // handleHeartbeat is POST /v1/cluster/heartbeat: extend the lease one
 // TTL. 410 tells the node its lease is gone and the vet must be
 // abandoned.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	req, ok := readRequest(w, r, decodeLeaseRequest)
+	req, ok := readLease(w, r)
 	if !ok {
 		return
 	}
-	c.touch(req.Node, time.Now())
+	node, err := nodeName(r)
+	if err != nil {
+		httpio.Error(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	c.touch(node, time.Now())
 	if err := c.remote.Heartbeat(workqueue.LeaseID{Seq: req.Seq, Token: req.Token}); err != nil {
 		httpio.Error(w, http.StatusGone, err.Error())
 	}
+}
+
+// nodeName reads the node name a stream's upgrade or a heartbeat carries:
+// it must be there, and at most maxName bytes, before the node is booked
+// as live.
+func nodeName(r *http.Request) (string, error) {
+	node := r.Header.Get(nodeHeader)
+	switch {
+	case node == "":
+		return "", fmt.Errorf("cluster: %s requires a node name (the %s header)", r.URL.Path, nodeHeader)
+	case len(node) > maxName:
+		return "", fmt.Errorf("cluster: a %d-byte node name, want at most %d", len(node), maxName)
+	}
+	return node, nil
 }
 
 // settleAck books one verdict report by the service's settle rule: the
@@ -362,20 +472,6 @@ func (c *Coordinator) settleAck(node string, req *ackRequest) {
 			Err:         req.Error,
 			Recorded:    recorded,
 		})
-	}
-}
-
-// handleNack is POST /v1/cluster/nack: return the claim for another
-// attempt (or dead-letter it when attempts are exhausted).
-func (c *Coordinator) handleNack(w http.ResponseWriter, r *http.Request) {
-	req, ok := readRequest(w, r, decodeLeaseRequest)
-	if !ok {
-		return
-	}
-	c.touch(req.Node, time.Now())
-	id := workqueue.LeaseID{Seq: req.Seq, Token: req.Token}
-	if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", req.Node, req.Cause)); err != nil {
-		httpio.Error(w, http.StatusGone, err.Error())
 	}
 }
 
@@ -418,19 +514,13 @@ func (c *Coordinator) currentModel() (digest string, gen uint64) {
 	return g.Digest, g.ID
 }
 
-// maxControlBytes bounds a control body (claim, heartbeat, nack). They
-// run to a few hundred bytes; the bound leaves room for what has no bound
-// of its own — the package name a verdict carries comes from the
-// submitted manifest.
-const maxControlBytes = 64 << 10
-
-// readRequest reads a control body whole and decodes it, answering 413
+// readLease reads a heartbeat body whole and decodes it, answering 413
 // beyond maxControlBytes and 400 for a body that is shorter than declared
 // or does not decode.
-func readRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (req T, ok bool) {
+func readLease(w http.ResponseWriter, r *http.Request) (req leaseRequest, ok bool) {
 	bp, err := httpio.ReadBody(w, r, maxControlBytes, &bufs)
 	if err == nil {
-		req, err = decode(*bp)
+		req, err = decodeLeaseRequest(*bp)
 		bufs.Put(bp)
 		if err == nil {
 			return req, true
@@ -444,7 +534,7 @@ func readRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]by
 	return req, false
 }
 
-// bufs recycles the coordinator's byte buffers: a control body until it
-// is decoded, a frame header until it is written. Nothing decoded aliases
-// one — the decoders copy every string they return.
+// bufs recycles the coordinator's heartbeat bodies until they are
+// decoded. Nothing decoded aliases one — the decoder copies every string
+// it returns.
 var bufs httpio.Pool

@@ -1,20 +1,35 @@
 package cluster
 
-import "apichecker/internal/core"
+import (
+	"context"
+	"net/http"
 
-// The wire codec and the affinity rule, for the external tests that speak
-// the protocol by hand (they stand up the real gateway, which this package
-// must not import).
-var (
-	AppendClaimRequest = appendClaimRequest
-	DecodeClaim        = decodeClaim
-	AffinityOwner      = affinityOwner
+	"apichecker/internal/core"
+)
+
+// The affinity rule, for the external tests that speak the protocol by
+// hand (they stand up the real gateway, which this package must not
+// import).
+var AffinityOwner = affinityOwner
+
+// The stream's frame types and protocol token, for tests that watch a
+// stream go by.
+const (
+	UpClaim        = upClaim
+	DownClaim      = downClaim
+	StreamProtocol = streamProtocol
+	NodeHeader     = nodeHeader
 )
 
 // AppendAck encodes the report of verdict v for the claim (seq, token), as
 // a lane appends it to its next claim request.
 func AppendAck(seq int64, token uint64, v *core.Verdict) []byte {
 	return appendAck(nil, &ackRequest{Seq: seq, Token: token, Verdict: v})
+}
+
+// AppendLeaseRequest encodes a heartbeat body.
+func AppendLeaseRequest(seq int64, token uint64) []byte {
+	return appendLeaseRequest(nil, seq, token, "")
 }
 
 // ClaimCarriesAck reports whether a claim request body carries an ack.
@@ -32,3 +47,60 @@ func ClaimWaitMS(body []byte) int64 {
 	}
 	return req.WaitMS
 }
+
+// Claim is a decoded claim frame.
+type Claim = claim
+
+// Stream is a claim stream driven by hand, one frame at a time.
+type Stream struct{ s *stream }
+
+// OpenStream opens a claim stream to the coordinator at base as node, the
+// way a lane does; client nil is http.DefaultClient.
+func OpenStream(base, node string, client *http.Client) (*Stream, error) {
+	if client == nil {
+		client = http.DefaultClient
+	}
+	w := &Worker{cfg: WorkerConfig{Coordinator: base, Node: node}, client: client}
+	s, err := w.dial(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{s}, nil
+}
+
+// Send sends a claim request carrying ack (nil: none) and does not wait
+// for its answer.
+func (s *Stream) Send(waitMS int64, ack []byte) error {
+	return s.s.send(appendClaimRequest(s.s.frame(upClaim), waitMS, ack))
+}
+
+// Answer reads one answer: "claim" with its frame, "empty" or "drained";
+// a refusal is the error a lane would report.
+func (s *Stream) Answer() (string, *claim, error) {
+	typ, body, err := s.s.read(down)
+	if err != nil {
+		return "", nil, err
+	}
+	switch typ {
+	case downClaim:
+		cl, err := decodeClaim(body)
+		return "claim", cl, err
+	case downEmpty:
+		return "empty", nil, nil
+	case downDrained:
+		return "drained", nil, nil
+	}
+	_, err = readRefusal(body)
+	return "refused", nil, err
+}
+
+// Claim sends a claim request and reads its answer.
+func (s *Stream) Claim(waitMS int64, ack []byte) (string, *claim, error) {
+	if err := s.Send(waitMS, ack); err != nil {
+		return "", nil, err
+	}
+	return s.Answer()
+}
+
+// Close ends the stream.
+func (s *Stream) Close() error { return s.s.rw.Close() }

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"strings"
 
 	"apichecker/internal/apk"
 	"apichecker/internal/core"
@@ -13,12 +16,28 @@ import (
 	"apichecker/internal/wire"
 )
 
-// The claim frame: the 200 body of POST /v1/cluster/claim. Little-endian,
-// Content-Length-exact, the archive last so neither side copies or
-// re-encodes it:
+// The claim stream: once a lane's POST /v1/cluster/stream is answered 101,
+// the connection carries frames both ways, each a type byte and a
+// little-endian u32 body length, then the body:
+//
+//	dir   type  body                        answered by
+//	up    'c'   claim request (below)       one down-frame
+//	up    'n'   nack body (below)           'E', or 'R' (lease gone, bad body)
+//	up    'x'   empty: cancel the poll      nothing of its own
+//	down  'C'   claim frame (below)
+//	down  'E'   empty: nothing claimed, or the nack is done
+//	down  'D'   empty: the queue is drained
+//	down  'R'   refusal: u16 HTTP status, then the message
+//
+// An up-frame body is at most maxControlBytes, a down-frame body at most
+// maxFrameBytes; a declared length past its bound, or a type the direction
+// does not carry, ends the stream before anything is sized from it.
+//
+// The claim frame, little-endian, the archive last so neither side copies
+// or re-encodes it:
 //
 //	[0]   version   byte    frameVersion
-//	[1]   flags     byte    bit0 drained (the frame ends here); others reserved
+//	[1]   flags     byte    all reserved
 //	[2]   seq       int64
 //	[10]  token     uint64  lease token; heartbeat/ack/nack echo it
 //	[18]  attempts  uint32
@@ -29,12 +48,11 @@ import (
 //	      model     uint16 length + bytes  serving model digest
 //	      payload   the rest of the body   raw archive bytes
 //
-// The request bodies, in the same style. The claim request:
+// The claim request (the stream's upgrade named the node):
 //
 //	[0]   version   byte    frameVersion
 //	[1]   flags     byte    bit0 an ack follows; others reserved
 //	[2]   wait      int64   long-poll budget, milliseconds (<= 0: claim nothing)
-//	[10]  node      uint16 length + bytes
 //	      the ack, when flagged:
 //	      seq       int64
 //	      token     uint64
@@ -45,23 +63,21 @@ import (
 //	      error     uint32 length + bytes  empty when the vet succeeded
 //	      verdict   pipeline.AppendVerdict's layout, when flagged; Score finite
 //
-// The heartbeat and nack bodies:
+// The nack frame's body, and the heartbeat's POST body (whose node is in
+// the request's Apichecker-Node header):
 //
 //	[0]   version   byte    frameVersion
 //	[1]   seq       int64
 //	[9]   token     uint64
-//	[17]  node      uint16 length + bytes
-//	      cause     uint32 length + bytes  the nack's reason; empty on a heartbeat
+//	[17]  cause     uint32 length + bytes  the nack's reason; empty on a heartbeat
 //
 // Decoding is strict — unknown version, reserved flag bits, an outcome
 // vcache does not define, a length that runs past the bytes present, or
-// anything after the last field (after a drained header) is an error — so
-// every accepted frame and body re-encodes to the bytes it came from.
-// Version 3 sent the request bodies as JSON; the coordinator names that
-// when one arrives.
+// anything after the last field is an error — so every accepted frame and
+// body re-encodes to the bytes it came from. Version 3 sent the request
+// bodies as JSON; the coordinator names that when one arrives.
 const (
-	frameVersion = 4
-	frameDrained = 1 << 0
+	frameVersion = 5
 	frameFixed   = 46
 
 	requestAck  = 1 << 0 // claim request flags
@@ -74,6 +90,24 @@ const (
 	// maxFrameBytes is the largest claim body a worker will read: the
 	// largest archive the decode stage accepts plus the largest header.
 	maxFrameBytes = apk.MaxDecodedBytes + frameFixed + 2*(2+maxName)
+
+	// maxControlBytes bounds an up-frame body and a heartbeat body. They
+	// run to a few hundred bytes; the bound leaves room for what has no
+	// bound of its own — the package name a verdict carries comes from the
+	// submitted manifest.
+	maxControlBytes = 64 << 10
+)
+
+// Stream frame types.
+const (
+	upClaim  = 'c'
+	upNack   = 'n'
+	upCancel = 'x'
+
+	downClaim   = 'C'
+	downEmpty   = 'E'
+	downDrained = 'D'
+	downRefusal = 'R'
 )
 
 var (
@@ -81,11 +115,8 @@ var (
 	errBadBody  = errors.New("cluster: bad request body")
 )
 
-// claim is one decoded claim frame: a leased submission, or the drained
-// signal (the queue has settled everything and hands out no more work).
+// claim is one decoded claim frame: a leased submission.
 type claim struct {
-	Drained bool
-
 	Seq              int64
 	Token            uint64
 	Attempts         uint32
@@ -102,9 +133,6 @@ type claim struct {
 // appendClaimHeader appends cl's frame, up to but not including the
 // payload, to dst; the coordinator writes Item.Payload straight after it.
 func appendClaimHeader(dst []byte, cl *claim) ([]byte, error) {
-	if cl.Drained {
-		return append(dst, frameVersion, frameDrained), nil
-	}
 	if len(cl.Key) > maxName || len(cl.ModelDigest) > maxName {
 		return dst, fmt.Errorf("%w: %d-byte key, %d-byte model digest: each is bounded by 65535",
 			errBadFrame, len(cl.Key), len(cl.ModelDigest))
@@ -132,19 +160,17 @@ func appendString16(dst []byte, s string) []byte {
 func decodeClaim(b []byte) (*claim, error) {
 	r := wire.NewReader(b)
 	readVersion(&r)
-	cl := &claim{Drained: r.Flags(frameDrained) == frameDrained}
-	if !cl.Drained {
-		*cl = claim{
-			Seq:              int64(r.U64()),
-			Token:            r.U64(),
-			Attempts:         r.U32(),
-			LeaseTTLMS:       int64(r.U64()),
-			DeadlineUnixNano: int64(r.U64()),
-			Generation:       r.U64(),
-			Key:              r.String(int(r.U16())),
-			ModelDigest:      r.String(int(r.U16())),
-			Payload:          r.Rest(),
-		}
+	r.Flags(0)
+	cl := &claim{
+		Seq:              int64(r.U64()),
+		Token:            r.U64(),
+		Attempts:         r.U32(),
+		LeaseTTLMS:       int64(r.U64()),
+		DeadlineUnixNano: int64(r.U64()),
+		Generation:       r.U64(),
+		Key:              r.String(int(r.U16())),
+		ModelDigest:      r.String(int(r.U16())),
+		Payload:          r.Rest(),
 	}
 	r.End()
 	if err := r.Err(); err != nil {
@@ -153,15 +179,15 @@ func decodeClaim(b []byte) (*claim, error) {
 	return cl, nil
 }
 
-// appendClaimRequest appends the claim body; ack is an encoded ackRequest
-// (appendAck) or empty.
-func appendClaimRequest(dst []byte, node string, waitMS int64, ack []byte) []byte {
+// appendClaimRequest appends the claim request; ack is an encoded
+// ackRequest (appendAck) or empty.
+func appendClaimRequest(dst []byte, waitMS int64, ack []byte) []byte {
 	var flags byte
 	if len(ack) > 0 {
 		flags = requestAck
 	}
 	dst = binary.LittleEndian.AppendUint64(append(dst, frameVersion, flags), uint64(waitMS))
-	return append(appendString16(dst, node), ack...)
+	return append(dst, ack...)
 }
 
 // appendAck appends one ackRequest.
@@ -185,19 +211,19 @@ func appendAck(dst []byte, a *ackRequest) []byte {
 }
 
 // appendLeaseRequest appends a heartbeat (cause empty) or nack body.
-func appendLeaseRequest(dst []byte, node string, seq int64, token uint64, cause string) []byte {
+func appendLeaseRequest(dst []byte, seq int64, token uint64, cause string) []byte {
 	dst = binary.LittleEndian.AppendUint64(append(dst, frameVersion), uint64(seq))
 	dst = binary.LittleEndian.AppendUint64(dst, token)
-	return wire.AppendString32(appendString16(dst, node), cause)
+	return wire.AppendString32(dst, cause)
 }
 
-// decodeClaimRequest reads a claim body. Its strings are copies: nothing
-// decoded aliases b.
+// decodeClaimRequest reads a claim request. Its strings are copies:
+// nothing decoded aliases b.
 func decodeClaimRequest(b []byte) (claimRequest, error) {
 	r := wire.NewReader(b)
 	readVersion(&r)
 	flags := r.Flags(requestAck)
-	req := claimRequest{WaitMS: int64(r.U64()), Node: r.String(int(r.U16()))}
+	req := claimRequest{WaitMS: int64(r.U64())}
 	if flags&requestAck != 0 {
 		a := &ackRequest{Seq: int64(r.U64()), Token: r.U64(), WallNS: int64(r.U64())}
 		if a.Outcome = vcache.Outcome(r.U8()); a.Outcome > vcache.OutcomeCoalesced {
@@ -229,12 +255,23 @@ func decodeClaimRequest(b []byte) (claimRequest, error) {
 func decodeLeaseRequest(b []byte) (leaseRequest, error) {
 	r := wire.NewReader(b)
 	readVersion(&r)
-	req := leaseRequest{Seq: int64(r.U64()), Token: r.U64(), Node: r.String(int(r.U16())), Cause: r.String(int(r.U32()))}
+	req := leaseRequest{Seq: int64(r.U64()), Token: r.U64(), Cause: r.String(int(r.U32()))}
 	r.End()
 	if err := r.Err(); err != nil {
 		return leaseRequest{}, fmt.Errorf("%w: %w", errBadBody, err)
 	}
 	return req, nil
+}
+
+// readRefusal reads a refusal's body: the status, and the error a lane
+// reports, which reads as an HTTP answer's error text does.
+func readRefusal(b []byte) (int, error) {
+	r := wire.NewReader(b)
+	code := int(r.U16())
+	if r.Err() != nil {
+		return 0, fmt.Errorf("%w: a %d-byte refusal", errBadFrame, len(b))
+	}
+	return code, fmt.Errorf("cluster: claim: %d %s: %s", code, http.StatusText(code), r.Rest())
 }
 
 // readVersion reads a frame's or body's version byte and fails r on any
@@ -247,4 +284,95 @@ func readVersion(r *wire.Reader) {
 	default:
 		r.Fail(fmt.Errorf("claim wire version %d, want %d: coordinator and workers must be the same build", v, frameVersion))
 	}
+}
+
+// A direction is one way along a claim stream: the frame types it
+// carries and the largest body it accepts.
+type direction struct {
+	types string
+	bound int
+}
+
+var (
+	up   = direction{types: string([]byte{upClaim, upNack, upCancel}), bound: maxControlBytes}
+	down = direction{types: string([]byte{downClaim, downEmpty, downDrained, downRefusal}), bound: maxFrameBytes}
+)
+
+// envelope is a frame's type byte and body length.
+const envelope = 5
+
+// keepBytes is the largest frame buffer a stream keeps for the next frame;
+// a larger frame gets a buffer of its own.
+const keepBytes = 64 << 10
+
+// stream is one end of a claim stream. Frames are read into one buffer
+// and written from another, each reused from frame to frame, so a steady
+// stream allocates nothing per frame. One goroutine reads, and one at a
+// time writes.
+type stream struct {
+	rw  io.ReadWriteCloser
+	r   io.Reader // rw's read side, possibly buffered
+	hdr [envelope]byte
+	in  []byte
+	out []byte
+}
+
+// read reads one frame off d. The body is valid until the next read. A
+// type d does not carry, or a declared length past d's bound, is
+// errBadFrame before anything is sized from it; a stream that ends
+// between frames is io.EOF, inside one io.ErrUnexpectedEOF.
+func (s *stream) read(d direction) (byte, []byte, error) {
+	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	r := wire.NewReader(s.hdr[:])
+	typ, n := r.U8(), int(r.U32())
+	switch {
+	case strings.IndexByte(d.types, typ) < 0:
+		return typ, nil, fmt.Errorf("%w: frame type %#02x", errBadFrame, typ)
+	case n > d.bound:
+		return typ, nil, fmt.Errorf("%w: a %d-byte %q frame, want at most %d", errBadFrame, n, typ, d.bound)
+	}
+	var body []byte
+	switch {
+	case n <= cap(s.in):
+		body = s.in[:n]
+	case n <= keepBytes:
+		s.in = make([]byte, n)
+		body = s.in
+	default:
+		// A frame past keepBytes grows as its bytes arrive, so a length
+		// declared and not sent sizes nothing.
+		b, err := io.ReadAll(io.LimitReader(s.r, int64(n)))
+		if err == nil && len(b) < n {
+			err = io.ErrUnexpectedEOF
+		}
+		return typ, b, err
+	}
+	if _, err := io.ReadFull(s.r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return typ, nil, err
+	}
+	return typ, body, nil
+}
+
+// frame starts a frame of type typ in the stream's write buffer; append
+// the body to it and hand it to send.
+func (s *stream) frame(typ byte) []byte { return append(s.out[:0], typ, 0, 0, 0, 0) }
+
+// refuse writes a refusal: the HTTP status it stands for, then msg.
+func (s *stream) refuse(code int, msg string) error {
+	return s.send(append(binary.LittleEndian.AppendUint16(s.frame(downRefusal), uint16(code)), msg...))
+}
+
+// send writes f, a frame begun by frame, in one write.
+func (s *stream) send(f []byte) error {
+	binary.LittleEndian.PutUint32(f[1:envelope], uint32(len(f)-envelope))
+	if cap(f) <= keepBytes {
+		s.out = f
+	}
+	_, err := s.rw.Write(f)
+	return err
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net/http"
 	"reflect"
 	"runtime"
 	"strings"
@@ -31,7 +30,7 @@ func frame(t testing.TB, cl *claim) []byte {
 }
 
 // seedFrames are claim frames around three real built archives, plus the
-// drained frame.
+// shortest frame there is.
 func seedFrames(t testing.TB) [][]byte {
 	t.Helper()
 	u := framework.MustGenerate(framework.TestConfig(3000))
@@ -41,7 +40,7 @@ func seedFrames(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := [][]byte{frame(t, &claim{Drained: true})}
+	frames := [][]byte{frame(t, &claim{})}
 	for i := 0; i < 3; i++ {
 		raw, err := apk.Build(corpus.Program(i), u)
 		if err != nil {
@@ -68,7 +67,7 @@ func TestClaimFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if i > 0 && (cl.Drained || cl.Seq != int64(1000+i-1) || cl.Key != apk.Digest(cl.Payload)) {
+		if i > 0 && (cl.Seq != int64(1000+i-1) || cl.Key != apk.Digest(cl.Payload)) {
 			t.Fatalf("frame %d decoded to %+v", i, cl)
 		}
 		if got := frame(t, cl); !bytes.Equal(got, f) {
@@ -83,8 +82,8 @@ func TestClaimFrameRoundTrip(t *testing.T) {
 		{frameVersion},
 		{1, 0},                              // another build
 		{'{', '"'},                          // the old JSON wire
-		{frameVersion, frameDrained, 0},     // bytes after the drained header
-		{frameVersion, 2},                   // reserved flag
+		{frameVersion, 1},                   // reserved flag
+		{frameVersion, 2},                   // ditto
 		make([]byte, frameFixed-1),          // short fixed header
 		append([]byte{frameVersion, 0}, 1),  // ditto
 		append(make([]byte, frameFixed), 0), // half a length
@@ -106,18 +105,29 @@ func TestClaimFrameLyingLengthAllocatesNothing(t *testing.T) {
 	lyingModel := append([]byte{}, good[:modelAt+2+10]...)
 	binary.LittleEndian.PutUint16(lyingModel[modelAt:], 0xFFFF)
 
-	response := func(declared int64, body []byte) *http.Response {
-		return &http.Response{StatusCode: http.StatusOK, ContentLength: declared, Body: io.NopCloser(bytes.NewReader(body))}
+	// Each input is built before the measured read.
+	read := func(d direction, declared uint32, body []byte) func() error {
+		in := envelopeOf(d.types[0], declared, body)
+		return func() error {
+			_, _, err := (&stream{r: bytes.NewReader(in)}).read(d)
+			return err
+		}
 	}
+	// A declared length inside the bound but never sent may size what the
+	// bytes that did arrive need, and no more: a few times their length.
+	sent := uint64(4 * len(good))
 	cases := []struct {
-		name string
-		run  func() error
+		name  string
+		want  error
+		extra uint64 // bytes the case may allocate beyond 4 KiB
+		run   func() error
 	}{
-		{"Content-Length past the bound", func() error { _, err := readClaim(response(maxFrameBytes+1, good)); return err }},
-		{"Content-Length 1<<62", func() error { _, err := readClaim(response(1<<62, good)); return err }},
-		{"no Content-Length", func() error { _, err := readClaim(response(-1, good)); return err }},
-		{"key length past the frame", func() error { _, err := decodeClaim(lyingKey); return err }},
-		{"model digest length past the frame", func() error { _, err := decodeClaim(lyingModel); return err }},
+		{"declared length past the bound", errBadFrame, 0, read(down, maxFrameBytes+1, good)},
+		{"declared length 1<<32-1", errBadFrame, 0, read(down, 1<<32-1, good)},
+		{"up-frame length past maxControlBytes", errBadFrame, 0, read(up, maxControlBytes+1, good)},
+		{"declared length inside the bound, not sent", io.ErrUnexpectedEOF, sent, read(down, maxFrameBytes, good)},
+		{"key length past the frame", errBadFrame, 0, func() error { _, err := decodeClaim(lyingKey); return err }},
+		{"model digest length past the frame", errBadFrame, 0, func() error { _, err := decodeClaim(lyingModel); return err }},
 	}
 	for _, tc := range cases {
 		// TotalAlloc is process-wide, so another goroutine's allocation can
@@ -128,20 +138,26 @@ func TestClaimFrameLyingLengthAllocatesNothing(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			err := tc.run()
 			runtime.ReadMemStats(&after)
-			if !errors.Is(err, errBadFrame) {
-				t.Fatalf("%s: %v, want errBadFrame", tc.name, err)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s: %v, want %v", tc.name, err, tc.want)
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if least >= 4<<10 {
-			t.Errorf("%s: allocated %d bytes, want < 4 KiB", tc.name, least)
+		if least >= 4<<10+tc.extra {
+			t.Errorf("%s: allocated %d bytes, want < %d", tc.name, least, 4<<10+tc.extra)
 		}
 	}
 
 	// A body shorter than its declared length is an error, not a short frame.
-	if _, err := readClaim(response(int64(len(good)), good[:len(good)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := read(down, uint32(len(good)), good[:len(good)-1])(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short body: %v, want io.ErrUnexpectedEOF", err)
 	}
+}
+
+// envelopeOf is a stream frame of type typ that declares n body bytes and
+// carries body.
+func envelopeOf(typ byte, n uint32, body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32([]byte{typ}, n), body...)
 }
 
 // FuzzClaimFrame: decodeClaim never panics, allocates no more than the
@@ -173,12 +189,12 @@ func encodeClaimRequest(req claimRequest) []byte {
 	if req.Ack != nil {
 		ack = appendAck(nil, req.Ack)
 	}
-	return appendClaimRequest(nil, req.Node, req.WaitMS, ack)
+	return appendClaimRequest(nil, req.WaitMS, ack)
 }
 
 // encodeLeaseRequest appends req the way a heartbeat or nack does.
 func encodeLeaseRequest(req leaseRequest) []byte {
-	return appendLeaseRequest(nil, req.Node, req.Seq, req.Token, req.Cause)
+	return appendLeaseRequest(nil, req.Seq, req.Token, req.Cause)
 }
 
 // controlNasty is a string no escaping or length rule may trip on.
@@ -225,11 +241,11 @@ func seedControlBodies(t testing.TB) (claims []claimRequest, leases []leaseReque
 		{Outcome: vcache.OutcomeHit, Verdict: &core.Verdict{Score: math.Copysign(0, -1), Tier: 2}},
 		{},
 	} {
-		claims = append(claims, claimRequest{Node: controlNasty, WaitMS: -1, Ack: a})
+		claims = append(claims, claimRequest{WaitMS: -1, Ack: a})
 	}
-	claims = append(claims, claimRequest{Node: "n", WaitMS: 250})
+	claims = append(claims, claimRequest{WaitMS: 250})
 	for _, cause := range []string{"", controlNasty} {
-		leases = append(leases, leaseRequest{Node: controlNasty, Seq: -9, Token: math.MaxUint64, Cause: cause})
+		leases = append(leases, leaseRequest{Seq: -9, Token: math.MaxUint64, Cause: cause})
 	}
 	return claims, leases
 }
@@ -273,17 +289,18 @@ func TestControlBodiesRefused(t *testing.T) {
 	withAck := func(edit func(a *ackRequest)) []byte {
 		a := &ackRequest{Seq: 1, Token: 2, ModelDigest: "m", Outcome: vcache.OutcomeMiss, Verdict: &core.Verdict{Package: "p", Tier: 2}}
 		edit(a)
-		return encodeClaimRequest(claimRequest{Node: "n", WaitMS: 1, Ack: a})
+		return encodeClaimRequest(claimRequest{WaitMS: 1, Ack: a})
 	}
 	good := withAck(func(*ackRequest) {})
-	// Offsets into good: the ack starts after the 13-byte claim header; its
-	// outcome byte follows seq, token and wall.
-	outcomeAt := 2 + 8 + 2 + 1 + 24
+	// Offsets into good: the ack starts after the 10-byte claim header; its
+	// outcome byte follows seq, token and wall, and its model digest's
+	// length the outcome and flag bytes.
+	outcomeAt := 2 + 8 + 24
 	badOutcome := append([]byte{}, good...)
 	badOutcome[outcomeAt] = byte(vcache.OutcomeCoalesced) + 1
-	lyingNode := append([]byte{}, good...)
-	binary.LittleEndian.PutUint16(lyingNode[10:], 0xFFFF)
-	lease := encodeLeaseRequest(leaseRequest{Node: "n", Seq: 1, Token: 2})
+	lyingModel := append([]byte{}, good...)
+	binary.LittleEndian.PutUint16(lyingModel[outcomeAt+2:], 0xFFFF)
+	lease := encodeLeaseRequest(leaseRequest{Seq: 1, Token: 2})
 
 	for _, tc := range []struct {
 		name  string
@@ -302,12 +319,12 @@ func TestControlBodiesRefused(t *testing.T) {
 			b[outcomeAt+1] |= 4
 			return b
 		}(), "reserved flag"},
-		{"ack flag, no ack", true, append([]byte{frameVersion, requestAck}, good[2:13]...), "truncated"},
+		{"ack flag, no ack", true, append([]byte{frameVersion, requestAck}, good[2:10]...), "truncated"},
 		{"unknown outcome", true, badOutcome, "cache outcome"},
 		{"NaN score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.NaN() }), "not finite"},
 		{"+Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(1) }), "not finite"},
 		{"-Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(-1) }), "not finite"},
-		{"node length past the body", true, lyingNode, "truncated"},
+		{"model digest length past the body", true, lyingModel, "truncated"},
 		{"trailing claim byte", true, append(append([]byte{}, good...), 0), "trailing"},
 		{"short claim", true, good[:len(good)-1], "truncated"},
 		{"trailing lease byte", false, append(append([]byte{}, lease...), 0), "trailing"},
@@ -350,6 +367,70 @@ func FuzzControlBodies(f *testing.F) {
 			}
 		} else if re := encodeLeaseRequest(req); !bytes.Equal(re, b) {
 			t.Fatalf("accepted lease body re-encodes differently:\n in  %x\n out %x", b, re)
+		}
+	})
+}
+
+// writeBuffer is a stream's write side in memory.
+type writeBuffer struct{ bytes.Buffer }
+
+func (*writeBuffer) Close() error { return nil }
+
+// seedStreams are frame sequences a lane sends and a coordinator answers.
+func seedStreams(t testing.TB) [][]byte {
+	var up, down writeBuffer
+	ls, cs := &stream{rw: &up}, &stream{rw: &down}
+	claims, leases := seedControlBodies(t)
+	for _, req := range claims {
+		ls.send(append(ls.frame(upClaim), encodeClaimRequest(req)...))
+	}
+	for _, req := range leases {
+		ls.send(append(ls.frame(upNack), encodeLeaseRequest(req)...))
+	}
+	ls.send(ls.frame(upCancel))
+	for _, f := range seedFrames(t) {
+		cs.send(append(cs.frame(downClaim), f...))
+	}
+	cs.send(cs.frame(downEmpty))
+	cs.send(cs.frame(downDrained))
+	cs.refuse(400, controlNasty)
+	return [][]byte{up.Bytes(), down.Bytes()}
+}
+
+// FuzzStreamFrames: the envelope reader never panics; a declared length
+// past its direction's bound, or a type the direction does not carry, is
+// refused before anything is sized from it; and the frames it accepts
+// re-encode to the bytes they came from.
+func FuzzStreamFrames(f *testing.F) {
+	for _, s := range seedStreams(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, d := range []direction{up, down} {
+			var out writeBuffer
+			in, re := &stream{r: bytes.NewReader(b)}, &stream{rw: &out}
+			for {
+				before := cap(in.in)
+				typ, body, err := in.read(d)
+				if err != nil {
+					if errors.Is(err, errBadFrame) && cap(in.in) != before {
+						t.Fatalf("a refused frame sized the buffer from %d to %d bytes", before, cap(in.in))
+					}
+					if !errors.Is(err, errBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("untyped error: %v", err)
+					}
+					break
+				}
+				if !strings.ContainsRune(d.types, rune(typ)) || len(body) > d.bound {
+					t.Fatalf("accepted a %d-byte %q frame", len(body), typ)
+				}
+				if err := re.send(append(re.frame(typ), body...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.HasPrefix(b, out.Bytes()) {
+				t.Fatalf("accepted frames re-encode differently:\n in  %x\n out %x", b, out.Bytes())
+			}
 		}
 	})
 }

@@ -1,0 +1,306 @@
+package cluster_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"apichecker/internal/cluster"
+	"apichecker/internal/vetsvc"
+)
+
+// raceDetector is set by race_test.go in a -race build.
+var raceDetector bool
+
+// fault is what becomes of the down-frame that answers an up-frame.
+type fault int
+
+const (
+	intact fault = iota
+	lose         // the stream breaks before the lane reads a byte of it
+	cut          // the lane reads half of it, then the stream breaks
+)
+
+// streamFaults watches a worker's claim streams frame by frame and breaks
+// them on cue. Its client dials faultConns; every other connection the
+// worker makes (heartbeats, model pulls) passes through untouched.
+type streamFaults struct {
+	// onUp sees each up-frame as the lane writes it and says what becomes
+	// of its answer.
+	onUp func(typ byte, body []byte) fault
+	// onDown sees each down-frame before the lane reads it.
+	onDown func(typ byte, body []byte)
+}
+
+func (f *streamFaults) client() *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return &faultConn{Conn: c, f: f}, nil
+		},
+	}}
+}
+
+// faultConn is one connection under a streamFaults. It relies on how a
+// lane uses a stream: each up-frame goes out in one write, and an answer
+// is read only after the frame it answers was written. Only the lane
+// reads; a stopped lane's cancel may write while it does.
+type faultConn struct {
+	net.Conn
+	f *streamFaults
+
+	mu       sync.Mutex
+	stream   bool  // the stream's upgrade request went out on this connection
+	upgraded bool  // its 101 came back: frames follow
+	next     fault // what becomes of the next down-frame
+
+	rest   []byte // the reader's: what is left of the frame being read
+	broken bool   // the reader's: the frame was cut, the stream ends with it
+}
+
+func (c *faultConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	upgraded := c.upgraded
+	if !upgraded && bytes.HasPrefix(p, []byte("POST "+cluster.PathStream+" ")) {
+		c.stream = true
+	}
+	c.mu.Unlock()
+	if upgraded && len(p) >= 5 && c.f.onUp != nil {
+		if next := c.f.onUp(p[0], p[5:]); next != intact {
+			c.mu.Lock()
+			c.next = next
+			c.mu.Unlock()
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *faultConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	upgraded := c.upgraded
+	c.mu.Unlock()
+	if !upgraded {
+		// The transport reads before it writes the request: whether this
+		// is the 101 is known only once the bytes are in.
+		n, err := c.Conn.Read(p)
+		c.mu.Lock()
+		c.upgraded = c.stream && bytes.Contains(p[:n], []byte("\r\n\r\n"))
+		c.mu.Unlock()
+		return n, err
+	}
+	if len(c.rest) == 0 {
+		if c.broken {
+			c.Conn.Close()
+			return 0, errors.New("the stream broke mid-frame")
+		}
+		hdr := make([]byte, 5)
+		if _, err := io.ReadFull(c.Conn, hdr); err != nil {
+			return 0, err
+		}
+		frame := append(hdr, make([]byte, binary.LittleEndian.Uint32(hdr[1:]))...)
+		if _, err := io.ReadFull(c.Conn, frame[5:]); err != nil {
+			return 0, err
+		}
+		if c.f.onDown != nil {
+			c.f.onDown(frame[0], frame[5:])
+		}
+		c.mu.Lock()
+		next := c.next
+		c.next = intact
+		c.mu.Unlock()
+		switch next {
+		case lose:
+			c.Conn.Close()
+			return 0, errors.New("the answer was lost")
+		case cut:
+			frame, c.broken = frame[:len(frame)/2], true
+		}
+		c.rest = frame
+	}
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// TestEmptyNodeNameIsRefused: a heartbeat or a stream that names no node,
+// or a name longer than the wire carries, is refused with 400 before the
+// coordinator books a sighting. A phantom "" node in the live set would
+// take part in rendezvous affinity: with one real node, about half of the
+// keyed items would wait StealAge before that node could claim them.
+func TestEmptyNodeNameIsRefused(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	upgrade := http.Header{"Connection": {"Upgrade"}, "Upgrade": {cluster.StreamProtocol}}
+	for _, tc := range []struct {
+		name   string
+		path   string
+		header http.Header
+		body   []byte
+	}{
+		{"a heartbeat with no node header", cluster.PathHeartbeat, http.Header{}, cluster.AppendLeaseRequest(1, 2)},
+		{"a heartbeat with an empty name", cluster.PathHeartbeat, http.Header{cluster.NodeHeader: {""}}, cluster.AppendLeaseRequest(1, 2)},
+		{"a stream with no node header", cluster.PathStream, upgrade, nil},
+		{"a stream with an empty name", cluster.PathStream, withNode(upgrade, ""), nil},
+		{"a stream with a 65536-byte name", cluster.PathStream, withNode(upgrade, strings.Repeat("n", 1<<16)), nil},
+	} {
+		req, err := http.NewRequest(http.MethodPost, st.ts.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header = tc.header
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", tc.name, resp.StatusCode, msg)
+		}
+		if n := st.coord.LiveNodes(); n != 0 {
+			t.Fatalf("after %s: %d live nodes, want 0", tc.name, n)
+		}
+	}
+}
+
+// withNode is h plus a node header naming node.
+func withNode(h http.Header, node string) http.Header {
+	h = h.Clone()
+	h[cluster.NodeHeader] = []string{node}
+	return h
+}
+
+// TestStopMidPollStrandsNothing: a claim stream that ends mid-poll leaves
+// nothing to the lease TTL (a minute here: anything left to it times the
+// test out) and no goroutine behind on the coordinator. A connection
+// dropped during a poll ends the poll; a lane stopped during one cancels
+// it and is answered at once, so Stop does not sit out the long-poll
+// budget. After either, a submission lies pending — no stale poll took it —
+// and the next live node claims it at once.
+func TestStopMidPollStrandsNothing(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{NodeTTL: 50 * time.Millisecond}, 0, cluster.WorkerConfig{})
+	baseline := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		eventually(t, what, func() bool { return runtime.NumGoroutine() <= baseline })
+	}
+	polling := func(what string) {
+		t.Helper()
+		eventually(t, what, func() bool { return st.coord.LiveNodes() == 1 })
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	s, err := cluster.OpenStream(st.ts.URL, "dropped", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Send(60_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	polling("the dropped stream's poll")
+	s.Close()
+	settled("the dropped stream's goroutines to exit")
+
+	tr := &http.Transport{}
+	w, err := cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: st.ts.URL, Node: "stopped", Lanes: 1, PollWait: time.Minute,
+		Client: &http.Client{Transport: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polling("the lane's poll")
+	t0 := time.Now()
+	w.Stop()
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("Stop took %v: the poll in flight was not cancelled", d)
+	}
+	tr.CloseIdleConnections()
+	settled("the stopped lane's stream goroutines to exit")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tk, err := svc.Submit(ctx, rawSubs(t, corpus, 1, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Reclaimed != 0 || qs.Depth != 1 {
+		t.Fatalf("after both streams ended: %d leased, %d reclaimed, %d pending; want 0, 0, 1", qs.Leased, qs.Reclaimed, qs.Depth)
+	}
+	live, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: st.ts.URL, Node: "live", Lanes: 1, PollWait: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.workers = append(st.workers, live)
+	if _, err := tk.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamClaimAllocBudget: one warm submission through a coordinator
+// and a node in this process — the claim frame down the lane's stream, a
+// vet the node's verdict cache answers, the ack up the next claim request
+// and the record it settles — allocates a fixed, small number of times,
+// counted on both ends and in the service. It measures 20; the bound is
+// that plus 2. The same round trip as one POST per claim measured 116.
+func TestStreamClaimAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	base, corpus := trainedArtifact(t)
+	// The coordinator's own cache is off, so every submission is claimed
+	// and the node's cache answers it.
+	cfg := configOf(base)
+	cfg.VerdictCache = -1
+	svc, err := vetsvc.Open(instantiate(t, base, cfg), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startStack(t, svc, cluster.CoordinatorConfig{PollSlice: time.Minute}, 1, cluster.WorkerConfig{Lanes: 1, PollWait: time.Minute})
+	sub := rawSubs(t, corpus, 1, 1)[0]
+	ctx := context.Background()
+	round := func() {
+		tk, err := svc.Submit(ctx, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 8 {
+		round()
+	}
+	const budget = 20 + 2
+	if n := testing.AllocsPerRun(200, round); n > budget {
+		t.Errorf("a warm claim round trip allocates %.1f times, budget %d", n, budget)
+	} else {
+		t.Logf("a warm claim round trip allocates %.1f times", n)
+	}
+}

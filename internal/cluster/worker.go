@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,8 @@ type WorkerConfig struct {
 	HeartbeatEvery time.Duration
 
 	// Client is the HTTP client; nil builds one with no overall timeout
-	// (claim requests long-poll; the per-request context bounds them).
+	// (a claim stream lives as long as its lane). Its transport must hand
+	// over an upgraded connection, as http.Transport does.
 	Client *http.Client
 
 	// VerdictCache is the node's verdict-cache capacity: 0 selects the
@@ -63,7 +65,7 @@ type WorkerStats struct {
 	ModelSwaps uint64 // hot-swaps adopted after cold-start
 }
 
-// Worker is one running worker node: Lanes HTTP claim lanes, each run by
+// Worker is one running worker node: Lanes claim lanes, each run by
 // internal/worker's executor, vetting with the full local pipeline on a
 // checker cold-started (and hot-swapped) from the coordinator's advertised
 // model generation. Construct with StartWorker; Stop cancels the lanes,
@@ -97,6 +99,9 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if len(cfg.Node) > maxName {
 		return nil, fmt.Errorf("cluster: a %d-byte node name: the wire carries at most %d", len(cfg.Node), maxName)
+	}
+	if i := strings.IndexFunc(cfg.Node, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }); i >= 0 {
+		return nil, fmt.Errorf("cluster: node name byte %#02x at %d: the name travels in an HTTP header", cfg.Node[i], i)
 	}
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = 4
@@ -194,13 +199,24 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 	return err
 }
 
-// lane is the HTTP Claimer one executor lane loops over. ack is the
-// encoded report (appendAck) of the last finished vet, kept until a 2xx
-// has answered a request that carried it; ackSeq and ackToken name its
-// claim for the nack that follows a refusal. Only the lane's goroutine
-// touches them; Heartbeat, which runs on the lane's timer, does not.
+// lane is the Claimer one executor lane loops over: one claim stream to
+// the coordinator, opened on first use and again after it breaks. ack is
+// the encoded report (appendAck) of the last finished vet, kept until an
+// answer other than a refusal has come back to a request that carried it;
+// ackSeq and ackToken name its claim for the nack that follows a refusal.
+// Only the lane's goroutine touches them; Heartbeat, which runs on the
+// lane's timer, does not.
+//
+// mu serializes writes to the stream between the lane's goroutine and
+// cancel, which runs when the lane is stopped: polling says a claim
+// request's long-poll is out, the one moment a stop must cut short.
 type lane struct {
 	w *Worker
+
+	mu      sync.Mutex
+	s       *stream
+	polling bool
+	unhook  func() bool
 
 	ack      []byte
 	ackSeq   int64
@@ -209,14 +225,18 @@ type lane struct {
 
 // Claim sends the pending ack, if any, with each long-poll until one
 // brings a claim for a model the node can serve. However the lane ends, a
-// report still pending is flushed.
+// report still pending is flushed and the stream closed.
 func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	w := ln.w
+	if ln.unhook == nil {
+		ln.unhook = context.AfterFunc(ctx, ln.cancel)
+	}
 	for ctx.Err() == nil {
-		// The request context allows one extra PollWait beyond the server's
-		// budget so a healthy long-poll is never cut off by the client side.
-		cl, err := ln.poll(ctx, 2*w.cfg.PollWait+5*time.Second, w.cfg.PollWait)
+		cl, err := ln.exchange(ctx, w.cfg.PollWait)
 		switch {
+		case errors.Is(err, workqueue.ErrDrained):
+			ln.close()
+			return worker.Claim[*job]{}, err
 		case err != nil:
 			// Transient coordinator trouble (restart, network): back off
 			// and re-poll rather than dying.
@@ -227,13 +247,16 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 			continue
 		case cl == nil:
 			continue // poll budget expired empty-handed
-		case cl.Drained:
-			return worker.Claim[*job]{}, workqueue.ErrDrained
 		}
 		w.claims.Add(1)
+		if ctx.Err() != nil {
+			// The claim overtook the lane's cancel.
+			ln.nack(cl.Seq, cl.Token, "worker stopping")
+			break
+		}
 		ck, err := w.ensureModel(cl.ModelDigest)
 		if err != nil {
-			w.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
+			ln.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
 		}
 		c := worker.Claim[*job]{Lease: &job{claim: cl, ck: ck}, TTL: time.Duration(cl.LeaseTTLMS) * time.Millisecond}
@@ -242,7 +265,12 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 		}
 		return c, nil
 	}
-	ln.flush()
+	if len(ln.ack) > 0 {
+		// One attempt: if it fails the lease TTL reclaims the item, as for a
+		// node that was killed.
+		ln.exchange(context.Background(), 0)
+	}
+	ln.close()
 	return worker.Claim[*job]{}, ctx.Err()
 }
 
@@ -252,9 +280,16 @@ func (ln *lane) Heartbeat(j *job) (bool, error) {
 	w := ln.w
 	ctx, cancel := context.WithTimeout(w.ctx, 10*time.Second)
 	defer cancel()
-	resp, err := w.post(ctx, PathHeartbeat, appendLeaseRequest(nil, w.cfg.Node, j.Seq, j.Token, ""))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+PathHeartbeat,
+		bytes.NewReader(appendLeaseRequest(nil, j.Seq, j.Token, "")))
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("cluster: %w", err)
+	}
+	req.Header["Content-Type"] = httpio.OctetStream
+	req.Header[nodeHeader] = []string{w.cfg.Node}
+	resp, err := w.client.Do(req)
+	if err != nil {
+		return false, fmt.Errorf("cluster: heartbeat: %w", err)
 	}
 	defer drainClose(resp)
 	switch resp.StatusCode {
@@ -280,78 +315,165 @@ func (ln *lane) Ack(j *job) {
 }
 
 // Nack returns j's claim to the coordinator.
-func (ln *lane) Nack(j *job, cause string) { ln.w.nack(j.Seq, j.Token, cause) }
+func (ln *lane) Nack(j *job, cause string) { ln.nack(j.Seq, j.Token, cause) }
 
-// poll sends the pending ack, if any, and long-polls the coordinator for
-// work for up to wait (<= 0: claim nothing, only deliver the ack);
-// (nil, nil) means the poll came back empty (204). A frame or a 204
-// acknowledges the ack. A 4xx to a request that carried one means the
-// coordinator will never take it (a body past its bound, a score that is
-// not finite): the claim is nacked instead, so the item is re-issued at
-// once and dead-lettered with that cause if every attempt ends the same
-// way.
-func (ln *lane) poll(parent context.Context, timeout, wait time.Duration) (*claim, error) {
-	w := ln.w
-	carried := len(ln.ack) > 0
-	body := appendClaimRequest(make([]byte, 0, 64+len(w.cfg.Node)+len(ln.ack)),
-		w.cfg.Node, wait.Milliseconds(), ln.ack)
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	defer cancel()
-	resp, err := w.post(ctx, PathClaim, body)
+// exchange sends the pending ack, if any, with a claim request that
+// long-polls for up to wait (<= 0: claim nothing, only deliver the ack);
+// (nil, nil) means the poll came back empty, workqueue.ErrDrained that the
+// queue is. Any answer but a refusal acknowledges the ack. A 4xx refusal
+// of a request that carried one means the coordinator will never take it
+// (a body past its bound, a score that is not finite): the claim is
+// nacked instead, so the item is re-issued at once and dead-lettered with
+// that cause if every attempt ends the same way.
+func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error) {
+	s, err := ln.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer drainClose(resp)
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		ln.ack = ln.ack[:0]
-		return readClaim(resp)
-	case resp.StatusCode == http.StatusNoContent:
-		ln.ack = ln.ack[:0]
-		return nil, nil
-	case carried && resp.StatusCode >= 400 && resp.StatusCode < 500:
-		err := httpStatusError("ack refused", resp)
-		ln.ack = ln.ack[:0]
-		w.nack(ln.ackSeq, ln.ackToken, err.Error())
+	carried := len(ln.ack) > 0
+	typ, body, err := ln.roundTrip(ctx, s, appendClaimRequest(s.frame(upClaim), wait.Milliseconds(), ln.ack), wait > 0)
+	if err != nil {
 		return nil, err
-	default:
-		return nil, httpStatusError("claim", resp)
 	}
-}
-
-// readClaim reads one claim frame into a buffer of exactly the declared
-// size — the archive in it becomes Submission.Raw as it lies — after
-// checking that a size was declared and is one a frame can have.
-func readClaim(resp *http.Response) (*claim, error) {
-	n := resp.ContentLength
-	if n < 0 || n > maxFrameBytes {
-		return nil, fmt.Errorf("%w: declared length %d, want 0..%d", errBadFrame, n, int64(maxFrameBytes))
+	if typ != downRefusal {
+		ln.ack = ln.ack[:0]
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, b); err != nil {
-		return nil, fmt.Errorf("cluster: reading claim frame: %w", err)
+	switch typ {
+	case downClaim:
+		// The payload aliases the stream's read buffer: it is good until
+		// the lane's next read, after the vet and its Ack.
+		return decodeClaim(body)
+	case downEmpty:
+		return nil, nil
+	case downDrained:
+		return nil, workqueue.ErrDrained
 	}
-	return decodeClaim(b)
-}
-
-// flush delivers a pending ack with a request that claims nothing; a
-// stopping lane's last act. One attempt: if it fails the lease TTL
-// reclaims the item, as for a node that was killed.
-func (ln *lane) flush() {
-	if len(ln.ack) > 0 {
-		_, _ = ln.poll(context.Background(), 10*time.Second, 0)
+	code, err := readRefusal(body)
+	if carried && code >= 400 && code < 500 {
+		ln.ack = ln.ack[:0]
+		ln.nack(ln.ackSeq, ln.ackToken, "ack refused: "+err.Error())
 	}
+	return nil, err
 }
 
 // nack returns a claim for another attempt. Best effort: a nack that does
 // not arrive leaves the item to the lease TTL.
-func (w *Worker) nack(seq int64, token uint64, cause string) {
-	w.nacks.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if resp, err := w.post(ctx, PathNack, appendLeaseRequest(nil, w.cfg.Node, seq, token, cause)); err == nil {
-		drainClose(resp)
+func (ln *lane) nack(seq int64, token uint64, cause string) {
+	ln.w.nacks.Add(1)
+	if s, err := ln.open(context.Background()); err == nil {
+		ln.roundTrip(context.Background(), s, appendLeaseRequest(s.frame(upNack), seq, token, cause), false)
 	}
+}
+
+// roundTrip writes the up-frame f and reads its answer. While a poll is
+// out a stop cancels it; a lane already stopped cancels it as it sends it.
+// A stream that fails is closed, and the next request opens another.
+func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (byte, []byte, error) {
+	ln.mu.Lock()
+	err := s.send(f)
+	if err == nil && poll {
+		ln.polling = true
+		if ctx.Err() != nil {
+			ln.cancelLocked()
+		}
+	}
+	ln.mu.Unlock()
+	var typ byte
+	var body []byte
+	if err == nil {
+		typ, body, err = s.read(down)
+	}
+	ln.mu.Lock()
+	ln.polling = false
+	if err != nil && ln.s == s {
+		s.rw.Close()
+		ln.s = nil
+	}
+	ln.mu.Unlock()
+	return typ, body, err
+}
+
+// cancelGrace is how long a cancelled poll waits for its answer before
+// the lane gives up on the stream.
+const cancelGrace = 10 * time.Second
+
+// cancel is the lane's stop hook (context.AfterFunc on the executor's
+// context).
+func (ln *lane) cancel() {
+	ln.mu.Lock()
+	ln.cancelLocked()
+	ln.mu.Unlock()
+}
+
+// cancelLocked cuts short the poll that is out, if one is: a cancel frame
+// asks the coordinator to answer it now, and a coordinator that does not
+// answer within cancelGrace loses the stream.
+func (ln *lane) cancelLocked() {
+	if !ln.polling {
+		return
+	}
+	ln.polling = false
+	s := ln.s
+	if _, err := s.rw.Write(cancelFrame); err != nil {
+		s.rw.Close()
+		return
+	}
+	time.AfterFunc(cancelGrace, func() { s.rw.Close() })
+}
+
+// cancelFrame is the one up-frame with no body.
+var cancelFrame = []byte{upCancel, 0, 0, 0, 0}
+
+// open returns the lane's stream, opening one when there is none.
+func (ln *lane) open(ctx context.Context) (*stream, error) {
+	if ln.s != nil {
+		return ln.s, nil
+	}
+	s, err := ln.w.dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	ln.mu.Lock()
+	ln.s = s
+	ln.mu.Unlock()
+	return s, nil
+}
+
+// close ends the lane's stream and its stop hook.
+func (ln *lane) close() {
+	ln.unhook()
+	ln.mu.Lock()
+	if ln.s != nil {
+		ln.s.rw.Close()
+		ln.s = nil
+	}
+	ln.mu.Unlock()
+}
+
+// dial opens one claim stream: POST /v1/cluster/stream, naming the node,
+// upgraded to streamProtocol.
+func (w *Worker) dial(ctx context.Context) (*stream, error) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+PathStream, nil)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	req.Header = http.Header{
+		"Connection": {"Upgrade"},
+		"Upgrade":    {streamProtocol},
+		nodeHeader:   {w.cfg.Node},
+	}
+	resp, err := w.client.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: opening the claim stream: %w", err)
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
+		defer drainClose(resp)
+		return nil, httpStatusError("claim stream", resp)
+	}
+	return &stream{rw: rwc, r: rwc}, nil
 }
 
 // ensureModel returns a checker serving exactly digest, pulling and
@@ -425,22 +547,6 @@ func (w *Worker) fetchModel(digest string) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: fetching model: body exceeds %d bytes", maxModelBytes)
 	}
 	return data, nil
-}
-
-// post sends one control body. The transport may still read body after
-// post returns (an answer can overtake the request), so callers hand over
-// a slice they do not write again.
-func (w *Worker) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	req.Header["Content-Type"] = httpio.OctetStream
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
-	}
-	return resp, nil
 }
 
 // httpStatusError turns a non-2xx response into an error carrying the
