@@ -58,6 +58,8 @@ func TestArchitecture(t *testing.T) {
 			source(in("internal/cluster"), declares("WorkerConfig.Configure")), "internal/cluster/p.go: package cluster; type WorkerConfig struct { Configure func() }"},
 		{"cluster-seq-map", "internal/cluster keeps a map by seq (resolve a wire claim's workqueue.LeaseID through vetsvc.Remote instead)",
 			source(in("internal/cluster"), mapKey("int64")), "internal/cluster/p.go: package cluster; var m map[int64]bool"},
+		{"one-cluster-route", "non-test internal/cluster names the heartbeat or model route again (heartbeats and model pulls are frames on the lane's claim stream, the one route Mount registers)",
+			source(in("internal/cluster"), literal("/v1/cluster/heartbeat"), literal("/v1/model/")), `internal/cluster/p.go: package cluster; const PathModel = "/v1/model/"`},
 		{"gateway-seq-route", "internal/gateway keeps a map by seq, reserves a vet seq or registers an obs sink (spans reach a record through Submission.Trace; vetsvc reserves the seq)",
 			source(in("internal/gateway"), mapKey("int64"), ident("ReserveVetSeqs"), ident("AddSink")), "internal/gateway/p.go: package gateway; func f(s interface{ ReserveVetSeqs(int) int64 }) { s.ReserveVetSeqs(1) }"},
 		{"service-settle-paths", "vetsvc.Service hands out its queue or a second settle path (remote claims go through Service.Remote)",

@@ -7,18 +7,20 @@
 // taskcluster-worker shape). A node's lanes are internal/worker's one
 // executor running over this package's Claimer (worker.go), one claim
 // stream per lane: Claim is a long-poll on the stream, carrying the lane's
-// pending ack; Heartbeat is the heartbeat route, whose 410 is the one
+// pending ack; Heartbeat is a frame on the stream, whose 410 is the one
 // answer that cancels a vet; Ack keeps the report for the next claim; Nack
-// is a frame on the stream. Local lanes run the same executor over the
-// queue, so the lease rules are one.
+// is a frame on the stream. The executor never overlaps Heartbeat with
+// Claim, Ack or Nack, so one stream carries all four, one request at a
+// time. Local lanes run the same executor over the queue, so the lease
+// rules are one.
 //
-// The wire is one stream, one POST and one GET, mounted on the
-// coordinator's gateway mux. Coordinator and workers ship together: the
+// The wire is one stream per lane, the one route the coordinator mounts
+// on its gateway mux. Coordinator and workers ship together: the
 // wire is versioned, not negotiated, and a peer of another build is
 // refused with an error that says so. Every frame and body is a fixed
 // little-endian layout (frame.go).
 //
-//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/5 — the lane's
+//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/6 — the lane's
 //     claim stream. The node name rides the upgrade, once, in the
 //     Apichecker-Node header; the coordinator answers 101 and the
 //     connection then carries frames. A claim request reports the lane's
@@ -38,16 +40,17 @@
 //     another attempt (node shutting down, model pull failed, ack
 //     refused). A stopping lane cancels its poll in flight; a claim that
 //     overtook the cancel is nacked at once. A stream that ends cancels
-//     its poll; the leases it holds expire by their TTL.
-//   - POST /v1/cluster/heartbeat — extend the lease mid-emulation;
-//     410 means the lease was reclaimed and the node must abandon the
-//     vet (workqueue.ErrLeaseLost semantics, over the wire).
-//   - GET /v1/model/{digest} — the encoded APKMODEL artifact, content-
-//     addressed, so a stale node hot-swaps to the advertised generation
-//     before vetting. No node ever serves a stale generation.
+//     its poll; the leases it holds expire by their TTL, and a lane that
+//     stops reading loses its stream when a write outlasts the TTL.
+//   - A heartbeat frame extends a lease mid-emulation; a 410 refusal means
+//     the lease was reclaimed and the node must abandon the vet
+//     (workqueue.ErrLeaseLost semantics, over the wire).
+//   - A model request names a digest and is answered with the encoded
+//     APKMODEL artifact, content-addressed, so a stale node hot-swaps to
+//     the advertised generation before vetting (404 for a digest the
+//     coordinator does not hold). No node ever serves a stale generation.
 //
-// A refusal before the upgrade, and any HTTP error, is a JSON
-// {"error": …} envelope.
+// A refusal before the upgrade is a JSON {"error": …} envelope.
 //
 // Bit-identity discipline: verdicts derive from submission content
 // alone, the coordinator pins sequence numbers at admission, and the
@@ -62,17 +65,13 @@ import (
 	"apichecker/internal/vcache"
 )
 
-// Wire paths. PathModel is a prefix; the digest is the final segment.
-const (
-	PathStream    = "/v1/cluster/stream"
-	PathHeartbeat = "/v1/cluster/heartbeat"
-	PathModel     = "/v1/model/"
-)
+// PathStream is the claim stream's route, the cluster's one.
+const PathStream = "/v1/cluster/stream"
 
 // The stream's upgrade token, whose version is frameVersion, and the
-// header that names the node on the upgrade and on a heartbeat.
+// header that names the node on the upgrade.
 const (
-	streamProtocol = "apichecker-claim/5"
+	streamProtocol = "apichecker-claim/6"
 	nodeHeader     = "Apichecker-Node"
 )
 

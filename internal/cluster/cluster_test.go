@@ -4,7 +4,6 @@
 package cluster_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -920,9 +919,9 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 	}
 }
 
-// TestControlBodyBound: /v1/cluster/* reads no more than its bound of a
-// request body, the retired claim and ack routes are gone, and a peer of
-// another build is told so.
+// TestControlBodyBound: the retired claim, ack, heartbeat and model routes
+// are gone, and a peer of another build is told so. (An up-frame past its
+// bound is TestOverDeclaredControlBodyRefusedUnread's.)
 func TestControlBodyBound(t *testing.T) {
 	base, _ := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
@@ -949,23 +948,22 @@ func TestControlBodyBound(t *testing.T) {
 		t.Helper()
 		return send(path, body, http.Header{"Content-Type": {"application/octet-stream"}})
 	}
-	huge := make([]byte, 1<<20)
-	for _, path := range []string{cluster.PathHeartbeat} {
-		if code, msg := post(path, huge); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a 1 MiB body: %d %s, want 413", path, code, msg)
-		}
-	}
 	if code, msg := send(cluster.PathStream, nil, http.Header{
 		"Connection": {"Upgrade"}, "Upgrade": {"apichecker-claim/4"}, cluster.NodeHeader: {"old"},
 	}); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
 		t.Errorf("a stream from a build of another wire version: %d %s", code, msg)
 	}
-	for path, body := range map[string]string{
-		cluster.PathHeartbeat: `{"node":"old","seq":1,"token":2}`,
-	} {
-		if code, msg := post(path, []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, "same build") {
-			t.Errorf("%s from a version 3 build: %d %s", path, code, msg)
-		}
+	old, err := cluster.OpenStream(st.ts.URL, "old", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	body := []byte(`{"node":"old","seq":1,"token":2}`)
+	if _, err := old.Write(cluster.EnvelopeOf(cluster.UpHeartbeat, uint32(len(body)), body)); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := old.Answer(); kind != "refused" || err == nil || !strings.Contains(err.Error(), "same build") {
+		t.Errorf("a heartbeat from a version 3 build: answered %s, %v", kind, err)
 	}
 	s, err := cluster.OpenStream(st.ts.URL, "n", nil)
 	if err != nil {
@@ -975,16 +973,24 @@ func TestControlBodyBound(t *testing.T) {
 	if kind, _, err := s.Claim(0, nil); kind != "empty" || err != nil {
 		t.Errorf("claim-nothing request: answered %s, %v, want empty", kind, err)
 	}
-	for _, path := range []string{"/v1/cluster/claim", "/v1/cluster/ack"} {
+	for _, path := range []string{"/v1/cluster/claim", "/v1/cluster/ack", "/v1/cluster/heartbeat", "/v1/model/x"} {
 		if code, _ := post(path, []byte(`{}`)); code != http.StatusNotFound {
 			t.Errorf("the retired route %s: %d, want 404", path, code)
 		}
 	}
+	resp, err := http.Get(st.ts.URL + "/v1/model/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the retired route GET /v1/model/x: %d, want 404", resp.StatusCode)
+	}
 }
 
-// TestOverDeclaredControlBodyRefusedUnread: a control body that declares
-// more than its bound is answered 413 from its headers alone, without the
-// coordinator waiting for a byte of the body, and the connection closes.
+// TestOverDeclaredControlBodyRefusedUnread: an up-frame that declares more
+// than its bound is refused from its envelope alone, without the
+// coordinator waiting for a byte of the body, and the stream closes.
 func TestOverDeclaredControlBodyRefusedUnread(t *testing.T) {
 	base, _ := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
@@ -992,28 +998,41 @@ func TestOverDeclaredControlBodyRefusedUnread(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
-	conn, err := net.Dial("tcp", st.ts.Listener.Addr().String())
+	s, err := cluster.OpenStream(st.ts.URL, "n", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: coordinator\r\nContent-Length: %d\r\n\r\n", cluster.PathHeartbeat, 100<<10)
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatalf("no answer to the headers alone: %v", err)
+	defer s.Close()
+	if _, err := s.Write(cluster.EnvelopeOf(cluster.UpHeartbeat, 100<<10, nil)); err != nil {
+		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	const want = "{\"error\":\"http: request body too large\"}\n"
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close || string(body) != want {
-		t.Errorf("got %d (close %v) %q, want 413, a closing connection and %q", resp.StatusCode, resp.Close, body, want)
+	answered := make(chan error, 1)
+	go func() {
+		kind, _, err := s.Answer()
+		if kind != "refused" {
+			err = fmt.Errorf("answered %s, %v", kind, err)
+		}
+		answered <- err
+		// Then the stream ends.
+		_, _, err = s.Answer()
+		answered <- err
+	}()
+	for i, want := range []string{fmt.Sprintf("400 Bad Request: cluster: bad claim frame: a 102400-byte 'h' frame, want at most %d", cluster.MaxControl), "EOF"} {
+		select {
+		case err := <-answered:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("answer %d: %v, want an error naming %q", i, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("answer %d: nothing within 5 s: the coordinator waits for the body", i)
+		}
 	}
 }
 
 // TestErrorBodyIsEncodingJSON: the coordinator's error envelope is what
 // encoding/json writes for {"error": msg}, so a client-chosen string in the
-// message — here a model digest holding a newline and a byte that is not
-// UTF-8 — still answers a body that is valid UTF-8 JSON.
+// message — here an upgrade token holding a tab and bytes that are not
+// ASCII — still answers a body that is valid UTF-8 JSON.
 func TestErrorBodyIsEncodingJSON(t *testing.T) {
 	base, _ := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
@@ -1021,18 +1040,29 @@ func TestErrorBodyIsEncodingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
-	resp, err := http.Get(st.ts.URL + cluster.PathModel + "%FFnot%0Aa%09digest%E2%80%A8")
+	req, err := http.NewRequest(http.MethodPost, st.ts.URL+cluster.PathStream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header = http.Header{
+		"Connection": {"Upgrade"}, "Upgrade": {"\xffnot\ta\tprotocol\xe2\x80\xa8"}, cluster.NodeHeader: {"n"},
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	var got map[string]string
+	if err := json.Unmarshal(body, &got); err != nil || !strings.Contains(got["error"], "same build") {
+		t.Fatalf("refused upgrade: %d %q (%v), want an error envelope naming the build", resp.StatusCode, body, err)
+	}
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	enc.SetEscapeHTML(false)
-	enc.Encode(map[string]string{"error": "unknown model digest: \xffnot\na\tdigest\xe2\x80\xa8"})
-	if resp.StatusCode != http.StatusNotFound || !bytes.Equal(body, want.Bytes()) || !utf8.Valid(body) {
-		t.Errorf("unknown digest: %d %q, want 404 %q", resp.StatusCode, body, want.Bytes())
+	enc.Encode(got)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(body, want.Bytes()) || !utf8.Valid(body) {
+		t.Errorf("refused upgrade: %d %q, want 400 %q", resp.StatusCode, body, want.Bytes())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -35,13 +36,13 @@ type CoordinatorConfig struct {
 	StealAge time.Duration
 
 	// Registry, when set, serves older generations' artifact bytes for
-	// GET /v1/model/{digest} misses (the in-memory window holds only the
-	// last few snapshots).
+	// model requests the in-memory window misses (it holds only the last
+	// few snapshots).
 	Registry *modelstore.Registry
 
 	// OnVerdict, when set, observes every remote verdict report as it
 	// lands (after first-wins recording). Called synchronously from the
-	// ack handler: keep it fast.
+	// stream that carried the ack: keep it fast.
 	OnVerdict func(RemoteVerdict)
 }
 
@@ -71,7 +72,7 @@ type RemoteVerdict struct {
 type Coordinator struct {
 	remote vetsvc.Remote
 	ck     *core.Checker
-	ttl    time.Duration // the queue's lease TTL, shipped in every claim frame
+	ttl    time.Duration // the queue's lease TTL, shipped in every claim frame; it bounds each stream write
 	cfg    CoordinatorConfig
 
 	// nodes is the worker registry: each node's last sighting, by name;
@@ -133,11 +134,9 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 	}
 }
 
-// Mount registers the claim protocol and the model endpoint on mux.
+// Mount registers the cluster's one route, the claim stream, on mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathStream, c.handleStream)
-	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
-	mux.HandleFunc("GET "+PathModel+"{digest}", c.handleModel)
 }
 
 // LiveNodes reports how many worker nodes are within their liveness
@@ -236,7 +235,11 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer conn.Close()
 	// The server's read and write deadlines, if any, were for the request.
 	conn.SetDeadline(time.Time{})
-	if _, err := conn.Write(switching); err != nil {
+	s := &stream{rw: conn, r: brw.Reader}
+	if c.ttl > 0 {
+		s.rw = boundedConn{conn, c.ttl}
+	}
+	if _, err := s.rw.Write(switching); err != nil {
 		return
 	}
 	c.touch(node, time.Now())
@@ -245,7 +248,6 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer end()
 	polls, cancelPolls := context.WithCancel(ctx)
 	defer cancelPolls()
-	s := &stream{rw: conn, r: brw.Reader}
 	frames := make(chan upFrame)
 	reading := make(chan struct{})
 	go func() {
@@ -265,12 +267,26 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// boundedConn bounds each write to a stream by the lease TTL: a lane that
+// stops reading without closing ends its stream then, rather than holding
+// the handler, and the claim it was sent goes back at once (sendClaim).
+type boundedConn struct {
+	net.Conn
+	d time.Duration
+}
+
+func (c boundedConn) Write(p []byte) (int, error) {
+	c.SetWriteDeadline(time.Now().Add(c.d))
+	return c.Conn.Write(p)
+}
+
 // upFrame is one up-frame as the stream's reader decoded it.
 type upFrame struct {
-	typ   byte
-	claim claimRequest
-	lease leaseRequest
-	err   error
+	typ    byte
+	claim  claimRequest
+	lease  leaseRequest
+	digest string
+	err    error
 }
 
 // readUp is a stream's one reader. It decodes each up-frame and hands it
@@ -292,6 +308,8 @@ func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelP
 			continue
 		case typ == upClaim:
 			f.claim, f.err = decodeClaimRequest(body)
+		case typ == upModel:
+			f.digest, f.err = decodeModelRequest(body)
 		default:
 			f.lease, f.err = decodeLeaseRequest(body)
 		}
@@ -307,21 +325,36 @@ func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelP
 }
 
 // answer answers one up-frame. A claim request settles the ack it carries,
-// then long-polls; a nack returns its claim. An error means the stream
-// cannot be written and must end.
+// then long-polls; a nack returns its claim; a heartbeat extends its lease
+// one TTL (410: it is gone); a model request gets the artifact. An error
+// means the stream cannot be written and must end.
 func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *upFrame) error {
 	if f.err != nil {
 		return s.refuse(http.StatusBadRequest, f.err.Error())
 	}
-	if f.typ == upNack {
-		id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
+	now := time.Now()
+	id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
+	switch f.typ {
+	case upNack:
 		if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", node, f.lease.Cause)); err != nil {
 			return s.refuse(http.StatusGone, err.Error())
 		}
 		return s.send(s.frame(downEmpty))
+	case upHeartbeat:
+		c.touch(node, now)
+		if err := c.remote.Heartbeat(id); err != nil {
+			return s.refuse(http.StatusGone, err.Error())
+		}
+		return s.send(s.frame(downEmpty))
+	case upModel:
+		data := c.artifact(f.digest)
+		if data == nil {
+			return s.refuse(http.StatusNotFound, "unknown model digest: "+f.digest)
+		}
+		c.pulls.Inc()
+		return s.send(append(s.frame(downModel), data...))
 	}
 	req := &f.claim
-	now := time.Now()
 	c.touch(node, now)
 	if req.Ack != nil {
 		c.settleAck(node, req.Ack)
@@ -419,28 +452,8 @@ func (c *Coordinator) nack(id workqueue.LeaseID, cause error) error {
 	return err
 }
 
-// handleHeartbeat is POST /v1/cluster/heartbeat: extend the lease one
-// TTL. 410 tells the node its lease is gone and the vet must be
-// abandoned.
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	req, ok := readLease(w, r)
-	if !ok {
-		return
-	}
-	node, err := nodeName(r)
-	if err != nil {
-		httpio.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	c.touch(node, time.Now())
-	if err := c.remote.Heartbeat(workqueue.LeaseID{Seq: req.Seq, Token: req.Token}); err != nil {
-		httpio.Error(w, http.StatusGone, err.Error())
-	}
-}
-
-// nodeName reads the node name a stream's upgrade or a heartbeat carries:
-// it must be there, and at most maxName bytes, before the node is booked
-// as live.
+// nodeName reads the node name a stream's upgrade carries: it must be
+// there, and at most maxName bytes, before the node is booked as live.
 func nodeName(r *http.Request) (string, error) {
 	node := r.Header.Get(nodeHeader)
 	switch {
@@ -475,25 +488,19 @@ func (c *Coordinator) settleAck(node string, req *ackRequest) {
 	}
 }
 
-// handleModel is GET /v1/model/{digest}: the content-addressed artifact
-// bytes, from the model window or the registry.
-func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
+// artifact returns the content-addressed artifact bytes for digest, from
+// the model window or the registry; nil when neither holds them. A
+// registry file is served only if it hashes to the digest asked for.
+func (c *Coordinator) artifact(digest string) []byte {
 	c.modelMu.Lock()
 	data := c.models[digest]
 	c.modelMu.Unlock()
 	if data == nil && c.cfg.Registry != nil {
-		if b, err := c.cfg.Registry.ArtifactBytes(digest); err == nil {
+		if b, err := c.cfg.Registry.ArtifactBytes(digest); err == nil && core.ArtifactDigest(b) == digest {
 			data = b
 		}
 	}
-	if data == nil {
-		httpio.Error(w, http.StatusNotFound, "unknown model digest: "+digest)
-		return
-	}
-	c.pulls.Inc()
-	w.Header()["Content-Type"] = httpio.OctetStream
-	w.Write(data)
+	return data
 }
 
 // currentModel pins the serving generation and returns its digest and
@@ -513,28 +520,3 @@ func (c *Coordinator) currentModel() (digest string, gen uint64) {
 	}
 	return g.Digest, g.ID
 }
-
-// readLease reads a heartbeat body whole and decodes it, answering 413
-// beyond maxControlBytes and 400 for a body that is shorter than declared
-// or does not decode.
-func readLease(w http.ResponseWriter, r *http.Request) (req leaseRequest, ok bool) {
-	bp, err := httpio.ReadBody(w, r, maxControlBytes, &bufs)
-	if err == nil {
-		req, err = decodeLeaseRequest(*bp)
-		bufs.Put(bp)
-		if err == nil {
-			return req, true
-		}
-	}
-	code := http.StatusBadRequest
-	if errors.As(err, new(*http.MaxBytesError)) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	httpio.Error(w, code, err.Error())
-	return req, false
-}
-
-// bufs recycles the coordinator's heartbeat bodies until they are
-// decoded. Nothing decoded aliases one — the decoder copies every string
-// it returns.
-var bufs httpio.Pool

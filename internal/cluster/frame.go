@@ -22,11 +22,15 @@ import (
 //
 //	dir   type  body                        answered by
 //	up    'c'   claim request (below)       one down-frame
-//	up    'n'   nack body (below)           'E', or 'R' (lease gone, bad body)
+//	up    'n'   nack body (below)           'E', or 'R' (410 lease gone, 400 bad body)
+//	up    'h'   heartbeat: the nack's body  'E', or 'R' (410 lease gone, 400 bad body)
+//	up    'm'   model request: u16 length + bytes, the digest
+//	                                        'M', or 'R' (404 unknown digest)
 //	up    'x'   empty: cancel the poll      nothing of its own
 //	down  'C'   claim frame (below)
-//	down  'E'   empty: nothing claimed, or the nack is done
+//	down  'E'   empty: nothing claimed, or the nack or heartbeat is done
 //	down  'D'   empty: the queue is drained
+//	down  'M'   the encoded APKMODEL artifact, whose sha256 is the digest asked for
 //	down  'R'   refusal: u16 HTTP status, then the message
 //
 // An up-frame body is at most maxControlBytes, a down-frame body at most
@@ -63,8 +67,7 @@ import (
 //	      error     uint32 length + bytes  empty when the vet succeeded
 //	      verdict   pipeline.AppendVerdict's layout, when flagged; Score finite
 //
-// The nack frame's body, and the heartbeat's POST body (whose node is in
-// the request's Apichecker-Node header):
+// The nack and heartbeat frames' body:
 //
 //	[0]   version   byte    frameVersion
 //	[1]   seq       int64
@@ -77,7 +80,7 @@ import (
 // body re-encodes to the bytes it came from. Version 3 sent the request
 // bodies as JSON; the coordinator names that when one arrives.
 const (
-	frameVersion = 5
+	frameVersion = 6
 	frameFixed   = 46
 
 	requestAck  = 1 << 0 // claim request flags
@@ -87,26 +90,29 @@ const (
 	// maxName is the longest node name or digest a uint16 length carries.
 	maxName = 0xFFFF
 
-	// maxFrameBytes is the largest claim body a worker will read: the
-	// largest archive the decode stage accepts plus the largest header.
+	// maxFrameBytes is the largest down-frame body a worker will read: the
+	// largest archive the decode stage accepts plus the largest claim
+	// header. It covers maxModelBytes too.
 	maxFrameBytes = apk.MaxDecodedBytes + frameFixed + 2*(2+maxName)
 
-	// maxControlBytes bounds an up-frame body and a heartbeat body. They
-	// run to a few hundred bytes; the bound leaves room for what has no
-	// bound of its own — the package name a verdict carries comes from the
-	// submitted manifest.
+	// maxControlBytes bounds an up-frame body. They run to a few hundred
+	// bytes; the bound leaves room for what has no bound of its own — the
+	// package name a verdict carries comes from the submitted manifest.
 	maxControlBytes = 64 << 10
 )
 
 // Stream frame types.
 const (
-	upClaim  = 'c'
-	upNack   = 'n'
-	upCancel = 'x'
+	upClaim     = 'c'
+	upNack      = 'n'
+	upHeartbeat = 'h'
+	upModel     = 'm'
+	upCancel    = 'x'
 
 	downClaim   = 'C'
 	downEmpty   = 'E'
 	downDrained = 'D'
+	downModel   = 'M'
 	downRefusal = 'R'
 )
 
@@ -251,6 +257,17 @@ func decodeClaimRequest(b []byte) (claimRequest, error) {
 	return req, nil
 }
 
+// decodeModelRequest reads a model request: the digest asked for, a copy.
+func decodeModelRequest(b []byte) (string, error) {
+	r := wire.NewReader(b)
+	digest := r.String(int(r.U16()))
+	r.End()
+	if err := r.Err(); err != nil {
+		return "", fmt.Errorf("%w: %w", errBadBody, err)
+	}
+	return digest, nil
+}
+
 // decodeLeaseRequest reads a heartbeat or nack body.
 func decodeLeaseRequest(b []byte) (leaseRequest, error) {
 	r := wire.NewReader(b)
@@ -263,15 +280,19 @@ func decodeLeaseRequest(b []byte) (leaseRequest, error) {
 	return req, nil
 }
 
-// readRefusal reads a refusal's body: the status, and the error a lane
-// reports, which reads as an HTTP answer's error text does.
-func readRefusal(b []byte) (int, error) {
+// readRefusal reads an answer the request did not hope for as a refusal:
+// the status, and the error a lane reports, which reads as an HTTP
+// answer's error text does. An answer of another type has no status.
+func readRefusal(typ byte, b []byte) (int, error) {
+	if typ != downRefusal {
+		return 0, fmt.Errorf("%w: a %q frame out of turn", errBadFrame, typ)
+	}
 	r := wire.NewReader(b)
 	code := int(r.U16())
 	if r.Err() != nil {
 		return 0, fmt.Errorf("%w: a %d-byte refusal", errBadFrame, len(b))
 	}
-	return code, fmt.Errorf("cluster: claim: %d %s: %s", code, http.StatusText(code), r.Rest())
+	return code, fmt.Errorf("cluster: stream: %d %s: %s", code, http.StatusText(code), r.Rest())
 }
 
 // readVersion reads a frame's or body's version byte and fails r on any
@@ -294,8 +315,8 @@ type direction struct {
 }
 
 var (
-	up   = direction{types: string([]byte{upClaim, upNack, upCancel}), bound: maxControlBytes}
-	down = direction{types: string([]byte{downClaim, downEmpty, downDrained, downRefusal}), bound: maxFrameBytes}
+	up   = direction{types: string([]byte{upClaim, upNack, upHeartbeat, upModel, upCancel}), bound: maxControlBytes}
+	down = direction{types: string([]byte{downClaim, downEmpty, downDrained, downModel, downRefusal}), bound: maxFrameBytes}
 )
 
 // envelope is a frame's type byte and body length.
@@ -317,11 +338,16 @@ type stream struct {
 	out []byte
 }
 
-// read reads one frame off d. The body is valid until the next read. A
-// type d does not carry, or a declared length past d's bound, is
-// errBadFrame before anything is sized from it; a stream that ends
-// between frames is io.EOF, inside one io.ErrUnexpectedEOF.
-func (s *stream) read(d direction) (byte, []byte, error) {
+// read reads one frame off d into the stream's read buffer. The body is
+// valid until the next read. A type d does not carry, or a declared length
+// past d's bound, is errBadFrame before anything is sized from it; a
+// stream that ends between frames is io.EOF, inside one
+// io.ErrUnexpectedEOF.
+func (s *stream) read(d direction) (byte, []byte, error) { return s.readInto(d, &s.in) }
+
+// readInto is read into *buf instead, which it grows as read grows the
+// stream's buffer.
+func (s *stream) readInto(d direction, buf *[]byte) (byte, []byte, error) {
 	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -335,11 +361,11 @@ func (s *stream) read(d direction) (byte, []byte, error) {
 	}
 	var body []byte
 	switch {
-	case n <= cap(s.in):
-		body = s.in[:n]
+	case n <= cap(*buf):
+		body = (*buf)[:n]
 	case n <= keepBytes:
-		s.in = make([]byte, n)
-		body = s.in
+		*buf = make([]byte, n)
+		body = *buf
 	default:
 		// A frame past keepBytes grows as its bytes arrive, so a length
 		// declared and not sent sizes nothing.

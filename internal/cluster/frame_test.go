@@ -230,6 +230,9 @@ func filledVerdict(t testing.TB) *core.Verdict {
 	return v
 }
 
+// seedModelRequests are the digests of model requests.
+var seedModelRequests = []string{"", strings.Repeat("ab", 32), controlNasty}
+
 // seedControlBodies are claim requests with and without an ack, and
 // heartbeat and nack bodies.
 func seedControlBodies(t testing.TB) (claims []claimRequest, leases []leaseRequest) {
@@ -342,7 +345,7 @@ func TestControlBodiesRefused(t *testing.T) {
 	}
 }
 
-// FuzzControlBodies: neither request decoder panics, every refusal is
+// FuzzControlBodies: no request decoder panics, every refusal is
 // errBadBody, and every accepted body re-encodes to the bytes it came
 // from.
 func FuzzControlBodies(f *testing.F) {
@@ -353,7 +356,17 @@ func FuzzControlBodies(f *testing.F) {
 	for _, req := range leases {
 		f.Add(encodeLeaseRequest(req))
 	}
+	for _, digest := range seedModelRequests {
+		f.Add(appendString16(nil, digest))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if digest, err := decodeModelRequest(b); err != nil {
+			if !errors.Is(err, errBadBody) {
+				t.Fatalf("untyped model request error: %v", err)
+			}
+		} else if re := appendString16(nil, digest); !bytes.Equal(re, b) {
+			t.Fatalf("accepted model request re-encodes differently:\n in  %x\n out %x", b, re)
+		}
 		if req, err := decodeClaimRequest(b); err != nil {
 			if !errors.Is(err, errBadBody) {
 				t.Fatalf("untyped claim error: %v", err)
@@ -386,6 +399,10 @@ func seedStreams(t testing.TB) [][]byte {
 	}
 	for _, req := range leases {
 		ls.send(append(ls.frame(upNack), encodeLeaseRequest(req)...))
+		ls.send(append(ls.frame(upHeartbeat), encodeLeaseRequest(req)...))
+	}
+	for _, digest := range seedModelRequests {
+		ls.send(appendString16(ls.frame(upModel), digest))
 	}
 	ls.send(ls.frame(upCancel))
 	for _, f := range seedFrames(t) {
@@ -393,6 +410,7 @@ func seedStreams(t testing.TB) [][]byte {
 	}
 	cs.send(cs.frame(downEmpty))
 	cs.send(cs.frame(downDrained))
+	cs.send(append(cs.frame(downModel), "not an artifact, but the envelope does not look"...))
 	cs.refuse(400, controlNasty)
 	return [][]byte{up.Bytes(), down.Bytes()}
 }

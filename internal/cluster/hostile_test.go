@@ -2,9 +2,11 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
-	"net/http"
-	"net/http/httptest"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,15 +14,16 @@ import (
 
 	"apichecker/internal/cluster"
 	"apichecker/internal/core"
+	"apichecker/internal/modelstore"
 	"apichecker/internal/vetsvc"
 )
 
 // TestWrongModelBytesNeverReachDecode: a node hashes what it fetched
-// before it decodes it. A coordinator front that answers the model route
-// with bytes that are not the advertised artifact gets every claim nacked
-// with the integrity error — not with the decoder's complaint about the
-// bytes, which would mean they had reached it — and the submission is
-// dead-lettered with that cause.
+// before it decodes it. A stream whose model answers carry bytes that are
+// not the advertised artifact gets every claim nacked with the integrity
+// error — not with the decoder's complaint about the bytes, which would
+// mean they had reached it — and the submission is dead-lettered with that
+// cause.
 func TestWrongModelBytesNeverReachDecode(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
@@ -31,17 +34,18 @@ func TestWrongModelBytesNeverReachDecode(t *testing.T) {
 	}
 	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
 
-	real := http.NewServeMux()
-	st.coord.Mount(real)
-	front := http.NewServeMux()
-	front.HandleFunc(cluster.PathModel, func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("whatever these bytes are, they are not the advertised artifact"))
+	wrong := []byte("whatever these bytes are, they are not the advertised artifact")
+	faults := &streamFaults{onDown: func(typ byte, body []byte) {
+		if typ == cluster.DownModel {
+			for i := range body {
+				body[i] = wrong[i%len(wrong)]
+			}
+		}
+	}}
+	w, err := cluster.StartWorker(cluster.WorkerConfig{
+		Coordinator: st.ts.URL, Node: "fooled", Lanes: 1, PollWait: 250 * time.Millisecond,
+		Client: faults.client(),
 	})
-	front.Handle("/", real)
-	ts := httptest.NewServer(front)
-	defer ts.Close()
-
-	w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: ts.URL, Node: "fooled", Lanes: 1, PollWait: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +72,61 @@ func TestWrongModelBytesNeverReachDecode(t *testing.T) {
 	}
 	if w.Checker() != nil {
 		t.Error("the node assembled a checker from bytes that failed the integrity check")
+	}
+}
+
+// TestModelRequestIsContentAddressed: a model request the model window
+// misses is answered from the registry, and only with bytes that hash to
+// the digest asked for. A digest that names a path outside the registry's
+// generations, or a stored file whose bytes are not its name, is 404.
+func TestModelRequestIsContentAddressed(t *testing.T) {
+	base, _ := trainedArtifact(t)
+	dir := t.TempDir()
+	reg, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := reg.Put(base, modelstore.Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := reg.ArtifactBytes(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misnamed := strings.Repeat("0", len(digest))
+	for path, b := range map[string][]byte{
+		filepath.Join(dir, "stray.apkmodel"):             data,
+		filepath.Join(dir, "gens", misnamed+".apkmodel"): data,
+	} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{Registry: reg}, 0, cluster.WorkerConfig{})
+	s, err := cluster.OpenStream(st.ts.URL, "n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct{ digest, want string }{
+		{digest, "model"},
+		{"../stray", "404 Not Found"},
+		{misnamed, "404 Not Found"},
+	} {
+		body := binary.LittleEndian.AppendUint16(nil, uint16(len(tc.digest)))
+		body = append(body, tc.digest...)
+		if _, err := s.Write(cluster.EnvelopeOf(cluster.UpModel, uint32(len(body)), body)); err != nil {
+			t.Fatal(err)
+		}
+		kind, _, err := s.Answer()
+		if got := kind + fmt.Sprint(err); !strings.Contains(got, tc.want) {
+			t.Errorf("model request for %q: answered %s, %v; want %s", tc.digest, kind, err, tc.want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"apichecker/internal/cluster"
+	"apichecker/internal/core"
 	"apichecker/internal/vetsvc"
 )
 
@@ -31,8 +32,7 @@ const (
 )
 
 // streamFaults watches a worker's claim streams frame by frame and breaks
-// them on cue. Its client dials faultConns; every other connection the
-// worker makes (heartbeats, model pulls) passes through untouched.
+// them on cue. Its client dials faultConns.
 type streamFaults struct {
 	// onUp sees each up-frame as the lane writes it and says what becomes
 	// of its answer.
@@ -134,8 +134,8 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestEmptyNodeNameIsRefused: a heartbeat or a stream that names no node,
-// or a name longer than the wire carries, is refused with 400 before the
+// TestEmptyNodeNameIsRefused: a stream that names no node, or a name
+// longer than the wire carries, is refused with 400 before the
 // coordinator books a sighting. A phantom "" node in the live set would
 // take part in rendezvous affinity: with one real node, about half of the
 // keyed items would wait StealAge before that node could claim them.
@@ -149,17 +149,13 @@ func TestEmptyNodeNameIsRefused(t *testing.T) {
 	upgrade := http.Header{"Connection": {"Upgrade"}, "Upgrade": {cluster.StreamProtocol}}
 	for _, tc := range []struct {
 		name   string
-		path   string
 		header http.Header
-		body   []byte
 	}{
-		{"a heartbeat with no node header", cluster.PathHeartbeat, http.Header{}, cluster.AppendLeaseRequest(1, 2)},
-		{"a heartbeat with an empty name", cluster.PathHeartbeat, http.Header{cluster.NodeHeader: {""}}, cluster.AppendLeaseRequest(1, 2)},
-		{"a stream with no node header", cluster.PathStream, upgrade, nil},
-		{"a stream with an empty name", cluster.PathStream, withNode(upgrade, ""), nil},
-		{"a stream with a 65536-byte name", cluster.PathStream, withNode(upgrade, strings.Repeat("n", 1<<16)), nil},
+		{"a stream with no node header", upgrade},
+		{"a stream with an empty name", withNode(upgrade, "")},
+		{"a stream with a 65536-byte name", withNode(upgrade, strings.Repeat("n", 1<<16))},
 	} {
-		req, err := http.NewRequest(http.MethodPost, st.ts.URL+tc.path, bytes.NewReader(tc.body))
+		req, err := http.NewRequest(http.MethodPost, st.ts.URL+cluster.PathStream, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,4 +299,119 @@ func TestStreamClaimAllocBudget(t *testing.T) {
 	} else {
 		t.Logf("a warm claim round trip allocates %.1f times", n)
 	}
+}
+
+// TestRemoteHeartbeatHoldsLease: heartbeats on a claim stream, every third
+// of the lease TTL, keep a lease that another node's poll would otherwise
+// reclaim. Once they stop, that poll reclaims it; the next beat is refused
+// 410, and the lane reads the refusal as a lost lease.
+func TestRemoteHeartbeatHoldsLease(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	base, corpus := trainedArtifact(t)
+	subs := rawSubs(t, corpus, 1, 1)
+	want := serialVerdicts(t, base, configOf(base), subs)[0]
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: ttl, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tk, err := svc.Submit(ctx, subs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cluster.OpenStream(st.ts.URL, "a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	kind, cl, err := a.Claim(1000, nil)
+	if kind != "claim" || err != nil {
+		t.Fatalf("node a's claim: answered %s, %v", kind, err)
+	}
+	b, err := cluster.OpenStream(st.ts.URL, "b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Send(10_000, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	for end := time.Now().Add(3 * ttl); time.Now().Before(end); time.Sleep(ttl / 3) {
+		if lost, err := a.Heartbeat(cl.Seq, cl.Token); lost || err != nil {
+			t.Fatalf("a heartbeat of a held lease: lost %v, %v", lost, err)
+		}
+	}
+	if qs := svc.QueueStats(); qs.Reclaimed != 0 || qs.Leased != 1 {
+		t.Fatalf("while node a beats: %d reclaimed, %d leased; want 0, 1", qs.Reclaimed, qs.Leased)
+	}
+
+	kind, re, err := b.Answer()
+	if kind != "claim" || err != nil || re.Seq != cl.Seq {
+		t.Fatalf("node b's poll once the beats stopped: answered %s, %v", kind, err)
+	}
+	if qs := svc.QueueStats(); qs.Reclaimed != 1 {
+		t.Fatalf("%d reclaimed, want 1", qs.Reclaimed)
+	}
+	if lost, err := a.Heartbeat(cl.Seq, cl.Token); !lost || err != nil {
+		t.Fatalf("a heartbeat of the reclaimed lease: lost %v, %v; want lost", lost, err)
+	}
+	if ws := a.Stats(); ws.LeaseLost != 1 {
+		t.Fatalf("node a's stats = %+v, want 1 lease lost", ws)
+	}
+
+	if kind, _, err := b.Claim(0, cluster.AppendAck(re.Seq, re.Token, want)); kind != "empty" || err != nil {
+		t.Fatalf("node b's ack: answered %s, %v", kind, err)
+	}
+	if v, err := tk.Wait(ctx); err != nil || *v != *want {
+		t.Fatalf("the submission settled with %+v, %v; want %+v", v, err, *want)
+	}
+}
+
+// TestStalledReaderReleasesLease: a lane that asks for a claim and then
+// stops reading, without closing its stream, holds neither the
+// coordinator's handler nor the lease past the lease TTL. The claim frame,
+// a 16 MiB archive, is far more than the socket buffers take; its write is
+// bounded by the TTL, and the claim is nacked when it times out.
+func TestStalledReaderReleasesLease(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	base, _ := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: ttl, MaxAttempts: 1, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tk, err := svc.Submit(ctx, core.Submission{Raw: bytes.Repeat([]byte{1}, 16<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	s, err := cluster.OpenStream(st.ts.URL, "stalled", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t0 := time.Now()
+	if err := s.Send(1000, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tk.Wait(ctx)
+	if !errors.Is(err, vetsvc.ErrPoisoned) || !strings.Contains(err.Error(), "claim frame to node stalled") {
+		t.Fatalf("ticket error = %v, want the claim nacked for its write", err)
+	}
+	if d := time.Since(t0); d > 10*ttl {
+		t.Errorf("the claim was nacked after %v, lease TTL %v", d, ttl)
+	}
+	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Nacked != 1 || qs.Reclaimed != 0 {
+		t.Fatalf("after the write timed out: %d leased, %d nacked, %d reclaimed; want 0, 1, 0", qs.Leased, qs.Nacked, qs.Reclaimed)
+	}
+	eventually(t, "the stalled stream's handler to exit", func() bool { return runtime.NumGoroutine() <= baseline })
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"apichecker/internal/core"
-	"apichecker/internal/httpio"
 	"apichecker/internal/worker"
 	"apichecker/internal/workqueue"
 )
@@ -60,7 +59,7 @@ type WorkerStats struct {
 	Verdicts   uint64 // vets completed and reported
 	Nacks      uint64 // claims returned (model failure, panic, shutdown)
 	Panics     uint64 // vets that panicked (recovered, their claims nacked)
-	LeaseLost  uint64 // heartbeats answered 410: the lease was lost, the vet abandoned
+	LeaseLost  uint64 // heartbeats refused 410: the lease was lost, the vet abandoned
 	ModelPulls uint64 // artifacts fetched over the wire
 	ModelSwaps uint64 // hot-swaps adopted after cold-start
 }
@@ -204,10 +203,11 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 // the encoded report (appendAck) of the last finished vet, kept until an
 // answer other than a refusal has come back to a request that carried it;
 // ackSeq and ackToken name its claim for the nack that follows a refusal.
-// Only the lane's goroutine touches them; Heartbeat, which runs on the
-// lane's timer, does not.
+// Only the lane's goroutine touches them. Heartbeat runs on the lane's
+// timer, but never while Claim, Ack or Nack runs (the executor's rule), so
+// it has the stream to itself.
 //
-// mu serializes writes to the stream between the lane's goroutine and
+// mu serializes writes to the stream between the request in hand and
 // cancel, which runs when the lane is stopped: polling says a claim
 // request's long-poll is out, the one moment a stop must cut short.
 type lane struct {
@@ -254,7 +254,7 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 			ln.nack(cl.Seq, cl.Token, "worker stopping")
 			break
 		}
-		ck, err := w.ensureModel(cl.ModelDigest)
+		ck, err := ln.ensureModel(cl.ModelDigest)
 		if err != nil {
 			ln.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
@@ -274,33 +274,22 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	return worker.Claim[*job]{}, ctx.Err()
 }
 
-// Heartbeat extends j's lease; a 410 is the one answer that reports it
-// lost.
+// Heartbeat extends j's lease over the lane's stream; a 410 refusal is the
+// one answer that reports it lost.
 func (ln *lane) Heartbeat(j *job) (bool, error) {
-	w := ln.w
-	ctx, cancel := context.WithTimeout(w.ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+PathHeartbeat,
-		bytes.NewReader(appendLeaseRequest(nil, j.Seq, j.Token, "")))
+	s, err := ln.open(ln.w.ctx)
 	if err != nil {
-		return false, fmt.Errorf("cluster: %w", err)
+		return false, err
 	}
-	req.Header["Content-Type"] = httpio.OctetStream
-	req.Header[nodeHeader] = []string{w.cfg.Node}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("cluster: heartbeat: %w", err)
+	typ, body, err := ln.roundTrip(context.Background(), s, appendLeaseRequest(s.frame(upHeartbeat), j.Seq, j.Token, ""), false)
+	if err != nil || typ == downEmpty {
+		return false, err
 	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return false, nil
-	case http.StatusGone:
-		w.leaseLost.Add(1)
-		return true, nil
-	default:
-		return false, httpStatusError("heartbeat", resp)
+	if code, err := readRefusal(typ, body); code != http.StatusGone {
+		return false, err
 	}
+	ln.w.leaseLost.Add(1)
+	return true, nil
 }
 
 // Ack makes j's report the lane's pending ack: it rides the next claim
@@ -341,14 +330,14 @@ func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error
 	switch typ {
 	case downClaim:
 		// The payload aliases the stream's read buffer: it is good until
-		// the lane's next read, after the vet and its Ack.
+		// the lane's next poll, after the vet and its Ack.
 		return decodeClaim(body)
 	case downEmpty:
 		return nil, nil
 	case downDrained:
 		return nil, workqueue.ErrDrained
 	}
-	code, err := readRefusal(body)
+	code, err := readRefusal(typ, body)
 	if carried && code >= 400 && code < 500 {
 		ln.ack = ln.ack[:0]
 		ln.nack(ln.ackSeq, ln.ackToken, "ack refused: "+err.Error())
@@ -365,9 +354,12 @@ func (ln *lane) nack(seq int64, token uint64, cause string) {
 	}
 }
 
-// roundTrip writes the up-frame f and reads its answer. While a poll is
-// out a stop cancels it; a lane already stopped cancels it as it sends it.
-// A stream that fails is closed, and the next request opens another.
+// roundTrip writes the up-frame f and reads its answer. A stop (ctx)
+// cancels a poll that is out, or as it is sent; its answer, a claim frame,
+// stays in the stream's buffer until the next poll. Any other answer is
+// due at once (none within cancelGrace loses the stream) and gets a buffer
+// of its own, so a heartbeat or a model pull leaves the claim in hand
+// intact. A stream that fails is closed; the next request opens another.
 func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (byte, []byte, error) {
 	ln.mu.Lock()
 	err := s.send(f)
@@ -380,8 +372,15 @@ func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (
 	ln.mu.Unlock()
 	var typ byte
 	var body []byte
-	if err == nil {
+	switch {
+	case err != nil:
+	case poll:
 		typ, body, err = s.read(down)
+	default:
+		t := time.AfterFunc(cancelGrace, func() { s.rw.Close() })
+		var own []byte
+		typ, body, err = s.readInto(down, &own)
+		t.Stop()
 	}
 	ln.mu.Lock()
 	ln.polling = false
@@ -393,8 +392,8 @@ func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (
 	return typ, body, err
 }
 
-// cancelGrace is how long a cancelled poll waits for its answer before
-// the lane gives up on the stream.
+// cancelGrace is how long a cancelled poll, or any request but a poll,
+// waits for its answer before the lane gives up on the stream.
 const cancelGrace = 10 * time.Second
 
 // cancel is the lane's stop hook (context.AfterFunc on the executor's
@@ -470,23 +469,25 @@ func (w *Worker) dial(ctx context.Context) (*stream, error) {
 	}
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
 	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
-		defer drainClose(resp)
-		return nil, httpStatusError("claim stream", resp)
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("cluster: claim stream: %s: %s", resp.Status, bytes.TrimSpace(b))
 	}
 	return &stream{rw: rwc, r: rwc}, nil
 }
 
-// ensureModel returns a checker serving exactly digest, pulling and
-// adopting the artifact when the node is stale. Serialized: during a
-// generation swap every lane converges before any of them vets — no node
-// ever serves a stale generation.
-func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
+// ensureModel returns a checker serving exactly digest, pulling the
+// artifact on ln's stream and adopting it when the node is stale.
+// Serialized: during a generation swap every lane converges before any of
+// them vets — no node ever serves a stale generation.
+func (ln *lane) ensureModel(digest string) (*core.Checker, error) {
+	w := ln.w
 	w.modelMu.Lock()
 	defer w.modelMu.Unlock()
 	if w.ck != nil && w.ck.Generation().Digest == digest {
 		return w.ck, nil
 	}
-	data, err := w.fetchModel(digest)
+	data, err := ln.fetchModel(digest)
 	if err != nil {
 		return nil, err
 	}
@@ -522,42 +523,23 @@ func (w *Worker) ensureModel(digest string) (*core.Checker, error) {
 // is an order of magnitude of headroom, not an expected size.
 const maxModelBytes = 64 << 20
 
-// fetchModel pulls an artifact's bytes by digest, at most maxModelBytes.
-func (w *Worker) fetchModel(digest string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(w.ctx, time.Minute)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+PathModel+digest, nil)
+// fetchModel pulls an artifact's bytes by digest on the lane's stream, at
+// most maxModelBytes.
+func (ln *lane) fetchModel(digest string) ([]byte, error) {
+	s, err := ln.open(ln.w.ctx)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+		return nil, err
 	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: fetching model: %w", err)
+	typ, body, err := ln.roundTrip(context.Background(), s, appendString16(s.frame(upModel), digest), false)
+	if err == nil && typ != downModel {
+		_, err = readRefusal(typ, body)
 	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpStatusError("model fetch", resp)
-	}
-	w.pulls.Add(1)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxModelBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetching model: %w", err)
 	}
-	if len(data) > maxModelBytes {
-		return nil, fmt.Errorf("cluster: fetching model: body exceeds %d bytes", maxModelBytes)
+	ln.w.pulls.Add(1)
+	if len(body) > maxModelBytes {
+		return nil, fmt.Errorf("cluster: fetching model: %d bytes, want at most %d", len(body), maxModelBytes)
 	}
-	return data, nil
-}
-
-// httpStatusError turns a non-2xx response into an error carrying the
-// body's error envelope (truncated).
-func httpStatusError(op string, resp *http.Response) error {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	return fmt.Errorf("cluster: %s: %s: %s", op, resp.Status, bytes.TrimSpace(b))
-}
-
-// drainClose releases a response so the connection can be reused.
-func drainClose(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	return body, nil
 }

@@ -186,8 +186,9 @@ func (r *Registry) Load(digest string) (*Artifact, Manifest, error) {
 
 // ArtifactBytes returns a stored generation's raw encoded artifact by
 // digest — the model-distribution read path: a coordinator serves these
-// bytes verbatim over GET /v1/model/{digest}, and the content address
-// lets the puller verify integrity without trusting the transport.
+// bytes verbatim in answer to a node's model request on its claim stream,
+// and the content address lets the puller verify integrity without
+// trusting the transport.
 func (r *Registry) ArtifactBytes(digest string) ([]byte, error) {
 	data, err := os.ReadFile(r.artifactPath(digest))
 	if errors.Is(err, os.ErrNotExist) {

@@ -218,3 +218,49 @@ func TestClaimAllocatesNothing(t *testing.T) {
 		t.Errorf("a claim costs %.1f allocations in the executor, want 0", allocs)
 	}
 }
+
+// beatClaimer is a Claimer whose Heartbeat blocks until released, and
+// whose Ack writes down whether a beat was still out.
+type beatClaimer struct {
+	fakeClaimer
+	entered, release chan struct{}
+	once             sync.Once
+	out, ackedInBeat atomic.Bool
+}
+
+func (c *beatClaimer) Heartbeat(*fakeLease) (bool, error) {
+	c.out.Store(true)
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	c.out.Store(false)
+	return false, nil
+}
+
+func (c *beatClaimer) Ack(*fakeLease) {
+	c.ackedInBeat.Store(c.out.Load())
+	c.report("ack")
+}
+
+// TestReportWaitsForBeatInFlight: a vet that returns while its heartbeat
+// is out is reported only after the heartbeat has returned, so a claimer's
+// Heartbeat never overlaps Claim, Ack or Nack on the same lane (package
+// cluster sends all four on one stream).
+func TestReportWaitsForBeatInFlight(t *testing.T) {
+	c := &beatClaimer{entered: make(chan struct{}), release: make(chan struct{})}
+	e := Executor[*fakeLease]{
+		HeartbeatEvery: time.Millisecond,
+		Do: func(context.Context, *fakeLease) error {
+			<-c.entered
+			time.AfterFunc(20*time.Millisecond, func() { close(c.release) })
+			return nil
+		},
+	}
+	ln := &lane[*fakeLease]{e: &e, c: c, stop: context.Background()}
+	ln.handle(Claim[*fakeLease]{Lease: &fakeLease{}})
+	if c.ackedInBeat.Load() {
+		t.Fatal("Ack ran while a heartbeat was still out")
+	}
+	if !reflect.DeepEqual(c.reports, []string{"ack"}) {
+		t.Fatalf("reports = %q, want one ack", c.reports)
+	}
+}

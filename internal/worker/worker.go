@@ -47,7 +47,8 @@ type Claim[L any] struct {
 
 // Claimer is where a lane's claims come from and how they settle. One
 // executor lane calls Claim, Ack and Nack; Heartbeat runs on the lane's
-// timer, concurrently with the vet.
+// timer, concurrently with the vet, and never overlaps Claim, Ack or Nack
+// on the same lane: the vet's report waits for a beat in flight.
 type Claimer[L any] interface {
 	// Claim blocks for the next claim. An error ends the lane: the source
 	// is drained or closed, or ctx — the executor's — is done.
@@ -114,15 +115,17 @@ type lane[L any] struct {
 	c    Claimer[L]
 	stop context.Context
 
+	// beat is held while a heartbeat is out, so disarm can wait for it.
+	beat sync.Mutex
+
 	// One timer per lane, re-armed per claim, beats while a vet runs.
-	// cancel is nil between vets; gen counts disarms, so a beat that finds
-	// it moved was overtaken by the end of its vet and does nothing.
+	// cancel is nil between vets, so a beat that finds it nil was
+	// overtaken by the end of its vet and does nothing.
 	mu     sync.Mutex
 	timer  *time.Timer
 	lease  L
 	cancel context.CancelCauseFunc
 	every  time.Duration
-	gen    uint64
 }
 
 func (ln *lane[L]) loop() {
@@ -197,18 +200,18 @@ func (ln *lane[L]) arm(l L, cancel context.CancelCauseFunc, every time.Duration)
 	}
 }
 
-// disarm stops the beats; a beat already out finds gen moved and does
-// nothing.
+// disarm stops the beats and waits for a beat already out, which then
+// does nothing more.
 func (ln *lane[L]) disarm() {
 	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if ln.cancel == nil {
-		return
+	if ln.cancel != nil {
+		var zero L
+		ln.lease, ln.cancel = zero, nil
+		ln.timer.Stop()
 	}
-	var zero L
-	ln.lease, ln.cancel = zero, nil
-	ln.gen++
-	ln.timer.Stop()
+	ln.mu.Unlock()
+	ln.beat.Lock()
+	ln.beat.Unlock()
 }
 
 // tick is the timer's function: one heartbeat, then re-arm. Only a lost
@@ -216,8 +219,10 @@ func (ln *lane[L]) disarm() {
 // must not kill a healthy emulation, and if the lease really expired, the
 // next beat or the first-wins verdict record handles it.
 func (ln *lane[L]) tick() {
+	ln.beat.Lock()
+	defer ln.beat.Unlock()
 	ln.mu.Lock()
-	l, gen, armed := ln.lease, ln.gen, ln.cancel != nil
+	l, armed := ln.lease, ln.cancel != nil
 	ln.mu.Unlock()
 	if !armed {
 		return
@@ -226,8 +231,8 @@ func (ln *lane[L]) tick() {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	switch {
-	case ln.gen != gen:
-		// The vet finished while the beat was out.
+	case ln.cancel == nil:
+		// The vet finished while the beat was out; disarm waits for it.
 	case lost && err == nil:
 		ln.cancel(workqueue.ErrLeaseLost)
 	default:
