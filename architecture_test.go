@@ -68,6 +68,8 @@ func TestArchitecture(t *testing.T) {
 			source(scope{}, literal("cluster.reclaims")), `internal/cluster/p.go: package cluster; const c = "cluster.reclaims"`},
 		{"stage-engine", "internal/pipeline declares a stage engine again (call the stage functions from Deps.Vet or Answer)",
 			source(in("internal/pipeline"), declares("Stage", "Runner", "Wrapper", "VetChain", "HitChain", "RunChain")), "internal/pipeline/p.go: package pipeline; type Stage interface{}"},
+		{"cache-slots", "non-test internal/vcache imports container/list again (entries live in the shard's slot array, linked by int32 indices, so a store allocates nothing)",
+			source(in("internal/vcache"), imports("container/list")), `internal/vcache/p.go: package vcache; import "container/list"`},
 		{"one-cache-write", "an always-emulate driver or a second cache write path is back (VetRun rides Deps.Vet; a verdict is stored by Cache.Do alone)",
 			source(scope{}, declares("Deps.Run", "Deps.store", "Cache.TryPut", "ModelGen.Epoch"), ident("StageCacheStore"), ident("CachedVerdict")),
 			"internal/vcache/p.go: package vcache; func (c *Cache[V]) TryPut() {}"},

@@ -121,3 +121,55 @@ func TestMissAllocBudget(t *testing.T) {
 		t.Errorf("a warm cache-off miss allocates %.2f times, budget %d", allocs, budget)
 	}
 }
+
+// TestCachedMissAllocBudget is TestMissAllocBudget with the verdict cache
+// and its persist tier on, as a serving node runs. Sixteen archives cycle
+// through an 8-entry cache, so every vet misses, stores its entry over the
+// least recently used one and appends it to the log. On top of the
+// cache-off miss that costs only the entry it stores: the cache's slots
+// and flights and the log's frame are reused. The parent of this change
+// allocated 11 times a vet here (a flight and its channel, an entry box
+// and its list element, a frame); the budget is the measured 6.
+func TestCachedMissAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops a quarter of what is put in a sync.Pool, so pooled contexts are rebuilt at random")
+	}
+	const budget = 6
+	cfg := DefaultConfig()
+	cfg.VerdictCache = 8
+	cfg.VerdictPersistDir = t.TempDir()
+	ck, corpus := trainedCheckerCfg(t, 300, cfg)
+	t.Cleanup(func() { ck.ClosePersist() })
+	raws := make([][]byte, 16)
+	for i := range raws {
+		var err error
+		if raws[i], err = apk.Build(corpus.Program(i), testU); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	vet := func(raw []byte) {
+		if _, err := ck.Vet(ctx, Submission{Raw: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, raw := range raws {
+		vet(raw)
+	}
+	before := ck.CacheStats()
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		vet(raws[i%len(raws)])
+		i++
+	})
+	after := ck.CacheStats()
+	if hits := after.Hits - before.Hits; hits != 0 {
+		t.Fatalf("%d of the measured vets hit the cache; every one must miss", hits)
+	}
+	if appends := ck.PersistStats().Appends; appends < uint64(len(raws)+400) {
+		t.Fatalf("the persist tier appended %d entries, want one a vet", appends)
+	}
+	if allocs > budget {
+		t.Errorf("a warm cached miss allocates %.2f times, budget %d", allocs, budget)
+	}
+}

@@ -190,6 +190,16 @@ func NewFrame(n int) []byte {
 	return make([]byte, 4, n+frameOverhead)
 }
 
+// ReuseFrame is NewFrame in buf's storage: it allocates only when buf
+// cannot hold the frame, so an owner that keeps one buffer across Appends
+// builds every frame in place. Append and Compact keep no frame.
+func ReuseFrame(buf []byte, n int) []byte {
+	if cap(buf) < n+frameOverhead {
+		return NewFrame(n)
+	}
+	return buf[:4]
+}
+
 // seal fills in the frame's length word and appends its CRC.
 func seal(frame []byte) []byte {
 	body := frame[4:]

@@ -46,6 +46,10 @@ type PersistLog struct {
 	snapshot func(emit func(key string, val []byte))
 
 	appends, resets uint64
+
+	// buf is the frame AppendCurrent builds each record in, reused under
+	// mu: the framelog seals and writes a frame without keeping it.
+	buf []byte
 }
 
 // OpenPersist opens (or creates) the persist log in dir. genKey is the
@@ -104,8 +108,11 @@ func decodeRecord(body []byte) (key string, val []byte, ok bool) {
 }
 
 // encodeRecord builds the frame that persists one key/value.
-func encodeRecord(key string, val []byte) []byte {
-	buf := framelog.NewFrame(4 + len(key) + len(val))
+func encodeRecord(key string, val []byte) []byte { return encodeRecordIn(nil, key, val) }
+
+// encodeRecordIn is encodeRecord in buf's storage when it is large enough.
+func encodeRecordIn(buf []byte, key string, val []byte) []byte {
+	buf = framelog.ReuseFrame(buf, 4+len(key)+len(val))
 	buf = wire.AppendString32(buf, key)
 	return append(buf, val...)
 }
@@ -121,7 +128,8 @@ func (p *PersistLog) AppendCurrent(key string, val []byte, epoch uint64) error {
 	if p.closed || epoch != p.epoch {
 		return nil
 	}
-	if err := p.log.Append(encodeRecord(key, val)); err != nil {
+	p.buf = encodeRecordIn(p.buf, key, val)
+	if err := p.log.Append(p.buf); err != nil {
 		return fmt.Errorf("vcache: persist append: %w", err)
 	}
 	p.appends++

@@ -20,10 +20,18 @@
 //     but never stored — its inputs (the model) are already stale.
 //   - errors are never cached: a failed computation leaves no entry, so
 //     transient failures (deadlines, cancellations) do not poison a digest.
+//
+// Storage is owned, not allocated per entry. A shard keeps its entries in
+// a slot array made at capacity by its first store, linked into an exact
+// LRU list by int32 indices and indexed by one map from key to slot; the
+// key is the caller's string, kept as is. A singleflight call comes from
+// the shard's spare list and goes back to it once its leader has finished
+// and no follower is still reading it, and its done channel is made only
+// when a follower joins. So once warm, a miss with its store, a hit and a
+// Put allocate nothing.
 package vcache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -64,28 +72,52 @@ func (o Outcome) Served() bool { return o == OutcomeHit || o == OutcomeCoalesced
 // non-positive capacity.
 const DefaultCapacity = 4096
 
-// entry is one stored value; epoch records the generation it was computed
-// under.
-type entry[V any] struct {
-	key   string
-	val   V
-	epoch uint64
+// slot is one stored entry; epoch records the generation it was computed
+// under. prev and next link the shard's LRU list by slot index (-1 ends
+// it); a free slot's next links the free list instead.
+type slot[V any] struct {
+	key        string
+	val        V
+	epoch      uint64
+	prev, next int32
 }
 
-// call is one in-flight leader computation followers block on.
+// call is one in-flight leader computation followers block on. done is
+// made by the first follower, so a flight nobody joins makes no channel;
+// finishing closes it, or points it at closedDone when no follower made
+// one. refs counts the leader until it finishes and each follower until
+// it is done reading: the call goes back to its shard's spare list only
+// when refs reaches zero.
 type call[V any] struct {
 	done  chan struct{}
 	val   V
 	err   error
 	epoch uint64
+	refs  int
+	next  *call[V] // spare-list link
 }
 
+// closedDone is the done of every flight that finished before any
+// follower joined it.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// shard is one lock's worth of the cache. Its entries live in slots, made
+// at capacity by the first store and reused from then on: a store takes a
+// free slot, a fresh one below capacity or the least recently used one, so
+// it allocates nothing. Every field is guarded by mu.
 type shard[V any] struct {
-	mu       sync.Mutex
-	capacity int
-	lru      *list.List               // front = most recently used
-	items    map[string]*list.Element // key -> element holding *entry[V]
-	inflight map[string]*call[V]
+	mu         sync.Mutex
+	capacity   int
+	slots      []slot[V]
+	index      map[string]int32 // key -> slot
+	head, tail int32            // most and least recently used slot; -1 when empty
+	free       int32            // first free slot below len(slots); -1 when none
+	inflight   map[string]*call[V]
+	spare      *call[V] // finished calls nobody reads, for the next leader
 }
 
 // Cache is a sharded, epoch-aware LRU with singleflight computation.
@@ -147,8 +179,10 @@ func NewObserved[V any](capacity int, col *obs.Collector) *Cache[V] {
 	for i := range c.shards {
 		c.shards[i] = shard[V]{
 			capacity: per,
-			lru:      list.New(),
-			items:    make(map[string]*list.Element),
+			index:    make(map[string]int32),
+			head:     -1,
+			tail:     -1,
+			free:     -1,
 			inflight: make(map[string]*call[V]),
 		}
 	}
@@ -218,36 +252,29 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 	epoch := c.epoch.Load()
 
 	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		e := el.Value.(*entry[V])
-		if e.epoch == epoch {
-			sh.lru.MoveToFront(el)
-			v := e.val
+	if i, ok := sh.index[key]; ok {
+		s := &sh.slots[i]
+		if s.epoch == epoch {
+			sh.touch(i)
+			v := s.val
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			return v, OutcomeHit, nil
 		}
 		// Stale generation: drop it and fall through to recompute.
-		sh.lru.Remove(el)
-		delete(sh.items, key)
-		if c.sizeOf != nil {
-			c.addLive(-int64(c.sizeOf(e.val)))
-		}
+		c.drop(sh, i)
 		c.invalidations.Add(1)
 	}
 	if cl, ok := sh.inflight[key]; ok && cl.epoch == epoch {
-		sh.mu.Unlock()
-		var zero V
-		select {
-		case <-cl.done:
-			c.coalesced.Add(1)
-			return cl.val, OutcomeCoalesced, cl.err
-		case <-ctx.Done():
-			c.coalesced.Add(1)
-			return zero, OutcomeCoalesced, ctx.Err()
-		}
+		return c.follow(ctx, sh, cl)
 	}
-	cl := &call[V]{done: make(chan struct{}), epoch: epoch}
+	cl := sh.spare
+	if cl == nil {
+		cl = new(call[V])
+	} else {
+		sh.spare = cl.next
+	}
+	*cl = call[V]{epoch: epoch, refs: 1}
 	sh.inflight[key] = cl
 	sh.mu.Unlock()
 
@@ -262,38 +289,85 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 			return
 		}
 		p := recover()
-		cl.err = fmt.Errorf("vcache: computation for %.12s panicked: %v", key, p)
-		close(cl.done)
 		sh.mu.Lock()
-		if sh.inflight[key] == cl {
-			delete(sh.inflight, key)
-		}
+		cl.err = fmt.Errorf("vcache: computation for %.12s panicked: %v", key, p)
+		sh.finish(key, cl)
 		sh.mu.Unlock()
 		if p != nil { // nil: compute left through runtime.Goexit
 			panic(p)
 		}
 	}()
-	cl.val, cl.err = compute()
+	v, err := compute()
 	finished = true
-	close(cl.done)
 
 	sh.mu.Lock()
-	// A BumpEpoch or a same-key successor (after an epoch change) may have
-	// replaced the registration; only clear our own.
-	if sh.inflight[key] == cl {
-		delete(sh.inflight, key)
-	}
+	cl.val, cl.err = v, err
+	sh.finish(key, cl) // cl may be handed to the next leader from here on
 	stored := false
-	if cl.err == nil && c.epoch.Load() == epoch {
-		c.store(sh, key, cl.val, epoch)
+	if err == nil && c.epoch.Load() == epoch {
+		c.store(sh, key, v, epoch)
 		stored = true
 	}
 	sh.mu.Unlock()
 	if stored && c.onStore != nil {
-		c.onStore(key, cl.val, epoch)
+		c.onStore(key, v, epoch)
 	}
 	c.misses.Add(1)
-	return cl.val, OutcomeMiss, cl.err
+	return v, OutcomeMiss, err
+}
+
+// follow blocks on a leader's flight. It is called with sh.mu held and
+// releases it; the follower holds a reference until it is done reading, so
+// the call cannot be handed to another leader under the read.
+func (c *Cache[V]) follow(ctx context.Context, sh *shard[V], cl *call[V]) (V, Outcome, error) {
+	cl.refs++
+	if cl.done == nil {
+		cl.done = make(chan struct{})
+	}
+	done := cl.done
+	sh.mu.Unlock()
+	var v V
+	var err error
+	select {
+	case <-done:
+		v, err = cl.val, cl.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	sh.mu.Lock()
+	sh.unref(cl)
+	sh.mu.Unlock()
+	c.coalesced.Add(1)
+	return v, OutcomeCoalesced, err
+}
+
+// finish ends a leader's flight under sh.mu: it clears the key's
+// registration if it is still this call's — a BumpEpoch lets a same-key
+// successor replace it — wakes the followers, and drops the leader's
+// reference.
+func (sh *shard[V]) finish(key string, cl *call[V]) {
+	if sh.inflight[key] == cl {
+		delete(sh.inflight, key)
+	}
+	if cl.done != nil {
+		close(cl.done)
+	} else {
+		cl.done = closedDone
+	}
+	sh.unref(cl)
+}
+
+// unref drops one reference to cl under sh.mu. The last puts it on the
+// spare list, holding no value; its done and err stay until a leader
+// takes it.
+func (sh *shard[V]) unref(cl *call[V]) {
+	if cl.refs--; cl.refs > 0 {
+		return
+	}
+	var zero V
+	cl.val = zero
+	cl.next = sh.spare
+	sh.spare = cl
 }
 
 // Hit looks the key up for a caller that answers from the entry it finds:
@@ -307,10 +381,10 @@ func (c *Cache[V]) Hit(key string) (v V, ok bool) {
 	sh := c.shard(key)
 	epoch := c.epoch.Load()
 	sh.mu.Lock()
-	if el, found := sh.items[key]; found {
-		if e := el.Value.(*entry[V]); e.epoch == epoch {
-			sh.lru.MoveToFront(el)
-			v, ok = e.val, true
+	if i, found := sh.index[key]; found {
+		if s := &sh.slots[i]; s.epoch == epoch {
+			sh.touch(i)
+			v, ok = s.val, true
 		}
 	}
 	sh.mu.Unlock()
@@ -338,53 +412,105 @@ func (c *Cache[V]) Put(key string, v V) {
 
 // store upserts under the shard lock, evicting the LRU entry if full.
 func (c *Cache[V]) store(sh *shard[V], key string, v V, epoch uint64) {
-	if el, ok := sh.items[key]; ok {
-		e := el.Value.(*entry[V])
+	if i, ok := sh.index[key]; ok {
+		s := &sh.slots[i]
 		if c.sizeOf != nil {
-			c.addLive(int64(c.sizeOf(v)) - int64(c.sizeOf(e.val)))
+			c.addLive(int64(c.sizeOf(v)) - int64(c.sizeOf(s.val)))
 		}
-		e.val, e.epoch = v, epoch
-		sh.lru.MoveToFront(el)
+		s.val, s.epoch = v, epoch
+		sh.touch(i)
 		return
 	}
-	if sh.lru.Len() >= sh.capacity {
-		back := sh.lru.Back()
-		if back != nil {
-			dropped := back.Value.(*entry[V])
-			sh.lru.Remove(back)
-			delete(sh.items, dropped.key)
-			if c.sizeOf != nil {
-				c.addLive(-int64(c.sizeOf(dropped.val)))
-			}
-			c.evictions.Add(1)
-		}
+	if len(sh.index) >= sh.capacity {
+		c.drop(sh, sh.tail)
+		c.evictions.Add(1)
 	}
-	sh.items[key] = sh.lru.PushFront(&entry[V]{key: key, val: v, epoch: epoch})
+	i := sh.free
+	if i >= 0 {
+		sh.free = sh.slots[i].next
+	} else {
+		if sh.slots == nil {
+			sh.slots = make([]slot[V], 0, sh.capacity)
+		}
+		i = int32(len(sh.slots))
+		sh.slots = append(sh.slots, slot[V]{})
+	}
+	sh.slots[i] = slot[V]{key: key, val: v, epoch: epoch}
+	sh.pushFront(i)
+	sh.index[key] = i
 	if c.sizeOf != nil {
 		c.addLive(int64(c.sizeOf(v)))
 	}
 }
 
-// Range calls fn for every current-generation entry, shard by shard, until
-// fn returns false. Each shard is snapshotted under its lock and fn runs
-// outside it, so a slow fn (the persist tier's compaction rewrite) never
-// stalls serving lookups. Values are the stored values themselves, not
-// copies — callers must treat them as immutable, the same contract hits
-// already rely on.
+// drop removes slot i's entry under the shard lock, unbooks its live
+// bytes and frees the slot.
+func (c *Cache[V]) drop(sh *shard[V], i int32) {
+	s := &sh.slots[i]
+	if c.sizeOf != nil {
+		c.addLive(-int64(c.sizeOf(s.val)))
+	}
+	sh.unlink(i)
+	delete(sh.index, s.key)
+	*s = slot[V]{next: sh.free}
+	sh.free = i
+}
+
+// pushFront links slot i in as the most recently used.
+func (sh *shard[V]) pushFront(i int32) {
+	s := &sh.slots[i]
+	s.prev, s.next = -1, sh.head
+	if sh.head >= 0 {
+		sh.slots[sh.head].prev = i
+	} else {
+		sh.tail = i
+	}
+	sh.head = i
+}
+
+// unlink takes slot i out of the LRU list.
+func (sh *shard[V]) unlink(i int32) {
+	s := &sh.slots[i]
+	if s.prev >= 0 {
+		sh.slots[s.prev].next = s.next
+	} else {
+		sh.head = s.next
+	}
+	if s.next >= 0 {
+		sh.slots[s.next].prev = s.prev
+	} else {
+		sh.tail = s.prev
+	}
+}
+
+// touch marks slot i the most recently used.
+func (sh *shard[V]) touch(i int32) {
+	if sh.head != i {
+		sh.unlink(i)
+		sh.pushFront(i)
+	}
+}
+
+// Range calls fn for every current-generation entry, shard by shard and
+// most recently used first, until fn returns false. Each shard is
+// snapshotted under its lock and fn runs outside it, so a slow fn (the
+// persist tier's compaction rewrite) never stalls serving lookups. Values
+// are the stored values themselves, not copies — callers must treat them
+// as immutable, the same contract hits already rely on.
 func (c *Cache[V]) Range(fn func(key string, v V) bool) {
 	epoch := c.epoch.Load()
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		snap := make([]entry[V], 0, sh.lru.Len())
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*entry[V]); e.epoch == epoch {
-				snap = append(snap, *e)
+		snap := make([]slot[V], 0, len(sh.index))
+		for j := sh.head; j >= 0; j = sh.slots[j].next {
+			if s := sh.slots[j]; s.epoch == epoch {
+				snap = append(snap, s)
 			}
 		}
 		sh.mu.Unlock()
-		for _, e := range snap {
-			if !fn(e.key, e.val) {
+		for _, s := range snap {
+			if !fn(s.key, s.val) {
 				return
 			}
 		}
@@ -399,16 +525,18 @@ func (c *Cache[V]) BumpEpoch() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n := sh.lru.Len()
+		n := len(sh.index)
 		if c.sizeOf != nil {
 			var bytes int64
-			for el := sh.lru.Front(); el != nil; el = el.Next() {
-				bytes += int64(c.sizeOf(el.Value.(*entry[V]).val))
+			for j := sh.head; j >= 0; j = sh.slots[j].next {
+				bytes += int64(c.sizeOf(sh.slots[j].val))
 			}
 			c.addLive(-bytes)
 		}
-		sh.lru.Init()
-		clear(sh.items)
+		clear(sh.slots)
+		sh.slots = sh.slots[:0]
+		clear(sh.index)
+		sh.head, sh.tail, sh.free = -1, -1, -1
 		sh.mu.Unlock()
 		c.invalidations.Add(uint64(n))
 	}
@@ -423,7 +551,7 @@ func (c *Cache[V]) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.index)
 		sh.mu.Unlock()
 	}
 	return n
