@@ -12,20 +12,15 @@ package apichecker
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"apichecker/internal/apk"
 	"apichecker/internal/behavior"
-	"apichecker/internal/cluster"
 	"apichecker/internal/core"
 	"apichecker/internal/dataset"
 	"apichecker/internal/dex"
@@ -823,96 +818,13 @@ func BenchmarkQueueServing(b *testing.B) {
 	b.ReportMetric(float64(m.QueueAcked), "queue-acked")
 }
 
-// BenchmarkClusterServing prices the distributed deployment: the same
-// duplicate-heavy raw-archive workload as BenchmarkQueueServing, but the
-// coordinator owns the queue with local lanes off and three worker nodes
-// claim, vet, and ack every submission over real HTTP (loopback). The
-// delta against BenchmarkQueueServing is the wire premium — JSON claim
-// framing, base64 payload transport, lease round-trips — on top of the
-// identical vet work.
-func BenchmarkClusterServing(b *testing.B) {
-	e := env(b)
-	ck, _, err := core.TrainFromCorpus(e.Corpus, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const uniques, total = 10, 200
-	raws := make([][]byte, uniques)
-	for i := range raws {
-		raw, err := BuildAPK(e.Corpus.Program(i), e.U)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raws[i] = raw
-	}
-	subs := make([]core.Submission, total)
-	for i := range subs {
-		subs[i] = core.Submission{Raw: raws[i%uniques]}
-	}
-	svc, err := vetsvc.Open(ck, vetsvc.Config{
-		QueueSize:         32,
-		LeaseTTL:          time.Minute,
-		DisableLocalLanes: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	coord := cluster.NewCoordinator(svc, cluster.CoordinatorConfig{
-		PollSlice: 20 * time.Millisecond,
-		StealAge:  100 * time.Millisecond,
-	})
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	workers := make([]*cluster.Worker, 3)
-	for i := range workers {
-		workers[i], err = cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: ts.URL,
-			Node:        string(rune('a' + i)),
-			Lanes:       4,
-			PollWait:    250 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Stop()
-		}
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.VetBatch(context.Background(), subs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N*total)/elapsed, "submissions/s")
-	}
-	var claims, verdicts uint64
-	for _, w := range workers {
-		st := w.Stats()
-		claims += st.Claims
-		verdicts += st.Verdicts
-	}
-	b.ReportMetric(float64(claims), "remote-claims")
-	b.ReportMetric(float64(verdicts), "remote-verdicts")
-}
-
 // BenchmarkServiceThroughputTiered serves a confident-heavy batch through
 // a checker with the tiered triage pre-screen on (band [0.05, 0.95]):
 // submissions the static permission model scores outside the band get a
 // microsecond tier-1 verdict without emulation, in-band ones pay the full
 // tier-2 pipeline. A flat twin prices the same batch all-emulated once
 // before the timer, so the reported virtual-cost-reduction-x is the
-// deterministic (virtual-clock) mean-cost saving of the tier split; CI
-// folds the row into BENCH_serving.json next to the untiered benchmarks.
+// deterministic (virtual-clock) mean-cost saving of the tier split.
 func BenchmarkServiceThroughputTiered(b *testing.B) {
 	e := env(b)
 	tcfg := core.DefaultConfig()
@@ -965,88 +877,11 @@ func BenchmarkServiceThroughputTiered(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayThroughput drives the same duplicate-heavy serving
-// workload through the HTTP gateway over a real loopback socket: raw APK
-// uploads, JSON verdict responses, and 16 concurrent clients. The delta
-// against BenchmarkServiceThroughputDuplicates is the wire tax — HTTP
-// parsing, digest admission, and response encoding.
-func BenchmarkGatewayThroughput(b *testing.B) {
-	e := env(b)
-	ck, _, err := core.TrainFromCorpus(e.Corpus, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const uniques, total, clients = 10, 200, 16
-	payloads := make([][]byte, uniques)
-	for i := range payloads {
-		payloads[i], err = BuildAPK(e.Corpus.Program(i), e.U)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	svc := vetsvc.New(ck, vetsvc.Config{Workers: 8, QueueSize: 32})
-	gw := NewGateway(svc, GatewayConfig{})
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- gw.ListenAndServe("127.0.0.1:0") }()
-	for i := 0; i < 200 && gw.Addr() == ""; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if gw.Addr() == "" {
-		b.Fatal("gateway did not start listening")
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		gw.Shutdown(ctx)
-	}()
-	url := "http://" + gw.Addr() + "/v1/submissions?wait=2m"
-	client := &http.Client{Timeout: 3 * time.Minute}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var next, failures atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= total {
-						return
-					}
-					resp, err := client.Post(url, "application/vnd.android.package-archive",
-						bytes.NewReader(payloads[j%uniques]))
-					if err != nil {
-						failures.Add(1)
-						continue
-					}
-					var st SubmissionStatus
-					err = json.NewDecoder(resp.Body).Decode(&st)
-					resp.Body.Close()
-					if err != nil || st.Status != "done" {
-						failures.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if n := failures.Load(); n > 0 {
-			b.Fatalf("%d gateway submissions failed", n)
-		}
-	}
-	b.StopTimer()
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N*total)/elapsed, "submissions/s")
-	}
-}
-
 // BenchmarkPipelineStages vets a mixed batch through the staged pipeline
 // and reports each stage's virtual-latency profile from the checker's
 // observability spine: <stage>-p50-vs / <stage>-p95-vs (virtual seconds)
 // plus <stage>-runs. This is the per-stage record behind the service-level
-// scan quantiles; CI folds it into BENCH_serving.json.
+// scan quantiles.
 func BenchmarkPipelineStages(b *testing.B) {
 	e := env(b)
 	ck, _, err := core.TrainFromCorpus(e.Corpus, core.DefaultConfig())
@@ -1151,8 +986,7 @@ func BenchmarkPredictPerRow(b *testing.B) {
 // round against a live serving checker: train a challenger on the
 // refreshed corpus, shadow-score it against the champion on the held-out
 // slice, persist it to the on-disk registry, and hot-swap it in. The
-// promotion and generation counts land as custom metrics so CI folds the
-// lifecycle record into BENCH_serving.json.
+// promotion and generation counts land as custom metrics.
 func BenchmarkLifecyclePromotion(b *testing.B) {
 	e := env(b)
 	ck, _, err := core.TrainFromCorpus(e.Corpus, core.DefaultConfig())

@@ -14,8 +14,8 @@
 // Each request POSTs one APK with ?wait= so the response carries the
 // verdict; 429 backpressure answers are retried after the server's
 // Retry-After hint and counted. With -json, a summary row is folded into
-// the given benchmark-artifact file (BENCH_serving.json shape: one
-// top-level key per scenario).
+// the given JSON file: one top-level key per scenario, so several runs can
+// share one file.
 package main
 
 import (

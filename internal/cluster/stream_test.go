@@ -261,8 +261,7 @@ func TestStopMidPollStrandsNothing(t *testing.T) {
 // and a node in this process — the claim frame down the lane's stream, a
 // vet the node's verdict cache answers, the ack up the next claim request
 // and the record it settles — allocates a fixed, small number of times,
-// counted on both ends and in the service. It measures 20; the bound is
-// that plus 2. The same round trip as one POST per claim measured 116.
+// counted on both ends and in the service. The budget is the measured 20.
 func TestStreamClaimAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -293,11 +292,11 @@ func TestStreamClaimAllocBudget(t *testing.T) {
 	for range 8 {
 		round()
 	}
-	const budget = 20 + 2
+	const budget = 20
 	if n := testing.AllocsPerRun(200, round); n > budget {
-		t.Errorf("a warm claim round trip allocates %.1f times, budget %d", n, budget)
+		t.Errorf("a warm claim round trip allocates %.0f times, budget %d", n, budget)
 	} else {
-		t.Logf("a warm claim round trip allocates %.1f times", n)
+		t.Logf("a warm claim round trip allocates %.0f times", n)
 	}
 }
 

@@ -96,13 +96,12 @@ func TestVetRunResultIsOwned(t *testing.T) {
 // emulates into its pooled context's scratch, so what it allocates is what
 // outlives the vet — the digest, the verdict and its package name — plus
 // the copies of the manifest and the behaviour blob their strings are cut
-// from, and the submission Vet takes by value. The parent of this change
-// allocated 49 times a vet here; the bound is the measured 6, plus 2.
+// from. The budget is the measured 5.
 func TestMissAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector drops a quarter of what is put in a sync.Pool, so pooled contexts are rebuilt at random")
 	}
-	const budget = 8
+	const budget = 5
 	ck, raws := cacheOffArchives(t, 16)
 	ctx := context.Background()
 	for _, raw := range raws {
@@ -118,7 +117,59 @@ func TestMissAllocBudget(t *testing.T) {
 		i++
 	})
 	if allocs > budget {
-		t.Errorf("a warm cache-off miss allocates %.2f times, budget %d", allocs, budget)
+		t.Errorf("a warm cache-off miss allocates %.0f times, budget %d", allocs, budget)
+	} else {
+		t.Logf("a warm cache-off miss allocates %.0f times", allocs)
+	}
+}
+
+// TestTier1AllocBudget: a raw archive the static triage model scores
+// outside the band [0.05, 0.95] is answered from its manifest alone, the
+// behaviour program never decoded and nothing emulated. With the cache off,
+// what that allocates is the digest, the copy of the manifest its strings
+// are cut from, the package name and the verdict: the measured 4.
+func TestTier1AllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops a quarter of what is put in a sync.Pool, so pooled contexts are rebuilt at random")
+	}
+	const budget = 4
+	cfg := DefaultConfig()
+	cfg.VerdictCache = -1
+	cfg.TriageLo, cfg.TriageHi = testBandLo, testBandHi
+	ck, corpus := trainedCheckerCfg(t, 300, cfg)
+	ctx := context.Background()
+	var raws [][]byte
+	for i := 0; i < corpus.Len() && len(raws) < 16; i++ {
+		raw, err := apk.Build(corpus.Program(i), testU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ck.Vet(ctx, Submission{Raw: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Tier == 1 {
+			raws = append(raws, raw)
+		}
+	}
+	if len(raws) < 16 {
+		t.Fatalf("%d of %d apps answered at tier 1, want 16", len(raws), corpus.Len())
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		v, err := ck.Vet(ctx, Submission{Raw: raws[i%len(raws)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Tier != 1 {
+			t.Fatalf("archive %d answered at tier %d", i%len(raws), v.Tier)
+		}
+		i++
+	})
+	if allocs > budget {
+		t.Errorf("a warm cache-off tier-1 verdict allocates %.0f times, budget %d", allocs, budget)
+	} else {
+		t.Logf("a warm cache-off tier-1 verdict allocates %.0f times", allocs)
 	}
 }
 
@@ -170,6 +221,8 @@ func TestCachedMissAllocBudget(t *testing.T) {
 		t.Fatalf("the persist tier appended %d entries, want one a vet", appends)
 	}
 	if allocs > budget {
-		t.Errorf("a warm cached miss allocates %.2f times, budget %d", allocs, budget)
+		t.Errorf("a warm cached miss allocates %.0f times, budget %d", allocs, budget)
+	} else {
+		t.Logf("a warm cached miss allocates %.0f times", allocs)
 	}
 }

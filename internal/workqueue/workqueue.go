@@ -409,8 +409,13 @@ func (q *Queue) Acquire(ctx context.Context) error {
 }
 
 // Release returns an acquired slot unused (the admission failed
-// validation or the service is draining).
-func (q *Queue) Release() { q.slots <- struct{}{} }
+// validation or the service is draining). Like a claimed item's slot, it
+// repays outstanding debt before it frees a token.
+func (q *Queue) Release() {
+	q.mu.Lock()
+	q.releaseSlotLocked()
+	q.mu.Unlock()
+}
 
 // Enqueue admits one item, consuming a slot the caller acquired. A zero
 // Seq is assigned from the queue's own counter; the assigned seq is
@@ -420,8 +425,8 @@ func (q *Queue) Release() { q.slots <- struct{}{} }
 func (q *Queue) Enqueue(it Item) (int64, error) {
 	q.mu.Lock()
 	if q.closed {
+		q.releaseSlotLocked()
 		q.mu.Unlock()
-		q.Release()
 		return 0, ErrClosed
 	}
 	if it.Seq == 0 {
@@ -432,8 +437,8 @@ func (q *Queue) Enqueue(it Item) (int64, error) {
 	it.EnqueuedAt = q.now()
 	if q.log != nil && it.Payload != nil {
 		if err := q.log.Append(encodeEnqueue(it)); err != nil {
+			q.releaseSlotLocked()
 			q.mu.Unlock()
-			q.Release()
 			return 0, fmt.Errorf("workqueue: journal enqueue: %w", err)
 		}
 	}

@@ -374,6 +374,34 @@ func TestReplayAboveCapacityRunsOnDebt(t *testing.T) {
 	}
 }
 
+// TestReleaseRepaysDebt: a slot given back unused repays debt the way a
+// claimed item's slot does. A nack that finds no free token runs the queue
+// on debt; a Release that then freed a token would admit past capacity.
+func TestReleaseRepaysDebt(t *testing.T) {
+	q, _ := mustOpen(t, Config{Capacity: 1})
+	defer q.Close()
+	enqueue(t, q, Item{Payload: []byte("apk")})
+	l := claim(t, q)
+	if !q.TryAcquire() {
+		t.Fatal("the claim freed no slot")
+	}
+	if requeued, err := l.Nack(errors.New("lane lost")); err != nil || !requeued {
+		t.Fatalf("nack: requeued %v, %v", requeued, err)
+	}
+	q.Release()
+	if q.TryAcquire() {
+		t.Fatalf("admitted with %d of 1 already queued", q.Stats().Depth)
+	}
+	l = claim(t, q)
+	if !q.TryAcquire() {
+		t.Fatal("the claim after the debt was repaid freed no slot")
+	}
+	q.Release()
+	if err := l.Ack(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTornTailTruncatesToGoodPrefix(t *testing.T) {
 	dir := t.TempDir()
 	q, _ := mustOpen(t, Config{Capacity: 8, Dir: dir})
