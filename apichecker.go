@@ -129,11 +129,11 @@ type (
 	SubmissionStatus = gateway.SubmissionStatus
 
 	// ClusterCoordinator turns a gateway deployment into the head of a
-	// vet cluster: it mounts the workqueue's claim protocol on the
-	// gateway mux so remote worker nodes claim submissions over HTTP,
-	// heartbeat their leases, and report verdicts for first-wins
-	// recording. Construct with NewClusterCoordinator and pass through
-	// GatewayConfig.Cluster.
+	// vet cluster: it mounts the claim stream on the gateway mux, one
+	// upgraded connection per worker lane, over which remote nodes claim
+	// submissions, heartbeat their leases, pull models and report
+	// verdicts for first-wins recording. Construct with
+	// NewClusterCoordinator and pass through GatewayConfig.Cluster.
 	ClusterCoordinator = cluster.Coordinator
 	// ClusterCoordinatorConfig tunes fleet liveness, long-polling, and
 	// affinity routing.

@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&vcfg.QueueSize, "queue", 0, "service queue depth (0 = 4x workers)")
 	flag.DurationVar(&vcfg.Deadline, "deadline", 0, "per-submission vet deadline (0 = none)")
 	flag.StringVar(&vcfg.QueueDir, "queue-dir", "", "journal accepted submissions to this directory and replay unsettled ones on restart (-serve only)")
-	flag.DurationVar(&vcfg.LeaseTTL, "lease-ttl", 0, "reclaim a claimed submission after this long without worker progress (0 = never)")
+	flag.DurationVar(&vcfg.LeaseTTL, "lease-ttl", 0, "reclaim a claimed submission after this long without worker progress (0 = never; with -cluster, 0 = 1m)")
 	flag.IntVar(&sf.vcache, "vcache", 0, "verdict-cache capacity on the -serve path (0 = default, negative = disabled)")
 	flag.StringVar(&sf.persistDir, "vcache-persist", "", "persist the verdict cache to this directory and warm-start it on the next run (-serve only)")
 	flag.BoolVar(&sf.trace, "trace", false, "stream per-submission pipeline spans and print the per-stage latency table (-serve only)")

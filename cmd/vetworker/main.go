@@ -1,10 +1,12 @@
 // Command vetworker is one remote vet-cluster worker node: it claims
 // submissions from a coordinator (`tmarket -serve -listen -cluster`)
-// over HTTP, runs the full local vet pipeline on each, heartbeats its
-// leases during emulation, and reports verdicts back for first-wins
-// recording. The node cold-starts its model from the coordinator's
-// advertised generation and hot-swaps whenever a claim advertises a
-// newer one — no model files need to be distributed out of band.
+// over one claim stream per lane (an HTTP connection upgraded once), runs
+// the full local vet pipeline on each, heartbeats its leases during
+// emulation, and reports verdicts back for first-wins recording. The node
+// cold-starts its model from the coordinator's advertised generation,
+// pulled over the same stream, and hot-swaps whenever a claim advertises
+// a newer one — no model files need to be distributed out of band. The
+// node and its coordinator must be the same build.
 //
 //	vetworker -coordinator http://localhost:8080 -node node-a
 //

@@ -8,7 +8,7 @@ package apk
 //
 // The accept set is archive/zip's with shapes taken out, never added: what
 // this reader accepts, archive/zip reads as the same entries with the same
-// declared sizes and payloads. DESIGN.md §13 lists what it refuses that
+// declared sizes and payloads. DESIGN.md §7 lists what it refuses that
 // archive/zip accepts.
 
 import (

@@ -2,8 +2,9 @@
 // the network layer that turns the in-process queue/claim/execute
 // decomposition (internal/workqueue + internal/worker) into the fleet
 // the paper actually operates — one coordinator owning the durable
-// submission queue, N worker nodes claiming work over HTTP, and lease
-// heartbeats making node death just another reclaim (the
+// submission queue, N worker nodes claiming work over one upgraded HTTP
+// connection per lane, and lease TTLs making node death just another
+// reclaim (the
 // taskcluster-worker shape). A node's lanes are internal/worker's one
 // executor running over this package's Claimer (worker.go), one claim
 // stream per lane: Claim is a long-poll on the stream, carrying the lane's
@@ -20,7 +21,7 @@
 // refused with an error that says so. Every frame and body is a fixed
 // little-endian layout (frame.go).
 //
-//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/6 — the lane's
+//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/7 — the lane's
 //     claim stream. The node name rides the upgrade, once, in the
 //     Apichecker-Node header; the coordinator answers 101 and the
 //     connection then carries frames. A claim request reports the lane's
@@ -71,7 +72,7 @@ const PathStream = "/v1/cluster/stream"
 // The stream's upgrade token, whose version is frameVersion, and the
 // header that names the node on the upgrade.
 const (
-	streamProtocol = "apichecker-claim/6"
+	streamProtocol = "apichecker-claim/7"
 	nodeHeader     = "Apichecker-Node"
 )
 

@@ -958,12 +958,13 @@ func TestControlBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	body := []byte(`{"node":"old","seq":1,"token":2}`)
+	// A version 6 heartbeat: version, seq 1, token 2, an empty cause.
+	body := []byte{6, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	if _, err := old.Write(cluster.EnvelopeOf(cluster.UpHeartbeat, uint32(len(body)), body)); err != nil {
 		t.Fatal(err)
 	}
 	if kind, _, err := old.Answer(); kind != "refused" || err == nil || !strings.Contains(err.Error(), "same build") {
-		t.Errorf("a heartbeat from a version 3 build: answered %s, %v", kind, err)
+		t.Errorf("a heartbeat from a version 6 build: answered %s, %v", kind, err)
 	}
 	s, err := cluster.OpenStream(st.ts.URL, "n", nil)
 	if err != nil {

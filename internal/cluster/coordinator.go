@@ -415,16 +415,13 @@ func (c *Coordinator) poll(ctx context.Context, node string, now time.Time, wait
 // absorbed by first-wins like any other.
 func (c *Coordinator) sendClaim(s *stream, node string, l *workqueue.Lease, deadline time.Time) error {
 	it, id := l.Item(), l.ID()
-	digest, gen := c.currentModel()
 	c.claims.Inc()
 	cl := claim{
 		Seq:         it.Seq,
 		Key:         it.Key,
-		Attempts:    uint32(it.Attempts),
 		Token:       id.Token,
 		LeaseTTLMS:  c.ttl.Milliseconds(),
-		ModelDigest: digest,
-		Generation:  gen,
+		ModelDigest: c.currentModel(),
 	}
 	if !deadline.IsZero() {
 		cl.DeadlineUnixNano = deadline.UnixNano()
@@ -503,10 +500,10 @@ func (c *Coordinator) artifact(digest string) []byte {
 	return data
 }
 
-// currentModel pins the serving generation and returns its digest and
-// ID, first putting its artifact bytes in the model window so a node can
-// pull what the claim advertises.
-func (c *Coordinator) currentModel() (digest string, gen uint64) {
+// currentModel pins the serving generation and returns its digest, first
+// putting its artifact bytes in the model window so a node can pull what
+// the claim advertises.
+func (c *Coordinator) currentModel() string {
 	g, data := c.ck.ArtifactBytes()
 	c.modelMu.Lock()
 	defer c.modelMu.Unlock()
@@ -518,5 +515,5 @@ func (c *Coordinator) currentModel() (digest string, gen uint64) {
 			c.modelOrder = c.modelOrder[1:]
 		}
 	}
-	return g.Digest, g.ID
+	return g.Digest
 }

@@ -44,11 +44,9 @@ import (
 //	[1]   flags     byte    all reserved
 //	[2]   seq       int64
 //	[10]  token     uint64  lease token; heartbeat/ack/nack echo it
-//	[18]  attempts  uint32
-//	[22]  ttl       int64   lease TTL, milliseconds (0: never expires)
-//	[30]  deadline  int64   absolute vet deadline, Unix nanoseconds (0: unbounded)
-//	[38]  gen       uint64  coordinator's generation swap counter
-//	[46]  key       uint16 length + bytes  content digest
+//	[18]  ttl       int64   lease TTL, milliseconds (0: never expires)
+//	[26]  deadline  int64   absolute vet deadline, Unix nanoseconds (0: unbounded)
+//	[34]  key       uint16 length + bytes  content digest
 //	      model     uint16 length + bytes  serving model digest
 //	      payload   the rest of the body   raw archive bytes
 //
@@ -77,11 +75,10 @@ import (
 // Decoding is strict — unknown version, reserved flag bits, an outcome
 // vcache does not define, a length that runs past the bytes present, or
 // anything after the last field is an error — so every accepted frame and
-// body re-encodes to the bytes it came from. Version 3 sent the request
-// bodies as JSON; the coordinator names that when one arrives.
+// body re-encodes to the bytes it came from.
 const (
-	frameVersion = 6
-	frameFixed   = 46
+	frameVersion = 7
+	frameFixed   = 34
 
 	requestAck  = 1 << 0 // claim request flags
 	ackVerdict  = 1 << 0 // ack flags
@@ -125,10 +122,8 @@ var (
 type claim struct {
 	Seq              int64
 	Token            uint64
-	Attempts         uint32
 	LeaseTTLMS       int64
 	DeadlineUnixNano int64
-	Generation       uint64
 	Key              string
 	ModelDigest      string // the artifact the node must serve before it vets this claim
 
@@ -147,10 +142,8 @@ func appendClaimHeader(dst []byte, cl *claim) ([]byte, error) {
 	dst = append(dst, frameVersion, 0)
 	dst = le.AppendUint64(dst, uint64(cl.Seq))
 	dst = le.AppendUint64(dst, cl.Token)
-	dst = le.AppendUint32(dst, cl.Attempts)
 	dst = le.AppendUint64(dst, uint64(cl.LeaseTTLMS))
 	dst = le.AppendUint64(dst, uint64(cl.DeadlineUnixNano))
-	dst = le.AppendUint64(dst, cl.Generation)
 	return appendString16(appendString16(dst, cl.Key), cl.ModelDigest), nil
 }
 
@@ -170,10 +163,8 @@ func decodeClaim(b []byte) (*claim, error) {
 	cl := &claim{
 		Seq:              int64(r.U64()),
 		Token:            r.U64(),
-		Attempts:         r.U32(),
 		LeaseTTLMS:       int64(r.U64()),
 		DeadlineUnixNano: int64(r.U64()),
-		Generation:       r.U64(),
 		Key:              r.String(int(r.U16())),
 		ModelDigest:      r.String(int(r.U16())),
 		Payload:          r.Rest(),
@@ -296,13 +287,9 @@ func readRefusal(typ byte, b []byte) (int, error) {
 }
 
 // readVersion reads a frame's or body's version byte and fails r on any
-// other than frameVersion, naming the JSON request bodies of version 3.
+// other than frameVersion.
 func readVersion(r *wire.Reader) {
-	switch v := r.U8(); {
-	case r.Err() != nil || v == frameVersion:
-	case v == '{':
-		r.Fail(fmt.Errorf("a JSON body (claim wire version 3 or older), want version %d: coordinator and workers must be the same build", frameVersion))
-	default:
+	if v := r.U8(); r.Err() == nil && v != frameVersion {
 		r.Fail(fmt.Errorf("claim wire version %d, want %d: coordinator and workers must be the same build", v, frameVersion))
 	}
 }

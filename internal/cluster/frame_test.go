@@ -49,10 +49,8 @@ func seedFrames(t testing.TB) [][]byte {
 		frames = append(frames, frame(t, &claim{
 			Seq:              int64(1000 + i),
 			Token:            uint64(7 + i),
-			Attempts:         uint32(i + 1),
 			LeaseTTLMS:       60_000,
 			DeadlineUnixNano: int64(i) * 1_700_000_000_000_000_000,
-			Generation:       uint64(i + 1),
 			Key:              apk.Digest(raw),
 			ModelDigest:      strings.Repeat("ab", 32),
 			Payload:          raw,
@@ -81,7 +79,7 @@ func TestClaimFrameRoundTrip(t *testing.T) {
 		nil,
 		{frameVersion},
 		{1, 0},                              // another build
-		{'{', '"'},                          // the old JSON wire
+		{frameVersion - 1, 0},               // the previous build
 		{frameVersion, 1},                   // reserved flag
 		{frameVersion, 2},                   // ditto
 		make([]byte, frameFixed-1),          // short fixed header
@@ -313,9 +311,8 @@ func TestControlBodiesRefused(t *testing.T) {
 	}{
 		{"empty claim", true, nil, "truncated"},
 		{"empty lease", false, nil, "truncated"},
-		{"a version 3 JSON claim", true, []byte(`{"v":3,"node":"n","wait_ms":1}`), "same build"},
-		{"a version 3 JSON lease", false, []byte(`{"node":"n","seq":1,"token":2}`), "same build"},
-		{"version 3", true, append([]byte{3}, good[1:]...), "same build"},
+		{"a previous build's claim", true, append([]byte{frameVersion - 1}, good[1:]...), "same build"},
+		{"a previous build's lease", false, append([]byte{frameVersion - 1}, lease[1:]...), "same build"},
 		{"reserved claim flag", true, append([]byte{frameVersion, 2}, good[2:]...), "reserved flag"},
 		{"reserved ack flag", true, func() []byte {
 			b := append([]byte{}, good...)

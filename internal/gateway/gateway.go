@@ -66,9 +66,10 @@ type Config struct {
 	// <= 0 selects 4096.
 	MaxRecords int
 
-	// Cluster, when set, mounts the vet-cluster coordinator's wire
-	// protocol (claim/heartbeat/nack + model pulls) on this gateway's
-	// mux and folds its fleet view into /healthz. The concrete type is
+	// Cluster, when set, mounts the vet-cluster coordinator's one route,
+	// the claim stream a worker lane upgrades to (claims, acks, nacks,
+	// heartbeats and model pulls are frames on it), on this gateway's mux
+	// and folds its fleet view into /healthz. The concrete type is
 	// *cluster.Coordinator; the interface keeps the gateway ignorant of
 	// the cluster package (cluster sits below the gateway in the import
 	// graph, never the reverse).

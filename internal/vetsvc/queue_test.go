@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,6 +277,62 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Completed != 2 || m.Failed != 0 {
 		t.Fatalf("Completed = %d, Failed = %d; want 2, 0", m.Completed, m.Failed)
+	}
+}
+
+// TestCoordinatorLeaseExpires: a coordinator always leases with a TTL. A
+// node that claims a submission and then goes silent — no heartbeat, no
+// report, as after a SIGKILL — holds it until the TTL passes, and then the
+// next claim gets it again. The queue's clock is moved, not waited on.
+func TestCoordinatorLeaseExpires(t *testing.T) {
+	var skew atomic.Int64
+	queueNow = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	defer func() { queueNow = nil }()
+
+	ck, corpus := trainedChecker(t)
+	ctx := context.Background()
+	svc, err := Open(ck, Config{QueueSize: 4, DisableLocalLanes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// No node will report the lease the test leaves held: abandon it.
+		ctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		defer cancel()
+		svc.Drain(ctx)
+	}()
+	if ttl := svc.Config().LeaseTTL; ttl != coordinatorLeaseTTL {
+		t.Fatalf("coordinator lease TTL = %v, want %v", ttl, coordinatorLeaseTTL)
+	}
+	raw, err := apk.Build(corpus.Program(0), testU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := svc.Submit(ctx, core.Submission{Raw: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := svc.Remote()
+	soon := func() time.Time { return queueNow().Add(20 * time.Millisecond) }
+	first, _, err := rc.Claim(ctx, soon(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew.Store(int64(coordinatorLeaseTTL - time.Second))
+	if _, _, err := rc.Claim(ctx, soon(), nil); !errors.Is(err, workqueue.ErrNothingClaimable) {
+		t.Fatalf("claim inside the silent node's TTL = %v, want nothing claimable", err)
+	}
+	skew.Store(int64(coordinatorLeaseTTL + time.Second))
+	again, _, err := rc.Claim(ctx, soon(), nil)
+	if err != nil {
+		t.Fatalf("claim past the silent node's TTL = %v: the submission is held for ever", err)
+	}
+	if again.Item().Seq != tk.Seq() || again.Item().Attempts != 2 || again.ID() == first.ID() {
+		t.Fatalf("re-issued lease %+v (attempt %d), first %+v; want ticket %d's second attempt",
+			again.ID(), again.Item().Attempts, first.ID(), tk.Seq())
+	}
+	if st := svc.QueueStats(); st.Reclaimed != 1 || st.Leased != 1 {
+		t.Fatalf("queue = %+v; want 1 reclaim and the new lease", st)
 	}
 }
 

@@ -4,19 +4,18 @@
 // lanes fed by a bounded submission queue, with per-submission deadlines,
 // crash/fallback accounting, and runtime metrics.
 //
-// Since the queue/claim/execute decomposition, the service is a thin
-// composition of three layers — the in-process rehearsal of the ROADMAP
-// vet-cluster protocol:
+// The service is a thin composition of three layers, the same ones a
+// cluster coordinator and its worker nodes run:
 //
 //   - internal/workqueue owns admission: a bounded, seq-ordered queue
 //     with explicit backpressure, lease-bounded claims, and (with
 //     Config.QueueDir) a CRC-framed journal that replays every accepted-
 //     but-unacked submission after a kill.
 //   - internal/worker owns execution: its one executor — the same one a
-//     cluster worker node runs over HTTP — loops claim → vet → ack on the
-//     lanes, with a heartbeat timer during long emulations, lease-loss
-//     cancellation, and per-claim panic isolation (a poisoned APK nacks
-//     its lease, it does not kill the process).
+//     cluster worker node runs over its claim streams — loops claim → vet
+//     → ack on the lanes, with a heartbeat timer during long emulations,
+//     lease-loss cancellation, and per-claim panic isolation (a poisoned
+//     APK nacks its lease, it does not kill the process).
 //   - vetsvc itself owns meaning: its claimer binds each queue lease to a
 //     first-wins verdict record keyed by seq (+digest) and the vet
 //     context's parent and deadline, and settles it by one rule — for the
@@ -26,11 +25,11 @@
 //     else, Drain is stop-claims-then-settle-leases, and every metric is a
 //     view over the queue, the records, and the obs spine.
 //
-// The determinism contract is unchanged: verdicts derive from submission
+// The determinism contract: verdicts derive from submission
 // content alone (Monkey seeds come from the content digest), so service
 // vetting is bit-identical to a serial Vet loop over the same queue,
 // whatever the worker scheduling, the lease reclaims, or the restarts.
-// Vet sequence numbers are still reserved at admission in FIFO order to
+// Vet sequence numbers are reserved at admission in FIFO order to
 // identify submissions in logs and metrics — a reclaim or a replay never
 // burns one.
 package vetsvc
@@ -82,6 +81,14 @@ var (
 	ErrRawOnly = errors.New("vetsvc: coordinator mode accepts only raw-archive submissions")
 )
 
+// coordinatorLeaseTTL is the lease TTL of a service in coordinator mode
+// whose Config sets none.
+const coordinatorLeaseTTL = time.Minute
+
+// queueNow is the queue's clock; nil is time.Now. Tests move it forward to
+// pass a lease deadline without waiting for it.
+var queueNow func() time.Time
+
 // Config tunes one service instance.
 type Config struct {
 	// Workers is the emulator-lane count (paper: 16 per server); <= 0
@@ -110,8 +117,10 @@ type Config struct {
 
 	// LeaseTTL, when positive, bounds how long a claimed submission may go
 	// without progress (ack or heartbeat) before the queue reclaims it and
-	// re-issues it to another lane; 0 disables lease expiry (a lane owns
-	// its claim until it settles — today's single-process behavior).
+	// re-issues it to another lane. With local lanes, 0 disables lease
+	// expiry: a lane owns its claim until it settles. In coordinator mode
+	// (DisableLocalLanes) a value <= 0 selects one minute, because
+	// a node that dies holding a claim is only ever reclaimed by its TTL.
 	LeaseTTL time.Duration
 
 	// HeartbeatEvery tunes the mid-vet lease heartbeat: 0 selects
@@ -270,6 +279,9 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 4 * cfg.Workers
 	}
+	if cfg.DisableLocalLanes && cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = coordinatorLeaseTTL
+	}
 	s := &Service{
 		cfg:  cfg,
 		ck:   ck,
@@ -282,6 +294,7 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		Capacity:    cfg.QueueSize,
 		LeaseTTL:    cfg.LeaseTTL,
 		MaxAttempts: cfg.MaxAttempts,
+		Now:         queueNow,
 		Dir:         cfg.QueueDir,
 		Obs:         s.m.col,
 		OnDead:      s.deadLetter,

@@ -9,8 +9,9 @@
 //
 // Local lanes and cluster nodes run this same executor. The local queue is
 // one Claimer (Start here over a bare workqueue.Queue; vetsvc binds each
-// lease to its first-wins verdict record), and package cluster's HTTP lane,
-// which claims over the coordinator's wire, is the other — so the lease
+// lease to its first-wins verdict record), and package cluster's stream
+// lane, which claims over its claim stream to the coordinator, is the
+// other — so the lease
 // semantics (heartbeats, ErrLeaseLost cancellation, first-wins verdicts)
 // are written once for both deployments.
 package worker
