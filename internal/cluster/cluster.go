@@ -21,7 +21,7 @@
 // refused with an error that says so. Every frame and body is a fixed
 // little-endian layout (frame.go).
 //
-//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/7 — the lane's
+//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/8 — the lane's
 //     claim stream. The node name rides the upgrade, once, in the
 //     Apichecker-Node header; the coordinator answers 101 and the
 //     connection then carries frames. A claim request reports the lane's
@@ -72,7 +72,7 @@ const PathStream = "/v1/cluster/stream"
 // The stream's upgrade token, whose version is frameVersion, and the
 // header that names the node on the upgrade.
 const (
-	streamProtocol = "apichecker-claim/7"
+	streamProtocol = "apichecker-claim/8"
 	nodeHeader     = "Apichecker-Node"
 )
 
@@ -83,8 +83,10 @@ type claimRequest struct {
 	// coordinator's maxPoll). <= 0 claims nothing: the request only
 	// delivers Ack.
 	WaitMS int64
-	// Ack is the lane's finished vet, settled before the poll starts.
-	Ack *ackRequest
+	// Acked says the request carries Ack, the lane's finished vet, which is
+	// settled before the poll starts.
+	Acked bool
+	Ack   ackRequest
 }
 
 // leaseRequest is the heartbeat/nack body.
@@ -100,6 +102,10 @@ type leaseRequest struct {
 type ackRequest struct {
 	Seq   int64
 	Token uint64
+	// Key is the claim frame's key, echoed: the content digest of the bytes
+	// the node vetted. The coordinator refuses an ack whose key is not the
+	// digest of the submission that now holds Seq.
+	Key []byte
 
 	// ModelDigest is the generation the node vetted under — the
 	// propagation audit trail.
@@ -111,9 +117,9 @@ type ackRequest struct {
 	WallNS int64
 
 	// Verdict is the result (nil when the vet failed). Its Digest does not
-	// travel: the coordinator keyed the claim by it and sets it from its
-	// own record (vetsvc.Remote.Ack), so a node cannot report a verdict
-	// under another archive's identity.
+	// travel: Key stands for it, and the coordinator sets it from its own
+	// record once Key has matched the record's (vetsvc.Remote.Ack), so a
+	// node cannot report a verdict under another archive's identity.
 	Verdict *core.Verdict
 	// Error reports a failed vet; Deadline marks it a missed deadline, which
 	// maps back to core.ErrDeadlineExceeded so coordinator-side accounting

@@ -438,7 +438,7 @@ func TestVerdictUnderLostLeaseIsNotReissued(t *testing.T) {
 	if qs := svc.QueueStats(); qs.Reclaimed != 1 || qs.Depth != 1 {
 		t.Fatalf("after the lapse: %d reclaimed, %d pending; want 1, 1", qs.Reclaimed, qs.Depth)
 	}
-	if kind, _ := claimAs(owner, 0, cluster.AppendAck(cl.Seq, cl.Token, want)); kind != "empty" {
+	if kind, _ := claimAs(owner, 0, cluster.AppendAck(cl.Seq, cl.Token, cl.Key, want)); kind != "empty" {
 		t.Fatalf("late report: answered %s, want empty", kind)
 	}
 	if v, err := tk.Wait(ctx); err != nil || *v != *want {

@@ -41,8 +41,9 @@ type CoordinatorConfig struct {
 	Registry *modelstore.Registry
 
 	// OnVerdict, when set, observes every remote verdict report as it
-	// lands (after first-wins recording). Called synchronously from the
-	// stream that carried the ack: keep it fast.
+	// lands (after first-wins recording), except one refused for its key.
+	// Called synchronously from the stream that carried the ack: keep it
+	// fast.
 	OnVerdict func(RemoteVerdict)
 }
 
@@ -91,8 +92,8 @@ type Coordinator struct {
 	models     map[string][]byte
 	modelOrder []string
 
-	nodesGauge                 *obs.Gauge
-	claims, acks, nacks, pulls *obs.Counter
+	nodesGauge                          *obs.Gauge
+	claims, acks, refused, nacks, pulls *obs.Counter
 }
 
 // maxPoll caps a claim request's long-poll budget.
@@ -104,10 +105,10 @@ const maxPoll = 30 * time.Second
 const modelWindow = 4
 
 // NewCoordinator builds a coordinator over a running service. Cluster
-// metrics (cluster.nodes, cluster.claims/acks/nacks/model_pulls) register
-// on the service's obs collector, so they flow into GET /metrics with no
-// exporter changes; reclaims and lease ages are the queue's own
-// (svc.queue.reclaimed, svc.queue.lease_age).
+// metrics (cluster.nodes, cluster.claims/acks/acks_refused/nacks/
+// model_pulls) register on the service's obs collector, so they flow into
+// GET /metrics with no exporter changes; reclaims and lease ages are the
+// queue's own (svc.queue.reclaimed, svc.queue.lease_age).
 func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 	if cfg.NodeTTL <= 0 {
 		cfg.NodeTTL = 15 * time.Second
@@ -129,6 +130,7 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 		nodesGauge: col.Gauge("cluster.nodes"),
 		claims:     col.Counter("cluster.claims"),
 		acks:       col.Counter("cluster.acks"),
+		refused:    col.Counter("cluster.acks_refused"),
 		nacks:      col.Counter("cluster.nacks"),
 		pulls:      col.Counter("cluster.model_pulls"),
 	}
@@ -293,9 +295,12 @@ type upFrame struct {
 // to the stream's handler, except a cancel, which it acts on at once: the
 // poll in flight, and any later poll on the stream, ends empty. When the
 // lane's side closes, or a frame breaks the framing, it ends the stream,
-// which cancels a poll in flight as a request's context does.
+// which cancels a poll in flight as a request's context does. Claim
+// requests decode into storage readUp owns (requestDecoder): frames is
+// unbuffered, so the handler holds one frame while readUp decodes the next.
 func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelPolls context.CancelFunc) {
 	defer end()
+	var requests requestDecoder
 	for {
 		typ, body, err := s.read(up)
 		f := upFrame{typ: typ, err: err}
@@ -307,7 +312,7 @@ func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelP
 			cancelPolls()
 			continue
 		case typ == upClaim:
-			f.claim, f.err = decodeClaimRequest(body)
+			f.claim, f.err = requests.decode(body)
 		case typ == upModel:
 			f.digest, f.err = decodeModelRequest(body)
 		default:
@@ -356,8 +361,8 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 	}
 	req := &f.claim
 	c.touch(node, now)
-	if req.Ack != nil {
-		c.settleAck(node, req.Ack)
+	if req.Acked {
+		c.settleAck(node, &req.Ack)
 	}
 	if req.WaitMS <= 0 {
 		return s.send(s.frame(downEmpty))
@@ -466,10 +471,17 @@ func nodeName(r *http.Request) (string, error) {
 // record (first-wins), then the lease. A report that arrives twice (the
 // node never saw the first answer) finds the record settled and the lease
 // acked, and changes nothing; cluster.acks counts reports that settled
-// something.
+// something. A report whose key is not the digest of the submission its
+// seq names — one sent before a restart that gave the seq to other bytes —
+// changes nothing either, and is counted as cluster.acks_refused; the
+// lane drops it as it drops any ack an answer has acknowledged.
 func (c *Coordinator) settleAck(node string, req *ackRequest) {
-	recorded, held := c.remote.Ack(workqueue.LeaseID{Seq: req.Seq, Token: req.Token},
+	recorded, held, err := c.remote.Ack(workqueue.LeaseID{Seq: req.Seq, Token: req.Token}, req.Key,
 		req.Verdict, req.Outcome, remoteError(req.Error, req.Deadline), time.Duration(req.WallNS))
+	if err != nil {
+		c.refused.Inc()
+		return
+	}
 	if recorded || held {
 		c.acks.Inc()
 	}

@@ -29,22 +29,22 @@ const (
 // carries body.
 var EnvelopeOf = envelopeOf
 
-// AppendAck encodes the report of verdict v for the claim (seq, token), as
-// a lane appends it to its next claim request.
-func AppendAck(seq int64, token uint64, v *core.Verdict) []byte {
-	return appendAck(nil, &ackRequest{Seq: seq, Token: token, Verdict: v})
+// AppendAck encodes the report of verdict v for the claim (seq, token,
+// key), as a lane appends it to its next claim request.
+func AppendAck(seq int64, token uint64, key string, v *core.Verdict) []byte {
+	return appendAck(nil, &ackRequest{Seq: seq, Token: token, Key: []byte(key), Verdict: v})
 }
 
 // ClaimCarriesAck reports whether a claim request body carries an ack.
 func ClaimCarriesAck(body []byte) bool {
-	req, err := decodeClaimRequest(body)
-	return err == nil && req.Ack != nil
+	req, err := new(requestDecoder).decode(body)
+	return err == nil && req.Acked
 }
 
 // ClaimWaitMS reads a claim request body's long-poll budget; -1 when the
 // body does not decode.
 func ClaimWaitMS(body []byte) int64 {
-	req, err := decodeClaimRequest(body)
+	req, err := new(requestDecoder).decode(body)
 	if err != nil {
 		return -1
 	}
@@ -78,7 +78,7 @@ func OpenStream(base, node string, client *http.Client) (*Stream, error) {
 // Heartbeat is the lane's Heartbeat for the claim (seq, token), on the
 // stream: lost when the coordinator refused it 410.
 func (s *Stream) Heartbeat(seq int64, token uint64) (lost bool, err error) {
-	return s.ln.Heartbeat(&job{claim: &claim{Seq: seq, Token: token}})
+	return s.ln.Heartbeat(&job{claim: claim{Seq: seq, Token: token}})
 }
 
 // Stats is the stream's worker's.
@@ -102,8 +102,8 @@ func (s *Stream) Answer() (string, *claim, error) {
 	}
 	switch typ {
 	case downClaim:
-		cl, err := decodeClaim(body)
-		return "claim", cl, err
+		cl := new(claim)
+		return "claim", cl, decodeClaim(body, cl)
 	case downEmpty:
 		return "empty", nil, nil
 	case downDrained:

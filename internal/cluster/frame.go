@@ -58,6 +58,7 @@ import (
 //	      the ack, when flagged:
 //	      seq       int64
 //	      token     uint64
+//	      key       uint16 length + bytes  the claim frame's key, echoed
 //	      wall      int64   node-side vet cost, nanoseconds
 //	      outcome   byte    vcache.Outcome
 //	      flags     byte    bit0 a verdict follows, bit1 the error is a missed deadline
@@ -76,8 +77,22 @@ import (
 // vcache does not define, a length that runs past the bytes present, or
 // anything after the last field is an error — so every accepted frame and
 // body re-encodes to the bytes it came from.
+//
+// Each end decodes into storage it owns, so nothing decoded aliases a
+// buffer the stream reads the next frame into, except a claim's payload:
+//   - A lane decodes every claim frame into the one job it owns. The claim
+//     and its payload, which is the tail of the stream's read buffer, hold
+//     until the lane's next poll, after the vet and its Ack.
+//   - The coordinator's stream reader decodes each claim request's ack by
+//     value into the frame it hands to the handler, and copies the ack's key
+//     into one of two buffers it owns, in turn. The handler holds one frame
+//     at a time and is done with it before the reader can hand over the
+//     next, so a key holds until the reader has decoded two acks more.
+//   - Each end interns a model digest per stream: a digest that spells the
+//     last one the stream carried is that string again, so a stream
+//     allocates it once per model generation.
 const (
-	frameVersion = 7
+	frameVersion = 8
 	frameFixed   = 34
 
 	requestAck  = 1 << 0 // claim request flags
@@ -153,27 +168,34 @@ func appendString16(dst []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint16(dst, uint16(len(s))), s...)
 }
 
-// decodeClaim reads one frame. It allocates only the two digest strings,
-// each after its declared length has been checked against the bytes
-// present; cl.Payload is the tail of b.
-func decodeClaim(b []byte) (*claim, error) {
+// decodeClaim reads one frame into cl, every field of which it writes.
+// It allocates only the key, and the model digest when it is not the one
+// cl already holds, each after its declared length has been checked
+// against the bytes present; cl.Payload is the tail of b.
+func decodeClaim(b []byte, cl *claim) error {
 	r := wire.NewReader(b)
 	readVersion(&r)
 	r.Flags(0)
-	cl := &claim{
-		Seq:              int64(r.U64()),
-		Token:            r.U64(),
-		LeaseTTLMS:       int64(r.U64()),
-		DeadlineUnixNano: int64(r.U64()),
-		Key:              r.String(int(r.U16())),
-		ModelDigest:      r.String(int(r.U16())),
-		Payload:          r.Rest(),
-	}
+	cl.Seq = int64(r.U64())
+	cl.Token = r.U64()
+	cl.LeaseTTLMS = int64(r.U64())
+	cl.DeadlineUnixNano = int64(r.U64())
+	cl.Key = r.String(int(r.U16()))
+	cl.ModelDigest = intern(cl.ModelDigest, r.Bytes(int(r.U16())))
+	cl.Payload = r.Rest()
 	r.End()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", errBadFrame, err)
+		return fmt.Errorf("%w: %w", errBadFrame, err)
 	}
-	return cl, nil
+	return nil
+}
+
+// intern returns last when b spells it, and a copy of b otherwise.
+func intern(last string, b []byte) string {
+	if string(b) == last {
+		return last
+	}
+	return string(b)
 }
 
 // appendClaimRequest appends the claim request; ack is an encoded
@@ -192,6 +214,7 @@ func appendAck(dst []byte, a *ackRequest) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, uint64(a.Seq))
 	dst = le.AppendUint64(dst, a.Token)
+	dst = append(le.AppendUint16(dst, uint16(len(a.Key))), a.Key...)
 	dst = le.AppendUint64(dst, uint64(a.WallNS))
 	var flags byte
 	if a.Verdict != nil {
@@ -214,21 +237,36 @@ func appendLeaseRequest(dst []byte, seq int64, token uint64, cause string) []byt
 	return wire.AppendString32(dst, cause)
 }
 
-// decodeClaimRequest reads a claim request. Its strings are copies:
-// nothing decoded aliases b.
-func decodeClaimRequest(b []byte) (claimRequest, error) {
+// requestDecoder decodes one stream's claim requests into storage it owns
+// (see the layouts above): keys are the two buffers an ack's key is copied
+// into, in turn, and model is the last model digest an ack carried.
+type requestDecoder struct {
+	keys  [2][]byte
+	turn  int
+	model string
+}
+
+// decode reads a claim request. Nothing decoded aliases b: the ack's key
+// is the decoder's until it has decoded two more acks (a request it
+// refuses does not count), and its strings are copies, or the interned
+// model digest.
+func (d *requestDecoder) decode(b []byte) (claimRequest, error) {
 	r := wire.NewReader(b)
 	readVersion(&r)
 	flags := r.Flags(requestAck)
-	req := claimRequest{WaitMS: int64(r.U64())}
-	if flags&requestAck != 0 {
-		a := &ackRequest{Seq: int64(r.U64()), Token: r.U64(), WallNS: int64(r.U64())}
+	req := claimRequest{WaitMS: int64(r.U64()), Acked: flags&requestAck != 0}
+	if req.Acked {
+		a := &req.Ack
+		a.Seq, a.Token = int64(r.U64()), r.U64()
+		d.keys[d.turn] = append(d.keys[d.turn][:0], r.Bytes(int(r.U16()))...)
+		a.Key = d.keys[d.turn]
+		a.WallNS = int64(r.U64())
 		if a.Outcome = vcache.Outcome(r.U8()); a.Outcome > vcache.OutcomeCoalesced {
 			r.Fail(fmt.Errorf("cache outcome %d", a.Outcome))
 		}
 		flags := r.Flags(ackVerdict | ackDeadline)
 		a.Deadline = flags&ackDeadline != 0
-		a.ModelDigest = r.String(int(r.U16()))
+		a.ModelDigest = intern(d.model, r.Bytes(int(r.U16())))
 		a.Error = r.String(int(r.U32()))
 		if flags&ackVerdict != 0 {
 			a.Verdict = new(core.Verdict)
@@ -239,11 +277,14 @@ func decodeClaimRequest(b []byte) (claimRequest, error) {
 				r.Fail(fmt.Errorf("verdict score %v is not finite", s))
 			}
 		}
-		req.Ack = a
 	}
 	r.End()
 	if err := r.Err(); err != nil {
 		return claimRequest{}, fmt.Errorf("%w: %w", errBadBody, err)
+	}
+	if req.Acked {
+		d.turn ^= 1
+		d.model = req.Ack.ModelDigest
 	}
 	return req, nil
 }

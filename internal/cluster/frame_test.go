@@ -6,10 +6,13 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"apichecker/internal/apk"
 	"apichecker/internal/core"
@@ -61,8 +64,8 @@ func seedFrames(t testing.TB) [][]byte {
 
 func TestClaimFrameRoundTrip(t *testing.T) {
 	for i, f := range seedFrames(t) {
-		cl, err := decodeClaim(f)
-		if err != nil {
+		cl := new(claim)
+		if err := decodeClaim(f, cl); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if i > 0 && (cl.Seq != int64(1000+i-1) || cl.Key != apk.Digest(cl.Payload)) {
@@ -86,8 +89,8 @@ func TestClaimFrameRoundTrip(t *testing.T) {
 		append([]byte{frameVersion, 0}, 1),  // ditto
 		append(make([]byte, frameFixed), 0), // half a length
 	} {
-		if cl, err := decodeClaim(bad); !errors.Is(err, errBadFrame) {
-			t.Errorf("decodeClaim(%v) = %+v, %v; want errBadFrame", bad, cl, err)
+		if cl := new(claim); !errors.Is(decodeClaim(bad, cl), errBadFrame) {
+			t.Errorf("decodeClaim(%v) = %+v; want errBadFrame", bad, cl)
 		}
 	}
 }
@@ -114,6 +117,7 @@ func TestClaimFrameLyingLengthAllocatesNothing(t *testing.T) {
 	// A declared length inside the bound but never sent may size what the
 	// bytes that did arrive need, and no more: a few times their length.
 	sent := uint64(4 * len(good))
+	var into claim
 	cases := []struct {
 		name  string
 		want  error
@@ -124,8 +128,8 @@ func TestClaimFrameLyingLengthAllocatesNothing(t *testing.T) {
 		{"declared length 1<<32-1", errBadFrame, 0, read(down, 1<<32-1, good)},
 		{"up-frame length past maxControlBytes", errBadFrame, 0, read(up, maxControlBytes+1, good)},
 		{"declared length inside the bound, not sent", io.ErrUnexpectedEOF, sent, read(down, maxFrameBytes, good)},
-		{"key length past the frame", errBadFrame, 0, func() error { _, err := decodeClaim(lyingKey); return err }},
-		{"model digest length past the frame", errBadFrame, 0, func() error { _, err := decodeClaim(lyingModel); return err }},
+		{"key length past the frame", errBadFrame, 0, func() error { return decodeClaim(lyingKey, &into) }},
+		{"model digest length past the frame", errBadFrame, 0, func() error { return decodeClaim(lyingModel, &into) }},
 	}
 	for _, tc := range cases {
 		// TotalAlloc is process-wide, so another goroutine's allocation can
@@ -165,8 +169,8 @@ func FuzzClaimFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		cl, err := decodeClaim(b)
-		if err != nil {
+		cl := new(claim)
+		if err := decodeClaim(b, cl); err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("untyped error: %v", err)
 			}
@@ -184,8 +188,8 @@ func FuzzClaimFrame(f *testing.F) {
 // encodeClaimRequest appends req the way a lane does.
 func encodeClaimRequest(req claimRequest) []byte {
 	var ack []byte
-	if req.Ack != nil {
-		ack = appendAck(nil, req.Ack)
+	if req.Acked {
+		ack = appendAck(nil, &req.Ack)
 	}
 	return appendClaimRequest(nil, req.WaitMS, ack)
 }
@@ -234,15 +238,15 @@ var seedModelRequests = []string{"", strings.Repeat("ab", 32), controlNasty}
 // seedControlBodies are claim requests with and without an ack, and
 // heartbeat and nack bodies.
 func seedControlBodies(t testing.TB) (claims []claimRequest, leases []leaseRequest) {
-	for _, a := range []*ackRequest{
-		nil,
-		{Seq: math.MinInt64, Token: math.MaxUint64, ModelDigest: "d", Outcome: vcache.OutcomeMiss, WallNS: 12345, Verdict: filledVerdict(t)},
-		{Seq: 3, Token: 4, Outcome: vcache.OutcomeBypass, Error: controlNasty, Deadline: true},
-		{Seq: 5, Token: 6, Outcome: vcache.OutcomeCoalesced, Verdict: &core.Verdict{Score: 5e-324, Tier: 2}, Error: "both"},
+	claims = append(claims, claimRequest{WaitMS: -1})
+	for _, a := range []ackRequest{
+		{Seq: math.MinInt64, Token: math.MaxUint64, Key: []byte(strings.Repeat("c0", 32)), ModelDigest: "d", Outcome: vcache.OutcomeMiss, WallNS: 12345, Verdict: filledVerdict(t)},
+		{Seq: 3, Token: 4, Key: []byte(controlNasty), Outcome: vcache.OutcomeBypass, Error: controlNasty, Deadline: true},
+		{Seq: 5, Token: 6, Key: []byte("k"), Outcome: vcache.OutcomeCoalesced, Verdict: &core.Verdict{Score: 5e-324, Tier: 2}, Error: "both"},
 		{Outcome: vcache.OutcomeHit, Verdict: &core.Verdict{Score: math.Copysign(0, -1), Tier: 2}},
 		{},
 	} {
-		claims = append(claims, claimRequest{WaitMS: -1, Ack: a})
+		claims = append(claims, claimRequest{WaitMS: -1, Acked: true, Ack: a})
 	}
 	claims = append(claims, claimRequest{WaitMS: 250})
 	for _, cause := range []string{"", controlNasty} {
@@ -258,15 +262,12 @@ func TestControlBodiesRoundTrip(t *testing.T) {
 	claims, leases := seedControlBodies(t)
 	for _, want := range claims {
 		body := encodeClaimRequest(want)
-		got, err := decodeClaimRequest(body)
+		got, err := new(requestDecoder).decode(body)
 		if err != nil {
 			t.Fatalf("%x: %v", body, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameRequest(got, want) {
 			t.Fatalf("claim body decodes to\n %+v\nwant\n %+v", got, want)
-		}
-		if want.Ack != nil && !reflect.DeepEqual(got.Ack, want.Ack) {
-			t.Fatalf("ack decodes to\n %+v\nwant\n %+v", *got.Ack, *want.Ack)
 		}
 		if re := encodeClaimRequest(got); !bytes.Equal(re, body) {
 			t.Fatalf("claim body re-encodes differently:\n in  %x\n out %x", body, re)
@@ -288,17 +289,20 @@ func TestControlBodiesRoundTrip(t *testing.T) {
 // errBadBody, and a body from another build says so.
 func TestControlBodiesRefused(t *testing.T) {
 	withAck := func(edit func(a *ackRequest)) []byte {
-		a := &ackRequest{Seq: 1, Token: 2, ModelDigest: "m", Outcome: vcache.OutcomeMiss, Verdict: &core.Verdict{Package: "p", Tier: 2}}
-		edit(a)
-		return encodeClaimRequest(claimRequest{WaitMS: 1, Ack: a})
+		a := ackRequest{Seq: 1, Token: 2, Key: []byte("k"), ModelDigest: "m", Outcome: vcache.OutcomeMiss, Verdict: &core.Verdict{Package: "p", Tier: 2}}
+		edit(&a)
+		return encodeClaimRequest(claimRequest{WaitMS: 1, Acked: true, Ack: a})
 	}
 	good := withAck(func(*ackRequest) {})
 	// Offsets into good: the ack starts after the 10-byte claim header; its
-	// outcome byte follows seq, token and wall, and its model digest's
-	// length the outcome and flag bytes.
-	outcomeAt := 2 + 8 + 24
+	// key's length follows seq and token, its outcome byte the 1-byte key
+	// and wall, and its model digest's length the outcome and flag bytes.
+	keyAt := 2 + 8 + 16
+	outcomeAt := keyAt + 2 + 1 + 8
 	badOutcome := append([]byte{}, good...)
 	badOutcome[outcomeAt] = byte(vcache.OutcomeCoalesced) + 1
+	lyingKey := append([]byte{}, good...)
+	binary.LittleEndian.PutUint16(lyingKey[keyAt:], 0xFFFF)
 	lyingModel := append([]byte{}, good...)
 	binary.LittleEndian.PutUint16(lyingModel[outcomeAt+2:], 0xFFFF)
 	lease := encodeLeaseRequest(leaseRequest{Seq: 1, Token: 2})
@@ -324,6 +328,7 @@ func TestControlBodiesRefused(t *testing.T) {
 		{"NaN score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.NaN() }), "not finite"},
 		{"+Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(1) }), "not finite"},
 		{"-Inf score", true, withAck(func(a *ackRequest) { a.Verdict.Score = math.Inf(-1) }), "not finite"},
+		{"key length past the body", true, lyingKey, "truncated"},
 		{"model digest length past the body", true, lyingModel, "truncated"},
 		{"trailing claim byte", true, append(append([]byte{}, good...), 0), "trailing"},
 		{"short claim", true, good[:len(good)-1], "truncated"},
@@ -332,7 +337,7 @@ func TestControlBodiesRefused(t *testing.T) {
 	} {
 		var err error
 		if tc.claim {
-			_, err = decodeClaimRequest(tc.body)
+			_, err = new(requestDecoder).decode(tc.body)
 		} else {
 			_, err = decodeLeaseRequest(tc.body)
 		}
@@ -364,7 +369,7 @@ func FuzzControlBodies(f *testing.F) {
 		} else if re := appendString16(nil, digest); !bytes.Equal(re, b) {
 			t.Fatalf("accepted model request re-encodes differently:\n in  %x\n out %x", b, re)
 		}
-		if req, err := decodeClaimRequest(b); err != nil {
+		if req, err := new(requestDecoder).decode(b); err != nil {
 			if !errors.Is(err, errBadBody) {
 				t.Fatalf("untyped claim error: %v", err)
 			}
@@ -448,4 +453,142 @@ func FuzzStreamFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameRequest reports whether two decoded claim requests say the same
+// thing: an empty key is empty whether or not it has storage behind it.
+func sameRequest(a, b claimRequest) bool {
+	ka, kb := a.Ack.Key, b.Ack.Key
+	a.Ack.Key, b.Ack.Key = nil, nil
+	return bytes.Equal(ka, kb) && reflect.DeepEqual(a, b)
+}
+
+// TestDecodeIntoOwnedStorage: a sequence of claim frames decoded into one
+// claim, and a sequence of claim requests decoded by one requestDecoder,
+// give what decoding each into fresh storage gives, through a model digest
+// that changes mid-stream, an ack without a verdict after one with, an ack
+// without an error after one with, and a frame that does not decode. A
+// request the handler still holds is unchanged by decoding the next, and a
+// model digest that repeats is the string the stream already holds.
+func TestDecodeIntoOwnedStorage(t *testing.T) {
+	genA, genB := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
+	frames := seedFrames(t)[1:]
+	for _, cl := range []claim{
+		{Seq: 9, Token: 1, Key: "k9", ModelDigest: genA, Payload: []byte("p")},
+		{Seq: 10, Token: 2, LeaseTTLMS: 5, ModelDigest: genB},
+		{Seq: 11, Token: 3, DeadlineUnixNano: 7, Key: strings.Repeat("k", 300), ModelDigest: genB, Payload: []byte("payload")},
+		{},
+		{Seq: 12, Key: "k12", ModelDigest: genA},
+	} {
+		frames = append(frames, frame(t, &cl))
+	}
+	frames = slices.Insert(frames, 4, frames[3][:frameFixed+3])
+
+	var owned claim
+	for i, f := range frames {
+		last := owned.ModelDigest
+		fresh := new(claim)
+		freshErr, err := decodeClaim(f, fresh), decodeClaim(f, &owned)
+		if (freshErr == nil) != (err == nil) {
+			t.Fatalf("frame %d: %v into owned storage, %v into fresh", i, err, freshErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(owned, *fresh) {
+			t.Fatalf("frame %d into owned storage:\n %+v\nfresh:\n %+v", i, owned, *fresh)
+		}
+		if owned.ModelDigest == last && unsafe.StringData(owned.ModelDigest) != unsafe.StringData(last) {
+			t.Fatalf("frame %d: a repeated model digest was copied", i)
+		}
+	}
+
+	verdict := filledVerdict(t)
+	var bodies [][]byte
+	for _, req := range []claimRequest{
+		{WaitMS: 1, Acked: true, Ack: ackRequest{Seq: 1, Token: 1, Key: []byte(genA), ModelDigest: genA, Outcome: vcache.OutcomeMiss, Verdict: verdict}},
+		{WaitMS: 1, Acked: true, Ack: ackRequest{Seq: 2, Token: 2, Key: []byte("k2"), ModelDigest: genA, Error: "boom", Deadline: true}},
+		{WaitMS: 1, Acked: true, Ack: ackRequest{Seq: 3, Token: 3, Key: []byte("k3"), ModelDigest: genB, Outcome: vcache.OutcomeHit, Verdict: &core.Verdict{Package: "p", Tier: 2}}},
+		{WaitMS: 250},
+		{WaitMS: 0, Acked: true, Ack: ackRequest{Seq: 4, Token: 4, Key: []byte(strings.Repeat("k", 300)), ModelDigest: genB, Error: "late"}},
+		{Acked: true},
+		{WaitMS: 1, Acked: true, Ack: ackRequest{Seq: 5, Token: 5, Key: []byte("k5"), ModelDigest: genA, Outcome: vcache.OutcomeCoalesced, Verdict: verdict}},
+	} {
+		bodies = append(bodies, encodeClaimRequest(req))
+	}
+	bodies = slices.Insert(bodies, 2, bodies[1][:len(bodies[1])-1])
+
+	var d requestDecoder
+	var held claimRequest
+	heldAt := -1
+	for i, b := range bodies {
+		fresh, freshErr := new(requestDecoder).decode(b)
+		got, err := d.decode(b)
+		if (freshErr == nil) != (err == nil) {
+			t.Fatalf("request %d: %v with the stream's decoder, %v with a fresh one", i, err, freshErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !sameRequest(got, fresh) {
+			t.Fatalf("request %d with the stream's decoder:\n %+v\nfresh:\n %+v", i, got, fresh)
+		}
+		if heldAt >= 0 {
+			if want, _ := new(requestDecoder).decode(bodies[heldAt]); !sameRequest(held, want) {
+				t.Fatalf("request %d, held while %d decoded, changed to\n %+v\nwant\n %+v", heldAt, i, held, want)
+			}
+			if got.Acked && held.Acked && got.Ack.ModelDigest == held.Ack.ModelDigest &&
+				unsafe.StringData(got.Ack.ModelDigest) != unsafe.StringData(held.Ack.ModelDigest) {
+				t.Fatalf("request %d: a repeated model digest was copied", i)
+			}
+		}
+		held, heldAt = got, i
+	}
+}
+
+// TestHeldAckSurvivesNextRequest: a lane writes two claim requests back to
+// back while the handler still holds the first one's ack. Once the stream's
+// reader has decoded the second, both acks say what was sent; and once it
+// has decoded a third, the second, which the handler may still hold, says
+// so too: the reader writes no key a handed-over frame points at.
+func TestHeldAckSurvivesNextRequest(t *testing.T) {
+	laneEnd, coordEnd := net.Pipe()
+	defer laneEnd.Close()
+	frames := make(chan upFrame)
+	done := make(chan struct{})
+	reading := make(chan struct{})
+	go func() {
+		defer close(reading)
+		readUp(&stream{rw: coordEnd, r: coordEnd}, frames, done, func() { coordEnd.Close() }, func() {})
+	}()
+	keys := []string{strings.Repeat("1", 64), strings.Repeat("2", 64), strings.Repeat("3", 64)}
+	third := make(chan struct{})
+	go func() {
+		ls := &stream{rw: laneEnd}
+		for i, key := range keys {
+			if i == 2 {
+				<-third
+			}
+			ack := appendAck(nil, &ackRequest{Seq: int64(i + 1), Token: 1, Key: []byte(key), ModelDigest: "m"})
+			if ls.send(appendClaimRequest(ls.frame(upClaim), 0, ack)) != nil {
+				return
+			}
+		}
+	}()
+	check := func(f upFrame, i int) {
+		t.Helper()
+		if f.err != nil || !f.claim.Acked || string(f.claim.Ack.Key) != keys[i] || f.claim.Ack.Seq != int64(i+1) {
+			t.Fatalf("request %d: %v, ack seq %d, key %.8s…; want seq %d, key %.8s…",
+				i, f.err, f.claim.Ack.Seq, f.claim.Ack.Key, i+1, keys[i])
+		}
+	}
+	first, second := <-frames, <-frames
+	check(first, 0)
+	check(second, 1)
+	close(third)
+	check(<-frames, 2)
+	check(second, 1)
+	close(done)
+	laneEnd.Close()
+	<-reading
 }

@@ -260,8 +260,16 @@ func TestStopMidPollStrandsNothing(t *testing.T) {
 // TestStreamClaimAllocBudget: one warm submission through a coordinator
 // and a node in this process — the claim frame down the lane's stream, a
 // vet the node's verdict cache answers, the ack up the next claim request
-// and the record it settles — allocates a fixed, small number of times,
-// counted on both ends and in the service. The budget is the measured 20.
+// and the record it settles — allocates only what is kept, counted on both
+// ends and in the service. The service pays for the content digest the
+// record is keyed by, the record and the done channel its waiter blocks
+// on, the wake-up of the waiting poll, and the lease (five). The
+// coordinator pays for the acked verdict and its package name (two). The
+// node pays for the claim's key, the executor's cancellable vet context
+// (two), and the verdict its cache answers with and that verdict's package
+// name (five). That is 12. The claim, the job, the ack, the model digest
+// and the bounded wait's timer allocate nothing: they live in storage each
+// end owns, the digest is interned per stream, and the timer is pooled.
 func TestStreamClaimAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -292,7 +300,7 @@ func TestStreamClaimAllocBudget(t *testing.T) {
 	for range 8 {
 		round()
 	}
-	const budget = 20
+	const budget = 12
 	if n := testing.AllocsPerRun(200, round); n > budget {
 		t.Errorf("a warm claim round trip allocates %.0f times, budget %d", n, budget)
 	} else {
@@ -363,7 +371,7 @@ func TestRemoteHeartbeatHoldsLease(t *testing.T) {
 		t.Fatalf("node a's stats = %+v, want 1 lease lost", ws)
 	}
 
-	if kind, _, err := b.Claim(0, cluster.AppendAck(re.Seq, re.Token, want)); kind != "empty" || err != nil {
+	if kind, _, err := b.Claim(0, cluster.AppendAck(re.Seq, re.Token, re.Key, want)); kind != "empty" || err != nil {
 		t.Fatalf("node b's ack: answered %s, %v", kind, err)
 	}
 	if v, err := tk.Wait(ctx); err != nil || *v != *want {
@@ -413,4 +421,52 @@ func TestStalledReaderReleasesLease(t *testing.T) {
 		t.Fatalf("after the write timed out: %d leased, %d nacked, %d reclaimed; want 0, 1, 0", qs.Leased, qs.Nacked, qs.Reclaimed)
 	}
 	eventually(t, "the stalled stream's handler to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestAckUnderAnotherKeyIsRefused: an ack whose key is not the digest of
+// the submission its seq names is refused on the wire. The answer is an
+// ordinary one, so the lane drops the ack and nacks nothing; the record and
+// the lease are untouched, and cluster.acks_refused counts it. The same
+// claim acked under its own key then settles.
+func TestAckUnderAnotherKeyIsRefused(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	subs := rawSubs(t, corpus, 2, 2)
+	want := serialVerdicts(t, base, configOf(base), subs)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tk, err := svc.Submit(ctx, subs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cluster.OpenStream(st.ts.URL, "a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	kind, cl, err := a.Claim(1000, nil)
+	if kind != "claim" || err != nil {
+		t.Fatalf("claim: answered %s, %v", kind, err)
+	}
+	if kind, _, err := a.Claim(0, cluster.AppendAck(cl.Seq, cl.Token, want[1].Digest, want[1])); kind != "empty" || err != nil {
+		t.Fatalf("ack under another key: answered %s, %v; want empty", kind, err)
+	}
+	if got := svc.Obs().Counter("cluster.acks_refused").Load(); got != 1 {
+		t.Fatalf("cluster.acks_refused = %d, want 1", got)
+	}
+	if got := svc.Obs().Counter("cluster.acks").Load(); got != 0 || tk.State() != "claimed" || svc.QueueStats().Leased != 1 {
+		t.Fatalf("after the refused ack: %d acks, ticket %s, %d leased; want 0, claimed, 1", got, tk.State(), svc.QueueStats().Leased)
+	}
+	if kind, _, err := a.Claim(0, cluster.AppendAck(cl.Seq, cl.Token, cl.Key, want[0])); kind != "empty" || err != nil {
+		t.Fatalf("ack under its own key: answered %s, %v", kind, err)
+	}
+	if v, err := tk.Wait(ctx); err != nil || *v != *want[0] {
+		t.Fatalf("ticket = %+v, %v; want %+v", v, err, *want[0])
+	}
 }

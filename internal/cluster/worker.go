@@ -169,9 +169,10 @@ func (w *Worker) ModelDigest() string {
 }
 
 // job is one claim on a lane: the frame, the checker that serves its
-// model, and, once vetted, the report Ack hands to the lane.
+// model, and, once vetted, the report Ack hands to the lane. Each lane owns
+// one, which every claim frame decodes into.
 type job struct {
-	*claim
+	claim
 	ck  *core.Checker
 	rep ackRequest
 	err error
@@ -185,6 +186,7 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 	j.rep = ackRequest{
 		Seq:         j.Seq,
 		Token:       j.Token,
+		Key:         append(j.rep.Key[:0], j.Key...),
 		ModelDigest: j.ModelDigest,
 		Outcome:     out,
 		WallNS:      time.Since(t0).Nanoseconds(),
@@ -199,10 +201,13 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 }
 
 // lane is the Claimer one executor lane loops over: one claim stream to
-// the coordinator, opened on first use and again after it breaks. ack is
-// the encoded report (appendAck) of the last finished vet, kept until an
-// answer other than a refusal has come back to a request that carried it;
-// ackSeq and ackToken name its claim for the nack that follows a refusal.
+// the coordinator, opened on first use and again after it breaks. j is the
+// lane's one job, which each claim frame decodes into and which holds
+// until the lane's next poll; the executor is done with a claim by then.
+// ack is the encoded report (appendAck) of the last finished vet, kept
+// until an answer other than a refusal has come back to a request that
+// carried it; ackSeq and ackToken name its claim for the nack that follows
+// a refusal.
 // Only the lane's goroutine touches them. Heartbeat runs on the lane's
 // timer, but never while Claim, Ack or Nack runs (the executor's rule), so
 // it has the stream to itself.
@@ -212,6 +217,7 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 // request's long-poll is out, the one moment a stop must cut short.
 type lane struct {
 	w *Worker
+	j job
 
 	mu      sync.Mutex
 	s       *stream
@@ -259,7 +265,8 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 			ln.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
 		}
-		c := worker.Claim[*job]{Lease: &job{claim: cl, ck: ck}, TTL: time.Duration(cl.LeaseTTLMS) * time.Millisecond}
+		ln.j.ck = ck
+		c := worker.Claim[*job]{Lease: &ln.j, TTL: time.Duration(cl.LeaseTTLMS) * time.Millisecond}
 		if cl.DeadlineUnixNano > 0 {
 			c.Deadline = time.Unix(0, cl.DeadlineUnixNano)
 		}
@@ -308,12 +315,13 @@ func (ln *lane) Nack(j *job, cause string) { ln.nack(j.Seq, j.Token, cause) }
 
 // exchange sends the pending ack, if any, with a claim request that
 // long-polls for up to wait (<= 0: claim nothing, only deliver the ack);
-// (nil, nil) means the poll came back empty, workqueue.ErrDrained that the
-// queue is. Any answer but a refusal acknowledges the ack. A 4xx refusal
-// of a request that carried one means the coordinator will never take it
-// (a body past its bound, a score that is not finite): the claim is
-// nacked instead, so the item is re-issued at once and dead-lettered with
-// that cause if every attempt ends the same way.
+// a claim is the lane's own (ln.j), (nil, nil) means the poll came back
+// empty, workqueue.ErrDrained that the queue is. Any answer but a refusal
+// acknowledges the ack. A 4xx refusal of a request that carried one means
+// the coordinator will never take it (a body past its bound, a score that
+// is not finite): the claim is nacked instead, so the item is re-issued at
+// once and dead-lettered with that cause if every attempt ends the same
+// way.
 func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error) {
 	s, err := ln.open(ctx)
 	if err != nil {
@@ -329,9 +337,13 @@ func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error
 	}
 	switch typ {
 	case downClaim:
-		// The payload aliases the stream's read buffer: it is good until
-		// the lane's next poll, after the vet and its Ack.
-		return decodeClaim(body)
+		// The claim is the lane's job and its payload aliases the stream's
+		// read buffer: both are good until the lane's next poll, after the
+		// vet and its Ack.
+		if err := decodeClaim(body, &ln.j.claim); err != nil {
+			return nil, err
+		}
+		return &ln.j.claim, nil
 	case downEmpty:
 		return nil, nil
 	case downDrained:

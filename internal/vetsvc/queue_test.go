@@ -3,6 +3,8 @@ package vetsvc
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -180,9 +182,11 @@ func TestLeaseExpiryRevetsExactlyOnce(t *testing.T) {
 // TestRemoteClaimerSettleRule: the coordinator's face of the service's
 // claimer keeps the local lanes' rules, addressed by LeaseID alone. A claim
 // is started and carries its admission deadline; a stale token is refused
-// at every verb; a report settles the record, then the lease, with the
-// digest taken from the record and the outcome the node reported; a
-// repeated report changes nothing; and a
+// at every verb; a report whose key is another submission's digest is
+// refused and changes nothing; a report settles the record, then the
+// lease, with the digest taken from the record once the key has matched it
+// and the outcome the node reported; a repeated report changes nothing;
+// and a
 // report that lands after its lease was reclaimed is still recorded, while
 // the item the reclaim left pending is skipped, not handed out again.
 func TestRemoteClaimerSettleRule(t *testing.T) {
@@ -239,15 +243,19 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	if err := rc.Heartbeat(id); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
+	// A report about other bytes is refused and changes nothing.
+	if recorded, held, err := rc.Ack(id, []byte(want[1].Digest), report(1), vcache.OutcomeMiss, nil, time.Millisecond); !errors.Is(err, ErrStaleAck) || recorded || held {
+		t.Fatalf("report under another key: recorded=%v held=%v, %v; want neither and ErrStaleAck", recorded, held, err)
+	}
 	// The node answered from its own verdict cache.
-	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeHit, nil, time.Millisecond); !recorded || !held {
-		t.Fatalf("report: recorded=%v held=%v, want both", recorded, held)
+	if recorded, held, err := rc.Ack(id, []byte(want[0].Digest), report(0), vcache.OutcomeHit, nil, time.Millisecond); !recorded || !held || err != nil {
+		t.Fatalf("report: recorded=%v held=%v, %v; want both", recorded, held, err)
 	}
 	if got, err := tks[0].Wait(ctx); err != nil || !reflect.DeepEqual(got, want[0]) {
 		t.Fatalf("first ticket = %+v, %v; want %+v", got, err, want[0])
 	}
-	if recorded, held := rc.Ack(id, report(0), vcache.OutcomeMiss, nil, time.Millisecond); recorded || held {
-		t.Fatalf("repeated report: recorded=%v held=%v, want neither", recorded, held)
+	if recorded, held, err := rc.Ack(id, []byte(want[0].Digest), report(0), vcache.OutcomeMiss, nil, time.Millisecond); recorded || held || err != nil {
+		t.Fatalf("repeated report: recorded=%v held=%v, %v; want neither", recorded, held, err)
 	}
 	if out := tks[0].Outcome(); out != vcache.OutcomeHit {
 		t.Fatalf("first ticket's outcome = %v, want the reported hit", out)
@@ -263,8 +271,8 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	if _, _, err := rc.Claim(ctx, soon(), func(workqueue.Item) bool { return false }); !errors.Is(err, workqueue.ErrNothingClaimable) {
 		t.Fatalf("claim that takes nothing = %v", err)
 	}
-	if recorded, held := rc.Ack(l.ID(), report(1), vcache.OutcomeMiss, nil, time.Millisecond); !recorded || held {
-		t.Fatalf("report under a reclaimed lease: recorded=%v held=%v, want recorded only", recorded, held)
+	if recorded, held, err := rc.Ack(l.ID(), []byte(want[1].Digest), report(1), vcache.OutcomeMiss, nil, time.Millisecond); !recorded || held || err != nil {
+		t.Fatalf("report under a reclaimed lease: recorded=%v held=%v, %v; want recorded only", recorded, held, err)
 	}
 	if got, err := tks[1].Wait(ctx); err != nil || !reflect.DeepEqual(got, want[1]) {
 		t.Fatalf("second ticket = %+v, %v; want %+v", got, err, want[1])
@@ -277,6 +285,139 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Completed != 2 || m.Failed != 0 {
 		t.Fatalf("Completed = %d, Failed = %d; want 2, 0", m.Completed, m.Failed)
+	}
+}
+
+// TestStaleAckCannotSettleAnotherSubmission: an ack a node sent before a
+// coordinator restart cannot settle whatever submission holds its seq
+// after it. Life 1, in coordinator mode with a journal, claims and acks
+// one raw archive at a time through Remote until a compaction leaves the
+// journal empty, and keeps its first ack. Life 2, a new checker over the
+// same journal and model, admits a malicious app, and then the first ack
+// arrives again, as a lane re-sends an ack whose answer it never saw.
+// While compaction loses the journal's seq watermark, life 2 hands out seq
+// 1 again, so the stale ack names the new submission's seq: its key, the
+// old app's digest, is refused and records nothing. Either way the new
+// ticket answers with the new app's own verdict.
+func TestStaleAckCannotSettleAnotherSubmission(t *testing.T) {
+	ck, corpus := trainedChecker(t)
+	ckRef, _ := trainedChecker(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := Config{QueueSize: 4, QueueDir: dir, LeaseTTL: time.Minute, DisableLocalLanes: true}
+	journal := filepath.Join(dir, "workqueue.log")
+	size := func() int64 {
+		fi, err := os.Stat(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// vet is what a node computes and reports for corpus app i: the raw
+	// archive, and the verdict without the digest the wire does not carry.
+	vet := func(i int) ([]byte, *core.Verdict, string) {
+		raw, err := apk.Build(corpus.Program(i), testU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ckRef.Vet(ctx, core.Submission{Raw: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := v.Digest
+		v.Digest = ""
+		return raw, v, key
+	}
+
+	svc, err := Open(ck, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := size()
+	var (
+		staleID  workqueue.LeaseID
+		staleKey string
+		staleV   *core.Verdict
+		n        int
+	)
+	for n = 0; n == 0 || size() > empty; n++ {
+		if n == 1000 {
+			t.Fatalf("%d settled archives and the journal is %d bytes: it never compacted", n, size())
+		}
+		raw, v, key := vet(n)
+		tk, err := svc.Submit(ctx, core.Submission{Raw: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := svc.Remote().Claim(ctx, time.Now().Add(time.Second), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recorded, _, err := svc.Remote().Ack(l.ID(), []byte(key), v, vcache.OutcomeMiss, nil, time.Millisecond); !recorded || err != nil {
+			t.Fatalf("archive %d: recorded=%v, %v", n, recorded, err)
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			staleID, staleKey, staleV = l.ID(), key, v
+		}
+	}
+	svc.Close()
+
+	g, data := ck.ArtifactBytes()
+	a, err := core.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := a.Instantiate(core.NodeConfig{})
+	if err != nil || ck2.Generation().Digest != g.Digest {
+		t.Fatalf("life 2's checker: %v", err)
+	}
+	svc2, err := Open(ck2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// On a failure the ticket may be left pending, with no node to
+		// claim it: abandon it rather than wait.
+		ctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		defer cancel()
+		svc2.Drain(ctx)
+	}()
+	m := n
+	for ; m < corpus.Len(); m++ {
+		if _, v, _ := vet(m); v.Malicious && v.Package != staleV.Package {
+			break
+		}
+	}
+	if m == corpus.Len() {
+		t.Fatalf("no malicious app among corpus apps %d and on", n)
+	}
+	raw, want, key := vet(m)
+	tk, err := svc2.Submit(ctx, core.Submission{Raw: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *staleV
+	recorded, held, err := svc2.Remote().Ack(staleID, []byte(staleKey), &stale, vcache.OutcomeMiss, nil, time.Millisecond)
+	reused := tk.Seq() == staleID.Seq
+	t.Logf("life 1 settled %d archives; life 2 gave %s seq %d, and the stale ack of %s names seq %d",
+		n, want.Package, tk.Seq(), staleV.Package, staleID.Seq)
+	if recorded || held || (reused && !errors.Is(err, ErrStaleAck)) {
+		t.Fatalf("the stale ack of %s: recorded=%v held=%v, %v; want nothing recorded (ErrStaleAck when the seq was reused)",
+			staleV.Package, recorded, held, err)
+	}
+	l, _, err := svc2.Remote().Claim(ctx, time.Now().Add(time.Second), nil)
+	if err != nil || l.Item().Seq != tk.Seq() {
+		t.Fatalf("claim after the stale ack: %v, %v; want ticket %d still to vet", l, err, tk.Seq())
+	}
+	if recorded, _, err := svc2.Remote().Ack(l.ID(), []byte(key), want, vcache.OutcomeMiss, nil, time.Millisecond); !recorded || err != nil {
+		t.Fatalf("the real ack: recorded=%v, %v", recorded, err)
+	}
+	got, err := tk.Wait(ctx)
+	if err != nil || got.Package != want.Package || got.Malicious != want.Malicious || got.Digest != key {
+		t.Fatalf("ticket %d answers %+v, %v; want %s, malicious=%v, digest %.12s", tk.Seq(), got, err, want.Package, want.Malicious, key)
 	}
 }
 

@@ -79,6 +79,12 @@ var (
 	// program cannot ship to a remote worker node, so admission rejects
 	// it up front instead of queueing it forever.
 	ErrRawOnly = errors.New("vetsvc: coordinator mode accepts only raw-archive submissions")
+
+	// ErrStaleAck: a remote node's report names a seq whose submission is
+	// not the one the node vetted (its key is another digest), as when it
+	// was sent before a restart that gave the seq to new bytes. Remote.Ack
+	// refuses it and changes nothing.
+	ErrStaleAck = errors.New("vetsvc: the ack's key is not the digest of the submission its seq names")
 )
 
 // coordinatorLeaseTTL is the lease TTL of a service in coordinator mode
@@ -613,15 +619,26 @@ func (c Remote) Nack(id workqueue.LeaseID, cause error) error {
 }
 
 // Ack books a node's report on the claim id names by the settle rule local
-// lanes follow, with the same completion metrics. The verdict's Digest is
-// set from the record's key: the wire does not carry it, and the key the
-// submission was admitted under is the one to trust.
-func (c Remote) Ack(id workqueue.LeaseID, v *core.Verdict, out vcache.Outcome, err error, wall time.Duration) (recorded, held bool) {
+// lanes follow, with the same completion metrics. key is the content
+// digest the claim carried, echoed by the node; Ack compares it and keeps
+// nothing of it. A key that is not the digest of the submission whose
+// record holds id.Seq means the report is about other bytes — sent before
+// a restart that gave the seq to another submission — so Ack records
+// nothing, leaves the lease alone and returns ErrStaleAck. The verdict's
+// Digest, which the wire does not carry, is the record's once key has
+// matched it.
+func (c Remote) Ack(id workqueue.LeaseID, key []byte, v *core.Verdict, out vcache.Outcome, vetErr error, wall time.Duration) (recorded, held bool, err error) {
 	r := c.s.recordFor(id.Seq)
-	if r != nil && v != nil {
-		v.Digest = r.digest
+	if r != nil {
+		if string(key) != r.digest {
+			return false, false, ErrStaleAck
+		}
+		if v != nil {
+			v.Digest = r.digest
+		}
 	}
-	return c.s.settle(r, id, v, out, err, wall)
+	recorded, held = c.s.settle(r, id, v, out, vetErr, wall)
+	return recorded, held, nil
 }
 
 // vetClaim is the executor's Do: one claim through the staged vet

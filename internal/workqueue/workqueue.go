@@ -509,6 +509,11 @@ func (q *Queue) Claim(ctx context.Context) (*Lease, error) {
 // a zero until are plain Claim.
 func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Item) bool) (*Lease, error) {
 	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			waitTimers.Put(timer)
+		}
+	}()
 	for {
 		q.mu.Lock()
 		if q.released {
@@ -546,7 +551,8 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 		// Registering as a waiter before capturing the wake channel (both
 		// under q.mu) means no pulse between the unlock and the select can
 		// be missed. One timer serves every wait of the call, armed only
-		// when something bounds the wait.
+		// when something bounds the wait, and goes back to waitTimers
+		// stopped when the call returns.
 		q.waiters++
 		wake, next := q.wake, until
 		if q.cfg.LeaseTTL > 0 {
@@ -560,7 +566,7 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 		if !next.IsZero() {
 			d := max(next.Sub(q.now()), time.Millisecond)
 			if timer == nil {
-				timer = time.NewTimer(d)
+				timer = waitTimer(d)
 			} else {
 				timer.Reset(d)
 			}
@@ -583,6 +589,23 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 			return nil, err
 		}
 	}
+}
+
+// waitTimers holds the stopped timers of bounded waits that have returned,
+// so the coordinator's sliced long-poll, one bounded ClaimWhere per slice,
+// does not build a timer per slice. Since Go 1.23 a timer's channel is
+// unbuffered: after Stop or Reset returns, no value sent for the old
+// expiry can be received, so a timer from the pool never fires early.
+var waitTimers sync.Pool
+
+// waitTimer returns a timer that fires once after d, from waitTimers when
+// it holds one.
+func waitTimer(d time.Duration) *time.Timer {
+	if t, ok := waitTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
 }
 
 // AwaitDrained blocks until a Shutdown queue has settled every pending

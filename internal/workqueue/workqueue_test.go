@@ -668,3 +668,30 @@ func TestLeaseEntryIsInline(t *testing.T) {
 		t.Fatalf("leaseState is %d bytes; a map stores at most 128 inline", n)
 	}
 }
+
+// raceDetector is set by race_test.go in a -race build.
+var raceDetector bool
+
+// TestBoundedClaimWaitAllocBudget: a warm ClaimWhere whose until passes
+// with nothing it can take allocates nothing. Its wait reuses a stopped
+// timer from waitTimers; a time.NewTimer per call cost 3 allocations, and
+// the coordinator's sliced long-poll makes one such call per claim.
+func TestBoundedClaimWaitAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops a quarter of what is put in a sync.Pool")
+	}
+	q, _ := mustOpen(t, Config{Capacity: 4, LeaseTTL: time.Minute})
+	defer q.Close()
+	enqueue(t, q, Item{Key: "theirs"})
+	mine := func(it Item) bool { return it.Key == "mine" }
+	ctx := context.Background()
+	wait := func() {
+		if l, err := q.ClaimWhere(ctx, time.Now().Add(time.Millisecond), mine); !errors.Is(err, ErrNothingClaimable) {
+			t.Fatalf("nothing acceptable: %v, %v; want ErrNothingClaimable", l, err)
+		}
+	}
+	wait()
+	if n := testing.AllocsPerRun(100, wait); n != 0 {
+		t.Errorf("a bounded wait that claims nothing allocates %.0f times, want 0", n)
+	}
+}
