@@ -135,8 +135,9 @@ type (
 	// verdicts for first-wins recording. Construct with
 	// NewClusterCoordinator and pass through GatewayConfig.Cluster.
 	ClusterCoordinator = cluster.Coordinator
-	// ClusterCoordinatorConfig tunes fleet liveness, long-polling, and
-	// affinity routing.
+	// ClusterCoordinatorConfig tunes long-polling, affinity routing and its
+	// anti-starvation bound, and where old model artifacts come from. A
+	// node is live while one of its lanes' streams is open.
 	ClusterCoordinatorConfig = cluster.CoordinatorConfig
 	// ClusterWorker is one remote worker node: claim loops running the
 	// full local vet pipeline against a checker cold-started from the

@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		coord = flag.String("coordinator", "", "coordinator base URL (e.g. http://localhost:8080); required")
-		node  = flag.String("node", "", "stable node name (affinity + liveness identity); required")
+		node  = flag.String("node", "", "stable node name, at most 255 bytes (its affinity identity; live while a lane's stream is open); required")
 		lanes = flag.Int("lanes", 0, "concurrent claim lanes (0 = 4)")
 		poll  = flag.Duration("poll", 10*time.Second, "claim long-poll budget per request")
 		hb    = flag.Duration("heartbeat", 0, "lease heartbeat period (0 = derive from the lease TTL, negative = off)")

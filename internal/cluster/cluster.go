@@ -69,11 +69,13 @@ import (
 // PathStream is the claim stream's route, the cluster's one.
 const PathStream = "/v1/cluster/stream"
 
-// The stream's upgrade token, whose version is frameVersion, and the
-// header that names the node on the upgrade.
+// The stream's upgrade token, whose version is frameVersion, the header
+// that names the node on the upgrade, and the longest name it may carry
+// (the longest DNS name): the name keys the coordinator's live set.
 const (
 	streamProtocol = "apichecker-claim/8"
 	nodeHeader     = "Apichecker-Node"
+	maxNodeName    = 255
 )
 
 // claimRequest reports the lane's last vet and asks for one unit of work.

@@ -272,8 +272,8 @@ func TestNodeKeepsItsOwnNodeConfig(t *testing.T) {
 
 // zombieClaim takes one claim over the wire as a node that will never
 // heartbeat, ack, or nack — a worker killed mid-emulation. Its stream
-// stays open, idle, until the test ends.
-func zombieClaim(t *testing.T, baseURL string) (seq int64) {
+// stays open, idle, until the caller closes it or the test ends.
+func zombieClaim(t *testing.T, baseURL string) (zombie *cluster.Stream, seq int64) {
 	t.Helper()
 	s, err := cluster.OpenStream(baseURL, "zombie", nil)
 	if err != nil {
@@ -287,7 +287,7 @@ func zombieClaim(t *testing.T, baseURL string) (seq int64) {
 	if len(cl.Payload) == 0 {
 		t.Fatal("zombie claim carried no payload")
 	}
-	return cl.Seq
+	return s, cl.Seq
 }
 
 // TestClusterReclaimsDeadNode kills a node holding a lease mid-emulation
@@ -318,7 +318,6 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 		recorded = map[int64]int{}
 	)
 	ccfg := cluster.CoordinatorConfig{
-		NodeTTL:  time.Second,
 		StealAge: 100 * time.Millisecond,
 		OnVerdict: func(rv cluster.RemoteVerdict) {
 			if rv.Recorded {
@@ -340,7 +339,7 @@ func TestClusterReclaimsDeadNode(t *testing.T) {
 		}
 		tickets[i] = tk
 	}
-	deadSeq := zombieClaim(t, st.ts.URL)
+	_, deadSeq := zombieClaim(t, st.ts.URL)
 
 	wcfg := cluster.WorkerConfig{Coordinator: st.ts.URL, Node: "live-0", Lanes: 2, PollWait: 250 * time.Millisecond}
 	w, err := cluster.StartWorker(wcfg)
@@ -396,7 +395,7 @@ func TestVerdictUnderLostLeaseIsNotReissued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := startStack(t, svc, cluster.CoordinatorConfig{NodeTTL: time.Minute, StealAge: time.Hour}, 0, cluster.WorkerConfig{})
+	st := startStack(t, svc, cluster.CoordinatorConfig{StealAge: time.Hour}, 0, cluster.WorkerConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	tk, err := svc.Submit(ctx, subs[0])
@@ -588,7 +587,7 @@ func TestHealthzClusterFields(t *testing.T) {
 	}
 
 	// One wire claim: the claiming node is live and holds one lease.
-	zombieClaim(t, ts.URL)
+	zombie, _ := zombieClaim(t, ts.URL)
 	h = readHealth()
 	if got := h["queue_depth"]; got != float64(2) {
 		t.Fatalf("after claim: queue_depth = %v, want 2", got)
@@ -598,6 +597,14 @@ func TestHealthzClusterFields(t *testing.T) {
 	}
 	if got := h["nodes"]; got != float64(1) {
 		t.Fatalf("after claim: nodes = %v, want 1", got)
+	}
+
+	// Its stream ends: the node is gone at once, while its lease waits out
+	// the TTL.
+	zombie.Close()
+	eventually(t, "the closed stream's node to leave", func() bool { return readHealth()["nodes"] == float64(0) })
+	if got := readHealth()["leases"]; got != float64(1) {
+		t.Fatalf("after the stream ended: leases = %v, want 1", got)
 	}
 }
 
@@ -1120,13 +1127,13 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 }
 
 // TestStartWorkerRefusesLongNodeName: the coordinator takes a node name of
-// at most 65535 bytes, in a header, which cannot carry a control byte; a
-// name it would refuse is refused at start, not on every stream the node
-// opens.
+// at most MaxNodeName bytes, in a header, which cannot carry a control
+// byte; a name it would refuse is refused at start, not on every stream
+// the node opens.
 func TestStartWorkerRefusesLongNodeName(t *testing.T) {
-	_, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: strings.Repeat("n", 1<<16)})
+	_, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: strings.Repeat("n", cluster.MaxNodeName+1)})
 	if err == nil || !strings.Contains(err.Error(), "node name") {
-		t.Fatalf("a 65536-byte node name: %v, want it refused", err)
+		t.Fatalf("a %d-byte node name: %v, want it refused", cluster.MaxNodeName+1, err)
 	}
 	// The name travels in a header, which cannot carry a control byte.
 	_, err = cluster.StartWorker(cluster.WorkerConfig{Coordinator: "http://127.0.0.1:1", Node: "node\n1"})

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,19 +21,14 @@ import (
 
 // CoordinatorConfig tunes the cluster's queue-owning side.
 type CoordinatorConfig struct {
-	// NodeTTL is the worker-node liveness window: a node unseen for
-	// longer drops out of the affinity set and the live count; <= 0
-	// selects 15s.
-	NodeTTL time.Duration
-
-	// PollSlice is how often a blocked claim re-evaluates node liveness
+	// PollSlice is how often a blocked claim re-reads the live node set
 	// and affinity (each slice is one bounded ClaimWhere); <= 0 selects
 	// 250ms. Tests shrink it.
 	PollSlice time.Duration
 
 	// StealAge is the anti-starvation bound: a pending item older than
 	// this is claimable by any node, affinity notwithstanding (its owner
-	// is slow, dead, or drowning); <= 0 selects NodeTTL.
+	// is slow, wedged, or drowning); <= 0 selects 15s.
 	StealAge time.Duration
 
 	// Registry, when set, serves older generations' artifact bytes for
@@ -61,30 +57,29 @@ type RemoteVerdict struct {
 }
 
 // Coordinator is the cluster's wire in front of the service's claimer: it
-// mounts the claim protocol on the gateway mux, tracks worker-node
-// liveness, routes claims by digest affinity, and serves model artifacts
-// so nodes always vet on the advertised generation. Claims and their
-// settlement are vetsvc.Remote's — the local lanes' claim path, settle
-// rule and the queue's one lease table — so the coordinator holds no lease
-// of its own. Construct with NewCoordinator over a running vetsvc.Service
-// (normally one opened in coordinator mode,
-// vetsvc.Config.DisableLocalLanes; local lanes and remote nodes can also
-// share a queue — first-wins records absorb the overlap).
+// mounts the claim protocol on the gateway mux, counts each worker node's
+// open streams (a node is live while one is open), routes claims by digest
+// affinity, and serves model artifacts so nodes always vet on the
+// advertised generation. Claims and their settlement are vetsvc.Remote's —
+// the local lanes' claim path, settle rule and the queue's one lease table
+// — so the coordinator holds no lease of its own. Construct with
+// NewCoordinator over a running vetsvc.Service (normally one opened in
+// coordinator mode, vetsvc.Config.DisableLocalLanes; local lanes and
+// remote nodes can also share a queue — first-wins records absorb the
+// overlap).
 type Coordinator struct {
 	remote vetsvc.Remote
 	ck     *core.Checker
 	ttl    time.Duration // the queue's lease TTL, shipped in every claim frame; it bounds each stream write
 	cfg    CoordinatorConfig
 
-	// nodes is the worker registry: each node's last sighting, by name;
-	// liveness is a sighting within NodeTTL. live is the sorted live set,
-	// recomputed only when it can have changed: a node joined (live == nil)
-	// or the earliest expiry seen at the last recompute (liveUntil) has
-	// passed. A published live slice is never written again.
-	nodesMu   sync.Mutex
-	nodes     map[string]time.Time
-	live      []string
-	liveUntil time.Time
+	// streams counts each live node's open streams, by name (one per
+	// lane): a node joins with its first stream's 101 and leaves when its
+	// last stream ends. live is the sorted set of those names, built anew
+	// on each join and leave and never written once published.
+	nodesMu sync.Mutex
+	streams map[string]int
+	live    []string
 
 	// models is the model window: the artifact bytes of the generations
 	// claims advertised, by digest, the oldest evicted past modelWindow.
@@ -110,14 +105,11 @@ const modelWindow = 4
 // GET /metrics with no exporter changes; reclaims and lease ages are the
 // queue's own (svc.queue.reclaimed, svc.queue.lease_age).
 func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
-	if cfg.NodeTTL <= 0 {
-		cfg.NodeTTL = 15 * time.Second
-	}
 	if cfg.PollSlice <= 0 {
 		cfg.PollSlice = 250 * time.Millisecond
 	}
 	if cfg.StealAge <= 0 {
-		cfg.StealAge = cfg.NodeTTL
+		cfg.StealAge = 15 * time.Second
 	}
 	col := svc.Obs()
 	return &Coordinator{
@@ -125,7 +117,7 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 		ck:         svc.Checker(),
 		ttl:        svc.Config().LeaseTTL,
 		cfg:        cfg,
-		nodes:      make(map[string]time.Time),
+		streams:    make(map[string]int),
 		models:     make(map[string][]byte),
 		nodesGauge: col.Gauge("cluster.nodes"),
 		claims:     col.Counter("cluster.claims"),
@@ -141,44 +133,35 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathStream, c.handleStream)
 }
 
-// LiveNodes reports how many worker nodes are within their liveness
-// window right now (the healthz surface).
-func (c *Coordinator) LiveNodes() int { return len(c.liveNodes(time.Now())) }
+// LiveNodes reports how many worker nodes have a stream open right now
+// (the healthz surface).
+func (c *Coordinator) LiveNodes() int { return len(c.liveNodes()) }
 
-// touch books one sighting of node.
-func (c *Coordinator) touch(node string, now time.Time) {
-	c.nodesMu.Lock()
-	if _, ok := c.nodes[node]; !ok {
-		c.live = nil
-	}
-	c.nodes[node] = now
-	c.nodesMu.Unlock()
-}
-
-// liveNodes returns the live node names, sorted for deterministic
-// affinity, and refreshes the live gauge when the set is recomputed.
-func (c *Coordinator) liveNodes(now time.Time) []string {
+// liveNodes returns the published live set, sorted for deterministic
+// affinity.
+func (c *Coordinator) liveNodes() []string {
 	c.nodesMu.Lock()
 	defer c.nodesMu.Unlock()
-	if c.live != nil && now.Before(c.liveUntil) {
-		return c.live
+	return c.live
+}
+
+// book adds delta to node's open streams: +1 once a stream's 101 is
+// written, -1 when it ends. When the node joins or leaves, it publishes
+// a new live set and sets the live gauge.
+func (c *Coordinator) book(node string, delta int) {
+	c.nodesMu.Lock()
+	defer c.nodesMu.Unlock()
+	was := c.streams[node]
+	if was+delta == 0 {
+		delete(c.streams, node)
+	} else {
+		c.streams[node] = was + delta
 	}
-	live := make([]string, 0, len(c.nodes))
-	first := now
-	for name, seen := range c.nodes {
-		if now.Sub(seen) > c.cfg.NodeTTL {
-			delete(c.nodes, name)
-			continue
-		}
-		live = append(live, name)
-		if seen.Before(first) {
-			first = seen
-		}
+	if was > 0 && was+delta > 0 {
+		return // the node's other streams keep it live
 	}
-	sort.Strings(live)
-	c.live, c.liveUntil = live, first.Add(c.cfg.NodeTTL)
-	c.nodesGauge.Set(int64(len(live)))
-	return live
+	c.live = slices.Sorted(maps.Keys(c.streams))
+	c.nodesGauge.Set(int64(len(c.live)))
 }
 
 // affinityOwner picks the live node whose verdict cache most likely
@@ -215,10 +198,10 @@ var switching = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\
 
 // handleStream is POST /v1/cluster/stream: it checks the node name and the
 // protocol token, answers 101, and then serves the lane's frames on the
-// connection until either side ends it. The stream's reader (readUp)
-// decodes each up-frame and hands it over; this goroutine answers them one
-// at a time, so a claim request's long-poll and everything after it keep
-// their order.
+// connection until either side ends it; the node is live from the 101
+// until then. The stream's reader (readUp) decodes each up-frame and hands
+// it over; this goroutine answers them one at a time, so a claim request's
+// long-poll and everything after it keep their order.
 func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	node, err := nodeName(r)
 	if err == nil && r.Header.Get("Upgrade") != streamProtocol {
@@ -244,7 +227,8 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.rw.Write(switching); err != nil {
 		return
 	}
-	c.touch(node, time.Now())
+	c.book(node, +1)
+	defer c.book(node, -1)
 
 	ctx, end := context.WithCancel(context.Background())
 	defer end()
@@ -337,7 +321,6 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 	if f.err != nil {
 		return s.refuse(http.StatusBadRequest, f.err.Error())
 	}
-	now := time.Now()
 	id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
 	switch f.typ {
 	case upNack:
@@ -346,7 +329,6 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 		}
 		return s.send(s.frame(downEmpty))
 	case upHeartbeat:
-		c.touch(node, now)
 		if err := c.remote.Heartbeat(id); err != nil {
 			return s.refuse(http.StatusGone, err.Error())
 		}
@@ -360,14 +342,13 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 		return s.send(append(s.frame(downModel), data...))
 	}
 	req := &f.claim
-	c.touch(node, now)
 	if req.Acked {
 		c.settleAck(node, &req.Ack)
 	}
 	if req.WaitMS <= 0 {
 		return s.send(s.frame(downEmpty))
 	}
-	l, dl, err := c.poll(polls, node, now, time.Duration(req.WaitMS)*time.Millisecond)
+	l, dl, err := c.poll(polls, node, time.Duration(req.WaitMS)*time.Millisecond)
 	switch {
 	case err == nil:
 		return c.sendClaim(s, node, l, dl)
@@ -382,13 +363,15 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 }
 
 // poll long-polls for the lowest-seq pending item node may take, for up to
-// wait (capped by maxPoll). The poll is sliced so node liveness and
-// affinity are re-evaluated every PollSlice; workqueue.ErrNothingClaimable
+// wait (capped by maxPoll). The poll is sliced so the live set and
+// affinity are re-read every PollSlice: a node that joins or leaves
+// reaches a waiting poll within one slice. workqueue.ErrNothingClaimable
 // means the budget ran out.
-func (c *Coordinator) poll(ctx context.Context, node string, now time.Time, wait time.Duration) (*workqueue.Lease, time.Time, error) {
+func (c *Coordinator) poll(ctx context.Context, node string, wait time.Duration) (*workqueue.Lease, time.Time, error) {
+	now := time.Now()
 	deadline := now.Add(min(wait, maxPoll))
 	for now.Before(deadline) {
-		live := c.liveNodes(now)
+		live := c.liveNodes()
 		accept := func(it workqueue.Item) bool {
 			if it.Payload == nil {
 				// Memory-only submissions cannot ship; local lanes (if
@@ -408,7 +391,7 @@ func (c *Coordinator) poll(ctx context.Context, node string, now time.Time, wait
 		if !errors.Is(err, workqueue.ErrNothingClaimable) {
 			return l, dl, err
 		}
-		// Slice expired: refresh liveness and try again within the budget.
+		// Slice expired: re-read the live set and try again within the budget.
 		now = time.Now()
 	}
 	return nil, time.Time{}, workqueue.ErrNothingClaimable
@@ -455,14 +438,14 @@ func (c *Coordinator) nack(id workqueue.LeaseID, cause error) error {
 }
 
 // nodeName reads the node name a stream's upgrade carries: it must be
-// there, and at most maxName bytes, before the node is booked as live.
+// there, and at most maxNodeName bytes, before the node is booked as live.
 func nodeName(r *http.Request) (string, error) {
 	node := r.Header.Get(nodeHeader)
 	switch {
 	case node == "":
 		return "", fmt.Errorf("cluster: %s requires a node name (the %s header)", r.URL.Path, nodeHeader)
-	case len(node) > maxName:
-		return "", fmt.Errorf("cluster: a %d-byte node name, want at most %d", len(node), maxName)
+	case len(node) > maxNodeName:
+		return "", fmt.Errorf("cluster: a %d-byte node name, want at most %d", len(node), maxNodeName)
 	}
 	return node, nil
 }

@@ -22,6 +22,7 @@ const (
 	DownModel      = downModel
 	StreamProtocol = streamProtocol
 	NodeHeader     = nodeHeader
+	MaxNodeName    = maxNodeName
 	MaxControl     = maxControlBytes
 )
 

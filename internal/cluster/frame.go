@@ -99,7 +99,7 @@ const (
 	ackVerdict  = 1 << 0 // ack flags
 	ackDeadline = 1 << 1
 
-	// maxName is the longest node name or digest a uint16 length carries.
+	// maxName is the longest key or digest a uint16 length carries.
 	maxName = 0xFFFF
 
 	// maxFrameBytes is the largest down-frame body a worker will read: the

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"apichecker/internal/apk"
 	"apichecker/internal/cluster"
 	"apichecker/internal/core"
 	"apichecker/internal/vetsvc"
@@ -135,10 +136,10 @@ func (c *faultConn) Read(p []byte) (int, error) {
 }
 
 // TestEmptyNodeNameIsRefused: a stream that names no node, or a name
-// longer than the wire carries, is refused with 400 before the
-// coordinator books a sighting. A phantom "" node in the live set would
-// take part in rendezvous affinity: with one real node, about half of the
-// keyed items would wait StealAge before that node could claim them.
+// longer than MaxNodeName, is refused with 400 before the coordinator
+// books the node as live. A phantom "" node in the live set would take
+// part in rendezvous affinity: with one real node, about half of the keyed
+// items would wait StealAge before that node could claim them.
 func TestEmptyNodeNameIsRefused(t *testing.T) {
 	base, _ := trainedArtifact(t)
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{QueueSize: 4, DisableLocalLanes: true})
@@ -153,6 +154,7 @@ func TestEmptyNodeNameIsRefused(t *testing.T) {
 	}{
 		{"a stream with no node header", upgrade},
 		{"a stream with an empty name", withNode(upgrade, "")},
+		{"a stream with a name one byte too long", withNode(upgrade, strings.Repeat("n", cluster.MaxNodeName+1))},
 		{"a stream with a 65536-byte name", withNode(upgrade, strings.Repeat("n", 1<<16))},
 	} {
 		req, err := http.NewRequest(http.MethodPost, st.ts.URL+cluster.PathStream, nil)
@@ -197,7 +199,7 @@ func TestStopMidPollStrandsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := startStack(t, svc, cluster.CoordinatorConfig{NodeTTL: 50 * time.Millisecond}, 0, cluster.WorkerConfig{})
+	st := startStack(t, svc, cluster.CoordinatorConfig{}, 0, cluster.WorkerConfig{})
 	baseline := runtime.NumGoroutine()
 	settled := func(what string) {
 		t.Helper()
@@ -255,6 +257,145 @@ func TestStopMidPollStrandsNothing(t *testing.T) {
 	if _, err := tk.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// liveSet is a coordinator with no worker fleet, whose tests open streams
+// by hand, a submission whose affinity owner among nodes a and b is a, and
+// that submission's verdict.
+func liveSet(t *testing.T, ccfg cluster.CoordinatorConfig) (*clusterStack, core.Submission, *core.Verdict) {
+	t.Helper()
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, svc, ccfg, 0, cluster.WorkerConfig{})
+	for _, sub := range rawSubs(t, corpus, 8, 8) {
+		if cluster.AffinityOwner(apk.Digest(sub.Raw), []string{"a", "b"}) == "a" {
+			return st, sub, serialVerdicts(t, base, configOf(base), []core.Submission{sub})[0]
+		}
+	}
+	t.Fatal("no submission of eight is node a's")
+	return nil, core.Submission{}, nil
+}
+
+// report acks claim cl with verdict v on s.
+func report(t *testing.T, s *cluster.Stream, cl *cluster.Claim, v *core.Verdict) {
+	t.Helper()
+	if kind, _, err := s.Claim(0, cluster.AppendAck(cl.Seq, cl.Token, cl.Key, v)); kind != "empty" || err != nil {
+		t.Fatalf("report: answered %s, %v", kind, err)
+	}
+}
+
+// openLive opens a stream as node and waits for one empty answer, so the
+// coordinator has booked it.
+func openLive(t *testing.T, st *clusterStack, node string) *cluster.Stream {
+	t.Helper()
+	s, err := cluster.OpenStream(st.ts.URL, node, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if kind, _, err := s.Claim(0, nil); err != nil || kind != "empty" {
+		t.Fatalf("node %s's first request: answered %s, %v", node, kind, err)
+	}
+	return s
+}
+
+// TestStreamEndLeavesLiveSet: a node is live while its stream is open. When
+// node a's only stream ends, a leaves the live set at once, and a poll node
+// b already has waiting takes the item a owned by affinity within a few
+// poll slices, without waiting out StealAge (an hour here).
+func TestStreamEndLeavesLiveSet(t *testing.T) {
+	const slice = 50 * time.Millisecond
+	st, sub, want := liveSet(t, cluster.CoordinatorConfig{PollSlice: slice, StealAge: time.Hour})
+	a, b := openLive(t, st, "a"), openLive(t, st, "b")
+	if n := st.coord.LiveNodes(); n != 2 {
+		t.Fatalf("%d live nodes, want 2", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := st.svc.Submit(ctx, sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Send(5000, nil); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * slice)
+	if qs := st.svc.QueueStats(); qs.Depth != 1 || qs.Leased != 0 {
+		t.Fatalf("while a is live: %d pending, %d leased; want 1, 0 (b took a's item)", qs.Depth, qs.Leased)
+	}
+
+	a.Close()
+	for deadline := time.Now().Add(time.Second); st.coord.LiveNodes() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a second after a's only stream ended: %d live nodes, want 1", st.coord.LiveNodes())
+		}
+	}
+	left := time.Now()
+	kind, cl, err := b.Answer()
+	if err != nil || kind != "claim" {
+		t.Fatalf("b's waiting poll: answered %s, %v; want a's item", kind, err)
+	}
+	if d := time.Since(left); d > 20*slice {
+		t.Errorf("b's poll took a's item %v after a left, want within a few %v slices", d, slice)
+	}
+	if cl.Key != apk.Digest(sub.Raw) {
+		t.Fatalf("b claimed key %s, want a's item", cl.Key)
+	}
+	report(t, b, cl, want)
+}
+
+// TestNodeLiveWhileAnyStreamOpen: a node has one stream per lane. It stays
+// live while any of them is open, and leaves when the last one ends.
+func TestNodeLiveWhileAnyStreamOpen(t *testing.T) {
+	st, _, _ := liveSet(t, cluster.CoordinatorConfig{})
+	first := openLive(t, st, "a")
+	baseline := runtime.NumGoroutine()
+	second := openLive(t, st, "a")
+	if n := st.coord.LiveNodes(); n != 1 {
+		t.Fatalf("two streams of one node: %d live nodes, want 1", n)
+	}
+	second.Close()
+	eventually(t, "the second stream's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+	if n := st.coord.LiveNodes(); n != 1 {
+		t.Fatalf("one of its two streams ended: %d live nodes, want 1", n)
+	}
+	first.Close()
+	eventually(t, "the node to leave with its last stream", func() bool { return st.coord.LiveNodes() == 0 })
+}
+
+// TestSilentStreamKeepsNodeLive: a stream that stays open but says nothing
+// (a wedged node, or one cut off without a FIN) keeps its node live until
+// the connection ends. Its keyed items are not stranded meanwhile: after
+// StealAge the other node takes them.
+func TestSilentStreamKeepsNodeLive(t *testing.T) {
+	const stealAge = 300 * time.Millisecond
+	st, sub, want := liveSet(t, cluster.CoordinatorConfig{StealAge: stealAge})
+	openLive(t, st, "a")
+	b := openLive(t, st, "b")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	submitted := time.Now()
+	if _, err := st.svc.Submit(ctx, sub); err != nil {
+		t.Fatal(err)
+	}
+	kind, cl, err := b.Claim(5000, nil)
+	if err != nil || kind != "claim" {
+		t.Fatalf("b's poll: answered %s, %v; want a's item after StealAge", kind, err)
+	}
+	if d := time.Since(submitted); d < stealAge {
+		t.Fatalf("b took a's item after %v, before StealAge %v", d, stealAge)
+	}
+	if cl.Key != apk.Digest(sub.Raw) {
+		t.Fatalf("b claimed key %s, want a's item", cl.Key)
+	}
+	if n := st.coord.LiveNodes(); n != 2 {
+		t.Fatalf("with a's stream open and silent: %d live nodes, want 2", n)
+	}
+	report(t, b, cl, want)
 }
 
 // TestStreamClaimAllocBudget: one warm submission through a coordinator

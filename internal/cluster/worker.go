@@ -23,8 +23,9 @@ type WorkerConfig struct {
 	// Required.
 	Coordinator string
 
-	// Node is this node's stable name — its affinity and liveness
-	// identity across the fleet. Required, and must be unique per node.
+	// Node is this node's stable name, at most 255 bytes: its affinity
+	// identity across the fleet, live while any of its lanes' streams is
+	// open. Required, and must be unique per node.
 	Node string
 
 	// Lanes is the concurrent claim-loop count; <= 0 selects 4.
@@ -96,8 +97,8 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("cluster: worker requires a node name")
 	}
-	if len(cfg.Node) > maxName {
-		return nil, fmt.Errorf("cluster: a %d-byte node name: the wire carries at most %d", len(cfg.Node), maxName)
+	if len(cfg.Node) > maxNodeName {
+		return nil, fmt.Errorf("cluster: a %d-byte node name, want at most %d", len(cfg.Node), maxNodeName)
 	}
 	if i := strings.IndexFunc(cfg.Node, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }); i >= 0 {
 		return nil, fmt.Errorf("cluster: node name byte %#02x at %d: the name travels in an HTTP header", cfg.Node[i], i)

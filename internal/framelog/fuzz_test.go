@@ -16,7 +16,8 @@ import (
 )
 
 // realLogs returns the bytes of a journal and a persist log as their
-// owners write them: enqueues, a settle, entries with and without a value.
+// owners write them: a compaction's mark, enqueues, a settle; entries with
+// and without a value.
 func realLogs(t testing.TB) (journal, persist []byte) {
 	t.Helper()
 	qdir, pdir := t.TempDir(), t.TempDir()
@@ -24,16 +25,37 @@ func realLogs(t testing.TB) (journal, persist []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Settled traffic until a settle compacts the journal, which then
+	// opens with a mark.
+	qlog := filepath.Join(qdir, "workqueue.log")
+	for grown := int64(0); ; {
+		if !q.TryAcquire() {
+			t.Fatal("queue full")
+		}
+		if _, err := q.Enqueue(workqueue.Item{Payload: make([]byte, 8<<10)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := settleNext(q); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(qlog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() < grown {
+			break
+		}
+		if fi.Size() > 2<<20 {
+			t.Fatalf("journal never compacted: %d bytes", fi.Size())
+		}
+		grown = fi.Size()
+	}
 	for _, k := range []string{"app-1", "app-2", "app-3"} {
 		if err := enqueue(q, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l, err := q.Claim(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Ack(); err != nil {
+	if err := settleNext(q); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
@@ -47,13 +69,25 @@ func realLogs(t testing.TB) (journal, persist []byte) {
 		}
 	}
 	p.Close()
-	if journal, err = os.ReadFile(filepath.Join(qdir, "workqueue.log")); err != nil {
+	if journal, err = os.ReadFile(qlog); err != nil {
 		t.Fatal(err)
+	}
+	if _, bodies, _ := referenceFrames(journal); len(bodies) == 0 || bodies[0][0] != 3 {
+		t.Fatal("the compacted journal does not open with a mark")
 	}
 	if persist, err = os.ReadFile(filepath.Join(pdir, "vcache.log")); err != nil {
 		t.Fatal(err)
 	}
 	return journal, persist
+}
+
+// settleNext claims q's next item and acks it.
+func settleNext(q *workqueue.Queue) error {
+	l, err := q.Claim(context.Background())
+	if err != nil {
+		return err
+	}
+	return l.Ack()
 }
 
 // referenceFrames is the frame format read the slow, obvious way over the

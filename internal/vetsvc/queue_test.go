@@ -292,13 +292,14 @@ func TestRemoteClaimerSettleRule(t *testing.T) {
 // coordinator restart cannot settle whatever submission holds its seq
 // after it. Life 1, in coordinator mode with a journal, claims and acks
 // one raw archive at a time through Remote until a compaction leaves the
-// journal empty, and keeps its first ack. Life 2, a new checker over the
-// same journal and model, admits a malicious app, and then the first ack
-// arrives again, as a lane re-sends an ack whose answer it never saw.
-// While compaction loses the journal's seq watermark, life 2 hands out seq
-// 1 again, so the stale ack names the new submission's seq: its key, the
-// old app's digest, is refused and records nothing. Either way the new
-// ticket answers with the new app's own verdict.
+// journal with no enqueue, and keeps its first ack. Life 2, a new checker
+// over the same journal and model, admits a malicious app, and then the
+// first ack arrives again, as a lane re-sends an ack whose answer it never
+// saw. The compaction's mark keeps the journal's seq watermark, so life 2
+// hands out a fresh seq and the stale ack names a settled one; were the
+// watermark lost, life 2 would hand out seq 1 again, and the stale ack's
+// key, the old app's digest, would be refused. Either way it records
+// nothing, and the new ticket answers with the new app's own verdict.
 func TestStaleAckCannotSettleAnotherSubmission(t *testing.T) {
 	ck, corpus := trainedChecker(t)
 	ckRef, _ := trainedChecker(t)
@@ -333,14 +334,13 @@ func TestStaleAckCannotSettleAnotherSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := size()
 	var (
 		staleID  workqueue.LeaseID
 		staleKey string
 		staleV   *core.Verdict
 		n        int
 	)
-	for n = 0; n == 0 || size() > empty; n++ {
+	for grown := size(); ; {
 		if n == 1000 {
 			t.Fatalf("%d settled archives and the journal is %d bytes: it never compacted", n, size())
 		}
@@ -362,6 +362,12 @@ func TestStaleAckCannotSettleAnotherSubmission(t *testing.T) {
 		if n == 0 {
 			staleID, staleKey, staleV = l.ID(), key, v
 		}
+		n++
+		now := size()
+		if now < grown {
+			break // this settle compacted the journal
+		}
+		grown = now
 	}
 	svc.Close()
 

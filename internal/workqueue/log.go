@@ -4,13 +4,15 @@
 // repair, compaction); this file owns what a frame's body means and how a
 // log folds into the items a restart must re-vet.
 //
-// Two bodies (little-endian); the payload is the rest of the frame:
+// Three bodies (little-endian); the payload is the rest of the frame:
 //
 //	enqueue: u8 1 | u64 seq | u32 keyLen | key | payload
 //	settle:  u8 2 | u64 seq
+//	mark:    u8 3 | u64 seq
 //
 // A settle for an unknown seq is ignored (its enqueue record was dropped
-// by a compaction).
+// by a compaction). A compaction writes a mark first: the highest seq the
+// journal had recorded, which the records it drops no longer show.
 package workqueue
 
 import (
@@ -27,30 +29,33 @@ const logFile = "workqueue.log"
 // logMagic is the journal's header line; bump on layout changes. A file
 // under any other header is replaced by an empty journal, so drain a node
 // before upgrading it across a bump.
-const logMagic = "workqueuelog/2"
+const logMagic = "workqueuelog/3"
 
 // Record type tags.
 const (
 	recEnqueue = 1
 	recSettle  = 2
+	recMark    = 3
 )
 
 // openLog opens (or creates) the journal in dir and replays it: items
 // returns every enqueued-but-unsettled submission in seq order, maxSeq the
-// highest seq the log has ever recorded (settled or not, so the caller can
-// advance its seq source past numbers a previous life consumed), and
-// skipped the records dropped as torn or corrupt.
+// highest seq the log has ever recorded (settled or not, and through its
+// marks across compactions, so the caller can advance its seq source past
+// numbers a previous life consumed), and skipped the records dropped as
+// torn or corrupt.
 func openLog(dir string) (l *framelog.Log, items []Item, maxSeq int64, skipped int, err error) {
 	live := make(map[int64]Item)
 	l, skipped, err = framelog.Open(dir, logFile, logMagic, func(body []byte) bool {
-		it, settled, ok := decodeRecord(body)
+		it, kind, ok := decodeRecord(body)
 		if !ok {
 			return false
 		}
 		maxSeq = max(maxSeq, it.Seq)
-		if settled {
+		switch kind {
+		case recSettle:
 			delete(live, it.Seq)
-		} else {
+		case recEnqueue:
 			it.Replayed = true
 			live[it.Seq] = it
 		}
@@ -67,27 +72,27 @@ func openLog(dir string) (l *framelog.Log, items []Item, maxSeq int64, skipped i
 	return l, items, maxSeq, skipped, nil
 }
 
-// decodeRecord parses one frame body. ok is false for a body no encoder
-// here wrote: an unknown kind, a settle of the wrong size, a key length the
-// body cannot back. The payload aliases body.
-func decodeRecord(body []byte) (it Item, settled, ok bool) {
+// decodeRecord parses one frame body into its kind and, for an enqueue,
+// the item; a settle or mark fills only the seq. ok is false for a body no
+// encoder here wrote: an unknown kind, a settle or mark of the wrong size,
+// a key length the body cannot back. The payload aliases body.
+func decodeRecord(body []byte) (it Item, kind byte, ok bool) {
 	r := wire.NewReader(body)
-	kind := r.U8()
+	kind = r.U8()
 	it.Seq = int64(r.U64())
 	switch kind {
-	case recSettle:
+	case recSettle, recMark:
 		r.End()
-		settled = true
 	case recEnqueue:
 		it.Key = r.String(int(r.U32()))
 		it.Payload = r.Rest()
 	default:
-		return Item{}, false, false
+		return Item{}, 0, false
 	}
 	if r.Err() != nil {
-		return Item{}, false, false
+		return Item{}, 0, false
 	}
-	return it, settled, true
+	return it, kind, true
 }
 
 // encodeEnqueue builds the frame that journals one accepted item.
@@ -101,8 +106,15 @@ func encodeEnqueue(it Item) []byte {
 
 // encodeSettle builds the frame that journals one settled (acked or
 // dead-lettered) seq.
-func encodeSettle(seq int64) []byte {
+func encodeSettle(seq int64) []byte { return encodeSeq(recSettle, seq) }
+
+// encodeMark builds the frame that opens a compacted journal: the highest
+// seq the journal has recorded.
+func encodeMark(seq int64) []byte { return encodeSeq(recMark, seq) }
+
+// encodeSeq builds a frame whose body is kind and seq alone.
+func encodeSeq(kind byte, seq int64) []byte {
 	buf := framelog.NewFrame(9)
-	buf = append(buf, recSettle)
+	buf = append(buf, kind)
 	return binary.LittleEndian.AppendUint64(buf, uint64(seq))
 }

@@ -11,6 +11,7 @@ import (
 func TestDecodeRecordChecksTheBodyInHand(t *testing.T) {
 	enq := encodeEnqueue(Item{Seq: 7, Key: "digest", Payload: []byte("apk")})[4:]
 	set := encodeSettle(7)[4:]
+	mark := encodeMark(7)[4:]
 	lying := append([]byte{}, enq...)
 	binary.LittleEndian.PutUint32(lying[9:], 0xFFFFFFFF)
 	keyOnly := append([]byte{}, enq[:13+len("digest")]...)
@@ -19,30 +20,33 @@ func TestDecodeRecordChecksTheBodyInHand(t *testing.T) {
 		name    string
 		body    []byte
 		ok      bool
-		settled bool
+		kind    byte
 		key     string
 		payload string
 	}{
-		{"enqueue", enq, true, false, "digest", "apk"},
-		{"settle", set, true, true, "", ""},
-		{"enqueue with an empty payload", keyOnly, true, false, "digest", ""},
-		{"empty", nil, false, false, "", ""},
-		{"seq cut short", enq[:8], false, false, "", ""},
-		{"enqueue without a key length", enq[:12], false, false, "", ""},
-		{"key cut short", enq[:13+3], false, false, "", ""},
-		{"key length past the body", lying, false, false, "", ""},
-		{"settle with a trailing byte", append(append([]byte{}, set...), 0), false, false, "", ""},
-		{"unknown kind", append([]byte{9}, set[1:]...), false, false, "", ""},
+		{"enqueue", enq, true, recEnqueue, "digest", "apk"},
+		{"settle", set, true, recSettle, "", ""},
+		{"mark", mark, true, recMark, "", ""},
+		{"enqueue with an empty payload", keyOnly, true, recEnqueue, "digest", ""},
+		{"empty", nil, false, 0, "", ""},
+		{"seq cut short", enq[:8], false, 0, "", ""},
+		{"enqueue without a key length", enq[:12], false, 0, "", ""},
+		{"key cut short", enq[:13+3], false, 0, "", ""},
+		{"key length past the body", lying, false, 0, "", ""},
+		{"settle with a trailing byte", append(append([]byte{}, set...), 0), false, 0, "", ""},
+		{"mark with a trailing byte", append(append([]byte{}, mark...), 0), false, 0, "", ""},
+		{"mark cut short", mark[:8], false, 0, "", ""},
+		{"unknown kind", append([]byte{9}, set[1:]...), false, 0, "", ""},
 	} {
-		it, settled, ok := decodeRecord(tc.body)
-		if ok != tc.ok || (ok && settled != tc.settled) {
-			t.Errorf("%s: ok=%v settled=%v, want %v/%v", tc.name, ok, settled, tc.ok, tc.settled)
+		it, kind, ok := decodeRecord(tc.body)
+		if ok != tc.ok || (ok && kind != tc.kind) {
+			t.Errorf("%s: ok=%v kind=%d, want %v/%d", tc.name, ok, kind, tc.ok, tc.kind)
 			continue
 		}
 		if ok && (it.Seq != 7 || it.Key != tc.key || string(it.Payload) != tc.payload) {
 			t.Errorf("%s: decoded %+v", tc.name, it)
 		}
-		if ok && !settled && it.Payload == nil {
+		if ok && kind == recEnqueue && it.Payload == nil {
 			t.Errorf("%s: a replayed item lost its durable (non-nil) payload", tc.name)
 		}
 	}

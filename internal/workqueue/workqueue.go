@@ -299,6 +299,7 @@ type Queue struct {
 	log      *framelog.Log
 	nextSeq  int64 // last seq assigned to an item enqueued with Seq 0
 	maxSeq   int64 // highest seq the journal had recorded at Open
+	logSeq   int64 // highest seq the journal has recorded: a compaction's mark
 
 	depth, leased                                      *obs.Gauge
 	enqueued, acked, nacked, reclaimed, replayed, dead *obs.Counter
@@ -357,7 +358,7 @@ func Open(cfg Config) (*Queue, []Item, error) {
 			return nil, nil, err
 		}
 		q.log = log
-		q.maxSeq = maxSeq
+		q.maxSeq, q.logSeq = maxSeq, maxSeq
 		q.replaySkipped.Add(uint64(skipped))
 		// The internal counter resumes past everything the journal ever
 		// recorded; callers that pin seqs consult ReplayMaxSeq themselves.
@@ -441,6 +442,7 @@ func (q *Queue) Enqueue(it Item) (int64, error) {
 			q.mu.Unlock()
 			return 0, fmt.Errorf("workqueue: journal enqueue: %w", err)
 		}
+		q.logSeq = max(q.logSeq, it.Seq)
 	}
 	q.insertLocked(it)
 	q.enqueued.Inc()
@@ -672,7 +674,8 @@ func (q *Queue) settleDeadLocked(it Item, cause error) deadItem {
 
 // journalSettleLocked records that a durable item is settled (acked or
 // dead-lettered) and will not replay, then lets the journal compact to the
-// unsettled durable items, pending and leased, if it has outgrown them.
+// unsettled durable items, pending and leased, if it has outgrown them,
+// after a mark that keeps the highest seq it has recorded.
 // Best effort: a failed write is counted, not returned — the item then
 // re-vets after a restart and first-wins absorbs the duplicate. After
 // Close nothing is written; the in-memory queue stays authoritative for
@@ -686,6 +689,7 @@ func (q *Queue) journalSettleLocked(it Item) {
 		return
 	}
 	q.log.Compact(func(add func(frame []byte)) {
+		add(encodeMark(q.logSeq))
 		keep := func(it Item) {
 			if it.Payload != nil { // memory-only items were never journaled
 				add(encodeEnqueue(it))

@@ -477,6 +477,52 @@ func TestJournalCompactionBoundsFileSize(t *testing.T) {
 	}
 }
 
+// TestSeqNeverReusedAfterCompaction: a compaction keeps only the unsettled
+// enqueues, so a journal with nothing unsettled would otherwise forget
+// every seq it recorded. Its mark keeps the highest: a queue that stops
+// right after the compaction reopens past it, and hands out no seq twice.
+func TestSeqNeverReusedAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := mustOpen(t, Config{Capacity: 2, Dir: dir})
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, logFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	payload := make([]byte, 8<<10)
+	var last int64
+	for grown := size(); ; {
+		last = enqueue(t, q, Item{Payload: payload})
+		if err := claim(t, q).Ack(); err != nil {
+			t.Fatal(err)
+		}
+		now := size()
+		if now < grown {
+			break // this settle compacted the journal
+		}
+		if now > 2<<20 {
+			t.Fatalf("journal never compacted: %d bytes after %d settled items", now, last)
+		}
+		grown = now
+	}
+	q.Close()
+
+	q2, replayed := mustOpen(t, Config{Capacity: 2, Dir: dir})
+	defer q2.Close()
+	if len(replayed) != 0 {
+		t.Fatalf("replayed %d items, want 0: every one was settled", len(replayed))
+	}
+	if got := q2.ReplayMaxSeq(); got != last {
+		t.Errorf("ReplayMaxSeq = %d after a compaction at seq %d, want %d", got, last, last)
+	}
+	if seq := enqueue(t, q2, Item{Payload: payload}); seq != last+1 {
+		t.Fatalf("first seq after the reopen = %d, want %d", seq, last+1)
+	}
+}
+
 func TestShutdownDrainsBeforeErrDrained(t *testing.T) {
 	q, _ := mustOpen(t, Config{Capacity: 4})
 	defer q.Close()
