@@ -33,7 +33,6 @@ func main() {
 		node  = flag.String("node", "", "stable node name, at most 255 bytes (its affinity identity; live while a lane's stream is open); required")
 		lanes = flag.Int("lanes", 0, "concurrent claim lanes (0 = 4)")
 		poll  = flag.Duration("poll", 10*time.Second, "claim long-poll budget per request")
-		hb    = flag.Duration("heartbeat", 0, "lease heartbeat period (0 = derive from the lease TTL, negative = off)")
 		vcap  = flag.Int("vcache", 0, "node-local verdict-cache capacity (0 = default capacity, negative = disabled)")
 		quiet = flag.Bool("quiet", false, "suppress the per-vet progress lines")
 	)
@@ -45,12 +44,11 @@ func main() {
 	}
 
 	cfg := cluster.WorkerConfig{
-		Coordinator:    *coord,
-		Node:           *node,
-		Lanes:          *lanes,
-		PollWait:       *poll,
-		HeartbeatEvery: *hb,
-		VerdictCache:   *vcap,
+		Coordinator:  *coord,
+		Node:         *node,
+		Lanes:        *lanes,
+		PollWait:     *poll,
+		VerdictCache: *vcap,
 	}
 	if !*quiet {
 		cfg.OnVet = func(seq int64, v *core.Verdict, err error) {

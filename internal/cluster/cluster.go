@@ -3,17 +3,15 @@
 // decomposition (internal/workqueue + internal/worker) into the fleet
 // the paper actually operates — one coordinator owning the durable
 // submission queue, N worker nodes claiming work over one upgraded HTTP
-// connection per lane, and lease TTLs making node death just another
-// reclaim (the
-// taskcluster-worker shape). A node's lanes are internal/worker's one
-// executor running over this package's Claimer (worker.go), one claim
-// stream per lane: Claim is a long-poll on the stream, carrying the lane's
-// pending ack; Heartbeat is a frame on the stream, whose 410 is the one
-// answer that cancels a vet; Ack keeps the report for the next claim; Nack
-// is a frame on the stream. The executor never overlaps Heartbeat with
-// Claim, Ack or Nack, so one stream carries all four, one request at a
-// time. Local lanes run the same executor over the queue, so the lease
-// rules are one.
+// connection per lane (the taskcluster-worker shape). A node's lanes are
+// internal/worker's one executor running over this package's Claimer
+// (worker.go), one claim stream per lane: Claim is a long-poll on the
+// stream, carrying the lane's pending ack; Heartbeat is a frame on the
+// stream, whose 410 is the one answer that cancels a vet; Ack keeps the
+// report for the next claim; Nack is a frame on the stream. The executor
+// never overlaps Heartbeat with Claim, Ack or Nack, so one stream carries
+// all four, one request at a time. Local lanes run the same executor over
+// the queue, so the lease rules are one.
 //
 // The wire is one stream per lane, the one route the coordinator mounts
 // on its gateway mux. Coordinator and workers ship together: the
@@ -21,28 +19,28 @@
 // refused with an error that says so. Every frame and body is a fixed
 // little-endian layout (frame.go).
 //
-//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/8 — the lane's
+//   - POST /v1/cluster/stream, Upgrade: apichecker-claim/9 — the lane's
 //     claim stream. The node name rides the upgrade, once, in the
 //     Apichecker-Node header; the coordinator answers 101 and the
 //     connection then carries frames. A claim request reports the lane's
 //     last finished vet (if any) and long-polls for the lowest-seq pending
 //     submission this node may take (digest-affinity routing: repeat
 //     submissions land on the node whose verdict cache already holds
-//     them). The coordinator settles the ack it carries — first-wins
-//     verdict record, then the lease, exactly like a local lane: a verdict
-//     computed under a lost lease is still correct (content determinism)
-//     and is absorbed by first-wins, never double-booked — before it
+//     them). The coordinator settles the ack it carries (first-wins
+//     verdict record, then the lease, as a local lane does) before it
 //     starts to poll. The answer is a claim frame (a fixed binary header,
 //     then the raw archive bytes), empty when the poll came back empty,
-//     drained, or a refusal. Any answer but a refusal acknowledges the
-//     ack; until a lane has seen one it sends the ack again, and a
-//     repeated ack changes nothing. A wait <= 0 claims nothing: it is how
-//     a stopping lane flushes its last ack. A nack returns a claim for
-//     another attempt (node shutting down, model pull failed, ack
-//     refused). A stopping lane cancels its poll in flight; a claim that
-//     overtook the cancel is nacked at once. A stream that ends cancels
-//     its poll; the leases it holds expire by their TTL, and a lane that
-//     stops reading loses its stream when a write outlasts the TTL.
+//     drained, or a refusal. Any answer acknowledges the ack; until a lane
+//     has seen one it sends the ack again, and a repeated ack changes
+//     nothing. A wait <= 0 claims nothing: it is how a stopping lane
+//     flushes its last ack. A nack returns a claim for another attempt
+//     (node shutting down, model pull failed).
+//   - A stream holds the claim it was last sent until an ack or nack of
+//     it arrives. However the stream ends — the lane closes it (a lane
+//     stopped mid-poll does), the node dies, a write outlasts the lease
+//     TTL, or a refusal ends it — the coordinator returns that claim
+//     before it closes the connection, and the return counts an attempt.
+//     The lease TTL is left for a node that is alive but silent.
 //   - A heartbeat frame extends a lease mid-emulation; a 410 refusal means
 //     the lease was reclaimed and the node must abandon the vet
 //     (workqueue.ErrLeaseLost semantics, over the wire).
@@ -55,8 +53,9 @@
 //
 // Bit-identity discipline: verdicts derive from submission content
 // alone, the coordinator pins sequence numbers at admission, and the
-// first-wins record absorbs at-least-once delivery — so N remote nodes
-// produce exactly the verdict set one serial Vet loop would.
+// first-wins record absorbs at-least-once delivery (a verdict computed
+// under a lost lease is still the right one) — so N remote nodes produce
+// exactly the verdict set one serial Vet loop would.
 package cluster
 
 import (
@@ -73,7 +72,7 @@ const PathStream = "/v1/cluster/stream"
 // that names the node on the upgrade, and the longest name it may carry
 // (the longest DNS name): the name keys the coordinator's live set.
 const (
-	streamProtocol = "apichecker-claim/8"
+	streamProtocol = "apichecker-claim/9"
 	nodeHeader     = "Apichecker-Node"
 	maxNodeName    = 255
 )

@@ -599,12 +599,12 @@ func TestHealthzClusterFields(t *testing.T) {
 		t.Fatalf("after claim: nodes = %v, want 1", got)
 	}
 
-	// Its stream ends: the node is gone at once, while its lease waits out
-	// the TTL.
+	// Its stream ends: the node is gone at once, and the stream's end
+	// returned its claim before the node left.
 	zombie.Close()
 	eventually(t, "the closed stream's node to leave", func() bool { return readHealth()["nodes"] == float64(0) })
-	if got := readHealth()["leases"]; got != float64(1) {
-		t.Fatalf("after the stream ended: leases = %v, want 1", got)
+	if got := readHealth()["leases"]; got != float64(0) {
+		t.Fatalf("after the stream ended: leases = %v, want 0", got)
 	}
 }
 
@@ -723,15 +723,19 @@ func TestClaimWriteFailureNacksAtOnce(t *testing.T) {
 // coordinator settled each on arrival; the lane, never having heard so,
 // sends it again with its next request, on a new stream. Every
 // verdict is recorded exactly once, the repeats change nothing, and the
-// claims whose frames were lost with the answers come back by lease TTL.
+// claims whose frames were lost with the answers come back when their
+// streams end.
 func TestAcksSurviveDroppedResponses(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const total, drops = 12, 4
 	subs := rawSubs(t, corpus, total, total)
 	serial := serialVerdicts(t, base, configOf(base), subs)
 
+	// A claim lost with a dropped answer comes back at once, as the lowest
+	// pending seq, so every drop can land on the same claim: each costs it
+	// an attempt, and it needs one more to be vetted.
 	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
-		QueueSize: total, LeaseTTL: 300 * time.Millisecond, DisableLocalLanes: true,
+		QueueSize: total, LeaseTTL: 300 * time.Millisecond, MaxAttempts: drops + 1, DisableLocalLanes: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -806,16 +810,17 @@ func TestAcksSurviveDroppedResponses(t *testing.T) {
 	if ws := st.workers[0].Stats(); ws.Verdicts != total {
 		t.Fatalf("worker vetted %d, want %d", ws.Verdicts, total)
 	}
-	if qs := svc.QueueStats(); qs.Reclaimed == 0 {
-		t.Fatal("no lease was reclaimed: the dropped answers carried no claim frame")
+	if got := svc.Obs().Counter("cluster.nacks").Load(); got == 0 {
+		t.Fatal("no claim came back with its stream: the dropped answers carried no claim frame")
 	}
 }
 
 // TestStopSettlesTheLaneClaim stops a node at the two points a lane can
-// be caught holding something: with a claim it has not vetted (nacked, so
-// it is re-issued at once) and with a verdict it has not reported (still
-// reported, with a request that claims nothing). The lease TTL is a
-// minute: anything left to it fails the test by timing out.
+// be caught holding something: with a claim it has not vetted (returned
+// by its stream's end, so it is re-issued at once) and with a verdict it
+// has not reported (still reported, with a request that claims nothing).
+// The lease TTL is a minute: anything left to it fails the test by timing
+// out.
 func TestStopSettlesTheLaneClaim(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	subs := rawSubs(t, corpus, 3, 3)
@@ -849,8 +854,8 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 	}
 
 	// Node a vets submission 0 (cold-starting its model), then is stopped
-	// the moment the frame of submission 1 arrives: the vet starts under a
-	// cancelled context and the claim is nacked.
+	// the moment the frame of submission 1 arrives: the lane closes its
+	// stream, and the coordinator returns the claim.
 	var (
 		a       atomic.Pointer[cluster.Worker]
 		stopped = make(chan struct{})
@@ -877,8 +882,8 @@ func TestStopSettlesTheLaneClaim(t *testing.T) {
 	wait(0, submit(0))
 	tk1 := submit(1)
 	<-stopped
-	if ws := w.Stats(); ws.Claims != 2 || ws.Verdicts != 1 || ws.Nacks != 1 {
-		t.Fatalf("node a: %+v; want 2 claims, 1 verdict, 1 nack", ws)
+	if ws, nacks := w.Stats(), svc.Obs().Counter("cluster.nacks").Load(); ws.Claims != 2 || ws.Verdicts != 1 || nacks != 1 {
+		t.Fatalf("node a: %+v, cluster.nacks %d; want 2 claims, 1 verdict, 1 nack", ws, nacks)
 	}
 	if qs := svc.QueueStats(); qs.Leased != 0 || qs.Depth != 1 {
 		t.Fatalf("after stopping node a: %d leased, %d pending; want 0, 1", qs.Leased, qs.Depth)
@@ -1075,9 +1080,9 @@ func TestErrorBodyIsEncodingJSON(t *testing.T) {
 }
 
 // TestNonFiniteScoreIsNacked: an ack whose verdict score is NaN or ±Inf is
-// refused with 400, and the lane nacks the claim instead, so the
-// submission is dead-lettered with the refusal as its cause rather than
-// recorded with a score no threshold classifies.
+// refused with 400, which ends the stream, and the stream's end returns
+// the claim, so the submission is dead-lettered with the refusal as its
+// cause rather than recorded with a score no threshold classifies.
 func TestNonFiniteScoreIsNacked(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	const attempts = 2
@@ -1090,7 +1095,7 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 	}
 	scores := map[int64]float64{}
 	var scoresMu sync.Mutex
-	st := startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{
+	startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{
 		Lanes: 1,
 		OnVet: func(seq int64, v *core.Verdict, _ error) {
 			scoresMu.Lock()
@@ -1118,8 +1123,8 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 			t.Errorf("submission %d: %v, want a dead-letter naming the refused score", i, err)
 		}
 	}
-	if s := st.workers[0].Stats(); s.Nacks != attempts*uint64(len(subs)) {
-		t.Errorf("node stats = %+v, want %d nacks", s, attempts*len(subs))
+	if got := svc.Obs().Counter("cluster.nacks").Load(); got != attempts*uint64(len(subs)) {
+		t.Errorf("cluster.nacks = %d, want %d", got, attempts*len(subs))
 	}
 	if got := svc.Obs().Counter("cluster.acks").Load(); got != 0 {
 		t.Errorf("cluster.acks = %d, want 0: nothing may be recorded", got)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apichecker/internal/core"
@@ -73,12 +74,12 @@ type Coordinator struct {
 	ttl    time.Duration // the queue's lease TTL, shipped in every claim frame; it bounds each stream write
 	cfg    CoordinatorConfig
 
-	// streams counts each live node's open streams, by name (one per
-	// lane): a node joins with its first stream's 101 and leaves when its
-	// last stream ends. live is the sorted set of those names, built anew
-	// on each join and leave and never written once published.
+	// nodes holds each live node, by name: a node joins with its first
+	// stream's 101 and leaves when its last stream ends. live is the
+	// sorted set of those names, built anew on each join and leave and
+	// never written once published.
 	nodesMu sync.Mutex
-	streams map[string]int
+	nodes   map[string]*node
 	live    []string
 
 	// models is the model window: the artifact bytes of the generations
@@ -117,7 +118,7 @@ func NewCoordinator(svc *vetsvc.Service, cfg CoordinatorConfig) *Coordinator {
 		ck:         svc.Checker(),
 		ttl:        svc.Config().LeaseTTL,
 		cfg:        cfg,
-		streams:    make(map[string]int),
+		nodes:      make(map[string]*node),
 		models:     make(map[string][]byte),
 		nodesGauge: col.Gauge("cluster.nodes"),
 		claims:     col.Counter("cluster.claims"),
@@ -145,23 +146,41 @@ func (c *Coordinator) liveNodes() []string {
 	return c.live
 }
 
-// book adds delta to node's open streams: +1 once a stream's 101 is
+// node is one live node: its name, its open streams (one per lane), and
+// when one of them last ended holding a claim, in Unix nanoseconds. For
+// one PollSlice after that, the node's polls take no claim that was issued
+// before: its other streams may be ending too, unnoticed, and a claim one
+// of them took back would cost an attempt for nothing. Other nodes take it
+// at once.
+type node struct {
+	name     string
+	streams  int
+	returned atomic.Int64
+}
+
+// book adds delta to name's open streams: +1 once a stream's 101 is
 // written, -1 when it ends. When the node joins or leaves, it publishes
-// a new live set and sets the live gauge.
-func (c *Coordinator) book(node string, delta int) {
+// a new live set and sets the live gauge. It returns the node, which
+// stays the same while the stream that booked it is open.
+func (c *Coordinator) book(name string, delta int) *node {
 	c.nodesMu.Lock()
 	defer c.nodesMu.Unlock()
-	was := c.streams[node]
-	if was+delta == 0 {
-		delete(c.streams, node)
-	} else {
-		c.streams[node] = was + delta
+	n := c.nodes[name]
+	if n == nil {
+		n = &node{name: name}
+		c.nodes[name] = n
 	}
-	if was > 0 && was+delta > 0 {
-		return // the node's other streams keep it live
+	was := n.streams
+	n.streams += delta
+	if was > 0 && n.streams > 0 {
+		return n // the node's other streams keep it live
 	}
-	c.live = slices.Sorted(maps.Keys(c.streams))
+	if n.streams == 0 {
+		delete(c.nodes, name)
+	}
+	c.live = slices.Sorted(maps.Keys(c.nodes))
 	c.nodesGauge.Set(int64(len(c.live)))
+	return n
 }
 
 // affinityOwner picks the live node whose verdict cache most likely
@@ -201,7 +220,9 @@ var switching = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\
 // connection until either side ends it; the node is live from the 101
 // until then. The stream's reader (readUp) decodes each up-frame and hands
 // it over; this goroutine answers them one at a time, so a claim request's
-// long-poll and everything after it keep their order.
+// long-poll and everything after it keep their order. The stream holds the
+// claim it last sent until an ack or nack of it arrives, and its end, for
+// whatever reason, returns that claim before the connection closes.
 func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	node, err := nodeName(r)
 	if err == nil && r.Header.Get("Upgrade") != streamProtocol {
@@ -227,35 +248,40 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.rw.Write(switching); err != nil {
 		return
 	}
-	c.book(node, +1)
+	n := c.book(node, +1)
 	defer c.book(node, -1)
 
-	ctx, end := context.WithCancel(context.Background())
-	defer end()
-	polls, cancelPolls := context.WithCancel(ctx)
-	defer cancelPolls()
+	ctx, end := context.WithCancelCause(context.Background())
 	frames := make(chan upFrame)
 	reading := make(chan struct{})
 	go func() {
 		defer close(reading)
-		readUp(s, frames, ctx.Done(), end, cancelPolls)
+		readUp(s, frames, ctx.Done(), end)
 	}()
-	defer func() { conn.Close(); <-reading }()
-	for {
+	var (
+		held  workqueue.LeaseID
+		ended error
+	)
+	for ended == nil {
 		select {
 		case f := <-frames:
-			if err := c.answer(polls, s, node, &f); err != nil {
-				return
-			}
+			ended = c.answer(ctx, s, n, &f, &held)
 		case <-ctx.Done():
-			return
+			ended = context.Cause(ctx)
 		}
 	}
+	if held != (workqueue.LeaseID{}) {
+		n.returned.Store(time.Now().UnixNano())
+		c.nack(held, fmt.Errorf("cluster: node %s: stream ended: %w", node, ended))
+	}
+	end(ended)
+	conn.Close()
+	<-reading
 }
 
 // boundedConn bounds each write to a stream by the lease TTL: a lane that
 // stops reading without closing ends its stream then, rather than holding
-// the handler, and the claim it was sent goes back at once (sendClaim).
+// the handler, and the stream's end returns the claim it was sent.
 type boundedConn struct {
 	net.Conn
 	d time.Duration
@@ -276,25 +302,22 @@ type upFrame struct {
 }
 
 // readUp is a stream's one reader. It decodes each up-frame and hands it
-// to the stream's handler, except a cancel, which it acts on at once: the
-// poll in flight, and any later poll on the stream, ends empty. When the
-// lane's side closes, or a frame breaks the framing, it ends the stream,
-// which cancels a poll in flight as a request's context does. Claim
-// requests decode into storage readUp owns (requestDecoder): frames is
-// unbuffered, so the handler holds one frame while readUp decodes the next.
-func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelPolls context.CancelFunc) {
-	defer end()
+// to the stream's handler. When the lane's side closes, it ends the stream
+// with the read's error as the cause, which also ends a poll in flight.
+// Claim requests decode into storage readUp owns (requestDecoder): frames
+// is unbuffered, so the handler holds one frame while readUp decodes the
+// next.
+func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end context.CancelCauseFunc) {
 	var requests requestDecoder
 	for {
 		typ, body, err := s.read(up)
+		if err != nil && !errors.Is(err, errBadFrame) {
+			end(err) // the lane went away
+			return
+		}
 		f := upFrame{typ: typ, err: err}
 		switch {
-		case err != nil && !errors.Is(err, errBadFrame):
-			return // the lane went away
 		case err != nil:
-		case typ == upCancel:
-			cancelPolls()
-			continue
 		case typ == upClaim:
 			f.claim, f.err = requests.decode(body)
 		case typ == upModel:
@@ -307,24 +330,27 @@ func readUp(s *stream, frames chan<- upFrame, done <-chan struct{}, end, cancelP
 		case <-done:
 			return
 		}
-		if err != nil {
-			return // the refusal is sent; the framing is lost
+		if f.err != nil {
+			return // the handler refuses it, which ends the stream
 		}
 	}
 }
 
 // answer answers one up-frame. A claim request settles the ack it carries,
 // then long-polls; a nack returns its claim; a heartbeat extends its lease
-// one TTL (410: it is gone); a model request gets the artifact. An error
-// means the stream cannot be written and must end.
-func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *upFrame) error {
+// one TTL (410: it is gone); a model request gets the artifact. held is the
+// claim the stream last sent, until an ack or nack of it arrives. An error
+// ends the stream: it cannot be written, or the frame was refused.
+func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame, held *workqueue.LeaseID) error {
 	if f.err != nil {
-		return s.refuse(http.StatusBadRequest, f.err.Error())
+		s.refuse(http.StatusBadRequest, f.err.Error())
+		return fmt.Errorf("refused 400 Bad Request: %w", f.err)
 	}
 	id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
 	switch f.typ {
 	case upNack:
-		if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", node, f.lease.Cause)); err != nil {
+		release(held, id)
+		if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", n.name, f.lease.Cause)); err != nil {
 			return s.refuse(http.StatusGone, err.Error())
 		}
 		return s.send(s.frame(downEmpty))
@@ -343,31 +369,33 @@ func (c *Coordinator) answer(polls context.Context, s *stream, node string, f *u
 	}
 	req := &f.claim
 	if req.Acked {
-		c.settleAck(node, &req.Ack)
+		release(held, workqueue.LeaseID{Seq: req.Ack.Seq, Token: req.Ack.Token})
+		c.settleAck(n.name, &req.Ack)
 	}
 	if req.WaitMS <= 0 {
 		return s.send(s.frame(downEmpty))
 	}
-	l, dl, err := c.poll(polls, node, time.Duration(req.WaitMS)*time.Millisecond)
+	l, dl, err := c.poll(ctx, n, time.Duration(req.WaitMS)*time.Millisecond)
 	switch {
 	case err == nil:
-		return c.sendClaim(s, node, l, dl)
+		*held = l.ID()
+		return c.sendClaim(s, l, dl)
 	case errors.Is(err, workqueue.ErrDrained):
 		return s.send(s.frame(downDrained))
 	case errors.Is(err, workqueue.ErrClosed):
 		return s.refuse(http.StatusServiceUnavailable, err.Error())
 	}
-	// Nothing became claimable within the budget, or the poll was
-	// cancelled (if the stream ended, this write goes nowhere).
+	// Nothing became claimable within the budget, or the stream ended (this
+	// write then goes nowhere).
 	return s.send(s.frame(downEmpty))
 }
 
-// poll long-polls for the lowest-seq pending item node may take, for up to
-// wait (capped by maxPoll). The poll is sliced so the live set and
+// poll long-polls for the lowest-seq pending item node n may take, for up
+// to wait (capped by maxPoll). The poll is sliced so the live set and
 // affinity are re-read every PollSlice: a node that joins or leaves
 // reaches a waiting poll within one slice. workqueue.ErrNothingClaimable
 // means the budget ran out.
-func (c *Coordinator) poll(ctx context.Context, node string, wait time.Duration) (*workqueue.Lease, time.Time, error) {
+func (c *Coordinator) poll(ctx context.Context, n *node, wait time.Duration) (*workqueue.Lease, time.Time, error) {
 	now := time.Now()
 	deadline := now.Add(min(wait, maxPoll))
 	for now.Before(deadline) {
@@ -378,13 +406,16 @@ func (c *Coordinator) poll(ctx context.Context, node string, wait time.Duration)
 				// any) own them.
 				return false
 			}
+			if it.Attempts > 0 && now.UnixNano()-n.returned.Load() < int64(c.cfg.PollSlice) {
+				return false // see node
+			}
 			if it.Key == "" || len(live) <= 1 {
 				return true
 			}
 			if now.Sub(it.EnqueuedAt) >= c.cfg.StealAge {
 				return true
 			}
-			return affinityOwner(it.Key, live) == node
+			return affinityOwner(it.Key, live) == n.name
 		}
 		until := now.Add(min(c.cfg.PollSlice, deadline.Sub(now)))
 		l, dl, err := c.remote.Claim(ctx, until, accept)
@@ -397,17 +428,17 @@ func (c *Coordinator) poll(ctx context.Context, node string, wait time.Duration)
 	return nil, time.Time{}, workqueue.ErrNothingClaimable
 }
 
-// sendClaim writes the claim frame for lease l. A frame that cannot be
-// built or written returns the item at once rather than stranding it until
-// the lease TTL: if the bytes did reach the node, the duplicate vet is
+// sendClaim writes the claim frame for lease l, the stream's held claim:
+// a frame that cannot be built or written ends the stream, which returns
+// the claim at once. If the bytes did reach the node, the duplicate vet is
 // absorbed by first-wins like any other.
-func (c *Coordinator) sendClaim(s *stream, node string, l *workqueue.Lease, deadline time.Time) error {
-	it, id := l.Item(), l.ID()
+func (c *Coordinator) sendClaim(s *stream, l *workqueue.Lease, deadline time.Time) error {
+	it := l.Item()
 	c.claims.Inc()
 	cl := claim{
 		Seq:         it.Seq,
 		Key:         it.Key,
-		Token:       id.Token,
+		Token:       l.ID().Token,
 		LeaseTTLMS:  c.ttl.Milliseconds(),
 		ModelDigest: c.currentModel(),
 	}
@@ -416,15 +447,17 @@ func (c *Coordinator) sendClaim(s *stream, node string, l *workqueue.Lease, dead
 	}
 	f, err := appendClaimHeader(s.frame(downClaim), &cl)
 	if err != nil {
-		c.nack(id, err)
-		return s.refuse(http.StatusInternalServerError, err.Error())
-	}
-	if err := s.send(append(f, it.Payload...)); err != nil {
-		err = fmt.Errorf("cluster: claim frame to node %s: %w", node, err)
-		c.nack(id, err)
+		s.refuse(http.StatusInternalServerError, err.Error())
 		return err
 	}
-	return nil
+	return s.send(append(f, it.Payload...))
+}
+
+// release clears the stream's held claim when id names it.
+func release(held *workqueue.LeaseID, id workqueue.LeaseID) {
+	if *held == id {
+		*held = workqueue.LeaseID{}
+	}
 }
 
 // nack returns id's submission for another attempt; cluster.nacks counts

@@ -26,7 +26,6 @@ import (
 //	up    'h'   heartbeat: the nack's body  'E', or 'R' (410 lease gone, 400 bad body)
 //	up    'm'   model request: u16 length + bytes, the digest
 //	                                        'M', or 'R' (404 unknown digest)
-//	up    'x'   empty: cancel the poll      nothing of its own
 //	down  'C'   claim frame (below)
 //	down  'E'   empty: nothing claimed, or the nack or heartbeat is done
 //	down  'D'   empty: the queue is drained
@@ -92,7 +91,7 @@ import (
 //     last one the stream carried is that string again, so a stream
 //     allocates it once per model generation.
 const (
-	frameVersion = 8
+	frameVersion = 9
 	frameFixed   = 34
 
 	requestAck  = 1 << 0 // claim request flags
@@ -119,7 +118,6 @@ const (
 	upNack      = 'n'
 	upHeartbeat = 'h'
 	upModel     = 'm'
-	upCancel    = 'x'
 
 	downClaim   = 'C'
 	downEmpty   = 'E'
@@ -343,7 +341,7 @@ type direction struct {
 }
 
 var (
-	up   = direction{types: string([]byte{upClaim, upNack, upHeartbeat, upModel, upCancel}), bound: maxControlBytes}
+	up   = direction{types: string([]byte{upClaim, upNack, upHeartbeat, upModel}), bound: maxControlBytes}
 	down = direction{types: string([]byte{downClaim, downEmpty, downDrained, downModel, downRefusal}), bound: maxFrameBytes}
 )
 

@@ -406,7 +406,6 @@ func seedStreams(t testing.TB) [][]byte {
 	for _, digest := range seedModelRequests {
 		ls.send(appendString16(ls.frame(upModel), digest))
 	}
-	ls.send(ls.frame(upCancel))
 	for _, f := range seedFrames(t) {
 		cs.send(append(cs.frame(downClaim), f...))
 	}
@@ -559,7 +558,7 @@ func TestHeldAckSurvivesNextRequest(t *testing.T) {
 	reading := make(chan struct{})
 	go func() {
 		defer close(reading)
-		readUp(&stream{rw: coordEnd, r: coordEnd}, frames, done, func() { coordEnd.Close() }, func() {})
+		readUp(&stream{rw: coordEnd, r: coordEnd}, frames, done, func(error) { coordEnd.Close() })
 	}()
 	keys := []string{strings.Repeat("1", 64), strings.Repeat("2", 64), strings.Repeat("3", 64)}
 	third := make(chan struct{})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -187,9 +188,8 @@ func withNode(h http.Header, node string) http.Header {
 // TestStopMidPollStrandsNothing: a claim stream that ends mid-poll leaves
 // nothing to the lease TTL (a minute here: anything left to it times the
 // test out) and no goroutine behind on the coordinator. A connection
-// dropped during a poll ends the poll; a lane stopped during one cancels
-// it and is answered at once, so Stop does not sit out the long-poll
-// budget. After either, a submission lies pending — no stale poll took it —
+// dropped during a poll ends the poll; a lane stopped during one closes
+// its stream, so Stop does not sit out the long-poll budget. After either, a submission lies pending — no stale poll took it —
 // and the next live node claims it at once.
 func TestStopMidPollStrandsNothing(t *testing.T) {
 	base, corpus := trainedArtifact(t)
@@ -346,6 +346,68 @@ func TestStreamEndLeavesLiveSet(t *testing.T) {
 		t.Fatalf("b claimed key %s, want a's item", cl.Key)
 	}
 	report(t, b, cl, want)
+}
+
+// TestStreamEndReturnsItsClaims: a stream holds the claim it was last sent
+// until that claim's ack or nack, and when the stream ends it returns the
+// claim at once, not after the lease TTL (a minute here): another node's
+// poll takes it within one PollSlice. The node's own other stream, which
+// may be ending unnoticed with it, does not take it back. Each return
+// costs the submission an attempt, as the TTL's reclaim does, so one whose
+// every stream ends under it is dead-lettered after MaxAttempts with the
+// stream's end as its cause.
+func TestStreamEndReturnsItsClaims(t *testing.T) {
+	const slice, attempts = 250 * time.Millisecond, 3
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, MaxAttempts: attempts, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Affinity aside: any live node may take any item.
+	st := startStack(t, svc, cluster.CoordinatorConfig{PollSlice: slice, StealAge: time.Nanosecond}, 0, cluster.WorkerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	held, sibling := openLive(t, st, "a"), openLive(t, st, "a")
+	tk, err := svc.Submit(ctx, rawSubs(t, corpus, 1, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, cl, err := held.Claim(1000, nil)
+	if err != nil || kind != "claim" {
+		t.Fatalf("the first claim: answered %s, %v", kind, err)
+	}
+	if err := sibling.Send(slice.Milliseconds(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 2; attempt <= attempts; attempt++ {
+		// Another node polls while the stream holding the claim ends.
+		next := openLive(t, st, fmt.Sprint("n", attempt))
+		if err := next.Send(2000, nil); err != nil {
+			t.Fatal(err)
+		}
+		ended := time.Now()
+		held.Close()
+		kind, re, err := next.Answer()
+		if err != nil || kind != "claim" || re.Seq != cl.Seq {
+			t.Fatalf("attempt %d: node n%d's poll answered %s, %v; want the ended stream's claim", attempt, attempt, kind, err)
+		}
+		if d := time.Since(ended); d > slice {
+			t.Errorf("attempt %d: the claim came back %v after its stream ended, want within one %v poll slice", attempt, d, slice)
+		}
+		held, cl = next, re
+	}
+	if kind, _, err := sibling.Answer(); err != nil || kind != "empty" {
+		t.Fatalf("node a's other stream answered %s, %v; want empty", kind, err)
+	}
+	held.Close()
+	if _, err := tk.Wait(ctx); !errors.Is(err, vetsvc.ErrPoisoned) || !strings.Contains(err.Error(), "node n3: stream ended") {
+		t.Fatalf("after %d streams ended holding the claim: %v, want it dead-lettered naming the stream's end", attempts, err)
+	}
+	if nacks, qs := svc.Obs().Counter("cluster.nacks").Load(), svc.QueueStats(); nacks != attempts || qs.Reclaimed != 0 || qs.Leased != 0 {
+		t.Fatalf("cluster.nacks %d, %d reclaimed, %d leased; want %d, 0, 0", nacks, qs.Reclaimed, qs.Leased, attempts)
+	}
 }
 
 // TestNodeLiveWhileAnyStreamOpen: a node has one stream per lane. It stays
@@ -524,7 +586,8 @@ func TestRemoteHeartbeatHoldsLease(t *testing.T) {
 // stops reading, without closing its stream, holds neither the
 // coordinator's handler nor the lease past the lease TTL. The claim frame,
 // a 16 MiB archive, is far more than the socket buffers take; its write is
-// bounded by the TTL, and the claim is nacked when it times out.
+// bounded by the TTL, and when it times out the stream ends and its end
+// returns the claim.
 func TestStalledReaderReleasesLease(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 	base, _ := trainedArtifact(t)
@@ -552,7 +615,7 @@ func TestStalledReaderReleasesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = tk.Wait(ctx)
-	if !errors.Is(err, vetsvc.ErrPoisoned) || !strings.Contains(err.Error(), "claim frame to node stalled") {
+	if !errors.Is(err, vetsvc.ErrPoisoned) || !strings.Contains(err.Error(), "node stalled: stream ended") {
 		t.Fatalf("ticket error = %v, want the claim nacked for its write", err)
 	}
 	if d := time.Since(t0); d > 10*ttl {

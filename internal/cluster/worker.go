@@ -35,11 +35,6 @@ type WorkerConfig struct {
 	// <= 0 selects 10s.
 	PollWait time.Duration
 
-	// HeartbeatEvery tunes the mid-vet lease heartbeat: 0 derives it from
-	// the claim's lease TTL (TTL/3), positive sets the period, negative
-	// disables heartbeats (lease-expiry drills).
-	HeartbeatEvery time.Duration
-
 	// Client is the HTTP client; nil builds one with no overall timeout
 	// (a claim stream lives as long as its lane). Its transport must hand
 	// over an upgraded connection, as http.Transport does.
@@ -116,9 +111,8 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{cfg: cfg, client: client}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.pool = worker.Executor[*job]{
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		Do:             w.vet,
-		OnPanic:        func(*job, any) { w.panics.Add(1) },
+		Do:      w.vet,
+		OnPanic: func(*job, any) { w.panics.Add(1) },
 	}.Start(w.ctx, cfg.Lanes, func() worker.Claimer[*job] { return &lane{w: w} })
 	return w, nil
 }
@@ -126,7 +120,9 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 // Stop cancels the lanes and waits for them to exit. In-flight vets are
 // cancelled at the next emulation boundary and their claims nacked back
 // to the coordinator for prompt re-issue; a vet that had finished is
-// still reported (a SIGKILL skips both; the lease TTL reclaims instead).
+// still reported. A lane stopped mid-poll closes its stream. Whatever a
+// lane's stream still holds when it ends, by Stop or by SIGKILL, the
+// coordinator returns at once.
 func (w *Worker) Stop() {
 	w.cancel()
 	w.pool.Wait()
@@ -206,16 +202,14 @@ func (w *Worker) vet(ctx context.Context, j *job) error {
 // lane's one job, which each claim frame decodes into and which holds
 // until the lane's next poll; the executor is done with a claim by then.
 // ack is the encoded report (appendAck) of the last finished vet, kept
-// until an answer other than a refusal has come back to a request that
-// carried it; ackSeq and ackToken name its claim for the nack that follows
-// a refusal.
-// Only the lane's goroutine touches them. Heartbeat runs on the lane's
+// until an answer has come back to a request that carried it. Only the
+// lane's goroutine touches them. Heartbeat runs on the lane's
 // timer, but never while Claim, Ack or Nack runs (the executor's rule), so
 // it has the stream to itself.
 //
-// mu serializes writes to the stream between the request in hand and
-// cancel, which runs when the lane is stopped: polling says a claim
-// request's long-poll is out, the one moment a stop must cut short.
+// mu guards the stream between the request in hand and cancel, which runs
+// when the lane is stopped: polling says a claim request's long-poll is
+// out, the one moment a stop must cut short.
 type lane struct {
 	w *Worker
 	j job
@@ -225,9 +219,7 @@ type lane struct {
 	polling bool
 	unhook  func() bool
 
-	ack      []byte
-	ackSeq   int64
-	ackToken uint64
+	ack []byte
 }
 
 // Claim sends the pending ack, if any, with each long-poll until one
@@ -257,13 +249,11 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 		}
 		w.claims.Add(1)
 		if ctx.Err() != nil {
-			// The claim overtook the lane's cancel.
-			ln.nack(cl.Seq, cl.Token, "worker stopping")
-			break
+			break // the claim overtook the stop: closing the stream returns it
 		}
 		ck, err := ln.ensureModel(cl.ModelDigest)
 		if err != nil {
-			ln.nack(cl.Seq, cl.Token, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
+			ln.Nack(&ln.j, fmt.Sprintf("model %.12s: %v", cl.ModelDigest, err))
 			continue
 		}
 		ln.j.ck = ck
@@ -274,8 +264,7 @@ func (ln *lane) Claim(ctx context.Context) (worker.Claim[*job], error) {
 		return c, nil
 	}
 	if len(ln.ack) > 0 {
-		// One attempt: if it fails the lease TTL reclaims the item, as for a
-		// node that was killed.
+		// One attempt: if it fails, the stream's end returns the claim.
 		ln.exchange(context.Background(), 0)
 	}
 	ln.close()
@@ -308,34 +297,35 @@ func (ln *lane) Ack(j *job) {
 		w.cfg.OnVet(j.Seq, j.rep.Verdict, j.err)
 	}
 	w.verdicts.Add(1)
-	ln.ack, ln.ackSeq, ln.ackToken = appendAck(ln.ack[:0], &j.rep), j.Seq, j.Token
+	ln.ack = appendAck(ln.ack[:0], &j.rep)
 }
 
-// Nack returns j's claim to the coordinator.
-func (ln *lane) Nack(j *job, cause string) { ln.nack(j.Seq, j.Token, cause) }
+// Nack returns j's claim to the coordinator. Best effort: a nack that
+// does not arrive leaves the claim to its stream's end.
+func (ln *lane) Nack(j *job, cause string) {
+	ln.w.nacks.Add(1)
+	if s, err := ln.open(context.Background()); err == nil {
+		ln.roundTrip(context.Background(), s, appendLeaseRequest(s.frame(upNack), j.Seq, j.Token, cause), false)
+	}
+}
 
 // exchange sends the pending ack, if any, with a claim request that
 // long-polls for up to wait (<= 0: claim nothing, only deliver the ack);
 // a claim is the lane's own (ln.j), (nil, nil) means the poll came back
-// empty, workqueue.ErrDrained that the queue is. Any answer but a refusal
-// acknowledges the ack. A 4xx refusal of a request that carried one means
-// the coordinator will never take it (a body past its bound, a score that
-// is not finite): the claim is nacked instead, so the item is re-issued at
-// once and dead-lettered with that cause if every attempt ends the same
-// way.
+// empty, workqueue.ErrDrained that the queue is. Any answer acknowledges
+// the ack: a refusal of the request that carried it (a body past its
+// bound, a score that is not finite) ends the stream, whose end returns
+// the claim with the refusal as its cause.
 func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error) {
 	s, err := ln.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	carried := len(ln.ack) > 0
 	typ, body, err := ln.roundTrip(ctx, s, appendClaimRequest(s.frame(upClaim), wait.Milliseconds(), ln.ack), wait > 0)
 	if err != nil {
 		return nil, err
 	}
-	if typ != downRefusal {
-		ln.ack = ln.ack[:0]
-	}
+	ln.ack = ln.ack[:0]
 	switch typ {
 	case downClaim:
 		// The claim is the lane's job and its payload aliases the stream's
@@ -350,37 +340,23 @@ func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error
 	case downDrained:
 		return nil, workqueue.ErrDrained
 	}
-	code, err := readRefusal(typ, body)
-	if carried && code >= 400 && code < 500 {
-		ln.ack = ln.ack[:0]
-		ln.nack(ln.ackSeq, ln.ackToken, "ack refused: "+err.Error())
-	}
+	_, err = readRefusal(typ, body)
 	return nil, err
 }
 
-// nack returns a claim for another attempt. Best effort: a nack that does
-// not arrive leaves the item to the lease TTL.
-func (ln *lane) nack(seq int64, token uint64, cause string) {
-	ln.w.nacks.Add(1)
-	if s, err := ln.open(context.Background()); err == nil {
-		ln.roundTrip(context.Background(), s, appendLeaseRequest(s.frame(upNack), seq, token, cause), false)
-	}
-}
-
 // roundTrip writes the up-frame f and reads its answer. A stop (ctx)
-// cancels a poll that is out, or as it is sent; its answer, a claim frame,
-// stays in the stream's buffer until the next poll. Any other answer is
-// due at once (none within cancelGrace loses the stream) and gets a buffer
-// of its own, so a heartbeat or a model pull leaves the claim in hand
-// intact. A stream that fails is closed; the next request opens another.
+// closes the stream under a poll that is out, or as it is sent; a poll's
+// answer, a claim frame, stays in the stream's buffer until the next poll.
+// Any other answer is due at once (none within answerGrace loses the
+// stream) and gets a buffer of its own, so a heartbeat or a model pull
+// leaves the claim in hand intact. A stream that fails is closed; the next
+// request opens another.
 func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (byte, []byte, error) {
 	ln.mu.Lock()
 	err := s.send(f)
-	if err == nil && poll {
-		ln.polling = true
-		if ctx.Err() != nil {
-			ln.cancelLocked()
-		}
+	ln.polling = err == nil && poll
+	if ln.polling && ctx.Err() != nil {
+		s.rw.Close() // stopped as the poll went out
 	}
 	ln.mu.Unlock()
 	var typ byte
@@ -390,7 +366,7 @@ func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (
 	case poll:
 		typ, body, err = s.read(down)
 	default:
-		t := time.AfterFunc(cancelGrace, func() { s.rw.Close() })
+		t := time.AfterFunc(answerGrace, func() { s.rw.Close() })
 		var own []byte
 		typ, body, err = s.readInto(down, &own)
 		t.Stop()
@@ -405,36 +381,20 @@ func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (
 	return typ, body, err
 }
 
-// cancelGrace is how long a cancelled poll, or any request but a poll,
-// waits for its answer before the lane gives up on the stream.
-const cancelGrace = 10 * time.Second
+// answerGrace is how long any request but a poll waits for its answer
+// before the lane gives up on the stream.
+const answerGrace = 10 * time.Second
 
 // cancel is the lane's stop hook (context.AfterFunc on the executor's
-// context).
+// context). It cuts short the poll that is out, if one is, by closing the
+// stream: the coordinator returns a claim the poll took.
 func (ln *lane) cancel() {
 	ln.mu.Lock()
-	ln.cancelLocked()
+	if ln.polling {
+		ln.s.rw.Close()
+	}
 	ln.mu.Unlock()
 }
-
-// cancelLocked cuts short the poll that is out, if one is: a cancel frame
-// asks the coordinator to answer it now, and a coordinator that does not
-// answer within cancelGrace loses the stream.
-func (ln *lane) cancelLocked() {
-	if !ln.polling {
-		return
-	}
-	ln.polling = false
-	s := ln.s
-	if _, err := s.rw.Write(cancelFrame); err != nil {
-		s.rw.Close()
-		return
-	}
-	time.AfterFunc(cancelGrace, func() { s.rw.Close() })
-}
-
-// cancelFrame is the one up-frame with no body.
-var cancelFrame = []byte{upCancel, 0, 0, 0, 0}
 
 // open returns the lane's stream, opening one when there is none.
 func (ln *lane) open(ctx context.Context) (*stream, error) {

@@ -407,6 +407,9 @@ func TestStaleAckCannotSettleAnotherSubmission(t *testing.T) {
 	}
 	stale := *staleV
 	recorded, held, err := svc2.Remote().Ack(staleID, []byte(staleKey), &stale, vcache.OutcomeMiss, nil, time.Millisecond)
+	if maxSeq := svc2.q.ReplayMaxSeq(); tk.Seq() != maxSeq+1 {
+		t.Fatalf("life 2's first fresh seq is %d, want %d, the one after the journal's highest", tk.Seq(), maxSeq+1)
+	}
 	reused := tk.Seq() == staleID.Seq
 	t.Logf("life 1 settled %d archives; life 2 gave %s seq %d, and the stale ack of %s names seq %d",
 		n, want.Package, tk.Seq(), staleV.Package, staleID.Seq)

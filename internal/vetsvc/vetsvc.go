@@ -309,13 +309,11 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.q = q
-	if maxSeq := q.ReplayMaxSeq(); maxSeq > 0 {
-		// Advance the checker's seq counter past every number the journal
-		// ever recorded, so fresh admissions never collide with a seq a
-		// previous life consumed.
-		if first := ck.ReserveVetSeqs(1); first <= maxSeq {
-			ck.ReserveVetSeqs(int(maxSeq - first + 1))
-		}
+	// Advance the checker's seq counter to the highest number the journal
+	// ever recorded, so fresh admissions never collide with a seq a previous
+	// life consumed and the first of them is the next one.
+	if n := q.ReplayMaxSeq() - ck.VetCount(); n > 0 {
+		ck.ReserveVetSeqs(int(n))
 	}
 	// Replayed submissions get records (and accepted events) before any
 	// lane can claim them.
