@@ -248,10 +248,23 @@ var loadEntries = [...]string{
 // for concurrent use.
 //
 // Reset reopens a handle over another archive and keeps its storage: the
-// arena the entries inflate into, and the decoders the manifest and the
-// program are refilled from. What the accessors return is then valid until
-// the next Reset.
+// arena the entries inflate into, the Huffman tables their dynamic blocks
+// build, and the decoders the manifest and the program are refilled from.
+// What the accessors return is then valid until the next Reset.
 type Archive struct {
+	decoded
+
+	// Storage Reset keeps: the inflate arena (payloads are cut from it),
+	// the Huffman tables dynamic blocks build, and the decoders behind
+	// manifest and program.
+	arena     []byte
+	huff      huffman
+	manifests manifest.Decoder
+	programs  behavior.Decoder
+}
+
+// decoded is what an Archive holds of one archive: Reset zeroes it.
+type decoded struct {
 	files [len(loadEntries)]entry
 
 	// setErr is what the load-bearing set as a whole fails on — an entry
@@ -268,12 +281,6 @@ type Archive struct {
 	dexErr      error
 	program     *behavior.Program
 	programErr  error
-
-	// Storage Reset keeps: the inflate arena (payloads are cut from it)
-	// and the decoders behind manifest and program.
-	arena     []byte
-	manifests manifest.Decoder
-	programs  behavior.Decoder
 }
 
 // keepArena bounds the inflate arena Reset keeps: past it, one outsized
@@ -295,11 +302,11 @@ func Open(data []byte) (*Archive, error) {
 // Reset reopens the handle over data, as Open does, keeping the storage the
 // last archive decoded into.
 func (a *Archive) Reset(data []byte) error {
-	arena := a.arena[:0]
-	if cap(arena) > keepArena {
-		arena = nil
+	a.decoded = decoded{}
+	a.arena = a.arena[:0]
+	if cap(a.arena) > keepArena {
+		a.arena = nil
 	}
-	*a = Archive{arena: arena, manifests: a.manifests, programs: a.programs}
 	return a.open(data)
 }
 
@@ -385,7 +392,7 @@ func (a *Archive) inflate(entries ...int) error {
 		n := int(a.files[i].usize)
 		dst := arena[off : off+n : off+n]
 		off += n
-		if err := a.files[i].read(loadEntries[i], dst); err != nil {
+		if err := a.files[i].read(loadEntries[i], dst, &a.huff); err != nil {
 			return badAPK(fmt.Errorf("apk: parse: %w", err))
 		}
 		a.payloads[i] = dst

@@ -3,7 +3,9 @@ package apk
 // An RFC 1951 (DEFLATE) decoder from an entry's compressed bytes straight
 // into the arena slice its directory record declared. dst is the window,
 // so back-references copy inside it: no history buffer, no reader around
-// the body, nothing pooled and nothing allocated.
+// the body, nothing pooled and nothing allocated. A dynamic block's tables
+// are built in the caller's huffman (an Archive keeps one), in the pass
+// that reads their code lengths.
 //
 // The accept set is compress/flate's, which writes every archive (Build)
 // and is the reference (FuzzInflateMatchesFlate): complete codes only, but
@@ -75,26 +77,50 @@ func init() {
 	}
 	distSyms[30], distSyms[31] = opBad<<8, opBad<<8
 	// The fixed code's lengths, RFC 1951 §3.2.6.
+	var order [288]uint16
 	lens := slices.Concat(slices.Repeat([]uint8{8}, 144), slices.Repeat([]uint8{9}, 112), slices.Repeat([]uint8{7}, 24), slices.Repeat([]uint8{8}, 8))
-	build(fixedLit[:], lens, litRoot, litSyms[:])
-	build(fixedDist[:], slices.Repeat([]uint8{5}, 32), distRoot, distSyms[:])
+	count := lengthCounts(lens)
+	build(fixedLit[:], lens, &count, litRoot, litSyms[:], &order)
+	lens = slices.Repeat([]uint8{5}, 32)
+	count = lengthCounts(lens)
+	build(fixedDist[:], lens, &count, distRoot, distSyms[:], &order)
+}
+
+// huffman is the storage dynamic blocks build their codes in: the
+// literal/length, distance and code-length tables, the lengths they are
+// built from, and build's canonical order. build writes every table entry
+// decode can reach, and header every length build reads, so nothing here
+// is zeroed between blocks or archives; an Archive keeps one.
+type huffman struct {
+	lit   [maxLit]uint32
+	dist  [maxDist]uint32
+	cl    [1 << clRoot]uint32
+	lens  [286 + 30]uint8
+	order [288]uint16
+}
+
+// lengthCounts counts the symbols of each code length.
+func lengthCounts(lens []uint8) (count [16]uint16) {
+	for _, l := range lens {
+		count[l]++
+	}
+	return count
 }
 
 // build fills t with the table of the code whose symbol s is lens[s] bits
-// long (0: no code), each entry syms[s] with the length added. It refuses
-// what flate refuses: an over-subscribed code, or an incomplete one other
-// than a single one-bit code. An empty code is a table of opBad.
-func build(t []uint32, lens []uint8, root int, syms []uint32) bool {
-	var count [16]uint16
-	longest := 0
-	for _, l := range lens {
-		count[l]++
-		longest = max(longest, int(l))
-	}
-	count[0] = 0
-	left := 1 // of the code space, in units of a 15-bit code
+// long (0: no code), each entry syms[s] with the length added; count[l]
+// is how many symbols are l bits long, as header tallied them while it
+// read the lengths. It refuses what flate refuses: an over-subscribed
+// code, or an incomplete one other than a single one-bit code. An empty
+// code is a table of opBad. Every entry of the root table and of each
+// subtable it links is written, whatever t held before.
+func build(t []uint32, lens []uint8, count *[16]uint16, root int, syms []uint32, order *[288]uint16) bool {
+	left, longest := 1, 0 // left: of the code space, in units of a 15-bit code
 	for l := 1; l < len(count); l++ {
 		left = left<<1 - int(count[l])
+		if count[l] != 0 {
+			longest = l
+		}
 	}
 	if left != 0 && longest != 0 && (longest != 1 || count[1] != 1) {
 		return false // over-subscribed, or incomplete but not one one-bit code
@@ -105,7 +131,6 @@ func build(t []uint32, lens []uint8, root int, syms []uint32) bool {
 	for l := 1; l < len(offs)-1; l++ {
 		offs[l+1] = offs[l] + count[l]
 	}
-	var order [288]uint16
 	for s, l := range lens {
 		if l != 0 {
 			order[offs[l]] = uint16(s)
@@ -116,59 +141,68 @@ func build(t []uint32, lens []uint8, root int, syms []uint32) bool {
 	// The root table grows by doubling: once t[:1<<l] holds every code of
 	// up to l bits, copying it over the next 1<<l entries makes the table
 	// for l+1 bits, less the codes of that length. Bit patterns no code
-	// starts read t[0]'s first value.
+	// starts read t[0]'s first value. rev is the next code, bit-reversed
+	// (the order decode reads it in): a longer code appends zeros, which
+	// leaves rev as it is, so it only ever steps forward.
 	t[0] = opBad << 8
-	mask, size := 1<<root-1, 1
-	next, low, sub, start := 1<<root, -1, 0, 0
-	code, l := 0, 0
-	for _, s := range order[:offs[len(offs)-1]] {
-		if sl := int(lens[s]); sl != l {
-			code <<= sl - l
-			l = sl
-			for ; size < 1<<min(l, root); size *= 2 {
-				copy(t[size:2*size], t[:size])
-			}
+	size, rev, k := 1, 0, 0
+	for l := 1; l <= min(longest, root); l++ {
+		for ; size < 1<<l; size *= 2 {
+			copy(t[size:2*size], t[:size])
 		}
-		rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
-		e := syms[s] | uint32(l)
-		switch {
-		case l <= root:
-			t[rev] = e
-		case rev&mask != low:
-			// A new subtable, grown until the codes left fill it.
-			low, sub = rev&mask, l-root
-			for room := 1 << sub; sub+root < longest; sub++ {
-				if room -= int(count[sub+root]); room <= 0 {
-					break
+		for _, s := range order[k : k+int(count[l])] {
+			t[rev] = syms[s] | uint32(l)
+			rev = revStep(rev, l)
+		}
+		k += int(count[l])
+	}
+	for ; size < 1<<root; size *= 2 {
+		copy(t[size:2*size], t[:size])
+	}
+
+	// Codes longer than root go to subtables: a root entry links each
+	// subtable, and a subtable is grown until the codes left fill it.
+	mask, next, low, sub, start := 1<<root-1, 1<<root, -1, 0, 0
+	for l := root + 1; l <= longest; l++ {
+		for j, s := range order[k : k+int(count[l])] {
+			if rev&mask != low {
+				low, sub = rev&mask, l-root
+				room := 1<<sub - (int(count[l]) - j)
+				for sub+root < longest && room > 0 {
+					sub++
+					room = room<<1 - int(count[sub+root])
 				}
-				room <<= 1
+				if next+1<<sub > len(t) {
+					return false
+				}
+				t[low] = uint32(next)<<16 | uint32(opLink|sub)<<8 | uint32(root)
+				start, next = next, next+1<<sub
 			}
-			if next+1<<sub > len(t) {
-				return false
-			}
-			t[low] = uint32(next)<<16 | uint32(opLink|sub)<<8 | uint32(root)
-			start, next = next, next+1<<sub
-			fallthrough
-		default:
+			e := syms[s] | uint32(l)
 			for i := rev >> root; i < 1<<sub; i += 1 << (l - root) {
 				t[start+i] = e
 			}
+			rev = revStep(rev, l)
 		}
-		count[l]--
-		code++
-	}
-	for ; size <= mask; size *= 2 {
-		copy(t[size:2*size], t[:size])
+		k += int(count[l])
 	}
 	return true
 }
 
+// revStep steps the l-bit bit-reversed code rev to the next code: the
+// carry of code+1 runs down from rev's top bit through its ones and stops
+// at its highest zero. After the last code (all ones) it returns rev,
+// which nothing reads.
+func revStep(rev, l int) int {
+	top := uint(bits.Len(uint(^rev&(1<<l-1)))) - 1
+	return rev&(1<<top-1) | 1<<top
+}
+
 // inflate decodes the DEFLATE stream src into dst and returns how many
-// bytes it wrote. errOverrun means the stream holds more than dst; a
-// stream that ends early returns its length and no error.
-func inflate(dst, src []byte) (int, error) {
-	var lit [maxLit]uint32
-	var dist [maxDist]uint32
+// bytes it wrote; dynamic blocks build their codes in h. errOverrun means
+// the stream holds more than dst; a stream that ends early returns its
+// length and no error.
+func inflate(dst, src []byte, h *huffman) (int, error) {
 	r := bitReader{src: src}
 	out := 0
 	for final := false; !final; {
@@ -184,8 +218,8 @@ func inflate(dst, src []byte) (int, error) {
 		case 1:
 			out, err = r.block(dst, out, &fixedLit, &fixedDist)
 		case 2:
-			if err = r.header(&lit, &dist); err == nil {
-				out, err = r.block(dst, out, &lit, &dist)
+			if err = r.header(h); err == nil {
+				out, err = r.block(dst, out, &h.lit, &h.dist)
 			}
 		default:
 			err = errCorrupt
@@ -261,26 +295,34 @@ func (r *bitReader) stored(dst []byte, out int) (int, error) {
 	return out, nil
 }
 
-// header reads a dynamic block's code lengths and builds its two tables.
-func (r *bitReader) header(lit *[maxLit]uint32, dist *[maxDist]uint32) error {
+// header reads a dynamic block's code lengths into h and builds its
+// tables there. Each length is tallied as it is read, in the table it
+// belongs to, so build takes the counts with no pass of its own; a repeat
+// may run across from the literal/length lengths into the distance ones.
+func (r *bitReader) header(h *huffman) error {
 	nlit, ndist, nclen := int(r.bits(5))+257, int(r.bits(5))+1, int(r.bits(4))+4
 	if nlit > 286 || ndist > 30 {
 		return errCorrupt
 	}
-	var lens [286 + 30]uint8
-	for i := range nclen {
-		lens[clOrder[i]] = uint8(r.bits(3))
+	var clLens [len(clOrder)]uint8
+	var count [16]uint16
+	for _, s := range clOrder[:nclen] {
+		l := r.bits(3)
+		clLens[s] = uint8(l)
+		count[l]++
 	}
-	var cl [1 << clRoot]uint32
-	if !build(cl[:], lens[:len(clOrder)], clRoot, litSyms[:len(clOrder)]) {
+	if !build(h.cl[:], clLens[:], &count, clRoot, litSyms[:len(clOrder)], &h.order) {
 		return errCorrupt
 	}
+	var counts [2][16]uint16 // literal/length, distance
+	n := nlit + ndist
+	lens := h.lens[:n]
 	src, in, b, nb := r.src, r.in, r.b, r.nb
-	for i, n := 0, nlit+ndist; i < n; {
+	for i := 0; i < n; {
 		if nb < clRoot+7 {
 			in, b, nb = refill(src, in, b, nb)
 		}
-		e := cl[b&(1<<clRoot-1)]
+		e := h.cl[b&(1<<clRoot-1)]
 		if e&(opBad<<8) != 0 {
 			return errCorrupt
 		}
@@ -288,23 +330,31 @@ func (r *bitReader) header(lit *[maxLit]uint32, dist *[maxDist]uint32) error {
 		nb -= int(e & 63)
 		sym := e >> 16
 		if sym < 16 {
+			side := 0
+			if i >= nlit {
+				side = 1
+			}
 			lens[i] = uint8(sym)
+			counts[side][sym]++
 			i++
 			continue
 		}
 		// 16 repeats the previous length 3–6 times, 17 and 18 a zero 3–10
 		// and 11–138 times.
 		extra := [3]uint{2, 3, 7}[sym-16]
-		rep := [3]int{3, 3, 11}[sym-16] + int(b&(1<<extra-1))
+		end := i + [3]int{3, 3, 11}[sym-16] + int(b&(1<<extra-1))
 		b >>= extra
 		nb -= int(extra)
 		var v uint8
-		if sym == 16 && i == 0 || i+rep > n {
+		if sym == 16 && i == 0 || end > n {
 			return errCorrupt
 		} else if sym == 16 {
 			v = lens[i-1]
 		}
-		for end := i + rep; i < end; i++ {
+		split := min(max(i, nlit), end) // [i, split) are literal/length lengths
+		counts[0][v] += uint16(split - i)
+		counts[1][v] += uint16(end - split)
+		for ; i < end; i++ {
 			lens[i] = v
 		}
 	}
@@ -312,8 +362,8 @@ func (r *bitReader) header(lit *[maxLit]uint32, dist *[maxDist]uint32) error {
 	switch {
 	case r.nb < 0:
 		return io.ErrUnexpectedEOF
-	case !build(lit[:], lens[:nlit], litRoot, litSyms[:]),
-		!build(dist[:], lens[nlit:nlit+ndist], distRoot, distSyms[:]):
+	case !build(h.lit[:], lens[:nlit], &counts[0], litRoot, litSyms[:], &h.order),
+		!build(h.dist[:], lens[nlit:], &counts[1], distRoot, distSyms[:], &h.order):
 		return errCorrupt
 	}
 	return nil

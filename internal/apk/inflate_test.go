@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -216,6 +217,21 @@ func literalBlock(match bool, distLens []uint8) []byte {
 	return w.code(lit[256], 2).bytes()
 }
 
+// crossingRepeat is a dynamic block whose code 16 repeats the last
+// literal/length code's length (symbol 257's, 2 bits) into the four
+// distance lengths: the one repeat that runs from one table into the
+// other. It decodes to "aaaaa".
+func crossingRepeat() []byte {
+	var w bitWriter
+	litLens := litLens(258, map[int]uint8{'a': 1, 256: 2, 257: 2})
+	distLens := []uint8{2, 2, 2, 2}
+	w.clHeader(true, len(litLens), len(distLens))
+	w.cl(18, 97-11).cl(1, 0).cl(18, 138-11).cl(18, 20-11).cl(2, 0).cl(16, 5-3)
+	lit, dist := canonical(litLens), canonical(distLens)
+	w.code(lit['a'], 1).code(lit['a'], 1).code(lit[257], 2).code(dist[0], 2)
+	return w.code(lit[256], 2).bytes()
+}
+
 // hostileStream is a stream flate refuses, and what a decoder that skipped
 // the check it fails would decode from it.
 type hostileStream struct {
@@ -341,16 +357,21 @@ func FuzzInflateMatchesFlate(f *testing.F) {
 		full, _ := io.ReadAll(flate.NewReader(bytes.NewReader(c.stream)))
 		f.Add(c.stream, int16(c.size-len(full)))
 	}
+	// A repeat across the literal/length and distance lengths, and a code
+	// 16 with no length before it (also among the hostile streams).
+	f.Add(crossingRepeat(), int16(0))
+	f.Add(new(bitWriter).clHeader(true, 257, 1).cl(16, 0).bytes(), int16(0))
 	f.Add(deflate(f, text, flate.BestSpeed), int16(-1))
 	f.Add(deflate(f, text, flate.BestSpeed), int16(1))
 	f.Add(deflate(f, text, flate.BestSpeed)[:20], int16(0))
 
+	h := new(huffman) // shared, so each input decodes over the last one's tables
 	f.Fuzz(func(t *testing.T, src []byte, slack int16) {
 		full, _ := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(src)), 1<<18))
 		n := max(0, len(full)+int(slack))
 		want, got := make([]byte, n), make([]byte, n)
 		wantErr := flateInflate(&entry{method: methodDeflate, body: src}, "e", want)
-		k, err := inflate(got, src)
+		k, err := inflate(got, src, h)
 		if (wantErr == nil) != (err == nil && k == n) {
 			t.Fatalf("%d-byte destination: flate %v, inflate %d bytes, %v", n, wantErr, k, err)
 		}
@@ -372,6 +393,7 @@ func TestInflateEdgeCases(t *testing.T) {
 	cases := []edgeCase{
 		{"trailing bytes after the final block", append(slices.Clip(stream), "trailing"...), len(payload), ""},
 		{"a single one-bit distance code", literalBlock(true, []uint8{1}), 5, ""},
+		{"a repeat from the literal/length lengths into the distance ones", crossingRepeat(), 5, ""},
 		{"a literal-only block with an empty distance code", literalBlock(false, []uint8{0}), 2, ""},
 		{"the same block using a distance", hostile["literal block using an empty distance code"].stream, 5, "shorter than declared"},
 		{"a stored block between two Huffman blocks", between.bytes(), 6, ""},
@@ -381,6 +403,7 @@ func TestInflateEdgeCases(t *testing.T) {
 		{"a refused stream into a zero-length entry", hostile["incomplete code"].stream, 0, "longer than declared"},
 	}
 	cases = append(cases, literalRuns()...)
+	h := new(huffman)
 	// A hostile stream is refused at the length and CRC-32 of what it
 	// would decode to if the check it fails were skipped.
 	for name, h := range hostile {
@@ -393,7 +416,7 @@ func TestInflateEdgeCases(t *testing.T) {
 		}
 		e := &entry{method: methodDeflate, body: tc.stream, crc: crc32.ChecksumIEEE(full)}
 		want, got := make([]byte, tc.size), make([]byte, tc.size)
-		for side, err := range map[string]error{"flate": flateRead(e, "e", want), "inflate": e.read("e", got)} {
+		for side, err := range map[string]error{"flate": flateRead(e, "e", want), "inflate": e.read("e", got, h)} {
 			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 				t.Errorf("%s: %s = %v, want %q", tc.name, side, err, tc.want)
 			}
@@ -410,11 +433,12 @@ func TestInflateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := new(huffman)
 	for i := range a.files {
 		e := &a.files[i]
 		dst := make([]byte, e.usize)
 		if n := testing.AllocsPerRun(20, func() {
-			if err := e.read(loadEntries[i], dst); err != nil {
+			if err := e.read(loadEntries[i], dst, h); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -429,8 +453,10 @@ func TestInflateAllocs(t *testing.T) {
 // flate is the pooled compress/flate reader entry.read used before, arena
 // the package's own decoder. The manifest and program arms run the arena
 // decoder on one kind of entry each: a manifest is short and repetitive, so
-// its dynamic header dominates; a program is mostly literals. One op is one
-// entry.
+// its dynamic header dominates; a program is mostly literals. The header
+// arms time only each entry's first block header (its code lengths and
+// the tables built from them), on the same manifests and programs: what
+// an entry costs before its first byte. One op is one entry.
 func BenchmarkInflate(b *testing.B) {
 	cfg := framework.TestConfig(6000)
 	cfg.Seed = 1
@@ -461,15 +487,26 @@ func BenchmarkInflate(b *testing.B) {
 		}
 	}
 	dst := make([]byte, size)
+	h := new(huffman)
+	read := func(e *entry, name string, dst []byte) error { return e.read(name, dst, h) }
+	header := func(e *entry, _ string, _ []byte) error {
+		r := bitReader{src: e.body}
+		if r.bits(3)>>1 != 2 {
+			return errors.New("the first block is not a dynamic one")
+		}
+		return r.header(h)
+	}
 	for _, arm := range []struct {
 		name        string
 		read        func(e *entry, name string, dst []byte) error
 		first, step int // the entries the arm reads
 	}{
 		{"flate", flateRead, 0, 1},
-		{"arena", (*entry).read, 0, 1},
-		{"manifest", (*entry).read, 0, 2},
-		{"program", (*entry).read, 1, 2},
+		{"arena", read, 0, 1},
+		{"manifest", read, 0, 2},
+		{"program", read, 1, 2},
+		{"manifest-header", header, 0, 2},
+		{"program-header", header, 1, 2},
 	} {
 		var mine []*entry
 		for i := arm.first; i < len(entries); i += arm.step {

@@ -294,11 +294,12 @@ func (e *entry) locate(data []byte, name string) (uint64, error) {
 // CRC-32 is not the directory's, is a corrupt archive: the declared size
 // drove the allocation, so a mismatch means the directory lies. Output
 // that fills dst before the stream fails counts as longer, as it did when
-// flate's reader was read to dst and probed for one byte more.
-func (e *entry) read(name string, dst []byte) error {
+// flate's reader was read to dst and probed for one byte more. Dynamic
+// blocks build their Huffman tables in h.
+func (e *entry) read(name string, dst []byte, h *huffman) error {
 	n, err := len(e.body), error(nil)
 	if e.method == methodDeflate {
-		n, err = inflate(dst, e.body)
+		n, err = inflate(dst, e.body, h)
 	} else {
 		copy(dst, e.body)
 	}

@@ -21,6 +21,7 @@ package behavior
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -280,57 +281,74 @@ func (p *Program) ReferencedActivityCount() int {
 	return n
 }
 
-// Validate checks structural invariants. The numeric checks are written as
-// what a value must be, not what it must not be: every comparison against
-// NaN is false, so "rate < 0" alone lets NaN through to the emulator.
+// Validate checks structural invariants; every failure wraps ErrInvalid.
+// The numeric checks are written as what a value must be, not what it must
+// not be: every comparison against NaN is false, so "rate < 0" alone lets
+// NaN through to the emulator.
 func (p *Program) Validate() error {
+	if hook := ValidateHook.Load(); hook != nil {
+		(*hook)(p)
+	}
 	if p.PackageName == "" {
-		return fmt.Errorf("behavior: program with empty package name")
+		return invalid("program with empty package name")
 	}
 	if p.Version <= 0 {
-		return fmt.Errorf("behavior: %s: version %d must be positive", p.PackageName, p.Version)
+		return invalid("%s: version %d must be positive", p.PackageName, p.Version)
 	}
 	if len(p.Activities) == 0 {
-		return fmt.Errorf("behavior: %s: no activities", p.PackageName)
+		return invalid("%s: no activities", p.PackageName)
 	}
 	if !p.Activities[0].Referenced || !(p.Activities[0].ReachRate > 0) {
-		return fmt.Errorf("behavior: %s: launcher activity must be referenced and reachable", p.PackageName)
+		return invalid("%s: launcher activity must be referenced and reachable", p.PackageName)
 	}
 	repeat := wire.FirstRepeat(len(p.Activities), func(i int) string { return p.Activities[i].Name })
 	for i := range p.Activities {
 		a := &p.Activities[i]
 		if a.Name == "" {
-			return fmt.Errorf("behavior: %s: activity %d has empty name", p.PackageName, i)
+			return invalid("%s: activity %d has empty name", p.PackageName, i)
 		}
 		if i == repeat {
-			return fmt.Errorf("behavior: %s: duplicate activity %s", p.PackageName, a.Name)
+			return invalid("%s: duplicate activity %s", p.PackageName, a.Name)
 		}
 		if err := a.validate(); err != nil {
-			return fmt.Errorf("behavior: %s: activity %s has %w", p.PackageName, a.Name, err)
+			return invalid("%s: activity %s has %w", p.PackageName, a.Name, err)
 		}
 	}
 	if p.Payload != nil {
 		for i := range p.Payload.Activities {
 			a := &p.Payload.Activities[i]
 			if err := a.validate(); err != nil {
-				return fmt.Errorf("behavior: %s: payload activity %s has %w", p.PackageName, a.Name, err)
+				return invalid("%s: payload activity %s has %w", p.PackageName, a.Name, err)
 			}
 		}
 	}
 	for _, id := range p.ReceiverIntents {
 		if id < 0 {
-			return fmt.Errorf("behavior: %s: invalid receiver intent %d", p.PackageName, id)
+			return invalid("%s: invalid receiver intent %d", p.PackageName, id)
 		}
 	}
 	for _, id := range p.Permissions {
 		if id < 0 {
-			return fmt.Errorf("behavior: %s: invalid permission %d", p.PackageName, id)
+			return invalid("%s: invalid permission %d", p.PackageName, id)
 		}
 	}
 	if !(p.CrashBias >= 0 && p.CrashBias <= 1) {
-		return fmt.Errorf("behavior: %s: crash bias %f out of range", p.PackageName, p.CrashBias)
+		return invalid("%s: crash bias %f out of range", p.PackageName, p.CrashBias)
 	}
 	return nil
+}
+
+// ErrInvalid is what every Validate failure wraps: the program breaks a
+// structural invariant, and nothing may emulate it.
+var ErrInvalid = errors.New("invalid program")
+
+// ValidateHook, when set, is called with each program Validate checks.
+// Tests count validations through it; nothing else sets it.
+var ValidateHook atomic.Pointer[func(*Program)]
+
+// invalid formats a Validate failure.
+func invalid(format string, a ...any) error {
+	return fmt.Errorf("behavior: %w: "+format, append([]any{ErrInvalid}, a...)...)
 }
 
 // validate checks one activity's numbers: rates finite and non-negative,

@@ -222,11 +222,18 @@ func TestClusterMatchesSerialVet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			startStack(t, svc, cluster.CoordinatorConfig{}, nodes, wcfg)
+			st := startStack(t, svc, cluster.CoordinatorConfig{}, nodes, wcfg)
 
 			got, err := svc.VetBatch(context.Background(), subs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Each claim's ack arrived before its verdict settled, so no
+			// stream holds one.
+			for node, held := range st.coord.HeldClaims() {
+				if held != 0 {
+					t.Fatalf("%s: node %s holds %d claims after every verdict settled", tc.name, node, held)
+				}
 			}
 			for i := range serial {
 				if *got[i] != *serial[i] {
@@ -534,7 +541,8 @@ func TestClusterModelPropagation(t *testing.T) {
 }
 
 // TestHealthzClusterFields verifies the extended /healthz surface: queue
-// depth, in-flight leases, and the live worker-node count.
+// depth, in-flight leases, the live worker-node count and each live node's
+// held claims.
 func TestHealthzClusterFields(t *testing.T) {
 	base, corpus := trainedArtifact(t)
 	ckCoord := instantiate(t, base, configOf(base))
@@ -585,8 +593,12 @@ func TestHealthzClusterFields(t *testing.T) {
 	if got := h["nodes"]; got != float64(0) {
 		t.Fatalf("nodes = %v, want 0", got)
 	}
+	if got := fmt.Sprint(h["held"]); got != "map[]" {
+		t.Fatalf("held = %v, want no node", got)
+	}
 
-	// One wire claim: the claiming node is live and holds one lease.
+	// One wire claim: the claiming node is live and holds one lease, on
+	// one stream.
 	zombie, _ := zombieClaim(t, ts.URL)
 	h = readHealth()
 	if got := h["queue_depth"]; got != float64(2) {
@@ -598,13 +610,20 @@ func TestHealthzClusterFields(t *testing.T) {
 	if got := h["nodes"]; got != float64(1) {
 		t.Fatalf("after claim: nodes = %v, want 1", got)
 	}
+	if got := fmt.Sprint(h["held"]); got != "map[zombie:1]" {
+		t.Fatalf("after claim: held = %v, want the zombie node's one claim", got)
+	}
 
 	// Its stream ends: the node is gone at once, and the stream's end
 	// returned its claim before the node left.
 	zombie.Close()
 	eventually(t, "the closed stream's node to leave", func() bool { return readHealth()["nodes"] == float64(0) })
-	if got := readHealth()["leases"]; got != float64(0) {
+	h = readHealth()
+	if got := h["leases"]; got != float64(0) {
 		t.Fatalf("after the stream ended: leases = %v, want 0", got)
+	}
+	if got := fmt.Sprint(h["held"]); got != "map[]" {
+		t.Fatalf("after the stream ended: held = %v, want no node", got)
 	}
 }
 
@@ -1128,6 +1147,79 @@ func TestNonFiniteScoreIsNacked(t *testing.T) {
 	}
 	if got := svc.Obs().Counter("cluster.acks").Load(); got != 0 {
 		t.Errorf("cluster.acks = %d, want 0: nothing may be recorded", got)
+	}
+}
+
+// TestRefusedStreamIsDropped: a refusal of the claim request that
+// carried an ack ends the stream on the coordinator's side, so the lane
+// drops it too: it writes nothing more into that stream, and its next
+// request goes out on a stream it dials afresh. A lane that kept the
+// refused stream spent a second backoff writing into it before it
+// redialed.
+func TestRefusedStreamIsDropped(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	subs := rawSubs(t, corpus, 2, 2)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, MaxAttempts: 2, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		refused  = map[int]bool{} // connections a refusal came down
+		after    []string         // up-frames written into one of them after it
+		redialed []bool           // per refusal: the lane's next frame went out on a newer connection
+		pending  = -1             // the connection of a refusal whose next up-frame is not seen yet
+	)
+	faults := &streamFaults{onFrame: func(conn int, up bool, typ byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case !up && typ == cluster.DownRefusal:
+			refused[conn], pending = true, conn
+		case up && refused[conn]:
+			after = append(after, fmt.Sprintf("%q on connection %d", typ, conn))
+		case up && pending >= 0:
+			redialed = append(redialed, conn > pending)
+			pending = -1
+		}
+	}}
+	startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{
+		Lanes:  1,
+		Client: faults.client(),
+		OnVet: func(_ int64, v *core.Verdict, _ error) {
+			if v != nil {
+				v.Score = math.NaN() // refused as the ack arrives
+			}
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for _, sub := range subs {
+		tk, err := svc.Submit(ctx, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(ctx); !errors.Is(err, vetsvc.ErrPoisoned) {
+			t.Fatalf("%v, want a dead-letter naming the refused score", err)
+		}
+	}
+	// One refusal per attempt, each followed by the lane's next request.
+	eventually(t, "the lane's request after the last refusal", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(refused) == 2*len(subs) && len(redialed) == len(refused)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(after) > 0 {
+		t.Errorf("the lane wrote into streams the coordinator had refused and ended: %v", after)
+	}
+	for i, ok := range redialed {
+		if !ok {
+			t.Errorf("refusal %d: the lane's next request went out on an older stream", i+1)
+		}
 	}
 }
 

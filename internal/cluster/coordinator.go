@@ -146,16 +146,39 @@ func (c *Coordinator) liveNodes() []string {
 	return c.live
 }
 
-// node is one live node: its name, its open streams (one per lane), and
-// when one of them last ended holding a claim, in Unix nanoseconds. For
-// one PollSlice after that, the node's polls take no claim that was issued
-// before: its other streams may be ending too, unnoticed, and a claim one
-// of them took back would cost an attempt for nothing. Other nodes take it
-// at once.
+// node is one live node: its name, its open streams (one per lane), how
+// many of them hold a claim, and when one of them last ended holding a
+// claim, in Unix nanoseconds. For one PollSlice after that, the node's
+// polls take no claim that was issued before: its other streams may be
+// ending too, unnoticed, and a claim one of them took back would cost an
+// attempt for nothing. Other nodes take it at once.
 type node struct {
 	name     string
 	streams  int
+	held     atomic.Int64
 	returned atomic.Int64
+}
+
+// hold books one of n's streams going from holding was to holding now.
+func (n *node) hold(was, now workqueue.LeaseID) {
+	switch none := (workqueue.LeaseID{}); {
+	case was == none && now != none:
+		n.held.Add(1)
+	case was != none && now == none:
+		n.held.Add(-1)
+	}
+}
+
+// HeldClaims reports each live node's streams that hold a claim: sent,
+// and neither acked nor nacked yet (the healthz surface).
+func (c *Coordinator) HeldClaims() map[string]int {
+	c.nodesMu.Lock()
+	defer c.nodesMu.Unlock()
+	held := make(map[string]int, len(c.nodes))
+	for name, n := range c.nodes {
+		held[name] = int(n.held.Load())
+	}
+	return held
 }
 
 // book adds delta to name's open streams: +1 once a stream's 101 is
@@ -273,6 +296,7 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	if held != (workqueue.LeaseID{}) {
 		n.returned.Store(time.Now().UnixNano())
 		c.nack(held, fmt.Errorf("cluster: node %s: stream ended: %w", node, ended))
+		n.hold(held, workqueue.LeaseID{})
 	}
 	end(ended)
 	conn.Close()
@@ -349,7 +373,7 @@ func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame
 	id := workqueue.LeaseID{Seq: f.lease.Seq, Token: f.lease.Token}
 	switch f.typ {
 	case upNack:
-		release(held, id)
+		n.release(held, id)
 		if err := c.nack(id, fmt.Errorf("cluster: node %s: %s", n.name, f.lease.Cause)); err != nil {
 			return s.refuse(http.StatusGone, err.Error())
 		}
@@ -369,7 +393,7 @@ func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame
 	}
 	req := &f.claim
 	if req.Acked {
-		release(held, workqueue.LeaseID{Seq: req.Ack.Seq, Token: req.Ack.Token})
+		n.release(held, workqueue.LeaseID{Seq: req.Ack.Seq, Token: req.Ack.Token})
 		c.settleAck(n.name, &req.Ack)
 	}
 	if req.WaitMS <= 0 {
@@ -378,6 +402,7 @@ func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame
 	l, dl, err := c.poll(ctx, n, time.Duration(req.WaitMS)*time.Millisecond)
 	switch {
 	case err == nil:
+		n.hold(*held, l.ID())
 		*held = l.ID()
 		return c.sendClaim(s, l, dl)
 	case errors.Is(err, workqueue.ErrDrained):
@@ -454,8 +479,9 @@ func (c *Coordinator) sendClaim(s *stream, l *workqueue.Lease, deadline time.Tim
 }
 
 // release clears the stream's held claim when id names it.
-func release(held *workqueue.LeaseID, id workqueue.LeaseID) {
+func (n *node) release(held *workqueue.LeaseID, id workqueue.LeaseID) {
 	if *held == id {
+		n.hold(*held, workqueue.LeaseID{})
 		*held = workqueue.LeaseID{}
 	}
 }

@@ -20,6 +20,7 @@ const (
 	UpModel        = upModel
 	DownClaim      = downClaim
 	DownModel      = downModel
+	DownRefusal    = downRefusal
 	StreamProtocol = streamProtocol
 	NodeHeader     = nodeHeader
 	MaxNodeName    = maxNodeName

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,12 @@ type streamFaults struct {
 	onUp func(typ byte, body []byte) fault
 	// onDown sees each down-frame before the lane reads it.
 	onDown func(typ byte, body []byte)
+	// onFrame sees every frame's type, up (as the lane writes it) or down
+	// (before the lane reads it), and the connection it goes by, numbered
+	// from 1 in the order they were dialed.
+	onFrame func(conn int, up bool, typ byte)
+
+	dials atomic.Int64
 }
 
 func (f *streamFaults) client() *http.Client {
@@ -50,7 +57,7 @@ func (f *streamFaults) client() *http.Client {
 			if err != nil {
 				return nil, err
 			}
-			return &faultConn{Conn: c, f: f}, nil
+			return &faultConn{Conn: c, f: f, id: int(f.dials.Add(1))}, nil
 		},
 	}}
 }
@@ -61,7 +68,8 @@ func (f *streamFaults) client() *http.Client {
 // reads; a stopped lane's cancel may write while it does.
 type faultConn struct {
 	net.Conn
-	f *streamFaults
+	f  *streamFaults
+	id int
 
 	mu       sync.Mutex
 	stream   bool  // the stream's upgrade request went out on this connection
@@ -79,6 +87,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		c.stream = true
 	}
 	c.mu.Unlock()
+	if upgraded && len(p) >= 5 && c.f.onFrame != nil {
+		c.f.onFrame(c.id, true, p[0])
+	}
 	if upgraded && len(p) >= 5 && c.f.onUp != nil {
 		if next := c.f.onUp(p[0], p[5:]); next != intact {
 			c.mu.Lock()
@@ -114,6 +125,9 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		frame := append(hdr, make([]byte, binary.LittleEndian.Uint32(hdr[1:]))...)
 		if _, err := io.ReadFull(c.Conn, frame[5:]); err != nil {
 			return 0, err
+		}
+		if c.f.onFrame != nil {
+			c.f.onFrame(c.id, false, frame[0])
 		}
 		if c.f.onDown != nil {
 			c.f.onDown(frame[0], frame[5:])

@@ -315,7 +315,9 @@ func (ln *lane) Nack(j *job, cause string) {
 // empty, workqueue.ErrDrained that the queue is. Any answer acknowledges
 // the ack: a refusal of the request that carried it (a body past its
 // bound, a score that is not finite) ends the stream, whose end returns
-// the claim with the refusal as its cause.
+// the claim with the refusal as its cause. The lane drops the stream on
+// any refusal, so its next request opens another instead of writing into
+// one the coordinator has ended.
 func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error) {
 	s, err := ln.open(ctx)
 	if err != nil {
@@ -341,6 +343,7 @@ func (ln *lane) exchange(ctx context.Context, wait time.Duration) (*claim, error
 		return nil, workqueue.ErrDrained
 	}
 	_, err = readRefusal(typ, body)
+	ln.drop(s)
 	return nil, err
 }
 
@@ -373,12 +376,21 @@ func (ln *lane) roundTrip(ctx context.Context, s *stream, f []byte, poll bool) (
 	}
 	ln.mu.Lock()
 	ln.polling = false
-	if err != nil && ln.s == s {
+	ln.mu.Unlock()
+	if err != nil {
+		ln.drop(s)
+	}
+	return typ, body, err
+}
+
+// drop closes s, a stream that ended, and forgets it if it is the lane's.
+func (ln *lane) drop(s *stream) {
+	ln.mu.Lock()
+	if ln.s == s {
 		s.rw.Close()
 		ln.s = nil
 	}
 	ln.mu.Unlock()
-	return typ, body, err
 }
 
 // answerGrace is how long any request but a poll waits for its answer

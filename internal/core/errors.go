@@ -9,7 +9,7 @@ import "apichecker/internal/pipeline"
 var (
 	// ErrBadSubmission marks a Submission refused at admission: not exactly
 	// one payload (raw bytes or a behaviour program), or a decoded program
-	// naming ids outside the deployment's universe.
+	// that is invalid or names ids outside the deployment's universe.
 	ErrBadSubmission = pipeline.ErrBadSubmission
 
 	// ErrDeadlineExceeded marks a vet abandoned because its per-submission

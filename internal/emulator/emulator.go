@@ -134,8 +134,12 @@ func (e *Emulator) Run(p *behavior.Program, mk monkey.Config) (*Result, error) {
 // consume no randomness.
 //
 // The result is the caller's to keep: the run fills a scratch of its own,
-// and its log is sealed.
+// and its log is sealed. The program is validated first (an invalid one
+// is refused with an error wrapping behavior.ErrInvalid).
 func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monkey.Config) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("emulator: %w", err)
+	}
 	s := new(Scratch)
 	res, err := e.RunScratch(ctx, p, mk, s)
 	if err != nil {
@@ -146,15 +150,15 @@ func (e *Emulator) RunContext(ctx context.Context, p *behavior.Program, mk monke
 	return res, nil
 }
 
-// RunScratch is RunContext into s: the result and its log are s's own
-// storage, valid until s is handed to the next run, and the log is not
-// sealed. The same program, Monkey and engine draw the same streams
-// whatever s held before, so the result is bit-identical to RunContext's.
+// RunScratch is RunContext into s, for a program already validated: the
+// vet path's comes from behavior.Decode, which validates what it returns,
+// or was validated at admission, so neither this run nor a fallback re-run
+// validates it again. The result and its log are s's own storage, valid
+// until s is handed to the next run, and the log is not sealed. The same
+// program, Monkey and engine draw the same streams whatever s held before,
+// so the result is bit-identical to RunContext's.
 func (e *Emulator) RunScratch(ctx context.Context, p *behavior.Program, mk monkey.Config, s *Scratch) (*Result, error) {
 	runCount.Add(1)
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("emulator: %w", err)
-	}
 	if err := mk.Validate(); err != nil {
 		return nil, fmt.Errorf("emulator: %w", err)
 	}

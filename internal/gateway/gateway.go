@@ -77,10 +77,12 @@ type Config struct {
 }
 
 // ClusterCoordinator is the slice of the vet-cluster coordinator the
-// gateway needs: route registration and the live-fleet gauge.
+// gateway needs: route registration, the live-fleet gauge and each live
+// node's held claims.
 type ClusterCoordinator interface {
 	Mount(mux *http.ServeMux)
 	LiveNodes() int
+	HeldClaims() map[string]int
 }
 
 const (
@@ -612,8 +614,9 @@ func (s *Server) lookup(id string) *record {
 
 // handleHealthz reports liveness plus the serving model generation and
 // the live load picture (queue depth, in-flight leases, and — when this
-// gateway fronts a vet cluster — the live worker-node count); a draining
-// gateway answers 503 so load balancers stop routing to it.
+// gateway fronts a vet cluster — the live worker-node count and, by node,
+// the claims its streams hold); a draining gateway answers 503 so load
+// balancers stop routing to it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	gen := s.ck.Generation()
 	qs := s.svc.QueueStats()
@@ -626,6 +629,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Cluster != nil {
 		body["nodes"] = s.cfg.Cluster.LiveNodes()
+		body["held"] = s.cfg.Cluster.HeldClaims()
 	}
 	code := http.StatusOK
 	if s.draining.Load() {

@@ -201,10 +201,13 @@ func (d *Deps) MonkeyFor(dig string, seq int64) monkey.Config {
 	return mk
 }
 
-// admit validates the exactly-one-payload invariant, bounds the ids of a
-// program that arrived already decoded, and resolves the content digest.
-// It consumes no vet sequence number, so an invalid submission leaves no
-// trace in the accounting.
+// admit validates the exactly-one-payload invariant, validates a program
+// that arrived already decoded and bounds its ids, and resolves the content
+// digest. It consumes no vet sequence number, so an invalid submission
+// leaves no trace in the accounting.
+//
+// Here the vet path validates a program submission, as behavior.Decode
+// validates a raw archive's: emulate runs what it is given.
 func (d *Deps) admit(vc *VetContext) error {
 	if err := vc.Sub.Validate(); err != nil {
 		return err
@@ -214,6 +217,9 @@ func (d *Deps) admit(vc *VetContext) error {
 	// deployment's universe only ever grows (framework.Evolve appends), so
 	// ids in range now are in range for that one too.
 	if p := vc.Sub.Program; p != nil {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
+		}
 		if err := checkIDs(p, d.Gen().Universe); err != nil {
 			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
 		}

@@ -37,7 +37,8 @@ import (
 var (
 	// ErrBadSubmission marks a Submission refused at admission: it does not
 	// carry exactly one payload (raw bytes or a behaviour program), or its
-	// already-decoded program names an API, intent or permission id the
+	// already-decoded program fails behavior's Validate (the error wraps
+	// behavior.ErrInvalid too) or names an API, intent or permission id the
 	// deployment's universe does not have.
 	ErrBadSubmission = errors.New("bad submission")
 

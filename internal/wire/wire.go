@@ -327,9 +327,29 @@ func (d Decoder) Len(n *int, what string, minBytesEach int) {
 // FirstRepeat returns the first i in 0..n-1 whose key(i) equals the key of
 // an earlier index — where a scan that remembered every key it had passed
 // would stop — or -1 when the n keys are distinct. Decoders use it to refuse
-// a table that names one entry twice. It sorts indices, so a hostile table
-// costs O(n log n); up to 64 keys it allocates nothing.
+// a table that names one entry twice.
+//
+// Up to pairwiseMax keys it is that scan: each key is held to every earlier
+// one, first by a fingerprint (its length and last two bytes, where names
+// that differ mostly differ) and only on a match by its bytes, so a key
+// costs at most pairwiseMax-1 comparisons and a hostile table still costs
+// time linear in its bytes. Above that it sorts indices, O(n log n). Up to
+// 64 keys it allocates nothing.
 func FirstRepeat(n int, key func(i int) string) int {
+	if n <= pairwiseMax {
+		var seen [pairwiseMax]uint32
+		for i := range n {
+			k := key(i)
+			f := fingerprint(k)
+			for j, g := range seen[:i] {
+				if g == f && key(j) == k {
+					return i
+				}
+			}
+			seen[i] = f
+		}
+		return -1
+	}
 	var buf [64]int32
 	idx := buf[:0]
 	if n > len(buf) {
@@ -350,4 +370,21 @@ func FirstRepeat(n int, key func(i int) string) int {
 		}
 	}
 	return first
+}
+
+// pairwiseMax is the most keys FirstRepeat compares pairwise. A generated
+// program has 3 to 40 activities, 10 on average.
+const pairwiseMax = 16
+
+// fingerprint is k's length and last two bytes: equal keys have equal
+// fingerprints.
+func fingerprint(k string) uint32 {
+	f := uint32(len(k)) << 16
+	switch {
+	case len(k) >= 2:
+		f |= uint32(k[len(k)-2])<<8 | uint32(k[len(k)-1])
+	case len(k) == 1:
+		f |= uint32(k[0])
+	}
+	return f
 }

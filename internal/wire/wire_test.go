@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -326,7 +327,10 @@ func FuzzReader(f *testing.F) {
 
 // TestFirstRepeatMatchesScan: FirstRepeat stops where a scan that
 // remembers every key it passed stops, on tables with and without repeats,
-// on both sides of the 64 keys it sorts without allocating.
+// on both sides of the pairwiseMax keys it compares pairwise and of the 64
+// it sorts without allocating. Every other table's keys share a length and
+// their last two bytes, so every pairwise comparison passes the fingerprint
+// and the bytes decide.
 func TestFirstRepeatMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 2000; trial++ {
@@ -335,6 +339,9 @@ func TestFirstRepeatMatchesScan(t *testing.T) {
 		alphabet := 1 + rng.IntN(3*n+1)
 		for i := range keys {
 			keys[i] = strconv.Itoa(rng.IntN(alphabet))
+			if trial%2 == 1 {
+				keys[i] = fmt.Sprintf("%06sxy", keys[i])
+			}
 		}
 		want, seen := -1, map[string]bool{}
 		for i, k := range keys {
@@ -354,5 +361,37 @@ func TestFirstRepeatMatchesScan(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { FirstRepeat(len(keys), func(i int) string { return keys[i] }) }); n != 0 {
 		t.Errorf("FirstRepeat over 64 keys allocates %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkFirstRepeat times the duplicate check on activity names as the
+// generator writes them (a package name, then "MainActivity" or
+// "ActivityN"), all distinct, so the whole table is checked: 10 is a seed
+// program's mean, compared pairwise. The hostile tables' distinct names
+// share one length and their last two bytes, so the fingerprint tells none
+// apart: 16 is the most compared pairwise, 64 are sorted.
+func BenchmarkFirstRepeat(b *testing.B) {
+	const pkg = "com.example.market.app42"
+	seed := []string{pkg + ".MainActivity"}
+	for i := 1; i < 10; i++ {
+		seed = append(seed, fmt.Sprintf("%s.Activity%d", pkg, i))
+	}
+	var hostile []string
+	for i := range 64 {
+		hostile = append(hostile, fmt.Sprintf("%s.Activity%02d00", pkg, i))
+	}
+	for _, arm := range []struct {
+		name string
+		keys []string
+	}{{"10", seed}, {"hostile-16", hostile[:16]}, {"hostile-64", hostile}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			keys := arm.keys
+			for i := 0; i < b.N; i++ {
+				if FirstRepeat(len(keys), func(i int) string { return keys[i] }) != -1 {
+					b.Fatal("a repeat among distinct keys")
+				}
+			}
+		})
 	}
 }
