@@ -257,16 +257,25 @@ func (p *Program) ContentDigest() (string, error) {
 	if d := p.digestMemo.Load(); d != nil {
 		return d.(string), nil
 	}
-	data, err := p.Encode()
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
+	return p.ValidDigest(), nil
+}
+
+// ValidDigest is ContentDigest of a program the caller has validated: it
+// does not validate again, so a vet that validated the program at
+// admission validates it once.
+func (p *Program) ValidDigest() string {
+	if d := p.digestMemo.Load(); d != nil {
+		return d.(string)
+	}
+	sum := sha256.Sum256(p.encode())
 	var h [2 * sha256.Size]byte // formatted on the stack: one allocation, the string
 	hex.Encode(h[:], sum[:])
 	d := string(h[:])
 	p.digestMemo.Store(d)
-	return d, nil
+	return d
 }
 
 // ReferencedActivityCount returns how many declared activities are

@@ -67,6 +67,11 @@ func (p *Program) Encode() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return p.encode(), nil
+}
+
+// encode is Encode of a program already validated.
+func (p *Program) encode() []byte {
 	var payload []ActivityBehavior
 	if p.Payload != nil {
 		payload = p.Payload.Activities
@@ -125,7 +130,7 @@ func (p *Program) Encode() ([]byte, error) {
 	if p.Payload != nil {
 		b = appendActivities(b, payload)
 	}
-	return b, nil
+	return b
 }
 
 func appendActivities(b []byte, acts []ActivityBehavior) []byte {

@@ -15,6 +15,12 @@ func (p *Program) Manifest(u *framework.Universe) (*manifest.Manifest, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return p.ValidManifest(u), nil
+}
+
+// ValidManifest is Manifest of a program the caller has validated, and
+// whose ids u holds: it does not validate again.
+func (p *Program) ValidManifest(u *framework.Universe) *manifest.Manifest {
 	m := manifest.New(p.PackageName, p.Version)
 	m.Application.Label = p.PackageName
 	for _, perm := range p.Permissions {
@@ -39,7 +45,7 @@ func (p *Program) Manifest(u *framework.Universe) (*manifest.Manifest, error) {
 		r.Filters = []manifest.IntentFilter{f}
 		m.Application.Receivers = append(m.Application.Receivers, r)
 	}
-	return m, nil
+	return m
 }
 
 // Dex derives the statically visible code view of the program. Direct API

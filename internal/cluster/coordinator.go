@@ -404,7 +404,7 @@ func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame
 	case err == nil:
 		n.hold(*held, l.ID())
 		*held = l.ID()
-		return c.sendClaim(s, l, dl)
+		return c.sendClaim(s, &l, dl)
 	case errors.Is(err, workqueue.ErrDrained):
 		return s.send(s.frame(downDrained))
 	case errors.Is(err, workqueue.ErrClosed):
@@ -420,7 +420,7 @@ func (c *Coordinator) answer(ctx context.Context, s *stream, n *node, f *upFrame
 // affinity are re-read every PollSlice: a node that joins or leaves
 // reaches a waiting poll within one slice. workqueue.ErrNothingClaimable
 // means the budget ran out.
-func (c *Coordinator) poll(ctx context.Context, n *node, wait time.Duration) (*workqueue.Lease, time.Time, error) {
+func (c *Coordinator) poll(ctx context.Context, n *node, wait time.Duration) (workqueue.Lease, time.Time, error) {
 	now := time.Now()
 	deadline := now.Add(min(wait, maxPoll))
 	for now.Before(deadline) {
@@ -450,7 +450,7 @@ func (c *Coordinator) poll(ctx context.Context, n *node, wait time.Duration) (*w
 		// Slice expired: re-read the live set and try again within the budget.
 		now = time.Now()
 	}
-	return nil, time.Time{}, workqueue.ErrNothingClaimable
+	return workqueue.Lease{}, time.Time{}, workqueue.ErrNothingClaimable
 }
 
 // sendClaim writes the claim frame for lease l, the stream's held claim:

@@ -352,6 +352,11 @@ const envelope = 5
 // a larger frame gets a buffer of its own.
 const keepBytes = 64 << 10
 
+// laneReadBytes is a lane's read buffer: a claim frame (its header and an
+// archive of the usual size) that has arrived whole is read in one read.
+// A larger frame reads its remainder past the buffer.
+const laneReadBytes = 32 << 10
+
 // stream is one end of a claim stream. Frames are read into one buffer
 // and written from another, each reused from frame to frame, so a steady
 // stream allocates nothing per frame. One goroutine reads, and one at a

@@ -46,6 +46,9 @@ type streamFaults struct {
 	// (before the lane reads it), and the connection it goes by, numbered
 	// from 1 in the order they were dialed.
 	onFrame func(conn int, up bool, typ byte)
+	// onRead sees each read the lane makes of a down-frame's bytes, with
+	// the frame's type: a frame read in one read is seen once.
+	onRead func(typ byte)
 
 	dials atomic.Int64
 }
@@ -78,6 +81,7 @@ type faultConn struct {
 
 	rest   []byte // the reader's: what is left of the frame being read
 	broken bool   // the reader's: the frame was cut, the stream ends with it
+	typ    byte   // the reader's: the type of the frame being read
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
@@ -143,7 +147,10 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		case cut:
 			frame, c.broken = frame[:len(frame)/2], true
 		}
-		c.rest = frame
+		c.rest, c.typ = frame, frame[0]
+	}
+	if c.f.onRead != nil {
+		c.f.onRead(c.typ)
 	}
 	n := copy(p, c.rest)
 	c.rest = c.rest[n:]
@@ -479,14 +486,15 @@ func TestSilentStreamKeepsNodeLive(t *testing.T) {
 // vet the node's verdict cache answers, the ack up the next claim request
 // and the record it settles — allocates only what is kept, counted on both
 // ends and in the service. The service pays for the content digest the
-// record is keyed by, the record and the done channel its waiter blocks
-// on, the wake-up of the waiting poll, and the lease (five). The
-// coordinator pays for the acked verdict and its package name (two). The
-// node pays for the claim's key, the executor's cancellable vet context
-// (two), and the verdict its cache answers with and that verdict's package
-// name (five). That is 12. The claim, the job, the ack, the model digest
-// and the bounded wait's timer allocate nothing: they live in storage each
-// end owns, the digest is interned per stream, and the timer is pooled.
+// record is keyed by and the record (two). The coordinator pays for the
+// acked verdict and its package name (two). The node pays for the claim's
+// key, the executor's cancellable vet context (two), and the verdict its
+// cache answers with and that verdict's package name (five). That is 9.
+// The claim, the job, the lease, the ack, the model digest, the bounded
+// wait's timer, the wake-up of the waiting poll and the submitter's wait
+// allocate nothing: they live in storage each end owns, the digest is
+// interned per stream, the timer is pooled, and both waits use waiters
+// from a free list.
 func TestStreamClaimAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
@@ -517,11 +525,56 @@ func TestStreamClaimAllocBudget(t *testing.T) {
 	for range 8 {
 		round()
 	}
-	const budget = 12
+	const budget = 9
 	if n := testing.AllocsPerRun(200, round); n > budget {
 		t.Errorf("a warm claim round trip allocates %.0f times, budget %d", n, budget)
 	} else {
 		t.Logf("a warm claim round trip allocates %.0f times", n)
+	}
+}
+
+// TestClaimFrameIsOneRead: a lane reads a claim frame that has arrived
+// whole in one read of its connection. Read straight off the upgraded
+// connection, each frame cost two: its envelope, then its body.
+func TestClaimFrameIsOneRead(t *testing.T) {
+	base, corpus := trainedArtifact(t)
+	svc, err := vetsvc.Open(instantiate(t, base, configOf(base)), vetsvc.Config{
+		QueueSize: 4, LeaseTTL: time.Minute, DisableLocalLanes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var claims, reads atomic.Int64
+	faults := &streamFaults{
+		onFrame: func(_ int, up bool, typ byte) {
+			if !up && typ == cluster.DownClaim {
+				claims.Add(1)
+			}
+		},
+		onRead: func(typ byte) {
+			if typ == cluster.DownClaim {
+				reads.Add(1)
+			}
+		},
+	}
+	startStack(t, svc, cluster.CoordinatorConfig{}, 1, cluster.WorkerConfig{Lanes: 1, Client: faults.client()})
+	subs := rawSubs(t, corpus, 4, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for _, sub := range subs {
+		if len(sub.Raw) > 16<<10 {
+			t.Fatalf("a %d-byte archive: the test wants claim frames of the usual size", len(sub.Raw))
+		}
+		tk, err := svc.Submit(ctx, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, r := claims.Load(), reads.Load(); c != int64(len(subs)) || r != c {
+		t.Fatalf("%d claim frames took %d reads, want %d frames in one read each", c, r, len(subs))
 	}
 }
 

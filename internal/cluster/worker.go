@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -458,7 +459,10 @@ func (w *Worker) dial(ctx context.Context) (*stream, error) {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("cluster: claim stream: %s: %s", resp.Status, bytes.TrimSpace(b))
 	}
-	return &stream{rw: rwc, r: rwc}, nil
+	// Once the 101's leftover bytes are read, rwc reads the connection
+	// itself: unbuffered, a frame would cost one read for its envelope and
+	// another for its body.
+	return &stream{rw: rwc, r: bufio.NewReaderSize(rwc, laneReadBytes)}, nil
 }
 
 // ensureModel returns a checker serving exactly digest, pulling the

@@ -152,3 +152,31 @@ func TestMissValidatesOnce(t *testing.T) {
 	}
 	t.Logf("%d misses, %d re-run on the fallback engine, one validation each", len(corpus.Apps), fellBack)
 }
+
+// TestProgramValidatesOnce: a Submission.Program is validated once per vet,
+// at admission. Its content digest and its manifest, in triage or in
+// decode, are derived without validating it again, on a miss and on a
+// cache hit alike.
+func TestProgramValidatesOnce(t *testing.T) {
+	ck, corpus := trainedChecker(t, 120)
+	validations := countValidations(t)
+	for i := range corpus.Apps {
+		blob, err := corpus.Program(i).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := behavior.Decode(blob) // a program whose digest nothing has taken
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range []string{"miss", "hit"} {
+			validations.Store(0)
+			if _, err := ck.Vet(context.Background(), Submission{Program: p}); err != nil {
+				t.Fatal(err)
+			}
+			if n := validations.Load(); n != 1 {
+				t.Fatalf("app %d, %s: a vet validated its program %d times, want 1", i, round, n)
+			}
+		}
+	}
+}

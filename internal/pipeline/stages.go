@@ -207,7 +207,8 @@ func (d *Deps) MonkeyFor(dig string, seq int64) monkey.Config {
 // leaves no trace in the accounting.
 //
 // Here the vet path validates a program submission, as behavior.Decode
-// validates a raw archive's: emulate runs what it is given.
+// validates a raw archive's, and only here: the digest, the manifest and
+// emulate take the program as validated.
 func (d *Deps) admit(vc *VetContext) error {
 	if err := vc.Sub.Validate(); err != nil {
 		return err
@@ -222,6 +223,9 @@ func (d *Deps) admit(vc *VetContext) error {
 		}
 		if err := checkIDs(p, d.Gen().Universe); err != nil {
 			return fmt.Errorf("core: %w: %w", ErrBadSubmission, err)
+		}
+		if vc.Sub.Digest == "" {
+			vc.Sub.Digest = p.ValidDigest()
 		}
 	}
 	vc.Digest = vc.Sub.ContentDigest()
@@ -409,12 +413,9 @@ func manifestOnly(vc *VetContext) (*manifest.Manifest, error) {
 		vc.Manifest = m
 		return m, nil
 	default:
-		m, err := sub.Program.Manifest(vc.Gen.Universe)
-		if err != nil {
-			return nil, err
-		}
-		vc.Manifest = m
-		return m, nil
+		// Admission validated the program and bounded its ids.
+		vc.Manifest = sub.Program.ValidManifest(vc.Gen.Universe)
+		return vc.Manifest, nil
 	}
 }
 
@@ -460,11 +461,7 @@ func (d *Deps) decode(vc *VetContext) error {
 	default:
 		vc.Program = sub.Program
 		if vc.Manifest == nil { // triage may have derived it already
-			m, err := sub.Program.Manifest(vc.Gen.Universe)
-			if err != nil {
-				return err
-			}
-			vc.Manifest = m
+			vc.Manifest = sub.Program.ValidManifest(vc.Gen.Universe)
 		}
 		vc.Span(manifestCost, "program")
 	}

@@ -2,11 +2,15 @@ package vetsvc
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"apichecker/internal/apk"
 	"apichecker/internal/core"
+	"apichecker/internal/vcache"
+	"apichecker/internal/workqueue"
 )
 
 // TestAdmissionHitAllocBudget: a submission whose verdict is cached is
@@ -64,13 +68,16 @@ func TestAdmissionHitAllocBudget(t *testing.T) {
 }
 
 // TestQueuedAllocBudget: a raw archive the cache cannot answer is queued,
-// journaled, claimed by the one local lane, vetted and settled, and the
-// submitter waits on its ticket. With the cache off every round trip does
-// all of that. Next to the vet's own five (digest, manifest, blob reader,
-// package name, verdict), it costs the record and the done channel its
-// waiter blocks on, the wake-up of the idle lane, the lease, the lane's job
-// and its cancellable context (two), and the journal's enqueue and settle
-// frames: 14, or 12 with the journal off.
+// claimed by the one local lane, vetted and settled, and the submitter
+// waits on its ticket. With the cache off every round trip does all of
+// that. Next to the vet's own five (digest, manifest, blob reader, package
+// name, verdict), it costs the record. A lease TTL adds the lane's
+// cancellable vet context, which the heartbeat cancels when the lease is
+// lost (two), and a journal its enqueue and settle frames (two): 10 with
+// both, 6 with neither, the shape of the service the fresh benchmark
+// runs. The wake-up of the idle lane, the submitter's wait, the lease and
+// the lane's job allocate nothing: waiters come from a free list and the
+// lane owns its lease and job.
 func TestQueuedAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector drops a quarter of what is put in a sync.Pool, so pooled contexts are rebuilt at random")
@@ -85,30 +92,96 @@ func TestQueuedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc, err := Open(ck, Config{Workers: 1, QueueSize: 4, QueueDir: t.TempDir(), LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	ctx := context.Background()
-	i := 0
-	round := func() {
-		tk, err := svc.Submit(ctx, core.Submission{Raw: raws[i%len(raws)]})
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		budget float64
+	}{
+		{"journal+ttl", Config{Workers: 1, QueueSize: 4, QueueDir: t.TempDir(), LeaseTTL: time.Minute}, 10},
+		{"memory", Config{Workers: 1, QueueSize: 4}, 6},
+	} {
+		svc, err := Open(ck, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx := context.Background()
+		i := 0
+		round := func() {
+			tk, err := svc.Submit(ctx, core.Submission{Raw: raws[i%len(raws)]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			i++
+			if _, err := tk.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 * len(raws) {
+			round()
+		}
+		if n := testing.AllocsPerRun(400, round); n > tc.budget {
+			t.Errorf("%s: a queued cache-off round trip allocates %.0f times, budget %.0f", tc.name, n, tc.budget)
+		} else {
+			t.Logf("%s: a queued cache-off round trip allocates %.0f times", tc.name, n)
+		}
+		svc.Close()
+	}
+}
+
+// TestTicketWaitAllocatesNothing: a Ticket.Wait on a ticket that has not
+// settled blocks on a waiter from the free list, not on a channel of its
+// own, so once the list is warm it allocates nothing, whether settle wakes
+// it or its ctx ends it.
+func TestTicketWaitAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs = 1000
+	recs := make([]*record, runs+1)
+	for i := range recs {
+		recs[i] = newRecord(int64(i+1), "p", "")
+	}
+	// The settler settles each record once its waiter is registered, so
+	// every Wait below blocks.
+	settle := make(chan *record)
+	defer close(settle)
+	go func() {
+		for r := range settle {
+			for {
+				r.mu.Lock()
+				waiting := r.waiting != (workqueue.WaitList{})
+				r.mu.Unlock()
+				if waiting {
+					break
+				}
+				runtime.Gosched()
+			}
+			r.settle(nil, vcache.OutcomeMiss, nil, func() {})
+		}
+	}()
+	ctx := context.Background()
+	i := 0
+	woken := func() {
+		r := recs[i]
 		i++
-		if _, err := tk.Wait(ctx); err != nil {
+		settle <- r
+		if _, err := r.ticket.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for range 2 * len(raws) {
-		round()
+	if n := testing.AllocsPerRun(runs, woken); n != 0 {
+		t.Errorf("a Wait that settle wakes allocates %.2f times, want 0", n)
 	}
-	const budget = 14
-	if n := testing.AllocsPerRun(400, round); n > budget {
-		t.Errorf("a queued cache-off round trip allocates %.0f times, budget %d", n, budget)
-	} else {
-		t.Logf("a queued cache-off round trip allocates %.0f times", n)
+
+	unsettled := newRecord(0, "p", "")
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	given := func() {
+		if _, err := unsettled.ticket.Wait(cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait on an unsettled ticket under a cancelled ctx = %v", err)
+		}
+	}
+	if n := testing.AllocsPerRun(runs, given); n != 0 {
+		t.Errorf("a Wait that its ctx ends allocates %.2f times, want 0", n)
 	}
 }

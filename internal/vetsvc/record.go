@@ -8,6 +8,7 @@ import (
 
 	"apichecker/internal/core"
 	"apichecker/internal/vcache"
+	"apichecker/internal/workqueue"
 )
 
 // record is the verdict record one accepted submission settles into —
@@ -32,7 +33,8 @@ type record struct {
 	verdict *core.Verdict
 	outcome vcache.Outcome // how the verdict was served
 	err     error
-	done    chan struct{} // lazy (doneCh): fast-path settles never allocate it
+	waiting workqueue.WaitList // Ticket.Wait callers, woken by settle
+	done    chan struct{}      // lazy (doneCh): only Ticket.Done makes it
 
 	// The in-process half of the queued submission rides the record
 	// (as the queue item's Mem attachment) rather than a separate
@@ -66,15 +68,38 @@ func (r *record) settle(v *core.Verdict, out vcache.Outcome, err error, book fun
 	r.verdict, r.outcome, r.err = v, out, err
 	r.sub = core.Submission{}
 	book()
+	r.waiting.WakeAll()
 	if r.done != nil {
 		close(r.done)
 	}
 	return true
 }
 
-// doneCh returns the settlement channel, creating it on first demand —
-// a record that settles before anyone waits (tier-1 verdicts, cache
-// hits) never pays for one.
+// wait blocks until the record settles or ctx ends, on a reused waiter
+// rather than a channel of the record's own, and reports whether it
+// settled; once it has, verdict and err are immutable and safe to read.
+func (r *record) wait(ctx context.Context) bool {
+	r.mu.Lock()
+	if r.settled {
+		r.mu.Unlock()
+		return true
+	}
+	w := r.waiting.Add()
+	r.mu.Unlock()
+	select {
+	case <-w.C:
+	case <-ctx.Done():
+	}
+	r.mu.Lock()
+	r.waiting.Done(w)
+	settled := r.settled
+	r.mu.Unlock()
+	return settled
+}
+
+// doneCh returns the settlement channel, creating it on first demand, for
+// callers that select on it (the gateway's long poll). A record only
+// waited on through Ticket.Wait never makes one.
 func (r *record) doneCh() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -85,14 +110,6 @@ func (r *record) doneCh() <-chan struct{} {
 		}
 	}
 	return r.done
-}
-
-// isSettled reports whether the record has its verdict; once true the
-// verdict/err fields are immutable and safe to read.
-func (r *record) isSettled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.settled
 }
 
 // takeSub snapshots the submission for a claim (zero after settle).

@@ -181,7 +181,8 @@ type Ticket struct {
 // Seq returns the vet sequence number reserved for this submission.
 func (t *Ticket) Seq() int64 { return t.r.seq }
 
-// Done is closed when the submission has been vetted (or failed).
+// Done is closed when the submission has been vetted (or failed). It is
+// made on first call; Wait does not need it.
 func (t *Ticket) Done() <-chan struct{} { return t.r.doneCh() }
 
 // State reports the submission's position in the serving state machine:
@@ -202,15 +203,10 @@ func (t *Ticket) Outcome() vcache.Outcome {
 // Wait blocks for the verdict. The context bounds the wait only — the
 // submission itself keeps running under its own deadline.
 func (t *Ticket) Wait(ctx context.Context) (*core.Verdict, error) {
-	if t.r.isSettled() {
-		return t.r.verdict, t.r.err
-	}
-	select {
-	case <-t.r.doneCh():
-		return t.r.verdict, t.r.err
-	case <-ctx.Done():
+	if !t.r.wait(ctx) {
 		return nil, ctx.Err()
 	}
+	return t.r.verdict, t.r.err
 }
 
 // Service is a running vetting service over one trained Checker.
@@ -328,7 +324,7 @@ func Open(ck *core.Checker, cfg Config) (*Service, error) {
 			HeartbeatEvery: cfg.HeartbeatEvery,
 			Do:             s.vetClaim,
 			OnPanic:        func(*job, any) { s.m.panics.Inc() },
-		}.Start(context.Background(), cfg.Workers, func() worker.Claimer[*job] { return localQueue{s} })
+		}.Start(context.Background(), cfg.Workers, func() worker.Claimer[*job] { return &localQueue{s: s} })
 	}
 	return s, nil
 }
@@ -498,7 +494,7 @@ func (s *Service) open(sub *core.Submission, publish func(*Ticket)) *record {
 // job is one local claim: the lease, its record and submission, and, once
 // vetted, the result Ack settles the record with.
 type job struct {
-	l    *workqueue.Lease
+	l    workqueue.Lease
 	r    *record
 	sub  core.Submission
 	v    *core.Verdict
@@ -518,11 +514,11 @@ type job struct {
 // still live. An item whose record has settled — its verdict recorded
 // under a lease that was then lost, or its ticket failed by a hard drain —
 // has nothing left to vet: its lease is acked and the claim goes on.
-func (s *Service) claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (*workqueue.Lease, *record, error) {
+func (s *Service) claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (workqueue.Lease, *record, error) {
 	for {
 		l, err := s.q.ClaimWhere(ctx, until, accept)
 		if err != nil {
-			return nil, nil, err
+			return l, nil, err
 		}
 		if r := s.recordFor(l.Item().Seq); r != nil {
 			return l, r, nil
@@ -551,22 +547,29 @@ func (s *Service) settle(r *record, id workqueue.LeaseID, v *core.Verdict, out v
 	return recorded, s.q.Ack(id) == nil
 }
 
-// localQueue is the service's queue as a worker.Claimer: a claim is a
-// queue lease plus its first-wins verdict record.
-type localQueue struct{ s *Service }
+// localQueue is the service's queue as one lane's worker.Claimer: a claim
+// is a queue lease plus its first-wins verdict record, held in the one job
+// the lane owns. The executor has acked or nacked a claim and stopped its
+// heartbeat before the lane claims again, so nothing still reads the job
+// the next claim overwrites.
+type localQueue struct {
+	s *Service
+	j job
+}
 
 // Claim takes the next lease whose record is still live. The vet context's
 // parent is the caller's context (or the drainable base) and its deadline
 // is claimDeadline's. Replayed items rebuild their submission from the
 // durable payload.
-func (c localQueue) Claim(ctx context.Context) (worker.Claim[*job], error) {
+func (c *localQueue) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	s := c.s
 	l, r, err := s.claim(ctx, time.Time{}, nil)
 	if err != nil {
 		return worker.Claim[*job]{}, err
 	}
 	it := l.Item()
-	j := &job{l: l, r: r}
+	j := &c.j
+	*j = job{l: l, r: r}
 	cl := worker.Claim[*job]{Lease: j, Parent: s.base, Deadline: s.claimDeadline(it), TTL: s.q.LeaseTTL()}
 	if it.Mem == nil {
 		j.sub = core.Submission{Raw: it.Payload, Seq: it.Seq, Digest: it.Key}
@@ -579,9 +582,19 @@ func (c localQueue) Claim(ctx context.Context) (worker.Claim[*job], error) {
 	return cl, nil
 }
 
-func (localQueue) Heartbeat(j *job) (bool, error) { return j.l.Heartbeat() != nil, nil }
-func (localQueue) Nack(j *job, cause string)      { j.l.Nack(errors.New(cause)) }
-func (c localQueue) Ack(j *job)                   { c.s.settle(j.r, j.l.ID(), j.v, j.out, j.err, j.wall) }
+func (*localQueue) Heartbeat(j *job) (bool, error) { return j.l.Heartbeat() != nil, nil }
+
+// Nack and Ack settle the claim, then clear the job, so an idle lane keeps
+// nothing of the submission it vetted last.
+func (*localQueue) Nack(j *job, cause string) {
+	j.l.Nack(errors.New(cause))
+	*j = job{}
+}
+
+func (c *localQueue) Ack(j *job) {
+	c.s.settle(j.r, j.l.ID(), j.v, j.out, j.err, j.wall)
+	*j = job{}
+}
 
 // Remote is the service's claimer as a cluster coordinator drives it for
 // remote worker nodes (internal/cluster): the local lanes' claim path and
@@ -595,10 +608,10 @@ func (s *Service) Remote() Remote { return Remote{s} }
 // Claim leases the lowest-seq pending submission accept allows, waiting
 // until until at most, and marks it started — the started event fires as
 // the claim leaves for its node. deadline is the vet's (zero: unbounded).
-func (c Remote) Claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (l *workqueue.Lease, deadline time.Time, err error) {
+func (c Remote) Claim(ctx context.Context, until time.Time, accept func(workqueue.Item) bool) (l workqueue.Lease, deadline time.Time, err error) {
 	l, r, err := c.s.claim(ctx, until, accept)
 	if err != nil {
-		return nil, time.Time{}, err
+		return l, time.Time{}, err
 	}
 	c.s.start(r)
 	return l, c.s.claimDeadline(l.Item()), nil
@@ -790,9 +803,7 @@ func (s *Service) VetBatch(ctx context.Context, subs []core.Submission) ([]*core
 	out := make([]*core.Verdict, len(cp))
 	firstErr := submitErr
 	for i, t := range tickets {
-		if !t.r.isSettled() {
-			<-t.r.doneCh()
-		}
+		t.r.wait(context.Background())
 		out[i] = t.r.verdict
 		if t.r.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("vetsvc: %s: %w", t.r.pkg, t.r.err)

@@ -250,7 +250,8 @@ type Config struct {
 	// workqueue.ErrLeaseLost) if the lease is lost mid-execution — the
 	// item has been reclaimed and another lane owns it, so the callback
 	// should abandon its work. Do may consult the lease (Item, Valid) but
-	// must not settle it: the pool acks on return and nacks on panic.
+	// must not settle it: the pool acks on return and nacks on panic. The
+	// lease is the lane's, reused by its next claim: Do must not keep l.
 	Do func(ctx context.Context, l *workqueue.Lease)
 
 	// HeartbeatEvery extends the lease while Do runs, under the executor's
@@ -279,17 +280,24 @@ func Start(q *workqueue.Queue, cfg Config) *Pool {
 				cfg.OnPanic(l.Item(), v)
 			}
 		},
-	}.Start(context.Background(), max(cfg.Lanes, 1), func() Claimer[*workqueue.Lease] { return queue{q} })
+	}.Start(context.Background(), max(cfg.Lanes, 1), func() Claimer[*workqueue.Lease] { return &queue{q: q} })
 }
 
-// queue is the bare local queue as a Claimer: a claim is a lease.
-type queue struct{ q *workqueue.Queue }
-
-func (c queue) Claim(ctx context.Context) (Claim[*workqueue.Lease], error) {
-	l, err := c.q.Claim(ctx)
-	return Claim[*workqueue.Lease]{Lease: l, TTL: c.q.LeaseTTL()}, err
+// queue is the bare local queue as one lane's Claimer: a claim is a lease,
+// kept in the one Lease the lane owns. The executor has settled a claim and
+// stopped its heartbeat before it claims again, so nothing still reads the
+// lease the next claim overwrites.
+type queue struct {
+	q *workqueue.Queue
+	l workqueue.Lease
 }
 
-func (queue) Heartbeat(l *workqueue.Lease) (bool, error) { return l.Heartbeat() != nil, nil }
-func (queue) Ack(l *workqueue.Lease)                     { l.Ack() }
-func (queue) Nack(l *workqueue.Lease, cause string)      { l.Nack(errors.New(cause)) }
+func (c *queue) Claim(ctx context.Context) (Claim[*workqueue.Lease], error) {
+	var err error
+	c.l, err = c.q.Claim(ctx)
+	return Claim[*workqueue.Lease]{Lease: &c.l, TTL: c.q.LeaseTTL()}, err
+}
+
+func (*queue) Heartbeat(l *workqueue.Lease) (bool, error) { return l.Heartbeat() != nil, nil }
+func (*queue) Ack(l *workqueue.Lease)                     { l.Ack() }
+func (*queue) Nack(l *workqueue.Lease, cause string)      { l.Nack(errors.New(cause)) }

@@ -291,11 +291,10 @@ type Queue struct {
 	pending  seqHeap
 	leases   map[int64]leaseState // by seq (value map: one less alloc per claim)
 	debt     int
-	token    uint64 // lease token source
-	closed   bool   // no new enqueues; Claim drains then reports ErrDrained
-	released bool   // Close called: journal shut, claims report ErrClosed
-	waiters  int    // Claims blocked on wake (pulses are skipped at zero)
-	wake     chan struct{}
+	token    uint64   // lease token source
+	closed   bool     // no new enqueues; Claim drains then reports ErrDrained
+	released bool     // Close called: journal shut, claims report ErrClosed
+	waiting  WaitList // Claims blocked until the queue's state changes
 	log      *framelog.Log
 	nextSeq  int64 // last seq assigned to an item enqueued with Seq 0
 	maxSeq   int64 // highest seq the journal had recorded at Open
@@ -332,7 +331,6 @@ func Open(cfg Config) (*Queue, []Item, error) {
 		epoch:     now(),
 		slots:     make(chan struct{}, cfg.Capacity),
 		leases:    make(map[int64]leaseState),
-		wake:      make(chan struct{}),
 		depth:     col.Gauge("svc.queue.depth"),
 		leased:    col.Gauge("svc.queue.leases"),
 		enqueued:  col.Counter("svc.queue.enqueued"),
@@ -483,20 +481,25 @@ func (q *Queue) releaseSlotLocked() {
 }
 
 // pulseLocked wakes every blocked Claim to rescan the queue state. With
-// no claimer waiting (lanes all busy — the steady serving state) it is
-// free: no channel is closed or reallocated.
-func (q *Queue) pulseLocked() {
-	if q.waiters == 0 {
-		return
+// no claimer waiting (lanes all busy — the steady serving state) it does
+// nothing.
+func (q *Queue) pulseLocked() { q.waiting.WakeAll() }
+
+// settledLocked wakes the blocked claims after a lease settled without
+// returning its item: an ack, a dead letter, or a reclaim that left no
+// lease. Only a drain can act on that — a Shutdown queue with nothing left
+// reports ErrDrained, and AwaitDrained returns — so before Shutdown it
+// wakes nobody.
+func (q *Queue) settledLocked() {
+	if q.closed {
+		q.pulseLocked()
 	}
-	close(q.wake)
-	q.wake = make(chan struct{})
 }
 
 // Claim blocks for the lowest-seq pending item and leases it to the
 // caller. It returns ErrDrained once a Shutdown queue has settled
 // everything, ErrClosed after Close, or ctx's error.
-func (q *Queue) Claim(ctx context.Context) (*Lease, error) {
+func (q *Queue) Claim(ctx context.Context) (Lease, error) {
 	return q.ClaimWhere(ctx, time.Time{}, nil)
 }
 
@@ -508,8 +511,9 @@ func (q *Queue) Claim(ctx context.Context) (*Lease, error) {
 // routes around items whose digest belongs to another live node, and
 // re-reads liveness at each until. accept is called under the queue lock:
 // it must be fast and must not call back into the queue. A nil accept and
-// a zero until are plain Claim.
-func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Item) bool) (*Lease, error) {
+// a zero until are plain Claim. The Lease is returned by value: a holder
+// keeps it where it likes, and a claim allocates none.
+func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Item) bool) (Lease, error) {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -520,7 +524,7 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 		q.mu.Lock()
 		if q.released {
 			q.mu.Unlock()
-			return nil, ErrClosed
+			return Lease{}, ErrClosed
 		}
 		dead := q.reclaimLocked()
 		if it, ok := q.pending.takeMin(accept); ok {
@@ -536,27 +540,26 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 			q.leased.Set(int64(len(q.leases)))
 			q.mu.Unlock()
 			q.fireDead(dead)
-			return &Lease{q: q, item: it, token: ls.token}, nil
+			return Lease{q: q, item: it, token: ls.token}, nil
 		}
 		if q.closed && len(q.pending) == 0 && len(q.leases) == 0 {
 			q.mu.Unlock()
 			q.fireDead(dead)
-			return nil, ErrDrained
+			return Lease{}, ErrDrained
 		}
 		if !until.IsZero() && !q.now().Before(until) {
 			q.mu.Unlock()
 			q.fireDead(dead)
-			return nil, ErrNothingClaimable
+			return Lease{}, ErrNothingClaimable
 		}
 		// Nothing claimable: wait for an enqueue, a nack, a shutdown, until
 		// — or the earliest lease expiry, after which a rescan reclaims it.
-		// Registering as a waiter before capturing the wake channel (both
-		// under q.mu) means no pulse between the unlock and the select can
-		// be missed. One timer serves every wait of the call, armed only
+		// The waiter is registered under q.mu, so no pulse between the
+		// unlock and the select can be missed; its channel is reused wait
+		// after wait. One timer serves every wait of the call, armed only
 		// when something bounds the wait, and goes back to waitTimers
 		// stopped when the call returns.
-		q.waiters++
-		wake, next := q.wake, until
+		w, next := q.waiting.Add(), until
 		if q.cfg.LeaseTTL > 0 {
 			for _, ls := range q.leases {
 				if dl := q.epoch.Add(ls.deadline); next.IsZero() || dl.Before(next) {
@@ -577,7 +580,7 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 		q.mu.Unlock()
 		q.fireDead(dead)
 		select {
-		case <-wake:
+		case <-w.C:
 		case <-expiry:
 		case <-ctx.Done():
 		}
@@ -585,10 +588,10 @@ func (q *Queue) ClaimWhere(ctx context.Context, until time.Time, accept func(Ite
 			timer.Stop()
 		}
 		q.mu.Lock()
-		q.waiters--
+		q.waiting.Done(w)
 		q.mu.Unlock()
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return Lease{}, err
 		}
 	}
 }
@@ -651,7 +654,7 @@ func (q *Queue) reclaimLocked() []deadItem {
 	}
 	q.leased.Set(int64(len(q.leases)))
 	if len(dead) > 0 || len(q.leases) == 0 {
-		q.pulseLocked()
+		q.settledLocked()
 	}
 	return dead
 }
@@ -770,14 +773,15 @@ func (q *Queue) Close() error {
 // on every heartbeat, ack and nack — and all the queue needs to settle
 // one: the queue's lease table is the only record of who holds what. A
 // reclaimed item is re-issued under a new token, so a stale ID is refused
-// exactly like a stale *Lease.
+// exactly like a stale Lease.
 type LeaseID struct {
 	Seq   int64
 	Token uint64
 }
 
-// Lease is one claim on one item. The holder must settle it exactly once
-// with Ack or Nack; Heartbeat extends it mid-work.
+// Lease is one claim on one item, a value its holder keeps. The holder
+// must settle it exactly once with Ack or Nack; Heartbeat extends it
+// mid-work.
 type Lease struct {
 	q     *Queue
 	item  Item
@@ -851,7 +855,7 @@ func (q *Queue) Ack(id LeaseID) error {
 	q.leaseAge.Observe((q.clock() - ls.leasedAt).Seconds())
 	q.acked.Inc()
 	q.journalSettleLocked(ls.item)
-	q.pulseLocked()
+	q.settledLocked()
 	q.mu.Unlock()
 	return nil
 }
@@ -877,7 +881,7 @@ func (q *Queue) Nack(id LeaseID, cause error) (requeued bool, err error) {
 			cause = fmt.Errorf("workqueue: nacked after %d attempt(s)", ls.item.Attempts)
 		}
 		dead = append(dead, q.settleDeadLocked(ls.item, cause))
-		q.pulseLocked()
+		q.settledLocked()
 		q.mu.Unlock()
 		q.fireDead(dead)
 		return false, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func claim(t *testing.T, q *Queue) *Lease {
 	if err != nil {
 		t.Fatalf("claim: %v", err)
 	}
-	return l
+	return &l
 }
 
 func TestClaimOrderIsSeqOrder(t *testing.T) {
@@ -739,5 +740,65 @@ func TestBoundedClaimWaitAllocBudget(t *testing.T) {
 	wait()
 	if n := testing.AllocsPerRun(100, wait); n != 0 {
 		t.Errorf("a bounded wait that claims nothing allocates %.0f times, want 0", n)
+	}
+}
+
+// TestWakeClaimAllocBudget: an Enqueue that wakes a blocked Claim, or a
+// blocked ClaimWhere with an accept filter, which then leases the item and
+// acks it, allocates nothing. The claimer waits on a waiter from the free
+// list, and the lease is a value. Remaking a closed wake channel per pulse
+// cost one allocation, and a lease on the heap another.
+func TestWakeClaimAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, tc := range []struct {
+		name   string
+		accept func(Item) bool
+	}{
+		{"Claim", nil},
+		{"ClaimWhere", func(it Item) bool { return it.Key == "mine" }},
+	} {
+		q, _ := mustOpen(t, Config{Capacity: 4})
+		acked := make(chan error)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for {
+				l, err := q.ClaimWhere(ctx, time.Time{}, tc.accept)
+				if err != nil {
+					close(acked)
+					return
+				}
+				acked <- l.Ack()
+			}
+		}()
+		round := func() {
+			// Enqueue only once the claimer is blocked, so every round
+			// wakes it.
+			for {
+				q.mu.Lock()
+				blocked := q.waiting.head != nil
+				q.mu.Unlock()
+				if blocked {
+					break
+				}
+				runtime.Gosched()
+			}
+			if !q.TryAcquire() {
+				t.Fatal("no free slot")
+			}
+			if _, err := q.Enqueue(Item{Key: "mine"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-acked; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, round); n != 0 {
+			t.Errorf("%s: a woken claim and its ack allocate %.2f times, want 0", tc.name, n)
+		}
+		cancel()
+		<-acked
+		q.Close()
 	}
 }
